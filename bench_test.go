@@ -101,52 +101,75 @@ func BenchmarkHierarchyRequest(b *testing.B) {
 	}
 }
 
+// replayRequests is the length of the engine replay benchmarks' stream.
+const replayRequests = 200000
+
+// alpha2Trace packs the engine replay benchmarks' 200k-request Zipf
+// stream into an in-memory binary trace, so the timed loops replay a
+// pre-generated stream and measure simulation, not generation.
+func alpha2Trace(b *testing.B) []byte {
+	b.Helper()
+	g, err := NewWorkload("alpha2", 1.0/16, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := trace.AppendBinaryHeader(nil)
+	for i := 0; i < replayRequests; i++ {
+		buf = trace.AppendBinary(buf, g.Next())
+	}
+	return buf
+}
+
+// benchReplay times b.N replays of the packed trace buf, each through a
+// fresh engine built from cfg and driven by RunSource over a zero-copy
+// mapping of buf.
+func benchReplay(b *testing.B, buf []byte, cfg EngineConfig) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := trace.MapBytes(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := eng.RunSource(src, replayRequests); n != replayRequests {
+			b.Fatalf("replayed %d requests, want %d", n, replayRequests)
+		}
+		if got := eng.Stats().Requests; got != replayRequests {
+			b.Fatalf("stats count %d requests, want %d", got, replayRequests)
+		}
+		if cfg.Obs != (ObsOptions{}) {
+			if rep := eng.Observe(); len(rep.Snapshots) == 0 {
+				b.Fatal("observed run produced no snapshots")
+			}
+		}
+	}
+	b.ReportMetric(float64(replayRequests)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
 func benchEngineReplay(b *testing.B, o ObsOptions) {
 	b.Helper()
-	const requests = 200000
+	buf := alpha2Trace(b)
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := NewEngine(EngineConfig{
-					Shards: shards,
-					Hier:   SystemConfig{DRAMBytes: 8 << 20, FlashBytes: 64 << 20, Seed: 3},
-					Obs:    o,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sources := make([]EngineSource, shards)
-				for s := range sources {
-					g, err := NewWorkload("alpha2", 1.0/16, 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sources[s] = NewPartitionedWorkload(g, s, shards)
-				}
-				if err := eng.RunSources(sources, requests); err != nil {
-					b.Fatal(err)
-				}
-				if got := eng.Stats().Requests; got != requests {
-					b.Fatalf("replayed %d requests, want %d", got, requests)
-				}
-				if o != (ObsOptions{}) {
-					if rep := eng.Observe(); len(rep.Snapshots) == 0 {
-						b.Fatal("observed run produced no snapshots")
-					}
-				}
-			}
-			b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			benchReplay(b, buf, EngineConfig{
+				Shards: shards,
+				Hier:   SystemConfig{DRAMBytes: 8 << 20, FlashBytes: 64 << 20, Seed: 3},
+				Obs:    o,
+			})
 		})
 	}
 }
 
 // BenchmarkEngineReplay times a 200k-request Zipf replay through the
-// sharded engine at 1/4/8 shards. Per-shard stream production and
-// simulation both parallelise, so on a multi-core host the sharded
-// runs show the engine's wall-clock scaling; the merged result is
-// identical across shard counts' worker schedules. Observability is
-// disabled — the comparison against BenchmarkEngineReplayObserved
-// measures the nil-observer fast path's cost.
+// sharded engine at 1/4/8 shards. The stream is generated and packed
+// once outside the timed loop; each iteration routes it through
+// Engine.RunSource, so on a multi-core host the sharded runs show the
+// engine's wall-clock scaling. Observability is disabled — the
+// comparison against BenchmarkEngineReplayObserved measures the
+// nil-observer fast path's cost.
 func BenchmarkEngineReplay(b *testing.B) { benchEngineReplay(b, ObsOptions{}) }
 
 // BenchmarkEngineReplayObserved is BenchmarkEngineReplay with the full
@@ -161,50 +184,6 @@ func BenchmarkEngineReplayObserved(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineReplayBatched times the same 200k-request Zipf replay
-// as BenchmarkEngineReplay, but driven through the batch pipeline from
-// a pre-encoded in-memory binary trace: the stream is generated and
-// packed once outside the timed loop, then each iteration maps it
-// zero-copy and replays it with Engine.RunSource. The delta against
-// BenchmarkEngineReplay is the batch pipeline's whole advantage —
-// no per-shard duplicate stream generation, no per-request closure
-// calls, batch-resolved metadata lookups.
-func BenchmarkEngineReplayBatched(b *testing.B) {
-	const requests = 200000
-	g, err := NewWorkload("alpha2", 1.0/16, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := trace.AppendBinaryHeader(nil)
-	for i := 0; i < requests; i++ {
-		buf = trace.AppendBinary(buf, g.Next())
-	}
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := NewEngine(EngineConfig{
-					Shards: shards,
-					Hier:   SystemConfig{DRAMBytes: 8 << 20, FlashBytes: 64 << 20, Seed: 3},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				src, err := trace.MapBytes(buf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n := eng.RunSource(src, requests); n != requests {
-					b.Fatalf("replayed %d requests, want %d", n, requests)
-				}
-				if got := eng.Stats().Requests; got != requests {
-					b.Fatalf("stats count %d requests, want %d", got, requests)
-				}
-			}
-			b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
-
 // BenchmarkEngineReplayChannels times the 200k-request Zipf replay at
 // 4 shards across NAND scheduler geometries: the serial default, pure
 // channel striping, and channels+banks+write-buffer. The scheduler
@@ -213,8 +192,7 @@ func BenchmarkEngineReplayBatched(b *testing.B) {
 // track BenchmarkEngineReplay/shards=4, since the default geometry is
 // the same simulation through the same code path.
 func BenchmarkEngineReplayChannels(b *testing.B) {
-	const requests = 200000
-	const shards = 4
+	buf := alpha2Trace(b)
 	for _, geo := range []struct {
 		name     string
 		channels int
@@ -228,30 +206,10 @@ func BenchmarkEngineReplayChannels(b *testing.B) {
 		b.Run(geo.name, func(b *testing.B) {
 			fc := DefaultCacheConfig(64 << 20)
 			fc.Sched = SchedConfig{Channels: geo.channels, Banks: geo.banks, WriteBufPages: geo.wbuf}
-			for i := 0; i < b.N; i++ {
-				eng, err := NewEngine(EngineConfig{
-					Shards: shards,
-					Hier:   SystemConfig{DRAMBytes: 8 << 20, FlashBytes: 64 << 20, Seed: 3, Flash: fc},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sources := make([]EngineSource, shards)
-				for s := range sources {
-					g, err := NewWorkload("alpha2", 1.0/16, 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sources[s] = NewPartitionedWorkload(g, s, shards)
-				}
-				if err := eng.RunSources(sources, requests); err != nil {
-					b.Fatal(err)
-				}
-				if got := eng.Stats().Requests; got != requests {
-					b.Fatalf("replayed %d requests, want %d", got, requests)
-				}
-			}
-			b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			benchReplay(b, buf, EngineConfig{
+				Shards: 4,
+				Hier:   SystemConfig{DRAMBytes: 8 << 20, FlashBytes: 64 << 20, Seed: 3, Flash: fc},
+			})
 		})
 	}
 }

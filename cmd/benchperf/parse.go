@@ -27,6 +27,10 @@ type Benchmark struct {
 	// Name has the -<GOMAXPROCS> suffix stripped, so summaries from
 	// machines with different core counts stay comparable.
 	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at (the stripped name
+	// suffix; the host's CPU count unless overridden), which decides
+	// whether the sharded replays could run in parallel.
+	Procs int `json:"procs,omitempty"`
 	// Samples is how many repeats the medians were taken over.
 	Samples int `json:"samples"`
 	// NsPerOp is the median ns/op; BPerOp and AllocsPerOp the median
@@ -54,6 +58,7 @@ type sample struct {
 func Parse(r io.Reader) (Summary, error) {
 	sum := Summary{Schema: schemaID}
 	samples := map[string][]sample{}
+	procsOf := map[string]int{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -71,10 +76,11 @@ func Parse(r io.Reader) (Summary, error) {
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
 		}
-		name, s, ok := parseResultLine(line)
+		name, procs, s, ok := parseResultLine(line)
 		if !ok {
 			continue
 		}
+		procsOf[name] = procs
 		samples[name] = append(samples[name], s)
 	}
 	if err := sc.Err(); err != nil {
@@ -83,6 +89,7 @@ func Parse(r io.Reader) (Summary, error) {
 	for name, ss := range samples {
 		sum.Benchmarks = append(sum.Benchmarks, Benchmark{
 			Name:        name,
+			Procs:       procsOf[name],
 			Samples:     len(ss),
 			NsPerOp:     median(ss, func(s sample) float64 { return s.ns }),
 			BPerOp:      median(ss, func(s sample) float64 { return s.bytes }),
@@ -102,14 +109,14 @@ func Parse(r io.Reader) (Summary, error) {
 //
 // The iteration count is mandatory; the unit columns are read by their
 // suffix so extra metrics (MB/s, custom units) do not break parsing.
-func parseResultLine(line string) (string, sample, bool) {
+func parseResultLine(line string) (string, int, sample, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", sample{}, false
+		return "", 0, sample{}, false
 	}
-	name := trimProcs(fields[0])
+	name, procs := trimProcs(fields[0])
 	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-		return "", sample{}, false
+		return "", 0, sample{}, false
 	}
 	var s sample
 	seenNs := false
@@ -130,22 +137,24 @@ func parseResultLine(line string) (string, sample, bool) {
 		}
 	}
 	if !seenNs {
-		return "", sample{}, false
+		return "", 0, sample{}, false
 	}
-	return name, s, true
+	return name, procs, s, true
 }
 
 // trimProcs drops the trailing -<GOMAXPROCS> go test appends to
-// benchmark names, leaving sub-benchmark paths intact.
-func trimProcs(name string) string {
+// benchmark names, leaving sub-benchmark paths intact, and returns it
+// (0 when absent).
+func trimProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 0
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 0
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 func median(ss []sample, get func(sample) float64) float64 {

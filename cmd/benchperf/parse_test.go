@@ -26,6 +26,9 @@ func TestParse(t *testing.T) {
 	if sum.GOOS != "linux" || sum.GOARCH != "amd64" || sum.CPU != "Intel(R) Xeon(R) CPU" {
 		t.Errorf("header = %q/%q/%q", sum.GOOS, sum.GOARCH, sum.CPU)
 	}
+	if p := sum.Benchmarks[0].Procs; p != 8 {
+		t.Errorf("procs = %d, want 8 (the -8 name suffix)", p)
+	}
 	if len(sum.Benchmarks) != 3 {
 		t.Fatalf("got %d benchmarks, want 3: %+v", len(sum.Benchmarks), sum.Benchmarks)
 	}
@@ -87,16 +90,19 @@ BenchmarkReal-8 100 42.0 ns/op 8 B/op 1 allocs/op
 }
 
 func TestTrimProcs(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkFoo-8":            "BenchmarkFoo",
-		"BenchmarkFoo-128":          "BenchmarkFoo",
-		"BenchmarkFoo":              "BenchmarkFoo",
-		"BenchmarkFoo/shards=4-8":   "BenchmarkFoo/shards=4",
-		"BenchmarkFoo/alpha-beta":   "BenchmarkFoo/alpha-beta",
-		"BenchmarkFoo/alpha-beta-2": "BenchmarkFoo/alpha-beta",
+	for in, want := range map[string]struct {
+		name  string
+		procs int
+	}{
+		"BenchmarkFoo-8":            {"BenchmarkFoo", 8},
+		"BenchmarkFoo-128":          {"BenchmarkFoo", 128},
+		"BenchmarkFoo":              {"BenchmarkFoo", 0},
+		"BenchmarkFoo/shards=4-8":   {"BenchmarkFoo/shards=4", 8},
+		"BenchmarkFoo/alpha-beta":   {"BenchmarkFoo/alpha-beta", 0},
+		"BenchmarkFoo/alpha-beta-2": {"BenchmarkFoo/alpha-beta", 2},
 	} {
-		if got := trimProcs(in); got != want {
-			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		if name, procs := trimProcs(in); name != want.name || procs != want.procs {
+			t.Errorf("trimProcs(%q) = %q, %d; want %q, %d", in, name, procs, want.name, want.procs)
 		}
 	}
 }

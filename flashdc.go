@@ -126,21 +126,11 @@ type (
 	EngineConfig = engine.Config
 	// Engine replays request streams across shards and merges results.
 	Engine = engine.Engine
-	// EngineSource yields one shard's slice of a global stream.
-	EngineSource = engine.Source
-	// PartitionedWorkload filters a Workload down to one shard's pages.
-	PartitionedWorkload = workload.Partitioned
 )
 
 // NewEngine builds a sharded engine; Shards=1 reproduces the
 // monolithic simulation exactly.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
-
-// NewPartitionedWorkload wraps g as shard's deterministic slice of the
-// global request stream (see Engine.RunSources).
-func NewPartitionedWorkload(g Workload, shard, shards int) *PartitionedWorkload {
-	return workload.NewPartitioned(g, shard, shards)
-}
 
 // ShardOf maps a page to its owning shard under the canonical LBA
 // hash partition.

@@ -28,6 +28,15 @@ import (
 // simulated inline on the calling goroutine: same per-shard order,
 // none of the queue/wakeup overhead.
 
+const (
+	// batchSize is how many requests a shard simulates per worker
+	// slot acquisition, and the router's enqueue granularity.
+	batchSize = 64
+	// queueDepth bounds how many routed batches may sit queued per
+	// shard before the router blocks for headroom.
+	queueDepth = 8
+)
+
 // fifo is a per-shard batch queue (append at tail, pop at head).
 type fifo struct {
 	items [][]trace.Request
@@ -53,10 +62,10 @@ func (f *fifo) pop() []trace.Request {
 type runner struct {
 	e      *Engine
 	serial bool
-	// batch is the flush threshold for pending buffers: BatchSize in
+	// batch is the flush threshold for pending buffers: batchSize in
 	// parallel mode (enqueue granularity = steal granularity), but at
 	// least DefaultBatch when inline — with no scheduler to feed there
-	// is no reason to cut the resolve pipeline into small slices.
+	// is no reason to cut the stream into small slices.
 	batch int
 	// pending accumulates routed runs per shard on the router side.
 	pending [][]trace.Request
@@ -77,14 +86,14 @@ type runner struct {
 func (e *Engine) startRun() *runner {
 	r := &runner{e: e}
 	r.serial = len(e.shards) == 1 || e.Workers() == 1 || runtime.GOMAXPROCS(0) == 1
-	r.batch = e.batchSize()
-	if r.serial && r.batch < trace.DefaultBatch {
+	r.batch = batchSize
+	if r.serial {
 		r.batch = trace.DefaultBatch
 	}
 	if e.pending == nil {
 		e.pending = make([][]trace.Request, len(e.shards))
 		for s := range e.pending {
-			e.pending[s] = make([]trace.Request, 0, e.batchSize())
+			e.pending[s] = make([]trace.Request, 0, batchSize)
 		}
 	}
 	r.pending = e.pending
@@ -157,7 +166,7 @@ func (r *runner) flush(s int) {
 		return
 	}
 	r.mu.Lock()
-	for r.queues[s].len() >= r.e.queueDepth() {
+	for r.queues[s].len() >= queueDepth {
 		r.cond.Wait()
 	}
 	r.queues[s].push(b)

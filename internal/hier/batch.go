@@ -1,49 +1,13 @@
 package hier
 
-import (
-	"flashdc/internal/sim"
-	"flashdc/internal/trace"
-)
+import "flashdc/internal/trace"
 
-// This file is the monolithic half of the batched request pipeline:
-// RunBatch/RunSource replace the per-request pull closure the system
-// was driven by through PR 7. A batch is serviced in resolve/serve
-// windows: the PDC index (and, for pages it will miss, the FCHT) is
-// probed for a whole window of upcoming pages in one tight pass —
-// turning a chain of probes serialised between page services into
-// independent lookups the memory system can overlap — and each page is
-// then serviced through the resolved slot. Metadata mutations (fills,
-// inserts, evictions) invalidate the window's remaining hints via
-// dram.Cache.Version, falling back to the classic probing walk, so the
-// replay is bit-identical to per-request Handle calls in every
-// counter, latency sample and clock reading.
-
-// resolveWindow is how many pages one resolve pass covers. Large
-// enough to amortise the pass and expose useful memory-level
-// parallelism, small enough that a metadata mutation (which
-// invalidates the rest of the window) wastes little resolved work.
-const resolveWindow = 128
-
-// resolver is the reusable per-system resolve scratch.
-type resolver struct {
-	lbas  [resolveWindow]int64
-	hints [resolveWindow]int32
-	// flashLBAs/flashHits compact the PDC-missing pages for the FCHT
-	// probe pass.
-	flashLBAs [resolveWindow]int64
-	flashHits [resolveWindow]bool
-}
-
-// RunBatch services every request of batch in order and returns
-// len(batch). It is equivalent to calling Handle per request —
-// identical stats, latency histogram, clock advance and observer
-// snapshots — but resolves cache metadata for windows of upcoming
-// pages in bulk. Degraded-service conditions surface through Err, as
-// with Handle's error, which is sticky.
+// RunBatch services every request of batch in order through Handle and
+// returns len(batch). Degraded-service conditions surface through Err,
+// as with Handle's error, which is sticky.
 func (s *System) RunBatch(batch []trace.Request) int {
-	done := 0
-	for done < len(batch) {
-		done += s.runWindow(batch[done:])
+	for _, r := range batch {
+		s.Handle(r)
 	}
 	return len(batch)
 }
@@ -68,129 +32,4 @@ func (s *System) RunSource(src trace.Source, n int) int {
 		consumed += s.RunBatch(s.runBuf[:k])
 	}
 	return consumed
-}
-
-// runWindow gathers whole requests from reqs into one resolve window,
-// pre-resolves their pages, services them, and returns how many
-// requests it consumed (at least 1).
-func (s *System) runWindow(reqs []trace.Request) int {
-	if s.res == nil {
-		s.res = new(resolver)
-	}
-	res := s.res
-
-	// Gather whole requests until the window is full. A request too
-	// large for an empty window is serviced through the classic path.
-	nreq, np := 0, 0
-	for _, r := range reqs {
-		n := r.Pages
-		if n < 1 {
-			n = 1
-		}
-		if np+n > resolveWindow {
-			break
-		}
-		for i := 0; i < n; i++ {
-			res.lbas[np] = r.LBA + int64(i)
-			np++
-		}
-		nreq++
-	}
-	if nreq == 0 {
-		s.Handle(reqs[0])
-		return 1
-	}
-
-	// Resolve pass: PDC slots for every page, then one FCHT probe pass
-	// over the pages the PDC will miss (prefetch only — the tier walk
-	// stays authoritative).
-	ver := s.pdc.Version()
-	s.pdc.ResolveBatch(res.lbas[:np], res.hints[:np])
-	if s.flash != nil {
-		m := 0
-		for k := 0; k < np; k++ {
-			if res.hints[k] < 0 {
-				res.flashLBAs[m] = res.lbas[k]
-				m++
-			}
-		}
-		if m > 0 {
-			s.flash.PeekBatch(res.flashLBAs[:m], res.flashHits[:m])
-		}
-	}
-
-	// Serve pass: Handle's exact per-request body, with the page
-	// service switched to the resolved slot while the window's version
-	// guard holds.
-	idx := 0
-	for _, r := range reqs[:nreq] {
-		s.stats.Requests++
-		n := r.Pages
-		if n < 1 {
-			n = 1
-		}
-		isRead := r.Op == trace.OpRead
-		var total sim.Duration
-		for i := 0; i < n; i++ {
-			lba := res.lbas[idx]
-			var lat sim.Duration
-			if isRead {
-				s.stats.ReadPages++
-				lat = s.readPageHinted(lba, res.hints[idx], ver)
-			} else {
-				s.stats.WritePages++
-				lat = s.writePageHinted(lba, res.hints[idx], ver)
-			}
-			idx++
-			s.latencies.Observe(lat)
-			total += lat
-		}
-		s.clock.Advance(total)
-		s.stats.TotalLatency += total
-		s.obs.MaybeSnapshot(s.clock.Now())
-	}
-	return nreq
-}
-
-// readPageHinted is readPage with the PDC outcome pre-resolved: while
-// the version guard holds, a resolved hit skips straight to the slot
-// and a resolved miss starts the tier walk below the PDC, with the
-// same counters either way. A stale guard falls back to the probing
-// walk.
-func (s *System) readPageHinted(lba int64, hint int32, ver uint64) sim.Duration {
-	s.noteRead(lba)
-	if s.pdc.Version() != ver {
-		return s.servePage(lba)
-	}
-	if hint >= 0 {
-		s.top.st.Reads++
-		s.top.st.Hits++
-		lat := s.pdc.ReadAt(hint)
-		s.stats.PDCHits++
-		return lat
-	}
-	s.top.st.Reads++
-	s.top.st.Misses++
-	s.pdc.NoteMiss()
-	served, lat := s.lookupFrom(1, lba)
-	switch served {
-	case s.flashIdx:
-		s.stats.FlashHits++
-	case s.diskIdx:
-		s.stats.DiskReads++
-	}
-	return lat + s.fillAbove(served, lba)
-}
-
-// writePageHinted is writePage with the PDC residency pre-resolved: a
-// still-valid resident slot takes the in-place dirty update directly;
-// anything else (absent page, stale guard) goes through the classic
-// write, whose insert bumps the version and retires the rest of the
-// window's hints.
-func (s *System) writePageHinted(lba int64, hint int32, ver uint64) sim.Duration {
-	if hint >= 0 && s.pdc.Version() == ver {
-		s.top.st.Writes++
-		return s.pdc.WriteAt(hint)
-	}
-	return s.writePage(lba)
 }

@@ -148,11 +148,7 @@ type System struct {
 	// lastRead and streak detect sequential read runs for readahead.
 	lastRead int64
 	streak   int
-	// top aliases tiers[0] with its concrete type so the batched path
-	// can account PDC outcomes it resolved up front; res and runBuf are
-	// the lazily built RunBatch/RunSource scratch (see batch.go).
-	top    *dramTier
-	res    *resolver
+	// runBuf is the lazily built RunSource scratch (see batch.go).
 	runBuf []trace.Request
 }
 
@@ -289,7 +285,6 @@ func (s *System) compose() {
 		s.flashIdx = -1
 	}
 	s.diskIdx = len(s.tiers) - 1
-	s.top = top
 	top.lower = s.tiers[1]
 	s.tierNames = make([]tierMetricNames, len(s.tiers))
 	for i, t := range s.tiers {
@@ -402,7 +397,17 @@ func (s *System) serviceErr() error {
 // streams trigger readahead.
 func (s *System) readPage(lba int64) sim.Duration {
 	s.noteRead(lba)
-	return s.servePage(lba)
+	served, lat := s.lookup(lba)
+	switch {
+	case served == 0:
+		s.stats.PDCHits++
+		return lat
+	case served == s.flashIdx:
+		s.stats.FlashHits++
+	case served == s.diskIdx:
+		s.stats.DiskReads++
+	}
+	return lat + s.fillAbove(served, lba)
 }
 
 // noteRead advances the sequential-readahead detector and triggers the
@@ -419,34 +424,11 @@ func (s *System) noteRead(lba int64) {
 	}
 }
 
-// servePage is readPage after the readahead bookkeeping: the tier walk
-// plus the per-level hit accounting and upward fills.
-func (s *System) servePage(lba int64) sim.Duration {
-	served, lat := s.lookupFrom(0, lba)
-	switch {
-	case served == 0:
-		s.stats.PDCHits++
-		return lat
-	case served == s.flashIdx:
-		s.stats.FlashHits++
-	case served == s.diskIdx:
-		s.stats.DiskReads++
-	}
-	return lat + s.fillAbove(served, lba)
-}
-
 // lookup walks the chain until a tier serves lba. The bottom tier
 // always hits.
 func (s *System) lookup(lba int64) (served int, lat sim.Duration) {
-	return s.lookupFrom(0, lba)
-}
-
-// lookupFrom walks the chain from tier start until a tier serves lba —
-// the entry point for the batched path, which resolves the PDC outcome
-// up front and starts the walk below it.
-func (s *System) lookupFrom(start int, lba int64) (served int, lat sim.Duration) {
-	for i := start; i < len(s.tiers); i++ {
-		if hit, l := s.tiers[i].ReadPage(lba); hit {
+	for i, t := range s.tiers {
+		if hit, l := t.ReadPage(lba); hit {
 			return i, l
 		}
 	}

@@ -1,6 +1,6 @@
 // Package obs is the simulator's deterministic observability layer: a
-// metrics registry (counters, gauges, fixed-bound histograms) with
-// cheap atomic hot-path recording, and a structured decision-event
+// metrics registry (counters, gauges, fixed-bound histograms) sampled
+// from the components at snapshot time, and a structured decision-event
 // trace with a bounded ring buffer. Both are timestamped in *simulated*
 // time, never wall-clock time, so for a fixed (seed, shards) pair the
 // complete observability output — every snapshot and every event — is
@@ -19,10 +19,9 @@
 //     live HTTP endpoint) only ever touch atomically-published
 //     snapshots, never component state.
 //
-// Metrics come from two sources: atomic instruments (Counter, Gauge,
-// Histogram) recorded on hot paths, and collectors — callbacks sampled
-// at snapshot time that fold a component's existing counters (its
-// Stats struct) into the snapshot without any per-operation cost.
+// Metrics come from collectors: callbacks sampled at snapshot time that
+// fold a component's existing counters (its Stats struct) into the
+// snapshot without any per-operation cost.
 package obs
 
 import (
@@ -139,24 +138,6 @@ func (o *Observer) RegisterCollector(f func(*Sample)) {
 		return
 	}
 	o.Metrics.RegisterCollector(f)
-}
-
-// Counter returns the named atomic counter, or nil (which absorbs Add
-// calls) without metrics.
-func (o *Observer) Counter(name string) *Counter {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	return o.Metrics.Counter(name)
-}
-
-// Histogram returns the named fixed-bound atomic histogram, or nil
-// (which absorbs Observe calls) without metrics.
-func (o *Observer) Histogram(name string, bounds []int64) *Histogram {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	return o.Metrics.Histogram(name, bounds)
 }
 
 // MaybeSnapshot takes one cumulative snapshot per MetricsInterval

@@ -1,78 +1,16 @@
 package obs
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Registry holds a shard's named metrics. Instrument lookups
-// (get-or-create) take a mutex and belong in construction paths;
-// recording on the returned instruments is lock-free atomics, safe
-// from any number of goroutines.
+// Registry holds a shard's metric collectors: callbacks sampled at
+// snapshot time that fold a component's counters into the snapshot.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
 	collectors []func(*Sample)
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named fixed-bound histogram, creating it on
-// first use; the bounds of the first registration win.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // RegisterCollector adds a snapshot-time sampling callback. Collectors
 // run in registration order on the goroutine taking the snapshot, so a
@@ -87,8 +25,7 @@ func (r *Registry) RegisterCollector(f func(*Sample)) {
 	r.collectors = append(r.collectors, f)
 }
 
-// Snapshot captures the cumulative value of every registered
-// instrument plus everything the collectors sample, as one Snapshot
+// Snapshot captures everything the collectors sample, as one Snapshot
 // stamped (seq, t).
 func (r *Registry) Snapshot(seq, t int64, final bool) Snapshot {
 	s := Snapshot{
@@ -102,38 +39,11 @@ func (r *Registry) Snapshot(seq, t int64, final bool) Snapshot {
 	r.mu.Lock()
 	collectors := make([]func(*Sample), len(r.collectors))
 	copy(collectors, r.collectors)
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	r.mu.Unlock()
 
 	sample := Sample{snap: &s}
 	for _, f := range collectors {
 		f(&sample)
-	}
-	for name, c := range counters {
-		s.Counters[name] += c.Value()
-	}
-	for name, g := range gauges {
-		s.Gauges[name] += g.Value()
-	}
-	for name, h := range hists {
-		hs := h.snapshot()
-		if cur, ok := s.Histograms[name]; ok {
-			cur.Merge(hs)
-			s.Histograms[name] = cur
-		} else {
-			s.Histograms[name] = hs
-		}
 	}
 	return s
 }
@@ -159,8 +69,7 @@ func (s *Sample) Gauge(name string, v float64) {
 // Histogram folds hs into the named histogram series. It lets a
 // component that already maintains its own distribution (for example
 // the hierarchy's latency profile) publish it at snapshot time with
-// zero hot-path cost, instead of double-recording into an atomic
-// registry histogram on every observation.
+// zero hot-path cost.
 func (s *Sample) Histogram(name string, hs HistogramSnapshot) {
 	if cur, ok := s.snap.Histograms[name]; ok {
 		cur.Merge(hs)
@@ -168,97 +77,6 @@ func (s *Sample) Histogram(name string, hs HistogramSnapshot) {
 		return
 	}
 	s.snap.Histograms[name] = hs.Clone()
-}
-
-// Counter is a monotonically increasing atomic counter. A nil
-// *Counter absorbs all operations, so hot paths can record without a
-// registry present.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (zero for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an atomically settable float64. A nil *Gauge absorbs all
-// operations.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the current value (zero for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram is a fixed-bound histogram with atomic buckets: bounds are
-// inclusive upper limits in recording units (the catalog uses
-// nanoseconds), with an implicit +Inf bucket at the end. A nil
-// *Histogram absorbs all operations.
-type Histogram struct {
-	bounds  []int64
-	buckets []atomic.Int64
-	sum     atomic.Int64
-}
-
-func newHistogram(bounds []int64) *Histogram {
-	b := append([]int64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
-}
-
-// Observe records one value. The bucket scan is linear — bound lists
-// are short (the latency catalog has 13) and simulated latencies
-// concentrate in the low buckets, so this beats a binary search and
-// keeps the hot path to two uncontended atomic adds.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.sum.Add(v)
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	hs := HistogramSnapshot{
-		Bounds:  append([]int64(nil), h.bounds...),
-		Buckets: make([]int64, len(h.buckets)),
-	}
-	for i := range h.buckets {
-		hs.Buckets[i] = h.buckets[i].Load()
-		hs.Count += hs.Buckets[i]
-	}
-	hs.Sum = h.sum.Load()
-	return hs
 }
 
 // LatencyBounds returns the standard request-latency bucket bounds in
