@@ -60,6 +60,34 @@ func BenchmarkCacheReadHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheReadHitFull times the same hit path on a 64 MiB cache
+// whose read region is full: 230 populated blocks instead of
+// BenchmarkCacheReadHit's handful. Every operation checks the regions'
+// free space and, every 32 operations, the read region's valid
+// fraction, so a per-operation cost that grows with the populated
+// block count shows up here and not in BenchmarkCacheReadHit.
+// Promotion is disabled so the reads stay pure hits.
+func BenchmarkCacheReadHitFull(b *testing.B) {
+	cfg := DefaultCacheConfig(64 << 20)
+	cfg.HotSaturation = 1 << 30
+	c := NewCache(cfg)
+	for i := int64(0); i < 2*c.CapacityPages(); i++ {
+		c.Insert(i)
+	}
+	var cached []int64
+	for i := int64(0); i < 2*c.CapacityPages(); i++ {
+		if c.Contains(i) {
+			cached = append(cached, i)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.Read(cached[i%len(cached)]).Hit {
+			b.Fatal("unexpected miss")
+		}
+	}
+}
+
 // BenchmarkCacheWrite times the out-of-place write path including
 // background GC amortised over a churning working set.
 func BenchmarkCacheWrite(b *testing.B) {

@@ -250,6 +250,7 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 			c.meta[b].elem = r.lru.PushBack(b)
 		}
 	}
+	c.retally()
 	c.fgst = ck.FGST
 	c.stats = ck.Stats
 	c.seq = ck.Seq

@@ -348,7 +348,8 @@ type Cache struct {
 	gcPol    gcPolicy
 	// seq is a logical access clock for frequency estimation.
 	seq uint64
-	// gcCheck amortises the read-region watermark scan.
+	// gcCheck counts host operations toward the next read-region
+	// watermark check (every 32).
 	gcCheck uint64
 	// totalValid is the number of valid pages across the cache.
 	totalValid int64

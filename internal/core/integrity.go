@@ -136,6 +136,17 @@ func (c *Cache) checkStructure() error {
 			return fmt.Errorf("core: integrity: region %d holds %d blocks, accounts for %d",
 				r.id, population, r.blocks)
 		}
+		var pages, valid int
+		for b := range c.meta {
+			if c.meta[b].region == r.id && c.tallied(b) {
+				pages += c.dev.PagesPerBlock(b)
+				valid += c.meta[b].valid
+			}
+		}
+		if pages != r.pages || valid != r.valid {
+			return fmt.Errorf("core: integrity: region %d tallies (%d pages, %d valid), blocks hold (%d, %d)",
+				r.id, r.pages, r.valid, pages, valid)
+		}
 	}
 	for b := range c.meta {
 		m := &c.meta[b]

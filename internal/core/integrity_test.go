@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"flashdc/internal/fault"
 	"flashdc/internal/nand"
+	"flashdc/internal/sim"
 	"flashdc/internal/tables"
 )
 
@@ -170,4 +172,77 @@ func TestIntegrityCatchesCounterOverflow(t *testing.T) {
 		}
 	}
 	assertCaught(t, c, "counters out of range")
+}
+
+func TestIntegrityCatchesRegionTallyDrift(t *testing.T) {
+	c := populatedCache(t)
+	c.regions[0].pages++
+	assertCaught(t, c, "tallies")
+	c = populatedCache(t)
+	c.regions[len(c.regions)-1].valid--
+	assertCaught(t, c, "tallies")
+}
+
+// walkRegionPages sums the pages and live pages of r's open and LRU
+// blocks by walking them, the computation the region tallies replace.
+func walkRegionPages(c *Cache, r *region) (total, valid int) {
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		b := e.Value.(int)
+		total += c.dev.PagesPerBlock(b)
+		valid += c.meta[b].valid
+	}
+	if r.open >= 0 {
+		total += c.dev.PagesPerBlock(r.open)
+		valid += c.meta[r.open].valid
+	}
+	return total, valid
+}
+
+// TestRegionTalliesMatchWalk drives caches through every path that moves
+// blocks between regions or changes slot densities — fills, evictions,
+// GC relocation, wear rotation, promotion, reconfiguration, program and
+// erase failures with retirement — and checks after every operation
+// that the O(1) tallies equal a walk of the region's blocks.
+func TestRegionTalliesMatchWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		over func(*Config)
+	}{
+		{"split", nil},
+		{"unified", func(cfg *Config) { cfg.Split = false }},
+		{"wear", func(cfg *Config) {
+			cfg.WearAcceleration = 2000
+			cfg.HotSaturation = 4
+			cfg.WearThreshold = 1
+		}},
+		{"faults", func(cfg *Config) {
+			cfg.Faults = &fault.Plan{Seed: 9, ProgramFailRate: 0.002, EraseFailRate: 0.01, GrownBadRate: 0.1}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := smallCache(t, tc.over)
+			rng := sim.NewRNG(11)
+			for i := 0; i < 30000 && !c.Dead(); i++ {
+				lba := int64(rng.Intn(6000))
+				if rng.Bool(0.3) {
+					c.Write(lba)
+				} else if !c.Read(lba).Hit {
+					c.Insert(lba)
+				}
+				for _, r := range c.regions {
+					wantTotal, wantValid := walkRegionPages(c, r)
+					if r.pages != wantTotal || r.valid != wantValid {
+						t.Fatalf("op %d: region %d tallies (%d, %d), walk (%d, %d)",
+							i, r.id, r.pages, r.valid, wantTotal, wantValid)
+					}
+				}
+			}
+			if err := c.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			st := c.Stats()
+			t.Logf("evictions %d, gc %d, swaps %d, promotions %d, retired %d, density %d",
+				st.Evictions, st.GCRuns, st.WearSwaps, st.Promotions, st.RetiredBlocks, c.Global().DensityReconfigs)
+		})
+	}
 }

@@ -384,6 +384,7 @@ func LoadMetadata(cfg Config, r io.Reader) (*Cache, error) {
 			c.stats.RetiredBlocks++
 		}
 	}
+	c.retally()
 	// Those device ops were reconstruction, not workload.
 	c.dev.ResetStats()
 

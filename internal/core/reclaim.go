@@ -46,11 +46,7 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
 		slotAddr := nand.Addr{Block: b, Slot: s}
 		desired := c.fpst.At(slotAddr).StagedMode
-		if c.dev.Mode(slotAddr) != desired {
-			if err := c.dev.SetMode(b, s, desired); err != nil {
-				panic(err)
-			}
-		}
+		c.setMode(b, s, desired)
 		for sub := 0; sub < 2; sub++ {
 			st := c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
 			st.Mode = desired
@@ -101,11 +97,7 @@ func (c *Cache) ensureReliable(b int, freq float64) bool {
 			// Apply the new staging immediately: the block is erased,
 			// so both knobs are legal right now.
 			desired := st.StagedMode
-			if c.dev.Mode(slotAddr) != desired {
-				if err := c.dev.SetMode(b, s, desired); err != nil {
-					panic(err)
-				}
-			}
+			c.setMode(b, s, desired)
 			for sub := 0; sub < 2; sub++ {
 				p := c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
 				p.Mode = desired
@@ -147,6 +139,9 @@ func (c *Cache) retire(b int) {
 		c.invalidate(a)
 	}
 	r := c.regions[m.region]
+	if c.tallied(b) {
+		c.tally(b, -1)
+	}
 	switch m.state {
 	case blockOpen:
 		// Guard against a block tagged open while detached from the
@@ -188,6 +183,7 @@ func (c *Cache) reclaim(r *region) {
 	for e := r.lru.Back(); e != nil; e = e.Prev() {
 		b := e.Value.(int)
 		if c.meta[b].valid == 0 {
+			c.tally(b, -1)
 			r.lru.Remove(e)
 			c.meta[b].elem = nil
 			c.stats.GCRuns++
@@ -275,6 +271,9 @@ func (c *Cache) evictBlock(b int) {
 			c.cfg.Backing.WritePage(st.LBA)
 		}
 		c.invalidate(a)
+	}
+	if c.tallied(b) {
+		c.tally(b, -1)
 	}
 	if m.state == blockActive && m.elem != nil {
 		r.lru.Remove(m.elem)
@@ -376,17 +375,18 @@ func (c *Cache) maybeWearRotate(b int) bool {
 		d.Access = access
 		d.InsertedAt = c.seq
 		d.StagedStrength = maxStrength(d.StagedStrength, staged)
-		vm.valid++
-		c.totalValid++
+		c.addValid(b, 1)
 		c.fcht.Put(lba, dst)
 	}
 	// b now plays the newest block's role in the newest's region.
 	vm.state = blockActive
 	vm.region = nm.region
 	vm.elem = newestRegion.lru.PushFront(b)
+	c.tally(b, 1)
 
 	// Erase the newest block and hand it to b's former region.
 	if nm.elem != nil {
+		c.tally(newest, -1)
 		newestRegion.lru.Remove(nm.elem)
 		nm.elem = nil
 	}
@@ -407,10 +407,7 @@ func (c *Cache) migrateAlloc(b int, mode wear.Mode) (nand.Addr, bool) {
 	for m.cursorSlot < nand.SlotsPerBlock {
 		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
 		if m.cursorSub == 0 {
-			if c.dev.Mode(slotAddr) != mode {
-				if err := c.dev.SetMode(b, m.cursorSlot, mode); err != nil {
-					panic(err)
-				}
+			if c.setMode(b, m.cursorSlot, mode) {
 				for sub := 0; sub < 2; sub++ {
 					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
 					st.Mode = mode
@@ -472,6 +469,7 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 	var t sim.Duration
 	dirty := r.id == c.writeRegionIndex() && len(c.regions) == 2
 	pages := c.validPagesOf(best)
+	c.tally(best, -1)
 	r.lru.Remove(bestElem)
 	m.elem = nil
 	m.state = blockActive // detached; erased below
@@ -538,16 +536,16 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 
 // maybeGC runs the background collectors per section 5.1: the read
 // region compacts when its valid fraction drops below the watermark;
-// the write region compacts when free space runs low. The watermark
-// scan is O(blocks), so it is amortised over a small window of host
-// operations.
+// the write region compacts when free space runs low. The watermark is
+// checked every 32 host operations. The check reads the region tallies
+// and is O(1), but the cadence decides when collection starts (and
+// checkpoints carry it), so it stays.
 func (c *Cache) maybeGC() {
 	if len(c.regions) == 2 {
 		c.gcCheck++
 		if c.gcCheck&31 == 0 {
 			rr := c.regions[readRegion]
-			total, valid := c.regionPages(rr)
-			if total > 0 && float64(valid)/float64(total) < c.cfg.Watermark {
+			if rr.pages > 0 && float64(rr.valid)/float64(rr.pages) < c.cfg.Watermark {
 				c.backgroundGC(rr, true)
 			}
 		}

@@ -60,6 +60,10 @@ type region struct {
 	lru *list.List
 	// blocks is the current population (free + open + active).
 	blocks int
+	// pages and valid tally the page capacity and the live pages of the
+	// open and active blocks (see tallied), which keeps the read-region
+	// watermark check O(1).
+	pages, valid int
 }
 
 func newRegion(id int) *region {
@@ -103,19 +107,68 @@ func (c *Cache) freePagesIn(r *region) int {
 // yield (its slots may be SLC, so use the SLC floor).
 func (c *Cache) pagesPerFreshBlock() int { return nand.SlotsPerBlock }
 
-// regionPages returns total and valid page counts over the region's
-// populated blocks.
-func (c *Cache) regionPages(r *region) (total, valid int) {
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(int)
-		total += c.dev.PagesPerBlock(b)
-		valid += c.meta[b].valid
+// tallied reports whether block b counts in its region's page tallies:
+// it is the region's open block or sits on the region's LRU list. A
+// block detached mid-GC or mid-migration does not count until it
+// rejoins.
+func (c *Cache) tallied(b int) bool {
+	m := &c.meta[b]
+	switch m.state {
+	case blockOpen:
+		return c.regions[m.region].open == b
+	case blockActive:
+		return m.elem != nil
 	}
-	if r.open >= 0 {
-		total += c.dev.PagesPerBlock(r.open)
-		valid += c.meta[r.open].valid
+	return false
+}
+
+// tally adds (sign +1) or removes (sign -1) block b's pages and live
+// pages to or from its region's tallies. Callers invoke it whenever b
+// joins or leaves the region's open slot or LRU list.
+func (c *Cache) tally(b, sign int) {
+	r := c.regions[c.meta[b].region]
+	r.pages += sign * c.dev.PagesPerBlock(b)
+	r.valid += sign * c.meta[b].valid
+}
+
+// retally rebuilds every region's tallies from scratch, after a
+// checkpoint or metadata image has replaced the block bookkeeping.
+func (c *Cache) retally() {
+	for _, r := range c.regions {
+		r.pages, r.valid = 0, 0
 	}
-	return total, valid
+	for b := range c.meta {
+		if c.tallied(b) {
+			c.tally(b, 1)
+		}
+	}
+}
+
+// addValid changes block b's live-page count by delta, keeping the
+// global count and b's region tally in step.
+func (c *Cache) addValid(b, delta int) {
+	c.meta[b].valid += delta
+	c.totalValid += int64(delta)
+	if c.tallied(b) {
+		c.regions[c.meta[b].region].valid += delta
+	}
+}
+
+// setMode switches slot s of the erased block b to the given density
+// when it differs, keeping b's region page tally in step, and reports
+// whether it changed the slot.
+func (c *Cache) setMode(b, s int, mode wear.Mode) bool {
+	if c.dev.Mode(nand.Addr{Block: b, Slot: s}) == mode {
+		return false
+	}
+	before := c.dev.PagesPerBlock(b)
+	if err := c.dev.SetMode(b, s, mode); err != nil {
+		panic(err)
+	}
+	if c.tallied(b) {
+		c.regions[c.meta[b].region].pages += c.dev.PagesPerBlock(b) - before
+	}
+	return true
 }
 
 // tryAlloc returns the next free page of the open block matching the
@@ -132,10 +185,7 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 		if m.cursorSub == 0 {
 			// Untouched slot: set the desired density before first
 			// program (legal only while erased).
-			if c.dev.Mode(slotAddr) != mode {
-				if err := c.dev.SetMode(b, m.cursorSlot, mode); err != nil {
-					panic(err)
-				}
+			if c.setMode(b, m.cursorSlot, mode) {
 				for sub := 0; sub < 2; sub++ {
 					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
 					st.Mode = mode
@@ -189,6 +239,7 @@ func (c *Cache) openBlock(r *region, b int) {
 	m.region = r.id
 	m.elem = nil
 	r.open = b
+	c.tally(b, 1)
 }
 
 // allocProgram obtains a free page of the requested density in the
@@ -227,8 +278,7 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 			st.LBA = lba
 			st.Access = 0
 			st.InsertedAt = c.seq
-			c.meta[addr.Block].valid++
-			c.totalValid++
+			c.addValid(addr.Block, 1)
 			return addr, lat
 		}
 		if c.dead {
@@ -267,8 +317,7 @@ func (c *Cache) invalidate(addr nand.Addr) {
 	st.Valid = false
 	st.LBA = tables.InvalidLBA
 	st.Access = 0
-	m.valid--
-	c.totalValid--
+	c.addValid(addr.Block, -1)
 }
 
 // validPagesOf lists the valid page addresses of block b.

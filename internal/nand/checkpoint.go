@@ -104,6 +104,7 @@ func (d *Device) Restore(ck DeviceCheckpoint) error {
 			sl.payload = nil
 		}
 	}
+	d.recount()
 	d.stats = ck.Stats
 	return nil
 }

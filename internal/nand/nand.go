@@ -169,7 +169,10 @@ type slotState struct {
 }
 
 type blockState struct {
-	slots      []slotState
+	slots []slotState
+	// mlcSlots counts the slots in MLC mode, so the block exposes
+	// SlotsPerBlock+mlcSlots pages; SetMode keeps it current.
+	mlcSlots   int
 	eraseCount int
 	// reads counts page reads served by this block since its last
 	// erase — the read-disturb stress counter, cleared on erase.
@@ -242,6 +245,10 @@ func New(cfg Config) *Device {
 		blocks: make([]blockState, cfg.Blocks),
 	}
 	rng := sim.NewRNG(cfg.Seed)
+	mlcSlots := 0
+	if cfg.InitialMode == wear.MLC {
+		mlcSlots = SlotsPerBlock
+	}
 	for b := range d.blocks {
 		slots := make([]slotState, SlotsPerBlock)
 		for s := range slots {
@@ -251,6 +258,7 @@ func New(cfg Config) *Device {
 			}
 		}
 		d.blocks[b].slots = slots
+		d.blocks[b].mlcSlots = mlcSlots
 	}
 	for _, b := range cfg.FactoryBadBlocks {
 		if b >= 0 && b < len(d.blocks) {
@@ -259,6 +267,20 @@ func New(cfg Config) *Device {
 		}
 	}
 	return d
+}
+
+// recount rebuilds the per-block MLC slot counts from the slot modes
+// after a checkpoint restore.
+func (d *Device) recount() {
+	for b := range d.blocks {
+		blk := &d.blocks[b]
+		blk.mlcSlots = 0
+		for i := range blk.slots {
+			if blk.slots[i].mode == wear.MLC {
+				blk.mlcSlots++
+			}
+		}
+	}
 }
 
 // AttachClock gives the device a simulated time base for retention
@@ -493,12 +515,18 @@ func (d *Device) Programmed(a Addr) bool {
 // (neither sub-page programmed): the paper applies new page settings
 // "on the next erase and write access".
 func (d *Device) SetMode(block, slot int, m wear.Mode) error {
-	_, sl, err := d.slot(Addr{Block: block, Slot: slot})
+	blk, sl, err := d.slot(Addr{Block: block, Slot: slot})
 	if err != nil {
 		return err
 	}
 	if sl.programmed[0] || sl.programmed[1] {
 		return fmt.Errorf("%w: b%d/s%d", ErrModeWhileInUse, block, slot)
+	}
+	if sl.mode == wear.MLC {
+		blk.mlcSlots--
+	}
+	if m == wear.MLC {
+		blk.mlcSlots++
 	}
 	sl.mode = m
 	return nil
@@ -516,10 +544,8 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 		return 0, fmt.Errorf("%w: block %d", ErrRetired, b)
 	}
 	mode := wear.SLC
-	for i := range blk.slots {
-		if blk.slots[i].mode == wear.MLC {
-			mode = wear.MLC
-		}
+	if blk.mlcSlots > 0 {
+		mode = wear.MLC
 	}
 	lat := d.cfg.Timing.Erase(mode)
 	d.stats.Erases++
@@ -556,15 +582,7 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 // exposes given its per-slot modes (between 64 all-SLC and 128
 // all-MLC).
 func (d *Device) PagesPerBlock(b int) int {
-	n := 0
-	for i := range d.blocks[b].slots {
-		if d.blocks[b].slots[i].mode == wear.MLC {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
+	return SlotsPerBlock + d.blocks[b].mlcSlots
 }
 
 // CapacityBytes returns the device's current addressable payload

@@ -194,6 +194,99 @@ func TestPagesPerBlockAndCapacity(t *testing.T) {
 	}
 }
 
+// walkPages recounts block b's pages and the device capacity from the
+// slot modes, the way the counts were derived before the device kept
+// them.
+func walkPages(d *Device, b int) (block int, capacity int64) {
+	for bb := range d.blocks {
+		n := 0
+		for i := range d.blocks[bb].slots {
+			if d.blocks[bb].slots[i].mode == wear.MLC {
+				n += 2
+			} else {
+				n++
+			}
+		}
+		if bb == b {
+			block = n
+		}
+		if !d.blocks[bb].retired {
+			capacity += int64(n) * PageSize
+		}
+	}
+	return block, capacity
+}
+
+func TestPageCountsTrackSlotModes(t *testing.T) {
+	rng := sim.NewRNG(5)
+	d := New(Config{Blocks: 6, InitialMode: wear.MLC, Seed: 1, FactoryBadBlocks: []int{4}})
+	var ck DeviceCheckpoint
+	for step := 0; step < 5000; step++ {
+		b := rng.Intn(d.Blocks())
+		switch op := rng.Intn(100); {
+		case op < 70:
+			m := wear.SLC
+			if rng.Bool(0.5) {
+				m = wear.MLC
+			}
+			// Programmed slots refuse the change; the count must not move.
+			_ = d.SetMode(b, rng.Intn(SlotsPerBlock), m)
+		case op < 85:
+			a := Addr{Block: b, Slot: rng.Intn(SlotsPerBlock)}
+			if !d.Retired(b) && !d.Programmed(a) {
+				if _, err := d.Program(a, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 95:
+			if !d.Retired(b) {
+				if _, err := d.Erase(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 97:
+			d.Retire(b)
+		case op < 99:
+			var err error
+			if ck, err = d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if ck.Blocks != nil {
+				if err := d.Restore(ck); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wantBlock, wantCap := walkPages(d, b)
+		if got := d.PagesPerBlock(b); got != wantBlock {
+			t.Fatalf("step %d: block %d counts %d pages, slots hold %d", step, b, got, wantBlock)
+		}
+		if got := d.CapacityBytes(); got != wantCap {
+			t.Fatalf("step %d: capacity %d, slots hold %d", step, got, wantCap)
+		}
+	}
+}
+
+func TestEraseLatencyFollowsMLCSlots(t *testing.T) {
+	d := testDevice(1, wear.MLC)
+	for s := 0; s < SlotsPerBlock-1; s++ {
+		if err := d.SetMode(0, s, wear.SLC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One MLC slot left makes the whole block erase at MLC speed.
+	if lat, err := d.Erase(0); err != nil || lat != d.cfg.Timing.EraseMLC {
+		t.Fatalf("erase with one MLC slot: %v, %v", lat, err)
+	}
+	if err := d.SetMode(0, SlotsPerBlock-1, wear.SLC); err != nil {
+		t.Fatal(err)
+	}
+	if lat, err := d.Erase(0); err != nil || lat != d.cfg.Timing.EraseSLC {
+		t.Fatalf("all-SLC erase: %v, %v", lat, err)
+	}
+}
+
 func TestRetiredBlockRejectsOps(t *testing.T) {
 	d := testDevice(1, wear.SLC)
 	d.Retire(0)
