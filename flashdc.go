@@ -99,14 +99,9 @@ type (
 // DRAM-only baseline.
 func NewSystem(cfg SystemConfig) *System { return hier.New(cfg) }
 
-// Tier composition: the hierarchy is a chain of Tier values (DRAM,
-// optionally Flash, disk) rather than hard-wired fields.
-type (
-	// Tier is one level of the storage hierarchy.
-	Tier = hier.Tier
-	// TierStats counts one tier's activity in tier-agnostic terms.
-	TierStats = hier.TierStats
-)
+// TierStats counts one hierarchy level's activity (DRAM, optionally
+// Flash, disk) in level-agnostic terms.
+type TierStats = hier.TierStats
 
 // Degraded-service conditions System.Handle reports alongside the
 // simulated latency; test with errors.Is.
@@ -134,7 +129,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // ShardOf maps a page to its owning shard under the canonical LBA
 // hash partition.
-func ShardOf(lba int64, shards int) int { return engine.ShardOf(lba, shards) }
+func ShardOf(lba int64, shards int) int { return trace.ShardOf(lba, shards) }
 
 // Workload and trace API (Table 4).
 type (
@@ -157,9 +152,7 @@ func Workloads() []WorkloadSpec { return workload.Catalog }
 
 // Batched request pipeline: TraceSource is the bulk driving surface
 // consumed by System.RunSource and Engine.RunSource (System.RunBatch
-// and Engine.RunBatch take in-memory slices directly). The deprecated
-// per-request closure shims (System.Run, Engine.RunStream) are gone;
-// wrap a closure with FuncSource instead.
+// and Engine.RunBatch take in-memory slices directly).
 type (
 	// TraceSource yields a request stream in bulk: Next fills the
 	// buffer from the front and returns how many requests were written
@@ -178,9 +171,6 @@ const DefaultBatch = trace.DefaultBatch
 // NewSliceSource wraps an in-memory request slice (not copied) as a
 // replayable TraceSource.
 func NewSliceSource(reqs []Request) *SliceTraceSource { return trace.NewSliceSource(reqs) }
-
-// FuncSource adapts a legacy pull closure to a TraceSource.
-func FuncSource(next func() (Request, bool)) TraceSource { return trace.FuncSource(next) }
 
 // MapTraceFile memory-maps a binary trace file as a TraceSource; the
 // records are decoded in place without copying or parsing.

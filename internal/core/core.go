@@ -585,16 +585,6 @@ func (c *Cache) Contains(lba int64) bool {
 	return ok
 }
 
-// Invalidate drops lba from the cache if present, discarding the
-// cached copy without a write-back; the slot becomes garbage for GC
-// to reclaim. Callers invalidating a dirty write-region page take
-// responsibility for the data living elsewhere.
-func (c *Cache) Invalidate(lba int64) {
-	if addr, ok := c.fcht.Get(lba); ok {
-		c.invalidate(addr)
-	}
-}
-
 // ValidPages returns the number of live cached pages.
 func (c *Cache) ValidPages() int64 { return c.totalValid }
 

@@ -273,34 +273,3 @@ func TestMissRateInvariantUnderAddressPermutation(t *testing.T) {
 		t.Fatalf("miss rate depends on address layout: %v vs %v", plain, scrambled)
 	}
 }
-
-// TestInvalidate: dropping a cached page removes it from the mapping
-// tables without any write-back, leaving the tables consistent; a
-// missing page is a no-op.
-func TestInvalidate(t *testing.T) {
-	rec := &recorder{}
-	c := smallCache(t, func(cfg *Config) { cfg.Backing = rec })
-	for lba := int64(0); lba < 50; lba++ {
-		c.Write(lba)
-	}
-	before := c.ValidPages()
-	c.Invalidate(25)
-	if c.Contains(25) {
-		t.Fatal("page still mapped after Invalidate")
-	}
-	if c.ValidPages() != before-1 {
-		t.Fatalf("ValidPages = %d, want %d", c.ValidPages(), before-1)
-	}
-	if len(rec.pages) != 0 {
-		t.Fatalf("Invalidate wrote back %v", rec.pages)
-	}
-	c.Invalidate(25)   // repeat: no-op
-	c.Invalidate(9999) // never cached: no-op
-	if c.ValidPages() != before-1 {
-		t.Fatal("no-op invalidations changed the population")
-	}
-	checkInvariants(t, c)
-	if err := c.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}

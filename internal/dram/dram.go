@@ -278,18 +278,6 @@ func (c *Cache) Clean(lba int64) {
 	}
 }
 
-// Remove drops lba from the cache if resident, discarding its dirty
-// state without a write-back. The caller takes responsibility for the
-// data living elsewhere (tier invalidation).
-func (c *Cache) Remove(lba int64) {
-	if i, ok := c.index[lba]; ok {
-		delete(c.index, lba)
-		c.unlink(i)
-		c.free = append(c.free, i)
-		c.count--
-	}
-}
-
 // DirtyPages returns the LBAs of all dirty resident pages, unordered.
 // Used to flush the PDC at end of simulation.
 func (c *Cache) DirtyPages() []int64 {

@@ -220,33 +220,3 @@ func TestSecondChanceApproximatesLRUMissRate(t *testing.T) {
 		t.Fatalf("second chance diverges from LRU: %.4f vs %.4f", sc, lru)
 	}
 }
-
-// TestRemove: dropping a resident page frees its slot and discards
-// its dirty state (no write-back on a later flush); a missing page is
-// a no-op.
-func TestRemove(t *testing.T) {
-	c := NewCache(16 * PageSize)
-	c.Write(5) // resident and dirty
-	c.Fill(6)  // resident and clean
-	before := c.Len()
-	c.Remove(5)
-	if hit, _ := c.Read(5); hit {
-		t.Fatal("page 5 still resident")
-	}
-	if c.Len() != before-1 {
-		t.Fatalf("Len = %d, want %d", c.Len(), before-1)
-	}
-	for _, lba := range c.DirtyPages() {
-		if lba == 5 {
-			t.Fatal("removed page still flagged dirty")
-		}
-	}
-	c.Remove(5)   // repeat: no-op
-	c.Remove(999) // never resident: no-op
-	if c.Len() != before-1 {
-		t.Fatal("no-op removals changed the population")
-	}
-	if hit, _ := c.Read(6); !hit {
-		t.Fatal("unrelated page lost")
-	}
-}

@@ -87,10 +87,6 @@ func ShardSeed(base uint64, shard int) uint64 {
 	return sim.SplitMix64(base + uint64(shard))
 }
 
-// ShardOf maps a page to its owning shard (the canonical partition,
-// re-exported for callers routing their own streams).
-func ShardOf(lba int64, shards int) int { return trace.ShardOf(lba, shards) }
-
 // New builds an engine of cfg.Shards independent hierarchies. It
 // returns an error — rather than panicking like the underlying
 // constructors — when the configuration cannot be divided: too many

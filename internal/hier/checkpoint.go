@@ -72,8 +72,9 @@ func (s *System) Restore(ck *SystemCheckpoint) error {
 		return fmt.Errorf("hier: checkpoint flash presence %v, config says %v",
 			ck.Flash != nil, s.flash != nil)
 	}
-	if len(ck.Tiers) != len(s.tiers) {
-		return fmt.Errorf("hier: checkpoint has %d tiers, system has %d", len(ck.Tiers), len(s.tiers))
+	levels := s.levels()
+	if len(ck.Tiers) != len(levels) {
+		return fmt.Errorf("hier: checkpoint has %d tiers, system has %d", len(ck.Tiers), len(levels))
 	}
 	s.clock.AdvanceTo(ck.Now)
 	if err := s.pdc.Restore(ck.PDC, ck.PDCStats); err != nil {
@@ -85,10 +86,8 @@ func (s *System) Restore(ck *SystemCheckpoint) error {
 			return err
 		}
 	}
-	for i, t := range s.tiers {
-		if r, ok := t.(interface{ restoreTierStats(TierStats) }); ok {
-			r.restoreTierStats(ck.Tiers[i])
-		}
+	for i, l := range levels {
+		s.tiers[l] = ck.Tiers[i]
 	}
 	s.stats = ck.Stats
 	if err := s.latencies.SetState(ck.Latencies); err != nil {

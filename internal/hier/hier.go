@@ -115,17 +115,13 @@ func (s *Stats) Merge(other Stats) {
 type System struct {
 	cfg   Config
 	clock sim.Clock
-	// tiers is the composed chain, fastest-first; the typed fields
-	// below alias its members for model-specific reporting (power,
-	// wear, integrity) that the generic interface cannot expose.
-	tiers []Tier
-	// flashIdx and diskIdx locate the named tiers in the chain for
-	// the per-level hit counters (-1 when absent).
-	flashIdx, diskIdx int
-	pdc               *dram.Cache
-	flash             *core.Cache // nil in the DRAM-only baseline
-	disk              *disk.Disk
-	stats             Stats
+	pdc   *dram.Cache
+	flash *core.Cache // nil in the DRAM-only baseline
+	disk  *disk.Disk
+	stats Stats
+	// tiers counts each level's activity, indexed by tierDRAM,
+	// tierFlash and tierDisk.
+	tiers [numTiers]TierStats
 	// flashLoadErr records why a supplied metadata image was rejected
 	// and the Flash cache bypassed; nil otherwise. bypassErr is the
 	// ErrFlashBypassed-wrapped form Handle reports.
@@ -139,11 +135,9 @@ type System struct {
 	// the per-request cost of an enabled observer is one interval
 	// check in Handle.
 	obs *obs.Observer
-	// tierNames holds the precomputed per-tier metric names and
-	// latProfile the reusable latency-rebucketing scratch, so collect
-	// builds no strings and no bucket slices per snapshot (Sample
-	// clones what it keeps).
-	tierNames  []tierMetricNames
+	// latProfile is the reusable latency-rebucketing scratch, so
+	// collect builds no bucket slices per snapshot (Sample clones what
+	// it keeps).
 	latProfile obs.HistogramSnapshot
 	// lastRead and streak detect sequential read runs for readahead.
 	lastRead int64
@@ -194,7 +188,6 @@ func New(cfg Config) *System {
 			// holds every page; only hit rate is lost.
 			s.flashLoadErr = err
 			s.bypassErr = fmt.Errorf("%w: %v", ErrFlashBypassed, err)
-			s.compose()
 			return s
 		}
 		s.flash = flash
@@ -210,7 +203,6 @@ func New(cfg Config) *System {
 			s.flash.AttachTimeBase(&s.clock)
 		}
 	}
-	s.compose()
 	return s
 }
 
@@ -227,20 +219,14 @@ func (s *System) collect(smp *obs.Sample) {
 	smp.Counter("hier_prefetched_total", st.Prefetched)
 	smp.Counter("hier_latency_ns_total", int64(st.TotalLatency))
 	smp.Counter("disk_busy_ns_total", int64(s.disk.Stats().BusyTime))
-	for i, t := range s.tiers {
-		ts := t.Stats()
-		names := &s.tierNames[i]
+	for _, l := range s.levels() {
+		ts, names := &s.tiers[l], &tierMetrics[l]
 		smp.Counter(names.reads, ts.Reads)
 		smp.Counter(names.hits, ts.Hits)
 		smp.Counter(names.misses, ts.Misses)
 		smp.Counter(names.writes, ts.Writes)
 	}
 	smp.Histogram("hier_page_latency_ns", s.latencyProfile())
-}
-
-// tierMetricNames caches one tier's observability counter names.
-type tierMetricNames struct {
-	reads, hits, misses, writes string
 }
 
 // latencyProfile re-buckets the per-page latency histogram the system
@@ -270,49 +256,6 @@ func (s *System) latencyProfile() obs.HistogramSnapshot {
 	})
 	hs.Sum = int64(s.latencies.Sum())
 	return *hs
-}
-
-// compose builds the tier chain from the assembled components and
-// links each cache tier to its write-back target below.
-func (s *System) compose() {
-	bottom := &diskTier{d: s.disk}
-	top := &dramTier{c: s.pdc}
-	if s.flash != nil {
-		s.tiers = []Tier{top, &flashTier{c: s.flash}, bottom}
-		s.flashIdx = 1
-	} else {
-		s.tiers = []Tier{top, bottom}
-		s.flashIdx = -1
-	}
-	s.diskIdx = len(s.tiers) - 1
-	top.lower = s.tiers[1]
-	s.tierNames = make([]tierMetricNames, len(s.tiers))
-	for i, t := range s.tiers {
-		name := t.Name()
-		s.tierNames[i] = tierMetricNames{
-			reads:  "tier_" + name + "_reads_total",
-			hits:   "tier_" + name + "_hits_total",
-			misses: "tier_" + name + "_misses_total",
-			writes: "tier_" + name + "_writes_total",
-		}
-	}
-}
-
-// Tiers returns the composed chain, fastest tier first.
-func (s *System) Tiers() []Tier {
-	out := make([]Tier, len(s.tiers))
-	copy(out, s.tiers)
-	return out
-}
-
-// TierStats returns the per-tier activity counters, fastest tier
-// first.
-func (s *System) TierStats() []TierStats {
-	out := make([]TierStats, len(s.tiers))
-	for i, t := range s.tiers {
-		out[i] = t.Stats()
-	}
-	return out
 }
 
 // FlashLoadErr reports why the Flash cache was bypassed after a
@@ -392,22 +335,21 @@ func (s *System) serviceErr() error {
 	return nil
 }
 
-// readPage follows section 5.1 down the tier chain: PDC, then
-// FCHT/Flash, then disk, with fills on the way back up. Sequential
-// streams trigger readahead.
+// readPage follows section 5.1: PDC, then FCHT/Flash, then disk, with
+// fills on the way back up. Sequential streams trigger readahead.
 func (s *System) readPage(lba int64) sim.Duration {
 	s.noteRead(lba)
-	served, lat := s.lookup(lba)
-	switch {
-	case served == 0:
+	if lat, hit := s.readPDC(lba); hit {
 		s.stats.PDCHits++
 		return lat
-	case served == s.flashIdx:
+	}
+	lat, flashHit := s.readBelow(lba)
+	if flashHit {
 		s.stats.FlashHits++
-	case served == s.diskIdx:
+	} else {
 		s.stats.DiskReads++
 	}
-	return lat + s.fillAbove(served, lba)
+	return lat + s.fillPDC(lba)
 }
 
 // noteRead advances the sequential-readahead detector and triggers the
@@ -424,57 +366,96 @@ func (s *System) noteRead(lba int64) {
 	}
 }
 
-// lookup walks the chain until a tier serves lba. The bottom tier
-// always hits.
-func (s *System) lookup(lba int64) (served int, lat sim.Duration) {
-	for i, t := range s.tiers {
-		if hit, l := t.ReadPage(lba); hit {
-			return i, l
-		}
+// readPDC looks lba up in the PDC, returning the hit latency.
+func (s *System) readPDC(lba int64) (sim.Duration, bool) {
+	ts := &s.tiers[tierDRAM]
+	ts.Reads++
+	hit, lat := s.pdc.Read(lba)
+	if !hit {
+		ts.Misses++
+		return 0, false
 	}
-	panic("hier: bottom tier missed")
+	ts.Hits++
+	return lat, true
 }
 
-// fillAbove pushes lba into every cache tier above the serving one,
-// bottom-up (the Flash fill precedes the PDC fill, as in section
-// 5.1), returning the foreground latency the fills add.
-func (s *System) fillAbove(served int, lba int64) sim.Duration {
-	var lat sim.Duration
-	for i := served - 1; i >= 0; i-- {
-		if f, ok := s.tiers[i].(filler); ok {
-			lat += f.Fill(lba)
+// readBelow serves a PDC miss from Flash or, failing that, the disk,
+// inserting a disk-served page into Flash on the way back up (the Flash
+// fill precedes the PDC fill, as in section 5.1).
+func (s *System) readBelow(lba int64) (lat sim.Duration, flashHit bool) {
+	if s.flash != nil {
+		ts := &s.tiers[tierFlash]
+		ts.Reads++
+		if out := s.flash.Read(lba); out.Hit {
+			ts.Hits++
+			return out.Latency, true
 		}
+		ts.Misses++
+	}
+	ts := &s.tiers[tierDisk]
+	ts.Reads++
+	ts.Hits++
+	lat = s.disk.Read()
+	if s.flash != nil {
+		s.flash.Insert(lba)
+	}
+	return lat, false
+}
+
+// fillPDC installs a page fetched from below into the PDC, returning
+// the foreground cost of the fill.
+func (s *System) fillPDC(lba int64) sim.Duration {
+	lat, ev, evicted := s.pdc.Fill(lba)
+	if evicted && ev.Dirty {
+		s.writeBelow(ev.LBA)
 	}
 	return lat
 }
 
+// writeBelow writes a dirty PDC page back to Flash, or to the disk when
+// there is no Flash (background; not foreground latency). Flash absorbs
+// the write and flushes its own dirty evictions to the disk.
+func (s *System) writeBelow(lba int64) {
+	if s.flash != nil {
+		s.tiers[tierFlash].Writes++
+		s.flash.Write(lba)
+		return
+	}
+	s.tiers[tierDisk].Writes++
+	s.disk.Write()
+}
+
 // prefetch pulls up to n consecutive pages into the PDC from the
 // lower levels, off the critical path (background time only; lower-
-// tier hits are not counted as foreground hits).
+// level hits are not counted as foreground hits).
 func (s *System) prefetch(start int64, n int) {
 	for lba := start; lba < start+int64(n); lba++ {
-		served, _ := s.lookup(lba)
-		if served == 0 {
+		if _, hit := s.readPDC(lba); hit {
 			continue
 		}
-		if served == s.diskIdx {
+		if _, flashHit := s.readBelow(lba); !flashHit {
 			s.stats.DiskReads++
 		}
-		s.fillAbove(served, lba)
+		s.fillPDC(lba)
 		s.stats.Prefetched++
 	}
 }
 
-// writePage dirties the page in the top tier; write-back to the tiers
+// writePage dirties the page in the PDC; write-back to the levels
 // below happens on eviction (the paper's periodic flush behaviour).
 func (s *System) writePage(lba int64) sim.Duration {
-	return s.tiers[0].WritePage(lba)
+	s.tiers[tierDRAM].Writes++
+	lat, ev, evicted := s.pdc.Write(lba)
+	if evicted && ev.Dirty {
+		s.writeBelow(ev.LBA)
+	}
+	return lat
 }
 
-// Drain flushes all dirty state down the chain (end of run).
+// Drain flushes all dirty state down the hierarchy (end of run).
 func (s *System) Drain() {
 	for _, lba := range s.pdc.DirtyPages() {
-		s.tiers[1].WritePage(lba)
+		s.writeBelow(lba)
 		s.pdc.Clean(lba)
 	}
 	if s.flash != nil {
@@ -537,9 +518,5 @@ func (s *System) ResetStats() {
 	if s.flash != nil {
 		s.flash.ResetDeviceStats()
 	}
-	for _, t := range s.tiers {
-		if r, ok := t.(interface{ resetTierStats() }); ok {
-			r.resetTierStats()
-		}
-	}
+	s.tiers = [numTiers]TierStats{}
 }

@@ -1,63 +1,56 @@
 package hier
 
-import (
-	"flashdc/internal/core"
-	"flashdc/internal/disk"
-	"flashdc/internal/dram"
-	"flashdc/internal/sim"
+// The hierarchy's levels, fastest first. The Flash level is absent in
+// the DRAM-only baseline and when a rejected metadata image bypassed
+// it; the disk always serves.
+const (
+	tierDRAM = iota
+	tierFlash
+	tierDisk
+	numTiers
 )
 
-// Tier is one level of the storage hierarchy. The assembled system is
-// a chain of tiers ordered fastest-first (DRAM, then optionally Flash,
-// then disk): a read walks down the chain until a tier hits, caches
-// above the serving tier absorb the page on the way back up, and a
-// dirty page evicted from a cache tier is written to the tier below
-// it. The bottom tier (the disk model) always hits.
-//
-// Composing the hierarchy through this interface — rather than through
-// hard-wired fields — is what lets the sharded engine treat every
-// shard's hierarchy uniformly, and lets alternative stacks (extra
-// cache levels, different backing stores) reuse the same access flows.
-type Tier interface {
-	// Name identifies the tier in reports ("dram", "flash", "disk").
-	Name() string
-	// ReadPage attempts to serve lba from this tier. hit reports
-	// whether the tier held the page; latency is the foreground cost
-	// when it did (zero otherwise — the caller pays the lower tiers
-	// instead).
-	ReadPage(lba int64) (hit bool, latency sim.Duration)
-	// WritePage stores lba at this tier and returns the foreground
-	// latency charged to the writer. Cache tiers absorb the write and
-	// push evicted dirty pages to the tier below on their own.
-	WritePage(lba int64) sim.Duration
-	// Invalidate drops lba from this tier if present, without writing
-	// it back anywhere. A no-op on the bottom tier.
-	Invalidate(lba int64)
-	// Stats reports the tier's generic activity counters.
-	Stats() TierStats
+// tierNames and tierMetrics name each level in TierStats and in the
+// observability counters; withFlash and dramOnly list the levels of
+// the two hierarchy shapes, fastest first.
+var (
+	tierNames   = [numTiers]string{"dram", "flash", "disk"}
+	tierMetrics [numTiers]tierMetricNames
+
+	withFlash = []int{tierDRAM, tierFlash, tierDisk}
+	dramOnly  = []int{tierDRAM, tierDisk}
+)
+
+// tierMetricNames holds one level's observability counter names.
+type tierMetricNames struct {
+	reads, hits, misses, writes string
 }
 
-// filler is the optional Tier refinement for cache tiers that absorb
-// a page fetched from a lower level on the way back up a read miss.
-// The returned latency is the foreground cost of the fill (zero for
-// tiers that fill in the background).
-type filler interface {
-	Fill(lba int64) sim.Duration
+func init() {
+	for i, name := range tierNames {
+		tierMetrics[i] = tierMetricNames{
+			reads:  "tier_" + name + "_reads_total",
+			hits:   "tier_" + name + "_hits_total",
+			misses: "tier_" + name + "_misses_total",
+			writes: "tier_" + name + "_writes_total",
+		}
+	}
 }
 
-// TierStats counts one tier's activity in tier-agnostic terms.
+// TierStats counts one level's activity in level-agnostic terms.
 type TierStats struct {
-	// Name identifies the tier the counters describe.
+	// Name identifies the level the counters describe.
 	Name string
-	// Reads counts lookups; Hits/Misses split them by outcome. The
-	// bottom tier always hits.
+	// Reads counts lookups, including readahead's; Hits/Misses split
+	// them by outcome. The disk always hits.
 	Reads, Hits, Misses int64
-	// Writes counts pages stored at this tier, including write-backs
-	// arriving from the tier above.
+	// Writes counts pages stored at this level, including dirty PDC
+	// evictions arriving from above. The Flash cache's own write-backs
+	// to the drive are not disk-level writes.
 	Writes int64
 }
 
-// Merge adds other's counters into t, combining the same tier of
+// Merge adds other's counters into t, combining the same level of
 // independent shards into one total.
 func (t *TierStats) Merge(other TierStats) {
 	if t.Name == "" {
@@ -69,145 +62,21 @@ func (t *TierStats) Merge(other TierStats) {
 	t.Writes += other.Writes
 }
 
-// dramTier adapts the DRAM primary disk cache. Dirty evictions are
-// written back to the tier below it in the chain.
-type dramTier struct {
-	c     *dram.Cache
-	lower Tier
-	st    TierStats
-}
-
-func (t *dramTier) Name() string { return "dram" }
-
-func (t *dramTier) ReadPage(lba int64) (bool, sim.Duration) {
-	t.st.Reads++
-	if hit, lat := t.c.Read(lba); hit {
-		t.st.Hits++
-		return true, lat
+// levels returns the present levels, fastest first.
+func (s *System) levels() []int {
+	if s.flash == nil {
+		return dramOnly
 	}
-	t.st.Misses++
-	return false, 0
+	return withFlash
 }
 
-func (t *dramTier) WritePage(lba int64) sim.Duration {
-	t.st.Writes++
-	lat, ev, evicted := t.c.Write(lba)
-	if evicted {
-		t.writeback(ev)
+// TierStats returns the per-level activity counters, fastest first.
+func (s *System) TierStats() []TierStats {
+	levels := s.levels()
+	out := make([]TierStats, len(levels))
+	for i, l := range levels {
+		out[i] = s.tiers[l]
+		out[i].Name = tierNames[l]
 	}
-	return lat
-}
-
-func (t *dramTier) Fill(lba int64) sim.Duration {
-	lat, ev, evicted := t.c.Fill(lba)
-	if evicted {
-		t.writeback(ev)
-	}
-	return lat
-}
-
-// writeback pushes an evicted dirty page down one level (background;
-// not added to foreground latency).
-func (t *dramTier) writeback(ev dram.Evicted) {
-	if !ev.Dirty {
-		return
-	}
-	t.lower.WritePage(ev.LBA)
-}
-
-func (t *dramTier) Invalidate(lba int64) { t.c.Remove(lba) }
-
-func (t *dramTier) Stats() TierStats {
-	st := t.st
-	st.Name = t.Name()
-	return st
-}
-
-func (t *dramTier) resetTierStats() { t.st = TierStats{} }
-
-func (t *dramTier) restoreTierStats(st TierStats) {
-	st.Name = ""
-	t.st = st
-}
-
-// flashTier adapts the Flash secondary disk cache. Fills and writes
-// run in the background (zero foreground latency); the cache flushes
-// its own dirty evictions to its backing store.
-type flashTier struct {
-	c  *core.Cache
-	st TierStats
-}
-
-func (t *flashTier) Name() string { return "flash" }
-
-func (t *flashTier) ReadPage(lba int64) (bool, sim.Duration) {
-	t.st.Reads++
-	if out := t.c.Read(lba); out.Hit {
-		t.st.Hits++
-		return true, out.Latency
-	}
-	t.st.Misses++
-	return false, 0
-}
-
-func (t *flashTier) WritePage(lba int64) sim.Duration {
-	t.st.Writes++
-	t.c.Write(lba)
-	return 0
-}
-
-func (t *flashTier) Fill(lba int64) sim.Duration {
-	t.c.Insert(lba)
-	return 0
-}
-
-func (t *flashTier) Invalidate(lba int64) { t.c.Invalidate(lba) }
-
-func (t *flashTier) Stats() TierStats {
-	st := t.st
-	st.Name = t.Name()
-	return st
-}
-
-func (t *flashTier) resetTierStats() { t.st = TierStats{} }
-
-func (t *flashTier) restoreTierStats(st TierStats) {
-	st.Name = ""
-	t.st = st
-}
-
-// diskTier adapts the drive model as the chain's bottom tier: every
-// read hits and invalidation is meaningless (the disk is the home of
-// every page).
-type diskTier struct {
-	d  *disk.Disk
-	st TierStats
-}
-
-func (t *diskTier) Name() string { return "disk" }
-
-func (t *diskTier) ReadPage(lba int64) (bool, sim.Duration) {
-	t.st.Reads++
-	t.st.Hits++
-	return true, t.d.Read()
-}
-
-func (t *diskTier) WritePage(int64) sim.Duration {
-	t.st.Writes++
-	return t.d.Write()
-}
-
-func (t *diskTier) Invalidate(int64) {}
-
-func (t *diskTier) Stats() TierStats {
-	st := t.st
-	st.Name = t.Name()
-	return st
-}
-
-func (t *diskTier) resetTierStats() { t.st = TierStats{} }
-
-func (t *diskTier) restoreTierStats(st TierStats) {
-	st.Name = ""
-	t.st = st
+	return out
 }

@@ -15,9 +15,8 @@ const DefaultBatch = 4096
 // fail mid-stream (parsers, mapped files) additionally implement Err,
 // which drivers consult once Next returns 0.
 //
-// Source is the batched replacement for the per-request pull closure
-// the simulators were driven by through PR 7; hier.System.RunSource
-// and engine.Engine.RunSource consume it directly.
+// hier.System.RunSource and engine.Engine.RunSource consume it
+// directly.
 type Source interface {
 	Next(buf []Request) int
 }
@@ -28,37 +27,6 @@ type ErrSource interface {
 	// Err returns the sticky stream error that ended the stream early,
 	// or nil for a clean end.
 	Err() error
-}
-
-// funcSource adapts a pull closure to Source.
-type funcSource struct {
-	next func() (Request, bool)
-	done bool
-}
-
-// FuncSource adapts the legacy pull-closure form to a Source: each
-// bulk fill draws buf's worth of requests from next, stopping at the
-// first false. It is the compatibility shim behind the deprecated
-// closure-based run methods.
-func FuncSource(next func() (Request, bool)) Source {
-	return &funcSource{next: next}
-}
-
-func (f *funcSource) Next(buf []Request) int {
-	if f.done {
-		return 0
-	}
-	n := 0
-	for n < len(buf) {
-		req, ok := f.next()
-		if !ok {
-			f.done = true
-			break
-		}
-		buf[n] = req
-		n++
-	}
-	return n
 }
 
 // SliceSource yields the requests of reqs in order, once.

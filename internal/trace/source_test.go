@@ -17,32 +17,6 @@ func reqN(n int) []Request {
 	return reqs
 }
 
-func TestFuncSource(t *testing.T) {
-	reqs := reqN(10)
-	i := 0
-	src := FuncSource(func() (Request, bool) {
-		if i >= len(reqs) {
-			return Request{}, false
-		}
-		r := reqs[i]
-		i++
-		return r, true
-	})
-	got := drain(t, src, 3)
-	if len(got) != 10 {
-		t.Fatalf("drained %d", len(got))
-	}
-	for j, r := range got {
-		if r != reqs[j] {
-			t.Fatalf("req %d = %+v, want %+v", j, r, reqs[j])
-		}
-	}
-	// Exhausted sources stay exhausted and never call next again.
-	if src.Next(make([]Request, 1)) != 0 {
-		t.Fatal("exhausted FuncSource yielded a request")
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	reqs := reqN(7)
 	src := NewSliceSource(reqs)
