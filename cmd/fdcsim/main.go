@@ -18,9 +18,9 @@
 // The -shards flag hash-partitions the LBA space across N independent
 // shards (each with 1/N of the DRAM and Flash capacity and its own
 // derived seed) replayed concurrently by -workers goroutines; the
-// report merges the shards. Monolithic (-shards 1, the default) and
-// sharded runs are driven through the same Simulator code path and a
-// single-shard engine reproduces the monolithic simulation exactly.
+// report merges the shards. Every run, including the default -shards
+// 1, is driven through the sharded engine: a single-shard engine is
+// the monolithic simulation.
 //
 // Observability (-metrics-out, -trace-events, -http) is timestamped in
 // simulated time, so for a fixed (seed, shards) pair the JSONL output
@@ -68,44 +68,14 @@ import (
 	"flashdc/internal/engine"
 	"flashdc/internal/fault"
 	"flashdc/internal/hier"
-	"flashdc/internal/nand"
 	"flashdc/internal/obs"
 	"flashdc/internal/policy"
-	"flashdc/internal/power"
 	"flashdc/internal/sched"
 	"flashdc/internal/server"
 	"flashdc/internal/sim"
-	"flashdc/internal/tables"
 	"flashdc/internal/trace"
 	"flashdc/internal/wear"
 	"flashdc/internal/workload"
-)
-
-// simulator is the full driving-and-reporting surface fdcsim needs,
-// satisfied by both the monolithic hier.System and the sharded
-// engine.Engine — the CLI below never branches on which it holds.
-type simulator interface {
-	hier.Simulator
-	Latencies() *sim.Histogram
-	HasFlash() bool
-	FlashStats() core.Stats
-	Global() tables.FGST
-	DeviceStats() nand.Stats
-	FaultStats() fault.Stats
-	ValidPages() int64
-	Dead() bool
-	CheckIntegrity() error
-	DiskBusy() sim.Duration
-	Power(sim.Duration) power.Breakdown
-	Drain()
-	Err() error
-	Observers() []*obs.Observer
-	SchedStats() sched.Stats
-}
-
-var (
-	_ simulator = (*hier.System)(nil)
-	_ simulator = (*engine.Engine)(nil)
 )
 
 func parseSize(s string) (int64, error) {
@@ -241,6 +211,10 @@ func main() {
 		usageErr("-flash: %v", err)
 	}
 	switch {
+	case dram < 0:
+		usageErr("-dram %s is negative", *dramSize)
+	case flash < 0:
+		usageErr("-flash %s is negative", *flashSize)
 	case *requests < 0:
 		usageErr("-requests %d is negative", *requests)
 	case *scrubEvery < 0:
@@ -265,6 +239,10 @@ func main() {
 		usageErr("-banks %d: need at least one bank per channel", *banks)
 	case *wbufPages < 0:
 		usageErr("-wbuf %d is negative", *wbufPages)
+	case *traceCap < 0:
+		usageErr("-trace-cap %d is negative", *traceCap)
+	case *metricsIvl < 0:
+		usageErr("-metrics-interval %v is negative", *metricsIvl)
 	case *traceFile != "" && *traceBinary != "":
 		usageErr("-trace and -trace-binary are mutually exclusive")
 	case *traceFile == "" && *traceBinary == "" && !(*scale > 0):
@@ -287,12 +265,20 @@ func main() {
 	case *scrubFeed && *scrubEvery <= 0:
 		usageErr("-scrub-feedback defers scrub migrations; enable the scrubber with -scrub first")
 	}
+	var gen workload.Generator
+	if *traceFile == "" && *traceBinary == "" {
+		gen, err = workload.New(*workloadName, *scale, *seed)
+		if err != nil {
+			usageErr("-workload/-scale: %v", err)
+		}
+	}
+	var faults *fault.Plan
 	if *faultSpec != "" {
-		plan, err := parseFaults(*faultSpec)
+		faults, err = parseFaults(*faultSpec)
 		if err != nil {
 			usageErr("-faults: %v", err)
 		}
-		if !plan.Active() {
+		if !faults.Active() {
 			usageErr("-faults %q provides no fault rates; set at least one of read/program/erase/grown/bad", *faultSpec)
 		}
 	}
@@ -318,11 +304,7 @@ func main() {
 	fc.Policies = pset
 	fc.Sched = schedCfg
 	fc.ScrubFeedback = *scrubFeed
-	if *faultSpec != "" {
-		plan, err := parseFaults(*faultSpec)
-		die(err)
-		fc.Faults = plan
-	}
+	fc.Faults = faults
 
 	obsOpts := obs.Options{
 		Metrics:         *metricsOut != "" || *httpAddr != "",
@@ -360,30 +342,17 @@ func main() {
 			n.Evict, n.Admit, n.GC)
 	}
 
-	// Build the simulator. Both arms yield the same driving surface;
-	// everything below this block is shared. Checkpointing always
-	// routes through the engine — a single-shard engine reproduces the
-	// monolithic simulation bit-for-bit, and the checkpoint format is
-	// the engine's.
-	var sys simulator
-	useEngine := *shards > 1 || *checkpointIn != "" || *checkpointOut != ""
-	if useEngine {
-		eng, err := engine.New(engine.Config{Shards: *shards, Workers: *workers, Hier: cfg, Obs: obsOpts})
-		die(err)
-		sys = eng
-	} else {
-		if obsOpts != (obs.Options{}) {
-			o := obs.New(obsOpts)
-			cfg.Observer = o
-		}
-		sys = hier.New(cfg)
+	// Every capacity and shard-count rejection the engine reports is a
+	// usage error: too little DRAM or Flash for even one shard.
+	eng, err := engine.New(engine.Config{Shards: *shards, Workers: *workers, Hier: cfg, Obs: obsOpts})
+	if err != nil {
+		usageErr("%v", err)
 	}
 
 	// Resume: restore every shard's state and remember how much of the
 	// global stream the checkpointed run already simulated.
 	prevConsumed := 0
 	if *checkpointIn != "" {
-		eng := sys.(*engine.Engine)
 		f, err := os.Open(*checkpointIn)
 		die(err)
 		ck, err := engine.ReadCheckpoint(f)
@@ -403,7 +372,7 @@ func main() {
 
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(sys.Observers))
+		mux.Handle("/metrics", obs.Handler(eng.Observers))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
@@ -417,7 +386,7 @@ func main() {
 	}
 
 	stats := trace.NewStats()
-	// runSource drives sys at the -batch granularity. After the run the
+	// runSource drives eng at the -batch granularity. After the run the
 	// source's sticky stream error (a torn trace file, a bad binary
 	// record) is fatal like any other input error.
 	runSource := func(src trace.Source, n int) {
@@ -431,7 +400,7 @@ func main() {
 			if k == 0 {
 				break
 			}
-			sys.RunBatch(buf[:k])
+			eng.RunBatch(buf[:k])
 			consumed += k
 		}
 		die(trace.SourceErr(src))
@@ -450,9 +419,7 @@ func main() {
 		onExit(m.Close)
 		runSource(trace.NewCountingSource(m, stats), *requests)
 	} else {
-		g, err := workload.New(*workloadName, *scale, *seed)
-		die(err)
-		src := trace.NewCountingSource(workload.AsSource(g), stats)
+		src := trace.NewCountingSource(workload.AsSource(gen), stats)
 		// On resume, drain the prefix the checkpointed run already
 		// simulated: the generator is deterministic, so this
 		// re-synchronises the stream position exactly and keeps the
@@ -468,7 +435,6 @@ func main() {
 	// continuation to be bit-identical. (Progress notes go to stderr —
 	// stdout stays byte-comparable across segmented and unbroken runs.)
 	if *checkpointOut != "" {
-		eng := sys.(*engine.Engine)
 		ck, err := eng.Checkpoint(fingerprint, int64(totalRequests))
 		die(err)
 		f, err := os.Create(*checkpointOut)
@@ -477,8 +443,8 @@ func main() {
 		die(f.Close())
 		fmt.Fprintf(os.Stderr, "fdcsim: checkpoint after %d requests -> %s\n", totalRequests, *checkpointOut)
 	}
-	sys.Drain()
-	report := sys.Observe()
+	eng.Drain()
+	report := eng.Observe()
 
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
@@ -496,12 +462,12 @@ func main() {
 			len(report.Events), *traceEvents, report.DroppedEvents)
 	}
 
-	if eng, ok := sys.(*engine.Engine); ok && eng.Shards() > 1 {
-		// A single-shard engine (the checkpoint path's monolithic form)
-		// stays silent so its report matches hier.System output.
+	if eng.Shards() > 1 {
+		// A single-shard run stays silent: its report is the monolithic
+		// simulation's.
 		fmt.Printf("shards:            %d (%d workers)\n", eng.Shards(), eng.Workers())
 	}
-	st := sys.Stats()
+	st := eng.Stats()
 	fmt.Printf("requests:          %d (%d read pages, %d write pages)\n",
 		st.Requests, st.ReadPages, st.WritePages)
 	fmt.Printf("trace footprint:   %d pages (%.1f MB), %.1f%% writes\n",
@@ -512,16 +478,16 @@ func main() {
 	fmt.Printf("flash hits:        %d\n", st.FlashHits)
 	fmt.Printf("disk reads:        %d\n", st.DiskReads)
 	fmt.Printf("avg latency:       %v\n", st.AvgLatency())
-	fmt.Printf("latency profile:   %v\n", sys.Latencies())
+	fmt.Printf("latency profile:   %v\n", eng.Latencies())
 	fmt.Printf("request latency:   p99=%v p999=%v\n",
-		sys.Latencies().Quantile(0.99), sys.Latencies().Quantile(0.999))
+		eng.Latencies().Quantile(0.99), eng.Latencies().Quantile(0.999))
 	srv := server.Default()
 	fmt.Printf("est. bandwidth:    %.1f MB/s (%.0f req/s)\n",
 		srv.Bandwidth(st.AvgLatency())/(1<<20), srv.Throughput(st.AvgLatency()))
 
-	if sys.HasFlash() {
-		cs := sys.FlashStats()
-		gl := sys.Global()
+	if eng.HasFlash() {
+		cs := eng.FlashStats()
+		gl := eng.Global()
 		if !pset.IsDefault() {
 			// Printed only under non-default policies: the default report
 			// stays byte-identical to the pre-framework output.
@@ -537,15 +503,15 @@ func main() {
 		fmt.Printf("wear swaps:        %d, promotions: %d\n", cs.WearSwaps, cs.Promotions)
 		fmt.Printf("reconfig events:   %d ECC, %d density\n",
 			gl.ECCReconfigs, gl.DensityReconfigs)
-		fmt.Printf("retired blocks:    %d (dead=%v)\n", cs.RetiredBlocks, sys.Dead())
-		ds := sys.DeviceStats()
+		fmt.Printf("retired blocks:    %d (dead=%v)\n", cs.RetiredBlocks, eng.Dead())
+		ds := eng.DeviceStats()
 		fmt.Printf("device ops:        %d reads, %d programs, %d erases\n",
 			ds.Reads, ds.Programs, ds.Erases)
 		if schedCfg.Active() {
 			// Printed only under a non-default geometry: the default
 			// serial-device report stays byte-identical to the pre-scheduler
 			// output.
-			ss := sys.SchedStats()
+			ss := eng.SchedStats()
 			fmt.Printf("nand scheduler:    %d channels x %d banks: %d read, %d program, %d erase cmds\n",
 				*channels, *banks, ss.ReadCmds, ss.ProgramCmds, ss.EraseCmds)
 			fmt.Printf("sched contention:  %d channel waits (%v), %d bank conflicts (%v)\n",
@@ -563,18 +529,18 @@ func main() {
 				cs.GCDeferred, cs.AdmitThrottleFlips, cs.ScrubDeferred, cs.ScrubWindows)
 		}
 		if *faultSpec != "" || *scrubEvery > 0 {
-			fs := sys.FaultStats()
+			fs := eng.FaultStats()
 			fmt.Printf("faults injected:   %d read flips over %d reads, %d program fails, %d erase fails, %d grown bad\n",
 				fs.ReadFlips, fs.ReadInjections, fs.ProgramFails, fs.EraseFails, fs.GrownBad)
 			fmt.Printf("fault recovery:    %d retries (%d recovered), %d remaps, %d program fails, %d erase fails\n",
 				cs.ReadRetries, cs.RetryRecoveries, cs.Remaps, cs.ProgramFailures, cs.EraseFailures)
 			fmt.Printf("scrubber:          %d pages scanned, %d migrated, %v background time\n",
 				cs.ScrubScans, cs.ScrubMigrations, cs.ScrubTime)
-			if err := sys.CheckIntegrity(); err != nil {
+			if err := eng.CheckIntegrity(); err != nil {
 				fmt.Printf("integrity:         FAILED: %v\n", err)
 				exit(1)
 			}
-			fmt.Printf("integrity:         OK (%d cached pages verified)\n", sys.ValidPages())
+			fmt.Printf("integrity:         OK (%d cached pages verified)\n", eng.ValidPages())
 		}
 		if *retentionAccel > 0 || *disturbReads > 0 {
 			fmt.Printf("refresh policy:    %d retention scans, %d refresh rewrites, %d disturb resets\n",
@@ -582,13 +548,13 @@ func main() {
 		}
 	}
 	elapsed := srv.Elapsed(st.Requests, st.AvgLatency())
-	if db := sys.DiskBusy(); db > elapsed {
+	if db := eng.DiskBusy(); db > elapsed {
 		elapsed = db
 	}
 	if elapsed > 0 {
-		fmt.Printf("power:             %v\n", sys.Power(elapsed))
+		fmt.Printf("power:             %v\n", eng.Power(elapsed))
 	}
-	if err := sys.Err(); err != nil {
+	if err := eng.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "fdcsim: degraded service:", err)
 		exit(1)
 	}

@@ -332,11 +332,6 @@ type (
 // NewObserver builds an observability sink from the options.
 func NewObserver(o ObsOptions) *Observer { return obs.New(o) }
 
-// Simulator is the driving surface shared by System (monolithic) and
-// Engine (sharded): one code path replays a stream and collects the
-// merged counters and observability report from either.
-type Simulator = hier.Simulator
-
 // CampaignCheckpoint is a whole-campaign snapshot (every shard's full
 // simulator state plus the stream position) that resumes
 // bit-identically to an unbroken run; build one with

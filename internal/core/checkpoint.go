@@ -18,7 +18,7 @@ import (
 // state the metadata image deliberately discards: exact region LRU
 // recency, allocator cursors and heuristic accumulators, the fault
 // injector's RNG position, retention dwell stamps, per-block disturb
-// counters and the pending scrub deadline.
+// counters and the scrub cursor.
 //
 // The wear trajectories (per-page bit-error curves) are intentionally
 // NOT serialised: they are a pure function of (Config.Seed, geometry)
@@ -65,10 +65,6 @@ type CacheCheckpoint struct {
 	ScrubTick             uint64
 	ScrubBlock, ScrubSlot int
 	ScrubSub              int
-	// NextScrubAt is the pending clock-driven scrub deadline;
-	// HasScrubEvent false means none was armed.
-	NextScrubAt   sim.Time
-	HasScrubEvent bool
 
 	// Injector is the fault injector's RNG/counter state;
 	// HasInjector false records that the run had no injector.
@@ -119,10 +115,6 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 		ScrubBlock: c.scrubBlock,
 		ScrubSlot:  c.scrubSlot,
 		ScrubSub:   c.scrubSub,
-	}
-	if c.scrubEvent != nil {
-		ck.NextScrubAt = c.scrubEvent.At
-		ck.HasScrubEvent = true
 	}
 	if inj := c.dev.FaultInjector(); inj != nil {
 		ck.Injector = inj.Checkpoint()
@@ -263,15 +255,6 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	c.scrubBlock = ck.ScrubBlock
 	c.scrubSlot = ck.ScrubSlot
 	c.scrubSub = ck.ScrubSub
-
-	// Re-arm the clock-driven scrubber exactly where the checkpointed
-	// run had it pending (New/AttachClock armed it one period from
-	// time zero, which is the past for a resumed clock).
-	c.events.Cancel(c.scrubEvent)
-	c.scrubEvent = nil
-	if ck.HasScrubEvent && c.clock != nil && c.cfg.ScrubPeriod > 0 {
-		c.armScrubAt(ck.NextScrubAt)
-	}
 
 	if err := c.CheckIntegrity(); err != nil {
 		return fmt.Errorf("core: checkpoint fails integrity audit (wrong configuration?): %w", err)

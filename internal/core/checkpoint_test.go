@@ -12,7 +12,7 @@ import (
 )
 
 // checkpointTestConfig is a configuration that exercises every piece of
-// state a checkpoint must carry: scrub cadence (both triggers), fault
+// state a checkpoint must carry: scrub cadence (the op-count tick), fault
 // injection (RNG stream position), retention + disturb (dwell stamps,
 // read counters), and the programmable controller (FGST, staged
 // strengths).
@@ -21,7 +21,6 @@ func checkpointTestConfig() Config {
 	cfg.Seed = 42
 	cfg.WearAcceleration = 500
 	cfg.ScrubEvery = 256
-	cfg.ScrubPeriod = 5 * sim.Millisecond
 	cfg.Retention = wear.RetentionParams{Accel: 1e8}
 	cfg.Disturb = wear.DisturbParams{ReadsPerBit: 100}
 	cfg.RefreshThreshold = 0.75

@@ -128,11 +128,6 @@ type Config struct {
 	// ScrubBatch is the number of pages examined per scrub increment;
 	// 0 means 128.
 	ScrubBatch int
-	// ScrubPeriod, with an attached clock (AttachClock), additionally
-	// schedules scrub increments on the cache's event queue at this
-	// simulated-time period, occupying the device like other
-	// background work. 0 relies on the operation-count trigger alone.
-	ScrubPeriod sim.Duration
 	// Retention parameterises the retention-loss error process: pages
 	// accumulate flips while they dwell programmed, measured against
 	// the simulated clock (hier attaches its clock automatically; bare
@@ -372,18 +367,11 @@ type Cache struct {
 	// bit-identical to the single busy-until timeline it replaced.
 	clock *sim.Clock
 	sched *sched.Scheduler
-	// events queues clock-driven background work (the scrubber); it is
-	// pumped at the start of every host operation.
-	events sim.EventQueue
 	// scrubTick amortises the operation-count scrub trigger;
-	// scrubBlock/scrubSlot/scrubSub is the scan cursor. scrubEvent is
-	// the pending clock-driven scrub event (nil when unarmed): it
-	// keeps re-arming idempotent, so attaching a clock twice or
-	// resetting stats mid-run never doubles the cadence.
+	// scrubBlock/scrubSlot/scrubSub is the scan cursor.
 	scrubTick             uint64
 	scrubBlock, scrubSlot int
 	scrubSub              int
-	scrubEvent            *sim.Event
 	// scrubDeferred is the idle-window queue of at-risk pages whose
 	// migration was deferred off a busy bank (Config.ScrubFeedback);
 	// each entry is re-validated against current state when retried.
@@ -619,12 +607,7 @@ func (c *Cache) writeRegionIndex() int {
 // ResetDeviceStats zeroes the Flash device operation counters (e.g.
 // after warmup); wear state and cache contents are untouched. The
 // contention timeline is re-anchored to the epoch, matching callers
-// that reset their clock alongside — which is also why any pending
-// clock-driven scrub event is re-armed from the current clock reading:
-// an event left scheduled at a pre-reset timestamp would sit in the
-// queue unreachable until the rewound clock caught up, silently
-// disabling scrubbing for the measurement phase. Callers must rewind
-// their clock before calling this (hier.System.ResetStats does).
+// that reset their clock alongside (hier.System.ResetStats does).
 func (c *Cache) ResetDeviceStats() {
 	c.dev.ResetStats()
 	c.sched.Reset()
@@ -632,11 +615,6 @@ func (c *Cache) ResetDeviceStats() {
 	// windows; retrying against re-anchored banks is meaningless, and
 	// the patrol cursor will revisit any page still at risk.
 	c.scrubDeferred = c.scrubDeferred[:0]
-	if c.scrubEvent != nil {
-		c.events.Cancel(c.scrubEvent)
-		c.scrubEvent = nil
-	}
-	c.scheduleScrub()
 }
 
 // AttachClock enables device-contention modelling: with a clock
@@ -644,10 +622,7 @@ func (c *Cache) ResetDeviceStats() {
 // device on a timeline, and host reads arriving while it runs wait for
 // it — the mechanism behind Figure 1(b)'s performance impact. Without
 // a clock (the default), background work is accounted in GCTime and
-// power only. With ScrubPeriod configured, attaching a clock also
-// starts the event-queue-scheduled scrubber (taking over from the
-// operation-count trigger); attaching is idempotent — a second call
-// never doubles the scrub cadence.
+// power only. Attaching is idempotent.
 func (c *Cache) AttachClock(clock *sim.Clock) {
 	c.clock = clock
 	c.sched.AttachClock(clock)
@@ -655,23 +630,13 @@ func (c *Cache) AttachClock(clock *sim.Clock) {
 	if c.obs != nil {
 		c.obs.SetClock(clock)
 	}
-	c.scheduleScrub()
 }
 
 // AttachTimeBase gives the device a simulated time base for retention
-// dwell accounting without enabling contention modelling or the
-// clock-driven scrubber. The hierarchy attaches its clock this way
-// unconditionally, so the retention process works in every run;
-// AttachClock subsumes it.
+// dwell accounting without enabling contention modelling. The
+// hierarchy attaches its clock this way unconditionally, so the
+// retention process works in every run; AttachClock subsumes it.
 func (c *Cache) AttachTimeBase(clock *sim.Clock) { c.dev.AttachClock(clock) }
-
-// pumpEvents fires due background events (the clock-driven scrubber)
-// against the attached clock. A no-op without a clock.
-func (c *Cache) pumpEvents() {
-	if c.clock != nil && c.events.Len() > 0 {
-		c.events.RunUntil(c.clock.Now())
-	}
-}
 
 // SchedStats returns a copy of the command scheduler's counters.
 func (c *Cache) SchedStats() sched.Stats { return c.sched.Stats() }

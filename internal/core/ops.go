@@ -33,7 +33,6 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 	c.admitPol.noteRead(lba)
 	c.seq++
 	c.stats.Reads++
-	c.pumpEvents()
 	if c.dead {
 		c.stats.Misses++
 		c.fgst.RecordMiss(c.cfg.MissPenalty)
@@ -161,7 +160,6 @@ func (c *Cache) retryRead(addr nand.Addr, st *tables.PageStatus, first nand.Read
 // already cached refreshes recency only.
 func (c *Cache) Insert(lba int64) sim.Duration {
 	c.seq++
-	c.pumpEvents()
 	if c.dead {
 		return 0
 	}
@@ -200,7 +198,6 @@ func (c *Cache) Insert(lba int64) sim.Duration {
 func (c *Cache) Write(lba int64) sim.Duration {
 	c.seq++
 	c.stats.Writes++
-	c.pumpEvents()
 	if c.dead {
 		c.stats.FlushedPages++
 		return c.cfg.Backing.WritePage(lba)

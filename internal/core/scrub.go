@@ -15,53 +15,21 @@ import (
 // reached their correction capability, moving the data to healthy
 // space before the next wear step silently destroys it.
 //
-// Two triggers drive it: an operation-count trigger (every ScrubEvery
-// host operations, maybeScrub runs one increment) and, when a clock is
-// attached, events scheduled on the cache's event queue every
-// ScrubPeriod of simulated time — the same background-work accounting
-// GC uses, including device occupancy. Exactly one trigger owns the
-// cadence at any moment: the clock-driven scheduler when a clock is
-// attached and ScrubPeriod > 0, the operation-count trigger otherwise
-// (including ScrubEvery+ScrubPeriod both set without a clock — the
-// period then waits for AttachClock instead of disabling scrubbing).
+// One trigger drives it: every ScrubEvery host operations, maybeScrub
+// runs one increment. The spent time is charged as background work,
+// the same accounting GC uses, including device occupancy when a
+// clock is attached.
 
 // maybeScrub runs one scrub increment every ScrubEvery host
-// operations. When the clock-driven scheduler is active it stands
-// down — the event queue owns the cadence.
+// operations.
 func (c *Cache) maybeScrub() {
 	if c.cfg.ScrubEvery <= 0 || c.dead {
-		return
-	}
-	if c.clock != nil && c.cfg.ScrubPeriod > 0 {
 		return
 	}
 	c.scrubTick++
 	if c.scrubTick%uint64(c.cfg.ScrubEvery) == 0 {
 		c.scrubStep()
 	}
-}
-
-// scheduleScrub arms the next clock-driven scrub event. Arming is
-// idempotent: while an event is pending, further calls (a second
-// AttachClock, a stats reset) are no-ops, so the cadence is never
-// doubled.
-func (c *Cache) scheduleScrub() {
-	if c.clock == nil || c.cfg.ScrubPeriod <= 0 || c.scrubEvent != nil {
-		return
-	}
-	c.armScrubAt(c.clock.Now().Add(c.cfg.ScrubPeriod))
-}
-
-// armScrubAt schedules the next scrub at an explicit deadline. Split
-// from scheduleScrub so a checkpoint restore can re-arm the cadence at
-// the exact instant the checkpointed run had pending, keeping resumed
-// scrub timing bit-identical to an unbroken run.
-func (c *Cache) armScrubAt(at sim.Time) {
-	c.scrubEvent = c.events.Schedule(at, func(sim.Time) {
-		c.scrubEvent = nil
-		c.scrubStep()
-		c.scheduleScrub()
-	})
 }
 
 // scrubStep examines up to ScrubBatch pages from the scan cursor and

@@ -6,8 +6,7 @@ import (
 	"flashdc/internal/sim"
 )
 
-// The scrub cadence tests pin which trigger owns the patrol schedule
-// in each supported configuration. ScrubBatch is 1 throughout so
+// The scrub cadence test pins the patrol schedule. ScrubBatch is 1 so
 // Stats().ScrubScans counts scrub increments exactly.
 
 // scrubSteps drives n host operations (each a maybeScrub opportunity:
@@ -24,7 +23,9 @@ func scrubSteps(c *Cache, n int) int64 {
 	return c.Stats().ScrubScans - before
 }
 
-// Operation-count trigger alone: one increment every ScrubEvery ops.
+// The operation-count trigger is the only cadence: one increment every
+// ScrubEvery ops, unchanged by attaching a clock (even twice) or by a
+// warmup-style reset that rewinds the clock.
 func TestScrubCadenceOpCount(t *testing.T) {
 	c := smallCache(t, func(cfg *Config) {
 		cfg.ScrubEvery = 100
@@ -33,96 +34,21 @@ func TestScrubCadenceOpCount(t *testing.T) {
 	if got := scrubSteps(c, 1000); got != 10 {
 		t.Fatalf("1000 ops at ScrubEvery=100 ran %d increments, want 10", got)
 	}
-}
 
-// Clock-driven trigger alone: one increment per ScrubPeriod of
-// simulated time, regardless of operation rate.
-func TestScrubCadenceClock(t *testing.T) {
-	c := smallCache(t, func(cfg *Config) {
-		cfg.ScrubPeriod = 10 * sim.Millisecond
-		cfg.ScrubBatch = 1
-	})
 	var clk sim.Clock
 	c.AttachClock(&clk)
-	before := c.Stats().ScrubScans
-	for i := 0; i < 500; i++ {
-		clk.Advance(100 * sim.Microsecond) // 50ms total = 5 periods
-		c.Read(int64(i % 64))
-	}
-	if got := c.Stats().ScrubScans - before; got != 5 {
-		t.Fatalf("5 periods ran %d increments, want 5", got)
-	}
-}
-
-// Both triggers configured without a clock: the operation-count
-// trigger must keep scrubbing (the period waits for AttachClock
-// instead of silently disabling the patrol). Once a clock is
-// attached — even twice — the clock owns the cadence exclusively.
-func TestScrubCadenceBothTriggers(t *testing.T) {
-	c := smallCache(t, func(cfg *Config) {
-		cfg.ScrubEvery = 100
-		cfg.ScrubPeriod = 10 * sim.Millisecond
-		cfg.ScrubBatch = 1
-	})
-	// No clock yet: op-count cadence.
 	if got := scrubSteps(c, 1000); got != 10 {
-		t.Fatalf("clockless: 1000 ops ran %d increments, want 10", got)
+		t.Fatalf("with a clock attached, 1000 ops ran %d increments, want 10", got)
 	}
-
-	// Attach a clock mid-run, twice: arming must be idempotent.
-	var clk sim.Clock
 	c.AttachClock(&clk)
-	c.AttachClock(&clk)
-
-	// The op-count trigger stands down: ops without clock progress
-	// run nothing.
-	if got := scrubSteps(c, 1000); got != 0 {
-		t.Fatalf("with clock attached, op trigger ran %d increments, want 0", got)
+	clk.Advance(50 * sim.Millisecond)
+	if got := scrubSteps(c, 1000); got != 10 {
+		t.Fatalf("after a second AttachClock, 1000 ops ran %d increments, want 10", got)
 	}
 
-	// The clock cadence runs exactly once per period — a doubled
-	// schedule would fire twice.
-	before := c.Stats().ScrubScans
-	for i := 0; i < 300; i++ {
-		clk.Advance(100 * sim.Microsecond) // 30ms = 3 periods
-		c.Read(int64(i % 64))
-	}
-	if got := c.Stats().ScrubScans - before; got != 3 {
-		t.Fatalf("3 periods after double AttachClock ran %d increments, want 3", got)
-	}
-}
-
-// A warmup-style reset that rewinds the clock must re-arm the pending
-// scrub event at the new epoch: the old event sits at a pre-reset
-// timestamp the rewound clock would not reach for a full warmup's
-// worth of simulated time.
-func TestScrubCadenceSurvivesReset(t *testing.T) {
-	c := smallCache(t, func(cfg *Config) {
-		cfg.ScrubPeriod = 10 * sim.Millisecond
-		cfg.ScrubBatch = 1
-	})
-	var clk sim.Clock
-	c.AttachClock(&clk)
-
-	// Warmup: advance well past several periods.
-	for i := 0; i < 500; i++ {
-		clk.Advance(100 * sim.Microsecond)
-		c.Read(int64(i % 64))
-	}
-	if c.Stats().ScrubScans == 0 {
-		t.Fatal("warmup ran no scrub increments")
-	}
-
-	// Measurement phase: rewind the clock (as hier.ResetStats does),
-	// then reset device counters, which re-arms the scrubber.
 	clk = sim.Clock{}
 	c.ResetDeviceStats()
-	before := c.Stats().ScrubScans
-	for i := 0; i < 200; i++ {
-		clk.Advance(100 * sim.Microsecond) // 20ms = 2 periods
-		c.Read(int64(i % 64))
-	}
-	if got := c.Stats().ScrubScans - before; got != 2 {
-		t.Fatalf("2 post-reset periods ran %d increments, want 2", got)
+	if got := scrubSteps(c, 1000); got != 10 {
+		t.Fatalf("after ResetDeviceStats, 1000 ops ran %d increments, want 10", got)
 	}
 }

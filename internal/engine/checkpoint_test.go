@@ -15,12 +15,11 @@ import (
 )
 
 // campaignHier is a hierarchy configuration that stresses every
-// checkpointed subsystem: fault RNG streams, scrub events, retention
+// checkpointed subsystem: fault RNG streams, the scrub tick, retention
 // dwell stamps and disturb counters.
 func campaignHier(seed uint64) hier.Config {
 	fc := core.DefaultConfig(16 << 20)
 	fc.ScrubEvery = 256
-	fc.ScrubPeriod = 5 * sim.Millisecond
 	fc.Retention = wear.RetentionParams{Accel: 1e8}
 	fc.Disturb = wear.DisturbParams{ReadsPerBit: 100}
 	fc.RefreshThreshold = 0.75

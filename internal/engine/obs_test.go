@@ -7,6 +7,7 @@ import (
 	"flashdc/internal/hier"
 	"flashdc/internal/obs"
 	"flashdc/internal/sim"
+	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -75,9 +76,13 @@ func TestObserveMonolithicParity(t *testing.T) {
 	cfg.Observer = o
 	s := hier.New(cfg)
 	g := newTestGen(t)
-	s.RunSource(workload.AsSource(g), testRequests)
+	reqs := make([]trace.Request, testRequests)
+	for i := range reqs {
+		reqs[i] = g.Next()
+	}
+	s.RunBatch(reqs)
 	s.Drain()
-	sysRep := s.Observe()
+	sysRep := obs.BuildReport(o)
 
 	em, ee := serialise(t, engRep)
 	sm, se := serialise(t, sysRep)

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"flashdc/internal/hier"
-	"flashdc/internal/obs"
-)
-
-var _ hier.Simulator = (*Engine)(nil)
+import "flashdc/internal/obs"
 
 // Observe finalises every shard's observer and merges their output in
 // shard index order; the report is therefore identical for a fixed

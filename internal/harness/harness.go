@@ -57,9 +57,8 @@ type Config struct {
 	// Faults, when non-nil, runs the workload under this injection
 	// campaign.
 	Faults *fault.Plan
-	// ScrubEvery/ScrubPeriod configure the background scrubber.
-	ScrubEvery  int
-	ScrubPeriod sim.Duration
+	// ScrubEvery configures the background scrubber.
+	ScrubEvery int
 	// Retention/Disturb enable the reliability-realism error
 	// processes; RefreshThreshold tunes the scrubber's refresh policy
 	// under them. Both processes are deterministic, and the model's
@@ -112,7 +111,6 @@ func hierConfig(cfg Config) hier.Config {
 		fc := core.DefaultConfig(cfg.FlashBytes)
 		fc.Faults = cfg.Faults
 		fc.ScrubEvery = cfg.ScrubEvery
-		fc.ScrubPeriod = cfg.ScrubPeriod
 		fc.Retention = cfg.Retention
 		fc.Disturb = cfg.Disturb
 		fc.RefreshThreshold = cfg.RefreshThreshold

@@ -8,7 +8,6 @@ import (
 	"flashdc/internal/fault"
 	"flashdc/internal/policy"
 	"flashdc/internal/sched"
-	"flashdc/internal/sim"
 	"flashdc/internal/trace"
 	"flashdc/internal/wear"
 )
@@ -61,7 +60,6 @@ func sweepConfigs() []Config {
 		mk("burst-faults-scrubbed", 6, func(c *Config) {
 			c.Faults = burstFaults
 			c.ScrubEvery = 500
-			c.ScrubPeriod = 5 * sim.Millisecond
 		}),
 		mk("sharded-4", 7, func(c *Config) {
 			c.Shards = 4

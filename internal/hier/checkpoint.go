@@ -62,8 +62,8 @@ func (s *System) Checkpoint() (*SystemCheckpoint, error) {
 }
 
 // Restore overwrites a freshly assembled hierarchy (same Config) with
-// a checkpoint. The clock advances first so every component that
-// re-arms timed work during its restore sees resumed time.
+// a checkpoint. The clock advances first so every component sees
+// resumed time during its restore.
 func (s *System) Restore(ck *SystemCheckpoint) error {
 	if s.bypassErr != nil {
 		return fmt.Errorf("hier: cannot restore onto a bypassed Flash tier: %w", s.flashLoadErr)

@@ -18,6 +18,7 @@ import (
 	"flashdc/internal/nand"
 	"flashdc/internal/obs"
 	"flashdc/internal/power"
+	"flashdc/internal/sched"
 	"flashdc/internal/sim"
 	"flashdc/internal/trace"
 )
@@ -142,8 +143,6 @@ type System struct {
 	// lastRead and streak detect sequential read runs for readahead.
 	lastRead int64
 	streak   int
-	// runBuf is the lazily built RunSource scratch (see batch.go).
-	runBuf []trace.Request
 }
 
 // diskBacking adapts the drive to the Flash cache's Backing interface.
@@ -271,6 +270,19 @@ func (s *System) CheckIntegrity() error {
 		return nil
 	}
 	return s.flash.CheckIntegrity()
+}
+
+// Err reports the sticky degraded-service condition, if any — the
+// System counterpart of engine.Engine.Err.
+func (s *System) Err() error { return s.serviceErr() }
+
+// SchedStats returns the NAND command scheduler's counters (zero
+// without a Flash tier).
+func (s *System) SchedStats() sched.Stats {
+	if s.flash == nil {
+		return sched.Stats{}
+	}
+	return s.flash.SchedStats()
 }
 
 // Flash exposes the Flash cache, or nil for the DRAM-only baseline.
@@ -509,11 +521,8 @@ func (s *System) ResetStats() {
 	s.latencies = sim.Histogram{}
 	s.pdc.ResetStats()
 	s.disk.ResetStats()
-	// Rewind the clock before the Flash reset: ResetDeviceStats
-	// re-arms the clock-driven scrubber from the current reading, so
-	// the order decides whether the next scrub fires one period into
-	// the measurement phase (correct) or one period past the end of
-	// warmup (never, for a rewound clock).
+	// Rewind the clock before the Flash reset, which re-anchors the
+	// device timeline to the epoch.
 	s.clock = sim.Clock{}
 	if s.flash != nil {
 		s.flash.ResetDeviceStats()

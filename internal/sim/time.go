@@ -1,9 +1,8 @@
 // Package sim provides the simulation substrate shared by every model in
 // this repository: a virtual clock measured in integer nanoseconds, a
-// binary-heap event queue used for background activities such as garbage
-// collection, and a deterministic random number generator with the
-// samplers (Zipf, exponential, normal) the workload generators and the
-// reliability model need.
+// log-bucketed latency histogram, and a deterministic random number
+// generator with the samplers (Zipf, exponential, normal) the workload
+// generators and the reliability model need.
 //
 // Nothing in this package reads wall-clock time; simulations are fully
 // deterministic given a seed.
