@@ -195,7 +195,11 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 		return fmt.Errorf("core: restoring admission policy state: %w", err)
 	}
 
-	c.fcht = tables.NewFCHT()
+	fcht, err := tables.NewFCHT(len(c.meta))
+	if err != nil {
+		return fmt.Errorf("core: restoring FCHT: %w", err)
+	}
+	c.fcht = fcht
 	for b := range c.meta {
 		if len(ck.Pages[b]) != nand.SlotsPerBlock {
 			return fmt.Errorf("core: checkpoint block %d has %d slots, want %d",

@@ -481,7 +481,7 @@ func New(cfg Config) *Cache {
 			Faults:           injector,
 			FactoryBadBlocks: factoryBad,
 		}),
-		fcht:         tables.NewFCHT(),
+		fcht:         mustTable(tables.NewFCHT(blocks)),
 		fpst:         mustTable(tables.NewFPST(blocks, cfg.BaseStrength, cfg.InitialMode, cfg.HotSaturation)),
 		fbst:         mustTable(tables.NewFBST(blocks, cfg.K1, cfg.K2)),
 		lat:          ecc.DefaultLatencyModel(),

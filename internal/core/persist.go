@@ -306,7 +306,11 @@ func LoadMetadata(cfg Config, r io.Reader) (*Cache, error) {
 		r.blocks = 0
 	}
 	c.totalValid = 0
-	c.fcht = tables.NewFCHT()
+	fcht, err := tables.NewFCHT(len(c.meta))
+	if err != nil {
+		return nil, fmt.Errorf("core: rebuilding FCHT: %w", err)
+	}
+	c.fcht = fcht
 	c.stats = Stats{}
 
 	for b := range c.meta {

@@ -48,13 +48,13 @@ func (c *Cache) Restore(pages []PageState, stats Stats) error {
 	c.free = c.free[:0]
 	c.head, c.tail = none, none
 	c.count = 0
-	c.index = make(map[int64]int32, c.capacity)
+	c.index.Clear()
 	// Insert LRU-first so the rebuilt recency list matches the
 	// checkpointed order exactly.
 	for i := len(pages) - 1; i >= 0; i-- {
 		p := pages[i]
 		c.insert(p.LBA, p.Dirty)
-		c.nodes[c.index[p.LBA]].referenced = p.Referenced
+		c.nodes[c.head].referenced = p.Referenced
 	}
 	c.stats = stats
 	return nil

@@ -68,3 +68,45 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		t.Fatal("cache unusable after rejected restores")
 	}
 }
+
+// TestRestoreReplacesContents restores into a cache that already holds
+// other pages: they must be gone from the index, and second-chance
+// reference bits must land on the pages they belong to.
+func TestRestoreReplacesContents(t *testing.T) {
+	src := NewCacheWithPolicy(4*PageSize, SecondChance)
+	for lba := int64(10); lba < 14; lba++ {
+		src.Fill(lba)
+	}
+	src.Read(10) // only page 10 carries its reference bit
+	src.Read(12)
+	pages := src.Checkpoint()
+
+	r := NewCacheWithPolicy(4*PageSize, SecondChance)
+	for lba := int64(-3); lba < 1; lba++ {
+		r.Write(lba)
+	}
+	if err := r.Restore(pages, src.Stats()); err != nil {
+		t.Fatal(err)
+	}
+	for lba := int64(-3); lba < 1; lba++ {
+		if _, ok := r.index.Get(lba); ok {
+			t.Fatalf("page %d from before the restore is still indexed", lba)
+		}
+	}
+	if r.index.Len() != len(pages) {
+		t.Fatalf("index holds %d pages after restoring %d", r.index.Len(), len(pages))
+	}
+	if !reflect.DeepEqual(r.Checkpoint(), pages) {
+		t.Fatalf("restored state diverges:\n got %+v\nwant %+v", r.Checkpoint(), pages)
+	}
+	for lba := int64(100); lba < 104; lba++ {
+		_, evS, _ := src.Fill(lba)
+		_, evR, _ := r.Fill(lba)
+		if evS != evR {
+			t.Fatalf("fill %d: original evicts %+v, restored %+v", lba, evS, evR)
+		}
+	}
+	if r.Len() != 4 {
+		t.Fatalf("restored cache holds %d pages, want 4", r.Len())
+	}
+}

@@ -5,7 +5,10 @@
 // breakdown consumes.
 package dram
 
-import "flashdc/internal/sim"
+import (
+	"flashdc/internal/lbaindex"
+	"flashdc/internal/sim"
+)
 
 // PageSize is the disk-cache page granularity in bytes, matching the
 // Flash page.
@@ -135,7 +138,7 @@ type Cache struct {
 	head     int32   // most recently used, none when empty
 	tail     int32   // least recently used, none when empty
 	count    int
-	index    map[int64]int32
+	index    *lbaindex.Table // LBA -> node slot, bounded by capacity
 	stats    Stats
 }
 
@@ -165,7 +168,7 @@ func NewCacheWithPolicy(capacityBytes int64, p Policy) *Cache {
 		repl:     replacerFor(p),
 		head:     none,
 		tail:     none,
-		index:    make(map[int64]int32, pages),
+		index:    lbaindex.New(pages),
 	}
 }
 
@@ -223,7 +226,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 // the DRAM access itself; on a miss latency is zero (the caller pays
 // the lower levels).
 func (c *Cache) Read(lba int64) (hit bool, latency sim.Duration) {
-	if i, ok := c.index[lba]; ok {
+	if i, ok := c.index.Get(lba); ok {
 		c.touch(i)
 		c.stats.Reads++
 		c.stats.Hits++
@@ -241,7 +244,7 @@ func (c *Cache) touch(i int32) { c.repl.touch(c, i) }
 // must be flushed by the caller if dirty.
 func (c *Cache) Write(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 	c.stats.Writes++
-	if i, ok := c.index[lba]; ok {
+	if i, ok := c.index.Get(lba); ok {
 		c.nodes[i].dirty = true
 		c.touch(i)
 		return AccessLatency, Evicted{}, false
@@ -255,7 +258,7 @@ func (c *Cache) Write(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 // the caller if dirty.
 func (c *Cache) Fill(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 	c.stats.Writes++ // a fill writes the page into DRAM
-	if i, ok := c.index[lba]; ok {
+	if i, ok := c.index.Get(lba); ok {
 		c.touch(i)
 		return AccessLatency, Evicted{}, false
 	}
@@ -265,7 +268,7 @@ func (c *Cache) Fill(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 
 // Dirty reports whether lba is resident and dirty.
 func (c *Cache) Dirty(lba int64) bool {
-	if i, ok := c.index[lba]; ok {
+	if i, ok := c.index.Get(lba); ok {
 		return c.nodes[i].dirty
 	}
 	return false
@@ -273,7 +276,7 @@ func (c *Cache) Dirty(lba int64) bool {
 
 // Clean marks a resident page clean (after a write-back).
 func (c *Cache) Clean(lba int64) {
-	if i, ok := c.index[lba]; ok {
+	if i, ok := c.index.Get(lba); ok {
 		c.nodes[i].dirty = false
 	}
 }
@@ -317,7 +320,7 @@ func (c *Cache) insert(lba int64, dirty bool) (ev Evicted, evicted bool) {
 	}
 	c.nodes[i] = node{lba: lba, dirty: dirty, prev: none, next: none}
 	c.pushFront(i)
-	c.index[lba] = i
+	c.index.Put(lba, i)
 	c.count++
 	return ev, evicted
 }
@@ -332,7 +335,7 @@ func (c *Cache) removeTail() Evicted {
 	i := c.tail
 	nd := &c.nodes[i]
 	ev := Evicted{LBA: nd.lba, Dirty: nd.dirty}
-	delete(c.index, nd.lba)
+	c.index.Delete(nd.lba)
 	c.unlink(i)
 	c.free = append(c.free, i)
 	c.count--

@@ -3,12 +3,13 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
-// Histogram accumulates durations into logarithmic buckets (about 12
-// per decade) for percentile reporting without storing samples. The
-// zero value is ready to use.
+// Histogram accumulates durations into logarithmic buckets (24 per
+// decade) for percentile reporting without storing samples. The zero
+// value is ready to use.
 type Histogram struct {
 	counts []uint64
 	total  uint64
@@ -17,16 +18,65 @@ type Histogram struct {
 	max    Duration
 }
 
-// bucketsPerDecade controls resolution: relative error per bucket is
-// 10^(1/12)-1 ~ 21%... kept fine enough with 12 sub-buckets (~9%).
+// bucketsPerDecade controls resolution: each bucket spans a factor of
+// 10^(1/24), so its relative width is about 10%.
 const bucketsPerDecade = 24
 
-// bucketOf maps a duration to its bucket index.
+var (
+	// bucketLow[i] is the smallest duration in bucket i or above, so
+	// an empty bucket shares the next one's bound (bucket 0 holds
+	// d <= 0).
+	bucketLow []Duration
+	// bucketAtLen[n] is the bucket of 1<<(n-1), the smallest duration
+	// with n significant bits: where bucketOf starts its scan.
+	bucketAtLen [65]int
+)
+
+// init derives the bucket tables from the bucket mapping itself,
+// 1 + floor(24*log10(d)) for positive d, so every boundary falls
+// exactly where that float expression puts it. bucketFloor computes
+// the boundaries the other way round (10^((i-1)/24)) and can differ
+// from them by float rounding, so it is not used here.
+func init() {
+	logBucket := func(d Duration) int {
+		return 1 + int(math.Log10(float64(d))*bucketsPerDecade)
+	}
+	top := logBucket(math.MaxInt64)
+	bucketLow = make([]Duration, top+1)
+	bucketLow[1] = 1
+	for i := 2; i <= top; i++ {
+		// logBucket is non-decreasing in d, and a bucket spans a
+		// factor of 10^(1/24) < 1.125: the first duration past bucket
+		// i-1 lies within lo*1.125+1 of bucket i-1's first.
+		lo := bucketLow[i-1]
+		hi := lo + min(lo/8+1, math.MaxInt64-lo)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		bucketLow[i] = lo
+	}
+	for n := 1; n < len(bucketAtLen); n++ {
+		bucketAtLen[n] = logBucket(Duration(uint64(1) << (n - 1)))
+	}
+}
+
+// bucketOf maps a duration to its bucket index without a logarithm: a
+// factor of two spans log10(2)*24 < 8 buckets, so a short upward scan
+// from the first bucket of d's bit length finds it.
 func bucketOf(d Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	return 1 + int(math.Log10(float64(d))*bucketsPerDecade)
+	i := bucketAtLen[bits.Len64(uint64(d))]
+	for i+1 < len(bucketLow) && d >= bucketLow[i+1] {
+		i++
+	}
+	return i
 }
 
 // bucketFloor returns the smallest duration mapping to bucket i.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"flashdc/internal/ecc"
+	"flashdc/internal/lbaindex"
 	"flashdc/internal/nand"
 	"flashdc/internal/sim"
 	"flashdc/internal/wear"
@@ -24,39 +25,57 @@ import (
 const InvalidLBA = int64(-1)
 
 // FCHT is the FlashCache hash table: a fully associative map from disk
-// page number to the Flash page caching it (section 3.1). Go's map is
-// the hash the paper describes.
+// page number to the Flash page caching it (section 3.1). It is a
+// bounded open-addressing table (lbaindex) sized to the device's page
+// count, each Flash address packed into one int32 as
+// Block<<7 | Slot<<1 | Sub.
 type FCHT struct {
-	m map[int64]nand.Addr
+	t *lbaindex.Table
 }
 
-// NewFCHT returns an empty table.
-func NewFCHT() *FCHT { return &FCHT{m: make(map[int64]nand.Addr)} }
+// fchtMaxBlocks is the largest block count whose addresses pack into
+// an int32: Slot and Sub take the low 7 bits, leaving 24 for Block.
+const fchtMaxBlocks = 1 << 24
+
+// NewFCHT returns an empty table for a device with the given block
+// count; it holds at most one mapping per Flash page (two per slot).
+// A non-positive block count, or one too large to pack, is a
+// configuration error.
+func NewFCHT(blocks int) (*FCHT, error) {
+	if blocks <= 0 || blocks > fchtMaxBlocks {
+		return nil, fmt.Errorf("tables: FCHT needs 1 to %d blocks, have %d", fchtMaxBlocks, blocks)
+	}
+	return &FCHT{t: lbaindex.New(blocks * nand.SlotsPerBlock * 2)}, nil
+}
+
+// packAddr encodes a Flash page address as a table value.
+func packAddr(a nand.Addr) int32 { return int32(a.Block<<7 | a.Slot<<1 | a.Sub) }
+
+// unpackAddr inverts packAddr.
+func unpackAddr(v int32) nand.Addr {
+	return nand.Addr{Block: int(v >> 7), Slot: int(v>>1) & (nand.SlotsPerBlock - 1), Sub: int(v & 1)}
+}
 
 // Get returns the Flash address caching lba.
 func (f *FCHT) Get(lba int64) (nand.Addr, bool) {
-	a, ok := f.m[lba]
-	return a, ok
+	v, ok := f.t.Get(lba)
+	return unpackAddr(v), ok
 }
 
 // Put records that lba is cached at addr, replacing any previous
 // mapping.
-func (f *FCHT) Put(lba int64, addr nand.Addr) { f.m[lba] = addr }
+func (f *FCHT) Put(lba int64, addr nand.Addr) { f.t.Put(lba, packAddr(addr)) }
 
 // Delete removes the mapping for lba if present.
-func (f *FCHT) Delete(lba int64) { delete(f.m, lba) }
+func (f *FCHT) Delete(lba int64) { f.t.Delete(lba) }
 
 // Len returns the number of cached disk pages.
-func (f *FCHT) Len() int { return len(f.m) }
+func (f *FCHT) Len() int { return f.t.Len() }
 
 // Range calls fn for every cached mapping until fn returns false.
 // Iteration order is unspecified; fn must not mutate the table.
 func (f *FCHT) Range(fn func(lba int64, addr nand.Addr) bool) {
-	for lba, a := range f.m {
-		if !fn(lba, a) {
-			return
-		}
-	}
+	f.t.Range(func(lba int64, v int32) bool { return fn(lba, unpackAddr(v)) })
 }
 
 // PageStatus is one FPST entry (section 3.2). Strength and Mode are

@@ -9,8 +9,18 @@ import (
 	"flashdc/internal/wear"
 )
 
+// newFCHT builds a table for a 64-block device.
+func newFCHT(t *testing.T) *FCHT {
+	t.Helper()
+	f, err := NewFCHT(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFCHTBasics(t *testing.T) {
-	f := NewFCHT()
+	f := newFCHT(t)
 	if _, ok := f.Get(42); ok {
 		t.Fatal("empty table reported a hit")
 	}
@@ -36,7 +46,7 @@ func TestFCHTBasics(t *testing.T) {
 }
 
 func TestFCHTProperty(t *testing.T) {
-	f := NewFCHT()
+	f := newFCHT(t)
 	check := func(lbas []int64) bool {
 		for i, lba := range lbas {
 			f.Put(lba, nand.Addr{Block: i})
@@ -64,6 +74,72 @@ func TestFCHTProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFCHTPacksEveryAddress maps a distinct LBA to every Flash page of
+// a device and checks that Get, Range and Delete hand back exactly the
+// address stored, so the int32 packing loses no Block, Slot or Sub bit.
+func TestFCHTPacksEveryAddress(t *testing.T) {
+	for _, blocks := range []int{1, 37, 1024} {
+		f, err := NewFCHT(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[int64]nand.Addr)
+		lba := int64(-3) // negative disk pages must work too
+		for b := 0; b < blocks; b++ {
+			for s := 0; s < nand.SlotsPerBlock; s++ {
+				for sub := 0; sub < 2; sub++ {
+					a := nand.Addr{Block: b, Slot: s, Sub: sub}
+					if got := unpackAddr(packAddr(a)); got != a {
+						t.Fatalf("blocks %d: %v packs to %d, unpacks to %v", blocks, a, packAddr(a), got)
+					}
+					f.Put(lba, a)
+					want[lba] = a
+					lba += 7919
+				}
+			}
+		}
+		if f.Len() != len(want) || f.Len() != blocks*nand.SlotsPerBlock*2 {
+			t.Fatalf("blocks %d: Len %d, want %d", blocks, f.Len(), len(want))
+		}
+		for l, a := range want {
+			if got, ok := f.Get(l); !ok || got != a {
+				t.Fatalf("blocks %d: Get(%d) = %v,%v, want %v", blocks, l, got, ok, a)
+			}
+		}
+		seen := 0
+		f.Range(func(l int64, a nand.Addr) bool {
+			if want[l] != a {
+				t.Fatalf("blocks %d: Range gave %d -> %v, want %v", blocks, l, a, want[l])
+			}
+			seen++
+			return true
+		})
+		if seen != len(want) {
+			t.Fatalf("blocks %d: Range visited %d of %d", blocks, seen, len(want))
+		}
+		for l := range want {
+			f.Delete(l)
+		}
+		if f.Len() != 0 {
+			t.Fatalf("blocks %d: %d mappings left after deleting all", blocks, f.Len())
+		}
+	}
+}
+
+// TestFCHTRejectsUnpackableGeometry checks the construction-time
+// bound: the block number must fit the 24 bits above Slot and Sub.
+func TestFCHTRejectsUnpackableGeometry(t *testing.T) {
+	for _, blocks := range []int{0, -1, fchtMaxBlocks + 1} {
+		if _, err := NewFCHT(blocks); err == nil {
+			t.Fatalf("NewFCHT(%d) accepted", blocks)
+		}
+	}
+	top := nand.Addr{Block: fchtMaxBlocks - 1, Slot: nand.SlotsPerBlock - 1, Sub: 1}
+	if got := unpackAddr(packAddr(top)); got != top {
+		t.Fatalf("largest address %v unpacks to %v", top, got)
 	}
 }
 
