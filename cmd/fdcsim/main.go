@@ -51,13 +51,15 @@
 // (comma-separated key=value list) to the Flash device; the report
 // then includes retry/remap/retirement counters and an end-of-run
 // integrity audit. Keys: read (transient flip rate), flipmax, program,
-// erase, grown (rates), seed, burst-every, burst-len, burst-factor,
-// bad (factory-bad block list, slash-separated).
+// erase, grown (rates: probabilities in [0, 1]), seed, burst-every,
+// burst-len, burst-factor, bad (factory-bad block list,
+// slash-separated). A value outside its domain is a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -99,7 +101,23 @@ func parseSize(s string) (int64, error) {
 	return v * mult, nil
 }
 
+// finiteNonNeg reports whether x is a finite value >= 0 (NaN fails
+// every comparison, so it is rejected too).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// parseRate parses a per-operation fault probability, which must lie
+// in [0, 1].
+func parseRate(v string) (float64, error) {
+	r, err := strconv.ParseFloat(v, 64)
+	if err == nil && !(r >= 0 && r <= 1) {
+		err = fmt.Errorf("%g is not a probability in [0, 1]", r)
+	}
+	return r, err
+}
+
 // parseFaults parses the -faults key=value list into a campaign plan.
+// Rates are probabilities in [0, 1]; counts, block numbers and the
+// burst factor cannot be negative.
 func parseFaults(spec string) (*fault.Plan, error) {
 	p := &fault.Plan{}
 	for _, kv := range strings.Split(spec, ",") {
@@ -114,15 +132,18 @@ func parseFaults(spec string) (*fault.Plan, error) {
 		var err error
 		switch k {
 		case "read":
-			p.ReadFlipRate, err = strconv.ParseFloat(v, 64)
+			p.ReadFlipRate, err = parseRate(v)
 		case "flipmax":
 			p.ReadFlipMax, err = strconv.Atoi(v)
+			if err == nil && p.ReadFlipMax < 0 {
+				err = fmt.Errorf("%d flips is negative", p.ReadFlipMax)
+			}
 		case "program":
-			p.ProgramFailRate, err = strconv.ParseFloat(v, 64)
+			p.ProgramFailRate, err = parseRate(v)
 		case "erase":
-			p.EraseFailRate, err = strconv.ParseFloat(v, 64)
+			p.EraseFailRate, err = parseRate(v)
 		case "grown":
-			p.GrownBadRate, err = strconv.ParseFloat(v, 64)
+			p.GrownBadRate, err = parseRate(v)
 		case "seed":
 			p.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "burst-every":
@@ -131,9 +152,15 @@ func parseFaults(spec string) (*fault.Plan, error) {
 			p.BurstLen, err = strconv.ParseUint(v, 10, 64)
 		case "burst-factor":
 			p.BurstFactor, err = strconv.ParseFloat(v, 64)
+			if err == nil && !finiteNonNeg(p.BurstFactor) {
+				err = fmt.Errorf("%g is not a finite factor >= 0", p.BurstFactor)
+			}
 		case "bad":
 			for _, f := range strings.Split(v, "/") {
 				b, perr := strconv.Atoi(f)
+				if perr == nil && b < 0 {
+					perr = fmt.Errorf("block %d is negative", b)
+				}
 				if perr != nil {
 					return nil, fmt.Errorf("bad factory-bad block %q: %v", f, perr)
 				}
@@ -154,7 +181,6 @@ func main() {
 		workloadName = flag.String("workload", "dbt2", "Table 4 workload name (ignored with -trace)")
 		traceFile    = flag.String("trace", "", "replay a text trace file instead of generating")
 		traceBinary  = flag.String("trace-binary", "", "replay a binary trace file (tracegen -binary) via a zero-copy mapping")
-		batchSize    = flag.Int("batch", trace.DefaultBatch, "requests per replay batch")
 		scale        = flag.Float64("scale", 1.0/16, "footprint scale for generated workloads")
 		requests     = flag.Int("requests", 200000, "requests to simulate")
 		dramSize     = flag.String("dram", "16M", "DRAM primary disk cache size")
@@ -223,16 +249,14 @@ func main() {
 		usageErr("-shards %d: need at least one shard", *shards)
 	case *workers < 0:
 		usageErr("-workers %d is negative", *workers)
-	case *wearAccel < 0:
-		usageErr("-wear-accel %g is negative", *wearAccel)
-	case *retentionAccel < 0:
-		usageErr("-retention-accel %g is negative", *retentionAccel)
-	case *disturbReads < 0:
-		usageErr("-disturb-reads %g is negative", *disturbReads)
-	case *refreshThresh < 0 || *refreshThresh > 1:
+	case !finiteNonNeg(*wearAccel):
+		usageErr("-wear-accel %g: need a finite factor >= 0", *wearAccel)
+	case !finiteNonNeg(*retentionAccel):
+		usageErr("-retention-accel %g: need a finite factor >= 0", *retentionAccel)
+	case !finiteNonNeg(*disturbReads):
+		usageErr("-disturb-reads %g: need a finite read count >= 0", *disturbReads)
+	case !(*refreshThresh >= 0 && *refreshThresh <= 1):
 		usageErr("-refresh-threshold %g outside (0,1] (0 means 1.0)", *refreshThresh)
-	case *batchSize < 1:
-		usageErr("-batch %d: need at least one request per batch", *batchSize)
 	case *channels < 1:
 		usageErr("-channels %d: need at least one channel", *channels)
 	case *banks < 1:
@@ -386,11 +410,11 @@ func main() {
 	}
 
 	stats := trace.NewStats()
-	// runSource drives eng at the -batch granularity. After the run the
-	// source's sticky stream error (a torn trace file, a bad binary
+	// runSource drives eng in trace.DefaultBatch batches. After the run
+	// the source's sticky stream error (a torn trace file, a bad binary
 	// record) is fatal like any other input error.
 	runSource := func(src trace.Source, n int) {
-		buf := make([]trace.Request, *batchSize)
+		buf := make([]trace.Request, trace.DefaultBatch)
 		for consumed := 0; consumed < n; {
 			chunk := len(buf)
 			if rem := n - consumed; rem < chunk {

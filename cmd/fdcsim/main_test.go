@@ -42,28 +42,50 @@ func runFdcsim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestUsageErrors: every bad size, capacity, interval, workload or
-// shard split exits 2 with the usage hint, never with a panic.
+// TestUsageErrors: every bad size, capacity, interval, workload, shard
+// split or out-of-domain number (NaN, infinity, a fault rate outside
+// [0, 1], a negative count) exits 2 with the usage hint, never with a
+// panic or a silently ignored value.
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-dram", "0"},
-		{"-dram", "100"},
-		{"-dram", "-4M"},
-		{"-flash", "100"},
-		{"-flash", "-8M"},
-		{"-workload", "nope"},
-		{"-scale", "2"},
-		{"-shards", "4", "-flash", "1M"},
-		{"-trace-cap", "-1"},
-		{"-metrics-interval", "-5ms"},
+	for _, tc := range []struct {
+		args []string
+		want string // a phrase stderr must hold, when set
+	}{
+		{args: []string{"-dram", "0"}},
+		{args: []string{"-dram", "100"}},
+		{args: []string{"-dram", "-4M"}},
+		{args: []string{"-flash", "100"}},
+		{args: []string{"-flash", "-8M"}},
+		{args: []string{"-workload", "nope"}},
+		{args: []string{"-scale", "2"}},
+		{args: []string{"-shards", "4", "-flash", "1M"}},
+		{args: []string{"-trace-cap", "-1"}},
+		{args: []string{"-metrics-interval", "-5ms"}},
+		{[]string{"-wear-accel", "NaN"}, "-wear-accel NaN"},
+		{[]string{"-wear-accel", "Inf"}, "-wear-accel +Inf"},
+		{[]string{"-retention-accel", "NaN"}, "-retention-accel NaN"},
+		{[]string{"-retention-accel", "Inf"}, "-retention-accel +Inf"},
+		{[]string{"-disturb-reads", "NaN"}, "-disturb-reads NaN"},
+		{[]string{"-disturb-reads", "Inf"}, "-disturb-reads +Inf"},
+		{[]string{"-refresh-threshold", "NaN"}, "-refresh-threshold NaN"},
+		{[]string{"-faults", "read=2"}, "2 is not a probability"},
+		{[]string{"-faults", "read=Inf"}, "+Inf is not a probability"},
+		{[]string{"-faults", "read=NaN"}, "NaN is not a probability"},
+		{[]string{"-faults", "grown=5,program=0.1"}, "5 is not a probability"},
+		{[]string{"-faults", "read=0.1,flipmax=-3"}, "-3 flips is negative"},
+		{[]string{"-faults", "bad=-1"}, "block -1 is negative"},
+		{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			code, _, stderr := runFdcsim(t, append(args, "-requests", "1000")...)
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			code, _, stderr := runFdcsim(t, append(tc.args, "-requests", "1000")...)
 			if code != 2 {
 				t.Errorf("exit code %d, want 2; stderr:\n%s", code, stderr)
 			}
 			if !strings.Contains(stderr, "run with -h for usage") {
 				t.Errorf("stderr lacks the usage hint:\n%s", stderr)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr lacks %q:\n%s", tc.want, stderr)
 			}
 			if strings.Contains(stderr, "panic:") {
 				t.Errorf("stderr holds a panic:\n%s", stderr)

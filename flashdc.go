@@ -39,12 +39,10 @@ package flashdc
 import (
 	"io"
 
-	"flashdc/internal/array"
 	"flashdc/internal/core"
 	"flashdc/internal/engine"
 	"flashdc/internal/experiments"
 	"flashdc/internal/fault"
-	"flashdc/internal/ftl"
 	"flashdc/internal/hier"
 	"flashdc/internal/obs"
 	"flashdc/internal/sched"
@@ -70,9 +68,6 @@ type (
 	// coalescing write buffer. The zero value is the paper's serial
 	// device.
 	SchedConfig = sched.Config
-	// SchedStats counts NAND command-scheduler activity (contention
-	// waits, bank conflicts, write-buffer coalescing).
-	SchedStats = sched.Stats
 )
 
 // DefaultCacheConfig returns the paper's configuration (split 90/10,
@@ -99,10 +94,6 @@ type (
 // DRAM-only baseline.
 func NewSystem(cfg SystemConfig) *System { return hier.New(cfg) }
 
-// TierStats counts one hierarchy level's activity (DRAM, optionally
-// Flash, disk) in level-agnostic terms.
-type TierStats = hier.TierStats
-
 // Degraded-service conditions System.Handle reports alongside the
 // simulated latency; test with errors.Is.
 var (
@@ -127,18 +118,12 @@ type (
 // monolithic simulation exactly.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
-// ShardOf maps a page to its owning shard under the canonical LBA
-// hash partition.
-func ShardOf(lba int64, shards int) int { return trace.ShardOf(lba, shards) }
-
 // Workload and trace API (Table 4).
 type (
 	// Request is one disk access (2KB pages).
 	Request = trace.Request
 	// Workload is an endless request generator.
 	Workload = workload.Generator
-	// WorkloadSpec describes a catalog entry.
-	WorkloadSpec = workload.Spec
 )
 
 // Request directions.
@@ -147,34 +132,11 @@ const (
 	OpWrite = trace.OpWrite
 )
 
-// Workloads lists the Table 4 catalog.
-func Workloads() []WorkloadSpec { return workload.Catalog }
-
-// Batched request pipeline: TraceSource is the bulk driving surface
-// consumed by System.RunSource and Engine.RunSource (System.RunBatch
-// and Engine.RunBatch take in-memory slices directly).
-type (
-	// TraceSource yields a request stream in bulk: Next fills the
-	// buffer from the front and returns how many requests were written
-	// (0 = exhausted).
-	TraceSource = trace.Source
-	// SliceTraceSource replays an in-memory request slice.
-	SliceTraceSource = trace.SliceSource
-	// MappedTrace is a zero-copy source over a binary trace file
-	// (tracegen -binary); Close releases the mapping.
-	MappedTrace = trace.MapSource
-)
-
-// DefaultBatch is the bulk-fill granularity drivers default to.
-const DefaultBatch = trace.DefaultBatch
-
-// NewSliceSource wraps an in-memory request slice (not copied) as a
-// replayable TraceSource.
-func NewSliceSource(reqs []Request) *SliceTraceSource { return trace.NewSliceSource(reqs) }
-
-// MapTraceFile memory-maps a binary trace file as a TraceSource; the
-// records are decoded in place without copying or parsing.
-func MapTraceFile(path string) (*MappedTrace, error) { return trace.MapFile(path) }
+// TraceSource is the bulk driving surface consumed by System.RunSource
+// and Engine.RunSource (System.RunBatch and Engine.RunBatch take
+// in-memory slices directly): Next fills the buffer from the front and
+// returns how many requests were written (0 = exhausted).
+type TraceSource = trace.Source
 
 // WorkloadSource adapts a workload generator to an unbounded
 // TraceSource; bound it with the driver's request budget.
@@ -200,17 +162,10 @@ type (
 	ResultTable = experiments.Table
 )
 
-// Experiments lists every artifact ID (table1..4, fig1b..fig12,
-// ablations).
-func Experiments() []string { return experiments.IDs() }
-
 // RunExperiment regenerates one paper artifact.
 func RunExperiment(id string, o ExperimentOptions) (*ResultTable, error) {
 	return experiments.Run(id, o)
 }
-
-// DefaultExperimentOptions is the standard 1/16-scale configuration.
-func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }
 
 // Simulated time units, re-exported for configuration convenience.
 type Duration = sim.Duration
@@ -222,31 +177,6 @@ const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
-
-// Flash-as-SSD substrate: the log-structured FTL the paper's
-// background section contrasts the disk cache against.
-type (
-	// FTLConfig sizes a log-structured Flash translation layer.
-	FTLConfig = ftl.Config
-	// FTL is a flash-as-disk device with out-of-place writes and
-	// greedy cleaning.
-	FTL = ftl.FTL
-)
-
-// NewFTL builds a log-structured FTL over a fresh NAND device.
-func NewFTL(cfg FTLConfig) *FTL { return ftl.New(cfg) }
-
-// Multi-chip deployment: pages striped across independent channels.
-type (
-	// ArrayConfig sizes a multi-chip Flash array.
-	ArrayConfig = array.Config
-	// FlashArray schedules operations across striped chips.
-	FlashArray = array.Array
-)
-
-// NewFlashArray builds a page-striped multi-chip array. Degenerate
-// configurations are reported as errors.
-func NewFlashArray(cfg ArrayConfig) (*FlashArray, error) { return array.New(cfg) }
 
 // Cell density modes, re-exported for configuration.
 const (
@@ -300,8 +230,6 @@ type (
 	// (transient read flips, program/erase failures, grown bad
 	// blocks); attach one via CacheConfig.Faults.
 	FaultPlan = fault.Plan
-	// FaultStats counts the faults an injector delivered.
-	FaultStats = fault.Stats
 	// RecoveryReport describes how OpenCache brought a cache back
 	// (clean load vs. cold start).
 	RecoveryReport = core.RecoveryReport
@@ -321,34 +249,7 @@ type (
 	// SystemConfig.Observer, EngineConfig.Obs or OpenCache's
 	// WithObserver.
 	Observer = obs.Observer
-	// ObsReport is the merged observability output of a run.
-	ObsReport = obs.Report
-	// ObsSnapshot is one cumulative metrics capture.
-	ObsSnapshot = obs.Snapshot
-	// ObsEvent is one structured decision event.
-	ObsEvent = obs.Event
 )
 
 // NewObserver builds an observability sink from the options.
 func NewObserver(o ObsOptions) *Observer { return obs.New(o) }
-
-// CampaignCheckpoint is a whole-campaign snapshot (every shard's full
-// simulator state plus the stream position) that resumes
-// bit-identically to an unbroken run; build one with
-// Engine.Checkpoint, apply with Engine.Restore.
-type CampaignCheckpoint = engine.Checkpoint
-
-// ErrCorruptCheckpoint tags every checkpoint-file validation failure;
-// test with errors.Is.
-var ErrCorruptCheckpoint = engine.ErrCorruptCheckpoint
-
-// WriteCampaignCheckpoint serialises a checkpoint inside the
-// CRC-guarded envelope (deterministic bytes for identical states).
-func WriteCampaignCheckpoint(w io.Writer, ck *CampaignCheckpoint) error {
-	return engine.WriteCheckpoint(w, ck)
-}
-
-// ReadCampaignCheckpoint decodes and validates a checkpoint file.
-func ReadCampaignCheckpoint(r io.Reader) (*CampaignCheckpoint, error) {
-	return engine.ReadCheckpoint(r)
-}

@@ -45,51 +45,14 @@ func TestPublicAPIHierarchy(t *testing.T) {
 	}
 }
 
-// TestPublicAPIWorkloads checks the catalog is complete and every
-// entry constructs.
-func TestPublicAPIWorkloads(t *testing.T) {
-	specs := Workloads()
-	if len(specs) != 12 {
-		t.Fatalf("catalog has %d workloads, want 12 (Table 4)", len(specs))
-	}
-	for _, spec := range specs {
-		g, err := NewWorkload(spec.Name, 0.01, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := g.Next()
-		if r.LBA < 0 {
-			t.Fatalf("%s produced bad request", spec.Name)
-		}
-	}
-	if _, err := NewWorkload("bogus", 1, 1); err == nil {
-		t.Fatal("bogus workload accepted")
-	}
-}
-
-// TestPublicAPIExperiments checks the registry covers every paper
-// artifact and one runs.
+// TestPublicAPIExperiments runs one paper artifact through the
+// re-exported entry point and checks an unknown ID is rejected.
 func TestPublicAPIExperiments(t *testing.T) {
-	ids := Experiments()
-	want := map[string]bool{
-		"table1": true, "table2": true, "table3": true, "table4": true,
-		"fig1b": true, "fig4": true, "fig6a": true, "fig6b": true,
-		"fig7": true, "fig9": true, "fig10": true, "fig11": true, "fig12": true,
-	}
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
-	}
-	for id := range want {
-		if !have[id] {
-			t.Fatalf("experiment %s missing from registry", id)
-		}
-	}
 	tab, err := RunExperiment("fig6a", ExperimentOptions{Seed: 1, Scale: 1.0 / 128})
 	if err != nil || len(tab.Rows) == 0 {
 		t.Fatalf("fig6a: %v", err)
 	}
-	if _, err := RunExperiment("nope", DefaultExperimentOptions()); err == nil {
+	if _, err := RunExperiment("nope", ExperimentOptions{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -119,38 +82,6 @@ func TestOpConstants(t *testing.T) {
 	_ = OpRead
 }
 
-// TestPublicAPIFTL exercises the flash-as-SSD substrate through the
-// re-exports.
-func TestPublicAPIFTL(t *testing.T) {
-	f := NewFTL(FTLConfig{Blocks: 8, Mode: ModeSLC, Seed: 1})
-	if _, err := f.Write(42); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Read(42); err != nil {
-		t.Fatal(err)
-	}
-	if f.Stats().HostWrites != 1 {
-		t.Fatal("FTL stats wrong")
-	}
-}
-
-// TestPublicAPIArray exercises the multi-chip array re-exports.
-func TestPublicAPIArray(t *testing.T) {
-	a, err := NewFlashArray(ArrayConfig{Chips: 2, BlocksPerChip: 2, Mode: ModeMLC, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Chips() != 2 {
-		t.Fatal("chips wrong")
-	}
-	if _, err := a.ProgramAt(0, 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.ReadAt(0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPublicAPIPersistence round-trips cache metadata through the
 // re-exported entry points.
 func TestPublicAPIPersistence(t *testing.T) {
@@ -175,7 +106,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 }
 
 // TestPublicAPIOpenCacheRecovery exercises the crash-tolerant path and
-// the deprecated wrappers' delegation to OpenCache.
+// the observer option of OpenCache.
 func TestPublicAPIOpenCacheRecovery(t *testing.T) {
 	cfg := DefaultCacheConfig(8 << 20)
 	cfg.Seed = 5

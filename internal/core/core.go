@@ -97,8 +97,6 @@ type Config struct {
 	// modelling an aged device where errors are always present
 	// (Figure 10's premise).
 	AssumeWorn bool
-	// Timing overrides device latencies; zero means Table 3.
-	Timing nand.Timing
 	// Seed drives wear sampling.
 	Seed uint64
 	// Backing receives dirty write-backs; nil discards (counted).
@@ -106,20 +104,9 @@ type Config struct {
 	// Faults, when non-nil, runs a deterministic fault-injection
 	// campaign on the device: transient read flips, program/erase
 	// failures and grown bad blocks per the plan. The recovery
-	// policies below (read retry, remap, retirement, scrubbing) are
-	// what keep the cache correct under it.
+	// policies (read retry, remap, retirement, and the scrubber below)
+	// are what keep the cache correct under it.
 	Faults *fault.Plan
-	// MaxReadRetries bounds the read-retry ladder walked when a read
-	// exceeds its page's correction capability, each step escalating
-	// the effective decode strength by one (modelling the read-retry
-	// reference-voltage sets plus soft-decode of real controllers,
-	// capped at the hardware limit of 12). 0 means 3. Retries engage
-	// only when a fault campaign is attached — organic wear errors are
-	// deterministic and cannot be retried away.
-	MaxReadRetries int
-	// ProgramFailLimit is how many consecutive program failures a
-	// block may suffer before it is retired as grown-bad. 0 means 3.
-	ProgramFailLimit int
 	// ScrubEvery enables the background scrubber: every ScrubEvery
 	// host operations it scans a batch of pages and rewrites valid
 	// pages whose wear has reached their correction capability before
@@ -437,12 +424,6 @@ func New(cfg Config) *Cache {
 	if cfg.MissPenalty == 0 {
 		cfg.MissPenalty = 4200 * sim.Microsecond
 	}
-	if cfg.MaxReadRetries == 0 {
-		cfg.MaxReadRetries = 3
-	}
-	if cfg.ProgramFailLimit == 0 {
-		cfg.ProgramFailLimit = 3
-	}
 	if cfg.ScrubBatch == 0 {
 		cfg.ScrubBatch = 128
 	}
@@ -473,7 +454,6 @@ func New(cfg Config) *Cache {
 			Blocks:           blocks,
 			SigmaSpatial:     cfg.SigmaSpatial,
 			InitialMode:      cfg.InitialMode,
-			Timing:           cfg.Timing,
 			Seed:             cfg.Seed,
 			WearAcceleration: cfg.WearAcceleration,
 			Retention:        cfg.Retention,
@@ -593,9 +573,6 @@ func (c *Cache) Blocks() int { return c.dev.Blocks() }
 // wear-levelling studies.
 func (c *Cache) EraseCount(b int) int { return c.dev.EraseCount(b) }
 
-// WearOut evaluates the FBST degree-of-wear cost function for block b.
-func (c *Cache) WearOut(b int) float64 { return c.fbst.WearOut(b) }
-
 // writeRegionIndex returns the region that absorbs writes.
 func (c *Cache) writeRegionIndex() int {
 	if len(c.regions) == 2 {
@@ -640,9 +617,6 @@ func (c *Cache) AttachTimeBase(clock *sim.Clock) { c.dev.AttachClock(clock) }
 
 // SchedStats returns a copy of the command scheduler's counters.
 func (c *Cache) SchedStats() sched.Stats { return c.sched.Stats() }
-
-// SchedConfig returns the normalised scheduler geometry the cache runs.
-func (c *Cache) SchedConfig() sched.Config { return c.sched.Config() }
 
 // SchedHorizon returns the latest busy-until instant across the
 // device's channels and banks — the makespan of all device work issued

@@ -37,8 +37,8 @@ func WithObserver(ob *obs.Observer) OpenOption {
 // WithRecovery — without it the failure is returned as the error and
 // the cache is nil).
 //
-// Open subsumes LoadMetadata (Open with a reader), RecoverMetadata
-// (Open with WithRecovery) and New (Open with a nil reader).
+// Open subsumes LoadMetadata (Open with a reader) and New (Open with a
+// nil reader).
 func Open(cfg Config, r io.Reader, opts ...OpenOption) (*Cache, RecoveryReport, error) {
 	var set openSettings
 	for _, opt := range opts {

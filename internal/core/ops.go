@@ -108,6 +108,11 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 	return ReadOutcome{Hit: true, Latency: lat}
 }
 
+// maxReadRetries bounds the read-retry ladder: each step models one of
+// a real controller's read-retry reference-voltage sets plus
+// soft-decode.
+const maxReadRetries = 3
+
 // retryRead walks the bounded read-retry ladder after a read exceeded
 // its page's correction capability (section 4.1's controller, extended
 // with the read-retry behaviour of real parts): each attempt re-reads
@@ -124,7 +129,7 @@ func (c *Cache) retryRead(addr nand.Addr, st *tables.PageStatus, first nand.Read
 	var lat sim.Duration
 	res := first
 	attempts := 0
-	for attempt := 1; attempt <= c.cfg.MaxReadRetries; attempt++ {
+	for attempt := 1; attempt <= maxReadRetries; attempt++ {
 		r, err := c.dev.Read(addr)
 		if err != nil {
 			break

@@ -33,8 +33,8 @@ import (
 //
 // LoadMetadata refuses anything that fails the magic, length, CRC or
 // semantic validation with an error matching ErrCorruptMetadata; it
-// never builds a cache from a suspect image. RecoverMetadata is the
-// degraded path: same checks, but a rejected image yields a cold
+// never builds a cache from a suspect image. Open with WithRecovery is
+// the degraded path: same checks, but a rejected image yields a cold
 // (empty) cache plus a RecoveryReport instead of an error — the Flash
 // contents are lost as cache state, but no wrong data is ever served.
 
@@ -271,8 +271,8 @@ func validateImage(c *Cache, img *persistImage) error {
 //
 // A truncated, bit-flipped or internally inconsistent image is
 // rejected with an error wrapping ErrCorruptMetadata; the function
-// never returns a cache built from a suspect image. See
-// RecoverMetadata for the degraded cold-start path.
+// never returns a cache built from a suspect image. See Open with
+// WithRecovery for the degraded cold-start path.
 func LoadMetadata(cfg Config, r io.Reader) (*Cache, error) {
 	img, err := decodeEnvelope(r)
 	if err != nil {
@@ -414,16 +414,4 @@ type RecoveryReport struct {
 	// image loaded cleanly. errors.Is(Err, ErrCorruptMetadata)
 	// distinguishes corruption from configuration mismatches.
 	Err error
-}
-
-// RecoverMetadata is the crash-tolerant variant of LoadMetadata: it
-// tries the image and, when that fails for any reason, falls back to a
-// cold-started cache instead of propagating the error. The returned
-// cache is always usable.
-func RecoverMetadata(cfg Config, r io.Reader) (*Cache, RecoveryReport) {
-	c, err := LoadMetadata(cfg, r)
-	if err == nil {
-		return c, RecoveryReport{}
-	}
-	return New(cfg), RecoveryReport{ColdStart: true, Err: err}
 }

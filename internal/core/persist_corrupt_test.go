@@ -131,13 +131,15 @@ func TestLoadMetadataRejectsSemanticGarbage(t *testing.T) {
 	}
 }
 
+// TestRecoverMetadataColdStart: Open with WithRecovery loads a clean
+// image warm and turns a corrupt one into a usable cold cache.
 func TestRecoverMetadataColdStart(t *testing.T) {
 	cfg, img := savedImage(t)
 
 	// Clean image: loads warm, no report.
-	c, rep := RecoverMetadata(cfg, bytes.NewReader(img))
-	if rep.ColdStart || rep.Err != nil {
-		t.Fatalf("clean image reported %+v", rep)
+	c, rep, err := Open(cfg, bytes.NewReader(img), WithRecovery())
+	if err != nil || rep.ColdStart || rep.Err != nil {
+		t.Fatalf("clean image: err %v, report %+v", err, rep)
 	}
 	if c.ValidPages() == 0 {
 		t.Fatal("warm load came back empty")
@@ -146,7 +148,10 @@ func TestRecoverMetadataColdStart(t *testing.T) {
 	// Corrupt image: degraded path, usable cold cache.
 	mut := append([]byte(nil), img...)
 	mut[len(mut)/2] ^= 0x40
-	c, rep = RecoverMetadata(cfg, bytes.NewReader(mut))
+	c, rep, err = Open(cfg, bytes.NewReader(mut), WithRecovery())
+	if err != nil {
+		t.Fatalf("recovering open must not fail: %v", err)
+	}
 	if !rep.ColdStart {
 		t.Fatal("corrupt image did not force a cold start")
 	}

@@ -106,7 +106,8 @@ func (c *Cache) deltaTD(freq float64) float64 {
 		deltaMiss = 0
 	}
 	// delta_SLC is negative: SLC reads are faster than MLC reads.
-	deltaSLC := (c.cfg.timing().ReadSLC - c.cfg.timing().ReadMLC).Seconds()
+	tm := nand.DefaultTiming()
+	deltaSLC := (tm.ReadSLC - tm.ReadMLC).Seconds()
 	return deltaMiss*(tMiss+tHit).Seconds() + freq*deltaSLC
 }
 
@@ -124,14 +125,5 @@ func (c *Cache) noteMarginal(st *tables.PageStatus) {
 
 // hitLatencySeed is the t_hit default before any hit is recorded.
 func (c *Cache) hitLatencySeed() sim.Duration {
-	return c.cfg.timing().ReadMLC + c.lat.DecodeLatencyClean(c.cfg.BaseStrength)
-}
-
-// timing returns the effective device timing (config override or
-// Table 3 defaults).
-func (cfg *Config) timing() nand.Timing {
-	if cfg.Timing == (nand.Timing{}) {
-		return nand.DefaultTiming()
-	}
-	return cfg.Timing
+	return nand.DefaultTiming().ReadMLC + c.lat.DecodeLatencyClean(c.cfg.BaseStrength)
 }

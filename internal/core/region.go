@@ -43,7 +43,7 @@ type blockMeta struct {
 	// lastEraseSeq is the cache access sequence at the last erase.
 	lastEraseSeq uint64
 	// progFails counts consecutive program failures; at
-	// ProgramFailLimit the block is retired as grown-bad.
+	// programFailLimit the block is retired as grown-bad.
 	progFails int
 }
 
@@ -292,15 +292,19 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 	}
 }
 
+// programFailLimit is how many consecutive program failures a block may
+// suffer before it is retired as grown-bad.
+const programFailLimit = 3
+
 // noteProgramFailure records one program failure on block b and, when
-// allowed, retires the block after ProgramFailLimit consecutive
+// allowed, retires the block after programFailLimit consecutive
 // failures (the grown-bad-block response of real controllers).
 // Retirement is deferred when the caller is mid-migration and the
 // block's region bookkeeping is transiently inconsistent.
 func (c *Cache) noteProgramFailure(b int, allowRetire bool) {
 	m := &c.meta[b]
 	m.progFails++
-	if allowRetire && m.progFails >= c.cfg.ProgramFailLimit {
+	if allowRetire && m.progFails >= programFailLimit {
 		c.retire(b)
 	}
 }

@@ -213,9 +213,6 @@ func (c *Cache) moveToFront(i int32) {
 // CapacityPages returns the cache size in pages.
 func (c *Cache) CapacityPages() int { return c.capacity }
 
-// ReplacementPolicy returns the policy the cache was built with.
-func (c *Cache) ReplacementPolicy() Policy { return c.policy }
-
 // Len returns the number of resident pages.
 func (c *Cache) Len() int { return c.count }
 

@@ -27,11 +27,6 @@ type Options struct {
 	Requests int
 }
 
-// DefaultOptions is the fdcbench default: 1/16 of paper scale keeps
-// every experiment within laptop minutes while preserving the
-// capacity ratios.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1.0 / 16} }
-
 // QuickOptions is the test/bench scale.
 func QuickOptions() Options { return Options{Seed: 1, Scale: 1.0 / 128} }
 

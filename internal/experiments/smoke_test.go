@@ -2,9 +2,26 @@ package experiments
 
 import "testing"
 
-// TestAllExperimentsQuick executes every registered experiment at the
-// quick scale and sanity-checks the output tables.
+// paperArtifacts are the tables and figures of the paper's evaluation;
+// each must have a registered runner.
+var paperArtifacts = []string{
+	"table1", "table2", "table3", "table4",
+	"fig1b", "fig4", "fig6a", "fig6b", "fig7", "fig9", "fig10", "fig11", "fig12",
+}
+
+// TestAllExperimentsQuick checks every paper artifact is registered,
+// then executes every registered experiment at the quick scale and
+// sanity-checks the output tables.
 func TestAllExperimentsQuick(t *testing.T) {
+	registered := map[string]bool{}
+	for _, id := range IDs() {
+		registered[id] = true
+	}
+	for _, id := range paperArtifacts {
+		if !registered[id] {
+			t.Errorf("experiment %s missing from registry", id)
+		}
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -114,9 +114,6 @@ func NewInjector(p Plan) *Injector {
 	return in
 }
 
-// Plan returns a copy of the campaign configuration.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns a copy of the injection counters.
 func (in *Injector) Stats() Stats {
 	if in == nil {

@@ -41,15 +41,12 @@ type Field struct {
 	n   int // 2^m - 1, the multiplicative group order
 	exp []uint16
 	log []int
-	// log16 duplicates log for nonzero elements in 16 bits: a quarter
-	// of the cache footprint for table-driven kernels whose inner
-	// loops are load-latency-bound. log16[0] is 0 and must never be
-	// used (kernels skip zero explicitly, like Mul).
-	log16 []uint16
-	// expPad and logPad are exp and log16 padded to exactly 2^16
-	// entries so kernels can index them with a uint16 and the compiler
-	// can prove every access in bounds. expPad[i] = alpha^(i mod n) for
-	// all i; logPad entries above n are zero and must never be read.
+	// expPad is exp and logPad is log in 16 bits (a quarter of the
+	// cache footprint for load-latency-bound kernels), both padded to
+	// exactly 2^16 entries so kernels can index them with a uint16 and
+	// the compiler can prove every access in bounds. expPad[i] =
+	// alpha^(i mod n) for all i; logPad[0] and entries above n are zero
+	// and must never be read (kernels skip zero explicitly, like Mul).
 	// Only the first 2n (resp. n+1) entries are ever touched on hot
 	// paths, so the padding costs address space, not cache.
 	expPad *[1 << 16]uint16
@@ -69,14 +66,14 @@ func NewField(m int) *Field {
 		exp: make([]uint16, 2*n), // doubled so Mul avoids a mod
 		log: make([]int, n+1),
 	}
-	f.log16 = make([]uint16, n+1)
+	f.logPad = new([1 << 16]uint16)
 	poly := primitivePoly[m]
 	x := uint32(1)
 	for i := 0; i < n; i++ {
 		f.exp[i] = uint16(x)
 		f.exp[i+n] = uint16(x)
 		f.log[x] = i
-		f.log16[x] = uint16(i)
+		f.logPad[x] = uint16(i)
 		x <<= 1
 		if x&(1<<m) != 0 {
 			x ^= poly
@@ -87,8 +84,6 @@ func NewField(m int) *Field {
 	for i := range f.expPad {
 		f.expPad[i] = f.exp[i%n]
 	}
-	f.logPad = new([1 << 16]uint16)
-	copy(f.logPad[1:], f.log16[1:])
 	return f
 }
 
@@ -183,24 +178,10 @@ func (f *Field) Pow(a uint16, k int) uint16 {
 	return f.exp[(f.log[a]*k)%f.n]
 }
 
-// ExpTable exposes the live exponent table: ExpTable()[i] == alpha^i
-// for 0 <= i < 2n (the table is doubled so callers can index
-// log(a)+log(b) without a modular reduction). It is shared, not a
-// copy — callers must treat it as read-only. Intended for table-driven
-// kernels (bch) whose inner loops cannot afford a method call per
-// lookup.
-func (f *Field) ExpTable() []uint16 { return f.exp }
-
 // LogTable exposes the live logarithm table: LogTable()[a] is the
 // discrete log of a for 1 <= a <= n, with LogTable()[0] == -1. Shared
-// and read-only, like ExpTable.
+// and read-only.
 func (f *Field) LogTable() []int { return f.log }
-
-// Log16Table is LogTable in 16 bits — a quarter of the cache
-// footprint for load-latency-bound kernels. Log16Table()[0] is 0, not
-// a usable sentinel: callers must branch around zero inputs
-// themselves. Shared and read-only, like ExpTable.
-func (f *Field) Log16Table() []uint16 { return f.log16 }
 
 // ExpPadded returns the exponent table padded to exactly 2^16 entries
 // (ExpPadded()[i] == alpha^(i mod n)). The fixed array type lets
@@ -208,9 +189,9 @@ func (f *Field) Log16Table() []uint16 { return f.log16 }
 // at compile time. Shared and read-only.
 func (f *Field) ExpPadded() *[1 << 16]uint16 { return f.expPad }
 
-// LogPadded returns Log16Table padded to exactly 2^16 entries, with
-// the same bounds-check-elimination contract as ExpPadded. Entries at
-// 0 and above n are zero and must never be used.
+// LogPadded returns LogTable in 16 bits, padded to exactly 2^16
+// entries with the same bounds-check-elimination contract as
+// ExpPadded. Entries at 0 and above n are zero and must never be used.
 func (f *Field) LogPadded() *[1 << 16]uint16 { return f.logPad }
 
 // MinPolynomial returns the minimal polynomial over GF(2) of alpha^i,

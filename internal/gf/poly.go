@@ -19,74 +19,3 @@ func (p Poly) Deg() int {
 
 // Trim returns p without trailing zero coefficients.
 func (p Poly) Trim() Poly { return p[:p.Deg()+1] }
-
-// Clone returns an independent copy of p.
-func (p Poly) Clone() Poly {
-	q := make(Poly, len(p))
-	copy(q, p)
-	return q
-}
-
-// AddPoly returns p + q (coefficient-wise XOR).
-func AddPoly(p, q Poly) Poly {
-	if len(q) > len(p) {
-		p, q = q, p
-	}
-	out := p.Clone()
-	for i, c := range q {
-		out[i] ^= c
-	}
-	return out
-}
-
-// MulPoly returns p * q over the field f.
-func (f *Field) MulPoly(p, q Poly) Poly {
-	dp, dq := p.Deg(), q.Deg()
-	if dp < 0 || dq < 0 {
-		return nil
-	}
-	out := make(Poly, dp+dq+1)
-	for i := 0; i <= dp; i++ {
-		if p[i] == 0 {
-			continue
-		}
-		for j := 0; j <= dq; j++ {
-			if q[j] != 0 {
-				out[i+j] ^= f.Mul(p[i], q[j])
-			}
-		}
-	}
-	return out
-}
-
-// ScalePoly returns c * p over the field f.
-func (f *Field) ScalePoly(c uint16, p Poly) Poly {
-	out := make(Poly, len(p))
-	for i, v := range p {
-		out[i] = f.Mul(c, v)
-	}
-	return out
-}
-
-// Eval evaluates p at x over the field f using Horner's rule.
-func (f *Field) Eval(p Poly, x uint16) uint16 {
-	var acc uint16
-	for i := len(p) - 1; i >= 0; i-- {
-		acc = f.Mul(acc, x) ^ p[i]
-	}
-	return acc
-}
-
-// FormalDerivative returns p' over GF(2^m): odd-degree terms survive
-// with their coefficients shifted down one degree, even-degree terms
-// vanish (characteristic 2).
-func FormalDerivative(p Poly) Poly {
-	if len(p) <= 1 {
-		return nil
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i += 2 {
-		out[i-1] = p[i]
-	}
-	return out
-}

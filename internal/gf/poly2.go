@@ -54,13 +54,6 @@ func (p Poly2) Degree() int {
 // IsZero reports whether p is the zero polynomial.
 func (p Poly2) IsZero() bool { return p.Degree() < 0 }
 
-// Clone returns an independent copy of p.
-func (p Poly2) Clone() Poly2 {
-	w := make([]uint64, len(p.words))
-	copy(w, p.words)
-	return Poly2{words: w}
-}
-
 // Xor adds q into p in place (addition over GF(2)).
 func (p *Poly2) Xor(q Poly2) {
 	for len(p.words) < len(q.words) {
@@ -96,36 +89,6 @@ func (p Poly2) Mul(q Poly2) Poly2 {
 		}
 	}
 	return out
-}
-
-// Mod returns p mod q. It panics if q is zero.
-func (p Poly2) Mod(q Poly2) Poly2 {
-	dq := q.Degree()
-	if dq < 0 {
-		panic("gf: modulo by zero polynomial")
-	}
-	r := p.Clone()
-	for {
-		dr := r.Degree()
-		if dr < dq {
-			return r
-		}
-		// r -= q << (dr - dq)
-		shift := dr - dq
-		s, offset := shift%64, shift/64
-		for w := 0; w < len(q.words); w++ {
-			v := q.words[w]
-			if v == 0 {
-				continue
-			}
-			if w+offset < len(r.words) {
-				r.words[w+offset] ^= v << s
-			}
-			if s != 0 && w+offset+1 < len(r.words) {
-				r.words[w+offset+1] ^= v >> (64 - s)
-			}
-		}
-	}
 }
 
 // Equal reports whether p and q are the same polynomial.

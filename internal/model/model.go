@@ -197,23 +197,10 @@ func (m *Model) Drain() {
 	}
 }
 
-// InDRAM reports whether the mirror holds lba.
-func (m *Model) InDRAM(lba int64) bool {
-	_, ok := m.idx[lba]
-	return ok
-}
-
 // mayBeInFlash reports whether the real Flash cache could hold lba.
 func (m *Model) mayBeInFlash(lba int64) bool {
 	_, ok := m.flashMay[lba]
 	return ok
-}
-
-// MustNotBeCached reports whether lba must be invalid in every cache
-// tier: the model never let it into DRAM or Flash, so a cache hit on
-// it means the system invented data.
-func (m *Model) MustNotBeCached(lba int64) bool {
-	return !m.InDRAM(lba) && !m.mayBeInFlash(lba)
 }
 
 // Check diffs the real system's full state against the model: the

@@ -85,9 +85,6 @@ type Config struct {
 	// InitialMode is the density every slot starts in. The paper's
 	// design uses MLC parts that can switch pages to SLC.
 	InitialMode wear.Mode
-	// Timing overrides the operation latencies; zero value means
-	// DefaultTiming.
-	Timing Timing
 	// Seed drives wear sampling.
 	Seed uint64
 	// WearAcceleration multiplies the effective write/erase cycle
@@ -215,6 +212,7 @@ func (s *Stats) Merge(other Stats) {
 // use; the simulators drive it from a single goroutine.
 type Device struct {
 	cfg    Config
+	timing Timing
 	model  *wear.Model
 	blocks []blockState
 	stats  Stats
@@ -230,9 +228,6 @@ func New(cfg Config) *Device {
 	if cfg.Blocks <= 0 {
 		panic("nand: device needs at least one block")
 	}
-	if cfg.Timing == (Timing{}) {
-		cfg.Timing = DefaultTiming()
-	}
 	if cfg.WearAcceleration == 0 {
 		cfg.WearAcceleration = 1
 	}
@@ -241,6 +236,7 @@ func New(cfg Config) *Device {
 	}
 	d := &Device{
 		cfg:    cfg,
+		timing: DefaultTiming(),
 		model:  wear.NewModel(),
 		blocks: make([]blockState, cfg.Blocks),
 	}
@@ -323,10 +319,6 @@ func (d *Device) Blocks() int { return len(d.blocks) }
 // Stats returns a copy of the operation counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// WearModel exposes the underlying reliability model (shared with the
-// controller's reconfiguration logic).
-func (d *Device) WearModel() *wear.Model { return d.model }
-
 func (d *Device) slot(a Addr) (*blockState, *slotState, error) {
 	if a.Block < 0 || a.Block >= len(d.blocks) || a.Slot < 0 || a.Slot >= SlotsPerBlock {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadAddress, a)
@@ -394,7 +386,7 @@ func (d *Device) Read(a Addr) (ReadResult, error) {
 	if !sl.programmed[a.Sub] {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
 	}
-	lat := d.cfg.Timing.Read(sl.mode)
+	lat := d.timing.Read(sl.mode)
 	d.stats.Reads++
 	d.stats.ReadTime += lat
 	injected := d.cfg.Faults.ReadFlips(a.Block)
@@ -466,7 +458,7 @@ func (d *Device) Program(a Addr, data uint64) (sim.Duration, error) {
 	if sl.programmed[a.Sub] {
 		return 0, fmt.Errorf("%w: %v", ErrNotErased, a)
 	}
-	lat := d.cfg.Timing.Write(sl.mode)
+	lat := d.timing.Write(sl.mode)
 	d.stats.Programs++
 	d.stats.ProgramTime += lat
 	fail := blk.grownBad
@@ -547,7 +539,7 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 	if blk.mlcSlots > 0 {
 		mode = wear.MLC
 	}
-	lat := d.cfg.Timing.Erase(mode)
+	lat := d.timing.Erase(mode)
 	d.stats.Erases++
 	d.stats.EraseTime += lat
 	fail := blk.grownBad

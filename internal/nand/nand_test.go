@@ -276,13 +276,13 @@ func TestEraseLatencyFollowsMLCSlots(t *testing.T) {
 		}
 	}
 	// One MLC slot left makes the whole block erase at MLC speed.
-	if lat, err := d.Erase(0); err != nil || lat != d.cfg.Timing.EraseMLC {
+	if lat, err := d.Erase(0); err != nil || lat != d.timing.EraseMLC {
 		t.Fatalf("erase with one MLC slot: %v, %v", lat, err)
 	}
 	if err := d.SetMode(0, SlotsPerBlock-1, wear.SLC); err != nil {
 		t.Fatal(err)
 	}
-	if lat, err := d.Erase(0); err != nil || lat != d.cfg.Timing.EraseSLC {
+	if lat, err := d.Erase(0); err != nil || lat != d.timing.EraseSLC {
 		t.Fatalf("all-SLC erase: %v, %v", lat, err)
 	}
 }

@@ -193,9 +193,6 @@ func (f *AdmitFilter) Hot(lba int64) bool {
 	return f.touches[lba] >= admitThreshold
 }
 
-// Len returns the number of tracked LBAs.
-func (f *AdmitFilter) Len() int { return len(f.touches) }
-
 // AdmitEntry is one filter entry in checkpoint form.
 type AdmitEntry struct {
 	LBA   int64

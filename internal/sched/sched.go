@@ -194,9 +194,6 @@ func New(cfg Config) *Scheduler {
 // channel/bank time. Idempotent.
 func (s *Scheduler) AttachClock(clock *sim.Clock) { s.clock = clock }
 
-// Config returns the normalised configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // Active reports whether the geometry differs from the serial default.
 func (s *Scheduler) Active() bool { return s.cfg.Active() }
 

@@ -131,17 +131,6 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(k+1)^alpha, the tailed popularity distribution the paper's
 // micro-benchmarks use (Table 4: alpha = 0.8, 1.2, 1.6).

@@ -41,10 +41,6 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
 
-// Seconds returns the time as a floating-point number of seconds since
-// the epoch.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats the time using time.Duration notation (e.g. "1.5ms").
 func (t Time) String() string { return time.Duration(t).String() }
 

@@ -32,12 +32,3 @@ func MetadataBytes(flashBytes int64) int64 {
 	blocks := int64(nand.BlocksForCapacity(flashBytes, wear.MLC))
 	return pages*(FCHTEntryBytes+FPSTEntryBytes) + blocks*FBSTEntryBytes + FGSTBytes
 }
-
-// MetadataOverhead returns the tables' footprint as a fraction of the
-// Flash capacity.
-func MetadataOverhead(flashBytes int64) float64 {
-	if flashBytes <= 0 {
-		return 0
-	}
-	return float64(MetadataBytes(flashBytes)) / float64(flashBytes)
-}

@@ -12,7 +12,7 @@ func TestMetadataMatchesPaperFigures(t *testing.T) {
 	// "The overhead of the four tables ... less than 2% of the Flash
 	// size."
 	for _, size := range []int64{256 << 20, 1 << 30, 32 << 30} {
-		if ov := MetadataOverhead(size); ov >= 0.02 || ov <= 0 {
+		if ov := float64(MetadataBytes(size)) / float64(size); ov >= 0.02 || ov <= 0 {
 			t.Fatalf("overhead for %dMB Flash = %.4f, want (0, 0.02)", size>>20, ov)
 		}
 	}
@@ -28,7 +28,9 @@ func TestMetadataScalesLinearly(t *testing.T) {
 }
 
 func TestMetadataDegenerate(t *testing.T) {
-	if MetadataOverhead(0) != 0 {
-		t.Fatal("zero-size overhead")
+	// A zero-size Flash has no pages or blocks to track: only the
+	// fixed-size global table remains.
+	if got := MetadataBytes(0); got != FGSTBytes {
+		t.Fatalf("zero-size metadata = %d bytes, want FGSTBytes = %d", got, FGSTBytes)
 	}
 }

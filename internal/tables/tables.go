@@ -210,27 +210,6 @@ func (f *FBST) WearOut(b int) float64 {
 	return float64(st.Erases) + f.K1*float64(st.TotalECC) + f.K2*float64(st.TotalSLC)
 }
 
-// Newest returns the non-retired block with minimum wear-out, used by
-// the wear-level aware replacement policy (section 3.6). ok is false
-// when every block is retired.
-func (f *FBST) Newest() (block int, wearOut float64, ok bool) {
-	best := -1
-	bestWear := 0.0
-	for b := range f.blocks {
-		if f.blocks[b].Retired {
-			continue
-		}
-		w := f.WearOut(b)
-		if best == -1 || w < bestWear {
-			best, bestWear = b, w
-		}
-	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	return best, bestWear, true
-}
-
 // FGST is the Flash global status table (section 3.4): running miss
 // rate and latency averages the reconfiguration heuristics consume,
 // plus counters for the reconfiguration-event breakdown of Figure 11.

@@ -228,31 +228,6 @@ func TestFBSTWearOutFormula(t *testing.T) {
 	}
 }
 
-func TestFBSTNewest(t *testing.T) {
-	f, err := NewFBST(4, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.At(0).Erases = 50
-	f.At(1).Erases = 10
-	f.At(2).Erases = 30
-	f.At(3).Erases = 5
-	b, w, ok := f.Newest()
-	if !ok || b != 3 || w != 5 {
-		t.Fatalf("Newest = %d,%v,%v", b, w, ok)
-	}
-	f.At(3).Retired = true
-	if b, _, _ := f.Newest(); b != 1 {
-		t.Fatalf("Newest skipping retired = %d", b)
-	}
-	for i := 0; i < 4; i++ {
-		f.At(i).Retired = true
-	}
-	if _, _, ok := f.Newest(); ok {
-		t.Fatal("Newest found a block among all-retired")
-	}
-}
-
 func TestFBSTConstructorRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -122,30 +122,3 @@ func SourceErr(src Source) error {
 	}
 	return nil
 }
-
-// LimitSource yields at most n requests from src. It is how drivers
-// impose a request budget on an unbounded source (a looping workload
-// generator) without per-request closure calls.
-type LimitSource struct {
-	src Source
-	n   int
-}
-
-// NewLimitSource caps src at n requests.
-func NewLimitSource(src Source, n int) *LimitSource { return &LimitSource{src: src, n: n} }
-
-// Next implements Source.
-func (l *LimitSource) Next(buf []Request) int {
-	if l.n <= 0 {
-		return 0
-	}
-	if len(buf) > l.n {
-		buf = buf[:l.n]
-	}
-	k := l.src.Next(buf)
-	l.n -= k
-	return k
-}
-
-// Err implements ErrSource by delegating to the wrapped source.
-func (l *LimitSource) Err() error { return SourceErr(l.src) }

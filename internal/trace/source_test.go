@@ -70,16 +70,6 @@ func TestCountingSource(t *testing.T) {
 	}
 }
 
-func TestLimitSource(t *testing.T) {
-	src := NewLimitSource(NewSliceSource(reqN(10)), 4)
-	if got := drain(t, src, 3); len(got) != 4 {
-		t.Fatalf("limit 4 drained %d", len(got))
-	}
-	if NewLimitSource(NewSliceSource(reqN(3)), 0).Next(make([]Request, 1)) != 0 {
-		t.Fatal("limit 0 yielded a request")
-	}
-}
-
 func TestReadIntoNoAllocs(t *testing.T) {
 	var sb strings.Builder
 	w := NewWriter(&sb)

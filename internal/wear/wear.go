@@ -118,12 +118,6 @@ func (md *Model) CellFailProb(cycles float64, mode Mode) float64 {
 	return NormCDF(z)
 }
 
-// ExpectedFailedBits returns the expected number of failed cells in a
-// page after the given cycles.
-func (md *Model) ExpectedFailedBits(cycles float64, mode Mode) float64 {
-	return float64(CellsPerPage) * md.CellFailProb(cycles, mode)
-}
-
 // MaxTolerableCycles reproduces Figure 6(b): the write/erase cycles at
 // which a page with ECC strength t (t failed bits still correctable)
 // stops being recoverable, for a device whose page-to-page oxide
@@ -150,7 +144,7 @@ func (md *Model) MaxTolerableCycles(t int, sigmaSpatial float64, mode Mode) floa
 // PageWear is the deterministic wear trajectory of one page: a sampled
 // per-page quality offset shifts the whole failure CDF, so weaker pages
 // develop bit errors sooner. The zero value is not usable; obtain
-// instances from Model.NewPageWear.
+// instances from Model.SamplePageWear.
 type PageWear struct {
 	model *Model
 	// muOffset is the sampled page-quality shift in decades
@@ -158,21 +152,14 @@ type PageWear struct {
 	muOffset float64
 }
 
-// NewPageWear samples a page from a device with the given spatial
+// SamplePageWear samples a page from a device with the given spatial
 // spread. Deterministic given the RNG state. The log-lifetime offset
 // scale is chosen so that a 3-sigma weak page loses the same number of
 // decades the analytic MaxTolerableCycles model attributes to spatial
 // variation (the ClusterPenalty formulation), keeping the stochastic
-// and analytic views of Figure 6(b) consistent.
-func (md *Model) NewPageWear(rng *sim.RNG, sigmaSpatial float64) *PageWear {
-	w := md.SamplePageWear(rng, sigmaSpatial)
-	return &w
-}
-
-// SamplePageWear is the value form of NewPageWear: callers embedding
-// the trajectory directly in their own structures (one per page slot)
-// avoid a heap allocation per page. The two forms draw identically
-// from the RNG.
+// and analytic views of Figure 6(b) consistent. It returns a value so
+// callers can embed the trajectory in their own structures (one per
+// page slot) without a heap allocation per page.
 func (md *Model) SamplePageWear(rng *sim.RNG, sigmaSpatial float64) PageWear {
 	scale := sigmaSpatial * md.ClusterPenalty * md.SigmaDecades / 3
 	offset := rng.NormFloat64() * scale

@@ -157,7 +157,7 @@ func TestCellFailProbMonotone(t *testing.T) {
 func TestExpectedFailedBitsAtSpec(t *testing.T) {
 	m := NewModel()
 	// At the specification point roughly one cell per page has failed.
-	got := m.ExpectedFailedBits(EnduranceSLC, SLC)
+	got := float64(CellsPerPage) * m.CellFailProb(EnduranceSLC, SLC)
 	if got < 0.5 || got > 2 {
 		t.Fatalf("expected failed bits at 1e5 cycles = %v, want ~1", got)
 	}
@@ -166,7 +166,7 @@ func TestExpectedFailedBitsAtSpec(t *testing.T) {
 func TestPageWearTrajectory(t *testing.T) {
 	m := NewModel()
 	rng := sim.NewRNG(1)
-	w := m.NewPageWear(rng, 0)
+	w := m.SamplePageWear(rng, 0)
 	if w.FailedBits(1000, SLC) != 0 {
 		t.Fatal("fresh page already has failed bits")
 	}
@@ -185,7 +185,7 @@ func TestPageWearTrajectory(t *testing.T) {
 
 func TestPageWearInverse(t *testing.T) {
 	m := NewModel()
-	w := m.NewPageWear(sim.NewRNG(2), 0.05)
+	w := m.SamplePageWear(sim.NewRNG(2), 0.05)
 	for _, bits := range []int{0, 1, 4, 12} {
 		c := w.CyclesUntilBits(bits, SLC)
 		if got := w.FailedBits(c*1.01, SLC); got <= bits {
@@ -199,7 +199,7 @@ func TestPageWearInverse(t *testing.T) {
 
 func TestPageWearMLCWearsFaster(t *testing.T) {
 	m := NewModel()
-	w := m.NewPageWear(sim.NewRNG(3), 0)
+	w := m.SamplePageWear(sim.NewRNG(3), 0)
 	cSLC := w.CyclesUntilBits(1, SLC)
 	cMLC := w.CyclesUntilBits(1, MLC)
 	if math.Abs(cSLC/cMLC-10) > 0.01 {
@@ -212,7 +212,7 @@ func TestPageWearSpreadAcrossPages(t *testing.T) {
 	rng := sim.NewRNG(4)
 	var lives []float64
 	for i := 0; i < 200; i++ {
-		w := m.NewPageWear(rng, 0.10)
+		w := m.SamplePageWear(rng, 0.10)
 		lives = append(lives, w.CyclesUntilBits(0, SLC))
 	}
 	min, max := lives[0], lives[0]
@@ -224,8 +224,8 @@ func TestPageWearSpreadAcrossPages(t *testing.T) {
 		t.Fatalf("page lifetime spread too small: min=%v max=%v", min, max)
 	}
 	// Zero spatial sigma must produce identical pages.
-	w1 := m.NewPageWear(rng, 0)
-	w2 := m.NewPageWear(rng, 0)
+	w1 := m.SamplePageWear(rng, 0)
+	w2 := m.SamplePageWear(rng, 0)
 	if w1.CyclesUntilBits(0, SLC) != w2.CyclesUntilBits(0, SLC) {
 		t.Fatal("sigma=0 pages differ")
 	}
@@ -233,7 +233,7 @@ func TestPageWearSpreadAcrossPages(t *testing.T) {
 
 func TestCyclesUntilBitsPanicsOnNegative(t *testing.T) {
 	m := NewModel()
-	w := m.NewPageWear(sim.NewRNG(5), 0)
+	w := m.SamplePageWear(sim.NewRNG(5), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative bit budget did not panic")
@@ -266,7 +266,7 @@ func TestStochasticMatchesAnalytic(t *testing.T) {
 	for _, tc := range []int{1, 4, 8} {
 		var lives []float64
 		for i := 0; i < pages; i++ {
-			w := m.NewPageWear(rng, sigma)
+			w := m.SamplePageWear(rng, sigma)
 			lives = append(lives, w.CyclesUntilBits(tc, SLC))
 		}
 		sort.Float64s(lives)

@@ -48,51 +48,3 @@ func (s *Scrambled) Next() trace.Request {
 	r.LBA = s.perm[r.LBA]
 	return r
 }
-
-// Sized wraps a generator to emit multi-page requests: each base
-// request's start page is kept and its length drawn from a geometric
-// distribution with the given mean (clamped to stay inside the
-// footprint). UMass-style traces carry transfer sizes of several
-// pages; the catalog generators emit single pages by default so the
-// calibrated experiments stay put, and consumers opt in with this
-// wrapper.
-type Sized struct {
-	base    Generator
-	meanLen float64
-	rng     *sim.RNG
-}
-
-// NewSized builds the wrapper; meanLen must be >= 1.
-func NewSized(base Generator, meanLen float64, seed uint64) *Sized {
-	if meanLen < 1 {
-		panic("workload: mean request length below one page")
-	}
-	return &Sized{base: base, meanLen: meanLen, rng: sim.NewRNG(seed)}
-}
-
-// Name implements Generator.
-func (s *Sized) Name() string { return s.base.Name() + "+sized" }
-
-// FootprintPages implements Generator.
-func (s *Sized) FootprintPages() int64 { return s.base.FootprintPages() }
-
-// Next implements Generator.
-func (s *Sized) Next() trace.Request {
-	r := s.base.Next()
-	if s.meanLen > 1 {
-		// Geometric length with the requested mean.
-		p := 1 / s.meanLen
-		n := 1
-		for !s.rng.Bool(p) && n < 512 {
-			n++
-		}
-		if max := s.FootprintPages() - r.LBA; int64(n) > max {
-			n = int(max)
-		}
-		if n < 1 {
-			n = 1
-		}
-		r.Pages = n
-	}
-	return r
-}

@@ -67,35 +67,3 @@ func TestScrambledMovesHotPages(t *testing.T) {
 		t.Fatalf("name %q", s.Name())
 	}
 }
-
-func TestSizedRequestLengths(t *testing.T) {
-	g := NewSized(MustNew("dbt2", 0.002, 3), 4, 17)
-	total, n := 0, 0
-	for i := 0; i < 20000; i++ {
-		r := g.Next()
-		if r.Pages < 1 {
-			t.Fatal("empty request")
-		}
-		if r.LBA+int64(r.Pages) > g.FootprintPages() {
-			t.Fatal("request exceeds footprint")
-		}
-		total += r.Pages
-		n++
-	}
-	mean := float64(total) / float64(n)
-	if mean < 3 || mean > 5 {
-		t.Fatalf("mean request length %v, want ~4", mean)
-	}
-	if g.Name() != "dbt2+sized" {
-		t.Fatalf("name %q", g.Name())
-	}
-}
-
-func TestSizedValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("meanLen < 1 accepted")
-		}
-	}()
-	NewSized(MustNew("dbt2", 0.002, 3), 0.5, 1)
-}
