@@ -410,30 +410,12 @@ func main() {
 	}
 
 	stats := trace.NewStats()
-	// runSource drives eng in trace.DefaultBatch batches. After the run
-	// the source's sticky stream error (a torn trace file, a bad binary
-	// record) is fatal like any other input error.
-	runSource := func(src trace.Source, n int) {
-		buf := make([]trace.Request, trace.DefaultBatch)
-		for consumed := 0; consumed < n; {
-			chunk := len(buf)
-			if rem := n - consumed; rem < chunk {
-				chunk = rem
-			}
-			k := src.Next(buf[:chunk])
-			if k == 0 {
-				break
-			}
-			eng.RunBatch(buf[:k])
-			consumed += k
-		}
-		die(trace.SourceErr(src))
-	}
+	var src trace.Source
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		die(err)
 		onExit(f.Close)
-		runSource(trace.NewCountingSource(trace.NewStreamSource(trace.NewReader(f)), stats), *requests)
+		src = trace.NewCountingSource(trace.NewStreamSource(trace.NewReader(f)), stats)
 	} else if *traceBinary != "" {
 		m, err := trace.MapFile(*traceBinary)
 		die(err)
@@ -441,9 +423,9 @@ func main() {
 		// os.Exit paths below bypass defers, which used to leak the
 		// mapping on every early exit.
 		onExit(m.Close)
-		runSource(trace.NewCountingSource(m, stats), *requests)
+		src = trace.NewCountingSource(m, stats)
 	} else {
-		src := trace.NewCountingSource(workload.AsSource(gen), stats)
+		src = trace.NewCountingSource(workload.AsSource(gen), stats)
 		// On resume, drain the prefix the checkpointed run already
 		// simulated: the generator is deterministic, so this
 		// re-synchronises the stream position exactly and keeps the
@@ -452,8 +434,12 @@ func main() {
 		for skipped := 0; skipped < prevConsumed; {
 			skipped += src.Next(skip[:min(len(skip), prevConsumed-skipped)])
 		}
-		runSource(src, *requests)
 	}
+	eng.RunSource(src, *requests)
+	// The source's sticky stream error (a torn trace file, a bad binary
+	// record) is fatal like any other input error.
+	die(trace.SourceErr(src))
+
 	// Checkpoint before Drain: the unbroken run never drains mid-way,
 	// so a resumable snapshot must capture the pre-drain state for the
 	// continuation to be bit-identical. (Progress notes go to stderr —

@@ -105,7 +105,7 @@ var (
 )
 
 // Sharded simulation engine: hash-partitions the LBA space across
-// independent per-shard hierarchies replayed by a worker pool, with
+// independent per-shard hierarchies replayed concurrently, with
 // bit-for-bit reproducible merged results.
 type (
 	// EngineConfig parameterises the sharded engine.
@@ -132,9 +132,9 @@ const (
 	OpWrite = trace.OpWrite
 )
 
-// TraceSource is the bulk driving surface consumed by System.RunSource
-// and Engine.RunSource (System.RunBatch and Engine.RunBatch take
-// in-memory slices directly): Next fills the buffer from the front and
+// TraceSource is the bulk driving surface consumed by Engine.RunSource
+// (System.RunBatch and Engine.RunBatch take in-memory slices
+// directly): Next fills the buffer from the front and
 // returns how many requests were written (0 = exhausted).
 type TraceSource = trace.Source
 

@@ -156,16 +156,10 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 	return ck, nil
 }
 
-// Restore overwrites the cache's state with a checkpoint taken from a
-// cache built with the same configuration. The receiver should be
-// fresh from New (with any clock already attached); mid-run restores
-// would leak the previous contents' event state. Dimension mismatches
-// and the final integrity audit reject a checkpoint that does not fit
-// the configuration, before and after applying it respectively.
-func (c *Cache) Restore(ck *CacheCheckpoint) error {
-	if c.sched.Active() {
-		return fmt.Errorf("core: restoring into a non-default NAND scheduler (channels/banks/write buffer) is not supported")
-	}
+// checkCheckpoint rejects a checkpoint whose dimensions do not fit the
+// cache, or whose cursors, block indices, ECC strengths or density
+// modes are out of range — values the next replay would index with.
+func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 	if ck.FlashBytes != c.cfg.FlashBytes {
 		return fmt.Errorf("core: checkpoint for %dB Flash, config says %dB",
 			ck.FlashBytes, c.cfg.FlashBytes)
@@ -177,6 +171,58 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	if len(ck.Regions) != len(c.regions) {
 		return fmt.Errorf("core: checkpoint has %d regions, cache has %d",
 			len(ck.Regions), len(c.regions))
+	}
+	for b := range ck.Blocks {
+		cb := &ck.Blocks[b]
+		if err := c.checkBlock(b, cb.State, cb.Region, cb.CursorSlot, cb.CursorSub); err != nil {
+			return fmt.Errorf("core: checkpoint %v", err)
+		}
+		if len(ck.Pages[b]) != nand.SlotsPerBlock {
+			return fmt.Errorf("core: checkpoint block %d has %d slots, want %d",
+				b, len(ck.Pages[b]), nand.SlotsPerBlock)
+		}
+		for s, slot := range ck.Pages[b] {
+			for sub, st := range slot {
+				if err := checkPage(b, s, sub, st.Strength, st.StagedStrength, st.Mode, st.StagedMode); err != nil {
+					return fmt.Errorf("core: checkpoint %v", err)
+				}
+			}
+		}
+	}
+	inRange := func(b int) bool { return b >= 0 && b < len(c.meta) }
+	for i, cr := range ck.Regions {
+		if cr.Open != -1 && !inRange(cr.Open) {
+			return fmt.Errorf("core: checkpoint region %d opens block %d of %d", i, cr.Open, len(c.meta))
+		}
+		for _, list := range [][]int{cr.Free, cr.LRU} {
+			for _, b := range list {
+				if !inRange(b) {
+					return fmt.Errorf("core: checkpoint region %d lists block %d of %d", i, b, len(c.meta))
+				}
+			}
+		}
+	}
+	if ck.ScrubBlock < 0 || ck.ScrubBlock > len(c.meta) ||
+		ck.ScrubSlot < 0 || ck.ScrubSlot >= nand.SlotsPerBlock ||
+		ck.ScrubSub < 0 || ck.ScrubSub > 1 {
+		return fmt.Errorf("core: checkpoint scrub cursor b%d/s%d.%d out of range",
+			ck.ScrubBlock, ck.ScrubSlot, ck.ScrubSub)
+	}
+	return nil
+}
+
+// Restore overwrites the cache's state with a checkpoint taken from a
+// cache built with the same configuration. The receiver should be
+// fresh from New (with any clock already attached); mid-run restores
+// would leak the previous contents' event state. checkCheckpoint and
+// the final integrity audit reject a checkpoint that does not fit the
+// configuration, before and after applying it respectively.
+func (c *Cache) Restore(ck *CacheCheckpoint) error {
+	if c.sched.Active() {
+		return fmt.Errorf("core: restoring into a non-default NAND scheduler (channels/banks/write buffer) is not supported")
+	}
+	if err := c.checkCheckpoint(ck); err != nil {
+		return err
 	}
 	if err := c.dev.Restore(ck.Device); err != nil {
 		return fmt.Errorf("core: restoring device: %w", err)
@@ -201,10 +247,6 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	}
 	c.fcht = fcht
 	for b := range c.meta {
-		if len(ck.Pages[b]) != nand.SlotsPerBlock {
-			return fmt.Errorf("core: checkpoint block %d has %d slots, want %d",
-				b, len(ck.Pages[b]), nand.SlotsPerBlock)
-		}
 		for s := 0; s < nand.SlotsPerBlock; s++ {
 			for sub := 0; sub < 2; sub++ {
 				a := nand.Addr{Block: b, Slot: s, Sub: sub}
@@ -216,10 +258,6 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 			}
 		}
 		cb := &ck.Blocks[b]
-		if cb.Region < 0 || cb.Region >= len(c.regions) {
-			return fmt.Errorf("core: checkpoint block %d in region %d of %d",
-				b, cb.Region, len(c.regions))
-		}
 		m := &c.meta[b]
 		m.state = blockLifecycle(cb.State)
 		m.region = cb.Region
@@ -240,9 +278,6 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 		r.blocks = cr.Blocks
 		r.lru.Init()
 		for _, b := range cr.LRU {
-			if b < 0 || b >= len(c.meta) {
-				return fmt.Errorf("core: checkpoint region %d lists block %d of %d", i, b, len(c.meta))
-			}
 			c.meta[b].elem = r.lru.PushBack(b)
 		}
 	}

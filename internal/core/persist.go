@@ -162,6 +162,34 @@ func decodeEnvelope(r io.Reader) (*persistImage, error) {
 	return &img, nil
 }
 
+// checkBlock rejects a block lifecycle state, region or allocation
+// cursor that no cache can hold. It and checkPage are the range checks
+// LoadMetadata and Restore share, both run before any state changes.
+func (c *Cache) checkBlock(b int, state uint8, region, cursorSlot, cursorSub int) error {
+	if state > uint8(blockRetired) {
+		return fmt.Errorf("block %d in impossible state %d", b, state)
+	}
+	if region < 0 || region >= len(c.regions) {
+		return fmt.Errorf("block %d in region %d of %d", b, region, len(c.regions))
+	}
+	if cursorSlot < 0 || cursorSlot > nand.SlotsPerBlock || cursorSub < 0 || cursorSub > 1 {
+		return fmt.Errorf("block %d cursor %d/%d out of range", b, cursorSlot, cursorSub)
+	}
+	return nil
+}
+
+// checkPage rejects a page's ECC strengths or density modes outside
+// what the codec and the device support.
+func checkPage(b, s, sub int, strength, staged ecc.Strength, mode, stagedMode wear.Mode) error {
+	if strength < 1 || strength > ecc.MaxStrength || staged < 1 || staged > ecc.MaxStrength {
+		return fmt.Errorf("page b%d/s%d/%d ECC strength %d/%d out of range", b, s, sub, strength, staged)
+	}
+	if mode > wear.MLC || stagedMode > wear.MLC {
+		return fmt.Errorf("page b%d/s%d/%d in unknown density mode", b, s, sub)
+	}
+	return nil
+}
+
 // validateImage checks that a decoded image is semantically possible
 // for the cache built from the target configuration, before any of it
 // touches the device. The CRC already rules out accidental corruption;
@@ -178,21 +206,14 @@ func validateImage(c *Cache, img *persistImage) error {
 	openPer := make(map[int]bool)
 	for b := range img.BlocksMeta {
 		pb := &img.BlocksMeta[b]
-		if pb.State > uint8(blockRetired) {
-			return fmt.Errorf("%w: block %d in impossible state %d", ErrCorruptMetadata, b, pb.State)
-		}
-		if pb.Region < 0 || pb.Region >= len(c.regions) {
-			return fmt.Errorf("%w: block %d in region %d of %d", ErrCorruptMetadata, b, pb.Region, len(c.regions))
+		if err := c.checkBlock(b, pb.State, pb.Region, pb.CursorSlot, pb.Sub); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorruptMetadata, err)
 		}
 		if blockLifecycle(pb.State) == blockOpen {
 			if openPer[pb.Region] {
 				return fmt.Errorf("%w: region %d has two open blocks", ErrCorruptMetadata, pb.Region)
 			}
 			openPer[pb.Region] = true
-		}
-		if pb.CursorSlot < 0 || pb.CursorSlot > nand.SlotsPerBlock ||
-			pb.Sub < 0 || pb.Sub > 1 {
-			return fmt.Errorf("%w: block %d cursor %d/%d out of range", ErrCorruptMetadata, b, pb.CursorSlot, pb.Sub)
 		}
 		if pb.Consumed < 0 || pb.Consumed > 2*nand.SlotsPerBlock ||
 			pb.Valid < 0 || pb.Valid > pb.Consumed {
@@ -213,14 +234,8 @@ func validateImage(c *Cache, img *persistImage) error {
 		for s := 0; s < nand.SlotsPerBlock; s++ {
 			for sub := 0; sub < 2; sub++ {
 				pp := &img.Pages[b][s][sub]
-				if pp.Strength < 1 || pp.Strength > ecc.MaxStrength ||
-					pp.StagedStrength < 1 || pp.StagedStrength > ecc.MaxStrength {
-					return fmt.Errorf("%w: page b%d/s%d/%d ECC strength %d/%d out of range",
-						ErrCorruptMetadata, b, s, sub, pp.Strength, pp.StagedStrength)
-				}
-				if pp.Mode > wear.MLC || pp.StagedMode > wear.MLC {
-					return fmt.Errorf("%w: page b%d/s%d/%d in unknown density mode",
-						ErrCorruptMetadata, b, s, sub)
+				if err := checkPage(b, s, sub, pp.Strength, pp.StagedStrength, pp.Mode, pp.StagedMode); err != nil {
+					return fmt.Errorf("%w: %v", ErrCorruptMetadata, err)
 				}
 				if !pp.Valid {
 					continue

@@ -71,20 +71,50 @@ func TestRunBatchBoundaryInvariance(t *testing.T) {
 	}
 }
 
-// TestRunBatchWorkerIndependence pins the work-stealing scheduler's
-// determinism: the router + per-shard run queues must merge to the
-// same result at any worker count, including workers < shards where
-// stealing is the common case.
+// TestRunBatchWorkerIndependence pins fork-join determinism: the
+// routed per-shard slices, each simulated whole on one goroutine, must
+// merge to the same result at any worker count — including workers <
+// shards, where one goroutine simulates several shards, and a skewed
+// stream whose requests all hash to one shard, leaving the other
+// seven slices empty in every batch. An empty batch is a no-op.
 func TestRunBatchWorkerIndependence(t *testing.T) {
-	reqs := testStream(t, testRequests)
 	const shards = 8
-	ref, _ := runBatched(t, shards, 1, len(reqs), reqs)
-	base := snap(t, ref)
-	for _, workers := range []int{2, 3, shards} {
-		e, _ := runBatched(t, shards, workers, len(reqs), reqs)
-		if got := snap(t, e); !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d diverged from workers=1:\n got %+v\nwant %+v", workers, got, base)
+	uniform := testStream(t, testRequests)
+	var skewed []trace.Request
+	for _, req := range uniform {
+		req.Pages = 1
+		if trace.ShardOf(req.LBA, shards) == 3 {
+			skewed = append(skewed, req)
 		}
+	}
+	for _, tc := range []struct {
+		name    string
+		reqs    []trace.Request
+		chunk   int
+		workers []int
+	}{
+		{"uniform", uniform, len(uniform), []int{2, 3, shards}},
+		{"skewed", skewed, 512, []int{2, 3}},
+	} {
+		ref, _ := runBatched(t, shards, 1, tc.chunk, tc.reqs)
+		base := snap(t, ref)
+		for _, workers := range tc.workers {
+			e, _ := runBatched(t, shards, workers, tc.chunk, tc.reqs)
+			if got := snap(t, e); !reflect.DeepEqual(got, base) {
+				t.Fatalf("%s: workers=%d diverged from workers=1:\n got %+v\nwant %+v", tc.name, workers, got, base)
+			}
+		}
+	}
+
+	e, err := New(Config{Shards: shards, Workers: 3, Hier: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.RunBatch(nil); n != 0 {
+		t.Fatalf("RunBatch(nil) = %d, want 0", n)
+	}
+	if got := e.Stats().Requests; got != 0 {
+		t.Fatalf("an empty batch simulated %d requests", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flashdc/internal/core"
@@ -177,5 +178,52 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(bytes.NewReader(wire[:8])); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("truncated checkpoint read reported %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// TestEngineRestoreRejectsOutOfRange mutates one cursor or page field
+// of a real 1-shard checkpoint at a time. Restore must refuse each
+// value no cache can hold, rather than accept it and let the next
+// replay index out of range.
+func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
+	hc := campaignHier(8)
+	src, err := New(Config{Shards: 1, Hier: hc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(src, campaignReqs(4, 3000))
+	wire := checkpointBytes(t, src, "fp", 3000)
+
+	open := func(fc *core.CacheCheckpoint) *core.CheckpointBlock { return &fc.Blocks[fc.Regions[0].Open] }
+	for _, tc := range []struct {
+		name   string
+		mutate func(fc *core.CacheCheckpoint)
+		want   string
+	}{
+		{"scrub sub", func(fc *core.CacheCheckpoint) { fc.ScrubSub = 9 }, "scrub cursor"},
+		{"scrub block", func(fc *core.CacheCheckpoint) { fc.ScrubBlock = -1 }, "scrub cursor"},
+		{"scrub slot", func(fc *core.CacheCheckpoint) { fc.ScrubSlot = 1 << 20 }, "scrub cursor"},
+		{"open cursor slot", func(fc *core.CacheCheckpoint) { open(fc).CursorSlot = -3 }, "cursor -3/"},
+		{"open cursor sub", func(fc *core.CacheCheckpoint) { open(fc).CursorSub = 7 }, "/7 out of range"},
+		{"page strength", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][0].Strength = 200 }, "ECC strength 200/"},
+		{"page mode", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][0].StagedMode = 9 }, "density mode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := ReadCheckpoint(bytes.NewReader(wire))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Systems[0].Flash.Regions[0].Open < 0 {
+				t.Fatal("checkpoint has no open block in region 0")
+			}
+			tc.mutate(ck.Systems[0].Flash)
+			e, err := New(Config{Shards: 1, Hier: hc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Restore(ck); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore returned %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

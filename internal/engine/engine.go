@@ -3,7 +3,7 @@
 // space across N shards (trace.ShardOf), gives every shard a fully
 // independent hier.System — its own clock, RNG streams, management
 // tables and NAND device, sized at 1/N of the configured capacity —
-// and replays the shards on a goroutine worker pool.
+// and replays each request batch as one fork-join across the shards.
 //
 // The decomposition mirrors how real NAND subsystems scale: channel
 // and way parallelism over independent flash dies, each die with its
@@ -70,8 +70,9 @@ type Engine struct {
 	// guards the one-time shard_merge trace events in Observe.
 	observers []*obs.Observer
 	observed  bool
-	// pending and srcBuf are the reusable router-side buffers of the
-	// batch pipeline (see run.go); lazily built, reused across runs.
+	// pending (the per-shard routed slices) and srcBuf (RunSource's
+	// fill buffer) are the batch pipeline's reusable buffers (see
+	// run.go); lazily built, reused across runs.
 	pending [][]trace.Request
 	srcBuf  []trace.Request
 }
@@ -148,7 +149,7 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // Shard exposes one partition's hierarchy for inspection.
 func (e *Engine) Shard(i int) *hier.System { return e.shards[i].sys }
 
-// Workers returns the effective worker-pool size.
+// Workers returns how many goroutines simulate shards at once.
 func (e *Engine) Workers() int {
 	if e.cfg.Workers <= 0 || e.cfg.Workers > len(e.shards) {
 		return len(e.shards)

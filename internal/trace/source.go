@@ -15,8 +15,7 @@ const DefaultBatch = 4096
 // fail mid-stream (parsers, mapped files) additionally implement Err,
 // which drivers consult once Next returns 0.
 //
-// hier.System.RunSource and engine.Engine.RunSource consume it
-// directly.
+// engine.Engine.RunSource consumes it directly.
 type Source interface {
 	Next(buf []Request) int
 }

@@ -10,7 +10,7 @@ type generatorSource struct {
 // AsSource adapts a workload generator to an unbounded trace.Source:
 // every bulk fill draws the next len(buf) requests of the generator's
 // deterministic stream. Bound it with the driver's request budget
-// (hier.System.RunSource / engine.Engine.RunSource take n).
+// (engine.Engine.RunSource takes n).
 func AsSource(g Generator) trace.Source { return generatorSource{g: g} }
 
 func (s generatorSource) Next(buf []trace.Request) int {
