@@ -4,6 +4,10 @@
 //
 //	fdcbench [-exp all|<id>[,<id>...]] [-scale 0.0625] [-seed 1] [-requests n]
 //
+// A malformed flag, a value outside its domain or an unknown
+// experiment id is a usage error: fdcbench exits 2 before running
+// anything.
+//
 // Each experiment prints an aligned text table whose rows correspond
 // to the series of the paper artifact (see DESIGN.md for the index).
 package main
@@ -34,20 +38,41 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every flag and experiment id is checked before anything runs: a
+	// bad value is a usage error, never a silently substituted one.
+	switch {
+	case flag.NArg() > 0:
+		usageErr("unexpected argument %q", flag.Arg(0))
+	case *format != "text" && *format != "json":
+		usageErr("-format %q: want text or json", *format)
+	case !(*scale > 0 && *scale <= 1):
+		usageErr("-scale %g outside (0,1]", *scale)
+	case *requests < 0:
+		usageErr("-requests %d is negative", *requests)
+	case *seeds < 1:
+		usageErr("-seeds %d: need at least one seed", *seeds)
+	case *parallel < 1:
+		usageErr("-parallel %d: need at least one experiment at a time", *parallel)
+	}
+	ids := experiments.IDs()
 	if *list {
-		for _, id := range experiments.IDs() {
+		for _, id := range ids {
 			fmt.Println(id)
 		}
 		return
 	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "fdcbench: unknown format %q\n", *format)
-		os.Exit(1)
-	}
-
-	ids := experiments.IDs()
 	if *exp != "all" {
+		known := map[string]bool{}
+		for _, id := range ids {
+			known[id] = true
+		}
 		ids = strings.Split(*exp, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if !known[ids[i]] {
+				usageErr("-exp: unknown experiment %q (-list shows the ids)", ids[i])
+			}
+		}
 	}
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Requests: *requests}
 
@@ -59,14 +84,9 @@ func main() {
 		elapsed time.Duration
 	}
 	results := make([]result, len(ids))
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, *parallel)
 	var wg sync.WaitGroup
 	for i, id := range ids {
-		i, id := i, strings.TrimSpace(id)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -110,4 +130,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// usageErr reports a flag-validation failure as a usage error (exit 2,
+// the flag package's convention) before any experiment runs.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "fdcbench: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, "run with -h for usage")
+	os.Exit(2)
 }

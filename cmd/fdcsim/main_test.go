@@ -1,46 +1,13 @@
 package main
 
 import (
-	"bytes"
-	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"flashdc/internal/cmdtest"
 )
 
-// childEnv makes the test binary run fdcsim's main instead of the
-// tests, so each case exercises the real flag parsing and exit paths.
-const childEnv = "FDCSIM_TEST_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runFdcsim re-executes the test binary as fdcsim with args in a fresh
-// directory and returns its exit code and output.
-func runFdcsim(t *testing.T, args ...string) (code int, stdout, stderr string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), childEnv+"=1")
-	cmd.Dir = t.TempDir()
-	var out, errOut bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err := cmd.Run()
-	var exitErr *exec.ExitError
-	switch {
-	case err == nil:
-	case errors.As(err, &exitErr):
-		code = exitErr.ExitCode()
-	default:
-		t.Fatalf("running fdcsim %v: %v", args, err)
-	}
-	return code, out.String(), errOut.String()
-}
+func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
 // TestUsageErrors: every bad size, capacity, interval, workload, shard
 // split or out-of-domain number (NaN, infinity, a fault rate outside
@@ -77,7 +44,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
-			code, _, stderr := runFdcsim(t, append(tc.args, "-requests", "1000")...)
+			code, _, stderr := cmdtest.Run(t, append(tc.args, "-requests", "1000")...)
 			if code != 2 {
 				t.Errorf("exit code %d, want 2; stderr:\n%s", code, stderr)
 			}
@@ -96,7 +63,7 @@ func TestUsageErrors(t *testing.T) {
 
 // TestValidRun: a small well-formed run exits 0 with a report.
 func TestValidRun(t *testing.T) {
-	code, stdout, stderr := runFdcsim(t, "-dram", "1M", "-flash", "8M", "-requests", "2000")
+	code, stdout, stderr := cmdtest.Run(t, "-dram", "1M", "-flash", "8M", "-requests", "2000")
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
 	}

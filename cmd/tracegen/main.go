@@ -7,6 +7,9 @@
 //	tracegen -workload Financial2 -requests 100000 -scale 0.0625 > f2.trace
 //	tracegen -workload alpha2 -requests 1000000 -binary -o alpha2.fdct
 //	tracegen -list
+//
+// An unknown workload, a scale outside (0,1] or a negative request
+// count is a usage error: tracegen exits 2 before writing anything.
 package main
 
 import (
@@ -38,8 +41,19 @@ func main() {
 		return
 	}
 
+	// Usage errors exit 2 before any output is written.
+	switch {
+	case flag.NArg() > 0:
+		usageErr("unexpected argument %q", flag.Arg(0))
+	case !(*scale > 0 && *scale <= 1):
+		usageErr("-scale %g outside (0,1]", *scale)
+	case *requests < 0:
+		usageErr("-requests %d is negative", *requests)
+	}
 	g, err := workload.New(*name, *scale, *seed)
-	die(err)
+	if err != nil {
+		usageErr("-workload: %v", err)
+	}
 
 	f := os.Stdout
 	if *out != "" {
@@ -69,4 +83,12 @@ func die(err error) {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
+}
+
+// usageErr reports a flag-validation failure as a usage error (exit 2,
+// the flag package's convention).
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, "run with -h for usage")
+	os.Exit(2)
 }

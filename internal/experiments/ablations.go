@@ -16,46 +16,15 @@ func init() {
 	register("ablate-gc", ablateGC)
 }
 
-// ablateRun drives one cache configuration with the dbt2 workload and
-// returns read miss rate plus cache stats.
+// ablateRun drives one cache configuration with the dbt2 workload
+// through fig4's protocol and returns the read miss rate, the cache
+// stats and the mean hit latency.
 func ablateRun(o Options, mutate func(*core.Config), requests int) (float64, core.Stats, sim.Duration) {
 	cfg := core.DefaultConfig(int64(float64(512<<20) * o.Scale))
 	cfg.Seed = o.Seed
 	mutate(&cfg)
 	c := core.New(cfg)
-	g := workload.MustNew("dbt2", o.Scale, o.Seed+19)
-	warm := requests / 2
-	var reads, misses int64
-	var hitLatency sim.Duration
-	for i := 0; i < requests; i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			out := c.Read(lba)
-			if i >= warm {
-				reads++
-				if !out.Hit {
-					misses++
-				} else {
-					hitLatency += out.Latency
-				}
-			}
-			if !out.Hit {
-				c.Insert(lba)
-			}
-		})
-	}
-	miss := 0.0
-	if reads > 0 {
-		miss = float64(misses) / float64(reads)
-	}
-	avgHit := sim.Duration(0)
-	if h := reads - misses; h > 0 {
-		avgHit = sim.Duration(int64(hitLatency) / h)
-	}
+	miss, avgHit := readMiss(c, workload.MustNew("dbt2", o.Scale, o.Seed+19), requests/2, requests)
 	return miss, c.Stats(), avgHit
 }
 
@@ -101,19 +70,7 @@ func ablateWear(o Options) *Table {
 		cfg.WearThreshold = th
 		cfg.Seed = o.Seed
 		c := core.New(cfg)
-		rng := sim.NewRNG(o.Seed + 23)
-		hot := int(c.CapacityPages() / 16)
-		cold := int(c.CapacityPages() * 2)
-		for i := 0; i < requests; i++ {
-			if rng.Bool(0.8) {
-				c.Write(int64(rng.Intn(hot)))
-			} else {
-				lba := int64(hot + rng.Intn(cold))
-				if !c.Read(lba).Hit {
-					c.Insert(lba)
-				}
-			}
-		}
+		replayFlash(c, hotWriteChurn(c, o.Seed+23), requests, nil)
 		min, max := eraseSpread(c)
 		label := fmt.Sprintf("%.0f", th)
 		if th >= 1<<30 {
@@ -164,31 +121,27 @@ func ablateGC(o Options) *Table {
 		cfg.Watermark = w
 		cfg.Seed = o.Seed
 		c := core.New(cfg)
-		g := workload.MustNew("Financial1", o.Scale, o.Seed+29)
-		var reads, misses int64
-		for i := 0; i < requests; i++ {
-			r := g.Next()
-			r.Expand(func(lba int64) {
-				if r.Op == trace.OpWrite {
-					c.Write(lba)
-					return
-				}
-				reads++
-				if !c.Read(lba).Hit {
-					misses++
-					c.Insert(lba)
-				}
-			})
-		}
-		miss := 0.0
-		if reads > 0 {
-			miss = float64(misses) / float64(reads)
-		}
+		miss, _ := readMiss(c, workload.MustNew("Financial1", o.Scale, o.Seed+29), 0, requests)
 		st := c.Stats()
 		t.AddRow(w, miss, st.GCRuns, st.GCRelocations,
 			float64(st.GCTime)/float64(sim.Millisecond))
 	}
 	return t
+}
+
+// hotWriteChurn is the wear ablations' stream of single-page
+// requests: 80% writes to a hot set of capacity/16 pages, the rest
+// reads over a cold span of twice the capacity beyond it.
+func hotWriteChurn(c *core.Cache, seed uint64) stream {
+	rng := sim.NewRNG(seed)
+	hot := int(c.CapacityPages() / 16)
+	cold := int(c.CapacityPages() * 2)
+	return streamFunc(func() trace.Request {
+		if rng.Bool(0.8) {
+			return trace.Request{Op: trace.OpWrite, LBA: int64(rng.Intn(hot)), Pages: 1}
+		}
+		return trace.Request{Op: trace.OpRead, LBA: int64(hot + rng.Intn(cold)), Pages: 1}
+	})
 }
 
 func eraseSpread(c *core.Cache) (min, max int) {
@@ -231,19 +184,7 @@ func ablateWearFn(o Options) *Table {
 		cfg.WearAcceleration = 200
 		cfg.Seed = o.Seed
 		c := core.New(cfg)
-		rng := sim.NewRNG(o.Seed + 53)
-		hot := int(c.CapacityPages() / 16)
-		cold := int(c.CapacityPages() * 2)
-		for i := 0; i < requests && !c.Dead(); i++ {
-			if rng.Bool(0.8) {
-				c.Write(int64(rng.Intn(hot)))
-			} else {
-				lba := int64(hot + rng.Intn(cold))
-				if !c.Read(lba).Hit {
-					c.Insert(lba)
-				}
-			}
-		}
+		replayFlash(c, hotWriteChurn(c, o.Seed+53), requests, nil)
 		min, max := eraseSpread(c)
 		t.AddRow(ks[0], ks[1], c.Stats().WearSwaps, max-min, c.Stats().RetiredBlocks)
 	}

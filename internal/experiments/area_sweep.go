@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashdc/internal/hier"
-	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/workload"
 )
@@ -53,23 +52,10 @@ func ablateArea(o Options) *Table {
 		}
 		flashBytes := int64(float64(budgetDRAM) * f * dramToFlashDensity)
 		s := hier.New(hier.Config{DRAMBytes: dramBytes, FlashBytes: flashBytes, Seed: o.Seed})
-		g := workload.MustNew("dbt2", o.Scale, o.Seed+43)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
+		warmAndMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+43), 2*requests, requests)
 		s.Drain()
 		st := s.Stats()
-		elapsed := server.Default().Elapsed(st.Requests, st.AvgLatency())
-		if db := s.DiskBusy(); db > elapsed {
-			elapsed = db
-		}
-		if fb := s.FlashBusy(); fb > elapsed {
-			elapsed = fb
-		}
+		elapsed := busyElapsed(s)
 		pw := s.Power(elapsed)
 		pts = append(pts, point{
 			label:      fmt.Sprintf("%.0f", f*100),

@@ -26,7 +26,6 @@ func init() { register("batch_throughput", batchThroughput) }
 // throughput rising with batch size and saturating near DefaultBatch
 // — is the stable claim.
 func batchThroughput(o Options) *Table {
-	o = o.normalized()
 	n := o.Requests
 	if n == 0 {
 		n = 200000

@@ -20,7 +20,8 @@ import (
 type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
-	// Scale multiplies capacities and footprints (1 = paper size).
+	// Scale multiplies capacities and footprints (1 = paper size); 0
+	// picks 1/16.
 	Scale float64
 	// Requests is the per-configuration request budget; 0 picks the
 	// experiment's default.
@@ -30,14 +31,22 @@ type Options struct {
 // QuickOptions is the test/bench scale.
 func QuickOptions() Options { return Options{Seed: 1, Scale: 1.0 / 128} }
 
-func (o Options) normalized() Options {
+// normalized fills in the defaults of zero fields and rejects values
+// outside their domain.
+func (o Options) normalized() (Options, error) {
+	if !(o.Scale >= 0 && o.Scale <= 1) {
+		return o, fmt.Errorf("experiments: scale %v outside [0, 1]", o.Scale)
+	}
+	if o.Requests < 0 {
+		return o, fmt.Errorf("experiments: request budget %d is negative", o.Requests)
+	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Scale <= 0 || o.Scale > 1 {
+	if o.Scale == 0 {
 		o.Scale = 1.0 / 16
 	}
-	return o
+	return o, nil
 }
 
 // Table is one reproduced artifact: an identifier tying it to the
@@ -172,14 +181,19 @@ func orderKey(id string) string {
 	return fmt.Sprintf("%s%04d%s", prefix, num, id)
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID. It fails for an unknown ID or
+// options outside their domain.
 func Run(id string, o Options) (*Table, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)",
 			id, strings.Join(IDs(), ", "))
 	}
-	return r(o.normalized()), nil
+	o, err := o.normalized()
+	if err != nil {
+		return nil, err
+	}
+	return r(o), nil
 }
 
 // MustRun is Run for known-good IDs.

@@ -7,8 +7,8 @@ import (
 	"flashdc/internal/dram"
 	"flashdc/internal/hier"
 	"flashdc/internal/sched"
-	"flashdc/internal/server"
 	"flashdc/internal/sim"
+	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -39,14 +39,7 @@ func ablateReadahead(o Options) *Table {
 			ReadAhead:  ra,
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew("SPECWeb99", o.Scale, o.Seed+59)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
+		warmAndMeasure(s, workload.MustNew("SPECWeb99", o.Scale, o.Seed+59), 2*requests, requests)
 		st := s.Stats()
 		t.AddRow(ra,
 			st.AvgLatency().Microseconds(),
@@ -78,24 +71,9 @@ func loadSweep(o Options) *Table {
 			FlashBytes: int64(float64(flash) * o.Scale),
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew("dbt2", o.Scale, o.Seed+61)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
+		warmAndMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+61), 2*requests, requests)
 		s.Drain()
-		st := s.Stats()
-		elapsed := server.Default().Elapsed(st.Requests, st.AvgLatency())
-		if db := s.DiskBusy(); db > elapsed {
-			elapsed = db
-		}
-		if fb := s.FlashBusy(); fb > elapsed {
-			elapsed = fb
-		}
-		return s, elapsed
+		return s, busyElapsed(s)
 	}
 	base, basePeak := run(512<<20, 0)
 	hybrid, hybridPeak := run(256<<20, 1<<30)
@@ -207,18 +185,14 @@ func gcContention(o Options) *Table {
 		var hitLat sim.Duration
 		for i := 0; i < requests; i++ {
 			lba := int64(rng.Uint64n(uint64(wss)))
-			var lat sim.Duration
+			op := trace.OpRead
 			if rng.Bool(0.5) {
-				lat = c.Write(lba)
-			} else {
-				out := c.Read(lba)
-				if out.Hit {
-					hits++
-					hitLat += out.Latency
-				} else {
-					lat = c.Insert(lba)
-				}
-				lat += out.Latency
+				op = trace.OpWrite
+			}
+			lat, hit := flashAccess(c, op, lba)
+			if hit {
+				hits++
+				hitLat += lat
 			}
 			// Closed loop: the host issues the next operation only
 			// after the previous one completes.
@@ -266,14 +240,7 @@ func ablatePDC(o Options) *Table {
 			PDCPolicy:  pc.policy,
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew("dbt2", o.Scale, o.Seed+73)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
+		warmAndMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+73), 2*requests, requests)
 		st := s.Stats()
 		pages := st.ReadPages + st.WritePages
 		t.AddRow(pc.name,

@@ -6,6 +6,7 @@ import (
 	"flashdc/internal/core"
 	"flashdc/internal/fault"
 	"flashdc/internal/sim"
+	"flashdc/internal/trace"
 )
 
 func init() {
@@ -53,11 +54,11 @@ func faultSweep(o Options) *Table {
 		footprint := 2 * int64(float64(64<<20)*o.Scale) / 2048
 		for i := 0; i < requests && !c.Dead(); i++ {
 			lba := int64(rng.Intn(int(footprint)))
+			op := trace.OpRead
 			if rng.Bool(0.3) {
-				c.Write(lba)
-			} else if !c.Read(lba).Hit {
-				c.Insert(lba)
+				op = trace.OpWrite
 			}
+			flashAccess(c, op, lba)
 		}
 		integrity := "ok"
 		if err := c.CheckIntegrity(); err != nil {

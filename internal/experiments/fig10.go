@@ -44,16 +44,9 @@ func fig10(o Options) *Table {
 			Flash:      fc,
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew(bench, o.Scale, o.Seed+11)
 		// Warm, then measure: the decode penalty only shows once the
 		// Flash tier is serving hits.
-		for i := 0; i < 2*requests; i++ {
-			sys.Handle(g.Next())
-		}
-		sys.ResetStats()
-		for i := 0; i < requests; i++ {
-			sys.Handle(g.Next())
-		}
+		warmAndMeasure(sys, workload.MustNew(bench, o.Scale, o.Seed+11), 2*requests, requests)
 		return srv.Bandwidth(sys.Stats().AvgLatency())
 	}
 

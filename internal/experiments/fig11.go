@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
-	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -48,18 +47,7 @@ func fig11(o Options) *Table {
 		// mid-run rather than racing to end of life.
 		cfg.WearAcceleration = 150
 		c := core.New(cfg)
-		for i := 0; i < requests && !c.Dead(); i++ {
-			r := g.Next()
-			r.Expand(func(lba int64) {
-				if r.Op == trace.OpWrite {
-					c.Write(lba)
-					return
-				}
-				if !c.Read(lba).Hit {
-					c.Insert(lba)
-				}
-			})
-		}
+		replayFlash(c, g, requests, nil)
 		gl := c.Global()
 		total := gl.ECCReconfigs + gl.DensityReconfigs
 		if total == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
+	"flashdc/internal/sim"
 	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
@@ -76,18 +77,6 @@ func fig12Lifetime(o Options, name string, programmable bool, budget int) int64 
 	cfg.WearAcceleration = 20000
 	c := core.New(cfg)
 	var accesses int64
-	for i := 0; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			accesses++
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			if !c.Read(lba).Hit {
-				c.Insert(lba)
-			}
-		})
-	}
+	replayFlash(c, g, budget, func(int, trace.Op, sim.Duration, bool) { accesses++ })
 	return accesses
 }

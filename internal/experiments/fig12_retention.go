@@ -5,7 +5,6 @@ import (
 
 	"flashdc/internal/core"
 	"flashdc/internal/sim"
-	"flashdc/internal/trace"
 	"flashdc/internal/wear"
 	"flashdc/internal/workload"
 )
@@ -95,13 +94,7 @@ func fig12RetentionLifetime(o Options, name string, programmable bool, budget in
 		r.Expand(func(lba int64) {
 			accesses++
 			clk.Advance(fig12RetentionOpPeriod)
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			if !c.Read(lba).Hit {
-				c.Insert(lba)
-			}
+			flashAccess(c, r.Op, lba)
 		})
 	}
 	return accesses, c.Stats()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
+	"flashdc/internal/sim"
 	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
@@ -42,32 +43,32 @@ func fig4Run(o Options, flashBytes int64, split bool, requests int) float64 {
 	cfg.Split = split
 	cfg.Programmable = false // isolate the organisation effect
 	cfg.Seed = o.Seed
-	c := core.New(cfg)
-	g := workload.MustNew("dbt2", o.Scale, o.Seed+3)
+	miss, _ := readMiss(core.New(cfg), workload.MustNew("dbt2", o.Scale, o.Seed+3), requests/2, requests)
+	return miss
+}
 
-	warm := requests / 2
+// readMiss replays n requests of g through c and returns the read miss
+// rate and mean hit latency over the requests from index warm on.
+func readMiss(c *core.Cache, g stream, warm, n int) (float64, sim.Duration) {
 	var reads, misses int64
-	for i := 0; i < requests; i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			out := c.Read(lba)
-			if i >= warm {
-				reads++
-				if !out.Hit {
-					misses++
-				}
-			}
-			if !out.Hit {
-				c.Insert(lba)
-			}
-		})
-	}
+	var hitLat sim.Duration
+	replayFlash(c, g, n, func(i int, op trace.Op, lat sim.Duration, hit bool) {
+		if i < warm || op == trace.OpWrite {
+			return
+		}
+		reads++
+		if hit {
+			hitLat += lat
+		} else {
+			misses++
+		}
+	})
 	if reads == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(misses) / float64(reads)
+	var avgHit sim.Duration
+	if hits := reads - misses; hits > 0 {
+		avgHit = sim.Duration(int64(hitLat) / hits)
+	}
+	return float64(misses) / float64(reads), avgHit
 }

@@ -5,7 +5,6 @@ import (
 
 	"flashdc/internal/hier"
 	"flashdc/internal/power"
-	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/workload"
 )
@@ -92,25 +91,12 @@ func fig9Run(o Options, bench string, dramBytes, flashBytes int64, requests int)
 		FlashBytes: int64(float64(flashBytes) * o.Scale),
 		Seed:       o.Seed,
 	})
-	g := workload.MustNew(bench, o.Scale, o.Seed+7)
 	// Warm the caches thoroughly — the Flash tier only fills on PDC
 	// misses, so it converges slowly — then measure steady state.
-	for i := 0; i < 3*requests; i++ {
-		s.Handle(g.Next())
-	}
-	s.ResetStats()
-	for i := 0; i < requests; i++ {
-		s.Handle(g.Next())
-	}
+	warmAndMeasure(s, workload.MustNew(bench, o.Scale, o.Seed+7), 3*requests, requests)
 	s.Drain()
 	st := s.Stats()
-	elapsed := server.Default().Elapsed(st.Requests, st.AvgLatency())
-	if db := s.DiskBusy(); db > elapsed {
-		elapsed = db
-	}
-	if fb := s.FlashBusy(); fb > elapsed {
-		elapsed = fb
-	}
+	elapsed := busyElapsed(s)
 	if elapsed <= 0 {
 		elapsed = sim.Duration(1)
 	}

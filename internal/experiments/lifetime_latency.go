@@ -59,18 +59,16 @@ func lifetimeLatency(o Options) *Table {
 	for ; i < budget && !c.Dead(); i++ {
 		r := g.Next()
 		r.Expand(func(lba int64) {
+			lat, hit := flashAccess(c, r.Op, lba)
 			if r.Op == trace.OpWrite {
-				c.Write(lba)
 				return
 			}
-			out := c.Read(lba)
 			cur.reads++
-			if out.Hit {
+			if hit {
 				cur.hits++
-				cur.hitLat += out.Latency
+				cur.hitLat += lat
 			} else {
 				cur.misses++
-				c.Insert(lba)
 			}
 		})
 		if (i+1)%sample == 0 {

@@ -5,6 +5,7 @@ import (
 
 	"flashdc/internal/core"
 	"flashdc/internal/policy"
+	"flashdc/internal/sim"
 	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
@@ -77,9 +78,7 @@ type policyStats struct {
 // acceleration, and reports the traffic counters.
 func policyFidelityRun(o Options, ps policy.Set, budget int) policyStats {
 	c, g := policyCache(o, ps, 1)
-	for i := 0; i < budget && !c.Dead(); i++ {
-		policyStep(c, g.Next())
-	}
+	replayFlash(c, g, budget, nil)
 	ds := c.DeviceStats()
 	return policyStats{Stats: c.Stats(), programs: ds.Programs, erases: ds.Erases}
 }
@@ -89,11 +88,7 @@ func policyFidelityRun(o Options, ps policy.Set, budget int) policyStats {
 func policyLifetimeRun(o Options, ps policy.Set, budget int) int64 {
 	c, g := policyCache(o, ps, policyWearAccel)
 	var accesses int64
-	for i := 0; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(int64) { accesses++ })
-		policyStep(c, r)
-	}
+	replayFlash(c, g, budget, func(int, trace.Op, sim.Duration, bool) { accesses++ })
 	return accesses
 }
 
@@ -104,19 +99,4 @@ func policyCache(o Options, ps policy.Set, wearAccel float64) (*core.Cache, work
 	cfg.WearAcceleration = wearAccel
 	cfg.Policies = ps
 	return core.New(cfg), g
-}
-
-func policyStep(c *core.Cache, r trace.Request) {
-	r.Expand(func(lba int64) {
-		if c.Dead() {
-			return
-		}
-		if r.Op == trace.OpWrite {
-			c.Write(lba)
-			return
-		}
-		if !c.Read(lba).Hit {
-			c.Insert(lba)
-		}
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"flashdc/internal/policy"
 	"flashdc/internal/sched"
 	"flashdc/internal/sim"
+	"flashdc/internal/trace"
 )
 
 func init() { register("sched_feedback", schedFeedback) }
@@ -65,11 +66,7 @@ func schedFeedback(o Options) *Table {
 			// refills during measurement always pass the admission filter.
 			for pass := 0; pass < 2; pass++ {
 				for lba := int64(0); lba < hot; lba++ {
-					out := c.Read(lba)
-					lat := out.Latency
-					if !out.Hit {
-						lat += c.Insert(lba)
-					}
+					lat, _ := flashAccess(c, trace.OpRead, lba)
 					clock.Advance(lat + 10*sim.Microsecond)
 				}
 			}
@@ -94,13 +91,9 @@ func schedFeedback(o Options) *Table {
 				// channels and banks.
 				for i := 0; i < readLen; i++ {
 					reads++
-					lba := int64(rng.Uint64n(uint64(hot)))
-					out := c.Read(lba)
-					lat := out.Latency
-					if out.Hit {
+					lat, hit := flashAccess(c, trace.OpRead, int64(rng.Uint64n(uint64(hot))))
+					if hit {
 						hits++
-					} else {
-						lat += c.Insert(lba)
 					}
 					lats.Observe(lat)
 					clock.Advance(lat + 50*sim.Microsecond)

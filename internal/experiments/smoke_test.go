@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // paperArtifacts are the tables and figures of the paper's evaluation;
 // each must have a registered runner.
@@ -41,5 +44,20 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatal("empty rendering")
 			}
 		})
+	}
+}
+
+// TestRunRejectsBadOptions: a scale outside [0, 1] or a negative
+// request budget is an error, not a silently substituted default.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, o := range []Options{
+		{Scale: 2},
+		{Scale: -0.5},
+		{Scale: math.NaN()},
+		{Requests: -5},
+	} {
+		if _, err := Run("table1", o); err == nil {
+			t.Errorf("Run accepted %+v", o)
+		}
 	}
 }
