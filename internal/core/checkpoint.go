@@ -183,7 +183,7 @@ func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 		}
 		for s, slot := range ck.Pages[b] {
 			for sub, st := range slot {
-				if err := checkPage(b, s, sub, st.Strength, st.StagedStrength, st.Mode, st.StagedMode); err != nil {
+				if err := c.checkPage(b, s, sub, st.Strength, st.StagedStrength, st.Mode, st.StagedMode); err != nil {
 					return fmt.Errorf("core: checkpoint %v", err)
 				}
 			}

@@ -62,9 +62,6 @@ type Config struct {
 	// density control). When false the cache runs the fixed "BCH 1
 	// error correcting controller" baseline of Figure 12.
 	Programmable bool
-	// BaseStrength is the ECC strength pages start at (paper
-	// baseline: 1).
-	BaseStrength ecc.Strength
 	// InitialMode is the starting cell density (paper: MLC).
 	InitialMode wear.Mode
 	// HotSaturation is the saturating access-counter ceiling that
@@ -168,7 +165,6 @@ func DefaultConfig(flashBytes int64) Config {
 		Split:         true,
 		ReadFraction:  0.9,
 		Programmable:  true,
-		BaseStrength:  1,
 		InitialMode:   wear.MLC,
 		HotSaturation: 64,
 		WearThreshold: 256,
@@ -178,6 +174,15 @@ func DefaultConfig(flashBytes int64) Config {
 		SigmaSpatial:  0.05,
 		MissPenalty:   4200 * sim.Microsecond,
 	}
+}
+
+// baseStrength is the ECC strength pages start at: the forced
+// strength of the Figure 10 study, else the paper's baseline of 1.
+func (cfg *Config) baseStrength() ecc.Strength {
+	if cfg.ForcedStrength != 0 {
+		return cfg.ForcedStrength
+	}
+	return 1
 }
 
 // Region indices.
@@ -387,17 +392,10 @@ func New(cfg Config) *Cache {
 	if cfg.ReadFraction <= 0 || cfg.ReadFraction >= 1 {
 		panic(fmt.Sprintf("core: read fraction %v outside (0,1)", cfg.ReadFraction))
 	}
-	if cfg.BaseStrength == 0 {
-		cfg.BaseStrength = 1
-	}
-	if err := cfg.BaseStrength.Validate(); err != nil {
-		panic(err)
-	}
 	if cfg.ForcedStrength != 0 {
 		if cfg.ForcedStrength < 1 || cfg.ForcedStrength > 64 {
 			panic(fmt.Sprintf("core: forced strength %d outside [1,64]", cfg.ForcedStrength))
 		}
-		cfg.BaseStrength = cfg.ForcedStrength
 		cfg.Programmable = false
 	}
 	if cfg.HotSaturation == 0 {
@@ -462,7 +460,7 @@ func New(cfg Config) *Cache {
 			FactoryBadBlocks: factoryBad,
 		}),
 		fcht:         mustTable(tables.NewFCHT(blocks)),
-		fpst:         mustTable(tables.NewFPST(blocks, cfg.BaseStrength, cfg.InitialMode, cfg.HotSaturation)),
+		fpst:         mustTable(tables.NewFPST(blocks, cfg.baseStrength(), cfg.InitialMode, cfg.HotSaturation)),
 		fbst:         mustTable(tables.NewFBST(blocks, cfg.K1, cfg.K2)),
 		lat:          ecc.DefaultLatencyModel(),
 		meta:         make([]blockMeta, blocks),
@@ -474,38 +472,28 @@ func New(cfg Config) *Cache {
 		c.cfg.Backing = &discard{}
 	}
 
+	c.regions = []*region{newRegion(readRegion)}
+	readBlocks := blocks
 	if cfg.Split {
-		readBlocks := int(float64(blocks) * cfg.ReadFraction)
+		readBlocks = int(float64(blocks) * cfg.ReadFraction)
 		if readBlocks < 2 {
 			readBlocks = 2
 		}
 		if blocks-readBlocks < 2 {
 			readBlocks = blocks - 2
 		}
-		c.regions = []*region{
-			newRegion(readRegion),
-			newRegion(writeRegion),
+		c.regions = append(c.regions, newRegion(writeRegion))
+	}
+	for b := 0; b < blocks; b++ {
+		r := readRegion
+		if b >= readBlocks {
+			r = writeRegion
 		}
-		for b := 0; b < blocks; b++ {
-			r := readRegion
-			if b >= readBlocks {
-				r = writeRegion
-			}
-			c.meta[b].region = r
-			if c.markFactoryBad(b) {
-				continue
-			}
-			c.regions[r].addFree(b)
+		c.meta[b].region = r
+		if c.markFactoryBad(b) {
+			continue
 		}
-	} else {
-		c.regions = []*region{newRegion(readRegion)}
-		for b := 0; b < blocks; b++ {
-			c.meta[b].region = readRegion
-			if c.markFactoryBad(b) {
-				continue
-			}
-			c.regions[readRegion].addFree(b)
-		}
+		c.regions[r].addFree(b)
 	}
 	for _, r := range c.regions {
 		if r.blocks < 2 {
@@ -572,14 +560,6 @@ func (c *Cache) Blocks() int { return c.dev.Blocks() }
 // EraseCount returns the erase cycles block b has endured, for
 // wear-levelling studies.
 func (c *Cache) EraseCount(b int) int { return c.dev.EraseCount(b) }
-
-// writeRegionIndex returns the region that absorbs writes.
-func (c *Cache) writeRegionIndex() int {
-	if len(c.regions) == 2 {
-		return writeRegion
-	}
-	return readRegion
-}
 
 // ResetDeviceStats zeroes the Flash device operation counters (e.g.
 // after warmup); wear state and cache contents are untouched. The

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"flashdc/internal/ecc"
@@ -142,6 +144,47 @@ func TestForcedStrengthPinsPages(t *testing.T) {
 	}
 	if c.Stats().Promotions != 0 {
 		t.Fatal("forced-strength cache promoted a page")
+	}
+}
+
+// TestForcedStrengthRoundTrip pins that a cache accepts its own
+// metadata image and checkpoint at a forced strength beyond the
+// controller limit: the Figure 10 caches go up to 64, so rejecting
+// them would cold-start recovery and bypass the tier.
+func TestForcedStrengthRoundTrip(t *testing.T) {
+	for _, s := range []ecc.Strength{12, 16} {
+		t.Run(fmt.Sprint(s), func(t *testing.T) {
+			cfg := DefaultConfig(8 * testMB)
+			cfg.ForcedStrength = s
+			cfg.Seed = 47
+			c := New(cfg)
+			for lba := int64(0); lba < 200; lba++ {
+				c.Insert(lba)
+				c.Write(1000 + lba)
+			}
+			var buf bytes.Buffer
+			if err := c.SaveMetadata(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadMetadata(cfg, &buf)
+			if err != nil {
+				t.Fatalf("metadata image: %v", err)
+			}
+			if loaded.ValidPages() != c.ValidPages() {
+				t.Fatalf("metadata image: valid pages %d != %d", loaded.ValidPages(), c.ValidPages())
+			}
+			ck, err := c.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := New(cfg)
+			if err := restored.Restore(ck); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			if d, ok := restored.DescriptorFor(1000); !ok || d.Strength != s {
+				t.Fatalf("checkpoint: descriptor %+v, want strength %d", d, s)
+			}
+		})
 	}
 }
 

@@ -83,11 +83,6 @@ func TestNewValidation(t *testing.T) {
 			cfg.Watermark = 2
 			New(cfg)
 		},
-		func() {
-			cfg := DefaultConfig(8 * testMB)
-			cfg.BaseStrength = 13
-			New(cfg)
-		},
 	} {
 		func() {
 			defer func() {
@@ -547,7 +542,7 @@ func TestDefaultConfigValues(t *testing.T) {
 	if !cfg.Split || cfg.ReadFraction != 0.9 || !cfg.Programmable {
 		t.Fatal("defaults do not match the paper")
 	}
-	if cfg.BaseStrength != 1 || cfg.InitialMode != wear.MLC {
+	if cfg.baseStrength() != 1 || cfg.InitialMode != wear.MLC {
 		t.Fatal("base controller config wrong")
 	}
 	if cfg.Watermark != 0.90 {

@@ -223,7 +223,8 @@ func (c *Cache) Write(lba int64) sim.Duration {
 		c.maybeScrub()
 		return lat
 	}
-	r := c.regions[c.writeRegionIndex()]
+	// The write region is the last one: the unified cache has only one.
+	r := c.regions[len(c.regions)-1]
 	addr, lat := c.allocProgram(r, c.allocMode(), lba)
 	if !c.dead && c.sched.BufferActive() {
 		// Delayed writeback: the program's device state is already
@@ -265,21 +266,11 @@ func (c *Cache) Flush() int {
 	}
 	n := 0
 	r := c.regions[writeRegion]
-	flushBlock := func(b int) {
-		c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
-		for _, a := range c.pagesScratch {
-			st := c.fpst.At(a)
-			c.cfg.Backing.WritePage(st.LBA)
-			c.stats.FlushedPages++
-			c.invalidate(a)
-			n++
-		}
-	}
 	if r.open >= 0 {
-		flushBlock(r.open)
+		n += c.dropValid(r.open, false)
 	}
 	for e := r.lru.Front(); e != nil; e = e.Next() {
-		flushBlock(e.Value.(int))
+		n += c.dropValid(e.Value.(int), false)
 	}
 	return n
 }

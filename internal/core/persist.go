@@ -179,9 +179,11 @@ func (c *Cache) checkBlock(b int, state uint8, region, cursorSlot, cursorSub int
 }
 
 // checkPage rejects a page's ECC strengths or density modes outside
-// what the codec and the device support.
-func checkPage(b, s, sub int, strength, staged ecc.Strength, mode, stagedMode wear.Mode) error {
-	if strength < 1 || strength > ecc.MaxStrength || staged < 1 || staged > ecc.MaxStrength {
+// what this cache can hold: strengths up to the controller's limit, or
+// up to the pinned strength of a ForcedStrength cache beyond it.
+func (c *Cache) checkPage(b, s, sub int, strength, staged ecc.Strength, mode, stagedMode wear.Mode) error {
+	limit := max(ecc.MaxStrength, c.cfg.ForcedStrength)
+	if strength < 1 || strength > limit || staged < 1 || staged > limit {
 		return fmt.Errorf("page b%d/s%d/%d ECC strength %d/%d out of range", b, s, sub, strength, staged)
 	}
 	if mode > wear.MLC || stagedMode > wear.MLC {
@@ -234,7 +236,7 @@ func validateImage(c *Cache, img *persistImage) error {
 		for s := 0; s < nand.SlotsPerBlock; s++ {
 			for sub := 0; sub < 2; sub++ {
 				pp := &img.Pages[b][s][sub]
-				if err := checkPage(b, s, sub, pp.Strength, pp.StagedStrength, pp.Mode, pp.StagedMode); err != nil {
+				if err := c.checkPage(b, s, sub, pp.Strength, pp.StagedStrength, pp.Mode, pp.StagedMode); err != nil {
 					return fmt.Errorf("%w: %v", ErrCorruptMetadata, err)
 				}
 				if !pp.Valid {

@@ -127,7 +127,7 @@ func newPolicies(c *Cache, s policy.Set) (evictPolicy, admitPolicy, gcPolicy) {
 	case policy.GCCostBenefit:
 		gc = costBenefitGC{}
 	case policy.GCWindowedGreedy:
-		gc = windowedGreedyGC{window: windowedGCWindow}
+		gc = greedyGC{window: windowedGCWindow}
 	case policy.GCContentionAware:
 		gc = &contentionGC{}
 	default:
@@ -271,20 +271,26 @@ func (a *throttleAdmit) restore(entries []policy.AdmitEntry) error {
 
 // greedyGC is the paper's collector: the most-invalid block wins, and
 // (unless the watermark forces collection) the victim must be at least
-// half invalid to pay for its relocation traffic.
-type greedyGC struct{}
+// half invalid to pay for its relocation traffic. A non-zero window
+// is the windowed variant from the GC survey: only the window
+// least-recently-used blocks are candidates, which supplies an age
+// preference (only cold blocks qualify) at O(window) per scan; 0 scans
+// the whole LRU.
+type greedyGC struct{ window int }
 
-func (greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
+func (p greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
 	best := -1
 	bestInvalid := 0
 	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
+	n := 0
+	for e := r.lru.Back(); e != nil && (p.window == 0 || n < p.window); e = e.Prev() {
 		b := e.Value.(int)
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
 		if invalid > bestInvalid {
 			best, bestInvalid, bestElem = b, invalid, e
 		}
+		n++
 	}
 	if best < 0 {
 		return nil, 0
@@ -339,6 +345,10 @@ func (costBenefitGC) victim(c *Cache, r *region, force bool) (*list.Element, int
 	}
 	return bestElem, bestInvalid
 }
+
+// windowedGCWindow is the windowed-greedy window size: the candidate
+// set is the W least-recently-used blocks.
+const windowedGCWindow = 8
 
 // contentionGC is scheduler-informed victim selection: greedy's
 // reclaimable-benefit signal (invalid pages) picks the nominal victim,
@@ -429,37 +439,4 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 		}
 	}
 	return bestElem, chosenInvalid
-}
-
-// windowedGCWindow is the windowed-greedy window size: the candidate
-// set is the W least-recently-used blocks.
-const windowedGCWindow = 8
-
-// windowedGreedyGC is the windowed variant from the GC survey: greedy
-// victim selection restricted to a window of LRU-tail blocks. The
-// window supplies the age preference (only cold blocks are
-// candidates) while keeping greedy's O(window) scan.
-type windowedGreedyGC struct{ window int }
-
-func (p windowedGreedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
-	best := -1
-	bestInvalid := 0
-	var bestElem *list.Element
-	n := 0
-	for e := r.lru.Back(); e != nil && n < p.window; e = e.Prev() {
-		b := e.Value.(int)
-		m := &c.meta[b]
-		invalid := m.consumed - m.valid
-		if invalid > bestInvalid {
-			best, bestInvalid, bestElem = b, invalid, e
-		}
-		n++
-	}
-	if best < 0 {
-		return nil, 0
-	}
-	if m := &c.meta[best]; !force && bestInvalid*2 < m.consumed {
-		return nil, 0
-	}
-	return bestElem, bestInvalid
 }

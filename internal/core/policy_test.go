@@ -139,7 +139,7 @@ func TestGCVictimSelection(t *testing.T) {
 	if e, inv := (greedyGC{}).victim(c, r, false); e.Value.(int) != 0 || inv != 118 {
 		t.Fatalf("greedy picked block %d (%d invalid), want 0 (118)", e.Value.(int), inv)
 	}
-	if e, _ := (windowedGreedyGC{window: 2}).victim(c, r, false); e.Value.(int) != 2 {
+	if e, _ := (greedyGC{window: 2}).victim(c, r, false); e.Value.(int) != 2 {
 		t.Fatalf("windowed greedy picked block %d, want 2 (most invalid inside the tail window)", e.Value.(int))
 	}
 	// Cost-benefit: block 0 scores (118/128)/(2*10/128)*100 ~ 590,
@@ -163,7 +163,7 @@ func TestGCVictimSelection(t *testing.T) {
 	if e, _ := (costBenefitGC{}).victim(c, r2, false); e != nil {
 		t.Fatal("cost-benefit collected a low-payoff block without force")
 	}
-	if e, _ := (windowedGreedyGC{window: 8}).victim(c, r2, false); e != nil {
+	if e, _ := (greedyGC{window: 8}).victim(c, r2, false); e != nil {
 		t.Fatal("windowed greedy collected a low-payoff block without force")
 	}
 	if e, _ := (greedyGC{}).victim(c, r2, true); e == nil {

@@ -129,23 +129,64 @@ func (c *Cache) retire(b int) {
 		return
 	}
 	c.eventRetire(b, m.valid)
+	c.dropValid(b, false)
+	c.detach(b)
+	r := c.regions[m.region]
+	r.blocks--
+	m.state = blockRetired
+	c.dev.Retire(b)
+	c.fbst.At(b).Retired = true
+	c.stats.RetiredBlocks++
+	if r.blocks < 2 {
+		c.dead = true
+	}
+}
+
+// dirty reports whether region r's pages are dirty: only the write
+// region of a split cache holds data the disk has not seen (section
+// 3.5). The unified baseline keeps no per-page dirty bit, so it never
+// writes back.
+func (c *Cache) dirty(r *region) bool { return len(c.regions) == 2 && r.id == writeRegion }
+
+// writeBack flushes one dirty page to the backing store.
+func (c *Cache) writeBack(lba int64) {
+	c.stats.FlushedPages++
+	c.cfg.Backing.WritePage(lba)
+}
+
+// dropValid invalidates every valid page of block b, writing the dirty
+// ones back first, and returns how many it dropped. marginal marks a
+// capacity eviction, whose dropped pages feed the marginal-utility
+// estimate of the section 5.2.1 heuristics.
+func (c *Cache) dropValid(b int, marginal bool) int {
+	dirty := c.dirty(c.regions[c.meta[b].region])
 	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
 	for _, a := range c.pagesScratch {
 		st := c.fpst.At(a)
-		if m.region == c.writeRegionIndex() && len(c.regions) == 2 {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(st.LBA)
+		if marginal {
+			c.noteMarginal(st)
+		}
+		if dirty {
+			c.writeBack(st.LBA)
 		}
 		c.invalidate(a)
 	}
+	return len(c.pagesScratch)
+}
+
+// detach takes block b out of its region's tallies and out of whichever
+// of the open slot, the LRU list or the free list holds it. The block
+// keeps its region tag and population count.
+func (c *Cache) detach(b int) {
+	m := &c.meta[b]
 	r := c.regions[m.region]
 	if c.tallied(b) {
 		c.tally(b, -1)
 	}
 	switch m.state {
 	case blockOpen:
-		// Guard against a block tagged open while detached from the
-		// region (mid-migration): only clear the slot it occupies.
+		// A block tagged open while detached from the region
+		// (mid-migration) occupies no slot.
 		if r.open == b {
 			r.open = -1
 		}
@@ -162,14 +203,56 @@ func (c *Cache) retire(b int) {
 			}
 		}
 	}
-	r.blocks--
-	m.state = blockRetired
-	c.dev.Retire(b)
-	c.fbst.At(b).Retired = true
-	c.stats.RetiredBlocks++
-	if r.blocks < 2 {
-		c.dead = true
+}
+
+// reuse returns the just-erased block b to region r's free list (it
+// never left the population) and gives the section 3.6 wear rotation
+// its chance to claim it. A block the erase retired stays out.
+func (c *Cache) reuse(r *region, b int) {
+	if c.meta[b].state != blockFree {
+		return
 	}
+	r.free = append(r.free, b)
+	if c.evictPol.rotate() {
+		c.maybeWearRotate(b)
+	}
+}
+
+// relocate moves the valid page a out-of-place into fresh space in
+// region r, preserving its density, access heat and staged strength,
+// and books the read and the program as background device work. stage
+// marks a page that proved too weak for its configuration: the section
+// 5.2.1 response is staged on the source slot so the block's next
+// erase hardens it. It returns the new address and the background time
+// spent; ok is false when allocation killed the cache (mass
+// retirement), in which case the page is written back if dirty rather
+// than lost.
+func (c *Cache) relocate(a nand.Addr, r *region, stage bool) (dst nand.Addr, t sim.Duration, ok bool) {
+	src := c.fpst.At(a)
+	lba, mode, access, staged := src.LBA, src.Mode, src.Access, src.StagedStrength
+	res, err := c.dev.Read(a)
+	if err != nil {
+		panic(err)
+	}
+	t = res.Latency
+	c.sched.Background(a.Block, sched.OpRead, res.Latency)
+	if stage && c.cfg.Programmable {
+		c.reconfigure(a.Block, a, res.BitErrors, c.pageFreq(src))
+	}
+	c.invalidate(a)
+	dst, lat := c.allocProgram(r, mode, lba)
+	if c.dead {
+		if c.dirty(r) {
+			c.writeBack(lba)
+		}
+		return nand.Addr{}, t, false
+	}
+	c.sched.Background(dst.Block, sched.OpProgram, lat)
+	d := c.fpst.At(dst)
+	d.Access = access
+	d.StagedStrength = maxStrength(d.StagedStrength, staged)
+	c.fcht.Put(lba, dst)
+	return dst, t + lat, true
 }
 
 // reclaim produces at least one free block (or usable open-block
@@ -183,26 +266,15 @@ func (c *Cache) reclaim(r *region) {
 	for e := r.lru.Back(); e != nil; e = e.Prev() {
 		b := e.Value.(int)
 		if c.meta[b].valid == 0 {
-			c.tally(b, -1)
-			r.lru.Remove(e)
-			c.meta[b].elem = nil
+			c.detach(b)
 			c.stats.GCRuns++
 			c.stats.GCTime += c.applyStagedAndErase(b)
-			if c.meta[b].state == blockFree {
-				r.addFreeReclaimed(b)
-				if c.evictPol.rotate() {
-					c.maybeWearRotate(b)
-				}
-			}
+			c.reuse(r, b)
 			return
 		}
 	}
 	c.evict(r)
 }
-
-// addFreeReclaimed returns an erased block to the free list without
-// recounting it in the population (it never left).
-func (r *region) addFreeReclaimed(b int) { r.free = append(r.free, b) }
 
 // evict removes one block's content to make space. Victim selection
 // is the eviction policy's call — the default wear-lru policy takes
@@ -224,11 +296,7 @@ func (c *Cache) evict(r *region) {
 			return
 		}
 	}
-	victim := victimElem.Value.(int)
-	c.evictBlock(victim)
-	if c.evictPol.rotate() && c.meta[victim].state == blockFree {
-		c.maybeWearRotate(victim)
-	}
+	c.evictBlock(victimElem.Value.(int))
 }
 
 // newestActive finds the active block with minimum degree of wear
@@ -259,33 +327,12 @@ func (c *Cache) newestActive() (int, float64, bool) {
 // pages of block b, erases it and returns it to its region's free
 // list.
 func (c *Cache) evictBlock(b int) {
-	m := &c.meta[b]
-	r := c.regions[m.region]
-	dirty := m.region == c.writeRegionIndex() && len(c.regions) == 2
-	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
-	for _, a := range c.pagesScratch {
-		st := c.fpst.At(a)
-		c.noteMarginal(st)
-		if dirty {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(st.LBA)
-		}
-		c.invalidate(a)
-	}
-	if c.tallied(b) {
-		c.tally(b, -1)
-	}
-	if m.state == blockActive && m.elem != nil {
-		r.lru.Remove(m.elem)
-		m.elem = nil
-	} else if m.state == blockOpen {
-		r.open = -1
-	}
+	r := c.regions[c.meta[b].region]
+	c.dropValid(b, true)
+	c.detach(b)
 	c.stats.Evictions++
 	c.applyStagedAndErase(b)
-	if c.meta[b].state == blockFree {
-		r.addFreeReclaimed(b)
-	}
+	c.reuse(r, b)
 }
 
 // maybeWearRotate implements the migration path of section 3.6 for a
@@ -324,17 +371,13 @@ func (c *Cache) maybeWearRotate(b int) bool {
 		return false
 	}
 
-	// Remove b from its free list; it is about to become active.
-	for i, fb := range homeRegion.free {
-		if fb == b {
-			homeRegion.free = append(homeRegion.free[:i], homeRegion.free[i+1:]...)
-			break
-		}
-	}
+	// Take b off its free list; it is about to become active.
+	c.detach(b)
 
 	// Migrate newest's content into b, preserving each page's density
 	// and strength demands.
 	vm.state = blockOpen
+	dirty := c.dirty(newestRegion)
 	for _, a := range content {
 		src := c.fpst.At(a)
 		lba := src.LBA
@@ -342,31 +385,27 @@ func (c *Cache) maybeWearRotate(b int) bool {
 		staged := src.StagedStrength
 		access := src.Access
 		c.invalidate(a)
-		dst, ok := c.migrateAlloc(b, mode)
-		if !ok {
-			// Cannot happen given the capacity check, but degrade
-			// safely: flush dirty data rather than lose it.
-			if nm.region == c.writeRegionIndex() && len(c.regions) == 2 {
-				c.stats.FlushedPages++
-				c.cfg.Backing.WritePage(lba)
-			}
-			continue
-		}
-		if _, err := c.dev.Program(dst, uint64(lba)); err != nil {
-			if errors.Is(err, nand.ErrProgramFailed) {
-				// Slot burned mid-migration: salvage the page the
-				// same way as a capacity shortfall. Retirement (if
-				// the block keeps failing) waits until b's region
-				// bookkeeping is consistent again.
+		dst, ok := c.allocIn(b, mode)
+		if ok {
+			if _, err := c.dev.Program(dst, uint64(lba)); err != nil {
+				if !errors.Is(err, nand.ErrProgramFailed) {
+					panic(err)
+				}
+				// Slot burned mid-migration. Retirement (if the block
+				// keeps failing) waits until b's region bookkeeping is
+				// consistent again.
 				c.stats.ProgramFailures++
 				c.noteProgramFailure(b, false)
-				if nm.region == c.writeRegionIndex() && len(c.regions) == 2 {
-					c.stats.FlushedPages++
-					c.cfg.Backing.WritePage(lba)
-				}
-				continue
+				ok = false
 			}
-			panic(err)
+		}
+		if !ok {
+			// No room (cannot happen given the capacity check) or a
+			// burned slot: flush dirty data rather than lose it.
+			if dirty {
+				c.writeBack(lba)
+			}
+			continue
 		}
 		c.meta[b].progFails = 0
 		d := c.fpst.At(dst)
@@ -385,11 +424,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	c.tally(b, 1)
 
 	// Erase the newest block and hand it to b's former region.
-	if nm.elem != nil {
-		c.tally(newest, -1)
-		newestRegion.lru.Remove(nm.elem)
-		nm.elem = nil
-	}
+	c.detach(newest)
 	c.applyStagedAndErase(newest)
 	if c.meta[newest].state == blockFree {
 		nm.region = homeRegion.id
@@ -398,42 +433,6 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	c.stats.WearSwaps++
 	c.eventWearRotate(b, newest, len(content))
 	return true
-}
-
-// migrateAlloc allocates the next page of the requested mode inside a
-// specific (open-for-migration) block, bypassing region allocation.
-func (c *Cache) migrateAlloc(b int, mode wear.Mode) (nand.Addr, bool) {
-	m := &c.meta[b]
-	for m.cursorSlot < nand.SlotsPerBlock {
-		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
-		if m.cursorSub == 0 {
-			if c.setMode(b, m.cursorSlot, mode) {
-				for sub := 0; sub < 2; sub++ {
-					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
-					st.Mode = mode
-					st.StagedMode = mode
-				}
-			}
-			m.consumed++
-			if mode == wear.MLC {
-				m.cursorSub = 1
-			} else {
-				m.cursorSlot++
-			}
-			return slotAddr, true
-		}
-		if mode == wear.MLC {
-			a := nand.Addr{Block: b, Slot: m.cursorSlot, Sub: 1}
-			m.cursorSlot++
-			m.cursorSub = 0
-			m.consumed++
-			return a, true
-		}
-		m.consumed++
-		m.cursorSlot++
-		m.cursorSub = 0
-	}
-	return nand.Addr{}, false
 }
 
 func maxStrength(a, b ecc.Strength) ecc.Strength {
@@ -460,74 +459,35 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 		return 0
 	}
 	best := bestElem.Value.(int)
-	m := &c.meta[best]
-	if c.freePagesIn(r) < m.valid+4 {
+	if c.freePagesIn(r) < c.meta[best].valid+4 {
 		return 0 // not enough headroom to relocate safely
 	}
 	c.eventGCStart(best, bestInvalid)
 	relocatedBefore := c.stats.GCRelocations
 	var t sim.Duration
-	dirty := r.id == c.writeRegionIndex() && len(c.regions) == 2
 	pages := c.validPagesOf(best)
-	c.tally(best, -1)
-	r.lru.Remove(bestElem)
-	m.elem = nil
-	m.state = blockActive // detached; erased below
+	c.detach(best) // erased below
 	for _, a := range pages {
-		src := c.fpst.At(a)
-		lba := src.LBA
-		mode := src.Mode
-		access := src.Access
-		staged := src.StagedStrength
-		res, err := c.dev.Read(a)
-		if err != nil {
-			panic(err)
-		}
-		t += res.Latency
-		c.sched.Background(a.Block, sched.OpRead, res.Latency)
-		c.invalidate(a)
-		dst, lat := c.allocProgram(r, mode, lba)
-		if c.dead {
-			// Allocation collapsed mid-relocation (mass retirement
-			// under a fault campaign): salvage the in-flight page.
-			if dirty {
-				c.stats.FlushedPages++
-				c.cfg.Backing.WritePage(lba)
-			}
+		_, lat, ok := c.relocate(a, r, false)
+		t += lat
+		if !ok {
 			break
 		}
-		t += lat
-		c.sched.Background(dst.Block, sched.OpProgram, lat)
-		d := c.fpst.At(dst)
-		d.Access = access
-		d.StagedStrength = maxStrength(d.StagedStrength, staged)
-		c.fcht.Put(lba, dst)
 		c.stats.GCRelocations++
 	}
 	c.stats.GCRuns++
-	// A dead break above leaves unrelocated pages behind; drop (after
-	// flushing dirty data) so the erase invariant holds.
-	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], best)
-	for _, a := range c.pagesScratch {
-		if dirty {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(c.fpst.At(a).LBA)
-		}
-		c.invalidate(a)
-	}
+	// A dead break above leaves unrelocated pages behind; drop them
+	// (after flushing dirty data) so the erase invariant holds.
+	c.dropValid(best, false)
 	if c.meta[best].state != blockRetired {
 		// The erase occupies only the victim's bank: sibling banks on
 		// the same channel stay serviceable, which is the contention
-		// relief channel/bank geometry buys GC-heavy workloads.
+		// relief channel/bank geometry buys GC-heavy workloads. It is
+		// booked before reuse, whose wear rotation books more work.
 		el := c.applyStagedAndErase(best)
 		t += el
 		c.sched.Background(best, sched.OpErase, el)
-		if c.meta[best].state == blockFree {
-			r.addFreeReclaimed(best)
-			if c.evictPol.rotate() {
-				c.maybeWearRotate(best)
-			}
-		}
+		c.reuse(r, best)
 	}
 	c.stats.GCTime += t
 	c.eventGCEnd(best, int(c.stats.GCRelocations-relocatedBefore), int64(t))

@@ -125,5 +125,5 @@ func (c *Cache) noteMarginal(st *tables.PageStatus) {
 
 // hitLatencySeed is the t_hit default before any hit is recorded.
 func (c *Cache) hitLatencySeed() sim.Duration {
-	return nand.DefaultTiming().ReadMLC + c.lat.DecodeLatencyClean(c.cfg.BaseStrength)
+	return nand.DefaultTiming().ReadMLC + c.lat.DecodeLatencyClean(c.cfg.baseStrength())
 }

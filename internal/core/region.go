@@ -173,12 +173,22 @@ func (c *Cache) setMode(b, s int, mode wear.Mode) bool {
 
 // tryAlloc returns the next free page of the open block matching the
 // requested density, advancing the cursor. ok is false when the open
-// block cannot serve the request (full, or absent).
+// block cannot serve the request (full, or absent); a full open block
+// moves to the active LRU.
 func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 	if r.open < 0 {
 		return nand.Addr{}, false
 	}
-	b := r.open
+	if addr, ok := c.allocIn(r.open, mode); ok {
+		return addr, true
+	}
+	c.closeOpen(r)
+	return nand.Addr{}, false
+}
+
+// allocIn walks block b's allocation cursor to the next free page of
+// the requested density and returns it; ok is false when b is full.
+func (c *Cache) allocIn(b int, mode wear.Mode) (nand.Addr, bool) {
 	m := &c.meta[b]
 	for m.cursorSlot < nand.SlotsPerBlock {
 		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
@@ -192,14 +202,13 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 					st.StagedMode = mode
 				}
 			}
-			addr := slotAddr
 			m.consumed++
 			if mode == wear.MLC {
 				m.cursorSub = 1
 			} else {
 				m.cursorSlot++
 			}
-			return addr, true
+			return slotAddr, true
 		}
 		// Slot is MLC with sub 0 consumed.
 		if mode == wear.MLC {
@@ -216,8 +225,6 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 		m.cursorSlot++
 		m.cursorSub = 0
 	}
-	// Open block exhausted: move it to the active LRU.
-	c.closeOpen(r)
 	return nand.Addr{}, false
 }
 
@@ -333,9 +340,9 @@ func (c *Cache) validPagesOf(b int) []nand.Addr {
 // returns the extended slice. Reclaim paths pass the cache-owned
 // pagesScratch buffer to stay off the allocator; a call site may only
 // do so when nothing in its iteration body can reach another
-// scratch-backed listing (retire and evictBlock both use the scratch,
-// so e.g. the GC relocation loop, whose allocProgram can retire a
-// block mid-flight, must not).
+// scratch-backed listing (dropValid uses the scratch, so e.g. the GC
+// relocation loop, whose allocProgram can retire a block mid-flight,
+// must not).
 func (c *Cache) appendValidPagesOf(dst []nand.Addr, b int) []nand.Addr {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
 		subs := 1

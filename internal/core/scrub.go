@@ -2,7 +2,6 @@ package core
 
 import (
 	"flashdc/internal/nand"
-	"flashdc/internal/sched"
 	"flashdc/internal/sim"
 	"flashdc/internal/wear"
 )
@@ -38,15 +37,16 @@ func (c *Cache) maybeScrub() {
 //
 // With retention or read disturb enabled this is a predictive refresh
 // pass: the decision for each valid page splits on what the predicted
-// errors are made of. Wear at or beyond capability takes the remap
-// path (scrubMigrate — relocate and stage a stronger configuration,
-// because the cells themselves have degraded); healthy cells whose
-// total predicted count (wear + retention dwell + accumulated disturb)
-// has climbed to RefreshThreshold of capability take the rewrite path
-// (refreshRewrite — relocate only, since fresh programming restarts
-// the dwell and the source block's eventual erase clears its disturb
-// counter). Both processes are deterministic functions of simulated
-// state, so the prediction equals what the next read would see.
+// errors are made of (scrubVerdict). Wear at or beyond capability
+// takes scrubPage's remap path (relocate and stage a stronger
+// configuration, because the cells themselves have degraded); healthy
+// cells whose total predicted count (wear + retention dwell +
+// accumulated disturb) has climbed to RefreshThreshold of capability
+// take its rewrite path (relocate only, since fresh programming
+// restarts the dwell and the source block's eventual erase clears its
+// disturb counter). Both processes are deterministic functions of
+// simulated state, so the prediction equals what the next read would
+// see.
 func (c *Cache) scrubStep() sim.Duration {
 	if c.dead {
 		return 0
@@ -62,19 +62,8 @@ func (c *Cache) scrubStep() sim.Duration {
 		}
 		scanned++
 		c.stats.ScrubScans++
-		st := c.fpst.At(a)
-		if !st.Valid {
-			continue
-		}
-		if c.dev.WearBitErrors(a) >= int(st.Strength) {
-			if !c.deferScrub(a) {
-				t += c.scrubMigrate(a)
-			}
-		} else if predictive &&
-			float64(c.dev.BitErrors(a)) >= c.cfg.RefreshThreshold*float64(st.Strength) {
-			if !c.deferScrub(a) {
-				t += c.refreshRewrite(a)
-			}
+		if move, atRisk := c.scrubVerdict(a, predictive); move && !c.deferScrub(a) {
+			t += c.scrubPage(a, atRisk)
 		}
 		if c.dead {
 			break
@@ -140,25 +129,15 @@ func (c *Cache) scrubDrainDeferred(predictive bool) sim.Duration {
 		if c.meta[a.Block].state == blockRetired {
 			continue
 		}
-		st := c.fpst.At(a)
-		if !st.Valid {
-			continue
-		}
-		atRisk := c.dev.WearBitErrors(a) >= int(st.Strength)
-		refresh := !atRisk && predictive &&
-			float64(c.dev.BitErrors(a)) >= c.cfg.RefreshThreshold*float64(st.Strength)
-		if !atRisk && !refresh {
+		move, atRisk := c.scrubVerdict(a, predictive)
+		if !move {
 			continue
 		}
 		if c.sched.BankWait(a.Block, c.clock.Now()) > scrubDeferWait {
 			kept = append(kept, a)
 			continue
 		}
-		if atRisk {
-			t += c.scrubMigrate(a)
-		} else {
-			t += c.refreshRewrite(a)
-		}
+		t += c.scrubPage(a, atRisk)
 		landed++
 	}
 	c.scrubDeferred = kept
@@ -204,82 +183,42 @@ func (c *Cache) nextScrubAddr() nand.Addr {
 	return nand.Addr{Block: -1}
 }
 
-// scrubMigrate relocates one at-risk page into fresh space in its own
-// region, preserving its density, access heat and staged strength, and
-// stages a stronger configuration on the source slot so the block's
-// next erase hardens it. Returns the background time spent.
-func (c *Cache) scrubMigrate(a nand.Addr) sim.Duration {
+// scrubVerdict classifies page a for the scrubber. move is false for
+// an invalid page and for one that needs nothing yet; otherwise atRisk
+// picks the path: wear alone has reached the page's correction
+// capability (remap), or else, on a predictive pass, the total
+// predicted error count has reached RefreshThreshold of it (refresh).
+func (c *Cache) scrubVerdict(a nand.Addr, predictive bool) (move, atRisk bool) {
 	st := c.fpst.At(a)
-	lba, mode, access, staged := st.LBA, st.Mode, st.Access, st.StagedStrength
-	region := c.regions[c.meta[a.Block].region]
-	res, err := c.dev.Read(a)
-	if err != nil {
-		return 0 // raced with retirement; nothing to save
+	if !st.Valid {
+		return false, false
 	}
-	t := res.Latency
-	c.sched.Background(a.Block, sched.OpRead, res.Latency)
-	if c.cfg.Programmable {
-		// The page proved too weak for its configuration: stage the
-		// section 5.2.1 response for its next life.
-		c.reconfigure(a.Block, a, res.BitErrors, c.pageFreq(st))
+	if c.dev.WearBitErrors(a) >= int(st.Strength) {
+		return true, true
 	}
-	c.invalidate(a)
-	dst, lat := c.allocProgram(region, mode, lba)
-	if c.dead {
-		// Allocation collapsed (mass retirement): the page can no
-		// longer live in Flash, so flush dirty data instead of losing it.
-		if region.id == c.writeRegionIndex() && len(c.regions) == 2 {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(lba)
-		}
-		return t
-	}
-	t += lat
-	c.sched.Background(dst.Block, sched.OpProgram, lat)
-	d := c.fpst.At(dst)
-	d.Access = access
-	d.StagedStrength = maxStrength(d.StagedStrength, staged)
-	c.fcht.Put(lba, dst)
-	c.stats.ScrubMigrations++
-	c.eventScrubMigrate(a.Block, lba)
-	return t
+	return predictive && float64(c.dev.BitErrors(a)) >= c.cfg.RefreshThreshold*float64(st.Strength), false
 }
 
-// refreshRewrite relocates one page whose predicted retention/disturb
-// error count approaches its correction capability. Unlike
-// scrubMigrate it stages no stronger configuration — the cells are
-// healthy; the data had merely sat too long or its block absorbed too
-// many reads. Rewriting restarts the retention dwell at zero, and the
-// destination block's disturb count is whatever it has accumulated,
-// normally far below the source's. Returns the background time spent.
-func (c *Cache) refreshRewrite(a nand.Addr) sim.Duration {
-	st := c.fpst.At(a)
-	lba, mode, access, staged := st.LBA, st.Mode, st.Access, st.StagedStrength
-	region := c.regions[c.meta[a.Block].region]
-	res, err := c.dev.Read(a)
-	if err != nil {
-		return 0 // raced with retirement; nothing to save
-	}
-	t := res.Latency
-	c.sched.Background(a.Block, sched.OpRead, res.Latency)
-	c.invalidate(a)
-	dst, lat := c.allocProgram(region, mode, lba)
-	if c.dead {
-		// Allocation collapsed (mass retirement): the page can no
-		// longer live in Flash, so flush dirty data instead of losing it.
-		if region.id == c.writeRegionIndex() && len(c.regions) == 2 {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(lba)
-		}
+// scrubPage relocates one page the scrubber flagged into fresh space in
+// its own region and returns the background time spent. An at-risk
+// page also stages a stronger configuration on its source slot, so the
+// block's next erase hardens it (a scrub migration). A refresh stages
+// nothing — the cells are healthy; the data had merely sat too long or
+// its block absorbed too many reads. Rewriting restarts the retention
+// dwell at zero, and the destination block's disturb count is whatever
+// it has accumulated, normally far below the source's.
+func (c *Cache) scrubPage(a nand.Addr, atRisk bool) sim.Duration {
+	dst, t, ok := c.relocate(a, c.regions[c.meta[a.Block].region], atRisk)
+	if !ok {
 		return t
 	}
-	t += lat
-	c.sched.Background(dst.Block, sched.OpProgram, lat)
-	d := c.fpst.At(dst)
-	d.Access = access
-	d.StagedStrength = maxStrength(d.StagedStrength, staged)
-	c.fcht.Put(lba, dst)
-	c.stats.RefreshRewrites++
-	c.eventRefreshRewrite(a.Block, lba)
+	lba := c.fpst.At(dst).LBA
+	if atRisk {
+		c.stats.ScrubMigrations++
+		c.eventScrubMigrate(a.Block, lba)
+	} else {
+		c.stats.RefreshRewrites++
+		c.eventRefreshRewrite(a.Block, lba)
+	}
 	return t
 }
