@@ -3,22 +3,24 @@ package core
 import (
 	"fmt"
 
+	"flashdc/internal/ecc"
 	"flashdc/internal/fault"
 	"flashdc/internal/nand"
 	"flashdc/internal/policy"
 	"flashdc/internal/sim"
 	"flashdc/internal/tables"
+	"flashdc/internal/wear"
 )
 
-// Campaign checkpointing: unlike SaveMetadata (which captures only
-// what survives a power cycle — the management tables — and rebuilds
-// the rest by replay), a checkpoint captures the complete simulation
-// state so a multi-year wear campaign can stop and resume with the
-// continuation bit-identical to an unbroken run. That means carrying
-// state the metadata image deliberately discards: exact region LRU
+// Cache-state images: a CacheCheckpoint is the one serialised form of
+// a cache. A campaign checkpoint (Checkpoint/Restore) carries all of it,
+// so a multi-year wear campaign can stop and resume with the
+// continuation bit-identical to an unbroken run: exact region LRU
 // recency, allocator cursors and heuristic accumulators, the fault
 // injector's RNG position, retention dwell stamps, per-block disturb
-// counters and the scrub cursor.
+// counters and the scrub cursor. The metadata image (SaveMetadata,
+// persist.go) is the same value with its runtime-only fields cleared,
+// so both paths share one restore and one validator, checkCheckpoint.
 //
 // The wear trajectories (per-page bit-error curves) are intentionally
 // NOT serialised: they are a pure function of (Config.Seed, geometry)
@@ -91,6 +93,12 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 	if c.sched.Active() {
 		return nil, fmt.Errorf("core: checkpointing is not supported with a non-default NAND scheduler (channels/banks/write buffer)")
 	}
+	return c.checkpoint()
+}
+
+// checkpoint captures the cache's complete state without the scheduler
+// guard: the metadata image clears the scheduler's timeline anyway.
+func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
 	dev, err := c.dev.Checkpoint()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpointing device: %w", err)
@@ -156,37 +164,32 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 	return ck, nil
 }
 
+// maxEraseCount bounds the per-block erase count a checkpoint may
+// carry. Legitimate states stay far below it (SLC endurance is 100k
+// cycles); the bound rejects crafted wear that no device survives.
+const maxEraseCount = 1 << 20
+
 // checkCheckpoint rejects a checkpoint whose dimensions do not fit the
-// cache, or whose cursors, block indices, ECC strengths or density
-// modes are out of range — values the next replay would index with.
+// cache, whose cursors, block indices, ECC strengths or density modes
+// are out of range (values the next replay would index with), or whose
+// tables contradict each other in ways the final integrity audit does
+// not see. It runs before any state changes.
 func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 	if ck.FlashBytes != c.cfg.FlashBytes {
 		return fmt.Errorf("core: checkpoint for %dB Flash, config says %dB",
 			ck.FlashBytes, c.cfg.FlashBytes)
 	}
-	if len(ck.Pages) != len(c.meta) || len(ck.Blocks) != len(c.meta) {
-		return fmt.Errorf("core: checkpoint for %d/%d blocks, cache has %d",
-			len(ck.Pages), len(ck.Blocks), len(c.meta))
+	if len(ck.Pages) != len(c.meta) || len(ck.Blocks) != len(c.meta) || len(ck.Device.Blocks) != len(c.meta) {
+		return fmt.Errorf("core: checkpoint for %d/%d/%d blocks, cache has %d",
+			len(ck.Pages), len(ck.Blocks), len(ck.Device.Blocks), len(c.meta))
 	}
 	if len(ck.Regions) != len(c.regions) {
 		return fmt.Errorf("core: checkpoint has %d regions, cache has %d",
 			len(ck.Regions), len(c.regions))
 	}
 	for b := range ck.Blocks {
-		cb := &ck.Blocks[b]
-		if err := c.checkBlock(b, cb.State, cb.Region, cb.CursorSlot, cb.CursorSub); err != nil {
+		if err := c.checkBlock(b, &ck.Blocks[b], &ck.Device.Blocks[b], ck.Pages[b]); err != nil {
 			return fmt.Errorf("core: checkpoint %v", err)
-		}
-		if len(ck.Pages[b]) != nand.SlotsPerBlock {
-			return fmt.Errorf("core: checkpoint block %d has %d slots, want %d",
-				b, len(ck.Pages[b]), nand.SlotsPerBlock)
-		}
-		for s, slot := range ck.Pages[b] {
-			for sub, st := range slot {
-				if err := c.checkPage(b, s, sub, st.Strength, st.StagedStrength, st.Mode, st.StagedMode); err != nil {
-					return fmt.Errorf("core: checkpoint %v", err)
-				}
-			}
 		}
 	}
 	inRange := func(b int) bool { return b >= 0 && b < len(c.meta) }
@@ -211,6 +214,72 @@ func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 	return nil
 }
 
+// checkBlock rejects one block's allocator, FBST, device and page
+// state when no cache can hold it.
+func (c *Cache) checkBlock(b int, cb *CheckpointBlock, db *nand.BlockCheckpoint, pages [][2]tables.PageStatus) error {
+	state := blockLifecycle(cb.State)
+	if state > blockRetired {
+		return fmt.Errorf("block %d in impossible state %d", b, cb.State)
+	}
+	if cb.Region < 0 || cb.Region >= len(c.regions) {
+		return fmt.Errorf("block %d in region %d of %d", b, cb.Region, len(c.regions))
+	}
+	if cb.CursorSlot < 0 || cb.CursorSlot > nand.SlotsPerBlock || cb.CursorSub < 0 || cb.CursorSub > 1 {
+		return fmt.Errorf("block %d cursor %d/%d out of range", b, cb.CursorSlot, cb.CursorSub)
+	}
+	if db.EraseCount < 0 || db.EraseCount > maxEraseCount {
+		return fmt.Errorf("block %d erase count %d out of range", b, db.EraseCount)
+	}
+	if db.Reads < 0 {
+		return fmt.Errorf("block %d read count %d is negative", b, db.Reads)
+	}
+	if st := cb.Status; st.Erases < 0 || st.TotalECC < 0 || st.TotalSLC < 0 {
+		return fmt.Errorf("block %d has negative wear statistics", b)
+	}
+	if state == blockRetired && !cb.Status.Retired {
+		return fmt.Errorf("block %d retired in allocator but not in FBST", b)
+	}
+	if len(pages) != nand.SlotsPerBlock {
+		return fmt.Errorf("block %d has %d slots, want %d", b, len(pages), nand.SlotsPerBlock)
+	}
+	for s, slot := range pages {
+		if err := c.checkSlot(b, s, slot); err != nil {
+			return err
+		}
+		if (state == blockFree || state == blockRetired) && (slot[0].Valid || slot[1].Valid) {
+			return fmt.Errorf("block %d in state %d holds a valid page in slot %d", b, cb.State, s)
+		}
+	}
+	return nil
+}
+
+// checkSlot rejects a slot's page states when their ECC strengths or
+// density modes fall outside what this cache can hold (strengths up to
+// the controller's limit, or up to the pinned strength of a
+// ForcedStrength cache beyond it), a valid page caches a negative LBA,
+// or the two sub-pages disagree about the slot's density.
+func (c *Cache) checkSlot(b, s int, slot [2]tables.PageStatus) error {
+	limit := max(ecc.MaxStrength, c.cfg.ForcedStrength)
+	for sub, st := range slot {
+		if st.Strength < 1 || st.Strength > limit || st.StagedStrength < 1 || st.StagedStrength > limit {
+			return fmt.Errorf("page b%d/s%d/%d ECC strength %d/%d out of range", b, s, sub, st.Strength, st.StagedStrength)
+		}
+		if st.Mode > wear.MLC || st.StagedMode > wear.MLC {
+			return fmt.Errorf("page b%d/s%d/%d in unknown density mode", b, s, sub)
+		}
+		if st.Valid && st.LBA < 0 {
+			return fmt.Errorf("page b%d/s%d/%d caches negative LBA %d", b, s, sub, st.LBA)
+		}
+	}
+	if slot[0].Mode != slot[1].Mode {
+		return fmt.Errorf("slot b%d/s%d sub-pages disagree on density", b, s)
+	}
+	if slot[0].Mode != wear.MLC && slot[1].Valid {
+		return fmt.Errorf("SLC slot b%d/s%d claims a second sub-page", b, s)
+	}
+	return nil
+}
+
 // Restore overwrites the cache's state with a checkpoint taken from a
 // cache built with the same configuration. The receiver should be
 // fresh from New (with any clock already attached); mid-run restores
@@ -221,6 +290,13 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	if c.sched.Active() {
 		return fmt.Errorf("core: restoring into a non-default NAND scheduler (channels/banks/write buffer) is not supported")
 	}
+	return c.restore(ck)
+}
+
+// restore applies a checkpoint without the scheduler guard. A fresh
+// scheduler restored to a zero BusyUntil is exactly the state a power
+// cycle leaves, which is all the metadata image asks of it.
+func (c *Cache) restore(ck *CacheCheckpoint) error {
 	if err := c.checkCheckpoint(ck); err != nil {
 		return err
 	}

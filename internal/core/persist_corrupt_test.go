@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"flashdc/internal/sim"
+	"flashdc/internal/envelope"
 )
 
 // savedImage builds a cache with non-trivial state and returns its
@@ -15,15 +15,7 @@ func savedImage(t *testing.T) (Config, []byte) {
 	cfg := DefaultConfig(8 * testMB)
 	cfg.Seed = 91
 	c := New(cfg)
-	rng := sim.NewRNG(93)
-	for i := 0; i < 20000; i++ {
-		lba := int64(rng.Intn(3000))
-		if rng.Bool(0.3) {
-			c.Write(lba)
-		} else if !c.Read(lba).Hit {
-			c.Insert(lba)
-		}
-	}
+	driveMixed(c, 93, 20000, 3000, 0.3)
 	var buf bytes.Buffer
 	if err := c.SaveMetadata(&buf); err != nil {
 		t.Fatal(err)
@@ -98,27 +90,27 @@ func TestLoadMetadataRejectsSemanticGarbage(t *testing.T) {
 	// Re-encode the image with internally inconsistent table state:
 	// decode the payload, corrupt it, and re-wrap with a VALID
 	// envelope — only semantic validation can catch this class.
-	corrupt := func(mutate func(*persistImage)) error {
-		pi, err := decodeEnvelope(bytes.NewReader(img))
+	corrupt := func(mutate func(*CacheCheckpoint)) error {
+		ck, err := decodeEnvelope(bytes.NewReader(img))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mutate(pi)
+		mutate(ck)
 		var buf bytes.Buffer
-		if err := writeEnvelope(&buf, pi); err != nil {
+		if err := envelope.Write(&buf, persistMagic, persistVersion, ck); err != nil {
 			t.Fatal(err)
 		}
 		_, err = LoadMetadata(cfg, &buf)
 		return err
 	}
-	cases := map[string]func(*persistImage){
-		"out-of-range region":  func(p *persistImage) { p.BlocksMeta[0].Region = 99 },
-		"impossible state":     func(p *persistImage) { p.BlocksMeta[0].State = 200 },
-		"negative erase count": func(p *persistImage) { p.BlocksMeta[0].EraseCount = -1 },
-		"runaway erase count":  func(p *persistImage) { p.BlocksMeta[0].EraseCount = 1 << 30 },
-		"valid-count mismatch": func(p *persistImage) { p.BlocksMeta[0].Valid += 3; p.BlocksMeta[0].Consumed += 3 },
-		"oversized strength":   func(p *persistImage) { p.Pages[0][0][0].Strength = 99 },
-		"cursor out of range":  func(p *persistImage) { p.BlocksMeta[0].CursorSlot = 1000 },
+	cases := map[string]func(*CacheCheckpoint){
+		"out-of-range region":  func(ck *CacheCheckpoint) { ck.Blocks[0].Region = 99 },
+		"impossible state":     func(ck *CacheCheckpoint) { ck.Blocks[0].State = 200 },
+		"negative erase count": func(ck *CacheCheckpoint) { ck.Device.Blocks[0].EraseCount = -1 },
+		"runaway erase count":  func(ck *CacheCheckpoint) { ck.Device.Blocks[0].EraseCount = 1 << 30 },
+		"valid-count mismatch": func(ck *CacheCheckpoint) { ck.Blocks[0].Valid += 3; ck.Blocks[0].Consumed += 3 },
+		"oversized strength":   func(ck *CacheCheckpoint) { ck.Pages[0][0][0].Strength = 99 },
+		"cursor out of range":  func(ck *CacheCheckpoint) { ck.Blocks[0].CursorSlot = 1000 },
 	}
 	for name, mutate := range cases {
 		err := corrupt(mutate)

@@ -181,12 +181,15 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestEngineRestoreRejectsOutOfRange mutates one cursor or page field
-// of a real 1-shard checkpoint at a time. Restore must refuse each
-// value no cache can hold, rather than accept it and let the next
-// replay index out of range.
+// TestEngineRestoreRejectsOutOfRange mutates one cursor, page, block
+// or device field of a real 1-shard checkpoint at a time. Restore must
+// refuse each value no cache can hold, rather than accept it and let
+// the next replay index out of range or report a state the cache
+// cannot be in.
 func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
+	const badBlock = 5 // factory-bad, so the checkpoint holds a retired block
 	hc := campaignHier(8)
+	hc.Flash.Faults.FactoryBadBlocks = []int{badBlock}
 	src, err := New(Config{Shards: 1, Hier: hc})
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +198,23 @@ func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
 	wire := checkpointBytes(t, src, "fp", 3000)
 
 	open := func(fc *core.CacheCheckpoint) *core.CheckpointBlock { return &fc.Blocks[fc.Regions[0].Open] }
+	// negativeLBA rewrites the first valid page to cache LBA -7, device
+	// token included, so only the LBA's sign is wrong.
+	negativeLBA := func(fc *core.CacheCheckpoint) {
+		lba := int64(-7)
+		for b, slots := range fc.Pages {
+			for s, slot := range slots {
+				for sub := range slot {
+					if slot[sub].Valid {
+						fc.Pages[b][s][sub].LBA = lba
+						fc.Device.Blocks[b].Slots[s].Data[sub] = uint64(lba)
+						return
+					}
+				}
+			}
+		}
+		t.Fatal("checkpoint caches no page")
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(fc *core.CacheCheckpoint)
@@ -207,6 +227,13 @@ func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
 		{"open cursor sub", func(fc *core.CacheCheckpoint) { open(fc).CursorSub = 7 }, "/7 out of range"},
 		{"page strength", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][0].Strength = 200 }, "ECC strength 200/"},
 		{"page mode", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][0].StagedMode = 9 }, "density mode"},
+		{"device erase count negative", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].EraseCount = -1 }, "erase count -1 out of range"},
+		{"device erase count runaway", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].EraseCount = 1 << 40 }, "erase count 1099511627776 out of range"},
+		{"negative lba", negativeLBA, "negative LBA -7"},
+		{"sub-page density", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][1].Mode = 1 - fc.Pages[0][0][0].Mode }, "disagree on density"},
+		{"negative wear statistics", func(fc *core.CacheCheckpoint) { fc.Blocks[0].Status.TotalECC = -5 }, "negative wear statistics"},
+		{"retired outside FBST", func(fc *core.CacheCheckpoint) { fc.Blocks[badBlock].Status.Retired = false }, "not in FBST"},
+		{"device reads", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].Reads = -100 }, "read count -100"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ck, err := ReadCheckpoint(bytes.NewReader(wire))
