@@ -31,6 +31,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-exp", ""}, `unknown experiment ""`},
 		{[]string{"-exp", "nope"}, `unknown experiment "nope"`},
 		{[]string{"-exp", "table1,nope"}, `unknown experiment "nope"`},
+		{[]string{"-exp", "ablate-pdc"}, `unknown experiment "ablate-pdc"`},
 		{[]string{"table1"}, `unexpected argument "table1"`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

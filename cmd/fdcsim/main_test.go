@@ -42,6 +42,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-faults", "read=0.1,flipmax=-3"}, "-3 flips is negative"},
 		{[]string{"-faults", "bad=-1"}, "block -1 is negative"},
 		{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
+		{[]string{"-policy-gc", "windowed-greedy"}, "unknown gc policy"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			code, _, stderr := cmdtest.Run(t, append(tc.args, "-requests", "1000")...)

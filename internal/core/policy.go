@@ -126,8 +126,6 @@ func newPolicies(c *Cache, s policy.Set) (evictPolicy, admitPolicy, gcPolicy) {
 		gc = greedyGC{}
 	case policy.GCCostBenefit:
 		gc = costBenefitGC{}
-	case policy.GCWindowedGreedy:
-		gc = greedyGC{window: windowedGCWindow}
 	case policy.GCContentionAware:
 		gc = &contentionGC{}
 	default:
@@ -271,26 +269,20 @@ func (a *throttleAdmit) restore(entries []policy.AdmitEntry) error {
 
 // greedyGC is the paper's collector: the most-invalid block wins, and
 // (unless the watermark forces collection) the victim must be at least
-// half invalid to pay for its relocation traffic. A non-zero window
-// is the windowed variant from the GC survey: only the window
-// least-recently-used blocks are candidates, which supplies an age
-// preference (only cold blocks qualify) at O(window) per scan; 0 scans
-// the whole LRU.
-type greedyGC struct{ window int }
+// half invalid to pay for its relocation traffic.
+type greedyGC struct{}
 
-func (p greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
+func (greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
 	best := -1
 	bestInvalid := 0
 	var bestElem *list.Element
-	n := 0
-	for e := r.lru.Back(); e != nil && (p.window == 0 || n < p.window); e = e.Prev() {
+	for e := r.lru.Back(); e != nil; e = e.Prev() {
 		b := e.Value.(int)
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
 		if invalid > bestInvalid {
 			best, bestInvalid, bestElem = b, invalid, e
 		}
-		n++
 	}
 	if best < 0 {
 		return nil, 0
@@ -345,10 +337,6 @@ func (costBenefitGC) victim(c *Cache, r *region, force bool) (*list.Element, int
 	}
 	return bestElem, bestInvalid
 }
-
-// windowedGCWindow is the windowed-greedy window size: the candidate
-// set is the W least-recently-used blocks.
-const windowedGCWindow = 8
 
 // contentionGC is scheduler-informed victim selection: greedy's
 // reclaimable-benefit signal (invalid pages) picks the nominal victim,

@@ -118,9 +118,8 @@ func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 }
 
 // TestGCVictimSelection crafts block utilizations and checks each GC
-// policy's choice: greedy takes the most invalid anywhere, windowed
-// greedy only looks at the tail window, cost-benefit weighs age and
-// prefers fully invalid blocks absolutely.
+// policy's choice: greedy takes the most invalid anywhere, cost-benefit
+// weighs age and prefers fully invalid blocks absolutely.
 func TestGCVictimSelection(t *testing.T) {
 	c := smallCache(t, nil)
 	set := func(b, consumed, valid int, eraseSeq uint64) {
@@ -129,7 +128,7 @@ func TestGCVictimSelection(t *testing.T) {
 		c.meta[b].lastEraseSeq = eraseSeq
 	}
 	c.seq = 1000
-	// LRU front-to-back: 0 1 2 3. Tail window of 2 covers 3,2.
+	// LRU front-to-back: 0 1 2 3.
 	r := fakeRegion(c, 0, 1, 2, 3)
 	set(0, 128, 10, 900)  // most invalid (118), but MRU and young
 	set(1, 128, 120, 100) // barely invalid, old
@@ -138,9 +137,6 @@ func TestGCVictimSelection(t *testing.T) {
 
 	if e, inv := (greedyGC{}).victim(c, r, false); e.Value.(int) != 0 || inv != 118 {
 		t.Fatalf("greedy picked block %d (%d invalid), want 0 (118)", e.Value.(int), inv)
-	}
-	if e, _ := (greedyGC{window: 2}).victim(c, r, false); e.Value.(int) != 2 {
-		t.Fatalf("windowed greedy picked block %d, want 2 (most invalid inside the tail window)", e.Value.(int))
 	}
 	// Cost-benefit: block 0 scores (118/128)/(2*10/128)*100 ~ 590,
 	// block 2 scores (88/128)/(2*40/128)*500 ~ 550, block 3 scores
@@ -162,9 +158,6 @@ func TestGCVictimSelection(t *testing.T) {
 	}
 	if e, _ := (costBenefitGC{}).victim(c, r2, false); e != nil {
 		t.Fatal("cost-benefit collected a low-payoff block without force")
-	}
-	if e, _ := (greedyGC{window: 8}).victim(c, r2, false); e != nil {
-		t.Fatal("windowed greedy collected a low-payoff block without force")
 	}
 	if e, _ := (greedyGC{}).victim(c, r2, true); e == nil {
 		t.Fatal("forced greedy skipped the only candidate")
@@ -327,8 +320,7 @@ func TestPolicyZooTrafficInvariants(t *testing.T) {
 	sets := []policy.Set{
 		{Evict: policy.EvictCMWear},
 		{GC: policy.GCCostBenefit},
-		{GC: policy.GCWindowedGreedy},
-		{Evict: policy.EvictCMWear, Admit: policy.AdmitWLFC, GC: policy.GCWindowedGreedy},
+		{Evict: policy.EvictCMWear, Admit: policy.AdmitWLFC, GC: policy.GCCostBenefit},
 	}
 	for _, ps := range sets {
 		ps := ps

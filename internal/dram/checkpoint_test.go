@@ -70,18 +70,18 @@ func TestRestoreRejectsBadState(t *testing.T) {
 }
 
 // TestRestoreReplacesContents restores into a cache that already holds
-// other pages: they must be gone from the index, and second-chance
-// reference bits must land on the pages they belong to.
+// other pages: they must be gone from the index, and the restored
+// recency order and dirty bits must land on the pages they belong to.
 func TestRestoreReplacesContents(t *testing.T) {
-	src := NewCacheWithPolicy(4*PageSize, SecondChance)
+	src := NewCache(4 * PageSize)
 	for lba := int64(10); lba < 14; lba++ {
 		src.Fill(lba)
 	}
-	src.Read(10) // only page 10 carries its reference bit
-	src.Read(12)
+	src.Read(10) // reorder recency away from insertion order
+	src.Write(12)
 	pages := src.Checkpoint()
 
-	r := NewCacheWithPolicy(4*PageSize, SecondChance)
+	r := NewCache(4 * PageSize)
 	for lba := int64(-3); lba < 1; lba++ {
 		r.Write(lba)
 	}

@@ -6,6 +6,8 @@
 package dram
 
 import (
+	"fmt"
+
 	"flashdc/internal/lbaindex"
 	"flashdc/internal/sim"
 )
@@ -54,66 +56,18 @@ func (s Stats) WriteBusyTime() sim.Duration {
 	return sim.Duration(s.Writes) * AccessLatency
 }
 
-// Policy selects the replacement algorithm.
+// Policy names a PDC replacement algorithm. Strict LRU is the only
+// one; the type and NewCacheWithPolicy remain only because the
+// benchmark module's ledger (bench/ledger.go) still names them.
 type Policy uint8
 
-const (
-	// LRU is strict least-recently-used (the default).
-	LRU Policy = iota
-	// SecondChance is the clock algorithm real OS page caches
-	// approximate LRU with: pages get a reference bit and one
-	// reprieve before eviction.
-	SecondChance
-)
+// LRU is strict least-recently-used.
+const LRU Policy = 0
 
 // Evicted describes a page pushed out of the cache.
 type Evicted struct {
 	LBA   int64
 	Dirty bool
-}
-
-// replacer is the replacement-policy seam: how a resident page's
-// recency refreshes and which page leaves a full cache. Implementations
-// are stateless singletons (per-page policy state lives in the node
-// slab), so the indirection costs one interface call and no
-// allocation — the same contract as the core policy interfaces.
-type replacer interface {
-	touch(c *Cache, i int32)
-	evict(c *Cache) Evicted
-}
-
-// lruReplacer is strict least-recently-used.
-type lruReplacer struct{}
-
-func (lruReplacer) touch(c *Cache, i int32) { c.moveToFront(i) }
-func (lruReplacer) evict(c *Cache) Evicted  { return c.removeTail() }
-
-// secondChanceReplacer is the clock algorithm: touching sets the
-// reference bit; eviction sweeps from the tail, granting one reprieve
-// per referenced page.
-type secondChanceReplacer struct{}
-
-func (secondChanceReplacer) touch(c *Cache, i int32) { c.nodes[i].referenced = true }
-func (secondChanceReplacer) evict(c *Cache) Evicted {
-	for {
-		nd := &c.nodes[c.tail]
-		if !nd.referenced {
-			break
-		}
-		nd.referenced = false
-		c.moveToFront(c.tail)
-	}
-	return c.removeTail()
-}
-
-// replacerFor maps the public Policy enum to its implementation.
-func replacerFor(p Policy) replacer {
-	switch p {
-	case SecondChance:
-		return secondChanceReplacer{}
-	default:
-		return lruReplacer{}
-	}
 }
 
 // none is the null node index of the intrusive recency list.
@@ -131,8 +85,6 @@ const none = int32(-1)
 // insert and left the evicted page behind as garbage).
 type Cache struct {
 	capacity int
-	policy   Policy
-	repl     replacer
 	nodes    []node
 	free     []int32 // recycled slab slots
 	head     int32   // most recently used, none when empty
@@ -146,30 +98,30 @@ type node struct {
 	lba        int64
 	prev, next int32
 	dirty      bool
-	referenced bool // second-chance bit
 }
 
 // NewCache builds an LRU cache holding capacityBytes of pages. It
 // panics if the capacity is smaller than one page.
 func NewCache(capacityBytes int64) *Cache {
-	return NewCacheWithPolicy(capacityBytes, LRU)
-}
-
-// NewCacheWithPolicy builds a cache with the chosen replacement
-// policy.
-func NewCacheWithPolicy(capacityBytes int64, p Policy) *Cache {
 	pages := int(capacityBytes / PageSize)
 	if pages < 1 {
 		panic("dram: cache smaller than one page")
 	}
 	return &Cache{
 		capacity: pages,
-		policy:   p,
-		repl:     replacerFor(p),
 		head:     none,
 		tail:     none,
 		index:    lbaindex.New(pages),
 	}
+}
+
+// NewCacheWithPolicy is NewCache for the one policy, LRU; it panics
+// on any other value rather than ignore it.
+func NewCacheWithPolicy(capacityBytes int64, p Policy) *Cache {
+	if p != LRU {
+		panic(fmt.Sprintf("dram: unknown replacement policy %d", p))
+	}
+	return NewCache(capacityBytes)
 }
 
 // unlink detaches node i from the recency list.
@@ -224,7 +176,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 // the lower levels).
 func (c *Cache) Read(lba int64) (hit bool, latency sim.Duration) {
 	if i, ok := c.index.Get(lba); ok {
-		c.touch(i)
+		c.moveToFront(i)
 		c.stats.Reads++
 		c.stats.Hits++
 		return true, AccessLatency
@@ -233,9 +185,6 @@ func (c *Cache) Read(lba int64) (hit bool, latency sim.Duration) {
 	return false, 0
 }
 
-// touch refreshes a resident page per the active policy.
-func (c *Cache) touch(i int32) { c.repl.touch(c, i) }
-
 // Write updates or inserts lba as dirty, refreshing recency. When
 // evicted is true the returned page was pushed out to make room and
 // must be flushed by the caller if dirty.
@@ -243,7 +192,7 @@ func (c *Cache) Write(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 	c.stats.Writes++
 	if i, ok := c.index.Get(lba); ok {
 		c.nodes[i].dirty = true
-		c.touch(i)
+		c.moveToFront(i)
 		return AccessLatency, Evicted{}, false
 	}
 	ev, evicted = c.insert(lba, true)
@@ -256,7 +205,7 @@ func (c *Cache) Write(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 func (c *Cache) Fill(lba int64) (lat sim.Duration, ev Evicted, evicted bool) {
 	c.stats.Writes++ // a fill writes the page into DRAM
 	if i, ok := c.index.Get(lba); ok {
-		c.touch(i)
+		c.moveToFront(i)
 		return AccessLatency, Evicted{}, false
 	}
 	ev, evicted = c.insert(lba, false)
@@ -305,7 +254,7 @@ func (c *Cache) Range(fn func(lba int64, dirty bool) bool) {
 
 func (c *Cache) insert(lba int64, dirty bool) (ev Evicted, evicted bool) {
 	if c.count >= c.capacity {
-		ev, evicted = c.evictOne(), true
+		ev, evicted = c.removeTail(), true
 	}
 	var i int32
 	if nfree := len(c.free); nfree > 0 {
@@ -322,12 +271,8 @@ func (c *Cache) insert(lba int64, dirty bool) (ev Evicted, evicted bool) {
 	return ev, evicted
 }
 
-// evictOne removes a victim per the active policy.
-func (c *Cache) evictOne() Evicted { return c.repl.evict(c) }
-
-// removeTail unlinks and returns the current LRU page — the shared
-// mechanism every replacer's evict ends in once it has positioned its
-// victim at the tail.
+// removeTail unlinks and returns the current LRU page, the eviction
+// victim of a full cache.
 func (c *Cache) removeTail() Evicted {
 	i := c.tail
 	nd := &c.nodes[i]

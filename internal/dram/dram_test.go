@@ -158,65 +158,16 @@ func TestWriteLatencyIsDRAMAccess(t *testing.T) {
 	}
 }
 
-func TestSecondChanceGrantsReprieve(t *testing.T) {
-	c := NewCacheWithPolicy(3*PageSize, SecondChance)
-	c.Fill(1)
-	c.Fill(2)
-	c.Fill(3)
-	// Reference page 1 (back of the insertion order is 1).
-	c.Read(1)
-	// Insert 4: the sweep must skip referenced 1 and evict 2.
-	_, ev, evicted := c.Fill(4)
-	if !evicted || ev.LBA != 2 {
-		t.Fatalf("second chance evicted %v %+v, want LBA 2", evicted, ev)
+// TestNewCacheWithPolicyRejectsNonLRU: LRU is the one replacement
+// policy, so any other value panics instead of being ignored.
+func TestNewCacheWithPolicyRejectsNonLRU(t *testing.T) {
+	if c := NewCacheWithPolicy(2*PageSize, LRU); c.CapacityPages() != 2 {
+		t.Fatalf("LRU cache holds %d pages, want 2", c.CapacityPages())
 	}
-	// Page 1 survived its reprieve.
-	if hit, _ := c.Read(1); !hit {
-		t.Fatal("referenced page evicted despite reprieve")
-	}
-}
-
-func TestSecondChanceEventuallyEvictsEverything(t *testing.T) {
-	c := NewCacheWithPolicy(2*PageSize, SecondChance)
-	c.Fill(1)
-	c.Fill(2)
-	c.Read(1)
-	c.Read(2)
-	// Both referenced: the sweep clears bits and still evicts one.
-	_, _, evicted := c.Fill(3)
-	if !evicted {
-		t.Fatal("no eviction despite full cache")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("capacity violated: %d", c.Len())
-	}
-}
-
-func TestSecondChanceApproximatesLRUMissRate(t *testing.T) {
-	// On a zipf stream the two policies should land within a few
-	// percent of each other (clock approximates LRU).
-	run := func(p Policy) float64 {
-		c := NewCacheWithPolicy(256*PageSize, p)
-		rng := sim.NewRNG(3)
-		z, err := sim.NewZipf(rng, 2048, 1.0)
-		if err != nil {
-			t.Fatal(err)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a non-LRU policy was accepted")
 		}
-		var miss, n float64
-		for i := 0; i < 60000; i++ {
-			lba := int64(z.Next())
-			hit, _ := c.Read(lba)
-			if !hit {
-				miss++
-				c.Fill(lba)
-			}
-			n++
-		}
-		return miss / n
-	}
-	lru := run(LRU)
-	sc := run(SecondChance)
-	if diff := sc - lru; diff < -0.05 || diff > 0.05 {
-		t.Fatalf("second chance diverges from LRU: %.4f vs %.4f", sc, lru)
-	}
+	}()
+	NewCacheWithPolicy(2*PageSize, LRU+1)
 }

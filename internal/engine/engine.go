@@ -66,8 +66,8 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 	// observers holds the per-shard observability sinks (empty when
-	// Config.Obs is zero and no Hier.Observer was supplied); observed
-	// guards the one-time shard_merge trace events in Observe.
+	// Config.Obs is zero); observed guards the one-time shard_merge
+	// trace events in Observe.
 	observers []*obs.Observer
 	observed  bool
 	// pending (the per-shard routed slices) and srcBuf (RunSource's
@@ -91,9 +91,9 @@ func ShardSeed(base uint64, shard int) uint64 {
 // New builds an engine of cfg.Shards independent hierarchies. It
 // returns an error — rather than panicking like the underlying
 // constructors — when the configuration cannot be divided: too many
-// shards for the configured DRAM or Flash capacity, or a metadata
+// shards for the configured DRAM or Flash capacity, a metadata
 // warm-start combined with sharding (the image describes one
-// monolithic cache).
+// monolithic cache), or a Hier.Observer (Config.Obs observes shards).
 func New(cfg Config) (*Engine, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("engine: need at least 1 shard, have %d", cfg.Shards)
@@ -104,14 +104,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards > 1 && cfg.Hier.FlashMetadata != nil {
 		return nil, errors.New("engine: metadata warm-start is single-shard only")
 	}
-	if cfg.Shards > 1 && cfg.Hier.Observer != nil {
-		// One observer shared across shards would interleave their
-		// output nondeterministically; per-shard observers come from
-		// Config.Obs instead.
-		return nil, errors.New("engine: a shared hier.Config.Observer is single-shard only; set Config.Obs")
-	}
-	if cfg.Hier.Observer != nil && cfg.Obs != (obs.Options{}) {
-		return nil, errors.New("engine: Config.Obs and Hier.Observer are mutually exclusive")
+	if cfg.Hier.Observer != nil {
+		// Config.Obs is the one way to observe an engine: it builds a
+		// shard-labelled observer per shard, where one shared
+		// observer would interleave shard output nondeterministically.
+		return nil, errors.New("engine: hier.Config.Observer is not supported; set Config.Obs")
 	}
 	n := int64(cfg.Shards)
 	perDRAM := cfg.Hier.DRAMBytes / n
@@ -134,9 +131,7 @@ func New(cfg Config) (*Engine, error) {
 			o := obs.New(cfg.Obs)
 			o.SetShard(i)
 			h.Observer = o
-		}
-		if h.Observer != nil {
-			e.observers = append(e.observers, h.Observer)
+			e.observers = append(e.observers, o)
 		}
 		e.shards = append(e.shards, &shard{sys: hier.New(h)})
 	}

@@ -138,8 +138,8 @@ func TestObserveDisabled(t *testing.T) {
 	}
 }
 
-// TestObserverConfigValidation: the shared-observer and double-config
-// misuses fail fast.
+// TestObserverConfigValidation: Config.Obs is the one way to observe
+// an engine, so a Hier.Observer fails fast at any shard count.
 func TestObserverConfigValidation(t *testing.T) {
 	shared := testConfig()
 	shared.Observer = obs.New(obs.Options{Metrics: true})
@@ -149,8 +149,8 @@ func TestObserverConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 1, Hier: shared, Obs: obs.Options{Metrics: true}}); err == nil {
 		t.Fatal("Obs plus Hier.Observer must be rejected")
 	}
-	if _, err := New(Config{Shards: 1, Hier: shared}); err != nil {
-		t.Fatalf("single-shard shared observer must be fine: %v", err)
+	if _, err := New(Config{Shards: 1, Hier: shared}); err == nil {
+		t.Fatal("single-shard Hier.Observer must be rejected")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
-	"flashdc/internal/dram"
 	"flashdc/internal/hier"
 	"flashdc/internal/sched"
 	"flashdc/internal/sim"
@@ -208,45 +207,6 @@ func gcContention(o Options) *Table {
 		}
 		st := c.Stats()
 		t.AddRow(label, avg, st.GCTime.Seconds(), st.GCRuns)
-	}
-	return t
-}
-
-func init() { register("ablate-pdc", ablatePDC) }
-
-// ablatePDC compares primary-disk-cache replacement policies: strict
-// LRU (the simulator default) versus the clock/second-chance algorithm
-// real OS page caches use. The hierarchy's results should be robust to
-// this choice — clock approximates LRU — which this sweep verifies
-// end to end.
-func ablatePDC(o Options) *Table {
-	t := &Table{
-		ID:     "ablate-pdc",
-		Title:  "Ablation: primary disk cache replacement policy (dbt2)",
-		Note:   fmt.Sprintf("256MB DRAM + 1GB Flash at %.4g scale", o.Scale),
-		Header: []string{"policy", "pdc_hit_pct", "flash_hits", "disk_reads", "avg_latency_us"},
-	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 100000
-	}
-	for _, pc := range []struct {
-		name   string
-		policy dram.Policy
-	}{{"LRU", dram.LRU}, {"second-chance", dram.SecondChance}} {
-		s := hier.New(hier.Config{
-			DRAMBytes:  int64(float64(256<<20) * o.Scale),
-			FlashBytes: int64(float64(1<<30) * o.Scale),
-			PDCPolicy:  pc.policy,
-			Seed:       o.Seed,
-		})
-		warmAndMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+73), 2*requests, requests)
-		st := s.Stats()
-		pages := st.ReadPages + st.WritePages
-		t.AddRow(pc.name,
-			100*float64(st.PDCHits)/float64(pages),
-			st.FlashHits, st.DiskReads,
-			st.AvgLatency().Microseconds())
 	}
 	return t
 }

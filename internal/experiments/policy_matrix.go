@@ -23,7 +23,6 @@ var policyCombos = []struct {
 	{"wlfc-admit", policy.Set{Admit: policy.AdmitWLFC}},
 	{"cm-wear-evict", policy.Set{Evict: policy.EvictCMWear}},
 	{"cost-benefit-gc", policy.Set{GC: policy.GCCostBenefit}},
-	{"windowed-gc", policy.Set{GC: policy.GCWindowedGreedy}},
 	{"zoo", policy.Set{Evict: policy.EvictCMWear, Admit: policy.AdmitWLFC, GC: policy.GCCostBenefit}},
 }
 

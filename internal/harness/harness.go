@@ -404,8 +404,12 @@ func LoadCorpus(path string) (Config, []trace.Request, error) {
 	if nl < 0 || !strings.HasPrefix(text, corpusHeader) {
 		return Config{}, nil, fmt.Errorf("harness: %s: missing config header", path)
 	}
+	// Unknown keys are errors: a key naming a deleted or misspelled
+	// field would otherwise replay a different configuration silently.
+	dec := json.NewDecoder(strings.NewReader(text[len(corpusHeader):nl]))
+	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := json.Unmarshal([]byte(text[len(corpusHeader):nl]), &cfg); err != nil {
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, nil, fmt.Errorf("harness: %s: %v", path, err)
 	}
 	r := trace.NewReader(strings.NewReader(text[nl+1:]))

@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flashdc/internal/fault"
@@ -240,7 +241,6 @@ func policySets() []policy.Set {
 		{Admit: policy.AdmitWLFC},
 		{Evict: policy.EvictCMWear},
 		{GC: policy.GCCostBenefit},
-		{GC: policy.GCWindowedGreedy},
 		{GC: policy.GCContentionAware},
 		{Admit: policy.AdmitThrottle},
 		{Evict: policy.EvictCMWear, Admit: policy.AdmitWLFC, GC: policy.GCCostBenefit},
@@ -368,6 +368,13 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 	if _, _, err := LoadCorpus(path); err == nil {
 		t.Fatal("headerless corpus loaded")
+	}
+	misspelled := corpusHeader + `{"Name":"typo","Seed":1,"DRAMBytse":65536}` + "\nR 0 1\n"
+	if err := os.WriteFile(path, []byte(misspelled), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCorpus(path); err == nil || !strings.Contains(err.Error(), "DRAMBytse") {
+		t.Fatalf("header with a misspelled key loaded (err %v)", err)
 	}
 }
 

@@ -56,9 +56,9 @@ type Config struct {
 	// colliding foreground reads, surfacing the Figure 1(b) overhead
 	// in request latency instead of only in power/time accounting.
 	FlashContention bool
-	// PDCPolicy selects the primary disk cache replacement policy
-	// (default strict LRU; real OS page caches approximate it with
-	// the clock algorithm).
+	// PDCPolicy is the primary disk cache replacement policy; strict
+	// LRU (the zero value) is the only one. The field remains only
+	// because the benchmark module's ledger (bench/ledger.go) reads it.
 	PDCPolicy dram.Policy
 	// Seed drives the Flash wear sampling.
 	Seed uint64

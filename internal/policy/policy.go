@@ -65,10 +65,6 @@ const (
 	// (1-u)/(2u) x age, preferring cold blocks whose age promises the
 	// remaining valid pages will stay valid after relocation.
 	GCCostBenefit = "cost-benefit"
-	// GCWindowedGreedy restricts greedy to a fixed-size window of
-	// LRU-tail blocks, approximating cost-benefit's age preference at
-	// greedy's scan cost.
-	GCWindowedGreedy = "windowed-greedy"
 	// GCContentionAware is scheduler-informed victim selection: each
 	// candidate's reclaimable benefit (invalid pages) is divided by
 	// the predicted wait on its bank, steering erases toward idle
@@ -86,7 +82,7 @@ const (
 var catalog = map[string][]string{
 	KindEvict: {EvictWearLRU, EvictCMWear},
 	KindAdmit: {AdmitPaper, AdmitWLFC, AdmitThrottle},
-	KindGC:    {GCGreedy, GCCostBenefit, GCWindowedGreedy, GCContentionAware},
+	KindGC:    {GCGreedy, GCCostBenefit, GCContentionAware},
 }
 
 // Kinds returns the policy kinds in presentation order.

@@ -46,10 +46,10 @@ const (
 	OpErase
 )
 
-// DefaultCoalesceDelay is the write-buffer flush deadline when Config
-// leaves CoalesceDelay zero: long enough for bursty rewrites of one
-// page to coalesce, short enough that buffered programs land on their
-// banks well inside one host-visible latency spike.
+// DefaultCoalesceDelay is the write-buffer flush deadline: long enough
+// for bursty rewrites of one page to coalesce, short enough that
+// buffered programs land on their banks well inside one host-visible
+// latency spike.
 const DefaultCoalesceDelay = 500 * sim.Microsecond
 
 // Config sizes the scheduler. The zero value (normalised to 1 channel,
@@ -63,12 +63,9 @@ type Config struct {
 	Banks int
 	// WriteBufPages enables the coalescing write buffer: host-write
 	// programs are admitted instantly and their bank occupancy is
-	// deferred by CoalesceDelay, during which a rewrite of the same
-	// LBA supersedes the pending flush. 0 disables the buffer.
+	// deferred by DefaultCoalesceDelay, during which a rewrite of the
+	// same LBA supersedes the pending flush. 0 disables the buffer.
 	WriteBufPages int
-	// CoalesceDelay is the deferred-writeback deadline; 0 means
-	// DefaultCoalesceDelay.
-	CoalesceDelay sim.Duration
 }
 
 // Active reports whether the configuration differs from the serial
@@ -88,9 +85,6 @@ func (c Config) Validate() error {
 	if c.WriteBufPages < 0 {
 		return fmt.Errorf("sched: negative write buffer size %d", c.WriteBufPages)
 	}
-	if c.CoalesceDelay < 0 {
-		return fmt.Errorf("sched: negative coalesce delay %v", c.CoalesceDelay)
-	}
 	return nil
 }
 
@@ -101,9 +95,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Banks < 1 {
 		c.Banks = 1
-	}
-	if c.CoalesceDelay == 0 {
-		c.CoalesceDelay = DefaultCoalesceDelay
 	}
 	return c
 }

@@ -194,7 +194,7 @@ func TestBufferCoalesce(t *testing.T) {
 // its deadline, so a read arriving after the deadline pays the
 // remaining program time — the delayed-writeback cost model.
 func TestBufferDeadlineOccupancy(t *testing.T) {
-	s, clock := newClocked(t, Config{WriteBufPages: 8, CoalesceDelay: 500 * us})
+	s, clock := newClocked(t, Config{WriteBufPages: 8})
 
 	s.BufferWrite(1, 0, 200*us) // flush at t=500µs, bank busy 500–700µs
 	if w := s.Foreground(0, OpRead, 100*us); w != 0 {
@@ -288,7 +288,6 @@ func TestConfigValidate(t *testing.T) {
 		{Channels: -1},
 		{Banks: -2},
 		{WriteBufPages: -1},
-		{CoalesceDelay: -us},
 	} {
 		if cfg.Validate() == nil {
 			t.Errorf("Validate accepted %+v", cfg)
@@ -428,7 +427,7 @@ func TestBufferFill(t *testing.T) {
 // drain, BufferedWrites == CoalescedWrites + Flushes, with
 // ForcedFlushes a subset of Flushes.
 func TestBufferAccountingArithmetic(t *testing.T) {
-	s, clock := newClocked(t, Config{WriteBufPages: 2, CoalesceDelay: 500 * us})
+	s, clock := newClocked(t, Config{WriteBufPages: 2})
 	s.BufferWrite(1, 0, 200*us)
 	s.BufferWrite(2, 1, 200*us)
 	s.BufferWrite(1, 0, 200*us) // coalesces lba 1
@@ -457,7 +456,7 @@ func TestBufferAccountingArithmetic(t *testing.T) {
 // drainDue owns — it must issue at its deadline (not now) and must not
 // count as forced, whichever caller gets there first.
 func TestForceFlushAtDeadlineNotForced(t *testing.T) {
-	s, clock := newClocked(t, Config{WriteBufPages: 2, CoalesceDelay: 500 * us})
+	s, clock := newClocked(t, Config{WriteBufPages: 2})
 	s.BufferWrite(1, 0, 200*us) // deadline t=500µs
 	clock.Advance(600 * us)
 	fin := s.forceFlushOldest(clock.Now())

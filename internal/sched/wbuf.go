@@ -6,12 +6,12 @@ import "flashdc/internal/sim"
 // of FTL-SIM-style simulators: a host-write program is admitted into
 // DRAM instantly (the device state is updated immediately by the cache
 // — the buffer owns only the *timing* of the bank program), and its
-// channel/bank occupancy is deferred by CoalesceDelay. A rewrite of
-// the same LBA inside that window supersedes the pending flush — the
-// superseded program's bank time is never charged, which is the write
-// reduction the buffer exists for. A full buffer force-flushes its
-// oldest entry and the host write waits for the freed slot, modelling
-// buffer backpressure.
+// channel/bank occupancy is deferred by DefaultCoalesceDelay. A
+// rewrite of the same LBA inside that window supersedes the pending
+// flush — the superseded program's bank time is never charged, which
+// is the write reduction the buffer exists for. A full buffer
+// force-flushes its oldest entry and the host write waits for the
+// freed slot, modelling buffer backpressure.
 //
 // Entries are kept in admission order; admission times are
 // non-decreasing, so the FIFO is also deadline order and draining is
@@ -90,7 +90,7 @@ func (s *Scheduler) BufferWrite(lba int64, block int, d sim.Duration) sim.Durati
 		lba:      lba,
 		block:    block,
 		lat:      d,
-		deadline: now.Add(s.cfg.CoalesceDelay),
+		deadline: now.Add(DefaultCoalesceDelay),
 	})
 	w.live++
 	s.stats.BufferedWrites++
