@@ -267,6 +267,10 @@ func main() {
 		usageErr("-trace-cap %d is negative", *traceCap)
 	case *metricsIvl < 0:
 		usageErr("-metrics-interval %v is negative", *metricsIvl)
+	case *metricsIvl > 0 && *metricsOut == "" && *httpAddr == "":
+		usageErr("-metrics-interval takes snapshots only -metrics-out or -http reads; set one of them")
+	case *traceCap > 0 && *traceEvents == "":
+		usageErr("-trace-cap sizes the event buffer only -trace-events writes; set it too")
 	case *traceFile != "" && *traceBinary != "":
 		usageErr("-trace and -trace-binary are mutually exclusive")
 	case *traceFile == "" && *traceBinary == "" && !(*scale > 0):

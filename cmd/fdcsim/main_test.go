@@ -43,6 +43,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-faults", "bad=-1"}, "block -1 is negative"},
 		{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
 		{[]string{"-policy-gc", "windowed-greedy"}, "unknown gc policy"},
+		{[]string{"-metrics-interval", "10ms"}, "-metrics-interval takes snapshots only -metrics-out or -http reads"},
+		{[]string{"-trace-cap", "64"}, "-trace-cap sizes the event buffer only -trace-events writes"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			code, _, stderr := cmdtest.Run(t, append(tc.args, "-requests", "1000")...)

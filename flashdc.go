@@ -239,7 +239,7 @@ type (
 // failure; test with errors.Is.
 var ErrCorruptMetadata = core.ErrCorruptMetadata
 
-// Observability API: a deterministic metrics registry plus decision-
+// Observability API: deterministic metric snapshots plus decision-
 // event tracing, timestamped in simulated time (see internal/obs).
 type (
 	// ObsOptions configures an Observer (metrics, snapshot interval,

@@ -132,14 +132,14 @@ func TestOpenObserverCollectsCacheCounters(t *testing.T) {
 		t.Fatalf("want one final snapshot, got %d", len(snaps))
 	}
 	s := snaps[0]
-	if s.Counters["cache_fills_total"] == 0 {
-		t.Fatalf("collector missed fills: %v", s.Counters)
+	if s.Counter("cache_fills_total") == 0 {
+		t.Fatalf("collector missed fills: %+v", s)
 	}
-	if s.Gauges["cache_valid_pages"] == 0 || s.Gauges["cache_capacity_pages"] == 0 {
-		t.Fatalf("collector missed gauges: %v", s.Gauges)
+	if s.Gauge("cache_valid_pages") == 0 || s.Gauge("cache_capacity_pages") == 0 {
+		t.Fatalf("collector missed gauges: %+v", s)
 	}
-	if s.Counters["nand_programs_total"] == 0 {
-		t.Fatalf("device collector missed programs: %v", s.Counters)
+	if s.Counter("nand_programs_total") == 0 {
+		t.Fatalf("device collector missed programs: %+v", s)
 	}
 }
 

@@ -134,9 +134,6 @@ func TestEngineCheckpointSegmentedBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(resumed.FaultStats(), full.FaultStats()) {
 		t.Fatal("merged fault stats diverge (injector RNG not restored)")
 	}
-	if !reflect.DeepEqual(resumed.TierStats(), full.TierStats()) {
-		t.Fatal("merged tier stats diverge")
-	}
 	if !reflect.DeepEqual(resumed.Latencies(), full.Latencies()) {
 		t.Fatal("merged latency histograms diverge")
 	}

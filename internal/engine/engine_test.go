@@ -31,7 +31,6 @@ func testConfig() hier.Config {
 type snapshot struct {
 	Stats     hier.Stats
 	Latencies string
-	Tiers     []hier.TierStats
 	Flash     core.Stats
 	Global    tables.FGST
 	Device    nand.Stats
@@ -49,7 +48,6 @@ func snap(t *testing.T, e *Engine) snapshot {
 	return snapshot{
 		Stats:     e.Stats(),
 		Latencies: e.Latencies().String(),
-		Tiers:     e.TierStats(),
 		Flash:     e.FlashStats(),
 		Global:    e.Global(),
 		Device:    e.DeviceStats(),
@@ -118,9 +116,6 @@ func TestSingleShardMatchesMonolithic(t *testing.T) {
 	}
 	if got, want := e.Power(sim.Second), sys.Power(sim.Second); got != want {
 		t.Fatalf("power: got %+v want %+v", got, want)
-	}
-	if got, want := e.TierStats(), sys.TierStats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("tier stats:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -36,21 +36,6 @@ func (e *Engine) Latencies() *sim.Histogram {
 	return &h
 }
 
-// TierStats returns the per-tier activity counters, fastest tier
-// first, merged level-by-level across shards.
-func (e *Engine) TierStats() []hier.TierStats {
-	var out []hier.TierStats
-	for _, sh := range e.shards {
-		for i, ts := range sh.sys.TierStats() {
-			if i == len(out) {
-				out = append(out, hier.TierStats{})
-			}
-			out[i].Merge(ts)
-		}
-	}
-	return out
-}
-
 // HasFlash reports whether any shard runs a live Flash tier.
 func (e *Engine) HasFlash() bool {
 	for _, sh := range e.shards {

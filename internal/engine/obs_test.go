@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"flashdc/internal/hier"
@@ -169,5 +171,50 @@ func TestEngineShardPartitionedObservers(t *testing.T) {
 		if o.Shard() != i {
 			t.Fatalf("observer %d stamped shard %d", i, o.Shard())
 		}
+	}
+}
+
+// TestLiveEndpointDuringRun scrapes the live Prometheus endpoint from
+// another goroutine while a 2-shard observed replay runs (run it under
+// -race: the endpoint is the only cross-goroutine reader of observer
+// state). After Observe, a scrape must render exactly the report's
+// merged final snapshot.
+func TestLiveEndpointDuringRun(t *testing.T) {
+	e, err := New(Config{Shards: 2, Hier: testConfig(), Obs: obsTestOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := obs.Handler(e.Observers)
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				scrape()
+			}
+		}
+	}()
+	e.RunSource(workload.AsSource(newTestGen(t)), testRequests)
+	close(stop)
+	<-done
+	e.Drain()
+	rep := e.Observe()
+	var want bytes.Buffer
+	if err := obs.WritePrometheus(&want, &rep.Snapshots[len(rep.Snapshots)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrape(); got != want.String() {
+		t.Fatalf("final scrape differs from the merged final snapshot:\n%s\nvs\n%s", got, want.String())
+	}
+	if !strings.Contains(want.String(), "tier_flash_hits_total") {
+		t.Fatalf("final snapshot lacks the tier series:\n%s", want.String())
 	}
 }

@@ -26,8 +26,6 @@ type SystemCheckpoint struct {
 	PDC      []dram.PageState
 	PDCStats dram.Stats
 	Disk     disk.Stats
-	// Tiers holds the per-tier activity counters, fastest first.
-	Tiers []TierStats
 
 	// Flash is nil for the DRAM-only baseline.
 	Flash *core.CacheCheckpoint
@@ -49,7 +47,6 @@ func (s *System) Checkpoint() (*SystemCheckpoint, error) {
 		PDC:       s.pdc.Checkpoint(),
 		PDCStats:  s.pdc.Stats(),
 		Disk:      s.disk.Stats(),
-		Tiers:     s.TierStats(),
 	}
 	if s.flash != nil {
 		fck, err := s.flash.Checkpoint()
@@ -72,10 +69,6 @@ func (s *System) Restore(ck *SystemCheckpoint) error {
 		return fmt.Errorf("hier: checkpoint flash presence %v, config says %v",
 			ck.Flash != nil, s.flash != nil)
 	}
-	levels := s.levels()
-	if len(ck.Tiers) != len(levels) {
-		return fmt.Errorf("hier: checkpoint has %d tiers, system has %d", len(ck.Tiers), len(levels))
-	}
 	s.clock.AdvanceTo(ck.Now)
 	if err := s.pdc.Restore(ck.PDC, ck.PDCStats); err != nil {
 		return err
@@ -85,9 +78,6 @@ func (s *System) Restore(ck *SystemCheckpoint) error {
 		if err := s.flash.Restore(ck.Flash); err != nil {
 			return err
 		}
-	}
-	for i, l := range levels {
-		s.tiers[l] = ck.Tiers[i]
 	}
 	s.stats = ck.Stats
 	if err := s.latencies.SetState(ck.Latencies); err != nil {

@@ -120,9 +120,6 @@ type System struct {
 	flash *core.Cache // nil in the DRAM-only baseline
 	disk  *disk.Disk
 	stats Stats
-	// tiers counts each level's activity, indexed by tierDRAM,
-	// tierFlash and tierDisk.
-	tiers [numTiers]TierStats
 	// flashLoadErr records why a supplied metadata image was rejected
 	// and the Flash cache bypassed; nil otherwise. bypassErr is the
 	// ErrFlashBypassed-wrapped form Handle reports.
@@ -205,8 +202,19 @@ func New(cfg Config) *System {
 	return s
 }
 
-// collect folds the hierarchy- and tier-level counters into an
-// observability sample at snapshot time.
+// collect folds the hierarchy counters into an observability sample
+// at snapshot time. The tier_<level>_{reads,hits,misses,writes}_total
+// series are read from each level's own counters; no hot path keeps a
+// second copy. That rests on two call-order invariants of this file:
+//
+//   - A PDC fill follows every PDC miss (readPage and prefetch), and
+//     the DRAM cache counts each fill as a write, so the DRAM level's
+//     lookups are Hits+Misses and its stores from above are
+//     Writes-Misses.
+//   - hier is the only caller of the Flash cache's Read and Write and
+//     of the drive's Read, so their counters are those levels' reads
+//     and writes. With a Flash level, the drive's writes are Flash's
+//     own write-backs, not stores from above, and count as 0.
 func (s *System) collect(smp *obs.Sample) {
 	st := s.stats
 	smp.Counter("hier_requests_total", st.Requests)
@@ -217,14 +225,26 @@ func (s *System) collect(smp *obs.Sample) {
 	smp.Counter("hier_disk_reads_total", st.DiskReads)
 	smp.Counter("hier_prefetched_total", st.Prefetched)
 	smp.Counter("hier_latency_ns_total", int64(st.TotalLatency))
-	smp.Counter("disk_busy_ns_total", int64(s.disk.Stats().BusyTime))
-	for _, l := range s.levels() {
-		ts, names := &s.tiers[l], &tierMetrics[l]
-		smp.Counter(names.reads, ts.Reads)
-		smp.Counter(names.hits, ts.Hits)
-		smp.Counter(names.misses, ts.Misses)
-		smp.Counter(names.writes, ts.Writes)
+	ds := s.disk.Stats()
+	smp.Counter("disk_busy_ns_total", int64(ds.BusyTime))
+	ps := s.pdc.Stats()
+	smp.Counter("tier_dram_reads_total", ps.Hits+ps.Misses)
+	smp.Counter("tier_dram_hits_total", ps.Hits)
+	smp.Counter("tier_dram_misses_total", ps.Misses)
+	smp.Counter("tier_dram_writes_total", ps.Writes-ps.Misses)
+	diskWrites := ds.Writes
+	if s.flash != nil {
+		fs := s.flash.Stats()
+		smp.Counter("tier_flash_reads_total", fs.Reads)
+		smp.Counter("tier_flash_hits_total", fs.Hits)
+		smp.Counter("tier_flash_misses_total", fs.Misses)
+		smp.Counter("tier_flash_writes_total", fs.Writes)
+		diskWrites = 0
 	}
+	smp.Counter("tier_disk_reads_total", ds.Reads)
+	smp.Counter("tier_disk_hits_total", ds.Reads)
+	smp.Counter("tier_disk_misses_total", 0)
+	smp.Counter("tier_disk_writes_total", diskWrites)
 	smp.Histogram("hier_page_latency_ns", s.latencyProfile())
 }
 
@@ -351,7 +371,7 @@ func (s *System) serviceErr() error {
 // fills on the way back up. Sequential streams trigger readahead.
 func (s *System) readPage(lba int64) sim.Duration {
 	s.noteRead(lba)
-	if lat, hit := s.readPDC(lba); hit {
+	if hit, lat := s.pdc.Read(lba); hit {
 		s.stats.PDCHits++
 		return lat
 	}
@@ -378,35 +398,15 @@ func (s *System) noteRead(lba int64) {
 	}
 }
 
-// readPDC looks lba up in the PDC, returning the hit latency.
-func (s *System) readPDC(lba int64) (sim.Duration, bool) {
-	ts := &s.tiers[tierDRAM]
-	ts.Reads++
-	hit, lat := s.pdc.Read(lba)
-	if !hit {
-		ts.Misses++
-		return 0, false
-	}
-	ts.Hits++
-	return lat, true
-}
-
 // readBelow serves a PDC miss from Flash or, failing that, the disk,
 // inserting a disk-served page into Flash on the way back up (the Flash
 // fill precedes the PDC fill, as in section 5.1).
 func (s *System) readBelow(lba int64) (lat sim.Duration, flashHit bool) {
 	if s.flash != nil {
-		ts := &s.tiers[tierFlash]
-		ts.Reads++
 		if out := s.flash.Read(lba); out.Hit {
-			ts.Hits++
 			return out.Latency, true
 		}
-		ts.Misses++
 	}
-	ts := &s.tiers[tierDisk]
-	ts.Reads++
-	ts.Hits++
 	lat = s.disk.Read()
 	if s.flash != nil {
 		s.flash.Insert(lba)
@@ -429,11 +429,9 @@ func (s *System) fillPDC(lba int64) sim.Duration {
 // the write and flushes its own dirty evictions to the disk.
 func (s *System) writeBelow(lba int64) {
 	if s.flash != nil {
-		s.tiers[tierFlash].Writes++
 		s.flash.Write(lba)
 		return
 	}
-	s.tiers[tierDisk].Writes++
 	s.disk.Write()
 }
 
@@ -442,7 +440,7 @@ func (s *System) writeBelow(lba int64) {
 // level hits are not counted as foreground hits).
 func (s *System) prefetch(start int64, n int) {
 	for lba := start; lba < start+int64(n); lba++ {
-		if _, hit := s.readPDC(lba); hit {
+		if hit, _ := s.pdc.Read(lba); hit {
 			continue
 		}
 		if _, flashHit := s.readBelow(lba); !flashHit {
@@ -456,7 +454,6 @@ func (s *System) prefetch(start int64, n int) {
 // writePage dirties the page in the PDC; write-back to the levels
 // below happens on eviction (the paper's periodic flush behaviour).
 func (s *System) writePage(lba int64) sim.Duration {
-	s.tiers[tierDRAM].Writes++
 	lat, ev, evicted := s.pdc.Write(lba)
 	if evicted && ev.Dirty {
 		s.writeBelow(ev.LBA)
@@ -527,5 +524,4 @@ func (s *System) ResetStats() {
 	if s.flash != nil {
 		s.flash.ResetDeviceStats()
 	}
-	s.tiers = [numTiers]TierStats{}
 }

@@ -1,12 +1,14 @@
 package hier
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"flashdc/internal/dram"
+	"flashdc/internal/obs"
 	"flashdc/internal/trace"
 )
 
@@ -14,9 +16,48 @@ func tierTestConfig() Config {
 	return Config{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 1}
 }
 
+// tier is one level's tier_<name>_* series.
+type tier struct {
+	Name                        string
+	Reads, Hits, Misses, Writes int64
+}
+
+// observed assembles a hierarchy with a metrics observer attached.
+func observed(cfg Config) (*System, *obs.Observer) {
+	o := obs.New(obs.Options{Metrics: true})
+	cfg.Observer = o
+	return New(cfg), o
+}
+
+// tiers takes a final snapshot and returns the levels its tier_*
+// series describe, fastest first.
+func tiers(t *testing.T, o *obs.Observer) []tier {
+	t.Helper()
+	o.Finish()
+	raw, err := json.Marshal(o.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var out []tier
+	for _, name := range []string{"dram", "flash", "disk"} {
+		p := "tier_" + name + "_"
+		reads, ok := snap.Counters[p+"reads_total"]
+		if !ok {
+			continue
+		}
+		out = append(out, tier{name, reads, snap.Counters[p+"hits_total"],
+			snap.Counters[p+"misses_total"], snap.Counters[p+"writes_total"]})
+	}
+	return out
+}
+
 // TestTierChainComposition: the hierarchy is DRAM, Flash, disk with
-// Flash configured and DRAM, disk without; TierStats reports the
-// levels fastest first under those names.
+// Flash configured and DRAM, disk without; the tier_* series name the
+// levels present.
 func TestTierChainComposition(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -25,8 +66,9 @@ func TestTierChainComposition(t *testing.T) {
 		{tierTestConfig(), "dram,flash,disk"},
 		{Config{DRAMBytes: 1 << 20}, "dram,disk"},
 	} {
+		_, o := observed(tc.cfg)
 		var names []string
-		for _, ts := range New(tc.cfg).TierStats() {
+		for _, ts := range tiers(t, o) {
 			names = append(names, ts.Name)
 		}
 		if got := strings.Join(names, ","); got != tc.want {
@@ -56,23 +98,23 @@ func runTierScript(s *System) {
 	s.Drain()
 }
 
-// TestTierStatsPinned pins the exact per-tier counters (and the
-// hierarchy counters they must agree with) for a fixed script on both
-// hierarchy shapes, and checks that they survive Checkpoint/Restore
-// and are zeroed by ResetStats. Prefetch lookups count as tier reads;
-// the Flash cache's own write-backs to disk do not count as disk-tier
-// writes.
+// TestTierStatsPinned pins the exact tier_* series (and the hierarchy
+// counters they must agree with) for a fixed script on both hierarchy
+// shapes, and checks that they survive Checkpoint/Restore. The series
+// are derived from each level's own counters at snapshot time.
+// Prefetch lookups count as tier reads; the Flash cache's own
+// write-backs to disk do not count as disk-tier writes.
 func TestTierStatsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
-		tiers []TierStats
+		tiers []tier
 		stats Stats
 	}{
 		{
 			name: "flash",
 			cfg:  Config{DRAMBytes: 64 * dram.PageSize, FlashBytes: 16 << 20, ReadAhead: 4, Seed: 1},
-			tiers: []TierStats{
+			tiers: []tier{
 				{Name: "dram", Reads: 884, Hits: 536, Misses: 348, Writes: 216},
 				{Name: "flash", Reads: 348, Hits: 114, Misses: 234, Writes: 216},
 				{Name: "disk", Reads: 234, Hits: 234, Misses: 0, Writes: 0},
@@ -83,7 +125,7 @@ func TestTierStatsPinned(t *testing.T) {
 		{
 			name: "dram-only",
 			cfg:  Config{DRAMBytes: 64 * dram.PageSize, ReadAhead: 4, Seed: 1},
-			tiers: []TierStats{
+			tiers: []tier{
 				{Name: "dram", Reads: 884, Hits: 536, Misses: 348, Writes: 216},
 				{Name: "disk", Reads: 348, Hits: 348, Misses: 0, Writes: 216},
 			},
@@ -92,12 +134,12 @@ func TestTierStatsPinned(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(tc.cfg)
+			s, o := observed(tc.cfg)
 			runTierScript(s)
 			st := s.Stats()
 			st.TotalLatency = 0
-			if got := s.TierStats(); !reflect.DeepEqual(got, tc.tiers) {
-				t.Fatalf("tier stats\n got %+v\nwant %+v", got, tc.tiers)
+			if got := tiers(t, o); !reflect.DeepEqual(got, tc.tiers) {
+				t.Fatalf("tier series\n got %+v\nwant %+v", got, tc.tiers)
 			}
 			if st != tc.stats {
 				t.Fatalf("stats\n got %+v\nwant %+v", st, tc.stats)
@@ -113,44 +155,31 @@ func TestTierStatsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ck.Tiers, tc.tiers) {
-				t.Fatalf("checkpoint tiers %+v", ck.Tiers)
-			}
-			resumed := New(tc.cfg)
+			resumed, ro := observed(tc.cfg)
 			if err := resumed.Restore(ck); err != nil {
 				t.Fatal(err)
 			}
-			if got := resumed.TierStats(); !reflect.DeepEqual(got, tc.tiers) {
-				t.Fatalf("restored tier stats %+v", got)
-			}
-
-			s.ResetStats()
-			for i, z := range s.TierStats() {
-				if z != (TierStats{Name: tc.tiers[i].Name}) {
-					t.Fatalf("ResetStats left counters: %+v", z)
-				}
+			if got := tiers(t, ro); !reflect.DeepEqual(got, tc.tiers) {
+				t.Fatalf("restored tier series %+v", got)
 			}
 		})
 	}
 }
 
-// TestTierStatsCounters: the generic per-tier counters must account
-// for every page access — reads split into hits and misses at each
-// level, misses cascading down, the bottom tier always hitting.
+// TestTierStatsCounters: the tier_* series must account for every page
+// access — reads split into hits and misses at each level, misses
+// cascading down, the bottom tier always hitting.
 func TestTierStatsCounters(t *testing.T) {
-	s := New(tierTestConfig())
+	s, o := observed(tierTestConfig())
 	const pages = 500
 	for lba := int64(0); lba < pages; lba++ {
 		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
 	}
-	ts := s.TierStats()
+	ts := tiers(t, o)
 	if len(ts) != 3 {
-		t.Fatalf("%d tier stats", len(ts))
+		t.Fatalf("%d tiers", len(ts))
 	}
 	dramTS, flashTS, diskTS := ts[0], ts[1], ts[2]
-	if dramTS.Name != "dram" || flashTS.Name != "flash" || diskTS.Name != "disk" {
-		t.Fatalf("names: %+v", ts)
-	}
 	if dramTS.Reads != pages || dramTS.Hits+dramTS.Misses != dramTS.Reads {
 		t.Fatalf("dram reads don't balance: %+v", dramTS)
 	}
@@ -166,16 +195,8 @@ func TestTierStatsCounters(t *testing.T) {
 	for lba := int64(0); lba < pages; lba++ {
 		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
 	}
-	ts2 := s.TierStats()
-	if gained := ts2[2].Reads - diskTS.Reads; gained != 0 {
+	if gained := tiers(t, o)[2].Reads - diskTS.Reads; gained != 0 {
 		t.Fatalf("warm re-read went to disk %d times", gained)
-	}
-
-	s.ResetStats()
-	for _, z := range s.TierStats() {
-		if z.Reads != 0 || z.Hits != 0 || z.Misses != 0 || z.Writes != 0 {
-			t.Fatalf("ResetStats left counters: %+v", z)
-		}
 	}
 }
 

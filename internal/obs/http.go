@@ -17,34 +17,20 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		_, err := fmt.Fprint(w, "# no snapshot taken yet\n")
 		return err
 	}
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name]); err != nil {
+	v := s.view()
+	for _, name := range sortedNames(v.Counters) {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v.Counters[name]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(v.Gauges) {
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name,
-			strconv.FormatFloat(s.Gauges[name], 'g', -1, 64)); err != nil {
+			strconv.FormatFloat(v.Gauges[name], 'g', -1, 64)); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
+	for _, name := range sortedNames(v.Histograms) {
+		h := v.Histograms[name]
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 			return err
 		}
@@ -62,6 +48,15 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	}
 	_, err := fmt.Fprintf(w, "# TYPE sim_time_ns gauge\nsim_time_ns %d\n", s.T)
 	return err
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Handler serves the live merged metrics of the given observers as

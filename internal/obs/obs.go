@@ -1,5 +1,5 @@
-// Package obs is the simulator's deterministic observability layer: a
-// metrics registry (counters, gauges, fixed-bound histograms) sampled
+// Package obs is the simulator's deterministic observability layer:
+// metrics (counters, gauges, fixed-bound histograms) sampled
 // from the components at snapshot time, and a structured decision-event
 // trace with a bounded ring buffer. Both are timestamped in *simulated*
 // time, never wall-clock time, so for a fixed (seed, shards) pair the
@@ -21,7 +21,9 @@
 //
 // Metrics come from collectors: callbacks sampled at snapshot time that
 // fold a component's existing counters (its Stats struct) into the
-// snapshot without any per-operation cost.
+// snapshot without any per-operation cost. A snapshot is a row of
+// values; the series names are fixed by an observer's first snapshot
+// and attached only when a snapshot is written out.
 package obs
 
 import (
@@ -33,7 +35,7 @@ import (
 // Options configures an Observer. The zero value enables nothing; a
 // caller that wants observability sets at least Metrics or Trace.
 type Options struct {
-	// Metrics enables the metrics registry.
+	// Metrics enables metric snapshots.
 	Metrics bool
 	// MetricsInterval takes a cumulative snapshot every interval of
 	// simulated time (implies Metrics); 0 takes only the final
@@ -51,11 +53,17 @@ type Options struct {
 // reports into. A nil *Observer is valid everywhere and records
 // nothing — that nil check is the entire disabled-path overhead.
 type Observer struct {
-	// Metrics is the metrics registry, nil when disabled.
-	Metrics *Registry
 	// Trace is the decision-event tracer, nil when disabled.
 	Trace *Tracer
 
+	metrics bool
+	// collectors run in registration order on the goroutine taking the
+	// snapshot, so a component's collector may freely read its own
+	// unsynchronised state.
+	collectors []func(*Sample)
+	// names is the series list the first snapshot recorded, nil
+	// before it.
+	names    *series
 	shard    int
 	clock    *sim.Clock
 	interval sim.Duration
@@ -71,10 +79,7 @@ type Observer struct {
 // New builds an Observer from the options. It never returns nil; the
 // disabled sinks stay nil inside.
 func New(o Options) *Observer {
-	ob := &Observer{interval: o.MetricsInterval}
-	if o.Metrics || o.MetricsInterval > 0 {
-		ob.Metrics = NewRegistry()
-	}
+	ob := &Observer{interval: o.MetricsInterval, metrics: o.Metrics || o.MetricsInterval > 0}
 	if o.Trace {
 		ob.Trace = NewTracer(o.TraceCapacity)
 	}
@@ -86,7 +91,7 @@ func New(o Options) *Observer {
 
 // Enabled reports whether o records anything at all.
 func (o *Observer) Enabled() bool {
-	return o != nil && (o.Metrics != nil || o.Trace != nil)
+	return o != nil && (o.metrics || o.Trace != nil)
 }
 
 // SetShard labels everything o records with a shard index (events
@@ -131,13 +136,35 @@ func (o *Observer) Event(e Event) {
 	o.Trace.record(e)
 }
 
-// RegisterCollector registers a snapshot-time sampling callback on the
-// metrics registry. A no-op without metrics.
+// RegisterCollector registers a snapshot-time sampling callback. Every
+// snapshot must see each collector report the same series in the same
+// order (see Sample). A no-op without metrics.
 func (o *Observer) RegisterCollector(f func(*Sample)) {
-	if o == nil || o.Metrics == nil {
+	if o == nil || !o.metrics || f == nil {
 		return
 	}
-	o.Metrics.RegisterCollector(f)
+	o.collectors = append(o.collectors, f)
+}
+
+// snapshot runs every collector into one row stamped (seq, t).
+func (o *Observer) snapshot(seq, t int64, final bool) Snapshot {
+	s := Snapshot{Seq: seq, T: t, Final: final, names: o.names}
+	smp := Sample{snap: &s, record: o.names == nil}
+	if smp.record {
+		s.names = &series{}
+	} else {
+		s.counters = make([]int64, 0, len(o.names.counters))
+		s.gauges = make([]float64, 0, len(o.names.gauges))
+		s.histograms = make([]HistogramSnapshot, 0, len(o.names.histograms))
+	}
+	for _, f := range o.collectors {
+		f(&smp)
+	}
+	missing("counter", s.names.counters, len(s.counters))
+	missing("gauge", s.names.gauges, len(s.gauges))
+	missing("histogram", s.names.histograms, len(s.histograms))
+	o.names = s.names
+	return s
 }
 
 // MaybeSnapshot takes one cumulative snapshot per MetricsInterval
@@ -145,11 +172,11 @@ func (o *Observer) RegisterCollector(f func(*Sample)) {
 // caller invokes it from the simulation goroutine after advancing its
 // clock; the fast path (no boundary crossed) is two compares.
 func (o *Observer) MaybeSnapshot(now sim.Time) {
-	if o == nil || o.Metrics == nil || o.interval <= 0 || now.Before(o.next) {
+	if o == nil || !o.metrics || o.interval <= 0 || now.Before(o.next) {
 		return
 	}
 	for !now.Before(o.next) {
-		s := o.Metrics.Snapshot(o.seq, int64(o.next), false)
+		s := o.snapshot(o.seq, int64(o.next), false)
 		o.snaps = append(o.snaps, s)
 		o.publish(s)
 		o.seq++
@@ -162,21 +189,23 @@ func (o *Observer) MaybeSnapshot(now sim.Time) {
 // observing a run twice does not duplicate series. A no-op without
 // metrics.
 func (o *Observer) Finish() {
-	if o == nil || o.Metrics == nil {
+	if o == nil || !o.metrics {
 		return
 	}
-	s := o.Metrics.Snapshot(FinalSeq, int64(o.now()), true)
+	s := o.snapshot(FinalSeq, int64(o.now()), true)
 	o.final = &s
 	o.publish(s)
 }
 
+// publish stores the row for Live without copying: rows are never
+// modified after they are taken.
 func (o *Observer) publish(s Snapshot) {
-	c := s.Clone()
-	o.live.Store(&c)
+	o.live.Store(&s)
 }
 
 // Live returns the most recently completed snapshot, or nil before the
-// first one. Safe to call from any goroutine.
+// first one. Safe to call from any goroutine; the row is shared, so
+// merge into a Clone of it.
 func (o *Observer) Live() *Snapshot {
 	if o == nil {
 		return nil
@@ -226,7 +255,7 @@ func BuildReport(observers ...*Observer) *Report {
 			continue
 		}
 		o.Finish()
-		if o.Metrics != nil {
+		if o.metrics {
 			series = append(series, o.Snapshots())
 		}
 		if o.Trace != nil {

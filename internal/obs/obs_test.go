@@ -8,31 +8,113 @@ import (
 	"flashdc/internal/sim"
 )
 
-func TestRegistryCollectors(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterCollector(func(s *Sample) {
-		s.Counter("live_total", 3)
-		s.Histogram("lat", HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{1, 0}, Count: 1, Sum: 4})
-	})
-	r.RegisterCollector(func(s *Sample) {
+// observe builds a metrics observer with the given collectors.
+func observe(collectors ...func(*Sample)) *Observer {
+	o := New(Options{Metrics: true})
+	for _, f := range collectors {
+		o.RegisterCollector(f)
+	}
+	return o
+}
+
+// mustPanic runs f and fails unless it panics with a message holding
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %v, want one naming %q", r, want)
+		}
+	}()
+	f()
+}
+
+func TestObserverCollectors(t *testing.T) {
+	lat := HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{1, 2}, Count: 3, Sum: 34}
+	var n int64 = 3
+	o := observe(func(s *Sample) {
+		s.Counter("live_total", n)
+		s.Histogram("lat", lat)
+	}, func(s *Sample) {
 		s.Counter("sampled_total", 7)
-		s.Counter("live_total", 2) // accumulates with the first collector's add
 		s.Gauge("valid", 11)
-		s.Histogram("lat", HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{0, 2}, Count: 2, Sum: 30})
 	})
-	s := r.Snapshot(4, 99, true)
-	if s.Seq != 4 || s.T != 99 || !s.Final {
-		t.Fatalf("identity fields: %+v", s)
+	o.Finish()
+	first := *o.Live()
+	if first.Seq != FinalSeq || !first.Final {
+		t.Fatalf("identity fields: %+v", first)
 	}
-	if s.Counters["sampled_total"] != 7 || s.Counters["live_total"] != 5 {
-		t.Fatalf("counters: %v", s.Counters)
+	if first.Counter("sampled_total") != 7 || first.Counter("live_total") != 3 || first.Counter("absent") != 0 {
+		t.Fatalf("counters: %+v", first)
 	}
-	if s.Gauges["valid"] != 11 {
-		t.Fatalf("gauges: %v", s.Gauges)
+	if first.Gauge("valid") != 11 {
+		t.Fatalf("gauges: %+v", first)
 	}
-	if h := s.Histograms["lat"]; h.Count != 3 || h.Sum != 34 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
+	if h := first.histograms[0]; h.Count != 3 || h.Sum != 34 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
 		t.Fatalf("histogram: %+v", h)
 	}
+	// The row keeps its own buckets and shares the immutable bounds.
+	lat.Buckets[0] = 99
+	if first.histograms[0].Buckets[0] != 1 || &first.histograms[0].Bounds[0] != &lat.Bounds[0] {
+		t.Fatal("histogram must copy buckets and share bounds")
+	}
+	// A later snapshot reuses the first one's series and stores values
+	// only; the published first row is left alone.
+	n = 5
+	o.Finish()
+	if second := o.Live(); second.names != first.names || second.Counter("live_total") != 5 || first.Counter("live_total") != 3 {
+		t.Fatalf("second snapshot: %+v after %+v", second, first)
+	}
+}
+
+// TestSeriesFixedByFirstSnapshot: a later snapshot must report exactly
+// the first snapshot's series in the same order, and no snapshot may
+// report a name twice; each violation panics naming the series.
+func TestSeriesFixedByFirstSnapshot(t *testing.T) {
+	t.Run("out of order", func(t *testing.T) {
+		swap := false
+		o := observe(func(s *Sample) {
+			a, b := "a_total", "b_total"
+			if swap {
+				a, b = b, a
+			}
+			s.Counter(a, 1)
+			s.Counter(b, 2)
+		})
+		o.Finish()
+		swap = true
+		mustPanic(t, `counter "b_total" reported in slot 0`, o.Finish)
+	})
+	t.Run("missing", func(t *testing.T) {
+		all := true
+		o := observe(func(s *Sample) {
+			s.Gauge("a", 1)
+			if all {
+				s.Gauge("b", 2)
+			}
+		})
+		o.Finish()
+		all = false
+		mustPanic(t, `gauge "b" missing`, o.Finish)
+	})
+	t.Run("added", func(t *testing.T) {
+		all := false
+		o := observe(func(s *Sample) {
+			s.Counter("a_total", 1)
+			if all {
+				s.Counter("b_total", 2)
+			}
+		})
+		o.Finish()
+		all = true
+		mustPanic(t, `counter "b_total" is not in the first snapshot`, o.Finish)
+	})
+	t.Run("duplicate", func(t *testing.T) {
+		o := observe(func(s *Sample) { s.Counter("x_total", 1) }, func(s *Sample) { s.Counter("x_total", 2) })
+		mustPanic(t, `counter "x_total" reported twice`, o.Finish)
+	})
 }
 
 func TestTracerRingOverflow(t *testing.T) {
@@ -69,48 +151,54 @@ func TestMergeEventsOrdering(t *testing.T) {
 }
 
 func TestSnapshotMergeAndClone(t *testing.T) {
-	a := Snapshot{Seq: 1, T: 10,
-		Counters:   map[string]int64{"x": 1},
-		Gauges:     map[string]float64{"g": 2},
-		Histograms: map[string]HistogramSnapshot{"h": {Bounds: []int64{5}, Buckets: []int64{1, 0}, Count: 1, Sum: 3}}}
+	names := &series{counters: []string{"x", "y"}, gauges: []string{"g"}, histograms: []string{"h"}}
+	a := Snapshot{Seq: 1, T: 10, names: names,
+		counters:   []int64{1, 0},
+		gauges:     []float64{2},
+		histograms: []HistogramSnapshot{{Bounds: []int64{5}, Buckets: []int64{1, 0}, Count: 1, Sum: 3}}}
 	c := a.Clone()
-	b := Snapshot{Seq: 1, T: 25,
-		Counters:   map[string]int64{"x": 4, "y": 9},
-		Histograms: map[string]HistogramSnapshot{"h": {Bounds: []int64{5}, Buckets: []int64{0, 2}, Count: 2, Sum: 20}}}
+	// Another observer's series with equal names merges too.
+	b := Snapshot{Seq: 1, T: 25, names: &series{counters: []string{"x", "y"}, gauges: []string{"g"}, histograms: []string{"h"}},
+		counters:   []int64{4, 9},
+		gauges:     []float64{0.5},
+		histograms: []HistogramSnapshot{{Bounds: []int64{5}, Buckets: []int64{0, 2}, Count: 2, Sum: 20}}}
 	a.Merge(b)
-	if a.T != 25 || a.Counters["x"] != 5 || a.Counters["y"] != 9 || a.Gauges["g"] != 2 {
+	if a.T != 25 || a.Counter("x") != 5 || a.Counter("y") != 9 || a.Gauge("g") != 2.5 {
 		t.Fatalf("merged: %+v", a)
 	}
-	h := a.Histograms["h"]
+	h := a.histograms[0]
 	if h.Count != 3 || h.Sum != 23 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
 		t.Fatalf("merged histogram: %+v", h)
 	}
 	// The clone must be unaffected by merging into the original.
-	if c.Counters["x"] != 1 || c.Histograms["h"].Count != 1 {
+	if c.Counter("x") != 1 || c.histograms[0].Count != 1 || c.histograms[0].Buckets[1] != 0 {
 		t.Fatalf("clone aliased the original: %+v", c)
 	}
+	other := Snapshot{names: &series{counters: []string{"x", "z"}}, counters: []int64{1, 1}}
+	mustPanic(t, "different series", func() { a.Merge(other) })
 }
 
 func TestMergeSnapshotsSeries(t *testing.T) {
-	shard0 := []Snapshot{
-		{Seq: 0, T: 100, Counters: map[string]int64{"x": 1}},
-		{Seq: 1, T: 200, Counters: map[string]int64{"x": 3}},
-		{Seq: FinalSeq, T: 250, Final: true, Counters: map[string]int64{"x": 4}},
+	names := &series{counters: []string{"x"}}
+	row := func(seq, t, x int64) Snapshot {
+		return Snapshot{Seq: seq, T: t, Final: seq == FinalSeq, names: names, counters: []int64{x}}
 	}
-	shard1 := []Snapshot{ // ended before interval 1
-		{Seq: 0, T: 100, Counters: map[string]int64{"x": 10}},
-		{Seq: FinalSeq, T: 130, Final: true, Counters: map[string]int64{"x": 11}},
-	}
+	shard0 := []Snapshot{row(0, 100, 1), row(1, 200, 3), row(FinalSeq, 250, 4)}
+	shard1 := []Snapshot{row(0, 100, 10), row(FinalSeq, 130, 11)} // ended before interval 1
 	got := MergeSnapshots(shard0, shard1)
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
 	}
-	if got[0].Counters["x"] != 11 || got[1].Counters["x"] != 3 {
+	if got[0].Counter("x") != 11 || got[1].Counter("x") != 3 {
 		t.Fatalf("intervals: %+v", got[:2])
 	}
 	fin := got[2]
-	if !fin.Final || fin.Seq != FinalSeq || fin.Counters["x"] != 15 || fin.T != 250 {
+	if !fin.Final || fin.Seq != FinalSeq || fin.Counter("x") != 15 || fin.T != 250 {
 		t.Fatalf("final: %+v", fin)
+	}
+	// Merging never writes into the shards' published rows.
+	if shard0[0].Counter("x") != 1 || shard0[2].Counter("x") != 4 {
+		t.Fatalf("merge modified a shard row: %+v", shard0)
 	}
 }
 
@@ -142,8 +230,8 @@ func TestObserverIntervalSnapshots(t *testing.T) {
 			t.Fatalf("snap %d: seq=%d t=%d", i, snaps[i].Seq, snaps[i].T)
 		}
 	}
-	if snaps[0].Counters["ops_total"] != 1 || snaps[2].Counters["ops_total"] != 2 {
-		t.Fatalf("cumulative counters: %v then %v", snaps[0].Counters, snaps[2].Counters)
+	if snaps[0].Counter("ops_total") != 1 || snaps[2].Counter("ops_total") != 2 {
+		t.Fatalf("cumulative counters: %+v then %+v", snaps[0], snaps[2])
 	}
 	fin := snaps[3]
 	if fin.Seq != FinalSeq || !fin.Final || fin.T != 350 {
@@ -196,7 +284,7 @@ func TestBuildReport(t *testing.T) {
 		t.Fatalf("snapshots: %+v", rep.Snapshots)
 	}
 	fin := rep.Snapshots[0]
-	if fin.Counters["n_total"] != 3 || fin.T != 300 || !fin.Final {
+	if fin.Counter("n_total") != 3 || fin.T != 300 || !fin.Final {
 		t.Fatalf("merged final: %+v", fin)
 	}
 	if len(rep.Events) != 2 || rep.Events[0].Shard != 1 || rep.Events[1].Shard != 0 {
@@ -206,9 +294,10 @@ func TestBuildReport(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	s := &Snapshot{T: 42,
-		Counters:   map[string]int64{"b_total": 2, "a_total": 1},
-		Gauges:     map[string]float64{"valid": 7},
-		Histograms: map[string]HistogramSnapshot{"lat": {Bounds: []int64{10}, Buckets: []int64{3, 1}, Count: 4, Sum: 25}}}
+		names:      &series{counters: []string{"b_total", "a_total"}, gauges: []string{"valid"}, histograms: []string{"lat"}},
+		counters:   []int64{2, 1},
+		gauges:     []float64{7},
+		histograms: []HistogramSnapshot{{Bounds: []int64{10}, Buckets: []int64{3, 1}, Count: 4, Sum: 25}}}
 	var buf bytes.Buffer
 	WritePrometheus(&buf, s)
 	out := buf.String()
@@ -236,8 +325,26 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestJSONLWritersDeterministic pins the snapshot wire format: names
+// are sorted within each kind, and an interval snapshot omits `final`
+// and every kind it has no series of.
 func TestJSONLWritersDeterministic(t *testing.T) {
-	snaps := []Snapshot{{Seq: 0, T: 1, Counters: map[string]int64{"b": 2, "a": 1}}}
+	var clk sim.Clock
+	o := New(Options{Metrics: true, MetricsInterval: 100})
+	o.SetClock(&clk)
+	o.RegisterCollector(func(s *Sample) {
+		s.Counter("b_total", 2)
+		s.Counter("a_total", int64(clk.Now()))
+	})
+	clk.Advance(150)
+	o.MaybeSnapshot(clk.Now())
+	o.Finish()
+	final := *o.Live()
+	final.names = &series{counters: final.names.counters, gauges: []string{"valid", "frac"}, histograms: []string{"lat"}}
+	final.gauges = []float64{7, 0.25}
+	final.histograms = []HistogramSnapshot{{Bounds: []int64{10, 20}, Buckets: []int64{3, 0, 1}, Count: 4, Sum: 45}}
+	snaps := []Snapshot{o.Snapshots()[0], final}
+
 	var x, y bytes.Buffer
 	if err := WriteSnapshotsJSONL(&x, snaps); err != nil {
 		t.Fatal(err)
@@ -248,7 +355,11 @@ func TestJSONLWritersDeterministic(t *testing.T) {
 	if !bytes.Equal(x.Bytes(), y.Bytes()) {
 		t.Fatal("snapshot JSONL must be byte-stable")
 	}
-	if !strings.Contains(x.String(), `"counters":{"a":1,"b":2}`) {
-		t.Fatalf("map keys must serialise sorted: %s", x.String())
+	want := `{"seq":0,"t":100,"counters":{"a_total":150,"b_total":2}}
+{"seq":-1,"t":150,"final":true,"counters":{"a_total":150,"b_total":2},"gauges":{"frac":0.25,"valid":7},` +
+		`"histograms":{"lat":{"bounds":[10,20],"buckets":[3,0,1],"count":4,"sum":45}}}
+`
+	if got := x.String(); got != want {
+		t.Fatalf("wire format\n got %s\nwant %s", got, want)
 	}
 }

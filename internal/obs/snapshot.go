@@ -2,46 +2,76 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 )
 
 // FinalSeq is the Seq value of the final end-of-run snapshot, kept
 // distinct from interval sequence numbers (0, 1, 2, ...).
 const FinalSeq int64 = -1
 
-// Snapshot is one cumulative capture of a registry: every counter,
-// gauge and histogram value plus everything the collectors sampled, as
-// of simulated time T. Snapshots merge across shards field by field;
-// the `merge` tags drive both Merge and the reflection test that keeps
-// this struct and Merge honest.
+// series is the ordered list of series names one observer's collectors
+// report, per kind. The observer's first snapshot records it; every
+// later snapshot shares it and stores values only, slot by slot in
+// this order. It is never modified after the first snapshot.
+type series struct {
+	counters, gauges, histograms []string
+}
+
+func (s *series) equal(o *series) bool {
+	return s == o || s != nil && o != nil &&
+		slices.Equal(s.counters, o.counters) &&
+		slices.Equal(s.gauges, o.gauges) &&
+		slices.Equal(s.histograms, o.histograms)
+}
+
+// Snapshot is one cumulative capture of an observer's collectors as of
+// simulated time T: a row of counter, gauge and histogram values whose
+// names the shared series holds. Rows published by an observer are
+// never modified; merge into a Clone. Snapshots merge across shards
+// slot by slot; the `merge` tags document Merge for the reflection
+// test that keeps this struct and Merge honest.
 type Snapshot struct {
 	// Seq is the interval index (0, 1, 2, ...), or FinalSeq for the
 	// end-of-run snapshot. Identical across the shards being merged.
-	Seq int64 `json:"seq" merge:"keep"`
+	Seq int64 `merge:"keep"`
 	// T is the simulated timestamp in nanoseconds: the nominal interval
 	// boundary for interval snapshots, and the furthest shard clock for
 	// merged final snapshots.
-	T int64 `json:"t" merge:"max"`
+	T int64 `merge:"max"`
 	// Final marks the end-of-run snapshot.
-	Final bool `json:"final,omitempty" merge:"keep"`
-	// Counters holds the cumulative counter series, summed across
+	Final bool `merge:"keep"`
+
+	// names is shared by every row of one observer.
+	names *series `merge:"keep"`
+	// counters hold the cumulative counter series, summed across
 	// shards.
-	Counters map[string]int64 `json:"counters,omitempty"`
-	// Gauges holds the point-in-time series; per-shard gauges are sums
+	counters []int64
+	// gauges hold the point-in-time series; per-shard gauges are sums
 	// of shard-local quantities (valid pages, queue depths), so merging
 	// sums them too.
-	Gauges map[string]float64 `json:"gauges,omitempty"`
-	// Histograms holds the fixed-bound histogram series, merged
+	gauges []float64
+	// histograms hold the fixed-bound histogram series, merged
 	// bucket-wise.
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	histograms []HistogramSnapshot
 }
+
+// Counter returns the named counter's value, 0 when the snapshot has
+// no such series.
+func (s *Snapshot) Counter(name string) int64 { return s.view().Counters[name] }
+
+// Gauge returns the named gauge's value, 0 when the snapshot has no
+// such series.
+func (s *Snapshot) Gauge(name string) float64 { return s.view().Gauges[name] }
 
 // HistogramSnapshot is a histogram's cumulative state: Buckets[i]
 // counts observations <= Bounds[i], with Buckets[len(Bounds)] the +Inf
 // overflow bucket.
 type HistogramSnapshot struct {
 	// Bounds are the inclusive upper bucket limits; identical across
-	// the shards being merged.
+	// the shards being merged, and never modified, so copies share
+	// them.
 	Bounds []int64 `json:"bounds" merge:"keep"`
 	// Buckets are the per-bucket observation counts (one longer than
 	// Bounds), summed across shards.
@@ -65,68 +95,44 @@ func (h *HistogramSnapshot) Merge(other HistogramSnapshot) {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy with its own buckets; the immutable bounds are
+// shared.
 func (h HistogramSnapshot) Clone() HistogramSnapshot {
-	h.Bounds = append([]int64(nil), h.Bounds...)
-	h.Buckets = append([]int64(nil), h.Buckets...)
+	h.Buckets = slices.Clone(h.Buckets)
 	return h
 }
 
-// Merge folds other into s: counters and gauges sum, histograms merge
-// bucket-wise, T takes the maximum (for final snapshots, the furthest
-// shard clock).
+// Merge folds other into s slot by slot: counters and gauges sum,
+// histograms merge bucket-wise, T takes the maximum (for final
+// snapshots, the furthest shard clock). Both snapshots must report the
+// same series — every shard of one engine shares one configuration —
+// and Merge panics when they do not.
 func (s *Snapshot) Merge(other Snapshot) {
-	if other.T > s.T {
-		s.T = other.T
+	if !s.names.equal(other.names) {
+		panic("obs: merging snapshots of different series")
 	}
-	for name, v := range other.Counters {
-		if s.Counters == nil {
-			s.Counters = make(map[string]int64)
-		}
-		s.Counters[name] += v
+	s.T = max(s.T, other.T)
+	for i, v := range other.counters {
+		s.counters[i] += v
 	}
-	for name, v := range other.Gauges {
-		if s.Gauges == nil {
-			s.Gauges = make(map[string]float64)
-		}
-		s.Gauges[name] += v
+	for i, v := range other.gauges {
+		s.gauges[i] += v
 	}
-	for name, h := range other.Histograms {
-		if s.Histograms == nil {
-			s.Histograms = make(map[string]HistogramSnapshot)
-		}
-		cur, ok := s.Histograms[name]
-		if !ok {
-			s.Histograms[name] = h.Clone()
-			continue
-		}
-		cur.Merge(h)
-		s.Histograms[name] = cur
+	for i, h := range other.histograms {
+		s.histograms[i].Merge(h)
 	}
 }
 
-// Clone returns a deep copy of the snapshot.
+// Clone returns a copy whose values may be merged into without
+// touching s.
 func (s Snapshot) Clone() Snapshot {
-	out := s
-	if s.Counters != nil {
-		out.Counters = make(map[string]int64, len(s.Counters))
-		for k, v := range s.Counters {
-			out.Counters[k] = v
-		}
+	s.counters = slices.Clone(s.counters)
+	s.gauges = slices.Clone(s.gauges)
+	s.histograms = slices.Clone(s.histograms)
+	for i, h := range s.histograms {
+		s.histograms[i] = h.Clone()
 	}
-	if s.Gauges != nil {
-		out.Gauges = make(map[string]float64, len(s.Gauges))
-		for k, v := range s.Gauges {
-			out.Gauges[k] = v
-		}
-	}
-	if s.Histograms != nil {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-		for k, v := range s.Histograms {
-			out.Histograms[k] = v.Clone()
-		}
-	}
-	return out
+	return s
 }
 
 // MergeSnapshots folds per-shard snapshot series into one series: for
@@ -150,13 +156,8 @@ func MergeSnapshots(series ...[]Snapshot) []Snapshot {
 				}
 				continue
 			}
-			for int64(len(intervals)) <= s.Seq {
-				intervals = append(intervals, Snapshot{Seq: int64(len(intervals)), T: s.T})
-			}
-			if intervals[s.Seq].Counters == nil && intervals[s.Seq].Gauges == nil && intervals[s.Seq].Histograms == nil {
-				c := s.Clone()
-				c.Seq = s.Seq
-				intervals[s.Seq] = c
+			if s.Seq == int64(len(intervals)) {
+				intervals = append(intervals, s.Clone())
 			} else {
 				intervals[s.Seq].Merge(s)
 			}
@@ -166,6 +167,113 @@ func MergeSnapshots(series ...[]Snapshot) []Snapshot {
 		intervals = append(intervals, *final)
 	}
 	return intervals
+}
+
+// view is the name-keyed rendering of a snapshot that both the JSONL
+// writer and the Prometheus exposition read. Names are attached here,
+// at write time, and nowhere on the snapshot path.
+type view struct {
+	Seq        int64                        `json:"seq"`
+	T          int64                        `json:"t"`
+	Final      bool                         `json:"final,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]float64           `json:"gauges,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+}
+
+func (s *Snapshot) view() view {
+	v := view{Seq: s.Seq, T: s.T, Final: s.Final}
+	if n := s.names; n != nil {
+		v.Counters = keyed(n.counters, s.counters)
+		v.Gauges = keyed(n.gauges, s.gauges)
+		v.Histograms = keyed(n.histograms, s.histograms)
+	}
+	return v
+}
+
+func keyed[V any](names []string, values []V) map[string]V {
+	m := make(map[string]V, len(names))
+	for i, name := range names {
+		m[name] = values[i]
+	}
+	return m
+}
+
+// MarshalJSON renders the snapshot as one object with name-keyed
+// counters, gauges and histograms; encoding/json sorts map keys, so
+// equal snapshots render to equal bytes.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	return json.Marshal(s.view())
+}
+
+// Sample is the sink a collector folds a component's counters into.
+// During an observer's first snapshot it records each series name in
+// the order reported; afterwards it checks every name against that
+// order and stores the value in its slot.
+type Sample struct {
+	snap   *Snapshot
+	record bool
+}
+
+// Counter stores v as the named cumulative series.
+func (s *Sample) Counter(name string, v int64) {
+	s.check("counter", &s.snap.names.counters, len(s.snap.counters), name)
+	s.snap.counters = append(s.snap.counters, v)
+}
+
+// Gauge stores v as the named point-in-time series (per-shard gauges
+// sum across shards in merged snapshots).
+func (s *Sample) Gauge(name string, v float64) {
+	s.check("gauge", &s.snap.names.gauges, len(s.snap.gauges), name)
+	s.snap.gauges = append(s.snap.gauges, v)
+}
+
+// Histogram stores a copy of hs's buckets as the named histogram
+// series; the bounds are shared and must never be modified. It lets a
+// component that already maintains its own distribution (for example
+// the hierarchy's latency profile) publish it at snapshot time with
+// zero hot-path cost.
+func (s *Sample) Histogram(name string, hs HistogramSnapshot) {
+	s.check("histogram", &s.snap.names.histograms, len(s.snap.histograms), name)
+	s.snap.histograms = append(s.snap.histograms, hs.Clone())
+}
+
+// check records name as the next series of its kind on the first
+// snapshot, and afterwards verifies it is the series in slot i.
+func (s *Sample) check(kind string, names *[]string, i int, name string) {
+	if s.record {
+		if slices.Contains(*names, name) {
+			panic(fmt.Sprintf("obs: %s %q reported twice in one snapshot", kind, name))
+		}
+		*names = append(*names, name)
+		return
+	}
+	switch {
+	case i >= len(*names):
+		panic(fmt.Sprintf("obs: %s %q is not in the first snapshot's series", kind, name))
+	case (*names)[i] != name:
+		panic(fmt.Sprintf("obs: %s %q reported in slot %d, which the first snapshot gave to %q",
+			kind, name, i, (*names)[i]))
+	}
+}
+
+// missing panics when a later snapshot reported only got of a kind's
+// series names.
+func missing(kind string, names []string, got int) {
+	if got < len(names) {
+		panic(fmt.Sprintf("obs: %s %q missing from a later snapshot", kind, names[got]))
+	}
+}
+
+// LatencyBounds returns the standard request-latency bucket bounds in
+// nanoseconds (10µs to 100ms, roughly logarithmic) used by the
+// hierarchy's page-latency histogram.
+func LatencyBounds() []int64 {
+	return []int64{
+		10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+		1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000,
+		50_000_000, 100_000_000,
+	}
 }
 
 // WriteSnapshotsJSONL writes one JSON object per snapshot, one per

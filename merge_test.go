@@ -8,6 +8,7 @@ package flashdc
 // shard reports.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -42,8 +43,6 @@ func fillCounters(t *testing.T, v reflect.Value, base int64) int {
 			f.SetInt(val)
 		case reflect.Float64:
 			f.SetFloat(float64(val))
-		case reflect.String:
-			n-- // identity fields (TierStats.Name) are not counters
 		default:
 			t.Fatalf("%s.%s: unhandled kind %v", v.Type(), v.Type().Field(i).Name, f.Kind())
 		}
@@ -92,7 +91,6 @@ func mergeByName(t *testing.T, dst, src reflect.Value) {
 func TestStatsMergeSumsEveryField(t *testing.T) {
 	structs := []any{
 		hier.Stats{},
-		hier.TierStats{},
 		core.Stats{},
 		nand.Stats{},
 		disk.Stats{},
@@ -118,11 +116,11 @@ func TestStatsMergeSumsEveryField(t *testing.T) {
 	}
 }
 
-// checkMergedByTags walks every field of an obs snapshot struct and
-// verifies the merged value obeys the field's `merge` tag: "keep"
-// retains the receiver's value, "max" takes the maximum, and untagged
-// fields accumulate (scalars and slice elements sum; map entries sum
-// key-wise, struct-valued maps recursively). A field added to the
+// checkMergedByTags walks every field of an obs snapshot struct,
+// unexported value rows included, and verifies the merged value obeys
+// the field's `merge` tag: "keep" retains the receiver's value, "max"
+// takes the maximum, and untagged fields accumulate (scalars and slice
+// elements sum, struct elements recursively). A field added to the
 // struct in a shape this walk doesn't know fails loudly, the same
 // honesty property the flat counter structs get from
 // TestStatsMergeSumsEveryField.
@@ -134,72 +132,39 @@ func checkMergedByTags(t *testing.T, prefix string, merged, a, b reflect.Value) 
 		m, av, bv := merged.Field(i), a.Field(i), b.Field(i)
 		switch sf.Tag.Get("merge") {
 		case "keep":
-			if !reflect.DeepEqual(m.Interface(), av.Interface()) {
+			// Shared rows and bounds must stay the receiver's own.
+			same := false
+			if k := m.Kind(); k == reflect.Ptr || k == reflect.Slice {
+				same = m.Pointer() == av.Pointer()
+			} else {
+				same = reflect.DeepEqual(m.Interface(), av.Interface())
+			}
+			if !same {
 				t.Errorf("%s = %v, want receiver's %v (merge:\"keep\")", name, m, av)
 			}
 		case "max":
-			want := av.Int()
-			if bv.Int() > want {
-				want = bv.Int()
-			}
+			want := max(av.Int(), bv.Int())
 			if m.Int() != want {
 				t.Errorf("%s = %d, want max %d", name, m.Int(), want)
 			}
 		case "":
 			switch m.Kind() {
-			case reflect.Int64:
-				if m.Int() != av.Int()+bv.Int() {
-					t.Errorf("%s = %d, want sum %d", name, m.Int(), av.Int()+bv.Int())
-				}
+			case reflect.Int64, reflect.Float64:
+				checkSum(t, name, m, av, bv)
 			case reflect.Slice:
 				if m.Len() != av.Len() || av.Len() != bv.Len() {
 					t.Fatalf("%s: unequal slice lengths", name)
 				}
 				for j := 0; j < m.Len(); j++ {
-					if m.Index(j).Int() != av.Index(j).Int()+bv.Index(j).Int() {
-						t.Errorf("%s[%d] = %d, want element-wise sum", name, j, m.Index(j).Int())
-					}
-				}
-			case reflect.Map:
-				iter := m.MapRange()
-				for iter.Next() {
-					k := iter.Key()
-					mv := iter.Value()
-					akv, bkv := av.MapIndex(k), bv.MapIndex(k)
-					switch mv.Kind() {
-					case reflect.Int64:
-						var want int64
-						if akv.IsValid() {
-							want += akv.Int()
-						}
-						if bkv.IsValid() {
-							want += bkv.Int()
-						}
-						if mv.Int() != want {
-							t.Errorf("%s[%v] = %d, want %d", name, k, mv.Int(), want)
-						}
-					case reflect.Float64:
-						var want float64
-						if akv.IsValid() {
-							want += akv.Float()
-						}
-						if bkv.IsValid() {
-							want += bkv.Float()
-						}
-						if mv.Float() != want {
-							t.Errorf("%s[%v] = %v, want %v", name, k, mv.Float(), want)
-						}
-					case reflect.Struct:
-						if !akv.IsValid() || !bkv.IsValid() {
-							continue // entry from one shard copies through
-						}
-						checkMergedByTags(t, name+"."+k.String()+".", mv, akv, bkv)
-					default:
-						t.Fatalf("%s: unhandled map value kind %v", name, mv.Kind())
+					elem := fmt.Sprintf("%s[%d]", name, j)
+					if m.Index(j).Kind() == reflect.Struct {
+						checkMergedByTags(t, elem+".", m.Index(j), av.Index(j), bv.Index(j))
+					} else {
+						checkSum(t, elem, m.Index(j), av.Index(j), bv.Index(j))
 					}
 				}
 			default:
-				t.Fatalf("%s: kind %v needs a merge tag or map/slice merge support", name, m.Kind())
+				t.Fatalf("%s: kind %v needs a merge tag or slice merge support", name, m.Kind())
 			}
 		default:
 			t.Fatalf("%s: unknown merge tag %q", name, sf.Tag.Get("merge"))
@@ -207,17 +172,44 @@ func checkMergedByTags(t *testing.T, prefix string, merged, a, b reflect.Value) 
 	}
 }
 
+// checkSum verifies the numeric value m is the sum of a and b.
+func checkSum(t *testing.T, name string, m, a, b reflect.Value) {
+	t.Helper()
+	switch m.Kind() {
+	case reflect.Int64:
+		if m.Int() != a.Int()+b.Int() {
+			t.Errorf("%s = %d, want sum %d", name, m.Int(), a.Int()+b.Int())
+		}
+	case reflect.Float64:
+		if m.Float() != a.Float()+b.Float() {
+			t.Errorf("%s = %v, want sum %v", name, m.Float(), a.Float()+b.Float())
+		}
+	default:
+		t.Fatalf("%s: unhandled kind %v", name, m.Kind())
+	}
+}
+
 func TestObsSnapshotMergeHonoursTags(t *testing.T) {
 	hA := obs.HistogramSnapshot{Bounds: []int64{10, 20}, Buckets: []int64{1, 2, 3}, Count: 6, Sum: 30}
 	hB := obs.HistogramSnapshot{Bounds: []int64{10, 20}, Buckets: []int64{4, 5, 6}, Count: 15, Sum: 100}
-	a := obs.Snapshot{Seq: 3, T: 10, Final: true,
-		Counters:   map[string]int64{"c": 1, "onlyA": 2},
-		Gauges:     map[string]float64{"g": 1.5},
-		Histograms: map[string]obs.HistogramSnapshot{"h": hA}}
-	b := obs.Snapshot{Seq: 3, T: 25,
-		Counters:   map[string]int64{"c": 10, "onlyB": 20},
-		Gauges:     map[string]float64{"g": 2.5},
-		Histograms: map[string]obs.HistogramSnapshot{"h": hB}}
+	// Two shards' observers report the same series with different
+	// values, as every shard of one engine does.
+	shard := func(c int64, g float64, h obs.HistogramSnapshot, final bool) obs.Snapshot {
+		o := obs.New(obs.Options{Metrics: true})
+		o.RegisterCollector(func(s *obs.Sample) {
+			s.Counter("c", c)
+			s.Counter("d", 2*c)
+			s.Gauge("g", g)
+			s.Histogram("h", h)
+		})
+		o.Finish()
+		s := *o.Live()
+		s.Seq, s.Final = 3, final
+		return s
+	}
+	a := shard(1, 1.5, hA, true)
+	b := shard(10, 2.5, hB, false)
+	a.T, b.T = 10, 25
 	merged := a.Clone()
 	merged.Merge(b)
 	checkMergedByTags(t, "Snapshot.", reflect.ValueOf(merged), reflect.ValueOf(a), reflect.ValueOf(b))
