@@ -60,6 +60,44 @@ func BenchmarkCacheReadHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheReadHitWorn times BenchmarkCacheReadHit's hit path on
+// a cache whose every block has been erased at least once before the
+// timer starts, so every read, from the first, evaluates a worn page's
+// bit-error count. BenchmarkCacheReadHit's reads reach erased blocks
+// only once hot-page promotion has migrated them, after ~100k reads.
+func BenchmarkCacheReadHitWorn(b *testing.B) {
+	c := NewCache(DefaultCacheConfig(16 << 20))
+	// Churn fills, and writes that each overwrite once, over LBAs
+	// disjoint from the read set until reclaim has erased every block.
+	for lba := int64(1 << 20); !allErased(c); lba++ {
+		if lba == 1<<20+100*c.CapacityPages() {
+			b.Fatal("churn left a block never erased")
+		}
+		c.Insert(lba)
+		c.Write(lba / 2)
+	}
+	for i := int64(0); i < 1000; i++ {
+		c.Insert(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.Read(int64(i % 1000)).Hit {
+			b.Fatal("unexpected miss")
+		}
+	}
+}
+
+// allErased reports whether every block of c has been erased at least
+// once.
+func allErased(c *Cache) bool {
+	for b := 0; b < c.Blocks(); b++ {
+		if c.EraseCount(b) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // BenchmarkCacheReadHitFull times the same hit path on a 64 MiB cache
 // whose read region is full: 230 populated blocks instead of
 // BenchmarkCacheReadHit's handful. Every operation checks the regions'

@@ -102,6 +102,9 @@ func (d *Device) Restore(ck DeviceCheckpoint) error {
 			sl.data = sc.Data
 			sl.programmedAt = sc.ProgrammedAt
 			sl.payload = nil
+			// The cached wear count may belong to another erase count
+			// or mode.
+			sl.wearNext = 0
 		}
 	}
 	d.recount()

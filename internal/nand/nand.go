@@ -15,6 +15,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"flashdc/internal/fault"
 	"flashdc/internal/sim"
@@ -154,8 +155,15 @@ var (
 type slotState struct {
 	mode       wear.Mode
 	programmed [2]bool
-	data       [2]uint64
-	wear       wear.PageWear
+	// wearBits caches the wear share of the slot's error count, valid
+	// while the block's erase count is below wearNext (DESIGN §9.6).
+	// The zero value (wearNext 0) is never valid, so a new or
+	// invalidated slot recomputes on its next use. Two int32s fill the
+	// padding after mode and programmed, so the slot stays 64 bytes.
+	wearBits int32
+	wearNext int32
+	data     [2]uint64
+	wear     wear.PageWear
 	// programmedAt is the simulated time each sub-page was last
 	// programmed — the retention dwell clock. Meaningful only while
 	// the sub-page is programmed and a clock is attached.
@@ -233,6 +241,9 @@ func New(cfg Config) *Device {
 	}
 	if cfg.WearAcceleration < 0 {
 		panic("nand: negative wear acceleration")
+	}
+	if math.IsNaN(cfg.WearAcceleration) || math.IsInf(cfg.WearAcceleration, 0) {
+		panic("nand: non-finite wear acceleration")
 	}
 	d := &Device{
 		cfg:    cfg,
@@ -408,13 +419,12 @@ func (d *Device) Read(a Addr) (ReadResult, error) {
 // — only a rewrite (retention, disturb) or reconfiguration (wear)
 // helps, which is exactly what the refresh policy exploits.
 func (d *Device) organicBits(blk *blockState, sl *slotState, sub int) int {
-	cycles := float64(blk.eraseCount) * d.cfg.WearAcceleration
-	bits := sl.wear.FailedBits(cycles, sl.mode)
+	bits := d.wearBits(blk, sl)
 	if d.cfg.Retention.Enabled() && sl.programmed[sub] {
-		bits += d.cfg.Retention.Bits(d.now().Sub(sl.programmedAt[sub]), cycles, sl.mode)
+		bits += d.cfg.Retention.Bits(d.now().Sub(sl.programmedAt[sub]), d.cycles(blk.eraseCount), sl.mode)
 	}
 	if d.cfg.Disturb.Enabled() {
-		bits += d.cfg.Disturb.Bits(blk.reads, cycles, sl.mode)
+		bits += d.cfg.Disturb.Bits(blk.reads, d.cycles(blk.eraseCount), sl.mode)
 	}
 	if bits > wear.CellsPerPage {
 		bits = wear.CellsPerPage
@@ -442,7 +452,62 @@ func (d *Device) WearBitErrors(a Addr) int {
 	if err != nil {
 		panic(err)
 	}
-	return sl.wear.FailedBits(float64(blk.eraseCount)*d.cfg.WearAcceleration, sl.mode)
+	return d.wearBits(blk, sl)
+}
+
+// cycles returns the effective write/erase cycle count of erase count
+// n: n scaled by the configured wear acceleration.
+func (d *Device) cycles(n int) float64 {
+	return float64(n) * d.cfg.WearAcceleration
+}
+
+// wearBits returns the wear share of a slot's error count. The count
+// is a step function of the block's erase count, so the slot caches it
+// together with the erase count at which it next changes; while the
+// block has not reached that count, this is one integer compare.
+func (d *Device) wearBits(blk *blockState, sl *slotState) int {
+	if blk.eraseCount >= int(sl.wearNext) {
+		d.rewear(blk.eraseCount, sl)
+	}
+	return int(sl.wearBits)
+}
+
+// rewear recomputes sl's cached wear count at erase count e and the
+// first erase count above e at which it changes. It is the only caller
+// of FailedBits. A never-erased slot has no wear and costs no math.
+func (d *Device) rewear(e int, sl *slotState) {
+	if e == 0 {
+		sl.wearBits, sl.wearNext = 0, 1
+		return
+	}
+	f := func(n int) int { return sl.wear.FailedBits(d.model, d.cycles(n), sl.mode) }
+	bits := f(e)
+	sl.wearBits = int32(bits)
+	est := sl.wear.CyclesUntilBits(d.model, bits, sl.mode) / d.cfg.WearAcceleration
+	if math.IsInf(est, 1) && bits < wear.CellsPerPage {
+		// The inverse has no finite answer for the last cell, yet the
+		// forward count can still round up to CellsPerPage, some 1e24
+		// cycles out: re-evaluate on every erase from here on.
+		sl.wearNext = int32(min(e+1, math.MaxInt32))
+		return
+	}
+	// Start from the inverse's estimate and confirm it against the
+	// forward function, which is monotone in e: n is the first change
+	// point once f(n-1) == bits and f(n) != bits. Stepping down stops
+	// above e, where f(e) == bits. A change point beyond MaxInt32 (or
+	// +Inf: never) is cached as MaxInt32, so the slot re-evaluates
+	// from there on.
+	n := e + 1
+	if est > float64(n) {
+		n = int(math.Min(math.Ceil(est), math.MaxInt32))
+	}
+	for n-1 > e && f(n-1) != bits {
+		n--
+	}
+	for n < math.MaxInt32 && f(n) == bits {
+		n++
+	}
+	sl.wearNext = int32(min(n, math.MaxInt32))
 }
 
 // Program writes the payload token into a free (erased) page and
@@ -514,6 +579,8 @@ func (d *Device) SetMode(block, slot int, m wear.Mode) error {
 	if sl.programmed[0] || sl.programmed[1] {
 		return fmt.Errorf("%w: b%d/s%d", ErrModeWhileInUse, block, slot)
 	}
+	// The cached wear count belongs to the old mode.
+	sl.wearNext = 0
 	if sl.mode == wear.MLC {
 		blk.mlcSlots--
 	}

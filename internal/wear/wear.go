@@ -143,10 +143,11 @@ func (md *Model) MaxTolerableCycles(t int, sigmaSpatial float64, mode Mode) floa
 
 // PageWear is the deterministic wear trajectory of one page: a sampled
 // per-page quality offset shifts the whole failure CDF, so weaker pages
-// develop bit errors sooner. The zero value is not usable; obtain
-// instances from Model.SamplePageWear.
+// develop bit errors sooner. Obtain instances from
+// Model.SamplePageWear and evaluate them against the same Model; the
+// page keeps no pointer to it, so a device's 8 bytes per page slot go
+// to the slot's own state instead.
 type PageWear struct {
-	model *Model
 	// muOffset is the sampled page-quality shift in decades
 	// (negative = weak page).
 	muOffset float64
@@ -172,24 +173,29 @@ func (md *Model) SamplePageWear(rng *sim.RNG, sigmaSpatial float64) PageWear {
 	} else if offset < -limit {
 		offset = -limit
 	}
-	return PageWear{model: md, muOffset: offset}
+	return PageWear{muOffset: offset}
 }
 
-// FailedBits returns the number of stuck cells in this page after
-// cycles write/erase cycles in the given mode. Monotone in cycles.
-func (w *PageWear) FailedBits(cycles float64, mode Mode) int {
+// FailedBits returns the number of stuck cells in this page of model
+// md after cycles write/erase cycles in the given mode. Monotone in
+// cycles.
+func (w *PageWear) FailedBits(md *Model, cycles float64, mode Mode) int {
 	if cycles <= 0 {
 		return 0
 	}
-	mu := w.model.MuDecades + w.muOffset - modeShift(mode)
-	z := (math.Log10(cycles) - mu) / w.model.SigmaDecades
+	mu := md.MuDecades + w.muOffset - modeShift(mode)
+	z := (math.Log10(cycles) - mu) / md.SigmaDecades
 	return int(float64(CellsPerPage) * NormCDF(z))
 }
 
 // CyclesUntilBits returns the write/erase cycle count at which the page
-// first shows more than bits failed cells in the given mode — the
-// inverse of FailedBits. bits must be >= 0.
-func (w *PageWear) CyclesUntilBits(bits int, mode Mode) float64 {
+// of model md first shows more than bits failed cells in the given
+// mode — the inverse of FailedBits, or +Inf when bits+1 reaches
+// CellsPerPage. bits must be >= 0. The device uses it to estimate the
+// erase count at which a page's cached failed-bit count goes stale,
+// and confirms that estimate with FailedBits: the inverse is close,
+// not exact in floating point.
+func (w *PageWear) CyclesUntilBits(md *Model, bits int, mode Mode) float64 {
 	if bits < 0 {
 		panic("wear: negative bit budget")
 	}
@@ -197,8 +203,8 @@ func (w *PageWear) CyclesUntilBits(bits int, mode Mode) float64 {
 	if q >= 1 {
 		return math.Inf(1)
 	}
-	mu := w.model.MuDecades + w.muOffset - modeShift(mode)
-	return math.Pow(10, mu+NormInv(q)*w.model.SigmaDecades)
+	mu := md.MuDecades + w.muOffset - modeShift(mode)
+	return math.Pow(10, mu+NormInv(q)*md.SigmaDecades)
 }
 
 // NormCDF is the standard normal cumulative distribution function.

@@ -167,12 +167,12 @@ func TestPageWearTrajectory(t *testing.T) {
 	m := NewModel()
 	rng := sim.NewRNG(1)
 	w := m.SamplePageWear(rng, 0)
-	if w.FailedBits(1000, SLC) != 0 {
+	if w.FailedBits(m, 1000, SLC) != 0 {
 		t.Fatal("fresh page already has failed bits")
 	}
 	prev := 0
 	for _, c := range []float64{1e4, 1e5, 3e5, 1e6, 5e6, 2e7} {
-		n := w.FailedBits(c, SLC)
+		n := w.FailedBits(m, c, SLC)
 		if n < prev {
 			t.Fatalf("FailedBits not monotone at %v cycles", c)
 		}
@@ -187,11 +187,11 @@ func TestPageWearInverse(t *testing.T) {
 	m := NewModel()
 	w := m.SamplePageWear(sim.NewRNG(2), 0.05)
 	for _, bits := range []int{0, 1, 4, 12} {
-		c := w.CyclesUntilBits(bits, SLC)
-		if got := w.FailedBits(c*1.01, SLC); got <= bits {
+		c := w.CyclesUntilBits(m, bits, SLC)
+		if got := w.FailedBits(m, c*1.01, SLC); got <= bits {
 			t.Fatalf("just past CyclesUntilBits(%d)=%v, FailedBits=%d", bits, c, got)
 		}
-		if got := w.FailedBits(c*0.99, SLC); got > bits {
+		if got := w.FailedBits(m, c*0.99, SLC); got > bits {
 			t.Fatalf("just before CyclesUntilBits(%d), FailedBits=%d", bits, got)
 		}
 	}
@@ -200,8 +200,8 @@ func TestPageWearInverse(t *testing.T) {
 func TestPageWearMLCWearsFaster(t *testing.T) {
 	m := NewModel()
 	w := m.SamplePageWear(sim.NewRNG(3), 0)
-	cSLC := w.CyclesUntilBits(1, SLC)
-	cMLC := w.CyclesUntilBits(1, MLC)
+	cSLC := w.CyclesUntilBits(m, 1, SLC)
+	cMLC := w.CyclesUntilBits(m, 1, MLC)
 	if math.Abs(cSLC/cMLC-10) > 0.01 {
 		t.Fatalf("SLC/MLC page wear ratio %v, want 10", cSLC/cMLC)
 	}
@@ -213,7 +213,7 @@ func TestPageWearSpreadAcrossPages(t *testing.T) {
 	var lives []float64
 	for i := 0; i < 200; i++ {
 		w := m.SamplePageWear(rng, 0.10)
-		lives = append(lives, w.CyclesUntilBits(0, SLC))
+		lives = append(lives, w.CyclesUntilBits(m, 0, SLC))
 	}
 	min, max := lives[0], lives[0]
 	for _, v := range lives {
@@ -226,7 +226,7 @@ func TestPageWearSpreadAcrossPages(t *testing.T) {
 	// Zero spatial sigma must produce identical pages.
 	w1 := m.SamplePageWear(rng, 0)
 	w2 := m.SamplePageWear(rng, 0)
-	if w1.CyclesUntilBits(0, SLC) != w2.CyclesUntilBits(0, SLC) {
+	if w1.CyclesUntilBits(m, 0, SLC) != w2.CyclesUntilBits(m, 0, SLC) {
 		t.Fatal("sigma=0 pages differ")
 	}
 }
@@ -239,7 +239,7 @@ func TestCyclesUntilBitsPanicsOnNegative(t *testing.T) {
 			t.Fatal("negative bit budget did not panic")
 		}
 	}()
-	w.CyclesUntilBits(-1, SLC)
+	w.CyclesUntilBits(m, -1, SLC)
 }
 
 func TestMaxTolerableCyclesPanicsOnNegativeStrength(t *testing.T) {
@@ -267,7 +267,7 @@ func TestStochasticMatchesAnalytic(t *testing.T) {
 		var lives []float64
 		for i := 0; i < pages; i++ {
 			w := m.SamplePageWear(rng, sigma)
-			lives = append(lives, w.CyclesUntilBits(tc, SLC))
+			lives = append(lives, w.CyclesUntilBits(m, tc, SLC))
 		}
 		sort.Float64s(lives)
 		median := lives[pages/2]
