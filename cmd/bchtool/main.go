@@ -8,13 +8,16 @@
 //
 //	bchtool -t 4 -errors 4 -pages 16
 //	bchtool -t 2 -errors 5 -pages 16   # overload: detection must fire
+//
+// A malformed flag, a value outside its domain or a stray argument is
+// a usage error: bchtool exits 2 before encoding anything. Output
+// depends only on the flags, so same-seed runs are byte-identical.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"flashdc/internal/ecc"
 	"flashdc/internal/sim"
@@ -30,9 +33,16 @@ func main() {
 	flag.Parse()
 
 	s := ecc.Strength(*strength)
-	if err := s.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "bchtool:", err)
-		os.Exit(1)
+	switch err := s.Validate(); {
+	case flag.NArg() > 0:
+		usageErr("unexpected argument %q", flag.Arg(0))
+	case err != nil:
+		usageErr("-t: %v", err)
+	case *pages < 1:
+		usageErr("-pages %d: need at least one page", *pages)
+	case *nErrors < 0 || *nErrors > ecc.PageSize*8:
+		// A page has only PageSize*8 distinct bit positions to flip.
+		usageErr("-errors %d outside [0, %d]", *nErrors, ecc.PageSize*8)
 	}
 	codec := ecc.NewCodec()
 	lat := ecc.DefaultLatencyModel()
@@ -43,16 +53,13 @@ func main() {
 	fmt.Printf("accelerator model: encode %v, decode (clean) %v, decode (errors) %v\n\n",
 		lat.EncodeLatency(s), lat.DecodeLatencyClean(s), lat.DecodeLatency(s))
 
-	var encodeTime, decodeTime time.Duration
 	corrected, failed := 0, 0
 	for p := 0; p < *pages; p++ {
 		page := make([]byte, ecc.PageSize)
 		for i := range page {
 			page[i] = byte(rng.Uint64())
 		}
-		start := time.Now()
 		spare := codec.Encode(s, page)
-		encodeTime += time.Since(start)
 
 		// Inject distinct bit errors.
 		seen := map[int]bool{}
@@ -64,9 +71,7 @@ func main() {
 			}
 		}
 
-		start = time.Now()
 		n, err := codec.Decode(s, page, spare)
-		decodeTime += time.Since(start)
 		if err != nil {
 			failed++
 			fmt.Printf("page %2d: %v\n", p, err)
@@ -76,9 +81,15 @@ func main() {
 	}
 	fmt.Printf("\npages: %d, injected %d errors each\n", *pages, *nErrors)
 	fmt.Printf("corrected: %d bits total, uncorrectable pages: %d\n", corrected, failed)
-	fmt.Printf("software codec: %v/page encode, %v/page decode\n",
-		encodeTime/time.Duration(*pages), decodeTime/time.Duration(*pages))
 	if *nErrors > *strength {
 		fmt.Println("(overload case: BCH+CRC must report, not silently corrupt)")
 	}
+}
+
+// usageErr reports a flag-validation failure as a usage error (exit 2,
+// the flag package's convention) before any page is encoded.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bchtool: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, "run with -h for usage")
+	os.Exit(2)
 }

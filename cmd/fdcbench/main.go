@@ -19,7 +19,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"flashdc/internal/experiments"
 )
@@ -79,9 +78,8 @@ func main() {
 	// Run (optionally in parallel — experiments are independent and
 	// internally deterministic), then print in the requested order.
 	type result struct {
-		tab     *experiments.Table
-		err     error
-		elapsed time.Duration
+		tab *experiments.Table
+		err error
 	}
 	results := make([]result, len(ids))
 	sem := make(chan struct{}, *parallel)
@@ -92,7 +90,6 @@ func main() {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			start := time.Now()
 			var tab *experiments.Table
 			var err error
 			if *seeds > 1 {
@@ -100,14 +97,13 @@ func main() {
 			} else {
 				tab, err = experiments.Run(id, opts)
 			}
-			results[i] = result{tab: tab, err: err, elapsed: time.Since(start)}
+			results[i] = result{tab: tab, err: err}
 		}()
 	}
 	wg.Wait()
 
 	var tables []*experiments.Table
-	for i, id := range ids {
-		r := results[i]
+	for _, r := range results {
 		if r.err != nil {
 			fmt.Fprintln(os.Stderr, "fdcbench:", r.err)
 			os.Exit(1)
@@ -120,7 +116,6 @@ func main() {
 		if *plot {
 			fmt.Println(r.tab.Chart(r.tab.DefaultChartColumn(), 48))
 		}
-		fmt.Printf("   (%s in %v)\n\n", id, r.elapsed.Round(time.Millisecond))
 	}
 	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)

@@ -32,6 +32,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-exp", "nope"}, `unknown experiment "nope"`},
 		{[]string{"-exp", "table1,nope"}, `unknown experiment "nope"`},
 		{[]string{"-exp", "ablate-pdc"}, `unknown experiment "ablate-pdc"`},
+		{[]string{"-exp", "batch_throughput"}, `unknown experiment "batch_throughput"`},
+		{[]string{"-exp", "ecc-throughput"}, `unknown experiment "ecc-throughput"`},
 		{[]string{"table1"}, `unexpected argument "table1"`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
@@ -74,5 +76,17 @@ func TestValidRun(t *testing.T) {
 				t.Fatalf("stdout lacks %q:\n%s", tc.want, stdout)
 			}
 		})
+	}
+}
+
+// TestTextOutputDeterministic: every number fdcbench prints is
+// simulated, so the text output depends only on the flags, not on
+// -parallel or on how long the host took.
+func TestTextOutputDeterministic(t *testing.T) {
+	args := []string{"-exp", "table1,table2,fig6a", "-scale", "0.0078125"}
+	_, serial, _ := cmdtest.Run(t, append(args, "-parallel", "1")...)
+	_, parallel, _ := cmdtest.Run(t, append(args, "-parallel", "3")...)
+	if serial == "" || serial != parallel {
+		t.Fatalf("-parallel 1 and -parallel 3 print different text:\n%s\n---\n%s", serial, parallel)
 	}
 }

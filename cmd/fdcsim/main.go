@@ -80,8 +80,11 @@ import (
 	"flashdc/internal/workload"
 )
 
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+// parseSize parses a byte count with an optional K, M or G suffix. A
+// count whose bytes do not fit an int64 is an error, never a wrapped
+// value.
+func parseSize(size string) (int64, error) {
+	s := strings.TrimSpace(strings.ToUpper(size))
 	mult := int64(1)
 	switch {
 	case strings.HasSuffix(s, "G"):
@@ -97,6 +100,9 @@ func parseSize(s string) (int64, error) {
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q: %v", s, err)
+	}
+	if v > math.MaxInt64/mult || v < math.MinInt64/mult {
+		return 0, fmt.Errorf("size %s overflows a 64-bit byte count", size)
 	}
 	return v * mult, nil
 }

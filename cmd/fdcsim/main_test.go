@@ -9,7 +9,7 @@ import (
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
-// TestUsageErrors: every bad size, capacity, interval, workload, shard
+// TestUsageErrors: every bad or overflowing size, capacity, interval, workload, shard
 // split or out-of-domain number (NaN, infinity, a fault rate outside
 // [0, 1], a negative count) exits 2 with the usage hint, never with a
 // panic or a silently ignored value.
@@ -23,6 +23,9 @@ func TestUsageErrors(t *testing.T) {
 		{args: []string{"-dram", "-4M"}},
 		{args: []string{"-flash", "100"}},
 		{args: []string{"-flash", "-8M"}},
+		{[]string{"-dram", "9999999999999G"}, "-dram: size 9999999999999G overflows a 64-bit byte count"},
+		{[]string{"-dram", "9999999999G"}, "-dram: size 9999999999G overflows a 64-bit byte count"},
+		{[]string{"-flash", "9999999999999G"}, "-flash: size 9999999999999G overflows a 64-bit byte count"},
 		{args: []string{"-workload", "nope"}},
 		{args: []string{"-scale", "2"}},
 		{args: []string{"-shards", "4", "-flash", "1M"}},

@@ -12,8 +12,8 @@ import (
 // hardware BCH engine (section 4.1.1) — the 32-bit-wide LFSR, the
 // 16-lane syndrome datapath and the 16-way parallel Chien search — and
 // each is pinned to the retained bit-serial implementation
-// (EncodeBitSerial, SyndromesBitSerial, chienSearchRef) by the
-// differential tests in kernels_test.go.
+// (EncodeBitSerial here, SyndromesBitSerial and chienSearchRef in
+// ref_test.go) by the differential tests in kernels_test.go.
 
 // buildKernels precomputes the encode and syndrome tables. Called once
 // from New; the tables are immutable afterwards, so the Code stays

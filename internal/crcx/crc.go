@@ -1,10 +1,9 @@
 // Package crcx implements the CRC-32 (IEEE 802.3 polynomial) checksum
 // the Flash memory controller uses for error *detection* on top of the
-// BCH corrector (paper section 4.1.2). Two engines are provided: a
-// bit-serial reference and a slice-by-4 table engine modelling the
-// "high-performance CMOS 32-bit parallel CRC engine" the paper cites —
-// both compute the identical checksum, and the parallel one is the one
-// the simulator uses.
+// BCH corrector (paper section 4.1.2). The engine is a slice-by-4
+// table engine modelling the "high-performance CMOS 32-bit parallel
+// CRC engine" the paper cites; the tests pin it to a bit-serial
+// reference.
 package crcx
 
 // Poly is the IEEE 802.3 CRC-32 polynomial in reversed bit order.
@@ -59,23 +58,6 @@ func Update(crc uint32, data []byte) uint32 {
 	}
 	for _, b := range data {
 		crc = tables[0][byte(crc)^b] ^ crc>>8
-	}
-	return ^crc
-}
-
-// ChecksumBitSerial returns the CRC-32 of data one bit at a time. It is
-// the reference implementation the table engines are validated against.
-func ChecksumBitSerial(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		for bit := 0; bit < 8; bit++ {
-			in := uint32(b>>bit) & 1
-			if (crc^in)&1 == 1 {
-				crc = crc>>1 ^ Poly
-			} else {
-				crc >>= 1
-			}
-		}
 	}
 	return ^crc
 }

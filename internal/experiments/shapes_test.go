@@ -378,34 +378,6 @@ func TestAblateChannelsShape(t *testing.T) {
 	}
 }
 
-func TestEccThroughputShape(t *testing.T) {
-	tab := MustRun("ecc-throughput", QuickOptions())
-	if len(tab.Rows) != 12 {
-		t.Fatalf("expected strengths 1..12, got %d rows", len(tab.Rows))
-	}
-	// Wall-clock numbers are host-dependent; only ratios with wide
-	// margins are asserted. Stronger codes cost more: t=12 decodes
-	// far slower than t=1 under its own error burden.
-	if r := cell(t, tab, 0, 4) / cell(t, tab, 11, 4); r < 2 {
-		t.Fatalf("t=12 MLC decode only %.1fx slower than t=1; the sweep shape is gone", r)
-	}
-	// A worn MLC page (t errors) decodes slower than a young SLC page
-	// (1 error) once the locator has real degree.
-	if slc, mlc := cell(t, tab, 7, 3), cell(t, tab, 7, 4); slc <= mlc {
-		t.Fatalf("t=8: SLC decode (%.0f pages/s) not faster than MLC (%.0f)", slc, mlc)
-	}
-	// The table-driven kernels must beat the bit-serial references
-	// comfortably at page-code strengths.
-	for r := range tab.Rows {
-		if sp := cell(t, tab, r, 5); sp < 3 {
-			t.Fatalf("row %d: encode speedup %.1fx vs bit-serial; table kernels regressed", r, sp)
-		}
-	}
-	if sp := cell(t, tab, 7, 6); sp < 3 {
-		t.Fatalf("t=8 syndrome speedup only %.1fx vs bit-serial", sp)
-	}
-}
-
 func TestGCContentionShape(t *testing.T) {
 	o := QuickOptions()
 	o.Requests = 60000
