@@ -156,8 +156,8 @@ func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
 			Open:   r.open,
 			Blocks: r.blocks,
 		}
-		for e := r.lru.Front(); e != nil; e = e.Next() {
-			cr.LRU = append(cr.LRU, e.Value.(int))
+		for b := int(r.head); b != none; b = int(c.meta[b].next) {
+			cr.LRU = append(cr.LRU, b)
 		}
 		ck.Regions[i] = cr
 	}
@@ -171,9 +171,10 @@ const maxEraseCount = 1 << 20
 
 // checkCheckpoint rejects a checkpoint whose dimensions do not fit the
 // cache, whose cursors, block indices, ECC strengths or density modes
-// are out of range (values the next replay would index with), or whose
-// tables contradict each other in ways the final integrity audit does
-// not see. It runs before any state changes.
+// are out of range (values the next replay would index with), whose
+// region lists name a block twice (restore would link it into a loop),
+// or whose tables contradict each other in ways the final integrity
+// audit does not see. It runs before any state changes.
 func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 	if ck.FlashBytes != c.cfg.FlashBytes {
 		return fmt.Errorf("core: checkpoint for %dB Flash, config says %dB",
@@ -192,16 +193,21 @@ func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 			return fmt.Errorf("core: checkpoint %v", err)
 		}
 	}
-	inRange := func(b int) bool { return b >= 0 && b < len(c.meta) }
+	listed := make([]bool, len(c.meta))
 	for i, cr := range ck.Regions {
-		if cr.Open != -1 && !inRange(cr.Open) {
-			return fmt.Errorf("core: checkpoint region %d opens block %d of %d", i, cr.Open, len(c.meta))
+		open := []int{cr.Open}
+		if cr.Open == none {
+			open = nil
 		}
-		for _, list := range [][]int{cr.Free, cr.LRU} {
+		for _, list := range [][]int{cr.Free, cr.LRU, open} {
 			for _, b := range list {
-				if !inRange(b) {
+				if b < 0 || b >= len(c.meta) {
 					return fmt.Errorf("core: checkpoint region %d lists block %d of %d", i, b, len(c.meta))
 				}
+				if listed[b] {
+					return fmt.Errorf("core: checkpoint lists block %d more than once", b)
+				}
+				listed[b] = true
 			}
 		}
 	}
@@ -344,7 +350,7 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 		m.accessSum = cb.AccessSum
 		m.lastEraseSeq = cb.LastErase
 		m.progFails = cb.ProgFails
-		m.elem = nil
+		m.prev, m.next = none, none
 		*c.fbst.At(b) = cb.Status
 	}
 	for i, r := range c.regions {
@@ -352,9 +358,9 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 		r.free = append(r.free[:0], cr.Free...)
 		r.open = cr.Open
 		r.blocks = cr.Blocks
-		r.lru.Init()
-		for _, b := range cr.LRU {
-			c.meta[b].elem = r.lru.PushBack(b)
+		r.head, r.tail = none, none
+		for i := len(cr.LRU) - 1; i >= 0; i-- {
+			c.pushFront(r, cr.LRU[i]) // back to front keeps cr.LRU's order
 		}
 	}
 	c.retally()

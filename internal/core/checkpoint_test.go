@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"flashdc/internal/fault"
@@ -151,5 +152,56 @@ func TestCacheRestoreRejectsMismatchedConfig(t *testing.T) {
 	noFaults.Faults = nil
 	if err := New(noFaults).Restore(ck); err == nil {
 		t.Fatal("restore into a fault-free cache accepted an injector state")
+	}
+}
+
+// withRegions returns a copy of ck whose region lists edit has
+// changed; ck itself is left alone.
+func withRegions(ck *CacheCheckpoint, edit func([]CheckpointRegion)) *CacheCheckpoint {
+	out := *ck
+	out.Regions = make([]CheckpointRegion, len(ck.Regions))
+	for i, cr := range ck.Regions {
+		cr.Free = append([]int(nil), cr.Free...)
+		cr.LRU = append([]int(nil), cr.LRU...)
+		out.Regions[i] = cr
+	}
+	edit(out.Regions)
+	return &out
+}
+
+// TestRestoreRejectsDuplicateBlocks: a block named twice across the
+// region lists is refused before restore links anything — the LRU
+// list threaded through the block metadata would otherwise loop.
+func TestRestoreRejectsDuplicateBlocks(t *testing.T) {
+	cfg := DefaultConfig(8 * testMB)
+	cfg.Seed = 42
+	c := New(cfg)
+	driveMixed(c, 5, 20000, 3000, 0.3)
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Regions[0].LRU) < 2 || ck.Regions[0].Open < 0 {
+		t.Fatalf("setup: read region has %d LRU blocks and open block %d", len(ck.Regions[0].LRU), ck.Regions[0].Open)
+	}
+	if err := New(cfg).Restore(withRegions(ck, func([]CheckpointRegion) {})); err != nil {
+		t.Fatalf("unedited copy refused: %v", err)
+	}
+	cases := map[string]func(rs []CheckpointRegion){
+		"twice in one LRU": func(rs []CheckpointRegion) {
+			rs[0].LRU = append(rs[0].LRU, rs[0].LRU[0])
+		},
+		"region 0 LRU and region 1 free list": func(rs []CheckpointRegion) {
+			rs[1].Free = append(rs[1].Free, rs[0].LRU[0])
+		},
+		"both LRU and open": func(rs []CheckpointRegion) {
+			rs[0].LRU = append(rs[0].LRU, rs[0].Open)
+		},
+	}
+	for name, edit := range cases {
+		err := New(cfg).Restore(withRegions(ck, edit))
+		if err == nil || !strings.Contains(err.Error(), "more than once") {
+			t.Fatalf("%s: restore returned %v, want a duplicate-block error", name, err)
+		}
 	}
 }

@@ -346,9 +346,9 @@ type Cache struct {
 	// section 5.2.1 heuristics. Negative until the first eviction.
 	marginalFreq float64
 	dead         bool
-	// pagesScratch backs appendValidPagesOf at the reclaim call
-	// sites that are safe to share it; see that method's contract.
-	pagesScratch []nand.Addr
+	// pagesScratch and gcScratch back appendValidPagesOf, so reclaim
+	// stays off the allocator; see that method's contract.
+	pagesScratch, gcScratch []nand.Addr
 	// obs, when attached, receives decision events and samples the
 	// stats at snapshot time; nil means observability is off (the hot
 	// paths pay one untaken branch per decision site).
@@ -489,7 +489,7 @@ func New(cfg Config) *Cache {
 		if b >= readBlocks {
 			r = writeRegion
 		}
-		c.meta[b].region = r
+		c.meta[b] = blockMeta{region: r, prev: none, next: none}
 		if c.markFactoryBad(b) {
 			continue
 		}

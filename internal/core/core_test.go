@@ -43,7 +43,7 @@ func checkInvariants(t *testing.T, c *Cache) {
 			continue
 		}
 		blockValid := 0
-		for _, a := range c.validPagesOf(b) {
+		for _, a := range c.appendValidPagesOf(nil, b) {
 			st := c.fpst.At(a)
 			if st.LBA < 0 {
 				t.Fatalf("valid page %v with invalid LBA", a)

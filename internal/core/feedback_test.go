@@ -109,7 +109,7 @@ func TestContentionGCDeferralStreak(t *testing.T) {
 	// gcDeferBacklog.
 	c.sched.Foreground(0, sched.OpProgram, 3*sim.Millisecond)
 	for i := 0; i < gcDeferMax; i++ {
-		if e, _ := gc.victim(c, r, false); e != nil {
+		if b, _ := gc.victim(c, r, false); b != none {
 			t.Fatalf("deferral %d collected despite the backlog", i)
 		}
 	}
@@ -117,23 +117,23 @@ func TestContentionGCDeferralStreak(t *testing.T) {
 		t.Fatalf("GCDeferred = %d, want %d", st.GCDeferred, gcDeferMax)
 	}
 	// Streak cap: the next opportunity proceeds despite the backlog.
-	if e, inv := gc.victim(c, r, false); e == nil || e.Value.(int) != 0 || inv != 118 {
-		t.Fatalf("capped streak did not collect block 0 (e=%v inv=%d)", e, inv)
+	if b, inv := gc.victim(c, r, false); b != 0 || inv != 118 {
+		t.Fatalf("capped streak did not collect block 0 (b=%d inv=%d)", b, inv)
 	}
 	// The proceed reset the streak: deferral resumes.
-	if e, _ := gc.victim(c, r, false); e != nil {
+	if b, _ := gc.victim(c, r, false); b != none {
 		t.Fatal("streak did not reset after a collection proceeded")
 	}
 	if st := c.Stats(); st.GCDeferred != int64(gcDeferMax)+1 {
 		t.Fatalf("GCDeferred = %d, want %d", st.GCDeferred, gcDeferMax+1)
 	}
 	// Forced (watermark) collection ignores the backlog outright.
-	if e, _ := gc.victim(c, r, true); e == nil {
+	if b, _ := gc.victim(c, r, true); b == none {
 		t.Fatal("forced collection deferred")
 	}
 	// With the backlog drained there is nothing to defer.
 	clock.Advance(5 * sim.Millisecond)
-	if e, _ := gc.victim(c, r, false); e == nil {
+	if b, _ := gc.victim(c, r, false); b == none {
 		t.Fatal("collection deferred on an idle device")
 	}
 }
@@ -159,13 +159,13 @@ func TestContentionGCSteersNearTies(t *testing.T) {
 	// Occupy greedy's bank with a background erase: the near-tie on the
 	// idle bank takes the collection.
 	c.sched.Background(0, sched.OpErase, 2*sim.Millisecond)
-	if e, inv := gc.victim(c, r, false); e == nil || e.Value.(int) != 2 || inv != 112 {
-		t.Fatalf("steering picked %v (%d invalid), want block 2 (112)", e, inv)
+	if b, inv := gc.victim(c, r, false); b != 2 || inv != 112 {
+		t.Fatalf("steering picked %d (%d invalid), want block 2 (112)", b, inv)
 	}
 	// Outside the slack the busy bank is endured: greedy's benefit wins.
 	set(2, 128, 29) // 99 invalid: 99*8 < 120*7
-	if e, inv := gc.victim(c, r, false); e == nil || e.Value.(int) != 0 || inv != 120 {
-		t.Fatalf("steering surrendered too much benefit: picked %v (%d invalid), want block 0 (120)", e, inv)
+	if b, inv := gc.victim(c, r, false); b != 0 || inv != 120 {
+		t.Fatalf("steering surrendered too much benefit: picked %d (%d invalid), want block 0 (120)", b, inv)
 	}
 }
 
@@ -187,8 +187,8 @@ func TestContentionGCClocklessMatchesGreedy(t *testing.T) {
 	set(2, 128, 40)  // 88 invalid
 	ge, ginv := (greedyGC{}).victim(c, r, false)
 	ce, cinv := (&contentionGC{}).victim(c, r, false)
-	if ge == nil || ce == nil || ge.Value.(int) != ce.Value.(int) || ginv != cinv {
-		t.Fatalf("clockless contention-aware diverged from greedy: got %v/%d want %v/%d",
+	if ge == none || ge != ce || ginv != cinv {
+		t.Fatalf("clockless contention-aware diverged from greedy: got %d/%d want %d/%d",
 			ce, cinv, ge, ginv)
 	}
 	// Greedy's most-invalid candidate below the bar: greedy stands
@@ -197,11 +197,11 @@ func TestContentionGCClocklessMatchesGreedy(t *testing.T) {
 	r2 := fakeRegion(c, 3, 4)
 	set(3, 128, 70) // 58 invalid: most invalid, under half
 	set(4, 100, 50) // 50 invalid: exactly half of its consumed pages
-	if e, _ := (greedyGC{}).victim(c, r2, false); e != nil {
+	if b, _ := (greedyGC{}).victim(c, r2, false); b != none {
 		t.Fatal("setup: greedy collected a sub-bar winner")
 	}
-	if e, inv := (&contentionGC{}).victim(c, r2, false); e == nil || e.Value.(int) != 4 || inv != 50 {
-		t.Fatalf("contention-aware missed the bar-clearing candidate: %v/%d", e, inv)
+	if b, inv := (&contentionGC{}).victim(c, r2, false); b != 4 || inv != 50 {
+		t.Fatalf("contention-aware missed the bar-clearing candidate: %d/%d", b, inv)
 	}
 }
 

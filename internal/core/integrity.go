@@ -57,12 +57,12 @@ func (c *Cache) CheckIntegrity() error {
 		if c.meta[b].state == blockRetired {
 			continue
 		}
-		n := len(c.validPagesOf(b))
-		if n != c.meta[b].valid {
+		c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
+		if n := len(c.pagesScratch); n != c.meta[b].valid {
 			return fmt.Errorf("core: integrity: block %d counts %d valid pages, tables hold %d",
 				b, c.meta[b].valid, n)
 		}
-		valid += int64(n)
+		valid += int64(c.meta[b].valid)
 	}
 	if valid != c.totalValid {
 		return fmt.Errorf("core: integrity: %d valid pages in tables, %d counted globally",
@@ -73,8 +73,8 @@ func (c *Cache) CheckIntegrity() error {
 
 // checkStructure audits the allocator's bookkeeping: every block lives
 // in exactly one lifecycle home (a region's free list, a region's open
-// slot, a region's LRU list, or retirement), the LRU lists and block
-// metadata agree about each other, region populations add up, and
+// slot, a region's LRU list, or retirement), each LRU list's back-links
+// and tail agree with its forward walk, region populations add up, and
 // per-block counters stay within the geometry.
 func (c *Cache) checkStructure() error {
 	// home[b] records where block b was found among the region
@@ -111,11 +111,10 @@ func (c *Cache) checkStructure() error {
 					r.open, r.id, m.state, m.region)
 			}
 		}
-		for e := r.lru.Front(); e != nil; e = e.Next() {
-			b, ok := e.Value.(int)
-			if !ok {
-				return fmt.Errorf("core: integrity: region %d LRU holds a non-block element", r.id)
-			}
+		// claim stops the walk at an out-of-range link or a revisited
+		// block, so a cycle ends it within len(c.meta)+1 steps.
+		prev, linked := none, 0
+		for b := int(r.head); b != none; b = int(c.meta[b].next) {
 			if err := claim(b, fmt.Sprintf("region %d LRU", r.id)); err != nil {
 				return err
 			}
@@ -124,11 +123,16 @@ func (c *Cache) checkStructure() error {
 				return fmt.Errorf("core: integrity: LRU block %d of region %d has (state %d, region %d)",
 					b, r.id, m.state, m.region)
 			}
-			if m.elem != e {
-				return fmt.Errorf("core: integrity: block %d metadata does not point back at its LRU node", b)
+			if int(m.prev) != prev {
+				return fmt.Errorf("core: integrity: LRU block %d links back to %d, not its predecessor %d", b, m.prev, prev)
 			}
+			prev = b
+			linked++
 		}
-		population := len(r.free) + r.lru.Len()
+		if int(r.tail) != prev {
+			return fmt.Errorf("core: integrity: region %d LRU tail is block %d, its walk ends at %d", r.id, r.tail, prev)
+		}
+		population := len(r.free) + linked
 		if r.open >= 0 {
 			population++
 		}

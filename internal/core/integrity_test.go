@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"flashdc/internal/fault"
 	"flashdc/internal/nand"
@@ -120,13 +121,18 @@ func TestIntegrityCatchesCrossMappedLBA(t *testing.T) {
 
 func TestIntegrityCatchesLRUDetachment(t *testing.T) {
 	c := populatedCache(t)
-	// Detach an active block from its region's LRU without touching
-	// its metadata: the block now belongs to no structure.
+	// Splice an active block's LRU neighbours around it without
+	// touching its metadata: the block now belongs to no structure.
 	detached := -1
 	for b := range c.meta {
-		if c.meta[b].state == blockActive && c.meta[b].elem != nil {
-			r := c.regions[c.meta[b].region]
-			r.lru.Remove(c.meta[b].elem)
+		if m := &c.meta[b]; m.state == blockActive && m.prev != none {
+			r := c.regions[m.region]
+			c.meta[m.prev].next = m.next
+			if m.next != none {
+				c.meta[m.next].prev = m.prev
+			} else {
+				r.tail = m.prev
+			}
 			// Keep the population tally consistent so the sharper
 			// orphan-block check is the one that fires.
 			r.blocks--
@@ -138,6 +144,38 @@ func TestIntegrityCatchesLRUDetachment(t *testing.T) {
 		t.Fatal("no active block to detach")
 	}
 	assertCaught(t, c, "belongs to no region structure")
+}
+
+// TestIntegrityCatchesLRUCycle links a region's LRU tail back to its
+// head: the audit must report the loop rather than follow it forever.
+func TestIntegrityCatchesLRUCycle(t *testing.T) {
+	c := populatedCache(t)
+	r := c.regions[readRegion]
+	if r.head == r.tail {
+		t.Fatal("setup: read region needs two LRU blocks")
+	}
+	c.meta[r.tail].next = r.head
+	audit := make(chan error, 1)
+	go func() { audit <- c.CheckIntegrity() }()
+	select {
+	case err := <-audit:
+		if want := "claimed by both region 0 LRU and region 0 LRU"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("audit reported %v, want mention of %q", err, want)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("audit did not return on a cyclic LRU list")
+	}
+}
+
+func TestIntegrityCatchesLRUBackLinkDrift(t *testing.T) {
+	c := populatedCache(t)
+	r := c.regions[readRegion]
+	c.meta[r.tail].prev = r.tail
+	assertCaught(t, c, "links back to")
+	c = populatedCache(t)
+	r = c.regions[readRegion]
+	r.tail = c.meta[r.tail].prev
+	assertCaught(t, c, "LRU tail is block")
 }
 
 func TestIntegrityCatchesRegionPopulationDrift(t *testing.T) {
@@ -186,8 +224,7 @@ func TestIntegrityCatchesRegionTallyDrift(t *testing.T) {
 // walkRegionPages sums the pages and live pages of r's open and LRU
 // blocks by walking them, the computation the region tallies replace.
 func walkRegionPages(c *Cache, r *region) (total, valid int) {
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(int)
+	for b := int(r.head); b != none; b = int(c.meta[b].next) {
 		total += c.dev.PagesPerBlock(b)
 		valid += c.meta[b].valid
 	}

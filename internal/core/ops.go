@@ -269,8 +269,8 @@ func (c *Cache) Flush() int {
 	if r.open >= 0 {
 		n += c.dropValid(r.open, false)
 	}
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		n += c.dropValid(e.Value.(int), false)
+	for b := int(r.head); b != none; b = int(c.meta[b].next) {
+		n += c.dropValid(b, false)
 	}
 	return n
 }

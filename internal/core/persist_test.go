@@ -142,8 +142,8 @@ func TestWarmRestartContinuesLikeUnbrokenRun(t *testing.T) {
 		var out [][]int
 		for _, r := range c.regions {
 			var order []int
-			for e := r.lru.Front(); e != nil; e = e.Next() {
-				order = append(order, e.Value.(int))
+			for b := int(r.head); b != none; b = int(c.meta[b].next) {
+				order = append(order, b)
 			}
 			out = append(out, order)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 
@@ -25,9 +24,9 @@ import (
 
 // evictPolicy picks the block a full region evicts.
 type evictPolicy interface {
-	// victim returns the LRU-list element of the block to evict, or
-	// nil when the region has no active blocks.
-	victim(c *Cache, r *region) *list.Element
+	// victim returns the block to evict, or none when the region has
+	// no active blocks.
+	victim(c *Cache, r *region) int
 	// rotate reports whether the section 3.6 wear-rotation migration
 	// runs after erases (the wear-lru policy's second half).
 	rotate() bool
@@ -53,11 +52,10 @@ type admitPolicy interface {
 
 // gcPolicy picks the background-collection victim.
 type gcPolicy interface {
-	// victim returns the LRU-list element of the block to collect and
-	// its invalid-page count, or nil when no block is worth
-	// collecting. force marks the watermark trigger, which collects
-	// even low-payoff blocks.
-	victim(c *Cache, r *region, force bool) (*list.Element, int)
+	// victim returns the block to collect and its invalid-page count,
+	// or none when no block is worth collecting. force marks the
+	// watermark trigger, which collects even low-payoff blocks.
+	victim(c *Cache, r *region, force bool) (b, invalid int)
 }
 
 // Scheduler-feedback thresholds (DESIGN.md section 14). Every
@@ -152,8 +150,8 @@ func (c *Cache) feedbackActive() bool {
 // swap a worn victim with the globally newest block.
 type wearLRUEvict struct{}
 
-func (wearLRUEvict) victim(c *Cache, r *region) *list.Element { return r.lru.Back() }
-func (wearLRUEvict) rotate() bool                             { return true }
+func (wearLRUEvict) victim(c *Cache, r *region) int { return int(r.tail) }
+func (wearLRUEvict) rotate() bool                   { return true }
 
 // cmWearWindow is how deep into the LRU tail the cm-wear policy looks
 // for a young block. Small, so the victim stays cold (Boukhobza et
@@ -168,14 +166,11 @@ const cmWearWindow = 4
 // disabled, saving their relocation writes.
 type cmWearEvict struct{ window int }
 
-func (p cmWearEvict) victim(c *Cache, r *region) *list.Element {
-	var best *list.Element
-	bestErases := 0
-	n := 0
-	for e := r.lru.Back(); e != nil && n < p.window; e = e.Prev() {
-		b := e.Value.(int)
-		if er := c.fbst.At(b).Erases; best == nil || er < bestErases {
-			best, bestErases = e, er
+func (p cmWearEvict) victim(c *Cache, r *region) int {
+	best, bestErases, n := none, 0, 0
+	for b := int(r.tail); b != none && n < p.window; b = int(c.meta[b].prev) {
+		if er := c.fbst.At(b).Erases; best == none || er < bestErases {
+			best, bestErases = b, er
 		}
 		n++
 	}
@@ -272,25 +267,18 @@ func (a *throttleAdmit) restore(entries []policy.AdmitEntry) error {
 // half invalid to pay for its relocation traffic.
 type greedyGC struct{}
 
-func (greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
-	best := -1
-	bestInvalid := 0
-	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+func (greedyGC) victim(c *Cache, r *region, force bool) (int, int) {
+	best, bestInvalid := none, 0
+	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
-		invalid := m.consumed - m.valid
-		if invalid > bestInvalid {
-			best, bestInvalid, bestElem = b, invalid, e
+		if invalid := m.consumed - m.valid; invalid > bestInvalid {
+			best, bestInvalid = b, invalid
 		}
 	}
-	if best < 0 {
-		return nil, 0
+	if best == none || (!force && bestInvalid*2 < c.meta[best].consumed) {
+		return none, 0
 	}
-	if m := &c.meta[best]; !force && bestInvalid*2 < m.consumed {
-		return nil, 0
-	}
-	return bestElem, bestInvalid
+	return best, bestInvalid
 }
 
 // costBenefitGC maximises the cost-benefit score of the GC survey:
@@ -303,13 +291,9 @@ func (greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
 // not in when collection is economical at all.
 type costBenefitGC struct{}
 
-func (costBenefitGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
-	best := -1
-	bestInvalid := 0
-	bestScore := -1.0
-	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+func (costBenefitGC) victim(c *Cache, r *region, force bool) (int, int) {
+	best, bestInvalid, bestScore := none, 0, -1.0
+	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
 		if invalid <= 0 {
@@ -326,16 +310,13 @@ func (costBenefitGC) victim(c *Cache, r *region, force bool) (*list.Element, int
 			score = (1 - u) / (2 * u) * age
 		}
 		if score > bestScore {
-			best, bestInvalid, bestScore, bestElem = b, invalid, score, e
+			best, bestInvalid, bestScore = b, invalid, score
 		}
 	}
-	if best < 0 {
-		return nil, 0
+	if best == none || (!force && bestInvalid*2 < c.meta[best].consumed) {
+		return none, 0
 	}
-	if m := &c.meta[best]; !force && bestInvalid*2 < m.consumed {
-		return nil, 0
-	}
-	return bestElem, bestInvalid
+	return best, bestInvalid
 }
 
 // contentionGC is scheduler-informed victim selection: greedy's
@@ -366,7 +347,7 @@ type contentionGC struct {
 	streak int
 }
 
-func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
+func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 	var now sim.Time
 	if c.clock != nil {
 		now = c.clock.Now()
@@ -375,7 +356,7 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 			g.streak++
 			c.stats.GCDeferred++
 			c.eventGCDeferred(backlog)
-			return nil, 0
+			return none, 0
 		}
 	}
 	g.streak = 0
@@ -383,10 +364,8 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 	// Eligibility is filtered before any steering, so collection
 	// proceeds exactly when greedy's would; only the victim choice may
 	// differ.
-	bestInvalid := 0
-	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	best, bestInvalid := none, 0
+	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
 		if invalid <= 0 {
@@ -396,23 +375,19 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 			continue
 		}
 		if invalid > bestInvalid {
-			bestInvalid, bestElem = invalid, e
+			best, bestInvalid = b, invalid
 		}
 	}
-	if bestElem == nil {
-		return nil, 0
-	}
-	if c.clock == nil {
-		return bestElem, bestInvalid
+	if best == none || c.clock == nil {
+		return best, bestInvalid
 	}
 	// Pass 2 — idle-bank steering among near-ties: any eligible
 	// candidate whose benefit is within gcSteerSlack of greedy's may
 	// displace it if its bank is predicted to be free sooner. Ties on
 	// wait keep the more-invalid (then more-LRU) candidate.
 	chosenInvalid := bestInvalid
-	bestWait := c.sched.BankWait(bestElem.Value.(int), now)
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	bestWait := c.sched.BankWait(best, now)
+	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
 		if invalid <= 0 || invalid*gcSteerSlackDen < bestInvalid*gcSteerSlackNum {
@@ -423,8 +398,8 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 		}
 		w := c.sched.BankWait(b, now)
 		if w < bestWait || (w == bestWait && invalid > chosenInvalid) {
-			bestWait, chosenInvalid, bestElem = w, invalid, e
+			bestWait, chosenInvalid, best = w, invalid, b
 		}
 	}
-	return bestElem, chosenInvalid
+	return best, chosenInvalid
 }

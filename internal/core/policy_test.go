@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"reflect"
 	"testing"
 
@@ -87,9 +86,9 @@ func TestWLFCWriteAround(t *testing.T) {
 // front-to-back, for unit-testing victim selection against crafted
 // per-block metadata. Only the fields the policies read are wired.
 func fakeRegion(c *Cache, blocks ...int) *region {
-	r := &region{id: readRegion, lru: list.New()}
-	for _, b := range blocks {
-		c.meta[b].elem = r.lru.PushBack(b)
+	r := newRegion(readRegion)
+	for i := len(blocks) - 1; i >= 0; i-- {
+		c.pushFront(r, blocks[i])
 	}
 	return r
 }
@@ -105,14 +104,14 @@ func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 		c.fbst.At(b).Erases = erases
 	}
 	p := cmWearEvict{window: 4}
-	if got := p.victim(c, r).Value.(int); got != 3 {
+	if got := p.victim(c, r); got != 3 {
 		t.Fatalf("victim = block %d, want 3 (fewest erases inside the window)", got)
 	}
 	if p.rotate() {
 		t.Fatal("cm-wear must disable wear rotation")
 	}
 	// The default policy on the same region takes the plain LRU tail.
-	if got := (wearLRUEvict{}).victim(c, r).Value.(int); got != 5 {
+	if got := (wearLRUEvict{}).victim(c, r); got != 5 {
 		t.Fatalf("wear-lru victim = block %d, want 5 (LRU tail)", got)
 	}
 }
@@ -135,31 +134,31 @@ func TestGCVictimSelection(t *testing.T) {
 	set(2, 128, 40, 500)  // 88 invalid
 	set(3, 128, 64, 100)  // 64 invalid, oldest tail block
 
-	if e, inv := (greedyGC{}).victim(c, r, false); e.Value.(int) != 0 || inv != 118 {
-		t.Fatalf("greedy picked block %d (%d invalid), want 0 (118)", e.Value.(int), inv)
+	if b, inv := (greedyGC{}).victim(c, r, false); b != 0 || inv != 118 {
+		t.Fatalf("greedy picked block %d (%d invalid), want 0 (118)", b, inv)
 	}
 	// Cost-benefit: block 0 scores (118/128)/(2*10/128)*100 ~ 590,
 	// block 2 scores (88/128)/(2*40/128)*500 ~ 550, block 3 scores
 	// (64/128)/(2*64/128)*900 = 450 — the young-but-empty block wins.
-	if e, _ := (costBenefitGC{}).victim(c, r, false); e.Value.(int) != 0 {
-		t.Fatalf("cost-benefit picked block %d, want 0", e.Value.(int))
+	if b, _ := (costBenefitGC{}).victim(c, r, false); b != 0 {
+		t.Fatalf("cost-benefit picked block %d, want 0", b)
 	}
 	// A fully invalid block beats any finite score regardless of age.
 	set(1, 128, 0, 1000)
-	if e, inv := (costBenefitGC{}).victim(c, r, false); e.Value.(int) != 1 || inv != 128 {
-		t.Fatalf("cost-benefit picked block %d (%d invalid), want the fully invalid block 1", e.Value.(int), inv)
+	if b, inv := (costBenefitGC{}).victim(c, r, false); b != 1 || inv != 128 {
+		t.Fatalf("cost-benefit picked block %d (%d invalid), want the fully invalid block 1", b, inv)
 	}
 	// The non-forced payoff guard holds for every policy: when the best
 	// candidate is less than half invalid, nothing is collected.
 	r2 := fakeRegion(c, 4)
 	set(4, 128, 100, 0)
-	if e, _ := (greedyGC{}).victim(c, r2, false); e != nil {
+	if b, _ := (greedyGC{}).victim(c, r2, false); b != none {
 		t.Fatal("greedy collected a low-payoff block without force")
 	}
-	if e, _ := (costBenefitGC{}).victim(c, r2, false); e != nil {
+	if b, _ := (costBenefitGC{}).victim(c, r2, false); b != none {
 		t.Fatal("cost-benefit collected a low-payoff block without force")
 	}
-	if e, _ := (greedyGC{}).victim(c, r2, true); e == nil {
+	if b, _ := (greedyGC{}).victim(c, r2, true); b == none {
 		t.Fatal("forced greedy skipped the only candidate")
 	}
 }
@@ -174,8 +173,8 @@ func TestEvictEmptyRegionPaths(t *testing.T) {
 	// blocks yet, so eviction must close the open block first.
 	c.Read(3)
 	c.Insert(3)
-	if r.lru.Len() != 0 || r.open < 0 {
-		t.Fatalf("setup: lru=%d open=%d, want empty lru with an open block", r.lru.Len(), r.open)
+	if r.head != none || r.open < 0 {
+		t.Fatalf("setup: lru head=%d open=%d, want empty lru with an open block", r.head, r.open)
 	}
 	c.evict(r)
 	if c.Dead() {
@@ -219,9 +218,9 @@ func TestNewestActiveSingleBlock(t *testing.T) {
 	if len(active) != 1 {
 		t.Fatalf("setup: %d active blocks, want 1", len(active))
 	}
-	b, _, ok := c.newestActive()
-	if !ok || b != active[0] {
-		t.Fatalf("newestActive = (%d, %v), want (%d, true)", b, ok, active[0])
+	b, _ := c.newestActive()
+	if b != active[0] {
+		t.Fatalf("newestActive = %d, want %d", b, active[0])
 	}
 	if c.maybeWearRotate(b) {
 		t.Fatal("rotation into the newest block itself must be a no-op")

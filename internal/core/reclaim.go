@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 
 	"flashdc/internal/ecc"
@@ -63,7 +62,6 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 	m.accessSum = 0
 	m.lastEraseSeq = c.seq
 	m.state = blockFree
-	m.elem = nil
 	// Post-erase reliability pass: pages whose wear already exceeds
 	// their (freshly applied) strength must be reconfigured before
 	// reuse, or the block retired when both knobs are exhausted.
@@ -191,9 +189,8 @@ func (c *Cache) detach(b int) {
 			r.open = -1
 		}
 	case blockActive:
-		if m.elem != nil {
-			r.lru.Remove(m.elem)
-			m.elem = nil
+		if int(r.head) == b || m.prev != none {
+			c.unlink(r, b)
 		}
 	case blockFree:
 		for i, fb := range r.free {
@@ -263,8 +260,7 @@ func (c *Cache) relocate(a nand.Addr, r *region, stage bool) (dst nand.Addr, t s
 // proactively.
 func (c *Cache) reclaim(r *region) {
 	// Fast path: a fully invalid active block just needs an erase.
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		if c.meta[b].valid == 0 {
 			c.detach(b)
 			c.stats.GCRuns++
@@ -283,44 +279,35 @@ func (c *Cache) reclaim(r *region) {
 // (the newest block's content migrates into the victim and the newest
 // block is erased for reuse instead).
 func (c *Cache) evict(r *region) {
-	victimElem := c.evictPol.victim(c, r)
-	if victimElem == nil {
+	victim := c.evictPol.victim(c, r)
+	if victim == none {
 		// Nothing active: the region is degenerate (all space open or
 		// retired). Close the open block so it becomes evictable.
 		if r.open >= 0 {
 			c.closeOpen(r)
-			victimElem = c.evictPol.victim(c, r)
+			victim = c.evictPol.victim(c, r)
 		}
-		if victimElem == nil {
+		if victim == none {
 			c.dead = true
 			return
 		}
 	}
-	c.evictBlock(victimElem.Value.(int))
+	c.evictBlock(victim)
 }
 
 // newestActive finds the active block with minimum degree of wear
 // across the whole Flash ("newest blocks are chosen from the entire
-// set of Flash blocks").
-func (c *Cache) newestActive() (int, float64, bool) {
-	best := -1
-	bestWear := 0.0
-	scan := func(l *list.List) {
-		for e := l.Front(); e != nil; e = e.Next() {
-			b := e.Value.(int)
-			w := c.fbst.WearOut(b)
-			if best == -1 || w < bestWear {
+// set of Flash blocks"), or none when no block is active.
+func (c *Cache) newestActive() (int, float64) {
+	best, bestWear := none, 0.0
+	for _, r := range c.regions {
+		for b := int(r.head); b != none; b = int(c.meta[b].next) {
+			if w := c.fbst.WearOut(b); best == none || w < bestWear {
 				best, bestWear = b, w
 			}
 		}
 	}
-	for _, r := range c.regions {
-		scan(r.lru)
-	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	return best, bestWear, true
+	return best, bestWear
 }
 
 // evictBlock drops (read region) or flushes (write region) the valid
@@ -344,8 +331,8 @@ func (c *Cache) evictBlock(b int) {
 // stay balanced. Returns false when no rotation was needed or it could
 // not fit.
 func (c *Cache) maybeWearRotate(b int) bool {
-	newest, newestWear, ok := c.newestActive()
-	if !ok || newest == b {
+	newest, newestWear := c.newestActive()
+	if newest == none || newest == b {
 		return false
 	}
 	if c.fbst.WearOut(b)-newestWear <= c.cfg.WearThreshold {
@@ -356,7 +343,8 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	homeRegion := c.regions[vm.region]
 	newestRegion := c.regions[nm.region]
 
-	content := c.validPagesOf(newest)
+	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], newest)
+	content := c.pagesScratch
 	// b must be able to hold the content: after erase slot modes are
 	// free to set, so the constraint is slot count at the content's
 	// densities.
@@ -420,7 +408,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	// b now plays the newest block's role in the newest's region.
 	vm.state = blockActive
 	vm.region = nm.region
-	vm.elem = newestRegion.lru.PushFront(b)
+	c.pushFront(newestRegion, b)
 	c.tally(b, 1)
 
 	// Erase the newest block and hand it to b's former region.
@@ -454,20 +442,19 @@ func maxStrength(a, b ecc.Strength) ecc.Strength {
 // collection because the read region's aggregate capacity is already
 // below target.
 func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
-	bestElem, bestInvalid := c.gcPol.victim(c, r, force)
-	if bestElem == nil {
+	best, bestInvalid := c.gcPol.victim(c, r, force)
+	if best == none {
 		return 0
 	}
-	best := bestElem.Value.(int)
 	if c.freePagesIn(r) < c.meta[best].valid+4 {
 		return 0 // not enough headroom to relocate safely
 	}
 	c.eventGCStart(best, bestInvalid)
 	relocatedBefore := c.stats.GCRelocations
 	var t sim.Duration
-	pages := c.validPagesOf(best)
+	c.gcScratch = c.appendValidPagesOf(c.gcScratch[:0], best)
 	c.detach(best) // erased below
-	for _, a := range pages {
+	for _, a := range c.gcScratch {
 		_, lat, ok := c.relocate(a, r, false)
 		t += lat
 		if !ok {

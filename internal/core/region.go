@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 
 	"flashdc/internal/nand"
@@ -34,8 +33,9 @@ type blockMeta struct {
 	// cursorSlot/cursorSub is the next allocation position.
 	cursorSlot int
 	cursorSub  int
-	// elem is the block's node in its region's LRU list while active.
-	elem *list.Element
+	// prev/next link the block into its region's LRU list while
+	// active (prev toward the front); none when unlinked.
+	prev, next int32
 	// accessSum accumulates the FPST access counters of pages at
 	// invalidation time, giving the erase-time reconfiguration
 	// heuristic a frequency estimate for the block's traffic.
@@ -55,9 +55,9 @@ type region struct {
 	free []int
 	// open is the block currently being filled, or -1.
 	open int
-	// lru lists active (fully allocated) blocks, front = most
-	// recently used. Values are block numbers (int).
-	lru *list.List
+	// head (most recently used) and tail end the LRU list of active
+	// (fully allocated) blocks, linked through blockMeta.prev/next.
+	head, tail int32
 	// blocks is the current population (free + open + active).
 	blocks int
 	// pages and valid tally the page capacity and the live pages of the
@@ -66,8 +66,11 @@ type region struct {
 	pages, valid int
 }
 
+// none is the null block number: no link, no open block, no victim.
+const none = -1
+
 func newRegion(id int) *region {
-	return &region{id: id, open: -1, lru: list.New()}
+	return &region{id: id, open: none, head: none, tail: none}
 }
 
 func (r *region) addFree(b int) {
@@ -85,12 +88,43 @@ func (r *region) popFree() int {
 	return b
 }
 
-// touch marks block b most recently used.
+// touch marks block b most recently used. A linked block other than
+// the head has a predecessor; the head is already in place.
 func (c *Cache) touch(b int) {
-	m := &c.meta[b]
-	if m.state == blockActive && m.elem != nil {
-		c.regions[m.region].lru.MoveToFront(m.elem)
+	if m := &c.meta[b]; m.state == blockActive && m.prev != none {
+		r := c.regions[m.region]
+		c.unlink(r, b)
+		c.pushFront(r, b)
 	}
+}
+
+// pushFront links block b into region r's LRU list as most recently
+// used.
+func (c *Cache) pushFront(r *region, b int) {
+	m := &c.meta[b]
+	m.prev, m.next = none, r.head
+	if r.head != none {
+		c.meta[r.head].prev = int32(b)
+	} else {
+		r.tail = int32(b)
+	}
+	r.head = int32(b)
+}
+
+// unlink takes block b off region r's LRU list.
+func (c *Cache) unlink(r *region, b int) {
+	m := &c.meta[b]
+	if m.prev != none {
+		c.meta[m.prev].next = m.next
+	} else {
+		r.head = m.next
+	}
+	if m.next != none {
+		c.meta[m.next].prev = m.prev
+	} else {
+		r.tail = m.prev
+	}
+	m.prev, m.next = none, none
 }
 
 // freePagesIn returns how many more pages the region can allocate
@@ -108,16 +142,16 @@ func (c *Cache) freePagesIn(r *region) int {
 func (c *Cache) pagesPerFreshBlock() int { return nand.SlotsPerBlock }
 
 // tallied reports whether block b counts in its region's page tallies:
-// it is the region's open block or sits on the region's LRU list. A
-// block detached mid-GC or mid-migration does not count until it
-// rejoins.
+// it is the region's open block or sits on the region's LRU list (it is
+// the head or has a predecessor). A block detached mid-GC or
+// mid-migration does not count until it rejoins.
 func (c *Cache) tallied(b int) bool {
 	m := &c.meta[b]
 	switch m.state {
 	case blockOpen:
 		return c.regions[m.region].open == b
 	case blockActive:
-		return m.elem != nil
+		return int(c.regions[m.region].head) == b || m.prev != none
 	}
 	return false
 }
@@ -233,10 +267,9 @@ func (c *Cache) closeOpen(r *region) {
 	if r.open < 0 {
 		return
 	}
-	m := &c.meta[r.open]
-	m.state = blockActive
-	m.elem = r.lru.PushFront(r.open)
-	r.open = -1
+	c.meta[r.open].state = blockActive
+	c.pushFront(r, r.open)
+	r.open = none
 }
 
 // openBlock promotes a free block to open.
@@ -244,7 +277,6 @@ func (c *Cache) openBlock(r *region, b int) {
 	m := &c.meta[b]
 	m.state = blockOpen
 	m.region = r.id
-	m.elem = nil
 	r.open = b
 	c.tally(b, 1)
 }
@@ -331,18 +363,12 @@ func (c *Cache) invalidate(addr nand.Addr) {
 	c.addValid(addr.Block, -1)
 }
 
-// validPagesOf lists the valid page addresses of block b.
-func (c *Cache) validPagesOf(b int) []nand.Addr {
-	return c.appendValidPagesOf(nil, b)
-}
-
 // appendValidPagesOf appends block b's valid page addresses to dst and
-// returns the extended slice. Reclaim paths pass the cache-owned
-// pagesScratch buffer to stay off the allocator; a call site may only
-// do so when nothing in its iteration body can reach another
-// scratch-backed listing (dropValid uses the scratch, so e.g. the GC
-// relocation loop, whose allocProgram can retire a block mid-flight,
-// must not).
+// returns the extended slice. Callers pass a cache-owned scratch buffer
+// to stay off the allocator. pagesScratch is for call sites whose
+// iteration body cannot reach another pagesScratch listing; dropValid
+// uses it, so the GC relocation loop, whose allocProgram can evict or
+// retire a block mid-flight, iterates gcScratch instead.
 func (c *Cache) appendValidPagesOf(dst []nand.Addr, b int) []nand.Addr {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
 		subs := 1
