@@ -51,7 +51,7 @@ type CheckpointRegion struct {
 type CacheCheckpoint struct {
 	FlashBytes int64
 
-	Pages   [][]([2]tables.PageStatus)
+	Slots   [][]tables.SlotStatus
 	Blocks  []CheckpointBlock
 	Regions []CheckpointRegion
 	FGST    tables.FGST
@@ -105,7 +105,7 @@ func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
 	}
 	ck := &CacheCheckpoint{
 		FlashBytes: c.cfg.FlashBytes,
-		Pages:      make([][]([2]tables.PageStatus), len(c.meta)),
+		Slots:      make([][]tables.SlotStatus, len(c.meta)),
 		Blocks:     make([]CheckpointBlock, len(c.meta)),
 		Regions:    make([]CheckpointRegion, len(c.regions)),
 		FGST:       c.fgst,
@@ -130,11 +130,9 @@ func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
 	}
 	ck.AdmitState = c.admitPol.checkpoint()
 	for b := range c.meta {
-		ck.Pages[b] = make([]([2]tables.PageStatus), nand.SlotsPerBlock)
-		for s := 0; s < nand.SlotsPerBlock; s++ {
-			for sub := 0; sub < 2; sub++ {
-				ck.Pages[b][s][sub] = *c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
-			}
+		ck.Slots[b] = make([]tables.SlotStatus, nand.SlotsPerBlock)
+		for s := range ck.Slots[b] {
+			ck.Slots[b][s] = *c.fpst.Slot(b, s)
 		}
 		m := &c.meta[b]
 		ck.Blocks[b] = CheckpointBlock{
@@ -173,23 +171,23 @@ const maxEraseCount = 1 << 20
 // cache, whose cursors, block indices, ECC strengths or density modes
 // are out of range (values the next replay would index with), whose
 // region lists name a block twice (restore would link it into a loop),
-// or whose tables contradict each other in ways the final integrity
-// audit does not see. It runs before any state changes.
+// or whose tables contradict the device or each other in ways the
+// final integrity audit does not see. It runs before any state changes.
 func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 	if ck.FlashBytes != c.cfg.FlashBytes {
 		return fmt.Errorf("core: checkpoint for %dB Flash, config says %dB",
 			ck.FlashBytes, c.cfg.FlashBytes)
 	}
-	if len(ck.Pages) != len(c.meta) || len(ck.Blocks) != len(c.meta) || len(ck.Device.Blocks) != len(c.meta) {
+	if len(ck.Slots) != len(c.meta) || len(ck.Blocks) != len(c.meta) || len(ck.Device.Blocks) != len(c.meta) {
 		return fmt.Errorf("core: checkpoint for %d/%d/%d blocks, cache has %d",
-			len(ck.Pages), len(ck.Blocks), len(ck.Device.Blocks), len(c.meta))
+			len(ck.Slots), len(ck.Blocks), len(ck.Device.Blocks), len(c.meta))
 	}
 	if len(ck.Regions) != len(c.regions) {
 		return fmt.Errorf("core: checkpoint has %d regions, cache has %d",
 			len(ck.Regions), len(c.regions))
 	}
 	for b := range ck.Blocks {
-		if err := c.checkBlock(b, &ck.Blocks[b], &ck.Device.Blocks[b], ck.Pages[b]); err != nil {
+		if err := c.checkBlock(b, &ck.Blocks[b], &ck.Device.Blocks[b], ck.Slots[b]); err != nil {
 			return fmt.Errorf("core: checkpoint %v", err)
 		}
 	}
@@ -222,7 +220,7 @@ func (c *Cache) checkCheckpoint(ck *CacheCheckpoint) error {
 
 // checkBlock rejects one block's allocator, FBST, device and page
 // state when no cache can hold it.
-func (c *Cache) checkBlock(b int, cb *CheckpointBlock, db *nand.BlockCheckpoint, pages [][2]tables.PageStatus) error {
+func (c *Cache) checkBlock(b int, cb *CheckpointBlock, db *nand.BlockCheckpoint, slots []tables.SlotStatus) error {
 	state := blockLifecycle(cb.State)
 	if state > blockRetired {
 		return fmt.Errorf("block %d in impossible state %d", b, cb.State)
@@ -239,48 +237,51 @@ func (c *Cache) checkBlock(b int, cb *CheckpointBlock, db *nand.BlockCheckpoint,
 	if db.Reads < 0 {
 		return fmt.Errorf("block %d read count %d is negative", b, db.Reads)
 	}
-	if st := cb.Status; st.Erases < 0 || st.TotalECC < 0 || st.TotalSLC < 0 {
+	if st := cb.Status; st.TotalECC < 0 || st.TotalSLC < 0 {
 		return fmt.Errorf("block %d has negative wear statistics", b)
 	}
-	if state == blockRetired && !cb.Status.Retired {
-		return fmt.Errorf("block %d retired in allocator but not in FBST", b)
+	if (state == blockRetired) != db.Retired {
+		return fmt.Errorf("block %d in state %d but device retirement is %v", b, cb.State, db.Retired)
 	}
-	if len(pages) != nand.SlotsPerBlock {
-		return fmt.Errorf("block %d has %d slots, want %d", b, len(pages), nand.SlotsPerBlock)
+	if len(slots) != nand.SlotsPerBlock || len(db.Slots) != nand.SlotsPerBlock {
+		return fmt.Errorf("block %d has %d/%d slots, want %d", b, len(slots), len(db.Slots), nand.SlotsPerBlock)
 	}
-	for s, slot := range pages {
-		if err := c.checkSlot(b, s, slot); err != nil {
+	// A cursor at sub-page 1 is the second half of an MLC slot the
+	// allocator will program next.
+	if cb.CursorSub == 1 && (cb.CursorSlot == nand.SlotsPerBlock || db.Slots[cb.CursorSlot].Mode != wear.MLC) {
+		return fmt.Errorf("block %d cursor %d/1 is not inside an MLC slot", b, cb.CursorSlot)
+	}
+	for s, slot := range slots {
+		if err := c.checkSlot(b, s, &slot, db.Slots[s].Mode); err != nil {
 			return err
 		}
-		if (state == blockFree || state == blockRetired) && (slot[0].Valid || slot[1].Valid) {
+		if (state == blockFree || state == blockRetired) && (slot.Pages[0].Valid || slot.Pages[1].Valid) {
 			return fmt.Errorf("block %d in state %d holds a valid page in slot %d", b, cb.State, s)
 		}
 	}
 	return nil
 }
 
-// checkSlot rejects a slot's page states when their ECC strengths or
-// density modes fall outside what this cache can hold (strengths up to
-// the controller's limit, or up to the pinned strength of a
-// ForcedStrength cache beyond it), a valid page caches a negative LBA,
-// or the two sub-pages disagree about the slot's density.
-func (c *Cache) checkSlot(b, s int, slot [2]tables.PageStatus) error {
+// checkSlot rejects a slot's state when its ECC strengths or densities
+// fall outside what this cache can hold (strengths up to the
+// controller's limit, or up to the pinned strength of a ForcedStrength
+// cache beyond it), a valid page caches a negative LBA, or a valid
+// second sub-page sits in a slot the device holds as SLC. mode is the
+// device's current density for the slot.
+func (c *Cache) checkSlot(b, s int, slot *tables.SlotStatus, mode wear.Mode) error {
+	if mode > wear.MLC || slot.StagedMode > wear.MLC {
+		return fmt.Errorf("slot b%d/s%d density mode %d, staged %d, out of range", b, s, mode, slot.StagedMode)
+	}
 	limit := max(ecc.MaxStrength, c.cfg.ForcedStrength)
-	for sub, st := range slot {
+	for sub, st := range slot.Pages {
 		if st.Strength < 1 || st.Strength > limit || st.StagedStrength < 1 || st.StagedStrength > limit {
 			return fmt.Errorf("page b%d/s%d/%d ECC strength %d/%d out of range", b, s, sub, st.Strength, st.StagedStrength)
-		}
-		if st.Mode > wear.MLC || st.StagedMode > wear.MLC {
-			return fmt.Errorf("page b%d/s%d/%d in unknown density mode", b, s, sub)
 		}
 		if st.Valid && st.LBA < 0 {
 			return fmt.Errorf("page b%d/s%d/%d caches negative LBA %d", b, s, sub, st.LBA)
 		}
 	}
-	if slot[0].Mode != slot[1].Mode {
-		return fmt.Errorf("slot b%d/s%d sub-pages disagree on density", b, s)
-	}
-	if slot[0].Mode != wear.MLC && slot[1].Valid {
+	if mode != wear.MLC && slot.Pages[1].Valid {
 		return fmt.Errorf("SLC slot b%d/s%d claims a second sub-page", b, s)
 	}
 	return nil
@@ -329,13 +330,11 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 	}
 	c.fcht = fcht
 	for b := range c.meta {
-		for s := 0; s < nand.SlotsPerBlock; s++ {
-			for sub := 0; sub < 2; sub++ {
-				a := nand.Addr{Block: b, Slot: s, Sub: sub}
-				st := ck.Pages[b][s][sub]
-				*c.fpst.At(a) = st
+		for s, slot := range ck.Slots[b] {
+			*c.fpst.Slot(b, s) = slot
+			for sub, st := range slot.Pages {
 				if st.Valid {
-					c.fcht.Put(st.LBA, a)
+					c.fcht.Put(st.LBA, nand.Addr{Block: b, Slot: s, Sub: sub})
 				}
 			}
 		}

@@ -511,7 +511,6 @@ func (c *Cache) markFactoryBad(b int) bool {
 		return false
 	}
 	c.meta[b].state = blockRetired
-	c.fbst.At(b).Retired = true
 	c.stats.RetiredBlocks++
 	return true
 }

@@ -237,20 +237,14 @@ func TestEraseAppliesStagedDensity(t *testing.T) {
 	addr, _ := c.fcht.Get(7)
 	// Stage a density reduction on the slot, then force the block
 	// through eviction and check the slot comes back SLC.
-	for sub := 0; sub < 2; sub++ {
-		a := addr
-		a.Sub = sub
-		c.fpst.At(a).StagedMode = wear.SLC
-	}
-	block := addr.Block
-	c.evictBlock(block)
-	slotAddr := addr
-	slotAddr.Sub = 0
-	if got := c.dev.Mode(slotAddr); got != wear.SLC {
+	slot := c.fpst.Slot(addr.Block, addr.Slot)
+	slot.StagedMode = wear.SLC
+	c.evictBlock(addr.Block)
+	if got := c.dev.Mode(addr); got != wear.SLC {
 		t.Fatalf("staged density not applied on erase: %v", got)
 	}
-	if st := c.fpst.At(slotAddr); st.Mode != wear.SLC {
-		t.Fatalf("FPST mode not updated: %v", st.Mode)
+	if slot.StagedMode != wear.SLC {
+		t.Fatalf("staged density %v did not survive the erase", slot.StagedMode)
 	}
 	checkInvariants(t, c)
 }

@@ -323,7 +323,7 @@ func TestHotPagePromotionToSLC(t *testing.T) {
 		t.Fatalf("promotions = %d, want 1", c.Stats().Promotions)
 	}
 	addr, _ := c.fcht.Get(77)
-	if c.fpst.At(addr).Mode != wear.SLC {
+	if c.dev.Mode(addr) != wear.SLC {
 		t.Fatal("promoted page not SLC")
 	}
 	// SLC hit must now be faster than the MLC hit was.

@@ -11,8 +11,8 @@ import (
 
 // Descriptor is the control message the device driver sends to the
 // programmable Flash memory controller before a page access (sections
-// 4 and 5.2): the target page plus its active ECC strength and density
-// mode, read from the FPST.
+// 4 and 5.2): the target page plus its active ECC strength, read from
+// the FPST, and its density mode, read from the device.
 type Descriptor struct {
 	Addr     nand.Addr
 	Strength ecc.Strength
@@ -32,8 +32,7 @@ func (c *Cache) DescriptorFor(lba int64) (Descriptor, bool) {
 	if !ok {
 		return Descriptor{}, false
 	}
-	st := c.fpst.At(addr)
-	return Descriptor{Addr: addr, Strength: st.Strength, Mode: st.Mode}, true
+	return Descriptor{Addr: addr, Strength: c.fpst.At(addr).Strength, Mode: c.dev.Mode(addr)}, true
 }
 
 // MetadataBytes returns the DRAM footprint of the four management

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"flashdc/internal/envelope"
 	"flashdc/internal/obs"
 )
 
@@ -45,32 +46,51 @@ func TestOpenImage(t *testing.T) {
 }
 
 // TestOpenCorruptImage: without WithRecovery corruption is an error
-// wrapping ErrCorruptMetadata; with it, a cold start plus report.
+// wrapping ErrCorruptMetadata; with it, a cold start plus report. An
+// image in an older format version counts as corrupt.
 func TestOpenCorruptImage(t *testing.T) {
 	cfg, img := savedImage(t)
-	img[len(img)/2] ^= 0x40
-
-	c, rep, err := Open(cfg, bytes.NewReader(img))
-	if err == nil || !errors.Is(err, ErrCorruptMetadata) {
-		t.Fatalf("want ErrCorruptMetadata, got %v", err)
-	}
-	if c != nil || rep.Err == nil {
-		t.Fatalf("failed strict open must return nil cache and a cause, got %v / %+v", c, rep)
-	}
-
-	c, rep, err = Open(cfg, bytes.NewReader(img), WithRecovery())
+	flipped := append([]byte(nil), img...)
+	flipped[len(flipped)/2] ^= 0x40
+	ck, err := decodeEnvelope(bytes.NewReader(img))
 	if err != nil {
-		t.Fatalf("recovering open must not fail: %v", err)
+		t.Fatal(err)
 	}
-	if !rep.ColdStart || !errors.Is(rep.Err, ErrCorruptMetadata) {
-		t.Fatalf("want cold-start report wrapping ErrCorruptMetadata: %+v", rep)
+	var v3 bytes.Buffer
+	if err := envelope.Write(&v3, persistMagic, 3, ck); err != nil {
+		t.Fatal(err)
 	}
-	if c.ValidPages() != 0 {
-		t.Fatal("cold start must be empty")
-	}
-	c.Insert(9)
-	if !c.Contains(9) {
-		t.Fatal("cold-started cache unusable")
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"flipped byte", flipped},
+		{"format v3", v3.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, rep, err := Open(cfg, bytes.NewReader(tc.img))
+			if err == nil || !errors.Is(err, ErrCorruptMetadata) {
+				t.Fatalf("want ErrCorruptMetadata, got %v", err)
+			}
+			if c != nil || rep.Err == nil {
+				t.Fatalf("failed strict open must return nil cache and a cause, got %v / %+v", c, rep)
+			}
+
+			c, rep, err = Open(cfg, bytes.NewReader(tc.img), WithRecovery())
+			if err != nil {
+				t.Fatalf("recovering open must not fail: %v", err)
+			}
+			if !rep.ColdStart || !errors.Is(rep.Err, ErrCorruptMetadata) {
+				t.Fatalf("want cold-start report wrapping ErrCorruptMetadata: %+v", rep)
+			}
+			if c.ValidPages() != 0 {
+				t.Fatal("cold start must be empty")
+			}
+			c.Insert(9)
+			if !c.Contains(9) {
+				t.Fatal("cold-started cache unusable")
+			}
+		})
 	}
 }
 

@@ -63,7 +63,7 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 			}
 			c.stats.Misses++
 			exhausted := !c.cfg.Programmable ||
-				(st.StagedStrength >= maxControllerStrength && st.StagedMode == wear.SLC)
+				(st.StagedStrength >= maxControllerStrength && c.fpst.Slot(addr.Block, addr.Slot).StagedMode == wear.SLC)
 			block := addr.Block
 			c.invalidate(addr)
 			if exhausted {
@@ -91,15 +91,15 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 	c.fgst.RecordHit(lat)
 
 	if c.cfg.Programmable {
-		if res.BitErrors >= int(st.Strength) &&
-			st.StagedStrength == st.Strength && st.StagedMode == st.Mode {
+		if res.BitErrors >= int(st.Strength) && st.StagedStrength == st.Strength &&
+			c.fpst.Slot(addr.Block, addr.Slot).StagedMode == c.dev.Mode(addr) {
 			// At the correction limit with no fix pending yet:
 			// reconfigure before the next wear step makes the page
 			// unreadable (section 5.2.1). A page with a staged change
 			// waits for its block's next erase.
 			c.reconfigure(addr.Block, addr, res.BitErrors, c.pageFreq(st))
 		}
-		if saturated && st.Mode == wear.MLC {
+		if saturated && c.dev.Mode(addr) == wear.MLC {
 			c.promote(addr)
 		}
 	}

@@ -50,7 +50,7 @@ import (
 var ErrCorruptMetadata = errors.New("core: corrupt metadata image")
 
 const (
-	persistVersion    = 3
+	persistVersion    = 4
 	persistMagic      = "FDCM"
 	persistHeaderSize = envelope.HeaderSize
 )

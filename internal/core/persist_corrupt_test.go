@@ -109,7 +109,7 @@ func TestLoadMetadataRejectsSemanticGarbage(t *testing.T) {
 		"negative erase count": func(ck *CacheCheckpoint) { ck.Device.Blocks[0].EraseCount = -1 },
 		"runaway erase count":  func(ck *CacheCheckpoint) { ck.Device.Blocks[0].EraseCount = 1 << 30 },
 		"valid-count mismatch": func(ck *CacheCheckpoint) { ck.Blocks[0].Valid += 3; ck.Blocks[0].Consumed += 3 },
-		"oversized strength":   func(ck *CacheCheckpoint) { ck.Pages[0][0][0].Strength = 99 },
+		"oversized strength":   func(ck *CacheCheckpoint) { ck.Slots[0][0].Pages[0].Strength = 99 },
 		"cursor out of range":  func(ck *CacheCheckpoint) { ck.Blocks[0].CursorSlot = 1000 },
 	}
 	for name, mutate := range cases {

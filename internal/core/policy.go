@@ -169,7 +169,7 @@ type cmWearEvict struct{ window int }
 func (p cmWearEvict) victim(c *Cache, r *region) int {
 	best, bestErases, n := none, 0, 0
 	for b := int(r.tail); b != none && n < p.window; b = int(c.meta[b].prev) {
-		if er := c.fbst.At(b).Erases; best == none || er < bestErases {
+		if er := c.dev.EraseCount(b); best == none || er < bestErases {
 			best, bestErases = b, er
 		}
 		n++

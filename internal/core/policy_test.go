@@ -101,7 +101,11 @@ func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 	// LRU order (front=MRU): 0 1 2 3 4 5. Window 4 covers 5,4,3,2.
 	r := fakeRegion(c, 0, 1, 2, 3, 4, 5)
 	for b, erases := range map[int]int{0: 0, 1: 0, 2: 9, 3: 3, 4: 7, 5: 8} {
-		c.fbst.At(b).Erases = erases
+		for i := 0; i < erases; i++ {
+			if _, err := c.dev.Erase(b); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	p := cmWearEvict{window: 4}
 	if got := p.victim(c, r); got != 3 {

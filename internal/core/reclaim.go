@@ -41,14 +41,11 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 		c.eventDisturbReset(b, disturbReads)
 	}
 	m.progFails = 0
-	c.fbst.At(b).Erases++
 	for s := 0; s < nand.SlotsPerBlock; s++ {
-		slotAddr := nand.Addr{Block: b, Slot: s}
-		desired := c.fpst.At(slotAddr).StagedMode
-		c.setMode(b, s, desired)
-		for sub := 0; sub < 2; sub++ {
-			st := c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
-			st.Mode = desired
+		slot := c.fpst.Slot(b, s)
+		c.setMode(b, s, slot.StagedMode)
+		for sub := range slot.Pages {
+			st := &slot.Pages[sub]
 			st.Strength = st.StagedStrength
 			st.Valid = false
 			st.Access = 0
@@ -80,10 +77,10 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 func (c *Cache) ensureReliable(b int, freq float64) bool {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
 		slotAddr := nand.Addr{Block: b, Slot: s}
+		slot := c.fpst.Slot(b, s)
 		for {
 			errs := c.dev.BitErrors(slotAddr)
-			st := c.fpst.At(slotAddr)
-			if errs <= int(st.Strength) {
+			if errs <= int(slot.Pages[0].Strength) {
 				break
 			}
 			if !c.cfg.Programmable {
@@ -94,11 +91,9 @@ func (c *Cache) ensureReliable(b int, freq float64) bool {
 			}
 			// Apply the new staging immediately: the block is erased,
 			// so both knobs are legal right now.
-			desired := st.StagedMode
-			c.setMode(b, s, desired)
-			for sub := 0; sub < 2; sub++ {
-				p := c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
-				p.Mode = desired
+			c.setMode(b, s, slot.StagedMode)
+			for sub := range slot.Pages {
+				p := &slot.Pages[sub]
 				p.Strength = p.StagedStrength
 			}
 		}
@@ -133,7 +128,6 @@ func (c *Cache) retire(b int) {
 	r.blocks--
 	m.state = blockRetired
 	c.dev.Retire(b)
-	c.fbst.At(b).Retired = true
 	c.stats.RetiredBlocks++
 	if r.blocks < 2 {
 		c.dead = true
@@ -226,7 +220,7 @@ func (c *Cache) reuse(r *region, b int) {
 // than lost.
 func (c *Cache) relocate(a nand.Addr, r *region, stage bool) (dst nand.Addr, t sim.Duration, ok bool) {
 	src := c.fpst.At(a)
-	lba, mode, access, staged := src.LBA, src.Mode, src.Access, src.StagedStrength
+	lba, mode, access, staged := src.LBA, c.dev.Mode(a), src.Access, src.StagedStrength
 	res, err := c.dev.Read(a)
 	if err != nil {
 		panic(err)
@@ -302,7 +296,7 @@ func (c *Cache) newestActive() (int, float64) {
 	best, bestWear := none, 0.0
 	for _, r := range c.regions {
 		for b := int(r.head); b != none; b = int(c.meta[b].next) {
-			if w := c.fbst.WearOut(b); best == none || w < bestWear {
+			if w := c.fbst.WearOut(b, c.dev.EraseCount(b)); best == none || w < bestWear {
 				best, bestWear = b, w
 			}
 		}
@@ -335,7 +329,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	if newest == none || newest == b {
 		return false
 	}
-	if c.fbst.WearOut(b)-newestWear <= c.cfg.WearThreshold {
+	if c.fbst.WearOut(b, c.dev.EraseCount(b))-newestWear <= c.cfg.WearThreshold {
 		return false
 	}
 	vm := &c.meta[b]
@@ -350,7 +344,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	// densities.
 	slcCount := 0
 	for _, a := range content {
-		if c.fpst.At(a).Mode == wear.SLC {
+		if c.dev.Mode(a) == wear.SLC {
 			slcCount++
 		}
 	}
@@ -369,7 +363,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	for _, a := range content {
 		src := c.fpst.At(a)
 		lba := src.LBA
-		mode := src.Mode
+		mode := c.dev.Mode(a)
 		staged := src.StagedStrength
 		access := src.Access
 		c.invalidate(a)

@@ -27,7 +27,7 @@ const maxControllerStrength = ecc.MaxStrength
 // observed error count any more.
 func (c *Cache) reconfigure(block int, addr nand.Addr, observedErrors int, freq float64) bool {
 	st := c.fpst.At(addr)
-	slot := nand.Addr{Block: block, Slot: addr.Slot}
+	slot := c.fpst.Slot(block, addr.Slot)
 
 	// Candidate ECC strength: cover the observed errors with one bit
 	// of margin, and always move forward.
@@ -36,7 +36,7 @@ func (c *Cache) reconfigure(block int, addr nand.Addr, observedErrors int, freq 
 		target = st.StagedStrength + 1
 	}
 	eccPossible := st.StagedStrength < maxControllerStrength && target <= maxControllerStrength
-	densityPossible := c.fpst.At(slot).StagedMode == wear.MLC
+	densityPossible := slot.StagedMode == wear.MLC
 
 	if !eccPossible && !densityPossible {
 		return false
@@ -68,9 +68,7 @@ func (c *Cache) reconfigure(block int, addr nand.Addr, observedErrors int, freq 
 	c.eventDensityDown(block, observedErrors)
 	// Density reduction applies to the whole physical slot: both
 	// sub-pages become one SLC page after the next erase.
-	for sub := 0; sub < 2; sub++ {
-		c.fpst.At(nand.Addr{Block: block, Slot: addr.Slot, Sub: sub}).StagedMode = wear.SLC
-	}
+	slot.StagedMode = wear.SLC
 	c.fbst.At(block).TotalSLC++
 	c.fgst.DensityReconfigs++
 	return true

@@ -230,11 +230,7 @@ func (c *Cache) allocIn(b int, mode wear.Mode) (nand.Addr, bool) {
 			// Untouched slot: set the desired density before first
 			// program (legal only while erased).
 			if c.setMode(b, m.cursorSlot, mode) {
-				for sub := 0; sub < 2; sub++ {
-					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
-					st.Mode = mode
-					st.StagedMode = mode
-				}
+				c.fpst.Slot(b, m.cursorSlot).StagedMode = mode
 			}
 			m.consumed++
 			if mode == wear.MLC {

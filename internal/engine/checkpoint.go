@@ -22,7 +22,7 @@ var ErrCorruptCheckpoint = errors.New("engine: corrupt checkpoint")
 
 const (
 	checkpointMagic   = "FDCK"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // Checkpoint is a whole-campaign snapshot.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flashdc/internal/core"
+	"flashdc/internal/envelope"
 	"flashdc/internal/fault"
 	"flashdc/internal/hier"
 	"flashdc/internal/sim"
@@ -169,12 +170,23 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
-	wire[len(wire)-1] ^= 0xFF // flip a CRC bit
-	if _, err := ReadCheckpoint(bytes.NewReader(wire)); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("corrupted checkpoint read reported %v, want ErrCorruptCheckpoint", err)
+	flipped := append([]byte(nil), wire...)
+	flipped[len(flipped)-1] ^= 0xFF // flip a CRC bit
+	var v1 bytes.Buffer
+	if err := envelope.Write(&v1, checkpointMagic, 1, ck); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader(wire[:8])); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("truncated checkpoint read reported %v, want ErrCorruptCheckpoint", err)
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"corrupted", flipped},
+		{"truncated", wire[:8]},
+		{"format v1", v1.Bytes()},
+	} {
+		if _, err := ReadCheckpoint(bytes.NewReader(tc.wire)); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("%s checkpoint read reported %v, want ErrCorruptCheckpoint", tc.name, err)
+		}
 	}
 }
 
@@ -199,11 +211,11 @@ func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
 	// token included, so only the LBA's sign is wrong.
 	negativeLBA := func(fc *core.CacheCheckpoint) {
 		lba := int64(-7)
-		for b, slots := range fc.Pages {
+		for b, slots := range fc.Slots {
 			for s, slot := range slots {
-				for sub := range slot {
-					if slot[sub].Valid {
-						fc.Pages[b][s][sub].LBA = lba
+				for sub, st := range slot.Pages {
+					if st.Valid {
+						fc.Slots[b][s].Pages[sub].LBA = lba
 						fc.Device.Blocks[b].Slots[s].Data[sub] = uint64(lba)
 						return
 					}
@@ -211,6 +223,19 @@ func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
 			}
 		}
 		t.Fatal("checkpoint caches no page")
+	}
+	// slcSecondPage makes the device hold the slot of the first valid
+	// second sub-page as SLC.
+	slcSecondPage := func(fc *core.CacheCheckpoint) {
+		for b, slots := range fc.Slots {
+			for s, slot := range slots {
+				if slot.Pages[1].Valid {
+					fc.Device.Blocks[b].Slots[s].Mode = wear.SLC
+					return
+				}
+			}
+		}
+		t.Fatal("checkpoint caches no second sub-page")
 	}
 	for _, tc := range []struct {
 		name   string
@@ -222,14 +247,21 @@ func TestEngineRestoreRejectsOutOfRange(t *testing.T) {
 		{"scrub slot", func(fc *core.CacheCheckpoint) { fc.ScrubSlot = 1 << 20 }, "scrub cursor"},
 		{"open cursor slot", func(fc *core.CacheCheckpoint) { open(fc).CursorSlot = -3 }, "cursor -3/"},
 		{"open cursor sub", func(fc *core.CacheCheckpoint) { open(fc).CursorSub = 7 }, "/7 out of range"},
-		{"page strength", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][0].Strength = 200 }, "ECC strength 200/"},
-		{"page mode", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][0].StagedMode = 9 }, "density mode"},
+		{"open cursor in SLC slot", func(fc *core.CacheCheckpoint) {
+			o := fc.Regions[0].Open
+			fc.Blocks[o].CursorSub = 1
+			fc.Device.Blocks[o].Slots[fc.Blocks[o].CursorSlot].Mode = wear.SLC
+		}, "/1 is not inside an MLC slot"},
+		{"page strength", func(fc *core.CacheCheckpoint) { fc.Slots[0][0].Pages[0].Strength = 200 }, "ECC strength 200/"},
+		{"page mode", func(fc *core.CacheCheckpoint) { fc.Slots[0][0].StagedMode = 9 }, "staged 9, out of range"},
+		{"device slot mode 9", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].Slots[0].Mode = 9 }, "density mode 9,"},
+		{"second sub-page in SLC slot", slcSecondPage, "claims a second sub-page"},
 		{"device erase count negative", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].EraseCount = -1 }, "erase count -1 out of range"},
 		{"device erase count runaway", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].EraseCount = 1 << 40 }, "erase count 1099511627776 out of range"},
 		{"negative lba", negativeLBA, "negative LBA -7"},
-		{"sub-page density", func(fc *core.CacheCheckpoint) { fc.Pages[0][0][1].Mode = 1 - fc.Pages[0][0][0].Mode }, "disagree on density"},
 		{"negative wear statistics", func(fc *core.CacheCheckpoint) { fc.Blocks[0].Status.TotalECC = -5 }, "negative wear statistics"},
-		{"retired outside FBST", func(fc *core.CacheCheckpoint) { fc.Blocks[badBlock].Status.Retired = false }, "not in FBST"},
+		{"retired outside FBST", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[badBlock].Retired = false }, "device retirement is false"},
+		{"device retires a live block", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[fc.Regions[0].Free[0]].Retired = true }, "device retirement is true"},
 		{"device reads", func(fc *core.CacheCheckpoint) { fc.Device.Blocks[0].Reads = -100 }, "read count -100"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,10 +2,16 @@
 // paper's software-managed Flash disk cache keeps in DRAM (sections
 // 3.1-3.4): the FlashCache hash table (FCHT) mapping disk addresses to
 // Flash pages, the Flash page status table (FPST) holding per-page ECC
-// strength, density mode, valid bit and a saturating access counter,
-// the Flash block status table (FBST) tracking erase counts and the
-// degree-of-wear cost function, and the Flash global status table
-// (FGST) summarising miss rate and average latencies.
+// strength, valid bit and a saturating access counter plus each slot's
+// staged density, the Flash block status table (FBST) holding the
+// degree-of-wear cost function's reconfiguration terms, and the Flash
+// global status table (FGST) summarising miss rate and average
+// latencies.
+//
+// The tables hold only the controller's own decisions. The physical
+// state they would otherwise mirror — each slot's current density,
+// each block's erase count and retirement — lives once, in the NAND
+// device (internal/nand), and callers read it there.
 //
 // Disk addresses are page-aligned disk page numbers (2KB units) stored
 // as int64, the paper's logical block address (LBA) tags.
@@ -78,33 +84,40 @@ func (f *FCHT) Range(fn func(lba int64, addr nand.Addr) bool) {
 	f.t.Range(func(lba int64, v int32) bool { return fn(lba, unpackAddr(v)) })
 }
 
-// PageStatus is one FPST entry (section 3.2). Strength and Mode are
-// the page's active configuration; the Staged fields hold the
-// controller's pending reconfiguration, applied on the next erase and
-// write (section 5.2).
+// PageStatus is one FPST entry (section 3.2). Strength is the page's
+// active ECC strength; StagedStrength holds the controller's pending
+// reconfiguration, applied on the next erase and write (section 5.2).
+// The fields run largest first, leaving the padding after Valid as the
+// only slack, so a SlotStatus stays within 96 bytes (TestSlotStatusSize).
 type PageStatus struct {
 	Strength       ecc.Strength
 	StagedStrength ecc.Strength
-	Mode           wear.Mode
-	StagedMode     wear.Mode
-	Valid          bool
 	// LBA is the disk page stored here, or InvalidLBA. It is the
 	// reverse of the FCHT mapping, needed during garbage collection.
 	LBA int64
-	// Access is the saturating read counter driving hot-page SLC
-	// promotion (section 5.2.2).
-	Access uint32
 	// InsertedAt is the cache access-sequence number when the page
 	// was last programmed, used to estimate its relative access
 	// frequency (freq_i of the section 5.2.1 heuristics).
 	InsertedAt uint64
+	// Access is the saturating read counter driving hot-page SLC
+	// promotion (section 5.2.2).
+	Access uint32
+	Valid  bool
+}
+
+// SlotStatus is the FPST state of one physical slot: its two page
+// entries (an SLC slot leaves Sub 1 unused) and the density staged for
+// the whole slot, applied on the block's next erase. The slot's current
+// density is the device's (nand.Device.Mode).
+type SlotStatus struct {
+	Pages      [2]PageStatus
+	StagedMode wear.Mode
 }
 
 // FPST is the Flash page status table, dimensioned to the device
-// geometry: one entry per potential page (two per slot, so SLC slots
-// simply leave Sub 1 unused).
+// geometry: one SlotStatus per slot, block by block in one allocation.
 type FPST struct {
-	pages    [][]([2]PageStatus)
+	slots    []SlotStatus
 	saturate uint32
 }
 
@@ -119,20 +132,10 @@ func NewFPST(blocks int, baseStrength ecc.Strength, baseMode wear.Mode, saturate
 	if saturate == 0 {
 		return nil, fmt.Errorf("tables: access counter must saturate above zero")
 	}
-	f := &FPST{pages: make([][]([2]PageStatus), blocks), saturate: saturate}
-	for b := range f.pages {
-		f.pages[b] = make([]([2]PageStatus), nand.SlotsPerBlock)
-		for s := range f.pages[b] {
-			for sub := 0; sub < 2; sub++ {
-				f.pages[b][s][sub] = PageStatus{
-					Strength:       baseStrength,
-					StagedStrength: baseStrength,
-					Mode:           baseMode,
-					StagedMode:     baseMode,
-					LBA:            InvalidLBA,
-				}
-			}
-		}
+	page := PageStatus{Strength: baseStrength, StagedStrength: baseStrength, LBA: InvalidLBA}
+	f := &FPST{slots: make([]SlotStatus, blocks*nand.SlotsPerBlock), saturate: saturate}
+	for i := range f.slots {
+		f.slots[i] = SlotStatus{Pages: [2]PageStatus{page, page}, StagedMode: baseMode}
 	}
 	return f, nil
 }
@@ -140,8 +143,12 @@ func NewFPST(blocks int, baseStrength ecc.Strength, baseMode wear.Mode, saturate
 // At returns the status entry for a Flash page. The pointer stays
 // valid for the table's lifetime.
 func (f *FPST) At(a nand.Addr) *PageStatus {
-	return &f.pages[a.Block][a.Slot][a.Sub]
+	return &f.Slot(a.Block, a.Slot).Pages[a.Sub]
 }
+
+// Slot returns the status of slot s of block b. The pointer stays
+// valid for the table's lifetime.
+func (f *FPST) Slot(b, s int) *SlotStatus { return &f.slots[b*nand.SlotsPerBlock+s] }
 
 // Saturate returns the access-counter ceiling.
 func (f *FPST) Saturate() uint32 { return f.saturate }
@@ -158,18 +165,16 @@ func (f *FPST) IncAccess(a nand.Addr) bool {
 	return st.Access == f.saturate
 }
 
-// BlockStatus is one FBST entry (section 3.3).
+// BlockStatus is one FBST entry (section 3.3): the reconfiguration
+// terms of the degree-of-wear cost function. The erase count, its
+// third term, is the device's (nand.Device.EraseCount).
 type BlockStatus struct {
-	// Erases is the number of erase operations performed.
-	Erases int
 	// TotalECC is the summed ECC strength of the block's pages, the
 	// Total_ECC,i term of the wear-out cost function.
 	TotalECC int
 	// TotalSLC is the number of pages converted to SLC mode due to
 	// wear, the Total_SLC_MLC,i term.
 	TotalSLC int
-	// Retired mirrors the device's permanent removal flag.
-	Retired bool
 }
 
 // FBST is the Flash block status table with the paper's degree-of-wear
@@ -204,10 +209,11 @@ func (f *FBST) At(b int) *BlockStatus { return &f.blocks[b] }
 // Blocks returns the number of blocks tracked.
 func (f *FBST) Blocks() int { return len(f.blocks) }
 
-// WearOut evaluates the degree-of-wear cost function for block b.
-func (f *FBST) WearOut(b int) float64 {
+// WearOut evaluates the degree-of-wear cost function for block b,
+// which has endured erases erase cycles.
+func (f *FBST) WearOut(b, erases int) float64 {
 	st := &f.blocks[b]
-	return float64(st.Erases) + f.K1*float64(st.TotalECC) + f.K2*float64(st.TotalSLC)
+	return float64(erases) + f.K1*float64(st.TotalECC) + f.K2*float64(st.TotalSLC)
 }
 
 // FGST is the Flash global status table (section 3.4): running miss

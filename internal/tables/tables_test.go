@@ -3,6 +3,7 @@ package tables
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"flashdc/internal/nand"
 	"flashdc/internal/sim"
@@ -149,11 +150,23 @@ func TestFPSTInitialState(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := f.At(nand.Addr{Block: 3, Slot: 63, Sub: 1})
-	if st.Strength != 1 || st.Mode != wear.MLC || st.Valid || st.LBA != InvalidLBA {
+	if st.Strength != 1 || st.StagedStrength != 1 || st.Valid || st.LBA != InvalidLBA {
 		t.Fatalf("initial entry %+v", st)
+	}
+	if slot := f.Slot(3, 63); slot.StagedMode != wear.MLC || &slot.Pages[1] != st {
+		t.Fatalf("initial slot %+v does not hold the page entry at staged MLC", slot)
 	}
 	if f.Saturate() != 8 {
 		t.Fatalf("Saturate = %d", f.Saturate())
+	}
+}
+
+// TestSlotStatusSize pins the FPST's per-slot footprint: the staged
+// density stored once per slot must fit in the padding of the two page
+// entries, so a slot's status stays within 96 bytes.
+func TestSlotStatusSize(t *testing.T) {
+	if n := unsafe.Sizeof(SlotStatus{}); n > 96 {
+		t.Fatalf("SlotStatus is %d bytes, want at most 96", n)
 	}
 }
 
@@ -213,14 +226,13 @@ func TestFBSTWearOutFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := f.At(1)
-	st.Erases = 100
 	st.TotalECC = 30
 	st.TotalSLC = 4
 	// wear = 100 + 2*30 + 20*4 = 240
-	if got := f.WearOut(1); got != 240 {
+	if got := f.WearOut(1, 100); got != 240 {
 		t.Fatalf("WearOut = %v, want 240", got)
 	}
-	if f.WearOut(0) != 0 {
+	if f.WearOut(0, 0) != 0 {
 		t.Fatal("fresh block has non-zero wear")
 	}
 	if f.Blocks() != 3 {
