@@ -1,8 +1,8 @@
 // Command fdcsim is the trace-driven Flash disk cache simulator: it
-// replays a disk trace (from a file produced by tracegen, or generated
-// on the fly from the Table 4 catalog) against the full memory
-// hierarchy and reports miss rates, latency, power and controller
-// activity.
+// replays a disk trace (from a file produced by tracegen, text or
+// binary, or generated on the fly from the Table 4 catalog) against
+// the full memory hierarchy and reports miss rates, latency, power and
+// controller activity.
 //
 // Usage:
 //
@@ -38,12 +38,13 @@
 // semantics — and adds scheduler counters to the report.
 //
 // The scheduler's occupancy surface can feed back into the management
-// policies: -policy-gc contention-aware scores GC victims by
-// reclaimable benefit over predicted bank wait and defers non-forced
-// collection under deep foreground backlog, -policy-admit throttle
-// (with -wbuf) sheds cold fills and write-backs while the write buffer
-// is nearly full, and -scrub-feedback (with -scrub and a parallel
-// geometry) batches scrub/refresh migrations into idle bank windows.
+// policies: -policy-gc contention-aware steers greedy's GC victim to
+// a near-tie on the bank that frees first and defers non-forced
+// collection, boundedly, under deep foreground backlog, -policy-admit
+// throttle (with -wbuf) sheds cold fills and write-backs while the
+// write buffer is nearly full, and -scrub-feedback (with -scrub and a
+// parallel geometry) batches scrub/refresh migrations into idle bank
+// windows.
 // All feedback reads deterministic simulated-time state, so output
 // stays byte-identical at any -workers count.
 //
@@ -57,6 +58,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"math"
@@ -185,8 +187,7 @@ func parseFaults(spec string) (*fault.Plan, error) {
 func main() {
 	var (
 		workloadName = flag.String("workload", "dbt2", "Table 4 workload name (ignored with -trace)")
-		traceFile    = flag.String("trace", "", "replay a text trace file instead of generating")
-		traceBinary  = flag.String("trace-binary", "", "replay a binary trace file (tracegen -binary) via a zero-copy mapping")
+		traceFile    = flag.String("trace", "", "replay a trace file (text, or tracegen -binary's format via a zero-copy mapping) instead of generating")
 		scale        = flag.Float64("scale", 1.0/16, "footprint scale for generated workloads")
 		requests     = flag.Int("requests", 200000, "requests to simulate")
 		dramSize     = flag.String("dram", "16M", "DRAM primary disk cache size")
@@ -277,14 +278,12 @@ func main() {
 		usageErr("-metrics-interval takes snapshots only -metrics-out or -http reads; set one of them")
 	case *traceCap > 0 && *traceEvents == "":
 		usageErr("-trace-cap sizes the event buffer only -trace-events writes; set it too")
-	case *traceFile != "" && *traceBinary != "":
-		usageErr("-trace and -trace-binary are mutually exclusive")
-	case *traceFile == "" && *traceBinary == "" && !(*scale > 0):
+	case *traceFile == "" && !(*scale > 0):
 		usageErr("-scale %g: generated workloads need a positive footprint scale", *scale)
 	case flash == 0 && (*retentionAccel > 0 || *disturbReads > 0):
 		usageErr("-retention-accel/-disturb-reads model Flash reliability; -flash 0 builds no Flash tier")
-	case (*checkpointIn != "" || *checkpointOut != "") && (*traceFile != "" || *traceBinary != ""):
-		usageErr("-checkpoint-in/-checkpoint-out support generated workloads only, not -trace/-trace-binary " +
+	case (*checkpointIn != "" || *checkpointOut != "") && *traceFile != "":
+		usageErr("-checkpoint-in/-checkpoint-out support generated workloads only, not -trace " +
 			"(a trace file's stream position cannot be replayed deterministically)")
 	}
 	schedCfg := sched.Config{Channels: *channels, Banks: *banks, WriteBufPages: *wbufPages}
@@ -300,7 +299,7 @@ func main() {
 		usageErr("-scrub-feedback defers scrub migrations; enable the scrubber with -scrub first")
 	}
 	var gen workload.Generator
-	if *traceFile == "" && *traceBinary == "" {
+	if *traceFile == "" {
 		gen, err = workload.New(*workloadName, *scale, *seed)
 		if err != nil {
 			usageErr("-workload/-scale: %v", err)
@@ -424,16 +423,21 @@ func main() {
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		die(err)
-		onExit(f.Close)
-		src = trace.NewCountingSource(trace.NewStreamSource(trace.NewReader(f)), stats)
-	} else if *traceBinary != "" {
-		m, err := trace.MapFile(*traceBinary)
-		die(err)
 		// Registered rather than deferred: die/usageErr and the explicit
-		// os.Exit paths below bypass defers, which used to leak the
-		// mapping on every early exit.
-		onExit(m.Close)
-		src = trace.NewCountingSource(m, stats)
+		// os.Exit paths below bypass defers, so a deferred close would
+		// leak the file and the mapping on every early exit.
+		onExit(f.Close)
+		// The first bytes name the format: no text trace can start
+		// with the binary magic. Peek leaves them in the text stream.
+		br := bufio.NewReader(f)
+		if magic, _ := br.Peek(len(trace.BinaryMagic)); string(magic) == trace.BinaryMagic {
+			m, err := trace.MapFile(*traceFile)
+			die(err)
+			onExit(m.Close)
+			src = trace.NewCountingSource(m, stats)
+		} else {
+			src = trace.NewCountingSource(trace.NewStreamSource(trace.NewReader(br)), stats)
+		}
 	} else {
 		src = trace.NewCountingSource(workload.AsSource(gen), stats)
 		// On resume, drain the prefix the checkpointed run already
@@ -588,9 +592,9 @@ func pct(a, b int64) float64 {
 	return 100 * float64(a) / float64(b)
 }
 
-// exitFns holds cleanup work — closing the mapped binary trace or the
-// text trace file — that must run on every exit path. die, usageErr
-// and exit bypass defers (os.Exit), which used to leak the -trace-binary
+// exitFns holds cleanup work — closing the trace file and its binary
+// mapping — that must run on every exit path. die, usageErr and exit
+// bypass defers (os.Exit), which used to leak the binary trace's
 // mapping on early exits; registered cleanups run regardless.
 var exitFns []func() error
 

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"flashdc/internal/cmdtest"
+	"flashdc/internal/trace"
+	"flashdc/internal/workload"
 )
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
@@ -75,5 +80,64 @@ func TestValidRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "requests:") {
 		t.Fatalf("stdout lacks the report:\n%s", stdout)
+	}
+}
+
+// TestTraceFormats: -trace tells the two trace formats apart by their
+// first bytes, so the same stream as a text file and as an FDCT file
+// prints byte-identical reports, and a truncated FDCT file is an input
+// error (exit 1).
+func TestTraceFormats(t *testing.T) {
+	gen, err := workload.New("alpha2", 0.0625, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]trace.Request, 5000)
+	if n := workload.AsSource(gen).Next(reqs); n != len(reqs) {
+		t.Fatalf("generated %d requests, want %d", n, len(reqs))
+	}
+	var text bytes.Buffer
+	tw := trace.NewWriter(&text)
+	bin := trace.AppendBinaryHeader(nil)
+	for _, r := range reqs {
+		if err := tw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+		bin = trace.AppendBinary(bin, r)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	files := map[string][]byte{
+		"alpha2.trace":   text.Bytes(),
+		"alpha2.fdct":    bin,
+		"truncated.fdct": bin[:len(bin)-5],
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay := func(name string) (int, string, string) {
+		return cmdtest.Run(t, "-trace", filepath.Join(dir, name),
+			"-dram", "1M", "-flash", "8M", "-requests", "5000", "-shards", "2")
+	}
+	code, textOut, stderr := replay("alpha2.trace")
+	if code != 0 {
+		t.Fatalf("text trace: exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+	code, binOut, stderr := replay("alpha2.fdct")
+	if code != 0 {
+		t.Fatalf("FDCT trace: exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+	if textOut != binOut {
+		t.Fatalf("text and FDCT replays differ:\n--- text\n%s\n--- FDCT\n%s", textOut, binOut)
+	}
+	if !strings.Contains(textOut, "requests:") {
+		t.Fatalf("stdout lacks the report:\n%s", textOut)
+	}
+	if code, _, stderr := replay("truncated.fdct"); code != 1 {
+		t.Fatalf("truncated FDCT trace: exit code %d, want 1; stderr:\n%s", code, stderr)
 	}
 }

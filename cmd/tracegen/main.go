@@ -1,6 +1,7 @@
 // Command tracegen emits disk access traces from the Table 4 workload
-// catalog, in the text format fdcsim replays with -trace or (with
-// -binary) the packed binary format it maps with -trace-binary.
+// catalog, in the text format or (with -binary) the packed binary
+// format. fdcsim -trace replays either: it maps a binary file and
+// streams a text one, telling them apart by the file's first bytes.
 //
 // Usage:
 //
@@ -28,7 +29,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0/16, "footprint scale (1 = paper size)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		list     = flag.Bool("list", false, "list catalog and exit")
-		binary   = flag.Bool("binary", false, "emit the packed binary format (fdcsim -trace-binary)")
+		binary   = flag.Bool("binary", false, "emit the packed binary format (fdcsim -trace maps it zero-copy)")
 		out      = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()

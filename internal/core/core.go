@@ -81,8 +81,8 @@ type Config struct {
 	// WearAcceleration compresses simulated wear for lifetime
 	// experiments; 0 means 1.
 	WearAcceleration float64
-	// MissPenalty seeds the t_miss estimate for the reconfiguration
-	// heuristics before real misses are observed.
+	// MissPenalty is t_miss, the disk miss penalty the
+	// reconfiguration heuristics charge for a lost page.
 	MissPenalty sim.Duration
 	// ForcedStrength, when non-zero, pins every page to one ECC
 	// strength and disables the programmable controller — the Figure

@@ -35,13 +35,13 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 	c.stats.Reads++
 	if c.dead {
 		c.stats.Misses++
-		c.fgst.RecordMiss(c.cfg.MissPenalty)
+		c.fgst.RecordMiss()
 		return ReadOutcome{}
 	}
 	addr, ok := c.fcht.Get(lba)
 	if !ok {
 		c.stats.Misses++
-		c.fgst.RecordMiss(c.cfg.MissPenalty)
+		c.fgst.RecordMiss()
 		return ReadOutcome{}
 	}
 	st := c.fpst.At(addr)
@@ -71,7 +71,7 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 			} else {
 				c.reconfigure(block, addr, res.BitErrors, c.pageFreq(st))
 			}
-			c.fgst.RecordMiss(c.cfg.MissPenalty)
+			c.fgst.RecordMiss()
 			return ReadOutcome{}
 		}
 	}

@@ -95,7 +95,7 @@ func (c *Cache) deltaTCS(cur, next ecc.Strength, freq float64) float64 {
 // due to a reduction in density is small" there), while hits to this
 // page get faster (delta_SLC is negative).
 func (c *Cache) deltaTD(freq float64) float64 {
-	tMiss := c.fgst.AvgMissPenalty(c.cfg.MissPenalty)
+	tMiss := c.cfg.MissPenalty
 	tHit := c.fgst.AvgHitLatency(c.hitLatencySeed())
 	deltaMiss := c.marginalFreq
 	if deltaMiss < 0 {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flashdc/internal/hier"
 	"flashdc/internal/obs"
 	"flashdc/internal/trace"
 )
@@ -22,11 +23,12 @@ func testStream(t *testing.T, n int) []trace.Request {
 	return reqs
 }
 
-// runBatched replays reqs through RunBatch in chunk-sized slices and
-// returns the drained engine with its observability report.
-func runBatched(t *testing.T, shards, workers, chunk int, reqs []trace.Request) (*Engine, *obs.Report) {
+// runBatched replays reqs through RunBatch in chunk-sized slices on an
+// engine built from hc and returns the drained engine with its
+// observability report.
+func runBatched(t *testing.T, hc hier.Config, shards, workers, chunk int, reqs []trace.Request) (*Engine, *obs.Report) {
 	t.Helper()
-	e, err := New(Config{Shards: shards, Workers: workers, Hier: testConfig(), Obs: obsTestOptions()})
+	e, err := New(Config{Shards: shards, Workers: workers, Hier: hc, Obs: obsTestOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +53,11 @@ func TestRunBatchBoundaryInvariance(t *testing.T) {
 	reqs := testStream(t, testRequests)
 	for _, shards := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ref, refRep := runBatched(t, shards, 0, 1, reqs)
+			ref, refRep := runBatched(t, testConfig(), shards, 0, 1, reqs)
 			base := snap(t, ref)
 			rm, re := serialise(t, refRep)
 			for _, chunk := range []int{7, trace.DefaultBatch, len(reqs)} {
-				e, rep := runBatched(t, shards, 0, chunk, reqs)
+				e, rep := runBatched(t, testConfig(), shards, 0, chunk, reqs)
 				if got := snap(t, e); !reflect.DeepEqual(got, base) {
 					t.Fatalf("chunk=%d diverged from single-request path:\n got %+v\nwant %+v", chunk, got, base)
 				}
@@ -76,7 +78,10 @@ func TestRunBatchBoundaryInvariance(t *testing.T) {
 // merge to the same result at any worker count — including workers <
 // shards, where one goroutine simulates several shards, and a skewed
 // stream whose requests all hash to one shard, leaving the other
-// seven slices empty in every batch. An empty batch is a no-op.
+// seven slices empty in every batch. The campaign row runs faults,
+// scrub, retention, disturb and refresh on every shard, so the race
+// detector sees those subsystems simulated concurrently. An empty
+// batch is a no-op.
 func TestRunBatchWorkerIndependence(t *testing.T) {
 	const shards = 8
 	uniform := testStream(t, testRequests)
@@ -89,17 +94,23 @@ func TestRunBatchWorkerIndependence(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
+		hc      hier.Config
 		reqs    []trace.Request
 		chunk   int
 		workers []int
 	}{
-		{"uniform", uniform, len(uniform), []int{2, 3, shards}},
-		{"skewed", skewed, 512, []int{2, 3}},
+		{"uniform", testConfig(), uniform, len(uniform), []int{2, 3, shards}},
+		{"skewed", testConfig(), skewed, 512, []int{2, 3}},
+		{"campaign", campaignHier(testSeed), campaignReqs(testSeed, testRequests), 512, []int{2, 3, shards}},
 	} {
-		ref, _ := runBatched(t, shards, 1, tc.chunk, tc.reqs)
+		ref, _ := runBatched(t, tc.hc, shards, 1, tc.chunk, tc.reqs)
 		base := snap(t, ref)
+		if tc.name == "campaign" && (base.Faults.ReadInjections == 0 || base.Flash.ScrubScans == 0 || base.Flash.RetentionScans == 0) {
+			t.Fatalf("campaign injected %d reads, scrubbed %d pages, ran %d retention scans: want all nonzero",
+				base.Faults.ReadInjections, base.Flash.ScrubScans, base.Flash.RetentionScans)
+		}
 		for _, workers := range tc.workers {
-			e, _ := runBatched(t, shards, workers, tc.chunk, tc.reqs)
+			e, _ := runBatched(t, tc.hc, shards, workers, tc.chunk, tc.reqs)
 			if got := snap(t, e); !reflect.DeepEqual(got, base) {
 				t.Fatalf("%s: workers=%d diverged from workers=1:\n got %+v\nwant %+v", tc.name, workers, got, base)
 			}
@@ -123,7 +134,7 @@ func TestRunBatchWorkerIndependence(t *testing.T) {
 func TestRunSourceMatchesRunBatch(t *testing.T) {
 	reqs := testStream(t, testRequests)
 	for _, shards := range []int{1, 4} {
-		eb, _ := runBatched(t, shards, 0, len(reqs), reqs)
+		eb, _ := runBatched(t, testConfig(), shards, 0, len(reqs), reqs)
 		es, err := New(Config{Shards: shards, Hier: testConfig(), Obs: obsTestOptions()})
 		if err != nil {
 			t.Fatal(err)

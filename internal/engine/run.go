@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"flashdc/internal/trace"
 )
@@ -11,8 +10,8 @@ import (
 // RunBatch/RunSource are the only driving surface, and every RunBatch
 // call is one fork-join. The calling goroutine routes the batch —
 // splitting each request into per-shard runs of consecutive pages
-// (trace.SplitRuns) — into per-shard slices; then at most Workers()
-// goroutines claim whole shards and simulate their slices. Determinism
+// (trace.SplitRuns) — into per-shard slices; then Workers() goroutines
+// each simulate a fixed stripe of whole shards' slices. Determinism
 // holds by construction: each shard's slice runs in router order on
 // exactly one goroutine, so the per-shard request sequence — the only
 // thing shard state depends on — is fixed by the partition, never by
@@ -60,25 +59,28 @@ func (e *Engine) RunBatch(batch []trace.Request) int {
 		return len(batch)
 	}
 	e.route(batch)
-	// The calling goroutine is one of the Workers() simulators; each
-	// claims the next unclaimed shard until none is left.
-	var next atomic.Int32
-	work := func() {
-		for s := int(next.Add(1)) - 1; s < len(e.shards); s = int(next.Add(1)) - 1 {
-			e.shards[s].runBatch(e.pending[s])
-		}
-	}
+	// The calling goroutine is one of the Workers() simulators; worker
+	// w simulates shards w, w+Workers(), w+2·Workers(), ...
+	workers := e.Workers()
 	var wg sync.WaitGroup
-	for w := 1; w < e.Workers(); w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			e.runShards(w, workers)
 		}()
 	}
-	work()
+	e.runShards(0, workers)
 	wg.Wait()
 	return len(batch)
+}
+
+// runShards simulates the routed slices of shards first,
+// first+stride, first+2·stride, ...
+func (e *Engine) runShards(first, stride int) {
+	for s := first; s < len(e.shards); s += stride {
+		e.shards[s].runBatch(e.pending[s])
+	}
 }
 
 // RunSource replays up to n requests from src across the shards in

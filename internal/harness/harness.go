@@ -1,11 +1,12 @@
 // Package harness drives the differential correctness harness: it
 // replays randomized workloads (optionally under fault campaigns)
-// through the real hierarchy — monolithic hier.System or the sharded
-// engine — in lockstep with the naive reference in internal/model,
-// diffing served-tier counters after every operation and full cache
-// state at checkpoints. Any divergence is reported with the operation
-// index that exposed it; the greedy shrinker reduces the triggering
-// sequence to a minimal replayable corpus entry under testdata/.
+// through the engine one request at a time, every shard in lockstep
+// with its own naive reference from internal/model, diffing every
+// shard's served-tier counters after every request and its full cache
+// state at checkpoints. Any divergence is reported with the request
+// index (and, when sharded, the shard) that exposed it; the greedy
+// shrinker reduces the triggering sequence to a minimal replayable
+// corpus entry under testdata/.
 package harness
 
 import (
@@ -47,12 +48,11 @@ type Config struct {
 	// MaxRun bounds request lengths: requests are mostly single-page
 	// with occasional runs up to MaxRun pages. 0 means single-page.
 	MaxRun int
-	// Shards > 1 replays through the sharded engine (post-hoc
-	// per-shard diffing); otherwise through hier.System with per-op
-	// diffing.
+	// Shards is the engine's shard count; 0 and 1 both mean one
+	// shard, which is the monolithic hier.System.
 	Shards int
-	// CheckEvery is the full-state checkpoint period in ops for the
-	// monolithic path; 0 checks only at the end.
+	// CheckEvery is the full-state checkpoint period in requests,
+	// applied to every shard; 0 checks only after the final drain.
 	CheckEvery int
 	// Faults, when non-nil, runs the workload under this injection
 	// campaign.
@@ -172,134 +172,98 @@ func Run(cfg Config) error { return Replay(cfg, Generate(cfg)) }
 // hierarchy configuration. The sequence-as-argument form is what the
 // shrinker minimizes over and the corpus replays.
 func Replay(cfg Config, reqs []trace.Request) error {
-	if cfg.Shards > 1 {
-		return replaySharded(cfg, reqs)
-	}
-	return replayMonolithic(cfg, reqs)
-}
-
-// replayMonolithic diffs after every operation: the DRAM-served page
-// count must match the model exactly, Flash may serve only pages the
-// model allows, and the tier counts must add up. Full-state
-// checkpoints run every CheckEvery ops and after the final drain.
-func replayMonolithic(cfg Config, reqs []trace.Request) error {
 	hc := hierConfig(cfg)
-	return lockstep(hc, hc, reqs, cfg.CheckEvery)
+	return lockstep(hc, hc, max(cfg.Shards, 1), reqs, cfg.CheckEvery)
 }
 
-// lockstep is the per-op diffing loop. The system and model configs
-// are separate parameters so tests can prove the harness detects a
-// mismatched pair; real runs pass the same config twice.
-func lockstep(sysCfg, modelCfg hier.Config, reqs []trace.Request, checkEvery int) error {
-	m, err := model.New(modelCfg)
+// lockstep drives the engine one request at a time, each shard beside
+// its own model. After every request, every shard's DRAM-served page
+// count must match its model exactly, Flash may serve only pages the
+// model allows, and the tier counts must add up. Full-state checks
+// run on every shard every checkEvery requests and after the final
+// drain. The system and model configs are separate parameters so
+// tests can prove the harness detects a mismatched pair; real runs
+// pass the same config twice.
+func lockstep(sysCfg, modelCfg hier.Config, shards int, reqs []trace.Request, checkEvery int) error {
+	// One worker: a one-request batch leaves the others nothing to do.
+	eng, err := engine.New(engine.Config{Shards: shards, Workers: 1, Hier: sysCfg})
 	if err != nil {
 		return err
 	}
-	sys := hier.New(sysCfg)
-	var prev hier.Stats
-	for i, req := range reqs {
-		pred := m.Step(req)
-		// Degraded service (dead or bypassed Flash) is not a
-		// divergence: requests are still served correctly from the
-		// remaining tiers, which is exactly what the model checks.
-		if _, err := sys.Handle(req); err != nil &&
-			err != hier.ErrFlashDead && err != hier.ErrFlashBypassed {
-			return fmt.Errorf("harness: op %d: %w", i, err)
-		}
-		st := sys.Stats()
-		pdc := st.PDCHits - prev.PDCHits
-		flash := st.FlashHits - prev.FlashHits
-		disk := st.DiskReads - prev.DiskReads
-		prev = st
-		if pdc != int64(pred.PDCHits) {
-			return &Divergence{Op: i, Req: req, Detail: fmt.Sprintf(
-				"DRAM served %d pages, model requires exactly %d", pdc, pred.PDCHits)}
-		}
-		if flash+disk != int64(len(pred.NonDRAM)) {
-			return &Divergence{Op: i, Req: req, Detail: fmt.Sprintf(
-				"flash+disk served %d pages, model requires %d", flash+disk, len(pred.NonDRAM))}
-		}
-		possible := int64(0)
-		for _, f := range pred.NonDRAM {
-			if f.FlashPossible {
-				possible++
-			}
-		}
-		if flash > possible {
-			return &Divergence{Op: i, Req: req, Detail: fmt.Sprintf(
-				"Flash served %d pages, model allows at most %d", flash, possible)}
-		}
-		if checkEvery > 0 && (i+1)%checkEvery == 0 {
-			if err := model.Check(sys, m); err != nil {
-				return &Divergence{Op: i, Req: req, Detail: err.Error()}
-			}
-		}
-	}
-	sys.Drain()
-	m.Drain()
-	if err := model.Check(sys, m); err != nil {
-		return &Divergence{Op: -1, Detail: err.Error()}
-	}
-	return nil
-}
-
-// replaySharded pushes the stream through the sharded engine
-// concurrently (which is what a race-detector CI job wants exercised),
-// then replays each shard's slice of the stream through its own model
-// and diffs per-shard state and counters post-hoc.
-func replaySharded(cfg Config, reqs []trace.Request) error {
-	hc := hierConfig(cfg)
-	eng, err := engine.New(engine.Config{Shards: cfg.Shards, Hier: hc})
-	if err != nil {
-		return err
-	}
-	eng.RunSource(trace.NewSliceSource(reqs), len(reqs))
-	eng.Drain()
 	// Each shard is an independent hierarchy sized at 1/N of the
-	// configured capacities (see engine.New); the per-shard model must
-	// mirror the shard it checks, not the whole machine.
-	shardHC := hc
-	shardHC.DRAMBytes = hc.DRAMBytes / int64(cfg.Shards)
-	shardHC.FlashBytes = hc.FlashBytes / int64(cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		m, err := model.New(shardHC)
-		if err != nil {
+	// configured capacities (see engine.New); its model must mirror
+	// the shard it checks, not the whole machine.
+	shardCfg := modelCfg
+	shardCfg.DRAMBytes /= int64(shards)
+	shardCfg.FlashBytes /= int64(shards)
+	models := make([]*model.Model, shards)
+	for s := range models {
+		if models[s], err = model.New(shardCfg); err != nil {
 			return err
 		}
-		var predPDC, predNonDRAM, predPossible int64
-		for _, req := range reqs {
-			trace.SplitRuns(req, cfg.Shards, func(shard int, run trace.Request) {
-				if shard != s {
-					return
-				}
-				p := m.Step(run)
-				predPDC += int64(p.PDCHits)
-				predNonDRAM += int64(len(p.NonDRAM))
-				for _, f := range p.NonDRAM {
-					if f.FlashPossible {
-						predPossible++
-					}
-				}
-			})
+	}
+	// diverged labels a disagreement with its shard when there is
+	// more than one.
+	diverged := func(op int, req trace.Request, s int, detail string) *Divergence {
+		if shards > 1 {
+			detail = fmt.Sprintf("shard %d: %s", s, detail)
 		}
+		return &Divergence{Op: op, Req: req, Detail: detail}
+	}
+	// want holds each shard's predicted page counts for one request.
+	type want struct{ pdc, nonDRAM, possible int64 }
+	wants := make([]want, shards)
+	prev := make([]hier.Stats, shards)
+	for i, req := range reqs {
+		clear(wants)
+		trace.SplitRuns(req, shards, func(s int, run trace.Request) {
+			p := models[s].Step(run)
+			wants[s].pdc += int64(p.PDCHits)
+			wants[s].nonDRAM += int64(len(p.NonDRAM))
+			for _, f := range p.NonDRAM {
+				if f.FlashPossible {
+					wants[s].possible++
+				}
+			}
+		})
+		// The engine latches degraded service (dead or bypassed
+		// Flash) rather than failing the request: it is not a
+		// divergence, because requests are still served correctly
+		// from the remaining tiers, which is exactly what the model
+		// checks.
+		eng.RunBatch(reqs[i : i+1])
+		for s, w := range wants {
+			st := eng.Shard(s).Stats()
+			pdc := st.PDCHits - prev[s].PDCHits
+			flash := st.FlashHits - prev[s].FlashHits
+			disk := st.DiskReads - prev[s].DiskReads
+			prev[s] = st
+			if pdc != w.pdc {
+				return diverged(i, req, s, fmt.Sprintf(
+					"DRAM served %d pages, model requires exactly %d", pdc, w.pdc))
+			}
+			if flash+disk != w.nonDRAM {
+				return diverged(i, req, s, fmt.Sprintf(
+					"flash+disk served %d pages, model requires %d", flash+disk, w.nonDRAM))
+			}
+			if flash > w.possible {
+				return diverged(i, req, s, fmt.Sprintf(
+					"Flash served %d pages, model allows at most %d", flash, w.possible))
+			}
+		}
+		if checkEvery > 0 && (i+1)%checkEvery == 0 {
+			for s, m := range models {
+				if err := model.Check(eng.Shard(s), m); err != nil {
+					return diverged(i, req, s, err.Error())
+				}
+			}
+		}
+	}
+	eng.Drain()
+	for s, m := range models {
 		m.Drain()
-		sys := eng.Shard(s)
-		st := sys.Stats()
-		if st.PDCHits != predPDC {
-			return &Divergence{Op: -1, Detail: fmt.Sprintf(
-				"shard %d: DRAM served %d pages, model requires exactly %d", s, st.PDCHits, predPDC)}
-		}
-		if st.FlashHits+st.DiskReads != predNonDRAM {
-			return &Divergence{Op: -1, Detail: fmt.Sprintf(
-				"shard %d: flash+disk served %d pages, model requires %d",
-				s, st.FlashHits+st.DiskReads, predNonDRAM)}
-		}
-		if st.FlashHits > predPossible {
-			return &Divergence{Op: -1, Detail: fmt.Sprintf(
-				"shard %d: Flash served %d pages, model allows at most %d", s, st.FlashHits, predPossible)}
-		}
-		if err := model.Check(sys, m); err != nil {
-			return &Divergence{Op: -1, Detail: fmt.Sprintf("shard %d: %v", s, err)}
+		if err := model.Check(eng.Shard(s), m); err != nil {
+			return diverged(-1, trace.Request{}, s, err.Error())
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -379,21 +380,32 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 // TestDivergenceDetection proves the harness can actually see a lying
-// system: a sequence replayed against a model sized for a different
-// DRAM capacity must diverge (the mirror predicts hits the real,
-// smaller cache cannot serve). This guards against the harness
-// silently agreeing with everything.
+// system at every shard count: a sequence replayed against models
+// sized for 4x the real DRAM must diverge (the mirror predicts hits
+// the real, smaller cache cannot serve) at a real request index, and a
+// sharded divergence must name its shard. This guards against the
+// harness silently agreeing with everything.
 func TestDivergenceDetection(t *testing.T) {
-	cfg := Default(31)
-	cfg.Ops = 2000
-	reqs := Generate(cfg)
-	hc := hierConfig(cfg)
-	big := hc
-	big.DRAMBytes *= 4 // the model mirrors a cache 4x the real one
-	err := lockstep(hc, big, reqs, cfg.CheckEvery)
-	var d *Divergence
-	if !asDivergence(err, &d) {
-		t.Fatalf("mismatched replay reported %v, want a divergence", err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			cfg := Default(31)
+			cfg.Ops = 2000
+			reqs := Generate(cfg)
+			hc := hierConfig(cfg)
+			big := hc
+			big.DRAMBytes *= 4 // the model mirrors a cache 4x the real one
+			err := lockstep(hc, big, shards, reqs, cfg.CheckEvery)
+			var d *Divergence
+			if !asDivergence(err, &d) {
+				t.Fatalf("mismatched replay reported %v, want a divergence", err)
+			}
+			if d.Op < 0 {
+				t.Fatalf("divergence %v has no request index", d)
+			}
+			if named := strings.HasPrefix(d.Detail, "shard "); named != (shards > 1) {
+				t.Fatalf("divergence %v: names a shard %v, want %v", d, named, shards > 1)
+			}
+		})
 	}
 }
 

@@ -65,15 +65,15 @@ const (
 	// (1-u)/(2u) x age, preferring cold blocks whose age promises the
 	// remaining valid pages will stay valid after relocation.
 	GCCostBenefit = "cost-benefit"
-	// GCContentionAware is scheduler-informed victim selection: each
-	// candidate's reclaimable benefit (invalid pages) is divided by
-	// the predicted wait on its bank, steering erases toward idle
-	// banks, and non-forced collection defers entirely while the
-	// foreground channel backlog is deep (a bounded number of times in
-	// a row, so reclamation can never starve). Without a clock the
-	// occupancy queries report an idle
-	// device: deferral never fires and the policy picks greedy's
-	// victim whenever greedy would collect.
+	// GCContentionAware is scheduler-informed victim selection: it
+	// takes greedy's most-invalid victim, then lets any candidate
+	// within 7/8 of that benefit displace it when its bank is
+	// predicted to free sooner, steering erases toward idle banks.
+	// Non-forced collection defers entirely while the foreground
+	// channel backlog is deep, at most 8 times in a row, so
+	// reclamation can never starve. Without a clock the occupancy
+	// queries report an idle device: deferral never fires and the
+	// policy picks greedy's victim whenever greedy would collect.
 	GCContentionAware = "contention-aware"
 )
 

@@ -224,8 +224,6 @@ type FGST struct {
 	// HitLatencyTotal accumulates Flash hit service times; the
 	// average feeds t_hit of the section 5.2.1 heuristics.
 	HitLatencyTotal sim.Duration
-	// MissPenaltyTotal accumulates disk miss penalties (t_miss).
-	MissPenaltyTotal sim.Duration
 	// ECCReconfigs and DensityReconfigs count descriptor updates by
 	// kind (Figure 11).
 	ECCReconfigs, DensityReconfigs int64
@@ -238,7 +236,6 @@ func (g *FGST) Merge(other FGST) {
 	g.Hits += other.Hits
 	g.Misses += other.Misses
 	g.HitLatencyTotal += other.HitLatencyTotal
-	g.MissPenaltyTotal += other.MissPenaltyTotal
 	g.ECCReconfigs += other.ECCReconfigs
 	g.DensityReconfigs += other.DensityReconfigs
 }
@@ -249,11 +246,9 @@ func (g *FGST) RecordHit(latency sim.Duration) {
 	g.HitLatencyTotal += latency
 }
 
-// RecordMiss accumulates one miss serviced by disk.
-func (g *FGST) RecordMiss(penalty sim.Duration) {
-	g.Misses++
-	g.MissPenaltyTotal += penalty
-}
+// RecordMiss accumulates one miss serviced by disk. The miss penalty
+// t_miss is the configured disk penalty, so it is not averaged.
+func (g *FGST) RecordMiss() { g.Misses++ }
 
 // MissRate returns the running miss ratio, zero before any access.
 func (g *FGST) MissRate() float64 {
@@ -270,12 +265,4 @@ func (g *FGST) AvgHitLatency(def sim.Duration) sim.Duration {
 		return def
 	}
 	return sim.Duration(int64(g.HitLatencyTotal) / g.Hits)
-}
-
-// AvgMissPenalty returns t_miss, falling back to def before any miss.
-func (g *FGST) AvgMissPenalty(def sim.Duration) sim.Duration {
-	if g.Misses == 0 {
-		return def
-	}
-	return sim.Duration(int64(g.MissPenaltyTotal) / g.Misses)
 }

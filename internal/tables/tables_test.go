@@ -261,19 +261,16 @@ func TestFGSTAverages(t *testing.T) {
 	if g.MissRate() != 0 {
 		t.Fatal("miss rate before any access")
 	}
-	if g.AvgHitLatency(7) != 7 || g.AvgMissPenalty(9) != 9 {
+	if g.AvgHitLatency(7) != 7 {
 		t.Fatal("defaults not honoured")
 	}
 	g.RecordHit(100 * sim.Microsecond)
 	g.RecordHit(300 * sim.Microsecond)
-	g.RecordMiss(8 * sim.Millisecond)
+	g.RecordMiss()
 	if g.MissRate() != 1.0/3 {
 		t.Fatalf("miss rate %v", g.MissRate())
 	}
 	if g.AvgHitLatency(0) != 200*sim.Microsecond {
 		t.Fatalf("avg hit %v", g.AvgHitLatency(0))
-	}
-	if g.AvgMissPenalty(0) != 8*sim.Millisecond {
-		t.Fatalf("avg miss %v", g.AvgMissPenalty(0))
 	}
 }
