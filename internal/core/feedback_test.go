@@ -100,6 +100,7 @@ func TestContentionGCDeferralStreak(t *testing.T) {
 	set := func(b, consumed, valid int) {
 		c.meta[b].consumed = consumed
 		c.meta[b].valid = valid
+		c.retally()
 	}
 	r := fakeRegion(c, 0)
 	set(0, 128, 10) // 118 invalid: well past the payoff bar
@@ -149,6 +150,7 @@ func TestContentionGCSteersNearTies(t *testing.T) {
 	set := func(b, consumed, valid int) {
 		c.meta[b].consumed = consumed
 		c.meta[b].valid = valid
+		c.retally()
 	}
 	// Blocks 0 and 2 share channel 0 but sit on different banks.
 	r := fakeRegion(c, 0, 2)
@@ -180,6 +182,7 @@ func TestContentionGCClocklessMatchesGreedy(t *testing.T) {
 	set := func(b, consumed, valid int) {
 		c.meta[b].consumed = consumed
 		c.meta[b].valid = valid
+		c.retally()
 	}
 	r := fakeRegion(c, 0, 1, 2)
 	set(0, 128, 10)  // 118 invalid
@@ -202,6 +205,74 @@ func TestContentionGCClocklessMatchesGreedy(t *testing.T) {
 	}
 	if b, inv := (&contentionGC{}).victim(c, r2, false); b != 4 || inv != 50 {
 		t.Fatalf("contention-aware missed the bar-clearing candidate: %d/%d", b, inv)
+	}
+}
+
+// TestGCNoPayoffSkipsWalk: with no listed block past the payoff bar,
+// every GC policy's non-forced call returns none from the region's
+// count alone, while forced calls still walk. Contention-aware runs
+// its backlog deferral before the count check, so a deep backlog
+// still counts GCDeferred and moves the streak as it always did.
+func TestGCNoPayoffSkipsWalk(t *testing.T) {
+	c, _ := feedbackCache(t, func(cfg *Config) {
+		cfg.Policies = policy.Set{GC: policy.GCContentionAware}
+		cfg.Sched = sched.Config{Channels: 2, Banks: 2}
+	})
+	set := func(b, consumed, valid int) {
+		c.meta[b].consumed = consumed
+		c.meta[b].valid = valid
+		c.retally()
+	}
+	r := fakeRegion(c, 0, 1)
+	set(0, 128, 100) // 28 invalid: under the bar
+	set(1, 128, 128) // nothing invalid
+	if r.payoff != 0 {
+		t.Fatalf("payoff count %d over two sub-bar blocks, want 0", r.payoff)
+	}
+	gc := c.gcPol.(*contentionGC)
+	policies := map[string]gcPolicy{"greedy": greedyGC{}, "cost-benefit": costBenefitGC{}, "contention-aware": gc}
+	for name, p := range policies {
+		if b, inv := p.victim(c, r, false); b != none || inv != 0 {
+			t.Fatalf("%s: non-forced call with no eligible block returned %d/%d", name, b, inv)
+		}
+		if b, inv := p.victim(c, r, true); b != 0 || inv != 28 {
+			t.Fatalf("%s: forced call returned %d/%d, want block 0 (28)", name, b, inv)
+		}
+	}
+	// The count, not the walk, stands the call down: zeroed over an
+	// eligible block, it hides that block from non-forced calls only.
+	set(1, 128, 10) // 118 invalid
+	if r.payoff != 1 {
+		t.Fatalf("payoff count %d over one eligible block, want 1", r.payoff)
+	}
+	r.payoff = 0
+	for name, p := range policies {
+		if b, _ := p.victim(c, r, false); b != none {
+			t.Fatalf("%s: non-forced call walked past a zero count to block %d", name, b)
+		}
+		if b, _ := p.victim(c, r, true); b != 1 {
+			t.Fatalf("%s: forced call picked %d, want block 1", name, b)
+		}
+	}
+	set(1, 128, 128)
+
+	// A deep backlog with nothing eligible: deferral still comes first.
+	c.sched.Foreground(0, sched.OpProgram, 3*sim.Millisecond)
+	for i := 0; i < gcDeferMax; i++ {
+		if b, _ := gc.victim(c, r, false); b != none {
+			t.Fatalf("deferral %d collected block %d", i, b)
+		}
+	}
+	if st := c.Stats(); st.GCDeferred != int64(gcDeferMax) || gc.streak != gcDeferMax {
+		t.Fatalf("GCDeferred = %d, streak %d, want %d each", st.GCDeferred, gc.streak, gcDeferMax)
+	}
+	// The capped call proceeds past the backlog, resets the streak and
+	// finds nothing to collect; the next call defers again.
+	if b, _ := gc.victim(c, r, false); b != none || gc.streak != 0 {
+		t.Fatalf("capped call returned %d with streak %d, want none and 0", b, gc.streak)
+	}
+	if b, _ := gc.victim(c, r, false); b != none || c.Stats().GCDeferred != int64(gcDeferMax)+1 {
+		t.Fatalf("post-reset call: %d, GCDeferred %d, want none and %d", b, c.Stats().GCDeferred, gcDeferMax+1)
 	}
 }
 

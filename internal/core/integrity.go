@@ -113,7 +113,7 @@ func (c *Cache) checkStructure() error {
 		}
 		// claim stops the walk at an out-of-range link or a revisited
 		// block, so a cycle ends it within len(c.meta)+1 steps.
-		prev, linked := none, 0
+		prev, linked, payoff := none, 0, 0
 		for b := int(r.head); b != none; b = int(c.meta[b].next) {
 			if err := claim(b, fmt.Sprintf("region %d LRU", r.id)); err != nil {
 				return err
@@ -128,6 +128,7 @@ func (c *Cache) checkStructure() error {
 			}
 			prev = b
 			linked++
+			payoff += m.payoff()
 		}
 		if int(r.tail) != prev {
 			return fmt.Errorf("core: integrity: region %d LRU tail is block %d, its walk ends at %d", r.id, r.tail, prev)
@@ -147,9 +148,9 @@ func (c *Cache) checkStructure() error {
 				valid += c.meta[b].valid
 			}
 		}
-		if pages != r.pages || valid != r.valid {
-			return fmt.Errorf("core: integrity: region %d tallies (%d pages, %d valid), blocks hold (%d, %d)",
-				r.id, r.pages, r.valid, pages, valid)
+		if pages != r.pages || valid != r.valid || payoff != r.payoff {
+			return fmt.Errorf("core: integrity: region %d tallies (%d pages, %d valid, %d worth collecting), blocks hold (%d, %d, %d)",
+				r.id, r.pages, r.valid, r.payoff, pages, valid, payoff)
 		}
 	}
 	for b := range c.meta {

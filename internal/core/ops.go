@@ -282,11 +282,7 @@ func (c *Cache) pageFreq(st *tables.PageStatus) float64 {
 	if age == 0 {
 		return 1
 	}
-	f := float64(st.Access) / float64(age)
-	if f > 1 {
-		f = 1
-	}
-	return f
+	return min(float64(st.Access)/float64(age), 1)
 }
 
 // promote migrates a read-hot MLC page to a fresh SLC page in the read

@@ -268,6 +268,9 @@ func (a *throttleAdmit) restore(entries []policy.AdmitEntry) error {
 type greedyGC struct{}
 
 func (greedyGC) victim(c *Cache, r *region, force bool) (int, int) {
+	if !force && r.payoff == 0 {
+		return none, 0
+	}
 	best, bestInvalid := none, 0
 	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
@@ -275,7 +278,7 @@ func (greedyGC) victim(c *Cache, r *region, force bool) (int, int) {
 			best, bestInvalid = b, invalid
 		}
 	}
-	if best == none || (!force && bestInvalid*2 < c.meta[best].consumed) {
+	if best == none || (!force && c.meta[best].payoff() == 0) {
 		return none, 0
 	}
 	return best, bestInvalid
@@ -292,6 +295,9 @@ func (greedyGC) victim(c *Cache, r *region, force bool) (int, int) {
 type costBenefitGC struct{}
 
 func (costBenefitGC) victim(c *Cache, r *region, force bool) (int, int) {
+	if !force && r.payoff == 0 {
+		return none, 0
+	}
 	best, bestInvalid, bestScore := none, 0, -1.0
 	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
@@ -313,7 +319,7 @@ func (costBenefitGC) victim(c *Cache, r *region, force bool) (int, int) {
 			best, bestInvalid, bestScore = b, invalid, score
 		}
 	}
-	if best == none || (!force && bestInvalid*2 < c.meta[best].consumed) {
+	if best == none || (!force && c.meta[best].payoff() == 0) {
 		return none, 0
 	}
 	return best, bestInvalid
@@ -360,6 +366,9 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 		}
 	}
 	g.streak = 0
+	if !force && r.payoff == 0 {
+		return none, 0
+	}
 	// Pass 1 — greedy's choice: the most-invalid eligible candidate.
 	// Eligibility is filtered before any steering, so collection
 	// proceeds exactly when greedy's would; only the victim choice may
@@ -368,10 +377,7 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
-		if invalid <= 0 {
-			continue
-		}
-		if !force && invalid*2 < m.consumed {
+		if invalid <= 0 || (!force && m.payoff() == 0) {
 			continue
 		}
 		if invalid > bestInvalid {
@@ -390,10 +396,7 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
-		if invalid <= 0 || invalid*gcSteerSlackDen < bestInvalid*gcSteerSlackNum {
-			continue
-		}
-		if !force && invalid*2 < m.consumed {
+		if invalid*gcSteerSlackDen < bestInvalid*gcSteerSlackNum || (!force && m.payoff() == 0) {
 			continue
 		}
 		w := c.sched.BankWait(b, now)

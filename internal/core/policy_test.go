@@ -82,12 +82,18 @@ func TestWLFCWriteAround(t *testing.T) {
 	checkInvariants(t, c)
 }
 
-// fakeRegion builds a detached region whose LRU lists the given blocks
+// fakeRegion builds an extra region whose LRU lists the given blocks
 // front-to-back, for unit-testing victim selection against crafted
-// per-block metadata. Only the fields the policies read are wired.
+// per-block metadata. The blocks turn active and the region joins
+// c.regions, so c.retally() recounts its payoff after a test edits
+// their valid/consumed counters; only the fields the policies read
+// are wired (the blocks stay on their home region's free list).
 func fakeRegion(c *Cache, blocks ...int) *region {
-	r := newRegion(readRegion)
+	r := newRegion(len(c.regions))
+	c.regions = append(c.regions, r)
 	for i := len(blocks) - 1; i >= 0; i-- {
+		m := &c.meta[blocks[i]]
+		m.state, m.region = blockActive, r.id
 		c.pushFront(r, blocks[i])
 	}
 	return r
@@ -129,6 +135,7 @@ func TestGCVictimSelection(t *testing.T) {
 		c.meta[b].consumed = consumed
 		c.meta[b].valid = valid
 		c.meta[b].lastEraseSeq = eraseSeq
+		c.retally()
 	}
 	c.seq = 1000
 	// LRU front-to-back: 0 1 2 3.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"flashdc/internal/ecc"
 	"flashdc/internal/nand"
 	"flashdc/internal/sched"
 	"flashdc/internal/sim"
@@ -241,7 +240,7 @@ func (c *Cache) relocate(a nand.Addr, r *region, stage bool) (dst nand.Addr, t s
 	c.sched.Background(dst.Block, sched.OpProgram, lat)
 	d := c.fpst.At(dst)
 	d.Access = access
-	d.StagedStrength = maxStrength(d.StagedStrength, staged)
+	d.StagedStrength = max(d.StagedStrength, staged)
 	c.fcht.Put(lba, dst)
 	return dst, t + lat, true
 }
@@ -395,7 +394,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 		d.LBA = lba
 		d.Access = access
 		d.InsertedAt = c.seq
-		d.StagedStrength = maxStrength(d.StagedStrength, staged)
+		d.StagedStrength = max(d.StagedStrength, staged)
 		c.addValid(b, 1)
 		c.fcht.Put(lba, dst)
 	}
@@ -415,13 +414,6 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	c.stats.WearSwaps++
 	c.eventWearRotate(b, newest, len(content))
 	return true
-}
-
-func maxStrength(a, b ecc.Strength) ecc.Strength {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // backgroundGC compacts invalid space without blocking the host: it

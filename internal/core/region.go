@@ -47,6 +47,15 @@ type blockMeta struct {
 	progFails int
 }
 
+// payoff is 1 when a non-forced collection of the block would pay for
+// its relocations (at least half its consumed pages invalid), else 0.
+func (m *blockMeta) payoff() int {
+	if invalid := m.consumed - m.valid; invalid > 0 && 2*invalid >= m.consumed {
+		return 1
+	}
+	return 0
+}
+
 // region is one disk-cache partition (read or write), owning a
 // disjoint set of blocks.
 type region struct {
@@ -64,6 +73,9 @@ type region struct {
 	// open and active blocks (see tallied), which keeps the read-region
 	// watermark check O(1).
 	pages, valid int
+	// payoff counts the LRU-listed blocks whose payoff is 1: at zero a
+	// non-forced GC call has no victim and returns without a walk.
+	payoff int
 }
 
 // none is the null block number: no link, no open block, no victim.
@@ -157,19 +169,25 @@ func (c *Cache) tallied(b int) bool {
 }
 
 // tally adds (sign +1) or removes (sign -1) block b's pages and live
-// pages to or from its region's tallies. Callers invoke it whenever b
-// joins or leaves the region's open slot or LRU list.
+// pages, and an active block's payoff, to or from its region's
+// tallies. Callers invoke it whenever b joins or leaves the region's
+// open slot or LRU list; closeOpen, which moves the open block onto
+// the list, adds the payoff itself.
 func (c *Cache) tally(b, sign int) {
-	r := c.regions[c.meta[b].region]
+	m := &c.meta[b]
+	r := c.regions[m.region]
 	r.pages += sign * c.dev.PagesPerBlock(b)
-	r.valid += sign * c.meta[b].valid
+	r.valid += sign * m.valid
+	if m.state == blockActive {
+		r.payoff += sign * m.payoff()
+	}
 }
 
 // retally rebuilds every region's tallies from scratch, after a
 // checkpoint or metadata image has replaced the block bookkeeping.
 func (c *Cache) retally() {
 	for _, r := range c.regions {
-		r.pages, r.valid = 0, 0
+		r.pages, r.valid, r.payoff = 0, 0, 0
 	}
 	for b := range c.meta {
 		if c.tallied(b) {
@@ -179,12 +197,18 @@ func (c *Cache) retally() {
 }
 
 // addValid changes block b's live-page count by delta, keeping the
-// global count and b's region tally in step.
+// global count and b's region tallies in step.
 func (c *Cache) addValid(b, delta int) {
-	c.meta[b].valid += delta
+	m := &c.meta[b]
+	before := m.payoff()
+	m.valid += delta
 	c.totalValid += int64(delta)
 	if c.tallied(b) {
-		c.regions[c.meta[b].region].valid += delta
+		r := c.regions[m.region]
+		r.valid += delta
+		if m.state == blockActive {
+			r.payoff += m.payoff() - before
+		}
 	}
 }
 
@@ -265,6 +289,7 @@ func (c *Cache) closeOpen(r *region) {
 	}
 	c.meta[r.open].state = blockActive
 	c.pushFront(r, r.open)
+	r.payoff += c.meta[r.open].payoff()
 	r.open = none
 }
 

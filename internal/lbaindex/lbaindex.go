@@ -12,6 +12,15 @@
 // slot array starts small and doubles until it reaches the power of
 // two at or above twice the bound, so the load factor never exceeds
 // one half, and after that it never grows or rehashes.
+//
+// A lookup that misses is usually followed by an insert of the same
+// key (a cache fill after a cache miss), so the table remembers the
+// key of the last missed Get and the empty slot that ended its probe
+// chain. A repeat Get of that key answers at once and a Put of it
+// writes straight to that slot, leaving the layout exactly as a fresh
+// probe would. Anything that could move that slot forgets it: every
+// Put, Clear and resize, and a Delete whose backward shift runs in the
+// same probe cluster.
 package lbaindex
 
 import (
@@ -41,7 +50,14 @@ type Table struct {
 	shift uint8  // 64 - log2(len(slots)): hash bits kept
 	count int
 	bound int
+	// missKey is the key of the last missed Get and missSlot the empty
+	// slot ending its probe chain, or noMiss when nothing is remembered.
+	missKey  int64
+	missSlot uint64
 }
+
+// noMiss is the missSlot of a table that remembers no miss.
+const noMiss = ^uint64(0)
 
 // New returns an empty table that holds up to bound entries. It panics
 // if bound is not positive.
@@ -62,6 +78,7 @@ func New(bound int) *Table {
 func (t *Table) resize(n int) {
 	old := t.slots
 	t.slots = make([]slot, n)
+	t.missSlot = noMiss
 	t.mask = uint64(n - 1)
 	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
 	for i := range old {
@@ -71,36 +88,49 @@ func (t *Table) resize(n int) {
 	}
 }
 
+// fibonacci is 2^64 divided by the golden ratio, the multiplier of
+// the Fibonacci hash.
+const fibonacci = 0x9e3779b97f4a7c15
+
 // home is key's preferred slot: the top bits of a Fibonacci hash,
 // which spread consecutive disk pages across the table.
 func (t *Table) home(key int64) uint64 {
-	return (uint64(key) * 0x9e3779b97f4a7c15) >> t.shift
+	return (uint64(key) * fibonacci) >> t.shift
 }
 
 // find returns the slot holding key, or the empty slot ending its
-// probe chain.
+// probe chain. It spells home out, and Get stays this terse, so that
+// Get fits the compiler's inlining budget: the callers look up on
+// every request.
 func (t *Table) find(key int64) uint64 {
-	i := t.home(key)
-	for {
-		s := &t.slots[i]
-		if !s.full || s.key == key {
-			return i
-		}
+	i := (uint64(key) * fibonacci) >> t.shift
+	for t.slots[i].full && t.slots[i].key != key {
 		i = (i + 1) & t.mask
 	}
+	return i
 }
 
-// Get returns the value stored for key.
-func (t *Table) Get(key int64) (int32, bool) {
-	s := &t.slots[t.find(key)]
-	return s.val, s.full
+// Get returns the value stored for key. A miss is remembered, so a
+// repeat Get of that key answers without probing.
+func (t *Table) Get(key int64) (val int32, ok bool) {
+	if key != t.missKey || t.missSlot == noMiss {
+		i := t.find(key)
+		if val, ok = t.slots[i].val, t.slots[i].full; !ok {
+			t.missKey, t.missSlot = key, i
+		}
+	}
+	return val, ok
 }
 
 // Put stores val for key, replacing any previous value. It panics if
 // key is new and the table already holds its bound of entries: callers
 // size the bound from the cache geometry, so overflowing it is a bug.
 func (t *Table) Put(key int64, val int32) {
-	i := t.find(key)
+	i := t.missSlot
+	if key != t.missKey || i == noMiss {
+		i = t.find(key)
+	}
+	t.missSlot = noMiss
 	if t.slots[i].full {
 		t.slots[i].val = val
 		return
@@ -125,7 +155,8 @@ func (t *Table) Delete(key int64) {
 		return
 	}
 	t.count--
-	for j := (hole + 1) & t.mask; t.slots[j].full; j = (j + 1) & t.mask {
+	j := (hole + 1) & t.mask
+	for ; t.slots[j].full; j = (j + 1) & t.mask {
 		// The entry at j may fill the hole only if its home does not
 		// lie cyclically in (hole, j]: it must stay at or after home.
 		if (j-t.home(t.slots[j].key))&t.mask >= (j-hole)&t.mask {
@@ -134,6 +165,11 @@ func (t *Table) Delete(key int64) {
 		}
 	}
 	t.slots[hole] = slot{}
+	if j == t.missSlot {
+		// The shift ran in the remembered miss's cluster: the hole it
+		// left may now end that key's probe chain.
+		t.missSlot = noMiss
+	}
 }
 
 // Len returns the number of entries.
@@ -143,6 +179,7 @@ func (t *Table) Len() int { return t.count }
 func (t *Table) Clear() {
 	clear(t.slots)
 	t.count = 0
+	t.missSlot = noMiss
 }
 
 // Range calls fn for every entry until fn returns false. The order is

@@ -3,6 +3,7 @@ package lbaindex
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -37,15 +38,18 @@ func checkLayout(t *testing.T, tb *Table) {
 }
 
 // lockstep mirrors a Table with a Go map and compares them after every
-// operation.
+// operation. twin replays every operation with its remembered miss
+// erased first, so it always probes: tb's slot layout must equal
+// twin's after every Put and Delete, which is what keeps Range order a
+// function of the operation sequence alone.
 type lockstep struct {
-	t   *testing.T
-	tb  *Table
-	ref map[int64]int32
+	t        *testing.T
+	tb, twin *Table
+	ref      map[int64]int32
 }
 
 func newLockstep(t *testing.T, bound int) *lockstep {
-	return &lockstep{t: t, tb: New(bound), ref: make(map[int64]int32)}
+	return &lockstep{t: t, tb: New(bound), twin: New(bound), ref: make(map[int64]int32)}
 }
 
 // put applies Put to both sides; past the bound the table must panic
@@ -53,26 +57,55 @@ func newLockstep(t *testing.T, bound int) *lockstep {
 func (l *lockstep) put(k int64, v int32) {
 	l.t.Helper()
 	_, exists := l.ref[k]
+	l.twin.missSlot = noMiss
 	if !exists && len(l.ref) == l.tb.bound {
 		if !panics(func() { l.tb.Put(k, v) }) {
 			l.t.Fatalf("Put(%d) into a full table of %d did not panic", k, l.tb.bound)
 		}
 	} else {
 		l.tb.Put(k, v)
+		l.twin.Put(k, v)
 		l.ref[k] = v
 	}
+	l.sameLayout()
 	l.get(k)
 }
 
+// del deletes k on every side. It does not Get k afterwards, which
+// would replace the remembered miss: a Get, a Delete in the same
+// cluster and a Put of the missed key must be able to follow each
+// other directly.
 func (l *lockstep) del(k int64) {
 	l.t.Helper()
 	l.tb.Delete(k)
+	l.twin.missSlot = noMiss
+	l.twin.Delete(k)
 	delete(l.ref, k)
-	l.get(k)
+	l.sameLayout()
+	if l.tb.Len() != len(l.ref) {
+		l.t.Fatalf("Len %d after Delete(%d), map has %d", l.tb.Len(), k, len(l.ref))
+	}
+}
+
+func (l *lockstep) sameLayout() {
+	l.t.Helper()
+	if !slices.Equal(l.tb.slots, l.twin.slots) {
+		l.t.Fatalf("slot layout %v differs from the always-probing twin's %v", l.tb.slots, l.twin.slots)
+	}
+}
+
+func (l *lockstep) clear() {
+	l.t.Helper()
+	l.tb.Clear()
+	l.twin.Clear()
+	l.ref = make(map[int64]int32)
+	l.check()
 }
 
 func (l *lockstep) get(k int64) {
 	l.t.Helper()
+	l.twin.missSlot = noMiss
+	l.twin.Get(k)
 	got, ok := l.tb.Get(k)
 	want, wok := l.ref[k]
 	if ok != wok || got != want {
@@ -87,6 +120,7 @@ func (l *lockstep) get(k int64) {
 func (l *lockstep) check() {
 	l.t.Helper()
 	checkLayout(l.t, l.tb)
+	l.sameLayout()
 	seen := make(map[int64]bool, len(l.ref))
 	l.tb.Range(func(k int64, v int32) bool {
 		if seen[k] {
@@ -127,6 +161,8 @@ func TestLockstepRandom(t *testing.T) {
 		}
 		for op := 0; op < 20000; op++ {
 			switch r := rng.Intn(10); {
+			case rng.Intn(1000) == 0:
+				l.clear()
 			case r < 5:
 				l.put(key(), rng.Int31()-math.MaxInt32/2)
 			case r < 8:
@@ -256,12 +292,10 @@ func TestGrowsToBoundExactly(t *testing.T) {
 			t.Fatalf("bound %d: %d slots, Len %d after a refused Put", bound, len(l.tb.slots), l.tb.Len())
 		}
 		// Clear keeps the array and empties it.
-		l.tb.Clear()
-		l.ref = make(map[int64]int32)
+		l.clear()
 		if len(l.tb.slots) != full {
 			t.Fatalf("bound %d: Clear resized the table to %d slots", bound, len(l.tb.slots))
 		}
-		l.check()
 		l.put(-1, 3)
 		l.check()
 	}
@@ -293,6 +327,7 @@ func FuzzTableLockstep(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 0, 2, 0, 3, 0, 4, 1, 1, 3, 0})
 	f.Add([]byte{1, 0, 0x80, 0, 0x81, 1, 0x80, 0, 0x81})
 	f.Add([]byte{40, 0, 9, 0, 17, 0, 25, 1, 9, 2, 17, 3, 0})
+	f.Add([]byte{5, 0, 1, 0, 2, 2, 3, 4, 0, 2, 3, 0, 3, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -315,17 +350,87 @@ func FuzzTableLockstep(f *testing.F) {
 			default:
 				k = int64(b) - 96
 			}
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
 				l.put(k, int32(op)<<8|int32(b))
 			case 1:
 				l.del(k)
 			case 2:
 				l.get(k)
-			default:
+			case 3:
 				l.check()
+			default:
+				l.clear()
 			}
 		}
 		l.check()
 	})
+}
+
+// TestRememberedMissSlot walks the remembered miss through the events
+// that keep and forget it, on a 16-slot table with two probe clusters.
+func TestRememberedMissSlot(t *testing.T) {
+	const slots = 16
+	atTwo := keysHomedAt(slots, 2, 3)
+	atNine := keysHomedAt(slots, 9, 2)
+	l := newLockstep(t, slots/2)
+	l.put(atTwo[0], 1)  // slot 2
+	l.put(atTwo[1], 2)  // slot 3
+	l.put(atNine[0], 3) // slot 9
+	l.put(atNine[1], 4) // slot 10
+	remembers := func(key int64, slot uint64) {
+		t.Helper()
+		if l.tb.missKey != key || l.tb.missSlot != slot {
+			t.Fatalf("remembers key %d at slot %d, want key %d at slot %d",
+				l.tb.missKey, l.tb.missSlot, key, slot)
+		}
+	}
+	forgot := func() {
+		t.Helper()
+		if l.tb.missSlot != noMiss {
+			t.Fatalf("still remembers key %d at slot %d", l.tb.missKey, l.tb.missSlot)
+		}
+	}
+
+	// A missed Get remembers the empty slot ending its chain, and a
+	// Put of that key lands there.
+	l.get(atTwo[2])
+	remembers(atTwo[2], 4)
+	l.put(atTwo[2], 5)
+	if s := l.tb.slots[4]; !s.full || s.key != atTwo[2] {
+		t.Fatalf("Put after the miss left slot 4 as %+v", s)
+	}
+	forgot()
+	l.check()
+
+	// A Delete in the other cluster keeps the remembered slot.
+	l.del(atTwo[2])
+	l.get(atTwo[2])
+	remembers(atTwo[2], 4)
+	l.del(atNine[0]) // shifts atNine[1] back into slot 9
+	remembers(atTwo[2], 4)
+	l.check()
+
+	// A Delete in the same cluster forgets it: the shift moves
+	// atTwo[1] into slot 2, and slot 3 now ends atTwo[2]'s chain.
+	l.del(atTwo[0])
+	forgot()
+	l.put(atTwo[2], 6)
+	if s := l.tb.slots[3]; !s.full || s.key != atTwo[2] {
+		t.Fatalf("Put after a same-cluster Delete left slot 3 as %+v", s)
+	}
+	l.check()
+
+	// A resize forgets it.
+	l.get(atTwo[0])
+	remembers(atTwo[0], 4)
+	l.tb.resize(2 * slots)
+	l.twin.resize(2 * slots)
+	forgot()
+	l.check()
+
+	// So does Clear.
+	l.get(atTwo[0])
+	l.clear()
+	forgot()
 }

@@ -11,7 +11,7 @@ package policy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -163,9 +163,30 @@ func (s Set) String() string {
 // and the reference model so both replay identical admission
 // decisions. Touch counts are capped at the admission threshold, so
 // the state is bounded by the touched-LBA footprint.
+//
+// Counts live in dense pages of filterPageSize uint8s, one page per
+// aligned run of LBAs (keyed by lba >> filterPageBits), so a dense
+// stream costs about a byte per LBA instead of a map entry, and a
+// lookup of the page the last call used skips the map. The worst
+// case, one touched LBA per page, costs a map entry plus one page.
 type AdmitFilter struct {
-	touches map[int64]uint8
+	index map[int64]int32 // page key -> position in pages
+	pages []filterPage
+	// lastKey/last cache the page of the most recent lookup; last is
+	// nil until a lookup finds a page.
+	lastKey int64
+	last    *filterPage
 }
+
+// filterPageBits sets the page size: 16 LBAs keeps the one-LBA-per-page
+// worst case under about twice a map[int64]uint8 entry.
+const (
+	filterPageBits = 4
+	filterPageSize = 1 << filterPageBits
+	filterPageMask = filterPageSize - 1
+)
+
+type filterPage [filterPageSize]uint8
 
 // admitThreshold is the touch count at which a page has demonstrated
 // reuse (WLFC's second access).
@@ -173,20 +194,41 @@ const admitThreshold = 2
 
 // NewAdmitFilter returns an empty filter.
 func NewAdmitFilter() *AdmitFilter {
-	return &AdmitFilter{touches: make(map[int64]uint8)}
+	return &AdmitFilter{index: make(map[int64]int32)}
+}
+
+// page returns the page holding lba's count, adding an empty one when
+// create is set, or nil when there is none.
+func (f *AdmitFilter) page(lba int64, create bool) *filterPage {
+	key := lba >> filterPageBits
+	if f.last != nil && key == f.lastKey {
+		return f.last
+	}
+	i, ok := f.index[key]
+	if !ok {
+		if !create {
+			return nil
+		}
+		i = int32(len(f.pages))
+		f.index[key] = i
+		f.pages = append(f.pages, filterPage{}) // may move every page: last is re-pointed below
+	}
+	f.lastKey, f.last = key, &f.pages[i]
+	return f.last
 }
 
 // Touch records one flash-tier read lookup of lba.
 func (f *AdmitFilter) Touch(lba int64) {
-	if n := f.touches[lba]; n < admitThreshold {
-		f.touches[lba] = n + 1
+	if n := &f.page(lba, true)[lba&filterPageMask]; *n < admitThreshold {
+		*n++
 	}
 }
 
 // Hot reports whether lba has been touched at least twice — the WLFC
 // admission criterion.
 func (f *AdmitFilter) Hot(lba int64) bool {
-	return f.touches[lba] >= admitThreshold
+	p := f.page(lba, false)
+	return p != nil && p[lba&filterPageMask] >= admitThreshold
 }
 
 // AdmitEntry is one filter entry in checkpoint form.
@@ -195,32 +237,42 @@ type AdmitEntry struct {
 	Count uint8
 }
 
-// Checkpoint returns the filter state sorted by LBA — a canonical
-// form, so two filters with the same contents always serialise to the
-// same bytes regardless of map iteration order.
+// Checkpoint returns the touched LBAs and their counts sorted by LBA —
+// a canonical form, so two filters with the same contents always
+// serialise to the same bytes whatever order their pages were added.
 func (f *AdmitFilter) Checkpoint() []AdmitEntry {
-	out := make([]AdmitEntry, 0, len(f.touches))
-	for lba, n := range f.touches {
-		out = append(out, AdmitEntry{LBA: lba, Count: n})
+	keys := make([]int64, 0, len(f.index))
+	for key := range f.index {
+		keys = append(keys, key)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LBA < out[j].LBA })
+	slices.Sort(keys)
+	out := make([]AdmitEntry, 0, len(keys))
+	for _, key := range keys {
+		for off, n := range f.pages[f.index[key]] {
+			if n > 0 {
+				out = append(out, AdmitEntry{LBA: key<<filterPageBits | int64(off), Count: n})
+			}
+		}
+	}
 	return out
 }
 
 // Restore replaces the filter state with a checkpoint. Entries with
-// out-of-range counts or duplicate LBAs reject the whole restore.
+// out-of-range counts or duplicate LBAs reject the whole restore and
+// leave the filter as it was.
 func (f *AdmitFilter) Restore(entries []AdmitEntry) error {
-	m := make(map[int64]uint8, len(entries))
+	g := NewAdmitFilter()
 	for _, e := range entries {
 		if e.Count < 1 || e.Count > admitThreshold {
 			return fmt.Errorf("policy: admit filter entry lba %d has count %d outside [1,%d]",
 				e.LBA, e.Count, admitThreshold)
 		}
-		if _, dup := m[e.LBA]; dup {
+		n := &g.page(e.LBA, true)[e.LBA&filterPageMask]
+		if *n != 0 {
 			return fmt.Errorf("policy: admit filter checkpoint lists lba %d twice", e.LBA)
 		}
-		m[e.LBA] = e.Count
+		*n = e.Count
 	}
-	f.touches = m
+	*f = *g
 	return nil
 }
