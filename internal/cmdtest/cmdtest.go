@@ -8,6 +8,9 @@
 //	func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 //
 //	code, stdout, stderr := cmdtest.Run(t, "-flag", "value")
+//
+// RunIn does the same in a directory of the caller's choosing, for
+// tests that read the files the command writes.
 package cmdtest
 
 import (
@@ -36,9 +39,16 @@ func Main(m *testing.M, main func()) {
 // directory and returns its exit code and output.
 func Run(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	return RunIn(t, t.TempDir(), args...)
+}
+
+// RunIn is Run in the given directory, so the caller can read the
+// files the command writes there.
+func RunIn(t *testing.T, dir string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), childEnv+"=1")
-	cmd.Dir = t.TempDir()
+	cmd.Dir = dir
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
