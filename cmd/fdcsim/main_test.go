@@ -14,10 +14,11 @@ import (
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
-// TestUsageErrors: every bad or overflowing size, capacity, interval, workload, shard
-// split or out-of-domain number (NaN, infinity, a fault rate outside
-// [0, 1], a negative count) exits 2 with the usage hint, never with a
-// panic or a silently ignored value.
+// TestUsageErrors: every bad or overflowing size, capacity (a Flash
+// tier of more blocks than a page address can name included), interval,
+// workload, shard split or out-of-domain number (NaN, infinity, a fault
+// rate outside [0, 1], a negative count) exits 2 with the usage hint,
+// never with a panic or a silently ignored value.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -31,6 +32,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-dram", "9999999999999G"}, "-dram: size 9999999999999G overflows a 64-bit byte count"},
 		{[]string{"-dram", "9999999999G"}, "-dram: size 9999999999G overflows a 64-bit byte count"},
 		{[]string{"-flash", "9999999999999G"}, "-flash: size 9999999999999G overflows a 64-bit byte count"},
+		{[]string{"-flash", "5000G"}, "20480000 blocks (at most 16777216)"},
 		{args: []string{"-workload", "nope"}},
 		{args: []string{"-scale", "2"}},
 		{args: []string{"-shards", "4", "-flash", "1M"}},
@@ -139,5 +141,70 @@ func TestTraceFormats(t *testing.T) {
 	}
 	if code, _, stderr := replay("truncated.fdct"); code != 1 {
 		t.Fatalf("truncated FDCT trace: exit code %d, want 1; stderr:\n%s", code, stderr)
+	}
+}
+
+// TestCheckpointFlagChangesNoOutput: fdcsim drives the engine at every
+// shard count, so a plain 1-shard run and the same run writing a
+// checkpoint produce the same stdout, metrics and events byte for byte.
+func TestCheckpointFlagChangesNoOutput(t *testing.T) {
+	args := []string{"-workload", "Financial1", "-scale", "0.03125", "-dram", "4M", "-flash", "32M",
+		"-seed", "7", "-requests", "30000", "-scrub", "512", "-faults", "read=2e-3,program=1e-3,seed=7",
+		"-metrics-out", "metrics.jsonl", "-metrics-interval", "20ms", "-trace-events", "events.jsonl"}
+	plainDir, ckptDir := t.TempDir(), t.TempDir()
+	code, plain, stderr := cmdtest.RunIn(t, plainDir, args...)
+	if code != 0 {
+		t.Fatalf("plain run: exit code %d; stderr:\n%s", code, stderr)
+	}
+	code, ckpt, stderr := cmdtest.RunIn(t, ckptDir, append(args, "-checkpoint-out", "run.ckpt")...)
+	if code != 0 {
+		t.Fatalf("checkpointing run: exit code %d; stderr:\n%s", code, stderr)
+	}
+	if plain != ckpt {
+		t.Errorf("-checkpoint-out changed stdout:\n--- plain\n%s\n--- with -checkpoint-out\n%s", plain, ckpt)
+	}
+	for _, name := range []string{"metrics.jsonl", "events.jsonl"} {
+		want, err := os.ReadFile(filepath.Join(plainDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(ckptDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-checkpoint-out changed %s", name)
+		}
+	}
+}
+
+// TestObservationDoesNotPerturb: writing metrics and events adds
+// exactly the two lines that name the output files to a sharded run's
+// stdout and changes nothing else.
+func TestObservationDoesNotPerturb(t *testing.T) {
+	args := []string{"-workload", "alpha2", "-scale", "0.0625", "-shards", "2", "-requests", "100000", "-seed", "3"}
+	code, plain, stderr := cmdtest.Run(t, args...)
+	if code != 0 {
+		t.Fatalf("plain run: exit code %d; stderr:\n%s", code, stderr)
+	}
+	code, observed, stderr := cmdtest.Run(t, append(args,
+		"-metrics-out", "metrics.jsonl", "-metrics-interval", "10ms", "-trace-events", "events.jsonl")...)
+	if code != 0 {
+		t.Fatalf("observed run: exit code %d; stderr:\n%s", code, stderr)
+	}
+	var stripped []string
+	added := 0
+	for _, line := range strings.SplitAfter(observed, "\n") {
+		if strings.HasPrefix(line, "metrics: ") || strings.HasPrefix(line, "trace events: ") {
+			added++
+			continue
+		}
+		stripped = append(stripped, line)
+	}
+	if added != 2 {
+		t.Errorf("observed stdout holds %d metrics/trace-events lines, want 2:\n%s", added, observed)
+	}
+	if got := strings.Join(stripped, ""); got != plain {
+		t.Errorf("observation changed stdout:\n--- plain\n%s\n--- observed, file lines stripped\n%s", plain, got)
 	}
 }

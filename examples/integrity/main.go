@@ -44,12 +44,12 @@ func codecDemo() {
 
 	fmt.Println("== Part 1: the ECC pipeline on worn cells ==")
 	fmt.Println("aging block 0 with erase cycles...")
-	for cycles := 0; dev.BitErrors(nand.Addr{}) < 4; cycles++ {
+	for cycles := 0; dev.BitErrors(nand.PageAddr(0, 0, 0)) < 4; cycles++ {
 		if _, err := dev.Erase(0); err != nil {
 			panic(err)
 		}
 	}
-	errs := dev.BitErrors(nand.Addr{})
+	errs := dev.BitErrors(nand.PageAddr(0, 0, 0))
 	fmt.Printf("block 0 now develops %d bit errors per page read\n\n", errs)
 
 	for _, t := range []ecc.Strength{ecc.Strength(errs - 2), ecc.Strength(errs + 2)} {
@@ -57,10 +57,10 @@ func codecDemo() {
 			t = 1
 		}
 		spare := codec.Encode(t, payload)
-		if _, err := dev.ProgramPage(nand.Addr{}, 1, payload, spare); err != nil {
+		if _, err := dev.ProgramPage(nand.PageAddr(0, 0, 0), 1, payload, spare); err != nil {
 			panic(err)
 		}
-		buf, res, err := dev.ReadPage(nand.Addr{})
+		buf, res, err := dev.ReadPage(nand.PageAddr(0, 0, 0))
 		if err != nil {
 			panic(err)
 		}

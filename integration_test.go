@@ -49,7 +49,7 @@ func TestEndToEndIntegrityFreshDevice(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Uint64())
 		}
-		a := nand.Addr{Slot: slot}
+		a := nand.PageAddr(0, slot, 0)
 		storePage(t, dev, codec, a, 4, data)
 		got, corrected, err := loadPage(dev, codec, a, 4)
 		if err != nil || corrected != 0 {
@@ -69,11 +69,11 @@ func ageDevice(t *testing.T, dev *nand.Device, target int, budget int) int {
 		if _, err := dev.Erase(0); err != nil {
 			t.Fatal(err)
 		}
-		if e := dev.BitErrors(nand.Addr{}); e >= target {
+		if e := dev.BitErrors(nand.PageAddr(0, 0, 0)); e >= target {
 			return e
 		}
 	}
-	return dev.BitErrors(nand.Addr{})
+	return dev.BitErrors(nand.PageAddr(0, 0, 0))
 }
 
 func TestEndToEndIntegrityWornDevice(t *testing.T) {
@@ -90,7 +90,7 @@ func TestEndToEndIntegrityWornDevice(t *testing.T) {
 	for i := range data {
 		data[i] = byte(rng.Uint64())
 	}
-	a := nand.Addr{Slot: 0}
+	a := nand.PageAddr(0, 0, 0)
 
 	// Strength covering the wear: the real decoder must restore the
 	// exact bytes despite the device flipping errs cells.
@@ -122,7 +122,7 @@ func TestEndToEndUnderProvisionedStrengthFails(t *testing.T) {
 	for i := range data {
 		data[i] = byte(rng.Uint64())
 	}
-	a := nand.Addr{Slot: 0}
+	a := nand.PageAddr(0, 0, 0)
 	// Deliberately under-provisioned ECC: t = errs - 2.
 	weak := ecc.Strength(errs - 2)
 	if weak < 1 {
@@ -158,7 +158,7 @@ func TestEndToEndDensityReductionRecoversPage(t *testing.T) {
 		data[i] = byte(rng.Uint64())
 	}
 	const strength = 2
-	mlcErrs := dev.BitErrors(nand.Addr{Slot: 0})
+	mlcErrs := dev.BitErrors(nand.PageAddr(0, 0, 0))
 	if mlcErrs <= strength {
 		t.Skipf("MLC errors %d already within t=%d", mlcErrs, strength)
 	}
@@ -167,14 +167,14 @@ func TestEndToEndDensityReductionRecoversPage(t *testing.T) {
 	if err := dev.SetMode(0, 0, wear.SLC); err != nil {
 		t.Fatal(err)
 	}
-	slcErrs := dev.BitErrors(nand.Addr{Slot: 0})
+	slcErrs := dev.BitErrors(nand.PageAddr(0, 0, 0))
 	if slcErrs >= mlcErrs {
 		t.Fatalf("SLC mode did not reduce bit errors: %d -> %d", mlcErrs, slcErrs)
 	}
 	if slcErrs > strength {
 		t.Skipf("even SLC mode has %d errors; wear too advanced for t=%d", slcErrs, strength)
 	}
-	a := nand.Addr{Slot: 0}
+	a := nand.PageAddr(0, 0, 0)
 	storePage(t, dev, codec, a, strength, data)
 	got, _, err := loadPage(dev, codec, a, strength)
 	if err != nil {

@@ -132,7 +132,7 @@ func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
 	for b := range c.meta {
 		ck.Slots[b] = make([]tables.SlotStatus, nand.SlotsPerBlock)
 		for s := range ck.Slots[b] {
-			ck.Slots[b][s] = *c.fpst.Slot(b, s)
+			ck.Slots[b][s] = *c.fpst.Slot(nand.PageAddr(b, s, 0))
 		}
 		m := &c.meta[b]
 		ck.Blocks[b] = CheckpointBlock{
@@ -331,10 +331,10 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 	c.fcht = fcht
 	for b := range c.meta {
 		for s, slot := range ck.Slots[b] {
-			*c.fpst.Slot(b, s) = slot
+			*c.fpst.Slot(nand.PageAddr(b, s, 0)) = slot
 			for sub, st := range slot.Pages {
 				if st.Valid {
-					c.fcht.Put(st.LBA, nand.Addr{Block: b, Slot: s, Sub: sub})
+					c.fcht.Put(st.LBA, nand.PageAddr(b, s, sub))
 				}
 			}
 		}

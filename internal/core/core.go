@@ -109,9 +109,6 @@ type Config struct {
 	// pages whose wear has reached their correction capability before
 	// they become unreadable. 0 disables scrubbing.
 	ScrubEvery int
-	// ScrubBatch is the number of pages examined per scrub increment;
-	// 0 means 128.
-	ScrubBatch int
 	// Retention parameterises the retention-loss error process: pages
 	// accumulate flips while they dwell programmed, measured against
 	// the simulated clock (hier attaches its clock automatically; bare
@@ -421,9 +418,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.MissPenalty == 0 {
 		cfg.MissPenalty = 4200 * sim.Microsecond
-	}
-	if cfg.ScrubBatch == 0 {
-		cfg.ScrubBatch = 128
 	}
 	if cfg.RefreshThreshold == 0 {
 		cfg.RefreshThreshold = 1

@@ -62,7 +62,7 @@ func TestGCPreservesStagedStrength(t *testing.T) {
 	}
 	addr, _ := c.fcht.Get(50)
 	c.fpst.At(addr).StagedStrength = 7
-	region := c.regions[c.meta[addr.Block].region]
+	region := c.regions[c.meta[addr.Block()].region]
 	c.backgroundGC(region, true) // may or may not pick that block
 	// Relocate explicitly until page 50 moved.
 	for tries := 0; tries < 64; tries++ {
@@ -237,9 +237,9 @@ func TestEraseAppliesStagedDensity(t *testing.T) {
 	addr, _ := c.fcht.Get(7)
 	// Stage a density reduction on the slot, then force the block
 	// through eviction and check the slot comes back SLC.
-	slot := c.fpst.Slot(addr.Block, addr.Slot)
+	slot := c.fpst.Slot(addr)
 	slot.StagedMode = wear.SLC
-	c.evictBlock(addr.Block)
+	c.evictBlock(addr.Block())
 	if got := c.dev.Mode(addr); got != wear.SLC {
 		t.Fatalf("staged density not applied on erase: %v", got)
 	}

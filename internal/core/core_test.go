@@ -149,7 +149,7 @@ func TestWriteInvalidatesReadCopy(t *testing.T) {
 	if addrBefore == addrAfter {
 		t.Fatal("write was not out-of-place")
 	}
-	if c.meta[addrAfter.Block].region != writeRegion {
+	if c.meta[addrAfter.Block()].region != writeRegion {
 		t.Fatal("written page not in write region")
 	}
 	if c.ValidPages() != 1 {

@@ -170,7 +170,6 @@ func TestScrubberMigratesWornPages(t *testing.T) {
 	c := smallCache(t, func(cfg *Config) {
 		cfg.WearAcceleration = 2000
 		cfg.ScrubEvery = 64
-		cfg.ScrubBatch = 256
 	})
 	rng := sim.NewRNG(23)
 	for i := 0; i < 60000 && !c.Dead(); i++ {
@@ -203,7 +202,6 @@ func TestScrubberRunsWithClockAttached(t *testing.T) {
 	c := smallCache(t, func(cfg *Config) {
 		cfg.WearAcceleration = 2000
 		cfg.ScrubEvery = 200
-		cfg.ScrubBatch = 256
 	})
 	var clk sim.Clock
 	c.AttachClock(&clk)
@@ -239,8 +237,8 @@ func TestFactoryBadBlocksExcludedFromRegions(t *testing.T) {
 		c.Insert(lba)
 	}
 	for lba := int64(0); lba < 500; lba++ {
-		if d, ok := c.DescriptorFor(lba); ok && (d.Addr.Block == 0 || d.Addr.Block == 5) {
-			t.Fatalf("lba %d allocated in factory-bad block %d", lba, d.Addr.Block)
+		if d, ok := c.DescriptorFor(lba); ok && (d.Addr.Block() == 0 || d.Addr.Block() == 5) {
+			t.Fatalf("lba %d allocated in factory-bad block %d", lba, d.Addr.Block())
 		}
 	}
 	if err := c.CheckIntegrity(); err != nil {

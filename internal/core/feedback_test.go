@@ -300,7 +300,7 @@ func TestScrubIdleWindowDeferral(t *testing.T) {
 		t.Fatalf("setup: dwell left only %d predicted bits against strength %d", got, st.Strength)
 	}
 	// Busy bank: the scrubber defers rather than queueing the migration.
-	c.sched.Background(addr.Block, sched.OpErase, 2*sim.Millisecond)
+	c.sched.Background(addr.Block(), sched.OpErase, 2*sim.Millisecond)
 	if !c.deferScrub(addr) {
 		t.Fatal("busy bank did not defer the migration")
 	}
@@ -343,7 +343,7 @@ func TestScrubDeferralOffPaths(t *testing.T) {
 	off.Read(5)
 	off.Insert(5)
 	addrOff, _ := off.fcht.Get(5)
-	off.sched.Background(addrOff.Block, sched.OpErase, 2*sim.Millisecond)
+	off.sched.Background(addrOff.Block(), sched.OpErase, 2*sim.Millisecond)
 	if off.deferScrub(addrOff) {
 		t.Fatal("deferred with scrub feedback off")
 	}
@@ -364,7 +364,7 @@ func TestScrubDeferralOffPaths(t *testing.T) {
 	}
 	// Queue the page, then invalidate it: the drain must drop it
 	// silently.
-	on.sched.Background(addr.Block, sched.OpErase, 2*sim.Millisecond)
+	on.sched.Background(addr.Block(), sched.OpErase, 2*sim.Millisecond)
 	if !on.deferScrub(addr) {
 		t.Fatal("setup: busy bank did not defer")
 	}

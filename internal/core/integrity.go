@@ -18,13 +18,12 @@ func (c *Cache) CheckIntegrity() error {
 	entries := int64(0)
 	c.fcht.Range(func(lba int64, a nand.Addr) bool {
 		entries++
-		if a.Block < 0 || a.Block >= len(c.meta) ||
-			a.Slot < 0 || a.Slot >= nand.SlotsPerBlock || a.Sub < 0 || a.Sub > 1 {
+		if a < 0 || a.Block() >= len(c.meta) {
 			firstErr = fmt.Errorf("core: integrity: lba %d maps to out-of-range address %v", lba, a)
 			return false
 		}
-		if c.meta[a.Block].state == blockRetired {
-			firstErr = fmt.Errorf("core: integrity: lba %d maps into retired block %d", lba, a.Block)
+		if c.meta[a.Block()].state == blockRetired {
+			firstErr = fmt.Errorf("core: integrity: lba %d maps into retired block %d", lba, a.Block())
 			return false
 		}
 		st := c.fpst.At(a)

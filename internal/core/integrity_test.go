@@ -62,7 +62,7 @@ func assertCaught(t *testing.T, c *Cache, want string) {
 func TestIntegrityCatchesValidCountDrift(t *testing.T) {
 	c := populatedCache(t)
 	_, addr := anyMapping(t, c)
-	c.meta[addr.Block].valid++
+	c.meta[addr.Block()].valid++
 	assertCaught(t, c, "valid pages")
 }
 
@@ -83,7 +83,7 @@ func TestIntegrityCatchesOrphanFCHTEntry(t *testing.T) {
 			continue
 		}
 		for s := 0; s < nand.SlotsPerBlock && !found; s++ {
-			a := nand.Addr{Block: b, Slot: s}
+			a := nand.PageAddr(b, s, 0)
 			if !c.fpst.At(a).Valid {
 				orphan, found = a, true
 			}

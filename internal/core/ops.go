@@ -63,13 +63,12 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 			}
 			c.stats.Misses++
 			exhausted := !c.cfg.Programmable ||
-				(st.StagedStrength >= maxControllerStrength && c.fpst.Slot(addr.Block, addr.Slot).StagedMode == wear.SLC)
-			block := addr.Block
+				(st.StagedStrength >= maxControllerStrength && c.fpst.Slot(addr).StagedMode == wear.SLC)
 			c.invalidate(addr)
 			if exhausted {
-				c.retire(block)
+				c.retire(addr.Block())
 			} else {
-				c.reconfigure(block, addr, res.BitErrors, c.pageFreq(st))
+				c.reconfigure(addr, res.BitErrors, c.pageFreq(st))
 			}
 			c.fgst.RecordMiss()
 			return ReadOutcome{}
@@ -84,20 +83,20 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 	}
 	// With contention modelling, a read colliding with background GC
 	// or traffic on its block's channel/bank waits for the device.
-	lat += c.sched.Foreground(addr.Block, sched.OpRead, res.Latency)
-	c.touch(addr.Block)
+	lat += c.sched.Foreground(addr.Block(), sched.OpRead, res.Latency)
+	c.touch(addr.Block())
 	saturated := c.fpst.IncAccess(addr)
 	c.stats.Hits++
 	c.fgst.RecordHit(lat)
 
 	if c.cfg.Programmable {
 		if res.BitErrors >= int(st.Strength) && st.StagedStrength == st.Strength &&
-			c.fpst.Slot(addr.Block, addr.Slot).StagedMode == c.dev.Mode(addr) {
+			c.fpst.Slot(addr).StagedMode == c.dev.Mode(addr) {
 			// At the correction limit with no fix pending yet:
 			// reconfigure before the next wear step makes the page
 			// unreadable (section 5.2.1). A page with a staged change
 			// waits for its block's next erase.
-			c.reconfigure(addr.Block, addr, res.BitErrors, c.pageFreq(st))
+			c.reconfigure(addr, res.BitErrors, c.pageFreq(st))
 		}
 		if saturated && c.dev.Mode(addr) == wear.MLC {
 			c.promote(addr)
@@ -144,18 +143,18 @@ func (c *Cache) retryRead(addr nand.Addr, st *tables.PageStatus, first nand.Read
 		lat += r.Latency + c.lat.DecodeLatency(eff)
 		if r.BitErrors <= int(eff) {
 			c.stats.RetryRecoveries++
-			c.eventReadRetry(addr.Block, st.LBA, attempt, int(st.Strength), true)
+			c.eventReadRetry(addr.Block(), st.LBA, attempt, int(st.Strength), true)
 			if r.BitErrors > int(st.Strength) && c.cfg.Programmable {
 				// The escalated decode was load-bearing: stage a
 				// stronger configuration before the page wears past
 				// the ladder too (section 5.2.1 response).
-				c.reconfigure(addr.Block, addr, r.BitErrors, c.pageFreq(st))
+				c.reconfigure(addr, r.BitErrors, c.pageFreq(st))
 			}
 			return r, lat, true
 		}
 		res = r
 	}
-	c.eventReadRetry(addr.Block, st.LBA, attempts, int(st.Strength), false)
+	c.eventReadRetry(addr.Block(), st.LBA, attempts, int(st.Strength), false)
 	return res, lat, false
 }
 
@@ -169,7 +168,7 @@ func (c *Cache) Insert(lba int64) sim.Duration {
 		return 0
 	}
 	if addr, ok := c.fcht.Get(lba); ok {
-		c.touch(addr.Block)
+		c.touch(addr.Block())
 		return 0
 	}
 	if !c.admitPol.admitFill(lba) {
@@ -183,7 +182,7 @@ func (c *Cache) Insert(lba int64) sim.Duration {
 	c.stats.Fills++
 	r := c.regions[readRegion]
 	addr, lat := c.allocProgram(r, c.allocMode(), lba)
-	lat += c.sched.Foreground(addr.Block, sched.OpProgram, lat)
+	lat += c.sched.Foreground(addr.Block(), sched.OpProgram, lat)
 	if c.dead {
 		return lat
 	}
@@ -232,9 +231,9 @@ func (c *Cache) Write(lba int64) sim.Duration {
 		// the write buffer's coalescing window; the host pays only the
 		// admission wait. A rewrite of this LBA inside the window
 		// supersedes the deferred flush.
-		lat = c.sched.BufferWrite(lba, addr.Block, lat)
+		lat = c.sched.BufferWrite(lba, addr.Block(), lat)
 	} else {
-		lat += c.sched.Foreground(addr.Block, sched.OpProgram, lat)
+		lat += c.sched.Foreground(addr.Block(), sched.OpProgram, lat)
 	}
 	if c.dead {
 		// The cache died mid-allocation; the dirty page goes straight
@@ -291,7 +290,7 @@ func (c *Cache) pageFreq(st *tables.PageStatus) float64 {
 func (c *Cache) promote(addr nand.Addr) {
 	st := c.fpst.At(addr)
 	lba := st.LBA
-	region := c.regions[c.meta[addr.Block].region]
+	region := c.regions[c.meta[addr.Block()].region]
 	c.invalidate(addr)
 	dst, _ := c.allocProgram(region, wear.SLC, lba)
 	if c.dead {
@@ -301,7 +300,7 @@ func (c *Cache) promote(addr nand.Addr) {
 	d.Access = c.fpst.Saturate()
 	c.fcht.Put(lba, dst)
 	c.stats.Promotions++
-	c.eventPromote(dst.Block, lba)
+	c.eventPromote(dst.Block(), lba)
 	// A promotion is a density descriptor update (section 5.2.2), so
 	// it counts in the Figure 11 event breakdown.
 	c.fgst.DensityReconfigs++

@@ -41,7 +41,7 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 	}
 	m.progFails = 0
 	for s := 0; s < nand.SlotsPerBlock; s++ {
-		slot := c.fpst.Slot(b, s)
+		slot := c.fpst.Slot(nand.PageAddr(b, s, 0))
 		c.setMode(b, s, slot.StagedMode)
 		for sub := range slot.Pages {
 			st := &slot.Pages[sub]
@@ -75,8 +75,8 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 // It reports false when the block is beyond help.
 func (c *Cache) ensureReliable(b int, freq float64) bool {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
-		slotAddr := nand.Addr{Block: b, Slot: s}
-		slot := c.fpst.Slot(b, s)
+		slotAddr := nand.PageAddr(b, s, 0)
+		slot := c.fpst.Slot(slotAddr)
 		for {
 			errs := c.dev.BitErrors(slotAddr)
 			if errs <= int(slot.Pages[0].Strength) {
@@ -85,7 +85,7 @@ func (c *Cache) ensureReliable(b int, freq float64) bool {
 			if !c.cfg.Programmable {
 				return false
 			}
-			if !c.reconfigure(b, slotAddr, errs, freq) {
+			if !c.reconfigure(slotAddr, errs, freq) {
 				return false
 			}
 			// Apply the new staging immediately: the block is erased,
@@ -225,9 +225,9 @@ func (c *Cache) relocate(a nand.Addr, r *region, stage bool) (dst nand.Addr, t s
 		panic(err)
 	}
 	t = res.Latency
-	c.sched.Background(a.Block, sched.OpRead, res.Latency)
+	c.sched.Background(a.Block(), sched.OpRead, res.Latency)
 	if stage && c.cfg.Programmable {
-		c.reconfigure(a.Block, a, res.BitErrors, c.pageFreq(src))
+		c.reconfigure(a, res.BitErrors, c.pageFreq(src))
 	}
 	c.invalidate(a)
 	dst, lat := c.allocProgram(r, mode, lba)
@@ -235,9 +235,9 @@ func (c *Cache) relocate(a nand.Addr, r *region, stage bool) (dst nand.Addr, t s
 		if c.dirty(r) {
 			c.writeBack(lba)
 		}
-		return nand.Addr{}, t, false
+		return 0, t, false
 	}
-	c.sched.Background(dst.Block, sched.OpProgram, lat)
+	c.sched.Background(dst.Block(), sched.OpProgram, lat)
 	d := c.fpst.At(dst)
 	d.Access = access
 	d.StagedStrength = max(d.StagedStrength, staged)

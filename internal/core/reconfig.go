@@ -25,9 +25,8 @@ const maxControllerStrength = ecc.MaxStrength
 // and stages the cheaper option in the FPST (applied on the block's
 // next erase). It returns false when neither knob can absorb the
 // observed error count any more.
-func (c *Cache) reconfigure(block int, addr nand.Addr, observedErrors int, freq float64) bool {
-	st := c.fpst.At(addr)
-	slot := c.fpst.Slot(block, addr.Slot)
+func (c *Cache) reconfigure(addr nand.Addr, observedErrors int, freq float64) bool {
+	block, st, slot := addr.Block(), c.fpst.At(addr), c.fpst.Slot(addr)
 
 	// Candidate ECC strength: cover the observed errors with one bit
 	// of margin, and always move forward.

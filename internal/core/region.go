@@ -216,7 +216,7 @@ func (c *Cache) addValid(b, delta int) {
 // when it differs, keeping b's region page tally in step, and reports
 // whether it changed the slot.
 func (c *Cache) setMode(b, s int, mode wear.Mode) bool {
-	if c.dev.Mode(nand.Addr{Block: b, Slot: s}) == mode {
+	if c.dev.Mode(nand.PageAddr(b, s, 0)) == mode {
 		return false
 	}
 	before := c.dev.PagesPerBlock(b)
@@ -235,13 +235,13 @@ func (c *Cache) setMode(b, s int, mode wear.Mode) bool {
 // moves to the active LRU.
 func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 	if r.open < 0 {
-		return nand.Addr{}, false
+		return 0, false
 	}
 	if addr, ok := c.allocIn(r.open, mode); ok {
 		return addr, true
 	}
 	c.closeOpen(r)
-	return nand.Addr{}, false
+	return 0, false
 }
 
 // allocIn walks block b's allocation cursor to the next free page of
@@ -249,12 +249,12 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 func (c *Cache) allocIn(b int, mode wear.Mode) (nand.Addr, bool) {
 	m := &c.meta[b]
 	for m.cursorSlot < nand.SlotsPerBlock {
-		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
+		slotAddr := nand.PageAddr(b, m.cursorSlot, 0)
 		if m.cursorSub == 0 {
 			// Untouched slot: set the desired density before first
 			// program (legal only while erased).
 			if c.setMode(b, m.cursorSlot, mode) {
-				c.fpst.Slot(b, m.cursorSlot).StagedMode = mode
+				c.fpst.Slot(slotAddr).StagedMode = mode
 			}
 			m.consumed++
 			if mode == wear.MLC {
@@ -266,7 +266,7 @@ func (c *Cache) allocIn(b int, mode wear.Mode) (nand.Addr, bool) {
 		}
 		// Slot is MLC with sub 0 consumed.
 		if mode == wear.MLC {
-			addr := nand.Addr{Block: b, Slot: m.cursorSlot, Sub: 1}
+			addr := nand.PageAddr(b, m.cursorSlot, 1)
 			m.cursorSlot++
 			m.cursorSub = 0
 			m.consumed++
@@ -279,7 +279,7 @@ func (c *Cache) allocIn(b int, mode wear.Mode) (nand.Addr, bool) {
 		m.cursorSlot++
 		m.cursorSub = 0
 	}
-	return nand.Addr{}, false
+	return 0, false
 }
 
 // closeOpen moves the region's open block into the active LRU.
@@ -327,22 +327,22 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 					// next free page.
 					c.stats.ProgramFailures++
 					c.stats.Remaps++
-					c.noteProgramFailure(addr.Block, true)
+					c.noteProgramFailure(addr.Block(), true)
 					continue
 				}
 				panic(err)
 			}
-			c.meta[addr.Block].progFails = 0
+			c.meta[addr.Block()].progFails = 0
 			st := c.fpst.At(addr)
 			st.Valid = true
 			st.LBA = lba
 			st.Access = 0
 			st.InsertedAt = c.seq
-			c.addValid(addr.Block, 1)
+			c.addValid(addr.Block(), 1)
 			return addr, lat
 		}
 		if c.dead {
-			return nand.Addr{}, lat
+			return 0, lat
 		}
 		if b := r.popFree(); b >= 0 {
 			c.openBlock(r, b)
@@ -375,30 +375,26 @@ func (c *Cache) invalidate(addr nand.Addr) {
 	if !st.Valid {
 		return
 	}
-	m := &c.meta[addr.Block]
+	m := &c.meta[addr.Block()]
 	m.accessSum += uint64(st.Access)
 	c.fcht.Delete(st.LBA)
 	st.Valid = false
 	st.LBA = tables.InvalidLBA
 	st.Access = 0
-	c.addValid(addr.Block, -1)
+	c.addValid(addr.Block(), -1)
 }
 
 // appendValidPagesOf appends block b's valid page addresses to dst and
-// returns the extended slice. Callers pass a cache-owned scratch buffer
-// to stay off the allocator. pagesScratch is for call sites whose
-// iteration body cannot reach another pagesScratch listing; dropValid
-// uses it, so the GC relocation loop, whose allocProgram can evict or
-// retire a block mid-flight, iterates gcScratch instead.
+// returns the extended slice (an SLC slot's sub-page 1 is never valid).
+// Callers pass a cache-owned scratch buffer to stay off the allocator.
+// pagesScratch is for call sites whose iteration body cannot reach
+// another pagesScratch listing; dropValid uses it, so the GC relocation
+// loop, whose allocProgram can evict or retire a block mid-flight,
+// iterates gcScratch instead.
 func (c *Cache) appendValidPagesOf(dst []nand.Addr, b int) []nand.Addr {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
-		subs := 1
-		if c.dev.Mode(nand.Addr{Block: b, Slot: s}) == wear.MLC {
-			subs = 2
-		}
-		for sub := 0; sub < subs; sub++ {
-			a := nand.Addr{Block: b, Slot: s, Sub: sub}
-			if c.fpst.At(a).Valid {
+		for sub := 0; sub < 2; sub++ {
+			if a := nand.PageAddr(b, s, sub); c.fpst.At(a).Valid {
 				dst = append(dst, a)
 			}
 		}

@@ -19,6 +19,10 @@ import (
 // the same accounting GC uses, including device occupancy when a
 // clock is attached.
 
+// scrubBatch is the number of pages one scrub increment examines, and
+// the bound of the deferred-scrub queue.
+const scrubBatch = 128
+
 // maybeScrub runs one scrub increment every ScrubEvery host
 // operations.
 func (c *Cache) maybeScrub() {
@@ -31,7 +35,7 @@ func (c *Cache) maybeScrub() {
 	}
 }
 
-// scrubStep examines up to ScrubBatch pages from the scan cursor and
+// scrubStep examines up to scrubBatch pages from the scan cursor and
 // migrates the at-risk ones. The spent time is background (like GC):
 // it occupies the device but never a foreground request directly.
 //
@@ -55,9 +59,9 @@ func (c *Cache) scrubStep() sim.Duration {
 	var t sim.Duration
 	t += c.scrubDrainDeferred(predictive)
 	scanned := 0
-	for i := 0; i < c.cfg.ScrubBatch; i++ {
-		a := c.nextScrubAddr()
-		if a.Block < 0 {
+	for i := 0; i < scrubBatch; i++ {
+		a, ok := c.nextScrubAddr()
+		if !ok {
 			break // no scannable blocks at all
 		}
 		scanned++
@@ -88,14 +92,14 @@ func (c *Cache) scrubFeedbackOn() bool {
 // scrub feedback is on and the page's bank is predicted busy past
 // scrubDeferWait, so its migration does not queue behind in-flight
 // foreground commands. Reports whether the page was deferred; with
-// feedback off, an idle bank, or a full queue (bounded at ScrubBatch
+// feedback off, an idle bank, or a full queue (bounded at scrubBatch
 // entries so the backlog cannot grow without limit) the caller
 // migrates immediately as the baseline scrubber would.
 func (c *Cache) deferScrub(a nand.Addr) bool {
-	if !c.scrubFeedbackOn() || len(c.scrubDeferred) >= c.cfg.ScrubBatch {
+	if !c.scrubFeedbackOn() || len(c.scrubDeferred) >= scrubBatch {
 		return false
 	}
-	if c.sched.BankWait(a.Block, c.clock.Now()) <= scrubDeferWait {
+	if c.sched.BankWait(a.Block(), c.clock.Now()) <= scrubDeferWait {
 		return false
 	}
 	c.scrubDeferred = append(c.scrubDeferred, a)
@@ -126,14 +130,14 @@ func (c *Cache) scrubDrainDeferred(predictive bool) sim.Duration {
 		if c.dead {
 			break
 		}
-		if c.meta[a.Block].state == blockRetired {
+		if c.meta[a.Block()].state == blockRetired {
 			continue
 		}
 		move, atRisk := c.scrubVerdict(a, predictive)
 		if !move {
 			continue
 		}
-		if c.sched.BankWait(a.Block, c.clock.Now()) > scrubDeferWait {
+		if c.sched.BankWait(a.Block(), c.clock.Now()) > scrubDeferWait {
 			kept = append(kept, a)
 			continue
 		}
@@ -149,9 +153,9 @@ func (c *Cache) scrubDrainDeferred(predictive bool) sim.Duration {
 }
 
 // nextScrubAddr advances the patrol cursor one page, skipping retired
-// blocks and (in MLC slots) visiting both sub-pages. A Block of -1
-// reports that no scannable block exists.
-func (c *Cache) nextScrubAddr() nand.Addr {
+// blocks and (in MLC slots) visiting both sub-pages. ok is false when
+// no scannable block exists.
+func (c *Cache) nextScrubAddr() (a nand.Addr, ok bool) {
 	for tries := 0; tries < 2*len(c.meta)*nand.SlotsPerBlock; tries++ {
 		if c.scrubBlock >= len(c.meta) {
 			c.scrubBlock = 0
@@ -162,10 +166,10 @@ func (c *Cache) nextScrubAddr() nand.Addr {
 			c.scrubSlot, c.scrubSub = 0, 0
 			continue
 		}
-		a := nand.Addr{Block: b, Slot: c.scrubSlot, Sub: c.scrubSub}
+		a = nand.PageAddr(b, c.scrubSlot, c.scrubSub)
 		// Advance for next call.
 		subs := 1
-		if c.dev.Mode(nand.Addr{Block: b, Slot: c.scrubSlot}) == wear.MLC {
+		if c.dev.Mode(a) == wear.MLC {
 			subs = 2
 		}
 		if c.scrubSub+1 < subs {
@@ -178,9 +182,9 @@ func (c *Cache) nextScrubAddr() nand.Addr {
 				c.scrubBlock++
 			}
 		}
-		return a
+		return a, true
 	}
-	return nand.Addr{Block: -1}
+	return 0, false
 }
 
 // scrubVerdict classifies page a for the scrubber. move is false for
@@ -208,17 +212,17 @@ func (c *Cache) scrubVerdict(a nand.Addr, predictive bool) (move, atRisk bool) {
 // dwell at zero, and the destination block's disturb count is whatever
 // it has accumulated, normally far below the source's.
 func (c *Cache) scrubPage(a nand.Addr, atRisk bool) sim.Duration {
-	dst, t, ok := c.relocate(a, c.regions[c.meta[a.Block].region], atRisk)
+	dst, t, ok := c.relocate(a, c.regions[c.meta[a.Block()].region], atRisk)
 	if !ok {
 		return t
 	}
 	lba := c.fpst.At(dst).LBA
 	if atRisk {
 		c.stats.ScrubMigrations++
-		c.eventScrubMigrate(a.Block, lba)
+		c.eventScrubMigrate(a.Block(), lba)
 	} else {
 		c.stats.RefreshRewrites++
-		c.eventRefreshRewrite(a.Block, lba)
+		c.eventRefreshRewrite(a.Block(), lba)
 	}
 	return t
 }

@@ -6,13 +6,15 @@ import (
 	"flashdc/internal/sim"
 )
 
-// The scrub cadence test pins the patrol schedule. ScrubBatch is 1 so
-// Stats().ScrubScans counts scrub increments exactly.
+// The scrub cadence test pins the patrol schedule. Every increment on
+// a live cache scans exactly scrubBatch pages, so Stats().ScrubScans
+// over scrubBatch counts increments.
 
 // scrubSteps drives n host operations (each a maybeScrub opportunity:
 // a read hit, or an insert after a miss) and returns how many scrub
 // increments ran during them.
-func scrubSteps(c *Cache, n int) int64 {
+func scrubSteps(t *testing.T, c *Cache, n int) int64 {
+	t.Helper()
 	before := c.Stats().ScrubScans
 	for i := 0; i < n; i++ {
 		lba := int64(i % 64)
@@ -20,7 +22,11 @@ func scrubSteps(c *Cache, n int) int64 {
 			c.Insert(lba)
 		}
 	}
-	return c.Stats().ScrubScans - before
+	scans := c.Stats().ScrubScans - before
+	if scans%scrubBatch != 0 {
+		t.Fatalf("%d pages scanned, not a whole number of %d-page increments", scans, scrubBatch)
+	}
+	return scans / scrubBatch
 }
 
 // The operation-count trigger is the only cadence: one increment every
@@ -29,26 +35,25 @@ func scrubSteps(c *Cache, n int) int64 {
 func TestScrubCadenceOpCount(t *testing.T) {
 	c := smallCache(t, func(cfg *Config) {
 		cfg.ScrubEvery = 100
-		cfg.ScrubBatch = 1
 	})
-	if got := scrubSteps(c, 1000); got != 10 {
+	if got := scrubSteps(t, c, 1000); got != 10 {
 		t.Fatalf("1000 ops at ScrubEvery=100 ran %d increments, want 10", got)
 	}
 
 	var clk sim.Clock
 	c.AttachClock(&clk)
-	if got := scrubSteps(c, 1000); got != 10 {
+	if got := scrubSteps(t, c, 1000); got != 10 {
 		t.Fatalf("with a clock attached, 1000 ops ran %d increments, want 10", got)
 	}
 	c.AttachClock(&clk)
 	clk.Advance(50 * sim.Millisecond)
-	if got := scrubSteps(c, 1000); got != 10 {
+	if got := scrubSteps(t, c, 1000); got != 10 {
 		t.Fatalf("after a second AttachClock, 1000 ops ran %d increments, want 10", got)
 	}
 
 	clk = sim.Clock{}
 	c.ResetDeviceStats()
-	if got := scrubSteps(c, 1000); got != 10 {
+	if got := scrubSteps(t, c, 1000); got != 10 {
 		t.Fatalf("after ResetDeviceStats, 1000 ops ran %d increments, want 10", got)
 	}
 }

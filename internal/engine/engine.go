@@ -121,6 +121,16 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: %d shards leave %d bytes of Flash each (need ≥ %d)",
 			cfg.Shards, perFlash, minFlash)
 	}
+	// Count the blocks as hier and core.New will, so a shard whose pages
+	// a nand.Addr cannot name is refused before anything is allocated.
+	fc := cfg.Hier.Flash
+	if fc == (core.Config{}) {
+		fc = core.DefaultConfig(perFlash)
+	}
+	if blocks := nand.BlocksForCapacity(perFlash, fc.InitialMode); blocks > nand.MaxBlocks {
+		return nil, fmt.Errorf("engine: %d shards leave %d bytes of Flash each, %d blocks (at most %d)",
+			cfg.Shards, perFlash, blocks, nand.MaxBlocks)
+	}
 	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		h := cfg.Hier

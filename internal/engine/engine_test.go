@@ -195,6 +195,9 @@ func TestNewValidation(t *testing.T) {
 		{"negative workers", Config{Shards: 1, Workers: -1, Hier: testConfig()}, "negative worker"},
 		{"dram too small", Config{Shards: 1 << 20, Hier: testConfig()}, "DRAM"},
 		{"flash too small", Config{Shards: 512, Hier: hier.Config{DRAMBytes: 1 << 30, FlashBytes: 32 << 20}}, "Flash"},
+		// Rejected before anything is allocated: the shard's blocks
+		// alone would hold 64 GiB of slot state.
+		{"flash beyond page addresses", Config{Shards: 1, Hier: hier.Config{DRAMBytes: 1 << 20, FlashBytes: (nand.MaxBlocks + 1) << 18}}, "16777217 blocks (at most 16777216)"},
 		{"metadata with shards", Config{Shards: 2, Hier: func() hier.Config {
 			c := testConfig()
 			c.FlashMetadata = strings.NewReader("x")

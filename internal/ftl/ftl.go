@@ -147,12 +147,19 @@ func (f *FTL) Stats() Stats { return f.stats }
 func (f *FTL) Device() *nand.Device { return f.dev }
 
 // addr converts a flat physical page index within a block to a device
-// address.
+// address; index inverts it.
 func (f *FTL) addr(block, idx int) nand.Addr {
 	if f.cfg.Mode == wear.MLC {
-		return nand.Addr{Block: block, Slot: idx / 2, Sub: idx % 2}
+		return nand.PageAddr(block, idx/2, idx%2)
 	}
-	return nand.Addr{Block: block, Slot: idx}
+	return nand.PageAddr(block, idx, 0)
+}
+
+func (f *FTL) index(a nand.Addr) int {
+	if f.cfg.Mode == wear.MLC {
+		return a.Slot()*2 + a.Sub()
+	}
+	return a.Slot()
 }
 
 // Read serves a logical page and returns the device latency.
@@ -199,12 +206,8 @@ func (f *FTL) invalidate(logical int64) {
 	if !ok {
 		return
 	}
-	idx := a.Slot
-	if f.cfg.Mode == wear.MLC {
-		idx = a.Slot*2 + a.Sub
-	}
-	f.reverse[a.Block][idx] = -1
-	f.validCount[a.Block]--
+	f.reverse[a.Block()][f.index(a)] = -1
+	f.validCount[a.Block()]--
 	delete(f.mapping, logical)
 }
 
@@ -230,12 +233,8 @@ func (f *FTL) appendPage(logical int64, gc bool) (sim.Duration, error) {
 		f.stats.GCTime += lat
 	}
 	f.mapping[logical] = a
-	idx := a.Slot
-	if f.cfg.Mode == wear.MLC {
-		idx = a.Slot*2 + a.Sub
-	}
-	f.reverse[a.Block][idx] = logical
-	f.validCount[a.Block]++
+	f.reverse[a.Block()][f.index(a)] = logical
+	f.validCount[a.Block()]++
 	return lat, nil
 }
 

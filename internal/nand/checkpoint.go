@@ -49,16 +49,17 @@ func (d *Device) Checkpoint() (DeviceCheckpoint, error) {
 	}
 	for b := range d.blocks {
 		blk := &d.blocks[b]
+		slots := d.blockSlots(b)
 		bc := BlockCheckpoint{
-			Slots:      make([]SlotCheckpoint, len(blk.slots)),
+			Slots:      make([]SlotCheckpoint, len(slots)),
 			EraseCount: blk.eraseCount,
 			Reads:      blk.reads,
 			Retired:    blk.retired,
 			FactoryBad: blk.factoryBad,
 			GrownBad:   blk.grownBad,
 		}
-		for s := range blk.slots {
-			sl := &blk.slots[s]
+		for s := range slots {
+			sl := &slots[s]
 			if sl.payload != nil {
 				return DeviceCheckpoint{}, fmt.Errorf("nand: block %d slot %d holds a payload page; checkpointing supports token-only devices", b, s)
 			}
@@ -82,8 +83,8 @@ func (d *Device) Restore(ck DeviceCheckpoint) error {
 		return fmt.Errorf("nand: checkpoint has %d blocks, device has %d", len(ck.Blocks), len(d.blocks))
 	}
 	for b := range ck.Blocks {
-		if len(ck.Blocks[b].Slots) != len(d.blocks[b].slots) {
-			return fmt.Errorf("nand: checkpoint block %d has %d slots, device has %d", b, len(ck.Blocks[b].Slots), len(d.blocks[b].slots))
+		if len(ck.Blocks[b].Slots) != SlotsPerBlock {
+			return fmt.Errorf("nand: checkpoint block %d has %d slots, device has %d", b, len(ck.Blocks[b].Slots), SlotsPerBlock)
 		}
 	}
 	for b := range ck.Blocks {
@@ -94,9 +95,10 @@ func (d *Device) Restore(ck DeviceCheckpoint) error {
 		blk.retired = bc.Retired
 		blk.factoryBad = bc.FactoryBad
 		blk.grownBad = bc.GrownBad
+		slots := d.blockSlots(b)
 		for s := range bc.Slots {
 			sc := &bc.Slots[s]
-			sl := &blk.slots[s]
+			sl := &slots[s]
 			sl.mode = sc.Mode
 			sl.programmed = sc.Programmed
 			sl.data = sc.Data

@@ -24,7 +24,7 @@ func TestFactoryBadBlocksRetiredFromBirth(t *testing.T) {
 		if !d.Retired(b) || !d.FactoryBad(b) {
 			t.Fatalf("block %d not factory bad", b)
 		}
-		if _, err := d.Program(Addr{Block: b}, 7); !errors.Is(err, ErrRetired) {
+		if _, err := d.Program(PageAddr(b, 0, 0), 7); !errors.Is(err, ErrRetired) {
 			t.Fatalf("program on factory-bad block: %v", err)
 		}
 		if _, err := d.Erase(b); !errors.Is(err, ErrRetired) {
@@ -40,7 +40,7 @@ func TestFactoryBadBlocksRetiredFromBirth(t *testing.T) {
 
 func TestProgramFailureIsTypedAndBurnsSlot(t *testing.T) {
 	d := faultyDevice(fault.Plan{Seed: 5, ProgramFailRate: 1}, 2)
-	a := Addr{Block: 0, Slot: 0}
+	a := PageAddr(0, 0, 0)
 	lat, err := d.Program(a, 42)
 	if !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("got %v, want ErrProgramFailed", err)
@@ -59,7 +59,7 @@ func TestProgramFailureIsTypedAndBurnsSlot(t *testing.T) {
 
 func TestEraseFailureKeepsContents(t *testing.T) {
 	d := faultyDevice(fault.Plan{Seed: 7, EraseFailRate: 1}, 2)
-	a := Addr{Block: 0, Slot: 0}
+	a := PageAddr(0, 0, 0)
 	if _, err := d.Program(a, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEraseFailureKeepsContents(t *testing.T) {
 
 func TestGrownBadBlockFailsForever(t *testing.T) {
 	d := faultyDevice(fault.Plan{Seed: 11, ProgramFailRate: 1, GrownBadRate: 1}, 2)
-	if _, err := d.Program(Addr{Block: 0}, 1); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.Program(PageAddr(0, 0, 0), 1); !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("first program: %v", err)
 	}
 	if !d.GrownBad(0) {
@@ -87,7 +87,7 @@ func TestGrownBadBlockFailsForever(t *testing.T) {
 	// Every later program and erase fails organically, without
 	// consuming injector randomness.
 	ops := d.FaultInjector().Stats()
-	if _, err := d.Program(Addr{Block: 0, Slot: 1}, 1); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.Program(PageAddr(0, 1, 0), 1); !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("program on grown-bad block: %v", err)
 	}
 	if _, err := d.Erase(0); !errors.Is(err, ErrEraseFailed) {
@@ -100,7 +100,7 @@ func TestGrownBadBlockFailsForever(t *testing.T) {
 
 func TestInjectedFlipsAreTransient(t *testing.T) {
 	d := faultyDevice(fault.Plan{Seed: 13, ReadFlipRate: 0.5, ReadFlipMax: 4}, 2)
-	a := Addr{Block: 0, Slot: 0}
+	a := PageAddr(0, 0, 0)
 	if _, err := d.Program(a, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestSetFaultInjectorSuspends(t *testing.T) {
 	d := faultyDevice(fault.Plan{Seed: 17, ProgramFailRate: 1}, 2)
 	saved := d.FaultInjector()
 	d.SetFaultInjector(nil)
-	if _, err := d.Program(Addr{Block: 0}, 1); err != nil {
+	if _, err := d.Program(PageAddr(0, 0, 0), 1); err != nil {
 		t.Fatalf("program with suspended injector: %v", err)
 	}
 	d.SetFaultInjector(saved)
-	if _, err := d.Program(Addr{Block: 0, Slot: 1}, 1); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.Program(PageAddr(0, 1, 0), 1); !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("restored injector not consulted: %v", err)
 	}
 }

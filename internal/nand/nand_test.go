@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,17 @@ func TestNewPanicsWithoutBlocks(t *testing.T) {
 		}
 	}()
 	New(Config{})
+}
+
+// TestNewPanicsBeyondMaxBlocks: a device of more blocks than an Addr
+// can name panics before it allocates any slot state.
+func TestNewPanicsBeyondMaxBlocks(t *testing.T) {
+	defer func() {
+		if r, ok := recover().(string); !ok || !strings.Contains(r, "an address can name") {
+			t.Fatalf("New with MaxBlocks+1 blocks recovered %v, want the address-limit panic", r)
+		}
+	}()
+	New(Config{Blocks: MaxBlocks + 1})
 }
 
 func TestDefaultTimingMatchesTable3(t *testing.T) {
@@ -51,7 +63,7 @@ func TestBlocksForCapacity(t *testing.T) {
 
 func TestProgramReadRoundTrip(t *testing.T) {
 	d := testDevice(2, wear.SLC)
-	a := Addr{Block: 1, Slot: 3}
+	a := PageAddr(1, 3, 0)
 	lat, err := d.Program(a, 0xDEADBEEF)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +88,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 
 func TestWriteAfterEraseRule(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	a := Addr{Slot: 0}
+	a := PageAddr(0, 0, 0)
 	if _, err := d.Program(a, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +107,7 @@ func TestWriteAfterEraseRule(t *testing.T) {
 
 func TestReadUnprogrammedFails(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	if _, err := d.Read(Addr{Slot: 5}); !errors.Is(err, ErrNotProgrammed) {
+	if _, err := d.Read(PageAddr(0, 5, 0)); !errors.Is(err, ErrNotProgrammed) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -103,7 +115,7 @@ func TestReadUnprogrammedFails(t *testing.T) {
 func TestEraseResetsAndCounts(t *testing.T) {
 	d := testDevice(1, wear.SLC)
 	for s := 0; s < SlotsPerBlock; s++ {
-		if _, err := d.Program(Addr{Slot: s}, uint64(s)); err != nil {
+		if _, err := d.Program(PageAddr(0, s, 0), uint64(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +130,7 @@ func TestEraseResetsAndCounts(t *testing.T) {
 		t.Fatalf("erase count %d", d.EraseCount(0))
 	}
 	for s := 0; s < SlotsPerBlock; s++ {
-		if d.Programmed(Addr{Slot: s}) {
+		if d.Programmed(PageAddr(0, s, 0)) {
 			t.Fatalf("slot %d still programmed after erase", s)
 		}
 	}
@@ -126,8 +138,8 @@ func TestEraseResetsAndCounts(t *testing.T) {
 
 func TestMLCSubPages(t *testing.T) {
 	d := testDevice(1, wear.MLC)
-	a0 := Addr{Slot: 0, Sub: 0}
-	a1 := Addr{Slot: 0, Sub: 1}
+	a0 := PageAddr(0, 0, 0)
+	a1 := PageAddr(0, 0, 1)
 	if _, err := d.Program(a0, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +156,7 @@ func TestMLCSubPages(t *testing.T) {
 	}
 	// Sub=1 is invalid in SLC mode.
 	s := testDevice(1, wear.SLC)
-	if _, err := s.Program(Addr{Slot: 0, Sub: 1}, 1); !errors.Is(err, ErrBadAddress) {
+	if _, err := s.Program(PageAddr(0, 0, 1), 1); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("SLC sub 1: %v", err)
 	}
 }
@@ -154,10 +166,10 @@ func TestSetModeRules(t *testing.T) {
 	if err := d.SetMode(0, 0, wear.SLC); err != nil {
 		t.Fatal(err)
 	}
-	if d.Mode(Addr{Slot: 0}) != wear.SLC {
+	if d.Mode(PageAddr(0, 0, 0)) != wear.SLC {
 		t.Fatal("mode did not change")
 	}
-	if _, err := d.Program(Addr{Slot: 1, Sub: 0}, 7); err != nil {
+	if _, err := d.Program(PageAddr(0, 1, 0), 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.SetMode(0, 1, wear.SLC); !errors.Is(err, ErrModeWhileInUse) {
@@ -200,8 +212,8 @@ func TestPagesPerBlockAndCapacity(t *testing.T) {
 func walkPages(d *Device, b int) (block int, capacity int64) {
 	for bb := range d.blocks {
 		n := 0
-		for i := range d.blocks[bb].slots {
-			if d.blocks[bb].slots[i].mode == wear.MLC {
+		for _, sl := range d.blockSlots(bb) {
+			if sl.mode == wear.MLC {
 				n += 2
 			} else {
 				n++
@@ -232,7 +244,7 @@ func TestPageCountsTrackSlotModes(t *testing.T) {
 			// Programmed slots refuse the change; the count must not move.
 			_ = d.SetMode(b, rng.Intn(SlotsPerBlock), m)
 		case op < 85:
-			a := Addr{Block: b, Slot: rng.Intn(SlotsPerBlock)}
+			a := PageAddr(b, rng.Intn(SlotsPerBlock), 0)
 			if !d.Retired(b) && !d.Programmed(a) {
 				if _, err := d.Program(a, 1); err != nil {
 					t.Fatal(err)
@@ -293,20 +305,20 @@ func TestRetiredBlockRejectsOps(t *testing.T) {
 	if !d.Retired(0) {
 		t.Fatal("Retired not set")
 	}
-	if _, err := d.Program(Addr{}, 1); !errors.Is(err, ErrRetired) {
+	if _, err := d.Program(PageAddr(0, 0, 0), 1); !errors.Is(err, ErrRetired) {
 		t.Fatalf("program on retired: %v", err)
 	}
 	if _, err := d.Erase(0); !errors.Is(err, ErrRetired) {
 		t.Fatalf("erase on retired: %v", err)
 	}
-	if _, err := d.Read(Addr{}); !errors.Is(err, ErrRetired) {
+	if _, err := d.Read(PageAddr(0, 0, 0)); !errors.Is(err, ErrRetired) {
 		t.Fatalf("read on retired: %v", err)
 	}
 }
 
 func TestWearAccumulatesBitErrors(t *testing.T) {
 	d := testDevice(1, wear.MLC)
-	a := Addr{Slot: 0}
+	a := PageAddr(0, 0, 0)
 	// Simulate heavy cycling without the O(n) erase loop: hammer
 	// erase/program.
 	var last int
@@ -338,9 +350,9 @@ func TestWearAccumulatesBitErrors(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	d.Program(Addr{Slot: 0}, 1)
-	d.Read(Addr{Slot: 0})
-	d.Read(Addr{Slot: 0})
+	d.Program(PageAddr(0, 0, 0), 1)
+	d.Read(PageAddr(0, 0, 0))
+	d.Read(PageAddr(0, 0, 0))
 	d.Erase(0)
 	st := d.Stats()
 	if st.Programs != 1 || st.Reads != 2 || st.Erases != 1 {
@@ -352,13 +364,16 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestBadAddresses: a negative address, the page one past the last
+// slot, and sub-page 1 of an SLC slot are all out of range.
 func TestBadAddresses(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	for _, a := range []Addr{
-		{Block: -1}, {Block: 1}, {Slot: -1}, {Slot: SlotsPerBlock}, {Sub: 1},
-	} {
+	for _, a := range []Addr{-1, PageAddr(-1, 0, 0), PageAddr(1, 0, 0), PageAddr(0, 0, 1)} {
 		if _, err := d.Read(a); !errors.Is(err, ErrBadAddress) {
 			t.Fatalf("Read(%v): %v", a, err)
+		}
+		if _, err := d.Program(a, 1); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("Program(%v): %v", a, err)
 		}
 	}
 	if _, err := d.Erase(3); !errors.Is(err, ErrBadAddress) {
@@ -367,19 +382,31 @@ func TestBadAddresses(t *testing.T) {
 }
 
 func TestAddrString(t *testing.T) {
-	if got := (Addr{Block: 2, Slot: 7, Sub: 1}).String(); got != "b2/s7.1" {
+	if got := PageAddr(2, 7, 1).String(); got != "b2/s7.1" {
 		t.Fatalf("Addr.String() = %q", got)
+	}
+}
+
+// TestAddrRoundTrip: every page of the first and the last block an
+// Addr can name comes back from its accessors as built, and its slot
+// index is the slot's place in a block-by-block table.
+func TestAddrRoundTrip(t *testing.T) {
+	for _, b := range []int{0, MaxBlocks - 1} {
+		for s := 0; s < SlotsPerBlock; s++ {
+			for sub := 0; sub < 2; sub++ {
+				a := PageAddr(b, s, sub)
+				if a < 0 || a.Block() != b || a.Slot() != s || a.Sub() != sub || a.SlotIndex() != b*SlotsPerBlock+s {
+					t.Fatalf("PageAddr(%d, %d, %d) = %d reads back as %v, slot index %d", b, s, sub, int32(a), a, a.SlotIndex())
+				}
+			}
+		}
 	}
 }
 
 func TestProgramReadPropertyTokenPreserved(t *testing.T) {
 	d := testDevice(4, wear.MLC)
 	f := func(block, slot, sub uint8, token uint64) bool {
-		a := Addr{
-			Block: int(block) % 4,
-			Slot:  int(slot) % SlotsPerBlock,
-			Sub:   int(sub) % 2,
-		}
+		a := PageAddr(int(block)%4, int(slot)%SlotsPerBlock, int(sub)%2)
 		if d.Programmed(a) {
 			return true // skip occupied
 		}

@@ -37,7 +37,7 @@ func (d *Device) ProgramPage(a Addr, token uint64, data, spare []byte) (sim.Dura
 	if sl.payload == nil {
 		sl.payload = new([2]PageBuf)
 	}
-	sl.payload[a.Sub] = PageBuf{
+	sl.payload[a.Sub()] = PageBuf{
 		Data:  append([]byte(nil), data...),
 		Spare: append([]byte(nil), spare...),
 	}
@@ -55,10 +55,10 @@ func (d *Device) ReadPage(a Addr) (PageBuf, ReadResult, error) {
 		return PageBuf{}, ReadResult{}, err
 	}
 	_, sl, _ := d.slot(a)
-	if sl.payload == nil || sl.payload[a.Sub].Data == nil {
+	if sl.payload == nil || sl.payload[a.Sub()].Data == nil {
 		return PageBuf{}, ReadResult{}, fmt.Errorf("nand: %v has no payload (token-only page)", a)
 	}
-	src := sl.payload[a.Sub]
+	src := sl.payload[a.Sub()]
 	buf := PageBuf{
 		Data:  append([]byte(nil), src.Data...),
 		Spare: append([]byte(nil), src.Spare...),
@@ -79,8 +79,8 @@ func (d *Device) corruptPage(a Addr, buf PageBuf, n int) {
 		n = totalBits
 	}
 	seed := d.cfg.Seed ^
-		uint64(a.Block)<<40 ^ uint64(a.Slot)<<24 ^ uint64(a.Sub)<<16 ^
-		uint64(d.blocks[a.Block].eraseCount)
+		uint64(a.Block())<<40 ^ uint64(a.Slot())<<24 ^ uint64(a.Sub())<<16 ^
+		uint64(d.blocks[a.Block()].eraseCount)
 	rng := sim.NewRNG(seed)
 	seen := make(map[int]bool, n)
 	for len(seen) < n {

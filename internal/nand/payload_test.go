@@ -22,10 +22,10 @@ func TestProgramReadPageRoundTrip(t *testing.T) {
 	d := testDevice(1, wear.SLC)
 	data := randomPageData(1)
 	spare := []byte{1, 2, 3, 4}
-	if _, err := d.ProgramPage(Addr{Slot: 0}, 42, data, spare); err != nil {
+	if _, err := d.ProgramPage(PageAddr(0, 0, 0), 42, data, spare); err != nil {
 		t.Fatal(err)
 	}
-	buf, res, err := d.ReadPage(Addr{Slot: 0})
+	buf, res, err := d.ReadPage(PageAddr(0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestProgramReadPageRoundTrip(t *testing.T) {
 	// Returned buffers are copies: mutating them must not affect the
 	// stored image.
 	buf.Data[0] ^= 0xFF
-	buf2, _, _ := d.ReadPage(Addr{Slot: 0})
+	buf2, _, _ := d.ReadPage(PageAddr(0, 0, 0))
 	if buf2.Data[0] != data[0] {
 		t.Fatal("ReadPage aliases the stored image")
 	}
@@ -46,34 +46,34 @@ func TestProgramReadPageRoundTrip(t *testing.T) {
 
 func TestProgramPageValidation(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	if _, err := d.ProgramPage(Addr{}, 1, make([]byte, 100), nil); err == nil {
+	if _, err := d.ProgramPage(PageAddr(0, 0, 0), 1, make([]byte, 100), nil); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	if _, err := d.ProgramPage(Addr{}, 1, make([]byte, PageSize), make([]byte, SpareSize+1)); err == nil {
+	if _, err := d.ProgramPage(PageAddr(0, 0, 0), 1, make([]byte, PageSize), make([]byte, SpareSize+1)); err == nil {
 		t.Fatal("oversized spare accepted")
 	}
 	// Write-after-erase still enforced through the payload path.
-	if _, err := d.ProgramPage(Addr{}, 1, make([]byte, PageSize), nil); err != nil {
+	if _, err := d.ProgramPage(PageAddr(0, 0, 0), 1, make([]byte, PageSize), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ProgramPage(Addr{}, 2, make([]byte, PageSize), nil); !errors.Is(err, ErrNotErased) {
+	if _, err := d.ProgramPage(PageAddr(0, 0, 0), 2, make([]byte, PageSize), nil); !errors.Is(err, ErrNotErased) {
 		t.Fatalf("double program: %v", err)
 	}
 }
 
 func TestReadPageTokenOnlyFails(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	d.Program(Addr{Slot: 1}, 7)
-	if _, _, err := d.ReadPage(Addr{Slot: 1}); err == nil {
+	d.Program(PageAddr(0, 1, 0), 7)
+	if _, _, err := d.ReadPage(PageAddr(0, 1, 0)); err == nil {
 		t.Fatal("ReadPage on token-only page succeeded")
 	}
 }
 
 func TestEraseClearsPayload(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	d.ProgramPage(Addr{Slot: 0}, 1, randomPageData(2), nil)
+	d.ProgramPage(PageAddr(0, 0, 0), 1, randomPageData(2), nil)
 	d.Erase(0)
-	if _, _, err := d.ReadPage(Addr{Slot: 0}); err == nil {
+	if _, _, err := d.ReadPage(PageAddr(0, 0, 0)); err == nil {
 		t.Fatal("payload survived erase")
 	}
 }
@@ -87,7 +87,7 @@ func TestWearCorruptsExactlyBitErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := Addr{Slot: 0}
+	a := PageAddr(0, 0, 0)
 	if _, err := d.ProgramPage(a, 9, data, []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestRetentionDwellStamping(t *testing.T) {
 	})
 	var clk sim.Clock
 	d.AttachClock(&clk)
-	a := Addr{Block: 0, Slot: 0}
+	a := PageAddr(0, 0, 0)
 	if _, err := d.Program(a, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestRetentionDwellStamping(t *testing.T) {
 	// A clockless device dwells at the epoch: no retention errors ever.
 	d2 := New(Config{Blocks: 1, InitialMode: wear.SLC, Seed: 1,
 		Retention: wear.RetentionParams{Accel: 1e9}})
-	if _, err := d2.Program(Addr{}, 1); err != nil {
+	if _, err := d2.Program(PageAddr(0, 0, 0), 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.BitErrors(Addr{}); got != 0 {
+	if got := d2.BitErrors(PageAddr(0, 0, 0)); got != 0 {
 		t.Fatalf("clockless device shows %d retention bits", got)
 	}
 }
@@ -78,8 +78,8 @@ func TestDisturbAccumulatesAndErasesReset(t *testing.T) {
 		Seed:        1,
 		Disturb:     wear.DisturbParams{ReadsPerBit: 10},
 	})
-	victim := Addr{Block: 0, Slot: 0}
-	aggressor := Addr{Block: 0, Slot: 1}
+	victim := PageAddr(0, 0, 0)
+	aggressor := PageAddr(0, 1, 0)
 	for _, a := range []Addr{victim, aggressor} {
 		if _, err := d.Program(a, 1); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestDisturbAccumulatesAndErasesReset(t *testing.T) {
 		t.Fatalf("victim shows %d disturb bits after 20 sibling reads, want 2", got)
 	}
 	// Another block is untouched.
-	other := Addr{Block: 1, Slot: 0}
+	other := PageAddr(1, 0, 0)
 	if _, err := d.Program(other, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestDeviceCheckpointRoundTrip(t *testing.T) {
 	var clk sim.Clock
 	d.AttachClock(&clk)
 	for s := 0; s < 8; s++ {
-		if _, err := d.Program(Addr{Block: 1, Slot: s}, uint64(s)); err != nil {
+		if _, err := d.Program(PageAddr(1, s, 0), uint64(s)); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(sim.Second)
 	}
 	for i := 0; i < 25; i++ {
-		if _, err := d.Read(Addr{Block: 1, Slot: 0}); err != nil {
+		if _, err := d.Read(PageAddr(1, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestDeviceCheckpointRoundTrip(t *testing.T) {
 	}
 	for s := 0; s < 8; s++ {
 		for sub := 0; sub < 2; sub++ {
-			a := Addr{Block: 1, Slot: s, Sub: sub}
+			a := PageAddr(1, s, sub)
 			if r.BitErrors(a) != d.BitErrors(a) {
 				t.Fatalf("%v: restored predicts %d bits, original %d", a, r.BitErrors(a), d.BitErrors(a))
 			}
@@ -184,8 +184,8 @@ func TestDeviceCheckpointRoundTrip(t *testing.T) {
 	// Identical continuation: the same read sequence returns identical
 	// results on both devices.
 	for i := 0; i < 5; i++ {
-		want, err1 := d.Read(Addr{Block: 1, Slot: 1})
-		got, err2 := r.Read(Addr{Block: 1, Slot: 1})
+		want, err1 := d.Read(PageAddr(1, 1, 0))
+		got, err2 := r.Read(PageAddr(1, 1, 0))
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -204,7 +204,7 @@ func TestDeviceCheckpointRoundTrip(t *testing.T) {
 // be checkpointed (token-only contract), and the error says so.
 func TestCheckpointRefusesPayloadDevices(t *testing.T) {
 	d := testDevice(1, wear.SLC)
-	if _, err := d.ProgramPage(Addr{}, 1, make([]byte, PageSize), nil); err != nil {
+	if _, err := d.ProgramPage(PageAddr(0, 0, 0), 1, make([]byte, PageSize), nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err := d.Checkpoint()

@@ -42,8 +42,8 @@ func overshootAcceleration(t *testing.T, mode wear.Mode) float64 {
 	t.Helper()
 	const n = overshootAt
 	d := New(Config{Blocks: 1, InitialMode: mode, SigmaSpatial: 0.2, Seed: 3})
-	for s := range d.blocks[0].slots {
-		w := &d.blocks[0].slots[s].wear
+	for s := range d.slots {
+		w := &d.slots[s].wear
 		f := func(cycles float64) int { return w.FailedBits(d.model, cycles, mode) }
 		for bits := 1; bits <= 4; bits++ {
 			est := w.CyclesUntilBits(d.model, bits, mode)
@@ -66,7 +66,7 @@ func overshootAcceleration(t *testing.T, mode wear.Mode) float64 {
 // checkpoint taken at the first rise.
 func checkWearTrajectory(t *testing.T, mode wear.Mode, acc float64, past int) {
 	d := New(Config{Blocks: 1, InitialMode: mode, SigmaSpatial: 0.2, Seed: 3, WearAcceleration: acc})
-	blk := &d.blocks[0]
+	slots := d.blockSlots(0)
 	// check compares every slot of the block against FailedBits and
 	// returns the largest forward count. Both pages of an MLC slot
 	// share the slot's cached count, so page 0 stands for the slot.
@@ -74,11 +74,11 @@ func checkWearTrajectory(t *testing.T, mode wear.Mode, acc float64, past int) {
 		t.Helper()
 		e := d.EraseCount(0)
 		most := 0
-		for s := range blk.slots {
-			sl := &blk.slots[s]
+		for s := range slots {
+			sl := &slots[s]
 			want := sl.wear.FailedBits(d.model, float64(e)*acc, sl.mode)
 			most = max(most, want)
-			a := Addr{Slot: s}
+			a := PageAddr(0, s, 0)
 			if got := d.WearBitErrors(a); got != want {
 				t.Fatalf("%s: %v at erase count %d in %v: WearBitErrors %d, FailedBits %d", stage, a, e, sl.mode, got, want)
 			}
@@ -110,7 +110,7 @@ func checkWearTrajectory(t *testing.T, mode wear.Mode, acc float64, past int) {
 	if mode == wear.SLC {
 		other = wear.MLC
 	}
-	for s := range blk.slots {
+	for s := range slots {
 		if err := d.SetMode(0, s, other); err != nil {
 			t.Fatal(err)
 		}

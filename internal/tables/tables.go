@@ -33,44 +33,30 @@ const InvalidLBA = int64(-1)
 // FCHT is the FlashCache hash table: a fully associative map from disk
 // page number to the Flash page caching it (section 3.1). It is a
 // bounded open-addressing table (lbaindex) sized to the device's page
-// count, each Flash address packed into one int32 as
-// Block<<7 | Slot<<1 | Sub.
+// count, holding each nand.Addr as the int32 it is.
 type FCHT struct {
 	t *lbaindex.Table
 }
 
-// fchtMaxBlocks is the largest block count whose addresses pack into
-// an int32: Slot and Sub take the low 7 bits, leaving 24 for Block.
-const fchtMaxBlocks = 1 << 24
-
 // NewFCHT returns an empty table for a device with the given block
 // count; it holds at most one mapping per Flash page (two per slot).
-// A non-positive block count, or one too large to pack, is a
-// configuration error.
+// A block count outside 1 to nand.MaxBlocks is a configuration error.
 func NewFCHT(blocks int) (*FCHT, error) {
-	if blocks <= 0 || blocks > fchtMaxBlocks {
-		return nil, fmt.Errorf("tables: FCHT needs 1 to %d blocks, have %d", fchtMaxBlocks, blocks)
+	if blocks <= 0 || blocks > nand.MaxBlocks {
+		return nil, fmt.Errorf("tables: FCHT needs 1 to %d blocks, have %d", nand.MaxBlocks, blocks)
 	}
 	return &FCHT{t: lbaindex.New(blocks * nand.SlotsPerBlock * 2)}, nil
-}
-
-// packAddr encodes a Flash page address as a table value.
-func packAddr(a nand.Addr) int32 { return int32(a.Block<<7 | a.Slot<<1 | a.Sub) }
-
-// unpackAddr inverts packAddr.
-func unpackAddr(v int32) nand.Addr {
-	return nand.Addr{Block: int(v >> 7), Slot: int(v>>1) & (nand.SlotsPerBlock - 1), Sub: int(v & 1)}
 }
 
 // Get returns the Flash address caching lba.
 func (f *FCHT) Get(lba int64) (nand.Addr, bool) {
 	v, ok := f.t.Get(lba)
-	return unpackAddr(v), ok
+	return nand.Addr(v), ok
 }
 
 // Put records that lba is cached at addr, replacing any previous
 // mapping.
-func (f *FCHT) Put(lba int64, addr nand.Addr) { f.t.Put(lba, packAddr(addr)) }
+func (f *FCHT) Put(lba int64, addr nand.Addr) { f.t.Put(lba, int32(addr)) }
 
 // Delete removes the mapping for lba if present.
 func (f *FCHT) Delete(lba int64) { f.t.Delete(lba) }
@@ -81,7 +67,7 @@ func (f *FCHT) Len() int { return f.t.Len() }
 // Range calls fn for every cached mapping until fn returns false.
 // Iteration order is unspecified; fn must not mutate the table.
 func (f *FCHT) Range(fn func(lba int64, addr nand.Addr) bool) {
-	f.t.Range(func(lba int64, v int32) bool { return fn(lba, unpackAddr(v)) })
+	f.t.Range(func(lba int64, v int32) bool { return fn(lba, nand.Addr(v)) })
 }
 
 // PageStatus is one FPST entry (section 3.2). Strength is the page's
@@ -115,7 +101,8 @@ type SlotStatus struct {
 }
 
 // FPST is the Flash page status table, dimensioned to the device
-// geometry: one SlotStatus per slot, block by block in one allocation.
+// geometry: one SlotStatus per slot, block by block in one allocation,
+// indexed like the device's slots (nand.Addr.SlotIndex).
 type FPST struct {
 	slots    []SlotStatus
 	saturate uint32
@@ -142,13 +129,11 @@ func NewFPST(blocks int, baseStrength ecc.Strength, baseMode wear.Mode, saturate
 
 // At returns the status entry for a Flash page. The pointer stays
 // valid for the table's lifetime.
-func (f *FPST) At(a nand.Addr) *PageStatus {
-	return &f.Slot(a.Block, a.Slot).Pages[a.Sub]
-}
+func (f *FPST) At(a nand.Addr) *PageStatus { return &f.Slot(a).Pages[a.Sub()] }
 
-// Slot returns the status of slot s of block b. The pointer stays
-// valid for the table's lifetime.
-func (f *FPST) Slot(b, s int) *SlotStatus { return &f.slots[b*nand.SlotsPerBlock+s] }
+// Slot returns the status of the slot holding page a. The pointer
+// stays valid for the table's lifetime.
+func (f *FPST) Slot(a nand.Addr) *SlotStatus { return &f.slots[a.SlotIndex()] }
 
 // Saturate returns the access-counter ceiling.
 func (f *FPST) Saturate() uint32 { return f.saturate }

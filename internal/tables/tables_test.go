@@ -25,7 +25,7 @@ func TestFCHTBasics(t *testing.T) {
 	if _, ok := f.Get(42); ok {
 		t.Fatal("empty table reported a hit")
 	}
-	a := nand.Addr{Block: 1, Slot: 2, Sub: 1}
+	a := nand.PageAddr(1, 2, 1)
 	f.Put(42, a)
 	got, ok := f.Get(42)
 	if !ok || got != a {
@@ -34,7 +34,7 @@ func TestFCHTBasics(t *testing.T) {
 	if f.Len() != 1 {
 		t.Fatalf("Len = %d", f.Len())
 	}
-	b := nand.Addr{Block: 9}
+	b := nand.PageAddr(9, 0, 0)
 	f.Put(42, b)
 	if got, _ := f.Get(42); got != b {
 		t.Fatal("Put did not replace")
@@ -50,7 +50,7 @@ func TestFCHTProperty(t *testing.T) {
 	f := newFCHT(t)
 	check := func(lbas []int64) bool {
 		for i, lba := range lbas {
-			f.Put(lba, nand.Addr{Block: i})
+			f.Put(lba, nand.PageAddr(i, 0, 0))
 		}
 		for i := len(lbas) - 1; i >= 0; i-- {
 			a, ok := f.Get(lbas[i])
@@ -64,7 +64,7 @@ func TestFCHTProperty(t *testing.T) {
 					last = j
 				}
 			}
-			if a.Block != last {
+			if a.Block() != last {
 				return false
 			}
 		}
@@ -80,7 +80,8 @@ func TestFCHTProperty(t *testing.T) {
 
 // TestFCHTPacksEveryAddress maps a distinct LBA to every Flash page of
 // a device and checks that Get, Range and Delete hand back exactly the
-// address stored, so the int32 packing loses no Block, Slot or Sub bit.
+// address stored, so the table's int32 values lose no Block, Slot or
+// Sub bit.
 func TestFCHTPacksEveryAddress(t *testing.T) {
 	for _, blocks := range []int{1, 37, 1024} {
 		f, err := NewFCHT(blocks)
@@ -92,10 +93,7 @@ func TestFCHTPacksEveryAddress(t *testing.T) {
 		for b := 0; b < blocks; b++ {
 			for s := 0; s < nand.SlotsPerBlock; s++ {
 				for sub := 0; sub < 2; sub++ {
-					a := nand.Addr{Block: b, Slot: s, Sub: sub}
-					if got := unpackAddr(packAddr(a)); got != a {
-						t.Fatalf("blocks %d: %v packs to %d, unpacks to %v", blocks, a, packAddr(a), got)
-					}
+					a := nand.PageAddr(b, s, sub)
 					f.Put(lba, a)
 					want[lba] = a
 					lba += 7919
@@ -131,16 +129,12 @@ func TestFCHTPacksEveryAddress(t *testing.T) {
 }
 
 // TestFCHTRejectsUnpackableGeometry checks the construction-time
-// bound: the block number must fit the 24 bits above Slot and Sub.
+// bound: every block must be one a nand.Addr can name.
 func TestFCHTRejectsUnpackableGeometry(t *testing.T) {
-	for _, blocks := range []int{0, -1, fchtMaxBlocks + 1} {
+	for _, blocks := range []int{0, -1, nand.MaxBlocks + 1} {
 		if _, err := NewFCHT(blocks); err == nil {
 			t.Fatalf("NewFCHT(%d) accepted", blocks)
 		}
-	}
-	top := nand.Addr{Block: fchtMaxBlocks - 1, Slot: nand.SlotsPerBlock - 1, Sub: 1}
-	if got := unpackAddr(packAddr(top)); got != top {
-		t.Fatalf("largest address %v unpacks to %v", top, got)
 	}
 }
 
@@ -149,11 +143,11 @@ func TestFPSTInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := f.At(nand.Addr{Block: 3, Slot: 63, Sub: 1})
+	st := f.At(nand.PageAddr(3, 63, 1))
 	if st.Strength != 1 || st.StagedStrength != 1 || st.Valid || st.LBA != InvalidLBA {
 		t.Fatalf("initial entry %+v", st)
 	}
-	if slot := f.Slot(3, 63); slot.StagedMode != wear.MLC || &slot.Pages[1] != st {
+	if slot := f.Slot(nand.PageAddr(3, 63, 1)); slot.StagedMode != wear.MLC || &slot.Pages[1] != st {
 		t.Fatalf("initial slot %+v does not hold the page entry at staged MLC", slot)
 	}
 	if f.Saturate() != 8 {
@@ -175,7 +169,7 @@ func TestFPSTPointerStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := nand.Addr{Block: 1, Slot: 5}
+	a := nand.PageAddr(1, 5, 0)
 	f.At(a).Valid = true
 	f.At(a).LBA = 77
 	if st := f.At(a); !st.Valid || st.LBA != 77 {
@@ -188,7 +182,7 @@ func TestFPSTIncAccessSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := nand.Addr{}
+	a := nand.PageAddr(0, 0, 0)
 	for i := 1; i <= 2; i++ {
 		if f.IncAccess(a) {
 			t.Fatalf("saturated early at %d", i)
