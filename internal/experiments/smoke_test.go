@@ -1,9 +1,21 @@
 package experiments
 
 import (
+	"flag"
 	"math"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_quick.txt")
+
+// goldenQuickFile holds every experiment's table at QuickOptions, in
+// registry order, exactly as fdcbench -exp all -scale 0.0078125 prints
+// them.
+const goldenQuickFile = "testdata/golden_quick.txt"
 
 // paperArtifacts are the tables and figures of the paper's evaluation;
 // each must have a registered runner.
@@ -13,8 +25,14 @@ var paperArtifacts = []string{
 }
 
 // TestAllExperimentsQuick checks every paper artifact is registered,
-// then executes every registered experiment at the quick scale and
-// sanity-checks the output tables.
+// then executes every registered experiment at the quick scale,
+// sanity-checks the output tables and compares each rendering with
+// testdata/golden_quick.txt. A change that moves a table on purpose
+// rewrites the file with
+//
+//	go test ./internal/experiments -run TestAllExperimentsQuick -update
+//
+// and says which tables moved and why.
 func TestAllExperimentsQuick(t *testing.T) {
 	registered := map[string]bool{}
 	for _, id := range IDs() {
@@ -25,8 +43,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 			t.Errorf("experiment %s missing from registry", id)
 		}
 	}
-	for _, id := range IDs() {
-		id := id
+	ids := IDs()
+	got := make([]string, len(ids))
+	for i, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			tab := MustRun(id, QuickOptions())
 			if tab.ID != id {
@@ -40,11 +59,67 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Fatalf("%s: row width %d != header %d", id, len(row), len(tab.Header))
 				}
 			}
-			if tab.String() == "" {
-				t.Fatal("empty rendering")
-			}
+			got[i] = tab.String() + "\n"
 		})
 	}
+	if t.Failed() {
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden tables are pinned to amd64: on %s Go may fuse x*y+z into one FMA instruction, so simulated floats can differ", runtime.GOARCH)
+	}
+	if *update {
+		if err := os.WriteFile(goldenQuickFile, []byte(strings.Join(got, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenQuickFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := splitTables(string(data))
+	if len(want) != len(ids) {
+		t.Errorf("%s holds %d tables, the registry has %d; rerun with -update", goldenQuickFile, len(want), len(ids))
+	}
+	for i, id := range ids {
+		w, ok := want[id]
+		if !ok {
+			t.Errorf("%s: no golden table; rerun with -update", id)
+			continue
+		}
+		if got[i] == w {
+			continue
+		}
+		g, wl := strings.Split(got[i], "\n"), strings.Split(w, "\n")
+		for n := 0; ; n++ {
+			if n >= len(g) || n >= len(wl) || g[n] != wl[n] {
+				t.Errorf("%s differs from the golden at line %d\n got: %s\nwant: %s", id, n+1, lineAt(g, n), lineAt(wl, n))
+				break
+			}
+		}
+	}
+}
+
+// splitTables cuts a golden text into its tables at the "== id: "
+// header lines that Table.String writes first.
+func splitTables(text string) map[string]string {
+	tabs := map[string]string{}
+	id := ""
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ = strings.Cut(rest, ":")
+		}
+		tabs[id] += line
+	}
+	return tabs
+}
+
+func lineAt(lines []string, n int) string {
+	if n >= len(lines) {
+		return "(end of output)"
+	}
+	return strconv.Quote(lines[n])
 }
 
 // TestRunRejectsBadOptions: a scale outside [0, 1] or a negative
