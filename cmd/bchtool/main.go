@@ -61,15 +61,7 @@ func main() {
 		}
 		spare := codec.Encode(s, page)
 
-		// Inject distinct bit errors.
-		seen := map[int]bool{}
-		for len(seen) < *nErrors {
-			pos := rng.Intn(ecc.PageSize * 8)
-			if !seen[pos] {
-				seen[pos] = true
-				page[pos/8] ^= 1 << (pos % 8)
-			}
-		}
+		ecc.FlipBits(rng, *nErrors, page, nil)
 
 		n, err := codec.Decode(s, page, spare)
 		if err != nil {

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"flashdc/internal/cmdtest"
+	"flashdc/internal/policy"
 	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
@@ -52,6 +54,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-faults", "read=0.1,flipmax=-3"}, "-3 flips is negative"},
 		{[]string{"-faults", "bad=-1"}, "block -1 is negative"},
 		{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
+		{[]string{"-policy-gc", "definitely-not-a-policy"}, "unknown gc policy"},
+		// A deleted policy name is as unknown as a misspelled one.
 		{[]string{"-policy-gc", "windowed-greedy"}, "unknown gc policy"},
 		{[]string{"-metrics-interval", "10ms"}, "-metrics-interval takes snapshots only -metrics-out or -http reads"},
 		{[]string{"-trace-cap", "64"}, "-trace-cap sizes the event buffer only -trace-events writes"},
@@ -85,21 +89,40 @@ func TestValidRun(t *testing.T) {
 	}
 }
 
+// TestListPolicies: -list-policies prints one line per policy kind
+// and exits 0 without simulating.
+func TestListPolicies(t *testing.T) {
+	code, stdout, stderr := cmdtest.Run(t, "-list-policies")
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+	for _, kind := range policy.Kinds() {
+		if !strings.Contains(stdout, fmt.Sprintf("(default %s)", policy.DefaultName(kind))) {
+			t.Errorf("stdout lacks the %s default:\n%s", kind, stdout)
+		}
+	}
+	if strings.Contains(stdout, "requests:") {
+		t.Errorf("-list-policies ran a simulation:\n%s", stdout)
+	}
+}
+
 // TestTraceFormats: -trace tells the two trace formats apart by their
-// first bytes, so the same stream as a text file and as an FDCT file
-// prints byte-identical reports, and a truncated FDCT file is an input
-// error (exit 1).
+// first bytes, and a generated workload and the same stream as a text
+// file and as an FDCT file take one driving path, so all three print
+// byte-identical reports. A truncated FDCT file is an input error
+// (exit 1).
 func TestTraceFormats(t *testing.T) {
 	gen, err := workload.New("alpha2", 0.0625, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]trace.Request, 5000)
+	reqs := make([]trace.Request, 50000)
 	if n := workload.AsSource(gen).Next(reqs); n != len(reqs) {
 		t.Fatalf("generated %d requests, want %d", n, len(reqs))
 	}
-	var text bytes.Buffer
-	tw := trace.NewWriter(&text)
+	// The text file opens with a comment line, as tracegen writes it.
+	text := bytes.NewBufferString("# workload=alpha2 scale=0.0625 seed=3\n")
+	tw := trace.NewWriter(text)
 	bin := trace.AppendBinaryHeader(nil)
 	for _, r := range reqs {
 		if err := tw.Write(r); err != nil {
@@ -121,26 +144,32 @@ func TestTraceFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replay := func(name string) (int, string, string) {
-		return cmdtest.Run(t, "-trace", filepath.Join(dir, name),
-			"-dram", "1M", "-flash", "8M", "-requests", "5000", "-shards", "2")
-	}
-	code, textOut, stderr := replay("alpha2.trace")
-	if code != 0 {
-		t.Fatalf("text trace: exit code %d, want 0; stderr:\n%s", code, stderr)
-	}
-	code, binOut, stderr := replay("alpha2.fdct")
-	if code != 0 {
-		t.Fatalf("FDCT trace: exit code %d, want 0; stderr:\n%s", code, stderr)
-	}
-	if textOut != binOut {
-		t.Fatalf("text and FDCT replays differ:\n--- text\n%s\n--- FDCT\n%s", textOut, binOut)
-	}
-	if !strings.Contains(textOut, "requests:") {
-		t.Fatalf("stdout lacks the report:\n%s", textOut)
-	}
-	if code, _, stderr := replay("truncated.fdct"); code != 1 {
-		t.Fatalf("truncated FDCT trace: exit code %d, want 1; stderr:\n%s", code, stderr)
+	for _, flags := range [][]string{
+		{"-dram", "1M", "-flash", "8M", "-requests", "5000", "-shards", "2"},
+		{"-requests", "50000", "-shards", "4"},
+	} {
+		replay := func(input ...string) (int, string, string) {
+			return cmdtest.Run(t, append(append(input, "-seed", "3"), flags...)...)
+		}
+		code, genOut, stderr := replay("-workload", "alpha2", "-scale", "0.0625")
+		if code != 0 {
+			t.Fatalf("%v: generated workload: exit code %d, want 0; stderr:\n%s", flags, code, stderr)
+		}
+		if !strings.Contains(genOut, "requests:") {
+			t.Fatalf("%v: stdout lacks the report:\n%s", flags, genOut)
+		}
+		for _, name := range []string{"alpha2.trace", "alpha2.fdct"} {
+			code, out, stderr := replay("-trace", filepath.Join(dir, name))
+			if code != 0 {
+				t.Fatalf("%v: %s: exit code %d, want 0; stderr:\n%s", flags, name, code, stderr)
+			}
+			if out != genOut {
+				t.Fatalf("%v: %s and generated replays differ:\n--- %s\n%s\n--- generated\n%s", flags, name, name, out, genOut)
+			}
+		}
+		if code, _, stderr := replay("-trace", filepath.Join(dir, "truncated.fdct")); code != 1 {
+			t.Fatalf("%v: truncated FDCT trace: exit code %d, want 1; stderr:\n%s", flags, code, stderr)
+		}
 	}
 }
 

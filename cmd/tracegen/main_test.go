@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"flashdc/internal/cmdtest"
+	"flashdc/internal/trace"
+	"flashdc/internal/workload"
 )
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
@@ -52,5 +57,56 @@ func TestValidRun(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
 	if len(lines) != 11 || !strings.HasPrefix(lines[0], "# workload=alpha1 ") {
 		t.Fatalf("want a header and 10 requests, got:\n%s", stdout)
+	}
+}
+
+// TestFilesHoldTheGeneratedStream: the text and binary files tracegen
+// writes hold exactly the generator's request stream, as the trace
+// package's writers encode it (the text file after its header line),
+// so replaying either through fdcsim -trace is replaying the generated
+// workload.
+func TestFilesHoldTheGeneratedStream(t *testing.T) {
+	const requests = 50000
+	g := workload.MustNew("alpha2", 0.0625, 3)
+	var text bytes.Buffer
+	tw := trace.NewWriter(&text)
+	bin := trace.AppendBinaryHeader(nil)
+	for i := 0; i < requests; i++ {
+		r := g.Next()
+		if err := tw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+		bin = trace.AppendBinary(bin, r)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		file string
+		args []string
+		want []byte
+	}{
+		{"alpha2.fdct", []string{"-binary"}, bin},
+		{"alpha2.trace", nil, text.Bytes()},
+	} {
+		args := append(tc.args, "-workload", "alpha2", "-scale", "0.0625", "-seed", "3", "-requests", "50000", "-o", tc.file)
+		if code, _, stderr := cmdtest.RunIn(t, dir, args...); code != 0 {
+			t.Fatalf("tracegen %s: exit code %d; stderr:\n%s", strings.Join(args, " "), code, stderr)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.args == nil {
+			header, rest, _ := bytes.Cut(got, []byte("\n"))
+			if !bytes.HasPrefix(header, []byte("# workload=alpha2 ")) {
+				t.Errorf("%s opens with %q, want the header line", tc.file, header)
+			}
+			got = rest
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s does not hold the generated stream (%d bytes, want %d)", tc.file, len(got), len(tc.want))
+		}
 	}
 }

@@ -1,13 +1,13 @@
 // Integrity: data survives the things that go wrong. Part 1 shows the
-// section 4 controller pipeline on real bytes — store 2KB pages with
-// BCH+CRC protection on the simulated NAND device, age the device
-// until wear flips actual bits, and watch the real decoder recover the
-// data (and report honestly when the code is too weak). Part 2 runs a
-// full fault-injection campaign against the cache: transient read
-// flips, program/erase failures and grown bad blocks hammer the
-// device, while the controller answers with read retries, remapping,
-// block retirement and background scrubbing — and an end-of-run audit
-// proves no cached page ever served wrong data.
+// section 4 controller pipeline on real bytes — protect a 2KB page
+// with BCH+CRC, age a simulated NAND block until its reads report
+// worn cells, flip that many bits of the page, and watch the real
+// decoder recover the data (and report honestly when the code is too
+// weak). Part 2 runs a full fault-injection campaign against the
+// cache: transient read flips, program/erase failures and grown bad
+// blocks hammer the device, while the controller answers with read
+// retries, remapping, block retirement and background scrubbing — and
+// an end-of-run audit proves no cached page ever served wrong data.
 package main
 
 import (
@@ -27,12 +27,20 @@ func main() {
 	campaignDemo()
 }
 
+// wornRNG seeds the bit flips of page a from the device seed, the
+// address and the block's erase count, so a worn page fails the same
+// way on every read until its block is erased.
+func wornRNG(seed uint64, a nand.Addr, erases int) *sim.RNG {
+	return sim.NewRNG(seed ^ uint64(a.Block())<<40 ^ uint64(a.Slot())<<24 ^ uint64(a.Sub())<<16 ^ uint64(erases))
+}
+
 // codecDemo: one page, real wear, real BCH decode.
 func codecDemo() {
+	const seed = 42
 	dev := nand.New(nand.Config{
 		Blocks:           4,
 		InitialMode:      wear.MLC,
-		Seed:             42,
+		Seed:             seed,
 		WearAcceleration: 3000, // compress years of wear into the demo
 	})
 	codec := ecc.NewCodec()
@@ -57,20 +65,25 @@ func codecDemo() {
 			t = 1
 		}
 		spare := codec.Encode(t, payload)
-		if _, err := dev.ProgramPage(nand.PageAddr(0, 0, 0), 1, payload, spare); err != nil {
+		a := nand.PageAddr(0, 0, 0)
+		if _, err := dev.Program(a, 1); err != nil {
 			panic(err)
 		}
-		buf, res, err := dev.ReadPage(nand.PageAddr(0, 0, 0))
+		res, err := dev.Read(a)
 		if err != nil {
 			panic(err)
 		}
+		// The device stores the page's token, not its bytes: flip the
+		// worn cells in the demo's own copy of the page.
+		data := bytes.Clone(payload)
+		ecc.FlipBits(wornRNG(seed, a, dev.EraseCount(0)), res.BitErrors, data, spare)
 		fmt.Printf("ECC strength t=%d against %d worn cells:\n", t, res.BitErrors)
-		corrected, decErr := codec.Decode(t, buf.Data, buf.Spare)
+		corrected, decErr := codec.Decode(t, data, spare)
 		switch {
 		case decErr != nil:
 			fmt.Printf("  decoder: %v (the programmable controller would now\n", decErr)
 			fmt.Println("  stage a stronger code or an MLC->SLC switch, section 5.2)")
-		case bytes.Equal(buf.Data, payload):
+		case bytes.Equal(data, payload):
 			fmt.Printf("  recovered bit-exact after correcting %d errors\n", corrected)
 		default:
 			fmt.Println("  SILENT CORRUPTION — must never happen")

@@ -94,15 +94,10 @@ type (
 // DRAM-only baseline.
 func NewSystem(cfg SystemConfig) *System { return hier.New(cfg) }
 
-// Degraded-service conditions System.Handle reports alongside the
-// simulated latency; test with errors.Is.
-var (
-	// ErrFlashBypassed marks a run whose Flash tier failed to restore
-	// from a metadata image and was left out of the hierarchy.
-	ErrFlashBypassed = hier.ErrFlashBypassed
-	// ErrFlashDead marks a run whose Flash cache wore out entirely.
-	ErrFlashDead = hier.ErrFlashDead
-)
+// ErrFlashDead is the degraded-service condition System.Err and
+// Engine.Err report once a Flash cache has worn out entirely; test
+// with errors.Is.
+var ErrFlashDead = hier.ErrFlashDead
 
 // Sharded simulation engine: hash-partitions the LBA space across
 // independent per-shard hierarchies replayed concurrently, with

@@ -1,10 +1,11 @@
 package flashdc
 
-// End-to-end integrity: real 2KB payloads stored on the simulated NAND
-// device, corrupted by wear-driven bit flips, and recovered by the
-// *actual* BCH+CRC codec — the full section 4 pipeline on real data,
-// not latency bookkeeping. This is the test that ties internal/nand,
-// internal/wear, internal/ecc and internal/bch together.
+// End-to-end integrity: real 2KB pages protected by the *actual*
+// BCH+CRC codec, corrupted by exactly the bit errors the simulated
+// NAND device reports for a worn page, and recovered by the decoder —
+// the full section 4 pipeline on real data, not latency bookkeeping.
+// This is the test that ties internal/nand, internal/wear,
+// internal/ecc and internal/bch together.
 
 import (
 	"bytes"
@@ -17,31 +18,40 @@ import (
 	"flashdc/internal/wear"
 )
 
-// storePage encodes data at the given strength and programs it with
-// its spare image.
+// storePage programs a token at a and returns data's spare image at
+// the given strength. The device holds the token; the test keeps the
+// bytes.
 func storePage(t *testing.T, dev *nand.Device, codec *ecc.Codec, a nand.Addr,
-	s ecc.Strength, data []byte) {
+	s ecc.Strength, data []byte) []byte {
 	t.Helper()
-	spare := codec.Encode(s, data)
-	if _, err := dev.ProgramPage(a, 0, data, spare); err != nil {
+	if _, err := dev.Program(a, 0); err != nil {
 		t.Fatal(err)
 	}
+	return codec.Encode(s, data)
 }
 
-// loadPage reads a page back and runs the real decoder at the given
-// strength.
-func loadPage(dev *nand.Device, codec *ecc.Codec, a nand.Addr,
-	s ecc.Strength) ([]byte, int, error) {
-	buf, _, err := dev.ReadPage(a)
+// loadPage reads page a, flips as many bits of a copy of data and
+// spare as the device reports, and runs the real decoder at the given
+// strength. The flips are seeded from the device seed, the address
+// and the erase count, so a worn page fails the same way on every
+// read.
+func loadPage(dev *nand.Device, seed uint64, codec *ecc.Codec, a nand.Addr,
+	s ecc.Strength, data, spare []byte) ([]byte, int, error) {
+	res, err := dev.Read(a)
 	if err != nil {
 		return nil, 0, err
 	}
-	corrected, err := codec.Decode(s, buf.Data, buf.Spare)
-	return buf.Data, corrected, err
+	data, spare = bytes.Clone(data), bytes.Clone(spare)
+	rng := sim.NewRNG(seed ^ uint64(a.Block())<<40 ^ uint64(a.Slot())<<24 ^ uint64(a.Sub())<<16 ^
+		uint64(dev.EraseCount(a.Block())))
+	ecc.FlipBits(rng, res.BitErrors, data, spare)
+	corrected, err := codec.Decode(s, data, spare)
+	return data, corrected, err
 }
 
 func TestEndToEndIntegrityFreshDevice(t *testing.T) {
-	dev := nand.New(nand.Config{Blocks: 2, InitialMode: wear.SLC, Seed: 1})
+	const seed = 1
+	dev := nand.New(nand.Config{Blocks: 2, InitialMode: wear.SLC, Seed: seed})
 	codec := ecc.NewCodec()
 	rng := sim.NewRNG(2)
 	for slot := 0; slot < 8; slot++ {
@@ -50,8 +60,8 @@ func TestEndToEndIntegrityFreshDevice(t *testing.T) {
 			data[i] = byte(rng.Uint64())
 		}
 		a := nand.PageAddr(0, slot, 0)
-		storePage(t, dev, codec, a, 4, data)
-		got, corrected, err := loadPage(dev, codec, a, 4)
+		spare := storePage(t, dev, codec, a, 4, data)
+		got, corrected, err := loadPage(dev, seed, codec, a, 4, data, spare)
 		if err != nil || corrected != 0 {
 			t.Fatalf("fresh page slot %d: corrected=%d err=%v", slot, corrected, err)
 		}
@@ -77,8 +87,9 @@ func ageDevice(t *testing.T, dev *nand.Device, target int, budget int) int {
 }
 
 func TestEndToEndIntegrityWornDevice(t *testing.T) {
+	const seed = 3
 	dev := nand.New(nand.Config{
-		Blocks: 2, InitialMode: wear.MLC, Seed: 3, WearAcceleration: 3000,
+		Blocks: 2, InitialMode: wear.MLC, Seed: seed, WearAcceleration: 3000,
 	})
 	codec := ecc.NewCodec()
 	errs := ageDevice(t, dev, 3, 500)
@@ -95,8 +106,8 @@ func TestEndToEndIntegrityWornDevice(t *testing.T) {
 	// Strength covering the wear: the real decoder must restore the
 	// exact bytes despite the device flipping errs cells.
 	strength := ecc.Strength(errs + 2)
-	storePage(t, dev, codec, a, strength, data)
-	got, corrected, err := loadPage(dev, codec, a, strength)
+	spare := storePage(t, dev, codec, a, strength, data)
+	got, corrected, err := loadPage(dev, seed, codec, a, strength, data, spare)
 	if err != nil {
 		t.Fatalf("decode on worn device: %v", err)
 	}
@@ -109,8 +120,9 @@ func TestEndToEndIntegrityWornDevice(t *testing.T) {
 }
 
 func TestEndToEndUnderProvisionedStrengthFails(t *testing.T) {
+	const seed = 5
 	dev := nand.New(nand.Config{
-		Blocks: 2, InitialMode: wear.MLC, Seed: 5, WearAcceleration: 3000,
+		Blocks: 2, InitialMode: wear.MLC, Seed: seed, WearAcceleration: 3000,
 	})
 	codec := ecc.NewCodec()
 	errs := ageDevice(t, dev, 4, 600)
@@ -128,8 +140,8 @@ func TestEndToEndUnderProvisionedStrengthFails(t *testing.T) {
 	if weak < 1 {
 		weak = 1
 	}
-	storePage(t, dev, codec, a, weak, data)
-	_, _, err := loadPage(dev, codec, a, weak)
+	spare := storePage(t, dev, codec, a, weak, data)
+	_, _, err := loadPage(dev, seed, codec, a, weak, data, spare)
 	if err == nil {
 		t.Fatalf("decode at t=%d succeeded despite %d worn cells", weak, errs)
 	}
@@ -144,8 +156,9 @@ func TestEndToEndDensityReductionRecoversPage(t *testing.T) {
 	// The section 5.2.1 density response, on real bytes: a block worn
 	// beyond its MLC correction budget becomes reliable again when the
 	// slot switches to SLC mode (10x endurance margin).
+	const seed = 7
 	dev := nand.New(nand.Config{
-		Blocks: 2, InitialMode: wear.MLC, Seed: 7, WearAcceleration: 3000,
+		Blocks: 2, InitialMode: wear.MLC, Seed: seed, WearAcceleration: 3000,
 	})
 	codec := ecc.NewCodec()
 	errs := ageDevice(t, dev, 5, 800)
@@ -175,8 +188,8 @@ func TestEndToEndDensityReductionRecoversPage(t *testing.T) {
 		t.Skipf("even SLC mode has %d errors; wear too advanced for t=%d", slcErrs, strength)
 	}
 	a := nand.PageAddr(0, 0, 0)
-	storePage(t, dev, codec, a, strength, data)
-	got, _, err := loadPage(dev, codec, a, strength)
+	spare := storePage(t, dev, codec, a, strength, data)
+	got, _, err := loadPage(dev, seed, codec, a, strength, data, spare)
 	if err != nil {
 		t.Fatalf("SLC-mode decode failed: %v", err)
 	}

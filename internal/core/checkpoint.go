@@ -82,9 +82,8 @@ type CacheCheckpoint struct {
 }
 
 // Checkpoint captures the cache's complete state. The cache must be
-// quiescent (no in-flight operation). It fails on payload-carrying
-// devices, which the token-driven simulation paths never create, and
-// on non-default scheduler geometry: the per-channel/per-bank
+// quiescent (no in-flight operation). It fails only on non-default
+// scheduler geometry: the per-channel/per-bank
 // timelines and pending coalescing-buffer flushes are not serialised
 // (BusyUntil carries the whole story only for the serial 1×1 device),
 // so campaigns checkpoint at the default geometry or not at all —
@@ -93,23 +92,19 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 	if c.sched.Active() {
 		return nil, fmt.Errorf("core: checkpointing is not supported with a non-default NAND scheduler (channels/banks/write buffer)")
 	}
-	return c.checkpoint()
+	return c.checkpoint(), nil
 }
 
 // checkpoint captures the cache's complete state without the scheduler
 // guard: the metadata image clears the scheduler's timeline anyway.
-func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
-	dev, err := c.dev.Checkpoint()
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpointing device: %w", err)
-	}
+func (c *Cache) checkpoint() *CacheCheckpoint {
 	ck := &CacheCheckpoint{
 		FlashBytes: c.cfg.FlashBytes,
 		Slots:      make([][]tables.SlotStatus, len(c.meta)),
 		Blocks:     make([]CheckpointBlock, len(c.meta)),
 		Regions:    make([]CheckpointRegion, len(c.regions)),
 		FGST:       c.fgst,
-		Device:     dev,
+		Device:     c.dev.Checkpoint(),
 
 		Stats:        c.stats,
 		Seq:          c.seq,
@@ -159,7 +154,7 @@ func (c *Cache) checkpoint() (*CacheCheckpoint, error) {
 		}
 		ck.Regions[i] = cr
 	}
-	return ck, nil
+	return ck
 }
 
 // maxEraseCount bounds the per-block erase count a checkpoint may

@@ -85,15 +85,13 @@ type Config struct {
 	// reconfiguration heuristics charge for a lost page.
 	MissPenalty sim.Duration
 	// ForcedStrength, when non-zero, pins every page to one ECC
-	// strength and disables the programmable controller — the Figure
-	// 10 study ("all Flash blocks have the same ECC strength
-	// applied"). Values beyond the hardware limit of 12 are allowed
-	// to capture the performance trend, as the paper does.
+	// strength, disables the programmable controller and charges the
+	// full BCH decode pipeline on every hit, modelling an aged device
+	// where errors are always present — the Figure 10 study ("all
+	// Flash blocks have the same ECC strength applied"). Values beyond
+	// the hardware limit of 12 are allowed to capture the performance
+	// trend, as the paper does.
 	ForcedStrength ecc.Strength
-	// AssumeWorn charges the full BCH decode pipeline on every hit,
-	// modelling an aged device where errors are always present
-	// (Figure 10's premise).
-	AssumeWorn bool
 	// Seed drives wear sampling.
 	Seed uint64
 	// Backing receives dirty write-backs; nil discards (counted).

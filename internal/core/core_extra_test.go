@@ -150,7 +150,7 @@ func TestForcedStrengthPinsPages(t *testing.T) {
 // TestForcedStrengthRoundTrip pins that a cache accepts its own
 // metadata image and checkpoint at a forced strength beyond the
 // controller limit: the Figure 10 caches go up to 64, so rejecting
-// them would cold-start recovery and bypass the tier.
+// them would force a cold start.
 func TestForcedStrengthRoundTrip(t *testing.T) {
 	for _, s := range []ecc.Strength{12, 16} {
 		t.Run(fmt.Sprint(s), func(t *testing.T) {
@@ -166,7 +166,7 @@ func TestForcedStrengthRoundTrip(t *testing.T) {
 			if err := c.SaveMetadata(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadMetadata(cfg, &buf)
+			loaded, err := loadMetadata(cfg, &buf)
 			if err != nil {
 				t.Fatalf("metadata image: %v", err)
 			}
@@ -199,9 +199,11 @@ func TestForcedStrengthValidation(t *testing.T) {
 	New(cfg)
 }
 
+// TestAssumeWornChargesFullDecode: a forced strength models a worn
+// device, so every hit pays the full decode even with no bit errors.
 func TestAssumeWornChargesFullDecode(t *testing.T) {
 	base := smallCache(t, nil)
-	worn := smallCache(t, func(cfg *Config) { cfg.AssumeWorn = true })
+	worn := smallCache(t, func(cfg *Config) { cfg.ForcedStrength = 1 })
 	base.Insert(1)
 	worn.Insert(1)
 	lFresh := base.Read(1).Latency

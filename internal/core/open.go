@@ -35,10 +35,7 @@ func WithObserver(ob *obs.Observer) OpenOption {
 // describes how the cache came up; its Err field carries the load
 // failure when a cold start was forced (only possible with
 // WithRecovery — without it the failure is returned as the error and
-// the cache is nil).
-//
-// Open subsumes LoadMetadata (Open with a reader) and New (Open with a
-// nil reader).
+// the cache is nil). With a nil reader Open cannot fail.
 func Open(cfg Config, r io.Reader, opts ...OpenOption) (*Cache, RecoveryReport, error) {
 	var set openSettings
 	for _, opt := range opts {
@@ -54,7 +51,7 @@ func Open(cfg Config, r io.Reader, opts ...OpenOption) (*Cache, RecoveryReport, 
 	if r == nil {
 		return attach(New(cfg), "fresh"), RecoveryReport{}, nil
 	}
-	c, err := LoadMetadata(cfg, r)
+	c, err := loadMetadata(cfg, r)
 	if err == nil {
 		return attach(c, "image"), RecoveryReport{}, nil
 	}

@@ -26,7 +26,7 @@ func TestOpenFresh(t *testing.T) {
 	}
 }
 
-// TestOpenImage: a clean image restores, matching LoadMetadata.
+// TestOpenImage: a clean image restores, matching loadMetadata.
 func TestOpenImage(t *testing.T) {
 	cfg, img := savedImage(t)
 	c, rep, err := Open(cfg, bytes.NewReader(img))
@@ -36,12 +36,12 @@ func TestOpenImage(t *testing.T) {
 	if rep.ColdStart {
 		t.Fatalf("clean image cold-started: %+v", rep)
 	}
-	want, err := LoadMetadata(cfg, bytes.NewReader(img))
+	want, err := loadMetadata(cfg, bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.ValidPages() != want.ValidPages() || c.ValidPages() == 0 {
-		t.Fatalf("Open restored %d pages, LoadMetadata %d", c.ValidPages(), want.ValidPages())
+		t.Fatalf("Open restored %d pages, loadMetadata %d", c.ValidPages(), want.ValidPages())
 	}
 }
 

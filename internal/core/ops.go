@@ -76,7 +76,7 @@ func (c *Cache) Read(lba int64) ReadOutcome {
 	}
 
 	lat := res.Latency + retryLat
-	if res.BitErrors > 0 || c.cfg.AssumeWorn {
+	if res.BitErrors > 0 || c.cfg.ForcedStrength != 0 {
 		lat += c.lat.DecodeLatency(st.Strength)
 	} else {
 		lat += c.lat.DecodeLatencyClean(st.Strength)

@@ -37,12 +37,12 @@ import (
 //	offset 16  gob-encoded CacheCheckpoint (payload)
 //	trailer    CRC-32 over header+payload (crcx engine, 4 bytes LE)
 //
-// LoadMetadata refuses anything that fails the magic, version, length,
-// CRC or semantic validation with an error matching ErrCorruptMetadata;
-// it never builds a cache from a suspect image. Open with WithRecovery
-// is the degraded path: same checks, but a rejected image yields a cold
-// (empty) cache plus a RecoveryReport instead of an error — the Flash
-// contents are lost as cache state, but no wrong data is ever served.
+// Open refuses anything that fails the magic, version, length, CRC or
+// semantic validation with an error matching ErrCorruptMetadata; it
+// never builds a cache from a suspect image. With WithRecovery the
+// same checks run, but a rejected image yields a cold (empty) cache
+// plus a RecoveryReport instead of an error — the Flash contents are
+// lost as cache state, but no wrong data is ever served.
 
 // ErrCorruptMetadata tags every corruption-class load failure:
 // truncation, bad magic, wrong version, CRC mismatch, gob decode
@@ -57,12 +57,9 @@ const (
 
 // SaveMetadata writes the cache-state image to w inside the
 // self-validating envelope. The cache must be quiescent (no in-flight
-// operation). Like Checkpoint, it fails on payload-carrying devices.
+// operation). It fails only when w does.
 func (c *Cache) SaveMetadata(w io.Writer) error {
-	ck, err := c.checkpoint()
-	if err != nil {
-		return err
-	}
+	ck := c.checkpoint()
 	ck.Stats = Stats{RetiredBlocks: ck.Stats.RetiredBlocks}
 	ck.Device.Stats = nand.Stats{}
 	for b := range ck.Device.Blocks {
@@ -87,16 +84,15 @@ func decodeEnvelope(r io.Reader) (*CacheCheckpoint, error) {
 	return &ck, nil
 }
 
-// LoadMetadata rebuilds a cache from a metadata image and the original
-// configuration. The configuration must match the one the image was
-// saved under (same FlashBytes, Split, Seed — the wear trajectories
-// are re-derived from them).
+// loadMetadata rebuilds a cache from a metadata image and the original
+// configuration; Open is its one caller. The configuration must match
+// the one the image was saved under (same FlashBytes, Split, Seed —
+// the wear trajectories are re-derived from them).
 //
 // A truncated, bit-flipped or internally inconsistent image is
 // rejected with an error wrapping ErrCorruptMetadata; the function
-// never returns a cache built from a suspect image. See Open with
-// WithRecovery for the degraded cold-start path.
-func LoadMetadata(cfg Config, r io.Reader) (*Cache, error) {
+// never returns a cache built from a suspect image.
+func loadMetadata(cfg Config, r io.Reader) (*Cache, error) {
 	ck, err := decodeEnvelope(r)
 	if err != nil {
 		return nil, err

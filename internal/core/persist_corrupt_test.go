@@ -40,7 +40,7 @@ func TestLoadMetadataRejectsTruncation(t *testing.T) {
 	}
 	cuts = append(cuts, len(img)-1)
 	for _, n := range cuts {
-		c, err := LoadMetadata(cfg, bytes.NewReader(img[:n]))
+		c, err := loadMetadata(cfg, bytes.NewReader(img[:n]))
 		if err == nil {
 			t.Fatalf("image truncated to %d/%d bytes accepted", n, len(img))
 		}
@@ -71,7 +71,7 @@ func TestLoadMetadataRejectsBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), img...)
 			mut[off] ^= 1 << bit
-			c, err := LoadMetadata(cfg, bytes.NewReader(mut))
+			c, err := loadMetadata(cfg, bytes.NewReader(mut))
 			if err == nil {
 				t.Fatalf("bit %d of byte %d flipped, image accepted", bit, off)
 			}
@@ -100,7 +100,7 @@ func TestLoadMetadataRejectsSemanticGarbage(t *testing.T) {
 		if err := envelope.Write(&buf, persistMagic, persistVersion, ck); err != nil {
 			t.Fatal(err)
 		}
-		_, err = LoadMetadata(cfg, &buf)
+		_, err = loadMetadata(cfg, &buf)
 		return err
 	}
 	cases := map[string]func(*CacheCheckpoint){

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzLoadMetadata asserts the recovery contract over arbitrary bytes:
-// LoadMetadata never panics, and when it does accept an input, the
+// loadMetadata never panics, and when it does accept an input, the
 // resulting cache passes the full integrity audit (every mapping in
 // range and consistent) — i.e. corruption is either rejected or
 // impossible, never silent. The config is the 4-block minimum so each
@@ -36,7 +36,7 @@ func FuzzLoadMetadata(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := LoadMetadata(cfg, bytes.NewReader(data))
+		got, err := loadMetadata(cfg, bytes.NewReader(data))
 		if err != nil {
 			if got != nil {
 				t.Fatal("error return carried a cache")

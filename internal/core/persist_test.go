@@ -60,7 +60,7 @@ func TestSaveLoadMetadataRoundTrip(t *testing.T) {
 			if err := c.SaveMetadata(&buf); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := LoadMetadata(cfg, &buf)
+			restored, err := loadMetadata(cfg, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestWarmRestartContinuesLikeUnbrokenRun(t *testing.T) {
 	if err := c.SaveMetadata(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadMetadata(cfg, &buf)
+	loaded, err := loadMetadata(cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRestoredCacheKeepsWorking(t *testing.T) {
 	if err := c.SaveMetadata(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadMetadata(cfg, &buf)
+	restored, err := loadMetadata(cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestLoadMetadataValidation(t *testing.T) {
 	// Mismatched capacity must be rejected.
 	other := DefaultConfig(16 * testMB)
 	other.Seed = 79
-	if _, err := LoadMetadata(other, bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := loadMetadata(other, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("capacity mismatch accepted")
 	}
 	// Garbage input must error, not panic.
-	if _, err := LoadMetadata(cfg, bytes.NewReader([]byte("not gob"))); err == nil {
+	if _, err := loadMetadata(cfg, bytes.NewReader([]byte("not gob"))); err == nil {
 		t.Fatal("garbage metadata accepted")
 	}
 }

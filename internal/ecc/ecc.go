@@ -13,6 +13,7 @@ import (
 
 	"flashdc/internal/bch"
 	"flashdc/internal/crcx"
+	"flashdc/internal/sim"
 )
 
 // PageSize is the Flash page data size the controller is wired for.
@@ -138,4 +139,28 @@ func (c *Codec) Decode(s Strength, data, spare []byte) (int, error) {
 		return 0, ErrSilentCorruption
 	}
 	return res.Corrected, nil
+}
+
+// FlipBits flips n distinct bits of a page image, drawn uniformly from
+// the data area followed by the spare area (nil for data only), and
+// caps n at the bits there are. The positions depend only on rng, so
+// a caller that seeds it from the page's address and erase count sees
+// a worn page fail the same way on every read (section 5.2.1).
+func FlipBits(rng *sim.RNG, n int, data, spare []byte) {
+	dataBits := len(data) * 8
+	total := dataBits + len(spare)*8
+	n = min(n, total)
+	seen := make(map[int]bool, n)
+	for len(seen) < n {
+		pos := rng.Intn(total)
+		if seen[pos] {
+			continue
+		}
+		seen[pos] = true
+		if pos < dataBits {
+			data[pos/8] ^= 1 << (pos % 8)
+		} else {
+			spare[(pos-dataBits)/8] ^= 1 << ((pos - dataBits) % 8)
+		}
+	}
 }

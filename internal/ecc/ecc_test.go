@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -17,15 +18,54 @@ func randomPage(seed uint64) []byte {
 	return page
 }
 
-func flip(page []byte, rng *sim.RNG, n int) {
-	seen := map[int]bool{}
-	for len(seen) < n {
-		pos := rng.Intn(len(page) * 8)
-		if seen[pos] {
-			continue
+func flip(page []byte, rng *sim.RNG, n int) { FlipBits(rng, n, page, nil) }
+
+// countFlips returns the number of bits in which a and b differ.
+func countFlips(a, b []byte) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount8(a[i] ^ b[i])
+	}
+	return n
+}
+
+// TestFlipBits: exactly n distinct bits flip, the same seed flips the
+// same positions, n is capped at the bits of the image, and a nil
+// spare confines the flips to the data area.
+func TestFlipBits(t *testing.T) {
+	data, spare := randomPage(1), randomPage(2)[:SpareSize]
+	for _, n := range []int{0, 1, 7, 64, 500} {
+		d1, s1 := bytes.Clone(data), bytes.Clone(spare)
+		FlipBits(sim.NewRNG(9), n, d1, s1)
+		if got := countFlips(d1, data) + countFlips(s1, spare); got != n {
+			t.Fatalf("n=%d: %d bits flipped", n, got)
 		}
-		seen[pos] = true
-		page[pos/8] ^= 1 << (pos % 8)
+		d2, s2 := bytes.Clone(data), bytes.Clone(spare)
+		FlipBits(sim.NewRNG(9), n, d2, s2)
+		if !bytes.Equal(d1, d2) || !bytes.Equal(s1, s2) {
+			t.Fatalf("n=%d: the same seed flipped different bits", n)
+		}
+	}
+	sawSpare := false
+	for seed := uint64(0); seed < 50 && !sawSpare; seed++ {
+		s := bytes.Clone(spare)
+		FlipBits(sim.NewRNG(seed), 100, bytes.Clone(data), s)
+		sawSpare = countFlips(s, spare) > 0
+	}
+	if !sawSpare {
+		t.Fatal("no flip ever landed in the spare area")
+	}
+
+	small, smallSpare := []byte{0x0F, 0xF0}, []byte{0xAA}
+	FlipBits(sim.NewRNG(3), 1000, small, smallSpare)
+	if small[0] != 0xF0 || small[1] != 0x0F || smallSpare[0] != 0x55 {
+		t.Fatalf("n past the image did not flip every bit once: % x % x", small, smallSpare)
+	}
+
+	d := bytes.Clone(data)
+	FlipBits(sim.NewRNG(4), 300, d, nil)
+	if got := countFlips(d, data); got != 300 {
+		t.Fatalf("nil spare: %d data bits flipped, want 300", got)
 	}
 }
 

@@ -52,7 +52,7 @@ func (e *Engine) Checkpoint(fingerprint string, consumed int64) (*Checkpoint, er
 		Systems:     make([]hier.SystemCheckpoint, len(e.shards)),
 	}
 	for i, sh := range e.shards {
-		sck, err := sh.sys.Checkpoint()
+		sck, err := sh.Checkpoint()
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
@@ -69,7 +69,7 @@ func (e *Engine) Restore(ck *Checkpoint) error {
 			ck.Shards, len(ck.Systems), len(e.shards))
 	}
 	for i, sh := range e.shards {
-		if err := sh.sys.Restore(&ck.Systems[i]); err != nil {
+		if err := sh.Restore(&ck.Systems[i]); err != nil {
 			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
 	}

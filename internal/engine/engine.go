@@ -51,20 +51,13 @@ type Config struct {
 	Obs obs.Options
 }
 
-// shard pairs one partition's hierarchy with its replay state.
-type shard struct {
-	sys *hier.System
-	// err is the first degraded-service error the replay observed.
-	err error
-}
-
 // Engine is a sharded simulation engine. Configure with New, drive
 // with RunBatch or RunSource, then read the merged
 // accessors. The run methods block until the replay completes; the
 // merged accessors must not be called while a run is in flight.
 type Engine struct {
 	cfg    Config
-	shards []*shard
+	shards []*hier.System
 	// observers holds the per-shard observability sinks (empty when
 	// Config.Obs is zero); observed guards the one-time shard_merge
 	// trace events in Observe.
@@ -91,18 +84,14 @@ func ShardSeed(base uint64, shard int) uint64 {
 // New builds an engine of cfg.Shards independent hierarchies. It
 // returns an error — rather than panicking like the underlying
 // constructors — when the configuration cannot be divided: too many
-// shards for the configured DRAM or Flash capacity, a metadata
-// warm-start combined with sharding (the image describes one
-// monolithic cache), or a Hier.Observer (Config.Obs observes shards).
+// shards for the configured DRAM or Flash capacity, or a Hier.Observer
+// (Config.Obs observes shards).
 func New(cfg Config) (*Engine, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("engine: need at least 1 shard, have %d", cfg.Shards)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("engine: negative worker count %d", cfg.Workers)
-	}
-	if cfg.Shards > 1 && cfg.Hier.FlashMetadata != nil {
-		return nil, errors.New("engine: metadata warm-start is single-shard only")
 	}
 	if cfg.Hier.Observer != nil {
 		// Config.Obs is the one way to observe an engine: it builds a
@@ -143,7 +132,7 @@ func New(cfg Config) (*Engine, error) {
 			h.Observer = o
 			e.observers = append(e.observers, o)
 		}
-		e.shards = append(e.shards, &shard{sys: hier.New(h)})
+		e.shards = append(e.shards, hier.New(h))
 	}
 	return e, nil
 }
@@ -152,7 +141,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // Shard exposes one partition's hierarchy for inspection.
-func (e *Engine) Shard(i int) *hier.System { return e.shards[i].sys }
+func (e *Engine) Shard(i int) *hier.System { return e.shards[i] }
 
 // Workers returns how many goroutines simulate shards at once.
 func (e *Engine) Workers() int {
@@ -165,19 +154,23 @@ func (e *Engine) Workers() int {
 // Drain flushes every shard's dirty state down to its disk.
 func (e *Engine) Drain() {
 	for _, sh := range e.shards {
-		sh.sys.Drain()
+		sh.Drain()
 	}
 }
 
-// Err returns the first degraded-service error any shard's Handle
-// reported (lowest shard index wins, deterministically), or nil.
-func (e *Engine) Err() error {
+// Err returns the degraded-service error of the lowest-indexed shard
+// whose Flash tier is dead (hier.ErrFlashDead), or nil.
+func (e *Engine) Err() error { return e.firstErr((*hier.System).Err) }
+
+// firstErr returns f's error on the lowest-indexed shard that has one,
+// naming the shard when there is more than one.
+func (e *Engine) firstErr(f func(*hier.System) error) error {
 	for i, sh := range e.shards {
-		if sh.err != nil {
+		if err := f(sh); err != nil {
 			if len(e.shards) == 1 {
-				return sh.err
+				return err
 			}
-			return fmt.Errorf("shard %d: %w", i, sh.err)
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil

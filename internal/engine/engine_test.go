@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -198,11 +199,6 @@ func TestNewValidation(t *testing.T) {
 		// Rejected before anything is allocated: the shard's blocks
 		// alone would hold 64 GiB of slot state.
 		{"flash beyond page addresses", Config{Shards: 1, Hier: hier.Config{DRAMBytes: 1 << 20, FlashBytes: (nand.MaxBlocks + 1) << 18}}, "16777217 blocks (at most 16777216)"},
-		{"metadata with shards", Config{Shards: 2, Hier: func() hier.Config {
-			c := testConfig()
-			c.FlashMetadata = strings.NewReader("x")
-			return c
-		}()}, "single-shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,26 +209,55 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestErrPropagation: a shard whose Flash tier is bypassed (rejected
-// metadata image) must surface ErrFlashBypassed through Engine.Err
-// after the run, while still serving every request.
+// TestErrPropagation: 2-shard engines whose Flash tiers wear out
+// report hier.ErrFlashDead through Engine.Err, naming the
+// lowest-indexed dead shard, while every request is still served. At
+// seed 4 only shard 1 has died when the first death stops the replay;
+// at seed 1 both have.
 func TestErrPropagation(t *testing.T) {
-	cfg := testConfig()
-	cfg.FlashMetadata = strings.NewReader("not a metadata image")
-	e, err := New(Config{Shards: 1, Hier: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newTestGen(t)
-	e.RunSource(workload.AsSource(g), 100)
-	if err := e.Err(); !errors.Is(err, hier.ErrFlashBypassed) {
-		t.Fatalf("Err = %v, want ErrFlashBypassed", err)
-	}
-	if e.HasFlash() {
-		t.Fatal("bypassed shard should report no Flash tier")
-	}
-	if st := e.Stats(); st.Requests != 100 {
-		t.Fatalf("requests = %d, want 100 (degraded service must still serve)", st.Requests)
+	for _, tc := range []struct {
+		seed uint64
+		dead []bool
+	}{{4, []bool{false, true}}, {1, []bool{true, true}}} {
+		cfg := hier.Config{DRAMBytes: 512 << 10, FlashBytes: 4 << 20, Seed: tc.seed}
+		cfg.Flash = core.DefaultConfig(cfg.FlashBytes)
+		cfg.Flash.WearAcceleration = 100000
+		e, err := New(Config{Shards: 2, Hier: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := workload.AsSource(workload.MustNew("alpha1", 1.0/16, tc.seed))
+		served := 0
+		for !e.Dead() && served < 100000 {
+			if err := e.Err(); err != nil {
+				t.Fatalf("seed %d: Err = %v before any shard died", tc.seed, err)
+			}
+			served += e.RunSource(src, 1000)
+		}
+		lowest := -1
+		for i := e.Shards() - 1; i >= 0; i-- {
+			var want error
+			if tc.dead[i] {
+				want, lowest = hier.ErrFlashDead, i
+			}
+			if err := e.Shard(i).Err(); err != want {
+				t.Fatalf("seed %d: shard %d Err = %v, want %v", tc.seed, i, err, want)
+			}
+		}
+		err = e.Err()
+		if !errors.Is(err, hier.ErrFlashDead) || !strings.HasPrefix(err.Error(), fmt.Sprintf("shard %d: ", lowest)) {
+			t.Fatalf("seed %d: Err = %v, want shard %d's ErrFlashDead", tc.seed, err, lowest)
+		}
+		before := e.Stats()
+		served += e.RunSource(src, 1000)
+		if err := e.Err(); !errors.Is(err, hier.ErrFlashDead) {
+			t.Fatalf("seed %d: Err = %v after more requests, want ErrFlashDead (sticky)", tc.seed, err)
+		}
+		after := e.Stats()
+		if after.Requests < int64(served) || after.ReadPages+after.WritePages <= before.ReadPages+before.WritePages {
+			t.Fatalf("seed %d: %d requests served of %d, %d pages after the death", tc.seed, after.Requests, served,
+				after.ReadPages+after.WritePages-before.ReadPages-before.WritePages)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"flashdc/internal/core"
 	"flashdc/internal/fault"
 	"flashdc/internal/hier"
@@ -22,7 +20,7 @@ import (
 func (e *Engine) Stats() hier.Stats {
 	var st hier.Stats
 	for _, sh := range e.shards {
-		st.Merge(sh.sys.Stats())
+		st.Merge(sh.Stats())
 	}
 	return st
 }
@@ -31,7 +29,7 @@ func (e *Engine) Stats() hier.Stats {
 func (e *Engine) Latencies() *sim.Histogram {
 	var h sim.Histogram
 	for _, sh := range e.shards {
-		h.Merge(sh.sys.Latencies())
+		h.Merge(sh.Latencies())
 	}
 	return &h
 }
@@ -39,7 +37,7 @@ func (e *Engine) Latencies() *sim.Histogram {
 // HasFlash reports whether any shard runs a live Flash tier.
 func (e *Engine) HasFlash() bool {
 	for _, sh := range e.shards {
-		if sh.sys.Flash() != nil {
+		if sh.Flash() != nil {
 			return true
 		}
 	}
@@ -51,7 +49,7 @@ func (e *Engine) HasFlash() bool {
 func (e *Engine) FlashStats() core.Stats {
 	var st core.Stats
 	for _, sh := range e.shards {
-		if f := sh.sys.Flash(); f != nil {
+		if f := sh.Flash(); f != nil {
 			st.Merge(f.Stats())
 		}
 	}
@@ -62,7 +60,7 @@ func (e *Engine) FlashStats() core.Stats {
 func (e *Engine) Global() tables.FGST {
 	var g tables.FGST
 	for _, sh := range e.shards {
-		if f := sh.sys.Flash(); f != nil {
+		if f := sh.Flash(); f != nil {
 			g.Merge(f.Global())
 		}
 	}
@@ -73,7 +71,7 @@ func (e *Engine) Global() tables.FGST {
 func (e *Engine) DeviceStats() nand.Stats {
 	var st nand.Stats
 	for _, sh := range e.shards {
-		if f := sh.sys.Flash(); f != nil {
+		if f := sh.Flash(); f != nil {
 			st.Merge(f.DeviceStats())
 		}
 	}
@@ -84,7 +82,7 @@ func (e *Engine) DeviceStats() nand.Stats {
 func (e *Engine) SchedStats() sched.Stats {
 	var st sched.Stats
 	for _, sh := range e.shards {
-		st.Merge(sh.sys.SchedStats())
+		st.Merge(sh.SchedStats())
 	}
 	return st
 }
@@ -93,7 +91,7 @@ func (e *Engine) SchedStats() sched.Stats {
 func (e *Engine) FaultStats() fault.Stats {
 	var st fault.Stats
 	for _, sh := range e.shards {
-		if f := sh.sys.Flash(); f != nil {
+		if f := sh.Flash(); f != nil {
 			st.Merge(f.FaultStats())
 		}
 	}
@@ -104,7 +102,7 @@ func (e *Engine) FaultStats() fault.Stats {
 func (e *Engine) ValidPages() int64 {
 	var n int64
 	for _, sh := range e.shards {
-		if f := sh.sys.Flash(); f != nil {
+		if f := sh.Flash(); f != nil {
 			n += f.ValidPages()
 		}
 	}
@@ -112,28 +110,11 @@ func (e *Engine) ValidPages() int64 {
 }
 
 // Dead reports whether any shard's Flash cache has failed entirely.
-func (e *Engine) Dead() bool {
-	for _, sh := range e.shards {
-		if f := sh.sys.Flash(); f != nil && f.Dead() {
-			return true
-		}
-	}
-	return false
-}
+func (e *Engine) Dead() bool { return e.Err() != nil }
 
 // CheckIntegrity audits every shard's Flash mapping tables against
 // its device contents, reporting the first violation.
-func (e *Engine) CheckIntegrity() error {
-	for i, sh := range e.shards {
-		if err := sh.sys.CheckIntegrity(); err != nil {
-			if len(e.shards) == 1 {
-				return err
-			}
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
+func (e *Engine) CheckIntegrity() error { return e.firstErr((*hier.System).CheckIntegrity) }
 
 // DiskBusy returns the busiest shard's accumulated drive busy time:
 // the shards' drives run concurrently, so the fleet is occupied for
@@ -141,7 +122,7 @@ func (e *Engine) CheckIntegrity() error {
 func (e *Engine) DiskBusy() sim.Duration {
 	var busy sim.Duration
 	for _, sh := range e.shards {
-		if b := sh.sys.DiskBusy(); b > busy {
+		if b := sh.DiskBusy(); b > busy {
 			busy = b
 		}
 	}
@@ -154,7 +135,7 @@ func (e *Engine) DiskBusy() sim.Duration {
 func (e *Engine) Power(elapsed sim.Duration) power.Breakdown {
 	var b power.Breakdown
 	for _, sh := range e.shards {
-		b = b.Add(sh.sys.Power(elapsed))
+		b = b.Add(sh.Power(elapsed))
 	}
 	return b
 }

@@ -18,7 +18,7 @@ func (e *Engine) Observe() *obs.Report {
 				e.observers[i].Event(obs.Event{
 					Kind:  obs.KindShardMerge,
 					Block: -1,
-					N:     sh.sys.Stats().Requests,
+					N:     sh.Stats().Requests,
 				})
 			}
 		}

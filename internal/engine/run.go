@@ -17,16 +17,6 @@ import (
 // thing shard state depends on — is fixed by the partition, never by
 // scheduling.
 
-// runBatch replays one routed batch on the shard and latches the
-// first degraded-service condition (sticky on the underlying system,
-// so batch-end capture matches per-request capture exactly).
-func (sh *shard) runBatch(batch []trace.Request) {
-	sh.sys.RunBatch(batch)
-	if err := sh.sys.Err(); err != nil && sh.err == nil {
-		sh.err = err
-	}
-}
-
 // route splits batch into e.pending, one slice per shard, with a
 // single hash pass over each request's pages.
 func (e *Engine) route(batch []trace.Request) {
@@ -55,7 +45,7 @@ func (e *Engine) route(batch []trace.Request) {
 // same stream into batches and for any worker count.
 func (e *Engine) RunBatch(batch []trace.Request) int {
 	if len(e.shards) == 1 {
-		e.shards[0].runBatch(batch)
+		e.shards[0].RunBatch(batch)
 		return len(batch)
 	}
 	e.route(batch)
@@ -79,7 +69,7 @@ func (e *Engine) RunBatch(batch []trace.Request) int {
 // first+stride, first+2·stride, ...
 func (e *Engine) runShards(first, stride int) {
 	for s := first; s < len(e.shards); s += stride {
-		e.shards[s].runBatch(e.pending[s])
+		e.shards[s].RunBatch(e.pending[s])
 	}
 }
 

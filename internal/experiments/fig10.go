@@ -37,7 +37,6 @@ func fig10(o Options) *Table {
 	bw := func(bench string, s ecc.Strength) float64 {
 		fc := core.DefaultConfig(0) // sized by hier
 		fc.ForcedStrength = s
-		fc.AssumeWorn = true
 		sys := hier.New(hier.Config{
 			DRAMBytes:  int64(float64(256<<20) * o.Scale),
 			FlashBytes: int64(float64(1<<30) * o.Scale),

@@ -226,11 +226,10 @@ func lockstep(sysCfg, modelCfg hier.Config, shards int, reqs []trace.Request, ch
 				}
 			}
 		})
-		// The engine latches degraded service (dead or bypassed
-		// Flash) rather than failing the request: it is not a
-		// divergence, because requests are still served correctly
-		// from the remaining tiers, which is exactly what the model
-		// checks.
+		// A dead Flash tier degrades service rather than failing
+		// the request: it is not a divergence, because requests are
+		// still served correctly from the remaining tiers, which is
+		// exactly what the model checks.
 		eng.RunBatch(reqs[i : i+1])
 		for s, w := range wants {
 			st := eng.Shard(s).Stats()

@@ -31,13 +31,9 @@ type SystemCheckpoint struct {
 	Flash *core.CacheCheckpoint
 }
 
-// Checkpoint captures the hierarchy's complete state. It refuses a
-// system whose Flash tier is bypassed (the run is already degraded;
-// resuming it bit-identically is not meaningful).
+// Checkpoint captures the hierarchy's complete state. It fails only
+// where the Flash cache's Checkpoint does: under an active scheduler.
 func (s *System) Checkpoint() (*SystemCheckpoint, error) {
-	if s.bypassErr != nil {
-		return nil, fmt.Errorf("hier: cannot checkpoint a bypassed Flash tier: %w", s.flashLoadErr)
-	}
 	ck := &SystemCheckpoint{
 		Now:       s.clock.Now(),
 		Stats:     s.stats,
@@ -62,9 +58,6 @@ func (s *System) Checkpoint() (*SystemCheckpoint, error) {
 // a checkpoint. The clock advances first so every component sees
 // resumed time during its restore.
 func (s *System) Restore(ck *SystemCheckpoint) error {
-	if s.bypassErr != nil {
-		return fmt.Errorf("hier: cannot restore onto a bypassed Flash tier: %w", s.flashLoadErr)
-	}
 	if (ck.Flash != nil) != (s.flash != nil) {
 		return fmt.Errorf("hier: checkpoint flash presence %v, config says %v",
 			ck.Flash != nil, s.flash != nil)

@@ -1,8 +1,6 @@
 package hier
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"flashdc/internal/core"
@@ -76,59 +74,33 @@ func TestFaultCampaign100k(t *testing.T) {
 	}
 }
 
-// TestBypassOnCorruptMetadata covers the degraded boot path: a node
-// restarting with a torn Flash metadata snapshot must come up serving
-// correct data from DRAM + disk, with the Flash tier bypassed and the
-// rejection reason surfaced.
-func TestBypassOnCorruptMetadata(t *testing.T) {
-	// Save a warm image through a first system.
-	fc := core.DefaultConfig(16 * mb)
-	fc.Seed = 11
-	donor := core.New(fc)
-	for lba := int64(0); lba < 1000; lba++ {
-		donor.Insert(lba)
-	}
-	var img bytes.Buffer
-	if err := donor.SaveMetadata(&img); err != nil {
-		t.Fatal(err)
-	}
-
-	// Clean image: Flash tier comes up warm.
-	s := New(Config{
-		DRAMBytes: 1 * mb, FlashBytes: 16 * mb, Flash: fc, Seed: 11,
-		FlashMetadata: bytes.NewReader(img.Bytes()),
-	})
-	if s.FlashLoadErr() != nil {
-		t.Fatalf("clean image rejected: %v", s.FlashLoadErr())
-	}
-	if s.Flash() == nil || s.Flash().ValidPages() == 0 {
-		t.Fatal("warm boot came up cold")
-	}
-
-	// Torn image (crash mid-write): Flash tier bypassed, system works.
-	torn := img.Bytes()[:img.Len()/2]
-	s = New(Config{
-		DRAMBytes: 1 * mb, FlashBytes: 16 * mb, Flash: fc, Seed: 11,
-		FlashMetadata: bytes.NewReader(torn),
-	})
-	if s.Flash() != nil {
-		t.Fatal("corrupt metadata did not bypass the Flash tier")
-	}
-	if !errors.Is(s.FlashLoadErr(), core.ErrCorruptMetadata) {
-		t.Fatalf("load error %v not tagged ErrCorruptMetadata", s.FlashLoadErr())
-	}
-	g := workload.MustNew("SPECWeb99", 1.0/64, 13)
-	for i := 0; i < 5000; i++ {
+// TestErrReportsFlashDeath: a Flash tier worn to death turns Err from
+// nil to ErrFlashDead for good, and the hierarchy keeps serving every
+// request from DRAM and disk.
+func TestErrReportsFlashDeath(t *testing.T) {
+	fc := core.DefaultConfig(2 * mb)
+	fc.WearAcceleration = 50000
+	s := New(Config{DRAMBytes: mb / 4, FlashBytes: 2 * mb, Flash: fc, Seed: 7})
+	g := workload.MustNew("alpha1", 1.0/16, 7)
+	n := 0
+	for ; !s.Flash().Dead(); n++ {
+		if n == 100000 {
+			t.Fatal("the Flash tier outlived 100000 requests")
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("request %d: Err = %v on a live Flash tier", n, err)
+		}
 		s.Handle(g.Next())
 	}
-	st := s.Stats()
-	if st.FlashHits != 0 {
-		t.Fatal("bypassed Flash tier served hits")
+	for i := 0; i < 1000; i++ {
+		if s.Handle(g.Next()) <= 0 {
+			t.Fatalf("request %d after the death was not served", n+i)
+		}
+		if err := s.Err(); err != ErrFlashDead {
+			t.Fatalf("request %d: Err = %v, want ErrFlashDead", n+i, err)
+		}
 	}
-	if st.PDCHits == 0 || st.DiskReads == 0 {
+	if st := s.Stats(); st.Requests != int64(n+1000) || st.DiskReads == 0 {
 		t.Fatalf("degraded system not serving: %+v", st)
-	}
-	if err := s.CheckIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,7 +10,6 @@ package hier
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"flashdc/internal/core"
 	"flashdc/internal/disk"
@@ -23,18 +22,11 @@ import (
 	"flashdc/internal/trace"
 )
 
-// Service-degradation conditions Handle reports alongside the latency.
+// ErrFlashDead is the degraded-service condition Err reports: the
+// Flash cache retired so many blocks it can no longer operate.
 // Requests are still served correctly (the disk holds every page);
 // callers decide whether degraded service is acceptable.
-var (
-	// ErrFlashBypassed: the hierarchy was configured with a Flash tier
-	// but runs without it because the supplied metadata image was
-	// rejected. FlashLoadErr carries the cause.
-	ErrFlashBypassed = errors.New("hier: flash tier bypassed")
-	// ErrFlashDead: the Flash cache retired so many blocks it can no
-	// longer operate.
-	ErrFlashDead = errors.New("hier: flash tier dead")
-)
+var ErrFlashDead = errors.New("hier: flash tier dead")
 
 // Config sizes the hierarchy.
 type Config struct {
@@ -62,12 +54,6 @@ type Config struct {
 	PDCPolicy dram.Policy
 	// Seed drives the Flash wear sampling.
 	Seed uint64
-	// FlashMetadata optionally supplies a saved metadata image to warm
-	// the Flash cache from. A corrupt or mismatched image does not
-	// abort assembly: the Flash cache is bypassed (DRAM + disk only)
-	// and FlashLoadErr reports why, so a crashed node always comes
-	// back serving correct data.
-	FlashMetadata io.Reader
 	// Observer, when enabled, receives the hierarchy's metrics and
 	// decision events (see internal/obs). It must be exclusive to this
 	// system: the observer is clocked by this system's simulated clock,
@@ -120,11 +106,6 @@ type System struct {
 	flash *core.Cache // nil in the DRAM-only baseline
 	disk  *disk.Disk
 	stats Stats
-	// flashLoadErr records why a supplied metadata image was rejected
-	// and the Flash cache bypassed; nil otherwise. bypassErr is the
-	// ErrFlashBypassed-wrapped form Handle reports.
-	flashLoadErr error
-	bypassErr    error
 	// latencies records per-page foreground latency for percentile
 	// reporting.
 	latencies sim.Histogram
@@ -177,16 +158,9 @@ func New(cfg Config) *System {
 		fc.Seed = cfg.Seed
 		fc.Backing = diskBacking{s.disk}
 		fc.MissPenalty = s.disk.Config().ReadLatency
-		flash, _, err := core.Open(fc, cfg.FlashMetadata, core.WithObserver(s.obs))
-		if err != nil {
-			// Degraded path: the snapshot is suspect, so drop the
-			// Flash level entirely rather than trust it. The disk
-			// holds every page; only hit rate is lost.
-			s.flashLoadErr = err
-			s.bypassErr = fmt.Errorf("%w: %v", ErrFlashBypassed, err)
-			return s
-		}
-		s.flash = flash
+		// Open without an image cannot fail; it builds the cache and
+		// records the "open" event.
+		s.flash, _, _ = core.Open(fc, nil, core.WithObserver(s.obs))
 		if cfg.FlashContention || fc.Sched.Active() {
 			// A non-default scheduler geometry (channels, banks, write
 			// buffer) implies contention modelling: channel/bank
@@ -277,14 +251,9 @@ func (s *System) latencyProfile() obs.HistogramSnapshot {
 	return *hs
 }
 
-// FlashLoadErr reports why the Flash cache was bypassed after a
-// rejected metadata image (nil when the cache is live or was never
-// configured).
-func (s *System) FlashLoadErr() error { return s.flashLoadErr }
-
 // CheckIntegrity audits the Flash cache's mapping tables against the
 // device contents (see core.Cache.CheckIntegrity). It returns nil in
-// the DRAM-only baseline and when the Flash level is bypassed.
+// the DRAM-only baseline.
 func (s *System) CheckIntegrity() error {
 	if s.flash == nil {
 		return nil
@@ -292,9 +261,15 @@ func (s *System) CheckIntegrity() error {
 	return s.flash.CheckIntegrity()
 }
 
-// Err reports the sticky degraded-service condition, if any — the
+// Err reports ErrFlashDead once the Flash cache has died, and nil
+// before that or without a Flash tier. The condition is sticky; the
 // System counterpart of engine.Engine.Err.
-func (s *System) Err() error { return s.serviceErr() }
+func (s *System) Err() error {
+	if s.flash != nil && s.flash.Dead() {
+		return ErrFlashDead
+	}
+	return nil
+}
 
 // SchedStats returns the NAND command scheduler's counters (zero
 // without a Flash tier).
@@ -319,12 +294,9 @@ func (s *System) Stats() Stats { return s.stats }
 func (s *System) Now() sim.Time { return s.clock.Now() }
 
 // Handle services one request, returning its foreground latency and
-// advancing the internal clock by it. The error reports degraded
-// service — a configured Flash tier that is bypassed
-// (ErrFlashBypassed) or dead (ErrFlashDead) — while the request is
-// still served correctly from the remaining tiers; callers that track
-// health should surface it, callers that only simulate may ignore it.
-func (s *System) Handle(req trace.Request) (sim.Duration, error) {
+// advancing the internal clock by it. A dead Flash tier still serves
+// every request correctly from DRAM and disk; Err reports it.
+func (s *System) Handle(req trace.Request) sim.Duration {
 	s.stats.Requests++
 	// The page walk is inlined (rather than routed through
 	// trace.Request.Expand's callback) to keep the per-request path
@@ -353,18 +325,7 @@ func (s *System) Handle(req trace.Request) (sim.Duration, error) {
 	s.clock.Advance(total)
 	s.stats.TotalLatency += total
 	s.obs.MaybeSnapshot(s.clock.Now())
-	return total, s.serviceErr()
-}
-
-// serviceErr reports the sticky degraded-service condition, if any.
-func (s *System) serviceErr() error {
-	if s.bypassErr != nil {
-		return s.bypassErr
-	}
-	if s.flash != nil && s.flash.Dead() {
-		return ErrFlashDead
-	}
-	return nil
+	return total
 }
 
 // readPage follows section 5.1: PDC, then FCHT/Flash, then disk, with

@@ -26,7 +26,7 @@ func TestResetStatsClearsEverything(t *testing.T) {
 		t.Fatal("clock survives reset")
 	}
 	// Cache contents must survive: a prior page still hits.
-	lat, _ := s.Handle(trace.Request{Op: trace.OpRead, LBA: 0})
+	lat := s.Handle(trace.Request{Op: trace.OpRead, LBA: 0})
 	if lat > 2*sim.Millisecond {
 		t.Fatalf("cache contents lost by reset (latency %v)", lat)
 	}
@@ -58,7 +58,7 @@ func TestDRAMOnlyWritebackReachesDisk(t *testing.T) {
 
 func TestClockAdvancesWithLatency(t *testing.T) {
 	s := New(Config{DRAMBytes: 1 * mb})
-	lat, _ := s.Handle(trace.Request{Op: trace.OpRead, LBA: 9})
+	lat := s.Handle(trace.Request{Op: trace.OpRead, LBA: 9})
 	if s.Now() != sim.Time(lat) {
 		t.Fatalf("clock %v, latency %v", s.Now(), lat)
 	}

@@ -25,12 +25,12 @@ func TestDRAMOnlyBaseline(t *testing.T) {
 	if s.Flash() != nil {
 		t.Fatal("baseline built a Flash cache")
 	}
-	lat, _ := s.Handle(trace.Request{Op: trace.OpRead, LBA: 1})
+	lat := s.Handle(trace.Request{Op: trace.OpRead, LBA: 1})
 	// Cold read must cost a disk access.
 	if lat < 4*sim.Millisecond {
 		t.Fatalf("cold read latency %v, want ~disk", lat)
 	}
-	lat, _ = s.Handle(trace.Request{Op: trace.OpRead, LBA: 1})
+	lat = s.Handle(trace.Request{Op: trace.OpRead, LBA: 1})
 	// Now in PDC: DRAM-speed.
 	if lat > 10*sim.Microsecond {
 		t.Fatalf("PDC hit latency %v", lat)
@@ -99,7 +99,7 @@ func TestFlashLatencyBetweenDRAMAndDisk(t *testing.T) {
 		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba})
 	}
 	// Find a page that is in Flash but not PDC: re-read early page.
-	lat, _ := s.Handle(trace.Request{Op: trace.OpRead, LBA: 0})
+	lat := s.Handle(trace.Request{Op: trace.OpRead, LBA: 0})
 	if lat < 25*sim.Microsecond || lat > 2*sim.Millisecond {
 		t.Fatalf("flash-tier hit latency %v", lat)
 	}

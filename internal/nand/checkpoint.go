@@ -11,10 +11,7 @@ import (
 // fresh Device cannot re-derive from its Config. Per-page wear quality
 // offsets are deliberately absent — New samples them deterministically
 // from (Seed, SigmaSpatial, Blocks), so restoring into a device built
-// from the identical Config reproduces them bit-for-bit. Payload
-// images (ProgramPage) are not captured: the disk-cache simulators are
-// token-only, and a checkpoint of a payload-bearing device is refused
-// rather than silently truncated.
+// from the identical Config reproduces them bit-for-bit.
 
 // SlotCheckpoint is the restorable state of one physical page slot.
 type SlotCheckpoint struct {
@@ -40,9 +37,8 @@ type DeviceCheckpoint struct {
 	Stats  Stats
 }
 
-// Checkpoint captures the device state. It fails on a device holding
-// payload pages (see the package note above).
-func (d *Device) Checkpoint() (DeviceCheckpoint, error) {
+// Checkpoint captures the device state.
+func (d *Device) Checkpoint() DeviceCheckpoint {
 	ck := DeviceCheckpoint{
 		Blocks: make([]BlockCheckpoint, len(d.blocks)),
 		Stats:  d.stats,
@@ -60,9 +56,6 @@ func (d *Device) Checkpoint() (DeviceCheckpoint, error) {
 		}
 		for s := range slots {
 			sl := &slots[s]
-			if sl.payload != nil {
-				return DeviceCheckpoint{}, fmt.Errorf("nand: block %d slot %d holds a payload page; checkpointing supports token-only devices", b, s)
-			}
 			bc.Slots[s] = SlotCheckpoint{
 				Mode:         sl.mode,
 				Programmed:   sl.programmed,
@@ -72,7 +65,7 @@ func (d *Device) Checkpoint() (DeviceCheckpoint, error) {
 		}
 		ck.Blocks[b] = bc
 	}
-	return ck, nil
+	return ck
 }
 
 // Restore overwrites the device state with a checkpoint taken from a
@@ -103,7 +96,6 @@ func (d *Device) Restore(ck DeviceCheckpoint) error {
 			sl.programmed = sc.Programmed
 			sl.data = sc.Data
 			sl.programmedAt = sc.ProgrammedAt
-			sl.payload = nil
 			// The cached wear count may belong to another erase count
 			// or mode.
 			sl.wearNext = 0

@@ -7,7 +7,7 @@
 // per-read bit-error counts from the wear model so the programmable
 // controller above it (internal/core) can react.
 //
-// Payloads are opaque 64-bit tokens: the disk-cache simulator stores
+// Pages hold opaque 64-bit tokens: the disk-cache simulator stores
 // the identity of the cached disk page, not its bytes, exactly like
 // the paper's trace-driven Flash disk cache simulator.
 package nand
@@ -22,11 +22,8 @@ import (
 	"flashdc/internal/wear"
 )
 
-// PageSize is the data payload of one Flash page in bytes.
+// PageSize is the data area of one Flash page in bytes.
 const PageSize = 2048
-
-// SpareSize is the per-page spare area in bytes (SLC layout).
-const SpareSize = 64
 
 // SlotsPerBlock is the number of physical page slots per erase block:
 // 64 SLC pages, or 128 MLC pages, per 128KB block.
@@ -176,7 +173,7 @@ type slotState struct {
 	// while the block's erase count is below wearNext (DESIGN §9.6).
 	// The zero value (wearNext 0) is never valid, so a new or
 	// invalidated slot recomputes on its next use. Two int32s fill the
-	// padding after mode and programmed, so the slot stays 64 bytes.
+	// padding after mode and programmed, so the slot stays 56 bytes.
 	wearBits int32
 	wearNext int32
 	data     [2]uint64
@@ -185,9 +182,6 @@ type slotState struct {
 	// programmed — the retention dwell clock. Meaningful only while
 	// the sub-page is programmed and a clock is attached.
 	programmedAt [2]sim.Time
-	// payload holds real page contents when ProgramPage is used;
-	// nil for token-only (trace-driven) pages.
-	payload *[2]PageBuf
 }
 
 type blockState struct {
@@ -333,11 +327,6 @@ func (d *Device) BlockReads(b int) int64 { return d.blocks[b].reads }
 // device runs fault-free).
 func (d *Device) FaultInjector() *fault.Injector { return d.cfg.Faults }
 
-// SetFaultInjector attaches (or with nil detaches) the fault injector.
-// The metadata-restore replay uses this to rebuild device state
-// without consuming campaign randomness.
-func (d *Device) SetFaultInjector(in *fault.Injector) { d.cfg.Faults = in }
-
 // FactoryBad reports whether block b was bad from birth.
 func (d *Device) FactoryBad(b int) bool { return d.blocks[b].factoryBad }
 
@@ -386,7 +375,7 @@ func (d *Device) Retire(b int) { d.blocks[b].retired = true }
 // ReadResult reports the outcome of a page read before error
 // correction.
 type ReadResult struct {
-	// Data is the stored payload token.
+	// Data is the stored token.
 	Data uint64
 	// BitErrors is how many cells read wrong in this page — organic
 	// wear-out plus any injected transient flips; the controller
@@ -400,7 +389,7 @@ type ReadResult struct {
 	Latency sim.Duration
 }
 
-// Read senses one page. The payload is returned even when BitErrors is
+// Read senses one page. The token is returned even when BitErrors is
 // high; deciding recoverability is the controller's job.
 func (d *Device) Read(a Addr) (ReadResult, error) {
 	blk, sl, err := d.slot(a)
@@ -526,7 +515,7 @@ func (d *Device) rewear(e int, sl *slotState) {
 	sl.wearNext = int32(min(n, math.MaxInt32))
 }
 
-// Program writes the payload token into a free (erased) page and
+// Program writes the token into a free (erased) page and
 // returns the program latency.
 func (d *Device) Program(a Addr, data uint64) (sim.Duration, error) {
 	blk, sl, err := d.slot(a)
@@ -646,7 +635,6 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 		sl.data[1] = 0
 		sl.programmedAt[0] = 0
 		sl.programmedAt[1] = 0
-		sl.payload = nil
 	}
 	blk.eraseCount++
 	// Erasing re-programs every cell, clearing accumulated disturb.
@@ -661,7 +649,7 @@ func (d *Device) PagesPerBlock(b int) int {
 	return SlotsPerBlock + d.blocks[b].mlcSlots
 }
 
-// CapacityBytes returns the device's current addressable payload
+// CapacityBytes returns the device's current addressable data
 // capacity across non-retired blocks, which shrinks as slots move to
 // SLC mode or blocks retire.
 func (d *Device) CapacityBytes() int64 {

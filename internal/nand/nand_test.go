@@ -1,12 +1,15 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"flashdc/internal/ecc"
 	"flashdc/internal/sim"
 	"flashdc/internal/wear"
 )
@@ -259,10 +262,7 @@ func TestPageCountsTrackSlotModes(t *testing.T) {
 		case op < 97:
 			d.Retire(b)
 		case op < 99:
-			var err error
-			if ck, err = d.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			ck = d.Checkpoint()
 		default:
 			if ck.Blocks != nil {
 				if err := d.Restore(ck); err != nil {
@@ -448,4 +448,54 @@ func TestDieAreaPanics(t *testing.T) {
 		}
 	}()
 	DefaultDieAreaModel().CapacityForArea(100, 1.5)
+}
+
+// TestWearCorruptsExactlyBitErrors: a worn page reports the same
+// BitErrors on every read until its block is erased ("fail
+// consistently due to wear out", §5.2.1), so flipping that many bits
+// of a page image, seeded from the address and erase count, corrupts
+// it the same way on every read and in exactly BitErrors bits.
+func TestWearCorruptsExactlyBitErrors(t *testing.T) {
+	d := New(Config{Blocks: 1, InitialMode: wear.MLC, Seed: 3, WearAcceleration: 5000})
+	for i := 0; i < 40; i++ {
+		if _, err := d.Erase(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := PageAddr(0, 0, 0)
+	if _, err := d.Program(a, 9); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, PageSize)
+	spare := []byte{0xAA}
+	read := func() ([]byte, []byte, int) {
+		t.Helper()
+		res, err := d.Read(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Data != 9 {
+			t.Fatalf("token %d, want 9", res.Data)
+		}
+		dc, sc := bytes.Clone(data), bytes.Clone(spare)
+		rng := sim.NewRNG(3 ^ uint64(a.Block())<<40 ^ uint64(a.Slot())<<24 ^ uint64(a.Sub())<<16 ^ uint64(d.EraseCount(0)))
+		ecc.FlipBits(rng, res.BitErrors, dc, sc)
+		return dc, sc, res.BitErrors
+	}
+	d1, s1, n := read()
+	if n == 0 {
+		t.Fatal("40 erases at acceleration 5000 left the page without bit errors")
+	}
+	flipped := 0
+	for i := range d1 {
+		flipped += bits.OnesCount8(d1[i] ^ data[i])
+	}
+	flipped += bits.OnesCount8(s1[0] ^ spare[0])
+	if flipped != n {
+		t.Fatalf("flipped %d bits, device reported %d", flipped, n)
+	}
+	d2, s2, n2 := read()
+	if n2 != n || !bytes.Equal(d1, d2) || !bytes.Equal(s1, s2) {
+		t.Fatalf("wear corruption not deterministic across reads: %d then %d bit errors", n, n2)
+	}
 }

@@ -78,21 +78,6 @@ func (s *Stats) Add(r Request) {
 	})
 }
 
-// Merge folds other's accumulation into s: counters add and the
-// unique-page sets union, so merging per-shard accumulators over
-// disjoint LBA partitions reproduces the whole-stream footprint.
-func (s *Stats) Merge(other *Stats) {
-	if other == nil {
-		return
-	}
-	s.Requests += other.Requests
-	s.ReadPages += other.ReadPages
-	s.WritePages += other.WritePages
-	for lba := range other.uniquePages {
-		s.uniquePages[lba] = struct{}{}
-	}
-}
-
 // UniquePages returns the footprint in distinct pages.
 func (s *Stats) UniquePages() int64 { return int64(len(s.uniquePages)) }
 

@@ -22,7 +22,6 @@ import (
 	"flashdc/internal/power"
 	"flashdc/internal/sched"
 	"flashdc/internal/tables"
-	"flashdc/internal/trace"
 )
 
 // fillCounters assigns a distinct nonzero value to every settable
@@ -227,26 +226,5 @@ func TestPowerBreakdownAdd(t *testing.T) {
 	checkMergedSums(t, got, reflect.ValueOf(a), reflect.ValueOf(b))
 	if sum := a.Add(b); sum.Total() != a.Total()+b.Total() {
 		t.Fatalf("Total = %v, want %v", sum.Total(), a.Total()+b.Total())
-	}
-}
-
-func TestTraceStatsMerge(t *testing.T) {
-	// Two accumulators over overlapping streams: counters add, the
-	// unique-page footprint unions.
-	a, b := trace.NewStats(), trace.NewStats()
-	a.Add(trace.Request{Op: trace.OpRead, LBA: 0, Pages: 4})
-	a.Add(trace.Request{Op: trace.OpWrite, LBA: 2, Pages: 2})
-	b.Add(trace.Request{Op: trace.OpRead, LBA: 2, Pages: 6})
-	a.Merge(b)
-	if a.Requests != 3 || a.ReadPages != 10 || a.WritePages != 2 {
-		t.Fatalf("counters: %+v", a)
-	}
-	// Pages 0..7 were touched across both streams.
-	if a.UniquePages() != 8 {
-		t.Fatalf("UniquePages = %d, want 8", a.UniquePages())
-	}
-	a.Merge(nil) // must be a no-op
-	if a.Requests != 3 {
-		t.Fatal("nil merge disturbed the receiver")
 	}
 }
