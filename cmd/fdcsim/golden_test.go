@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the golden matrix files in test
 // wears out, and that must match too.
 var goldenMatrix = []string{
 	"-workload WebSearch1 -flash 8M -dram 2M -requests 400000 -wear-accel 200000 -scrub 32 -faults read=2e-3,program=1e-3,erase=1e-3,grown=0.2,seed=7",
-	"-workload alpha1 -flash 8M -dram 2M -requests 400000 -wear-accel 20000 -scrub 32 -retention-accel 1e6 -disturb-reads 1000 -channels 4 -banks 2 -wbuf 16 -scrub-feedback -policy-gc contention-aware -policy-admit throttle",
+	"-workload alpha1 -flash 8M -dram 2M -requests 400000 -wear-accel 20000 -scrub 32 -retention-accel 1e6 -disturb-reads 1000 -channels 4 -banks 2 -wbuf 16 -policy-gc contention-aware -policy-admit throttle",
 	"-workload alpha1 -flash 8M -dram 2M -requests 300000 -unified -wear-accel 100000 -scrub 16",
 	"-workload alpha1 -flash 8M -dram 2M -requests 400000 -wear-accel 20000 -policy-evict cm-wear -policy-gc cost-benefit -policy-admit wlfc -scrub 32",
 	"-workload WebSearch1 -flash 8M -dram 2M -requests 400000 -policy-gc cost-benefit -wear-accel 20000 -shards 2",

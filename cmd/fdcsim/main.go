@@ -42,9 +42,8 @@
 // a near-tie on the bank that frees first and defers non-forced
 // collection, boundedly, under deep foreground backlog, -policy-admit
 // throttle (with -wbuf) sheds cold fills and write-backs while the
-// write buffer is nearly full, and -scrub-feedback (with -scrub and a
-// parallel geometry) batches scrub/refresh migrations into idle bank
-// windows.
+// write buffer is nearly full, and -scrub on a parallel geometry
+// defers scrub/refresh migrations off busy banks into idle windows.
 // All feedback reads deterministic simulated-time state, so output
 // stays byte-identical at any -workers count.
 //
@@ -203,7 +202,6 @@ func main() {
 		channels     = flag.Int("channels", 1, "NAND channels (blocks striped block%channels; 1 = the paper's serial device)")
 		banks        = flag.Int("banks", 1, "NAND banks per channel (erases occupy only their bank)")
 		wbufPages    = flag.Int("wbuf", 0, "coalescing write-buffer capacity in pages (0 disables)")
-		scrubFeed    = flag.Bool("scrub-feedback", false, "defer scrub/refresh migrations off busy banks into idle windows (needs -scrub and -channels/-banks > 1)")
 
 		policyEvict  = flag.String("policy-evict", "", "flash eviction policy (default "+policy.DefaultName(policy.KindEvict)+"; see -list-policies)")
 		policyAdmit  = flag.String("policy-admit", "", "flash admission policy (default "+policy.DefaultName(policy.KindAdmit)+"; see -list-policies)")
@@ -293,10 +291,6 @@ func main() {
 	case (*checkpointIn != "" || *checkpointOut != "") && schedCfg.Active():
 		usageErr("-checkpoint-in/-checkpoint-out support the default serial device only " +
 			"(in-flight channel/bank/write-buffer state is not checkpointable)")
-	case *scrubFeed && !schedCfg.Active():
-		usageErr("-scrub-feedback consults the NAND scheduler's occupancy; configure a parallel geometry (-channels/-banks/-wbuf)")
-	case *scrubFeed && *scrubEvery <= 0:
-		usageErr("-scrub-feedback defers scrub migrations; enable the scrubber with -scrub first")
 	}
 	var gen workload.Generator
 	if *traceFile == "" {
@@ -327,7 +321,9 @@ func main() {
 	}
 
 	fc := core.DefaultConfig(flash)
-	fc.Split = !*unified
+	if *unified {
+		fc.ReadFraction = 1
+	}
 	fc.Programmable = !*noProg
 	fc.WearAcceleration = *wearAccel
 	fc.ScrubEvery = *scrubEvery
@@ -336,7 +332,6 @@ func main() {
 	fc.RefreshThreshold = *refreshThresh
 	fc.Policies = pset
 	fc.Sched = schedCfg
-	fc.ScrubFeedback = *scrubFeed
 	fc.Faults = faults
 
 	obsOpts := obs.Options{
@@ -368,8 +363,9 @@ func main() {
 		*wearAccel, *faultSpec, *scrubEvery, *shards,
 		*retentionAccel, *disturbReads, *refreshThresh)
 	if !pset.IsDefault() {
-		// Appended only for non-default selections, so checkpoints taken
-		// before the policy framework existed keep resuming.
+		// Appended only for non-default selections, so a default run's
+		// checkpoint bytes stay pinned. (Checkpoints older than the
+		// policy framework do not resume: FDCK v2 refuses them.)
 		n := pset.Normalized()
 		fingerprint += fmt.Sprintf(" policy-evict=%s policy-admit=%s policy-gc=%s",
 			n.Evict, n.Admit, n.GC)
@@ -545,8 +541,7 @@ func main() {
 					*wbufPages, ss.BufferedWrites, ss.CoalescedWrites, ss.Flushes, ss.ForcedFlushes)
 			}
 		}
-		n := pset.Normalized()
-		if n.GC == policy.GCContentionAware || n.Admit == policy.AdmitThrottle || *scrubFeed {
+		if fc.Feedback() {
 			// Printed only with a feedback path configured: feedback-off
 			// reports stay byte-identical to the pre-feedback output.
 			fmt.Printf("sched feedback:    %d GC deferrals, %d throttle engagements, %d scrub deferrals (%d idle windows)\n",

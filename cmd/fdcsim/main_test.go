@@ -29,7 +29,7 @@ func TestUsageErrors(t *testing.T) {
 		{args: []string{"-dram", "0"}},
 		{args: []string{"-dram", "100"}},
 		{args: []string{"-dram", "-4M"}},
-		{args: []string{"-flash", "100"}},
+		{[]string{"-flash", "100"}, "100 bytes of flash is too small (need at least 4 blocks, 524288 bytes)"},
 		{args: []string{"-flash", "-8M"}},
 		{[]string{"-dram", "9999999999999G"}, "-dram: size 9999999999999G overflows a 64-bit byte count"},
 		{[]string{"-dram", "9999999999G"}, "-dram: size 9999999999G overflows a 64-bit byte count"},
@@ -37,7 +37,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-flash", "5000G"}, "20480000 blocks (at most 16777216)"},
 		{args: []string{"-workload", "nope"}},
 		{args: []string{"-scale", "2"}},
-		{args: []string{"-shards", "4", "-flash", "1M"}},
+		{[]string{"-shards", "4", "-flash", "1M"}, "each of 4 shards gets 262144 bytes of Flash: core: 262144 bytes of flash is too small"},
 		{args: []string{"-trace-cap", "-1"}},
 		{args: []string{"-metrics-interval", "-5ms"}},
 		{[]string{"-wear-accel", "NaN"}, "-wear-accel NaN"},
@@ -86,6 +86,36 @@ func TestValidRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "requests:") {
 		t.Fatalf("stdout lacks the report:\n%s", stdout)
+	}
+}
+
+// TestScrubDeferralEngages: -scrub on a parallel geometry defers scrub
+// migrations off busy banks with no other flag and reports them on the
+// sched feedback line; the same run on the serial device prints no
+// such line.
+func TestScrubDeferralEngages(t *testing.T) {
+	args := []string{"-workload", "alpha1", "-flash", "8M", "-dram", "2M", "-requests", "20000",
+		"-wear-accel", "20000", "-scrub", "32"}
+	for _, geometry := range [][]string{nil, {"-channels", "4", "-banks", "2"}} {
+		code, stdout, stderr := cmdtest.Run(t, append(args, geometry...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d, want 0; stderr:\n%s", geometry, code, stderr)
+		}
+		_, line, found := strings.Cut(stdout, "sched feedback:")
+		if geometry == nil {
+			if found {
+				t.Errorf("serial device reports scheduler feedback:\n%s", stdout)
+			}
+			continue
+		}
+		var gc, throttle, deferred int
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "%d GC deferrals, %d throttle engagements, %d scrub deferrals",
+			&gc, &throttle, &deferred); err != nil {
+			t.Fatalf("%v: no sched feedback line (%v):\n%s", geometry, err, stdout)
+		}
+		if deferred == 0 {
+			t.Errorf("%v: the scrubber deferred no migration:\n%s", geometry, stdout)
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ const scale = 1.0 / 16
 
 func missRate(flashBytes int64, split bool) float64 {
 	cfg := flashdc.DefaultCacheConfig(int64(float64(flashBytes) * scale))
-	cfg.Split = split
+	if !split {
+		cfg.ReadFraction = 1 // one region serves reads and writes
+	}
 	cfg.Programmable = false // isolate the organisation effect
 	cfg.Seed = 9
 	cache := flashdc.NewCache(cfg)

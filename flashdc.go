@@ -10,9 +10,9 @@
 // The library is layered bottom-up (each layer is independently usable
 // and tested):
 //
-//   - internal/gf, internal/bch, internal/crcx: GF(2^m) arithmetic, a
-//     real binary BCH codec (Berlekamp–Massey + Chien search), and a
-//     parallel CRC-32 engine — the controller's error machinery.
+//   - internal/gf, internal/bch: GF(2^m) arithmetic and a real binary
+//     BCH codec (Berlekamp–Massey + Chien search) — the controller's
+//     error machinery.
 //   - internal/ecc: the variable-strength page codec (CRC32 + BCH in
 //     the 64-byte spare area) plus the 100MHz hardware accelerator
 //     latency model.

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"flashdc/internal/ecc"
 	"flashdc/internal/fault"
@@ -52,11 +53,10 @@ type Config struct {
 	// FlashBytes is the device capacity with every cell in
 	// InitialMode. The block count is derived from it.
 	FlashBytes int64
-	// Split enables the separate read/write regions of section 3.5;
-	// false simulates the unified baseline of Figure 4.
-	Split bool
-	// ReadFraction is the share of blocks given to the read region
-	// when Split is set (paper: 0.9).
+	// ReadFraction is the share of blocks given to the read region of
+	// the split cache of section 3.5 (paper: 0.9); the rest form the
+	// write region. 1 builds the unified baseline of Figure 4: one
+	// region that serves reads and writes.
 	ReadFraction float64
 	// Programmable enables the section 4 controller (variable ECC and
 	// density control). When false the cache runs the fixed "BCH 1
@@ -131,16 +131,6 @@ type Config struct {
 	// attached (AttachClock). Invalid geometries panic in New —
 	// validate user input with Sched.Validate first.
 	Sched sched.Config
-	// ScrubFeedback schedules scrub/refresh migrations into idle
-	// channel/bank windows: an at-risk page whose bank is busy
-	// (sched.BankWait past scrubDeferWait) is deferred instead of
-	// queueing its rewrite behind in-flight commands, and the next
-	// scrub increment retries the deferred set first — re-validated
-	// against current state — as soon as their banks go idle. Takes
-	// effect only with an attached clock and a non-default Sched
-	// geometry (otherwise there is no occupancy to consult and the
-	// scrubber runs on cadence alone, byte-identical to the default).
-	ScrubFeedback bool
 	// RefreshThreshold tunes the scrubber's refresh policy when
 	// Retention or Disturb is enabled: a valid page whose predicted
 	// total error count (wear + retention + disturb) reaches this
@@ -157,7 +147,6 @@ type Config struct {
 func DefaultConfig(flashBytes int64) Config {
 	return Config{
 		FlashBytes:    flashBytes,
-		Split:         true,
 		ReadFraction:  0.9,
 		Programmable:  true,
 		InitialMode:   wear.MLC,
@@ -169,6 +158,62 @@ func DefaultConfig(flashBytes int64) Config {
 		SigmaSpatial:  0.05,
 		MissPenalty:   4200 * sim.Microsecond,
 	}
+}
+
+// ScrubDefers reports whether the scrubber schedules its migrations
+// into idle channel/bank windows: an at-risk page whose bank is busy
+// (sched.BankWait past scrubDeferWait) is deferred instead of queueing
+// its rewrite behind in-flight commands, and the next scrub increment
+// retries the deferred set first, re-validated against current state,
+// once their banks go idle. It holds whenever the scrubber is on and
+// Sched has a parallel geometry, and takes effect once a clock is
+// attached: without one there is no occupancy to consult.
+func (cfg *Config) ScrubDefers() bool { return cfg.ScrubEvery > 0 && cfg.Sched.Active() }
+
+// Feedback reports whether any scheduler-feedback path is configured:
+// the contention-aware GC, the throttle admission policy or scrub
+// deferral. Reports print the feedback counters only then, so
+// feedback-off output stays byte-identical.
+func (cfg *Config) Feedback() bool {
+	ps := cfg.Policies.Normalized()
+	return ps.GC == policy.GCContentionAware || ps.Admit == policy.AdmitThrottle || cfg.ScrubDefers()
+}
+
+// Validate reports the first setting New cannot build a cache from:
+// a capacity under 4 blocks or beyond what a nand.Addr can name, or a
+// tuning value outside its domain (every DefaultConfig field a zero
+// value leaves unset among them).
+func (cfg *Config) Validate() error {
+	if minBytes := 4 * int64(nand.SlotsPerBlock) * PageSize; cfg.FlashBytes < minBytes {
+		return fmt.Errorf("core: %d bytes of flash is too small (need at least 4 blocks, %d bytes)", cfg.FlashBytes, minBytes)
+	}
+	if blocks := nand.BlocksForCapacity(cfg.FlashBytes, cfg.InitialMode); blocks > nand.MaxBlocks {
+		return fmt.Errorf("core: %d bytes of flash is %d blocks (at most %d)", cfg.FlashBytes, blocks, nand.MaxBlocks)
+	}
+	switch {
+	case !(cfg.ReadFraction > 0 && cfg.ReadFraction <= 1):
+		return fmt.Errorf("core: read fraction %v outside (0,1]", cfg.ReadFraction)
+	case cfg.ForcedStrength < 0 || cfg.ForcedStrength > 64:
+		return fmt.Errorf("core: forced strength %d outside [1,64]", cfg.ForcedStrength)
+	case cfg.HotSaturation == 0:
+		return fmt.Errorf("core: hot saturation 0, want a positive access count")
+	case !(cfg.K1 > 0 && cfg.K2 > cfg.K1):
+		return fmt.Errorf("core: wear weights want 0 < K1 < K2, got K1=%v K2=%v", cfg.K1, cfg.K2)
+	case !(cfg.WearThreshold > 0):
+		return fmt.Errorf("core: wear threshold %v, want > 0", cfg.WearThreshold)
+	case !(cfg.Watermark > 0 && cfg.Watermark <= 1):
+		return fmt.Errorf("core: watermark %v outside (0,1]", cfg.Watermark)
+	case cfg.MissPenalty <= 0:
+		return fmt.Errorf("core: miss penalty %v, want > 0", cfg.MissPenalty)
+	case !(cfg.WearAcceleration >= 0 && !math.IsInf(cfg.WearAcceleration, 1)):
+		return fmt.Errorf("core: wear acceleration %v, want a finite factor >= 0 (0 means 1)", cfg.WearAcceleration)
+	case !(cfg.RefreshThreshold >= 0 && cfg.RefreshThreshold <= 1):
+		return fmt.Errorf("core: refresh threshold %v outside (0,1] (0 means 1)", cfg.RefreshThreshold)
+	}
+	if err := cfg.Sched.Validate(); err != nil {
+		return err
+	}
+	return cfg.Policies.Validate()
 }
 
 // baseStrength is the ECC strength pages start at: the forced
@@ -251,8 +296,8 @@ type Stats struct {
 	AdmitRejects, WriteArounds int64
 
 	// Scheduler-feedback activity (nonzero only under the
-	// contention-aware GC or throttle admission policies, or
-	// ScrubFeedback). GCDeferred counts non-forced background
+	// contention-aware GC or throttle admission policies, or scrub
+	// deferral). GCDeferred counts non-forced background
 	// collections deferred under deep foreground backlog;
 	// AdmitThrottleFlips the admission throttle's engagements (the
 	// on-transitions of its hysteresis); ScrubDeferred the scrub/
@@ -360,7 +405,7 @@ type Cache struct {
 	scrubBlock, scrubSlot int
 	scrubSub              int
 	// scrubDeferred is the idle-window queue of at-risk pages whose
-	// migration was deferred off a busy bank (Config.ScrubFeedback);
+	// migration was deferred off a busy bank (Config.ScrubDefers);
 	// each entry is re-validated against current state when retried.
 	scrubDeferred []nand.Addr
 }
@@ -375,56 +420,17 @@ func mustTable[T any](t T, err error) T {
 	return t
 }
 
-// New builds a cache. It panics on degenerate configurations: sizing
-// the cache is a design-time decision in every caller.
+// New builds a cache. It panics on a configuration Validate rejects:
+// sizing the cache is a design-time decision in every caller.
 func New(cfg Config) *Cache {
-	if cfg.FlashBytes < 4*int64(nand.SlotsPerBlock)*PageSize {
-		panic("core: flash too small (need at least 4 blocks)")
-	}
-	if cfg.ReadFraction == 0 {
-		cfg.ReadFraction = 0.9
-	}
-	if cfg.ReadFraction <= 0 || cfg.ReadFraction >= 1 {
-		panic(fmt.Sprintf("core: read fraction %v outside (0,1)", cfg.ReadFraction))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.ForcedStrength != 0 {
-		if cfg.ForcedStrength < 1 || cfg.ForcedStrength > 64 {
-			panic(fmt.Sprintf("core: forced strength %d outside [1,64]", cfg.ForcedStrength))
-		}
 		cfg.Programmable = false
-	}
-	if cfg.HotSaturation == 0 {
-		cfg.HotSaturation = 64
-	}
-	if cfg.K1 == 0 {
-		cfg.K1 = 2
-	}
-	if cfg.K2 == 0 {
-		cfg.K2 = 20
-	}
-	if cfg.K1 <= 0 || cfg.K2 <= cfg.K1 {
-		panic(fmt.Sprintf("core: wear weights want 0 < K1 < K2, got K1=%v K2=%v", cfg.K1, cfg.K2))
-	}
-	if cfg.WearThreshold == 0 {
-		cfg.WearThreshold = 256
-	}
-	if cfg.Watermark == 0 {
-		cfg.Watermark = 0.90
-	}
-	if cfg.Watermark <= 0 || cfg.Watermark > 1 {
-		panic(fmt.Sprintf("core: watermark %v outside (0,1]", cfg.Watermark))
-	}
-	if cfg.MissPenalty == 0 {
-		cfg.MissPenalty = 4200 * sim.Microsecond
 	}
 	if cfg.RefreshThreshold == 0 {
 		cfg.RefreshThreshold = 1
-	}
-	if cfg.RefreshThreshold < 0 || cfg.RefreshThreshold > 1 {
-		panic(fmt.Sprintf("core: refresh threshold %v outside (0,1]", cfg.RefreshThreshold))
-	}
-	if err := cfg.Policies.Validate(); err != nil {
-		panic(err)
 	}
 	cfg.Policies = cfg.Policies.Normalized()
 
@@ -466,7 +472,7 @@ func New(cfg Config) *Cache {
 
 	c.regions = []*region{newRegion(readRegion)}
 	readBlocks := blocks
-	if cfg.Split {
+	if cfg.ReadFraction < 1 {
 		readBlocks = int(float64(blocks) * cfg.ReadFraction)
 		if readBlocks < 2 {
 			readBlocks = 2

@@ -83,7 +83,7 @@ func TestGCPreservesStagedStrength(t *testing.T) {
 
 func TestUnifiedProgrammableCombination(t *testing.T) {
 	cfg := DefaultConfig(4 * testMB)
-	cfg.Split = false
+	cfg.ReadFraction = 1
 	cfg.Programmable = true
 	cfg.WearAcceleration = 2000
 	cfg.Seed = 35

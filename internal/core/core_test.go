@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"flashdc/internal/nand"
@@ -70,28 +72,41 @@ func checkInvariants(t *testing.T, c *Cache) {
 	}
 }
 
+// TestNewValidation: New panics on every configuration Validate
+// rejects, a zeroed DefaultConfig field among them: New fills in no
+// defaults.
 func TestNewValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { New(Config{FlashBytes: 100}) },
-		func() {
-			cfg := DefaultConfig(8 * testMB)
-			cfg.ReadFraction = 1.5
-			New(cfg)
-		},
-		func() {
-			cfg := DefaultConfig(8 * testMB)
-			cfg.Watermark = 2
-			New(cfg)
-		},
+	for _, tc := range []struct {
+		name string
+		over func(*Config)
+		want string
+	}{
+		{"too small", func(cfg *Config) { cfg.FlashBytes = 100 }, "too small"},
+		{"beyond page addresses", func(cfg *Config) { cfg.FlashBytes = (nand.MaxBlocks + 1) << 18 }, "16777217 blocks (at most 16777216)"},
+		{"read fraction above 1", func(cfg *Config) { cfg.ReadFraction = 1.5 }, "read fraction"},
+		{"zero read fraction", func(cfg *Config) { cfg.ReadFraction = 0 }, "read fraction"},
+		{"watermark above 1", func(cfg *Config) { cfg.Watermark = 2 }, "watermark"},
+		{"zero watermark", func(cfg *Config) { cfg.Watermark = 0 }, "watermark"},
+		{"zero K1", func(cfg *Config) { cfg.K1 = 0 }, "K1"},
+		{"zero hot saturation", func(cfg *Config) { cfg.HotSaturation = 0 }, "hot saturation"},
+		{"zero wear threshold", func(cfg *Config) { cfg.WearThreshold = 0 }, "wear threshold"},
+		{"zero miss penalty", func(cfg *Config) { cfg.MissPenalty = 0 }, "miss penalty"},
+		{"NaN wear acceleration", func(cfg *Config) { cfg.WearAcceleration = math.NaN() }, "wear acceleration"},
+		{"zero config", func(cfg *Config) { *cfg = Config{FlashBytes: 8 * testMB} }, "read fraction"},
 	} {
-		func() {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(8 * testMB)
+			tc.over(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
 			defer func() {
 				if recover() == nil {
 					t.Fatal("bad config did not panic")
 				}
 			}()
-			fn()
-		}()
+			New(cfg)
+		})
 	}
 }
 
@@ -256,7 +271,7 @@ func TestGCReclaimsInvalidSpace(t *testing.T) {
 }
 
 func TestUnifiedCacheServesBothPaths(t *testing.T) {
-	c := smallCache(t, func(cfg *Config) { cfg.Split = false })
+	c := smallCache(t, func(cfg *Config) { cfg.ReadFraction = 1 })
 	if len(c.regions) != 1 {
 		t.Fatal("unified cache built two regions")
 	}
@@ -275,9 +290,9 @@ func TestUnifiedCacheServesBothPaths(t *testing.T) {
 func TestSplitBeatsUnifiedMissRate(t *testing.T) {
 	// The Figure 4 claim: with a mixed read/write working set larger
 	// than the cache, the split organisation has the lower miss rate.
-	run := func(split bool) float64 {
+	run := func(readFraction float64) float64 {
 		cfg := DefaultConfig(8 * testMB)
-		cfg.Split = split
+		cfg.ReadFraction = readFraction
 		cfg.Seed = 7
 		c := New(cfg)
 		rng := sim.NewRNG(99)
@@ -304,8 +319,8 @@ func TestSplitBeatsUnifiedMissRate(t *testing.T) {
 		}
 		return c.Stats().MissRate()
 	}
-	splitMiss := run(true)
-	unifiedMiss := run(false)
+	splitMiss := run(0.9)
+	unifiedMiss := run(1)
 	if splitMiss >= unifiedMiss {
 		t.Fatalf("split miss %.4f not better than unified %.4f", splitMiss, unifiedMiss)
 	}
@@ -539,7 +554,7 @@ func TestUncorrectableReadBecomesMiss(t *testing.T) {
 
 func TestDefaultConfigValues(t *testing.T) {
 	cfg := DefaultConfig(1 << 30)
-	if !cfg.Split || cfg.ReadFraction != 0.9 || !cfg.Programmable {
+	if cfg.ReadFraction != 0.9 || !cfg.Programmable {
 		t.Fatal("defaults do not match the paper")
 	}
 	if cfg.baseStrength() != 1 || cfg.InitialMode != wear.MLC {

@@ -282,7 +282,7 @@ func TestGCNoPayoffSkipsWalk(t *testing.T) {
 func TestScrubIdleWindowDeferral(t *testing.T) {
 	c, clock := feedbackCache(t, func(cfg *Config) {
 		cfg.Sched = sched.Config{Channels: 2, Banks: 2}
-		cfg.ScrubFeedback = true
+		cfg.ScrubEvery = 1 << 20 // on, but the patrol never runs here
 		cfg.Retention = wear.RetentionParams{Accel: 1e8}
 		cfg.RefreshThreshold = 0.5
 	})
@@ -331,26 +331,40 @@ func TestScrubIdleWindowDeferral(t *testing.T) {
 	checkInvariants(t, c)
 }
 
-// TestScrubDeferralOffPaths: deferral must decline when feedback is
-// off, when the bank is idle, and a drained entry that went stale
-// (invalidated since deferral) is dropped without a migration or a
-// window.
+// TestScrubDeferralOffPaths: deferral must decline without the
+// scrubber, on the serial device and without a clock, and when the
+// bank is idle; a drained entry that went stale (invalidated since
+// deferral) is dropped without a migration or a window.
 func TestScrubDeferralOffPaths(t *testing.T) {
-	// Feedback off: never defer, even on a busy bank.
-	off, _ := feedbackCache(t, func(cfg *Config) {
-		cfg.Sched = sched.Config{Channels: 2, Banks: 2}
-	})
-	off.Read(5)
-	off.Insert(5)
-	addrOff, _ := off.fcht.Get(5)
-	off.sched.Background(addrOff.Block(), sched.OpErase, 2*sim.Millisecond)
-	if off.deferScrub(addrOff) {
-		t.Fatal("deferred with scrub feedback off")
+	parallel := sched.Config{Channels: 2, Banks: 2}
+	for _, tc := range []struct {
+		name  string
+		clock bool
+		over  func(*Config)
+	}{
+		{"no scrubber", true, func(cfg *Config) { cfg.Sched = parallel }},
+		{"serial device", true, func(cfg *Config) { cfg.ScrubEvery = 1 << 20 }},
+		{"no clock", false, func(cfg *Config) {
+			cfg.ScrubEvery = 1 << 20
+			cfg.Sched = parallel
+		}},
+	} {
+		off := smallCache(t, tc.over)
+		if tc.clock {
+			off.AttachClock(new(sim.Clock))
+		}
+		off.Read(5)
+		off.Insert(5)
+		addrOff, _ := off.fcht.Get(5)
+		off.sched.Background(addrOff.Block(), sched.OpErase, 2*sim.Millisecond)
+		if off.deferScrub(addrOff) {
+			t.Fatalf("%s: deferred a migration", tc.name)
+		}
 	}
 
 	on, clock := feedbackCache(t, func(cfg *Config) {
-		cfg.Sched = sched.Config{Channels: 2, Banks: 2}
-		cfg.ScrubFeedback = true
+		cfg.Sched = parallel
+		cfg.ScrubEvery = 1 << 20
 		cfg.Retention = wear.RetentionParams{Accel: 1e8}
 		cfg.RefreshThreshold = 0.5
 	})

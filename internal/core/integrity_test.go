@@ -247,7 +247,7 @@ func TestRegionTalliesMatchWalk(t *testing.T) {
 		over func(*Config)
 	}{
 		{"split", nil},
-		{"unified", func(cfg *Config) { cfg.Split = false }},
+		{"unified", func(cfg *Config) { cfg.ReadFraction = 1 }},
 		{"wear", func(cfg *Config) {
 			cfg.WearAcceleration = 2000
 			cfg.HotSaturation = 4

@@ -62,8 +62,8 @@ func (c *Cache) AttachObserver(o *obs.Observer) {
 		} else {
 			s.Gauge("cache_dead", 0)
 		}
-		if c.feedbackActive() {
-			// Feedback counters appear only when a feedback policy is
+		if c.cfg.Feedback() {
+			// Feedback counters appear only when a feedback path is
 			// configured, keeping feedback-off metrics output
 			// byte-identical to the pre-feedback simulator.
 			s.Counter("cache_gc_deferred_total", st.GCDeferred)

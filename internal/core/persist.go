@@ -35,7 +35,7 @@ import (
 //	offset 4   format version, uint32 little-endian
 //	offset 8   payload length, uint64 little-endian
 //	offset 16  gob-encoded CacheCheckpoint (payload)
-//	trailer    CRC-32 over header+payload (crcx engine, 4 bytes LE)
+//	trailer    CRC-32 (IEEE) over header+payload, 4 bytes LE
 //
 // Open refuses anything that fails the magic, version, length, CRC or
 // semantic validation with an error matching ErrCorruptMetadata; it
@@ -86,7 +86,7 @@ func decodeEnvelope(r io.Reader) (*CacheCheckpoint, error) {
 
 // loadMetadata rebuilds a cache from a metadata image and the original
 // configuration; Open is its one caller. The configuration must match
-// the one the image was saved under (same FlashBytes, Split, Seed —
+// the one the image was saved under (same FlashBytes, ReadFraction, Seed —
 // the wear trajectories are re-derived from them).
 //
 // A truncated, bit-flipped or internally inconsistent image is

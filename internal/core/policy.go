@@ -103,7 +103,7 @@ func newPolicies(c *Cache, s policy.Set) (evictPolicy, admitPolicy, gcPolicy) {
 	case policy.EvictWearLRU:
 		ev = wearLRUEvict{}
 	case policy.EvictCMWear:
-		ev = cmWearEvict{window: cmWearWindow}
+		ev = cmWearEvict{}
 	default:
 		panic(fmt.Sprintf("core: unregistered evict policy %q", s.Evict))
 	}
@@ -132,17 +132,6 @@ func newPolicies(c *Cache, s policy.Set) (evictPolicy, admitPolicy, gcPolicy) {
 	return ev, ad, gc
 }
 
-// feedbackActive reports whether any scheduler-feedback decision path
-// is configured — the gate for the feedback counters in the metrics
-// collector, so feedback-off runs keep byte-identical observability
-// output.
-func (c *Cache) feedbackActive() bool {
-	ps := c.cfg.Policies.Normalized()
-	return ps.GC == policy.GCContentionAware ||
-		ps.Admit == policy.AdmitThrottle ||
-		c.cfg.ScrubFeedback
-}
-
 // ---- Eviction ----
 
 // wearLRUEvict is the paper's section 3.6 replacement policy: evict
@@ -160,15 +149,15 @@ func (wearLRUEvict) rotate() bool                   { return true }
 const cmWearWindow = 4
 
 // cmWearEvict is Boukhobza et al.'s strategy: replacement decisions
-// absorb the wear-leveling job. Among the window least-recently-used
-// blocks the one with the fewest erases is evicted — reuse of young
-// blocks is preferred — and the explicit wear-rotation migrations are
-// disabled, saving their relocation writes.
-type cmWearEvict struct{ window int }
+// absorb the wear-leveling job. Among the cmWearWindow least-recently-
+// used blocks the one with the fewest erases is evicted — reuse of
+// young blocks is preferred — and the explicit wear-rotation
+// migrations are disabled, saving their relocation writes.
+type cmWearEvict struct{}
 
-func (p cmWearEvict) victim(c *Cache, r *region) int {
+func (cmWearEvict) victim(c *Cache, r *region) int {
 	best, bestErases, n := none, 0, 0
-	for b := int(r.tail); b != none && n < p.window; b = int(c.meta[b].prev) {
+	for b := int(r.tail); b != none && n < cmWearWindow; b = int(c.meta[b].prev) {
 		if er := c.dev.EraseCount(b); best == none || er < bestErases {
 			best, bestErases = b, er
 		}

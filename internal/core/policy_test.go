@@ -104,7 +104,8 @@ func fakeRegion(c *Cache, blocks ...int) *region {
 // never candidates even with zero erases.
 func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 	c := smallCache(t, nil)
-	// LRU order (front=MRU): 0 1 2 3 4 5. Window 4 covers 5,4,3,2.
+	// LRU order (front=MRU): 0 1 2 3 4 5. The window of cmWearWindow
+	// = 4 covers 5,4,3,2.
 	r := fakeRegion(c, 0, 1, 2, 3, 4, 5)
 	for b, erases := range map[int]int{0: 0, 1: 0, 2: 9, 3: 3, 4: 7, 5: 8} {
 		for i := 0; i < erases; i++ {
@@ -113,7 +114,7 @@ func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 			}
 		}
 	}
-	p := cmWearEvict{window: 4}
+	p := cmWearEvict{}
 	if got := p.victim(c, r); got != 3 {
 		t.Fatalf("victim = block %d, want 3 (fewest erases inside the window)", got)
 	}

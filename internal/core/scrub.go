@@ -81,22 +81,22 @@ func (c *Cache) scrubStep() sim.Duration {
 	return t
 }
 
-// scrubFeedbackOn reports whether the idle-window scrub feedback is in
-// effect: opted in, with a clock to read occupancy against and a sched
-// geometry whose bank timelines make BankWait meaningful.
-func (c *Cache) scrubFeedbackOn() bool {
-	return c.cfg.ScrubFeedback && c.clock != nil && c.sched.Active()
+// scrubDefersNow reports whether scrub deferral is in effect: the
+// configuration asks for it (Config.ScrubDefers) and a clock is
+// attached to read bank occupancy against.
+func (c *Cache) scrubDefersNow() bool {
+	return c.cfg.ScrubDefers() && c.clock != nil
 }
 
 // deferScrub pushes an at-risk page onto the idle-window queue when
-// scrub feedback is on and the page's bank is predicted busy past
+// scrub deferral is on and the page's bank is predicted busy past
 // scrubDeferWait, so its migration does not queue behind in-flight
 // foreground commands. Reports whether the page was deferred; with
-// feedback off, an idle bank, or a full queue (bounded at scrubBatch
+// deferral off, an idle bank, or a full queue (bounded at scrubBatch
 // entries so the backlog cannot grow without limit) the caller
 // migrates immediately as the baseline scrubber would.
 func (c *Cache) deferScrub(a nand.Addr) bool {
-	if !c.scrubFeedbackOn() || len(c.scrubDeferred) >= scrubBatch {
+	if !c.scrubDefersNow() || len(c.scrubDeferred) >= scrubBatch {
 		return false
 	}
 	if c.sched.BankWait(a.Block(), c.clock.Now()) <= scrubDeferWait {
@@ -119,7 +119,7 @@ func (c *Cache) scrubDrainDeferred(predictive bool) sim.Duration {
 	if len(c.scrubDeferred) == 0 {
 		return 0
 	}
-	if !c.scrubFeedbackOn() {
+	if !c.scrubDefersNow() {
 		c.scrubDeferred = c.scrubDeferred[:0]
 		return 0
 	}

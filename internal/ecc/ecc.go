@@ -7,12 +7,13 @@
 package ecc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync/atomic"
 
 	"flashdc/internal/bch"
-	"flashdc/internal/crcx"
 	"flashdc/internal/sim"
 )
 
@@ -98,7 +99,7 @@ func (c *Codec) code(s Strength) *bch.Code {
 // SpareBytes returns the spare-area bytes consumed at strength s:
 // 4 bytes of CRC plus the BCH parity.
 func (c *Codec) SpareBytes(s Strength) int {
-	return crcx.Size + c.code(s).ParityBytes()
+	return crc32.Size + c.code(s).ParityBytes()
 }
 
 // Encode protects a PageSize data buffer at strength s and returns the
@@ -109,7 +110,7 @@ func (c *Codec) Encode(s Strength, data []byte) []byte {
 		panic(fmt.Sprintf("ecc: Encode with %d-byte page, want %d", len(data), PageSize))
 	}
 	code := c.code(s)
-	spare := crcx.Append(make([]byte, 0, crcx.Size+code.ParityBytes()), crcx.Checksum(data))
+	spare := binary.LittleEndian.AppendUint32(make([]byte, 0, crc32.Size+code.ParityBytes()), crc32.ChecksumIEEE(data))
 	spare = code.AppendParity(spare, data)
 	if len(spare) > SpareSize {
 		panic(fmt.Sprintf("ecc: t=%d spare image %dB exceeds %dB spare area", s, len(spare), SpareSize))
@@ -126,16 +127,16 @@ func (c *Codec) Decode(s Strength, data, spare []byte) (int, error) {
 		panic(fmt.Sprintf("ecc: Decode with %d-byte page, want %d", len(data), PageSize))
 	}
 	code := c.code(s)
-	want := crcx.Size + code.ParityBytes()
+	want := crc32.Size + code.ParityBytes()
 	if len(spare) != want {
 		panic(fmt.Sprintf("ecc: Decode with %d-byte spare, want %d at t=%d", len(spare), want, s))
 	}
-	parity := append([]byte(nil), spare[crcx.Size:]...)
+	parity := append([]byte(nil), spare[crc32.Size:]...)
 	res, err := code.Decode(data, parity)
 	if err != nil {
 		return 0, ErrUncorrectable
 	}
-	if crcx.Checksum(data) != crcx.Extract(spare) {
+	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(spare) {
 		return 0, ErrSilentCorruption
 	}
 	return res.Corrected, nil

@@ -26,7 +26,6 @@ import (
 	"flashdc/internal/core"
 	"flashdc/internal/dram"
 	"flashdc/internal/hier"
-	"flashdc/internal/nand"
 	"flashdc/internal/obs"
 	"flashdc/internal/sim"
 	"flashdc/internal/trace"
@@ -106,19 +105,17 @@ func New(cfg Config) (*Engine, error) {
 			cfg.Shards, perDRAM, dram.PageSize)
 	}
 	perFlash := cfg.Hier.FlashBytes / n
-	if minFlash := 4 * int64(nand.SlotsPerBlock) * core.PageSize; cfg.Hier.FlashBytes > 0 && perFlash < minFlash {
-		return nil, fmt.Errorf("engine: %d shards leave %d bytes of Flash each (need ≥ %d)",
-			cfg.Shards, perFlash, minFlash)
-	}
-	// Count the blocks as hier and core.New will, so a shard whose pages
-	// a nand.Addr cannot name is refused before anything is allocated.
-	fc := cfg.Hier.Flash
-	if fc == (core.Config{}) {
-		fc = core.DefaultConfig(perFlash)
-	}
-	if blocks := nand.BlocksForCapacity(perFlash, fc.InitialMode); blocks > nand.MaxBlocks {
-		return nil, fmt.Errorf("engine: %d shards leave %d bytes of Flash each, %d blocks (at most %d)",
-			cfg.Shards, perFlash, blocks, nand.MaxBlocks)
+	if cfg.Hier.FlashBytes > 0 {
+		// The shard's cache configuration as hier.New builds it, checked
+		// before anything is allocated.
+		fc := cfg.Hier.Flash
+		if fc == (core.Config{}) {
+			fc = core.DefaultConfig(perFlash)
+		}
+		fc.FlashBytes = perFlash
+		if err := fc.Validate(); err != nil {
+			return nil, fmt.Errorf("engine: each of %d shards gets %d bytes of Flash: %w", cfg.Shards, perFlash, err)
+		}
 	}
 	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {

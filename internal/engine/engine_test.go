@@ -195,10 +195,13 @@ func TestNewValidation(t *testing.T) {
 		{"zero shards", Config{Shards: 0, Hier: testConfig()}, "at least 1 shard"},
 		{"negative workers", Config{Shards: 1, Workers: -1, Hier: testConfig()}, "negative worker"},
 		{"dram too small", Config{Shards: 1 << 20, Hier: testConfig()}, "DRAM"},
-		{"flash too small", Config{Shards: 512, Hier: hier.Config{DRAMBytes: 1 << 30, FlashBytes: 32 << 20}}, "Flash"},
+		{"flash too small", Config{Shards: 512, Hier: hier.Config{DRAMBytes: 1 << 30, FlashBytes: 32 << 20}}, "each of 512 shards gets 65536 bytes of Flash: core: 65536 bytes of flash is too small"},
 		// Rejected before anything is allocated: the shard's blocks
 		// alone would hold 64 GiB of slot state.
 		{"flash beyond page addresses", Config{Shards: 1, Hier: hier.Config{DRAMBytes: 1 << 20, FlashBytes: (nand.MaxBlocks + 1) << 18}}, "16777217 blocks (at most 16777216)"},
+		// A custom cache configuration is checked, not left to panic in
+		// core.New.
+		{"flash config invalid", Config{Shards: 2, Hier: hier.Config{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Flash: core.Config{FlashBytes: 16 << 20}}}, "core: read fraction 0 outside (0,1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -148,14 +148,13 @@ func TestSchedCheckpointRejected(t *testing.T) {
 
 // feedbackTestConfig is schedTestConfig with every scheduler-feedback
 // path live on the Flash tier: contention-aware GC, admission
-// throttling against the write buffer, and scrub feedback over an
-// active error-process scrubber.
+// throttling against the write buffer, and scrub deferral, which the
+// parallel geometry turns on for the active error-process scrubber.
 func feedbackTestConfig(channels int) hier.Config {
 	cfg := schedTestConfig(channels, 2, 8)
 	fc := cfg.Flash
 	fc.Policies = policy.Set{GC: policy.GCContentionAware, Admit: policy.AdmitThrottle}
 	fc.ScrubEvery = 512
-	fc.ScrubFeedback = true
 	fc.Retention = wear.RetentionParams{Accel: 1e8}
 	fc.Disturb = wear.DisturbParams{ReadsPerBit: 50}
 	fc.RefreshThreshold = 0.75

@@ -7,7 +7,7 @@
 //	offset 4   format version, uint32 little-endian
 //	offset 8   payload length, uint64 little-endian
 //	offset 16  gob-encoded payload
-//	trailer    CRC-32 over header+payload (crcx engine, 4 bytes LE)
+//	trailer    CRC-32 (IEEE) over header+payload, 4 bytes LE
 //
 // A file that lives on the very disk a crash may tear mid-write must
 // prove itself before anything trusts it: Read refuses truncation,
@@ -21,9 +21,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-
-	"flashdc/internal/crcx"
 )
 
 // ErrCorrupt tags every validation failure Read reports: the bytes do
@@ -49,12 +48,12 @@ func Write(w io.Writer, magic string, version uint32, payload any) error {
 	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
 		return fmt.Errorf("envelope: encoding payload: %w", err)
 	}
-	buf := make([]byte, HeaderSize, HeaderSize+body.Len()+crcx.Size)
+	buf := make([]byte, HeaderSize, HeaderSize+body.Len()+crc32.Size)
 	copy(buf, magic)
 	binary.LittleEndian.PutUint32(buf[4:], version)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(body.Len()))
 	buf = append(buf, body.Bytes()...)
-	buf = crcx.Append(buf, crcx.Checksum(buf))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	_, err := w.Write(buf)
 	return err
 }
@@ -71,9 +70,9 @@ func Read(r io.Reader, magic string, version uint32, out any) error {
 	if err != nil {
 		return fmt.Errorf("%w: reading image: %v", ErrCorrupt, err)
 	}
-	if len(data) < HeaderSize+crcx.Size {
+	if len(data) < HeaderSize+crc32.Size {
 		return fmt.Errorf("%w: truncated at %d bytes (header needs %d)",
-			ErrCorrupt, len(data), HeaderSize+crcx.Size)
+			ErrCorrupt, len(data), HeaderSize+crc32.Size)
 	}
 	if string(data[:MagicSize]) != magic {
 		return fmt.Errorf("%w: bad magic %q, want %q", ErrCorrupt, data[:MagicSize], magic)
@@ -82,13 +81,13 @@ func Read(r io.Reader, magic string, version uint32, out any) error {
 		return fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, v, version)
 	}
 	plen := binary.LittleEndian.Uint64(data[8:])
-	if plen != uint64(len(data)-HeaderSize-crcx.Size) {
+	if plen != uint64(len(data)-HeaderSize-crc32.Size) {
 		return fmt.Errorf("%w: payload length %d but %d bytes present",
-			ErrCorrupt, plen, len(data)-HeaderSize-crcx.Size)
+			ErrCorrupt, plen, len(data)-HeaderSize-crc32.Size)
 	}
-	body := data[:len(data)-crcx.Size]
-	want := crcx.Extract(data[len(data)-crcx.Size:])
-	if got := crcx.Checksum(body); got != want {
+	body := data[:len(data)-crc32.Size]
+	want := binary.LittleEndian.Uint32(data[len(data)-crc32.Size:])
+	if got := crc32.ChecksumIEEE(body); got != want {
 		return fmt.Errorf("%w: CRC %08x, trailer says %08x", ErrCorrupt, got, want)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body[HeaderSize:])).Decode(out); err != nil {

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
-
-	"flashdc/internal/crcx"
 )
 
 const (
@@ -34,8 +33,8 @@ func encode(t *testing.T, payload any) []byte {
 // reseal recomputes the CRC trailer over a modified header+payload, so
 // the damage reaches the checks behind the CRC.
 func reseal(data []byte) []byte {
-	body := append([]byte(nil), data[:len(data)-crcx.Size]...)
-	return crcx.Append(body, crcx.Checksum(body))
+	body := append([]byte(nil), data[:len(data)-crc32.Size]...)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -44,8 +43,8 @@ func TestRoundTrip(t *testing.T) {
 	if string(data[:MagicSize]) != testMagic {
 		t.Fatalf("magic %q, want %q", data[:MagicSize], testMagic)
 	}
-	if got := binary.LittleEndian.Uint64(data[8:]); got != uint64(len(data)-HeaderSize-crcx.Size) {
-		t.Fatalf("header payload length %d, file carries %d", got, len(data)-HeaderSize-crcx.Size)
+	if got := binary.LittleEndian.Uint64(data[8:]); got != uint64(len(data)-HeaderSize-crc32.Size) {
+		t.Fatalf("header payload length %d, file carries %d", got, len(data)-HeaderSize-crc32.Size)
 	}
 	var out testPayload
 	if err := Read(bytes.NewReader(data), testMagic, testVersion, &out); err != nil {
@@ -86,7 +85,7 @@ func TestReadRejects(t *testing.T) {
 		{"CRC damage", mutate(func(d []byte) []byte { d[len(d)-1] ^= 0x01; return d }), "CRC"},
 		{"payload bit flip", mutate(func(d []byte) []byte { d[HeaderSize+2] ^= 0x40; return d }), "CRC"},
 		{"gob garbage under a valid CRC", mutate(func(d []byte) []byte {
-			for i := HeaderSize; i < len(d)-crcx.Size; i++ {
+			for i := HeaderSize; i < len(d)-crc32.Size; i++ {
 				d[i] = 0xFF
 			}
 			return reseal(d)

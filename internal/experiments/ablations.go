@@ -45,7 +45,7 @@ func ablateSplit(o Options) *Table {
 		miss, st, _ := ablateRun(o, func(c *core.Config) { c.ReadFraction = f }, requests)
 		t.AddRow(f, miss, st.Evictions, st.GCRuns)
 	}
-	miss, st, _ := ablateRun(o, func(c *core.Config) { c.Split = false }, requests)
+	miss, st, _ := ablateRun(o, func(c *core.Config) { c.ReadFraction = 1 }, requests)
 	t.AddRow("unified", miss, st.Evictions, st.GCRuns)
 	return t
 }

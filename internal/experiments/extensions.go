@@ -167,7 +167,7 @@ func gcContention(o Options) *Table {
 	}
 	for _, contention := range []bool{false, true} {
 		cfg := core.DefaultConfig(int64(float64(256<<20) * o.Scale))
-		cfg.Split = false
+		cfg.ReadFraction = 1
 		cfg.Programmable = false
 		cfg.Seed = o.Seed
 		c := core.New(cfg)

@@ -46,7 +46,8 @@ func fig1b(o Options) *Table {
 	}
 	var pts []point
 	for _, u := range []float64{0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.85, 0.90, 0.95} {
-		pts = append(pts, point{u * 100, ftlGCOverhead(o.Seed, blocks, u, writes)})
+		perWrite, _ := ftlGCOverhead(o.Seed, o.Seed+31, blocks, u, writes)
+		pts = append(pts, point{u * 100, perWrite})
 	}
 	norm := pts[0].perWrite
 	if norm <= 0 {
@@ -58,12 +59,13 @@ func fig1b(o Options) *Table {
 	return t
 }
 
-// ftlGCOverhead fills the FTL to the target occupancy, rewrites the
-// logical space uniformly at random, and returns average GC
-// microseconds per host write.
-func ftlGCOverhead(seed uint64, blocks int, occupancy float64, writes int) float64 {
-	f := ftl.New(ftl.Config{Blocks: blocks, Mode: wear.SLC, Seed: seed})
-	rng := sim.NewRNG(seed + 31)
+// ftlGCOverhead fills an FTL of the given blocks and device seed to
+// the target occupancy, rewrites the logical space uniformly at random
+// from rngSeed, and returns the rewrites' average GC microseconds per
+// host write and their write amplification.
+func ftlGCOverhead(seed, rngSeed uint64, blocks int, occupancy float64, writes int) (gcPerWrite, writeAmp float64) {
+	f := ftl.New(ftl.Config{Blocks: blocks, Seed: seed})
+	rng := sim.NewRNG(rngSeed)
 	logical := int(float64(f.CapacityPages()) * occupancy)
 	if logical > f.UsablePages() {
 		logical = f.UsablePages()
@@ -83,8 +85,10 @@ func ftlGCOverhead(seed uint64, blocks int, occupancy float64, writes int) float
 		}
 	}
 	after := f.Stats()
-	gc := (after.GCTime - before.GCTime).Microseconds()
-	return gc / float64(writes)
+	gcPerWrite = (after.GCTime - before.GCTime).Microseconds() / float64(writes)
+	writeAmp = float64(after.HostWrites-before.HostWrites+after.GCRelocations-before.GCRelocations) /
+		float64(after.HostWrites-before.HostWrites)
+	return gcPerWrite, writeAmp
 }
 
 // ssdVsCache contrasts the two Flash usage models the paper's
@@ -111,30 +115,9 @@ func ssdVsCache(o Options) *Table {
 		blocks = 64
 	}
 	for _, u := range []float64{0.50, 0.70, 0.85, 0.95} {
-		// SSD usage model.
-		f := ftl.New(ftl.Config{Blocks: blocks, Mode: wear.SLC, Seed: o.Seed})
-		rng := sim.NewRNG(o.Seed + 37)
-		logical := int(float64(f.CapacityPages()) * u)
-		if logical > f.UsablePages() {
-			logical = f.UsablePages()
-		}
-		for l := 0; l < logical; l++ {
-			if _, err := f.Write(int64(l)); err != nil {
-				panic(err)
-			}
-		}
-		fBefore := f.Stats()
-		for i := 0; i < writes; i++ {
-			if _, err := f.Write(int64(rng.Intn(logical))); err != nil {
-				panic(err)
-			}
-		}
-		fAfter := f.Stats()
-		ftlGC := (fAfter.GCTime - fBefore.GCTime).Microseconds() / float64(writes)
-		wa := float64(fAfter.HostWrites-fBefore.HostWrites+fAfter.GCRelocations-fBefore.GCRelocations) /
-			float64(fAfter.HostWrites-fBefore.HostWrites)
-
-		// Disk-cache usage model over the same device and stream.
+		// SSD usage model, then the disk-cache usage model over the same
+		// device and stream.
+		ftlGC, wa := ftlGCOverhead(o.Seed, o.Seed+37, blocks, u, writes)
 		cacheGC := cacheWriteOverhead(o.Seed, blocks, u, writes)
 
 		t.AddRow(u*100, wa, ftlGC, cacheGC)
@@ -167,7 +150,7 @@ func cacheWriteOverhead(seed uint64, blocks int, occupancy float64, writes int) 
 // for the usage-model comparison.
 func newUnifiedCache(flashBytes int64, seed uint64) *core.Cache {
 	cfg := core.DefaultConfig(flashBytes)
-	cfg.Split = false
+	cfg.ReadFraction = 1
 	cfg.Programmable = false
 	cfg.InitialMode = wear.SLC
 	cfg.Seed = seed

@@ -40,7 +40,9 @@ func fig4(o Options) *Table {
 // configuration.
 func fig4Run(o Options, flashBytes int64, split bool, requests int) float64 {
 	cfg := core.DefaultConfig(int64(float64(flashBytes) * o.Scale))
-	cfg.Split = split
+	if !split {
+		cfg.ReadFraction = 1
+	}
 	cfg.Programmable = false // isolate the organisation effect
 	cfg.Seed = o.Seed
 	miss, _ := readMiss(core.New(cfg), workload.MustNew("dbt2", o.Scale, o.Seed+3), requests/2, requests)

@@ -4,8 +4,8 @@
 // loss), program-status failures, erase failures, and permanently
 // grown bad blocks — and the controller above the device is expected
 // to survive all of them with retries, remapping and block retirement.
-// A Plan describes one fault campaign (rates, burst windows, targeted
-// blocks); the Injector executes it, consulted by nand.Device on every
+// A Plan describes one fault campaign (rates, burst windows,
+// factory-bad blocks); the Injector executes it, consulted by nand.Device on every
 // Read, Program and Erase.
 //
 // Determinism: the injector draws from one internal/sim RNG stream in
@@ -42,10 +42,6 @@ type Plan struct {
 	// is permanent: the block has grown bad and every later program
 	// and erase on it fails until the controller retires it.
 	GrownBadRate float64
-
-	// TargetBlocks restricts injection to the listed blocks; empty
-	// targets every block. Useful for aiming a campaign at one region.
-	TargetBlocks []int
 
 	// FactoryBadBlocks are marked bad at device build time, before any
 	// operation — the shipped-bad-block list on a real part's label.
@@ -95,23 +91,15 @@ func (s *Stats) Merge(other Stats) {
 // device models are single-goroutine. A nil *Injector is valid and
 // injects nothing.
 type Injector struct {
-	plan    Plan
-	rng     *sim.RNG
-	ops     uint64
-	targets map[int]bool
-	stats   Stats
+	plan  Plan
+	rng   *sim.RNG
+	ops   uint64
+	stats Stats
 }
 
 // NewInjector builds an injector for the plan.
 func NewInjector(p Plan) *Injector {
-	in := &Injector{plan: p, rng: sim.NewRNG(p.Seed)}
-	if len(p.TargetBlocks) > 0 {
-		in.targets = make(map[int]bool, len(p.TargetBlocks))
-		for _, b := range p.TargetBlocks {
-			in.targets[b] = true
-		}
-	}
-	return in
+	return &Injector{plan: p, rng: sim.NewRNG(p.Seed)}
 }
 
 // Stats returns a copy of the injection counters.
@@ -171,11 +159,6 @@ func (in *Injector) factor() float64 {
 	return 1
 }
 
-// targeted reports whether block b is in the campaign's blast radius.
-func (in *Injector) targeted(b int) bool {
-	return in.targets == nil || in.targets[b]
-}
-
 // hit reports whether an event with the given base rate fires under
 // the current burst factor, given the uniform variate v.
 func hit(v, rate, factor float64) bool {
@@ -195,15 +178,15 @@ func hit(v, rate, factor float64) bool {
 // keeps campaign sweeps comparable point to point.
 
 // ReadFlips returns how many transient bit flips to inject into a read
-// of block b (0 for most reads). Each call re-samples: flips are
-// transient and independent between the original read and retries.
-func (in *Injector) ReadFlips(b int) int {
+// (0 for most reads). Each call re-samples: flips are transient and
+// independent between the original read and retries.
+func (in *Injector) ReadFlips() int {
 	if in == nil {
 		return 0
 	}
 	f := in.factor()
 	v, extra := in.rng.Float64(), in.rng.Float64()
-	if !in.targeted(b) || !hit(v, in.plan.ReadFlipRate, f) {
+	if !hit(v, in.plan.ReadFlipRate, f) {
 		return 0
 	}
 	max := in.plan.ReadFlipMax
@@ -219,15 +202,15 @@ func (in *Injector) ReadFlips(b int) int {
 	return n
 }
 
-// ProgramFails decides whether a program of block b fails, and whether
-// that failure is permanent (the block has grown bad).
-func (in *Injector) ProgramFails(b int) (fail, grown bool) {
+// ProgramFails decides whether a program fails, and whether that
+// failure is permanent (the block has grown bad).
+func (in *Injector) ProgramFails() (fail, grown bool) {
 	if in == nil {
 		return false, false
 	}
 	f := in.factor()
 	v, g := in.rng.Float64(), in.rng.Float64()
-	if !in.targeted(b) || !hit(v, in.plan.ProgramFailRate, f) {
+	if !hit(v, in.plan.ProgramFailRate, f) {
 		return false, false
 	}
 	in.stats.ProgramFails++
@@ -238,15 +221,15 @@ func (in *Injector) ProgramFails(b int) (fail, grown bool) {
 	return true, false
 }
 
-// EraseFails decides whether an erase of block b fails, and whether
-// the failure is permanent.
-func (in *Injector) EraseFails(b int) (fail, grown bool) {
+// EraseFails decides whether an erase fails, and whether the failure
+// is permanent.
+func (in *Injector) EraseFails() (fail, grown bool) {
 	if in == nil {
 		return false, false
 	}
 	f := in.factor()
 	v, g := in.rng.Float64(), in.rng.Float64()
-	if !in.targeted(b) || !hit(v, in.plan.EraseFailRate, f) {
+	if !hit(v, in.plan.EraseFailRate, f) {
 		return false, false
 	}
 	in.stats.EraseFails++

@@ -7,11 +7,10 @@ import "testing"
 func drive(in *Injector, ops int) []int {
 	out := make([]int, 0, 3*ops)
 	for i := 0; i < ops; i++ {
-		b := i % 8
-		out = append(out, in.ReadFlips(b))
-		pf, pg := in.ProgramFails(b)
+		out = append(out, in.ReadFlips())
+		pf, pg := in.ProgramFails()
 		out = append(out, b2i(pf)+2*b2i(pg))
-		ef, eg := in.EraseFails(b)
+		ef, eg := in.EraseFails()
 		out = append(out, b2i(ef)+2*b2i(eg))
 	}
 	return out
@@ -79,7 +78,7 @@ func TestRatesRoughlyHonoured(t *testing.T) {
 	in := NewInjector(Plan{Seed: 47, ReadFlipRate: 0.1})
 	n := 20000
 	for i := 0; i < n; i++ {
-		in.ReadFlips(0)
+		in.ReadFlips()
 	}
 	got := float64(in.Stats().ReadInjections) / float64(n)
 	if got < 0.08 || got > 0.12 {
@@ -90,13 +89,13 @@ func TestRatesRoughlyHonoured(t *testing.T) {
 func TestZeroPlanInjectsNothing(t *testing.T) {
 	in := NewInjector(Plan{Seed: 53})
 	for i := 0; i < 1000; i++ {
-		if in.ReadFlips(i) != 0 {
+		if in.ReadFlips() != 0 {
 			t.Fatal("zero plan injected read flips")
 		}
-		if f, _ := in.ProgramFails(i); f {
+		if f, _ := in.ProgramFails(); f {
 			t.Fatal("zero plan failed a program")
 		}
-		if f, _ := in.EraseFails(i); f {
+		if f, _ := in.EraseFails(); f {
 			t.Fatal("zero plan failed an erase")
 		}
 	}
@@ -108,43 +107,17 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.ReadFlips(0) != 0 {
+	if in.ReadFlips() != 0 {
 		t.Fatal("nil injector flipped bits")
 	}
-	if f, g := in.ProgramFails(0); f || g {
+	if f, g := in.ProgramFails(); f || g {
 		t.Fatal("nil injector failed a program")
 	}
-	if f, g := in.EraseFails(0); f || g {
+	if f, g := in.EraseFails(); f || g {
 		t.Fatal("nil injector failed an erase")
 	}
 	if in.Stats() != (Stats{}) {
 		t.Fatal("nil injector has stats")
-	}
-}
-
-func TestTargetedBlocks(t *testing.T) {
-	in := NewInjector(Plan{
-		Seed:            59,
-		ReadFlipRate:    0.5,
-		ProgramFailRate: 0.5,
-		TargetBlocks:    []int{3},
-	})
-	for i := 0; i < 2000; i++ {
-		if in.ReadFlips(4) != 0 {
-			t.Fatal("untargeted block got read flips")
-		}
-		if f, _ := in.ProgramFails(5); f {
-			t.Fatal("untargeted block got a program failure")
-		}
-	}
-	hits := 0
-	for i := 0; i < 200; i++ {
-		if in.ReadFlips(3) > 0 {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Fatal("targeted block never hit at rate 0.5")
 	}
 }
 
@@ -160,7 +133,7 @@ func TestBurstWindows(t *testing.T) {
 	})
 	inBurst, outBurst := 0, 0
 	for op := 0; op < 10000; op++ {
-		n := in.ReadFlips(0)
+		n := in.ReadFlips()
 		if n == 0 {
 			continue
 		}
@@ -182,7 +155,7 @@ func TestGrownBadEscalation(t *testing.T) {
 	in := NewInjector(Plan{Seed: 67, ProgramFailRate: 0.5, GrownBadRate: 1})
 	sawGrown := false
 	for i := 0; i < 100; i++ {
-		if fail, grown := in.ProgramFails(0); fail {
+		if fail, grown := in.ProgramFails(); fail {
 			if !grown {
 				t.Fatal("GrownBadRate=1 produced a transient failure")
 			}

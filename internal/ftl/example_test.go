@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"flashdc/internal/ftl"
-	"flashdc/internal/wear"
 )
 
 // Example shows the SSD usage model: logical pages written
 // out-of-place, the cleaner's write amplification becoming visible as
 // the device fills.
 func Example() {
-	f := ftl.New(ftl.Config{Blocks: 8, Mode: wear.SLC, Seed: 1})
+	f := ftl.New(ftl.Config{Blocks: 8, Seed: 1})
 
 	// Fill 80% of the usable space, then rewrite it in a strided
 	// order so invalid pages scatter across blocks (sequential

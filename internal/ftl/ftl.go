@@ -28,19 +28,18 @@ var ErrFull = errors.New("ftl: device full")
 // ErrUnmapped is returned when reading a logical page never written.
 var ErrUnmapped = errors.New("ftl: logical page not mapped")
 
-// Config sizes the FTL.
+// Config sizes the FTL. The device runs every cell in SLC mode: the
+// disk-cache controller's dynamic density management does not apply
+// to a plain FTL.
 type Config struct {
 	// Blocks is the erase-block count of the underlying device.
 	Blocks int
-	// Mode is the (fixed) cell density; the disk-cache controller's
-	// dynamic density management does not apply to a plain FTL.
-	Mode wear.Mode
 	// Seed drives device wear sampling.
 	Seed uint64
-	// Reserve is the number of free blocks kept for the cleaner
-	// (default 2).
-	Reserve int
 }
+
+// reserve is the number of free blocks kept for the cleaner.
+const reserve = 2
 
 // Stats counts FTL activity.
 type Stats struct {
@@ -66,12 +65,11 @@ func (s Stats) WriteAmplification() float64 {
 // FTL is a log-structured flash translation layer over one NAND
 // device. Not safe for concurrent use.
 type FTL struct {
-	dev           *nand.Device
-	cfg           Config
-	pagesPerBlock int
+	dev *nand.Device
+	cfg Config
 
 	mapping    map[int64]nand.Addr // logical -> physical
-	reverse    [][]int64           // [block][pageIndex] -> logical, -1 invalid
+	reverse    [][]int64           // [block][slot] -> logical, -1 invalid
 	validCount []int
 	freeBlocks []int
 	isFree     []bool
@@ -85,33 +83,22 @@ func New(cfg Config) *FTL {
 	if cfg.Blocks < 4 {
 		panic("ftl: need at least 4 blocks")
 	}
-	if cfg.Reserve == 0 {
-		cfg.Reserve = 2
-	}
-	if cfg.Reserve < 1 || cfg.Reserve >= cfg.Blocks-1 {
-		panic(fmt.Sprintf("ftl: reserve %d out of range for %d blocks", cfg.Reserve, cfg.Blocks))
-	}
 	dev := nand.New(nand.Config{
 		Blocks:      cfg.Blocks,
-		InitialMode: cfg.Mode,
+		InitialMode: wear.SLC,
 		Seed:        cfg.Seed,
 	})
-	ppb := nand.SlotsPerBlock
-	if cfg.Mode == wear.MLC {
-		ppb *= 2
-	}
 	f := &FTL{
-		dev:           dev,
-		cfg:           cfg,
-		pagesPerBlock: ppb,
-		mapping:       make(map[int64]nand.Addr),
-		reverse:       make([][]int64, cfg.Blocks),
-		validCount:    make([]int, cfg.Blocks),
-		isFree:        make([]bool, cfg.Blocks),
-		open:          0,
+		dev:        dev,
+		cfg:        cfg,
+		mapping:    make(map[int64]nand.Addr),
+		reverse:    make([][]int64, cfg.Blocks),
+		validCount: make([]int, cfg.Blocks),
+		isFree:     make([]bool, cfg.Blocks),
+		open:       0,
 	}
 	for b := range f.reverse {
-		f.reverse[b] = make([]int64, ppb)
+		f.reverse[b] = make([]int64, nand.SlotsPerBlock)
 		for i := range f.reverse[b] {
 			f.reverse[b][i] = -1
 		}
@@ -124,12 +111,12 @@ func New(cfg Config) *FTL {
 }
 
 // CapacityPages returns the raw page capacity of the device.
-func (f *FTL) CapacityPages() int { return f.cfg.Blocks * f.pagesPerBlock }
+func (f *FTL) CapacityPages() int { return f.cfg.Blocks * nand.SlotsPerBlock }
 
 // UsablePages returns the logical capacity: raw capacity minus the
 // cleaner's reserve and the open block.
 func (f *FTL) UsablePages() int {
-	return (f.cfg.Blocks - f.cfg.Reserve - 1) * f.pagesPerBlock
+	return (f.cfg.Blocks - reserve - 1) * nand.SlotsPerBlock
 }
 
 // MappedPages returns the number of live logical pages.
@@ -145,22 +132,6 @@ func (f *FTL) Stats() Stats { return f.stats }
 
 // Device exposes the underlying NAND device (wear inspection).
 func (f *FTL) Device() *nand.Device { return f.dev }
-
-// addr converts a flat physical page index within a block to a device
-// address; index inverts it.
-func (f *FTL) addr(block, idx int) nand.Addr {
-	if f.cfg.Mode == wear.MLC {
-		return nand.PageAddr(block, idx/2, idx%2)
-	}
-	return nand.PageAddr(block, idx, 0)
-}
-
-func (f *FTL) index(a nand.Addr) int {
-	if f.cfg.Mode == wear.MLC {
-		return a.Slot()*2 + a.Sub()
-	}
-	return a.Slot()
-}
 
 // Read serves a logical page and returns the device latency.
 func (f *FTL) Read(logical int64) (sim.Duration, error) {
@@ -206,7 +177,7 @@ func (f *FTL) invalidate(logical int64) {
 	if !ok {
 		return
 	}
-	f.reverse[a.Block()][f.index(a)] = -1
+	f.reverse[a.Block()][a.Slot()] = -1
 	f.validCount[a.Block()]--
 	delete(f.mapping, logical)
 }
@@ -214,7 +185,7 @@ func (f *FTL) invalidate(logical int64) {
 // appendPage programs logical at the log head. Callers must have
 // ensured reserve space.
 func (f *FTL) appendPage(logical int64, gc bool) (sim.Duration, error) {
-	if f.cursor >= f.pagesPerBlock {
+	if f.cursor >= nand.SlotsPerBlock {
 		if len(f.freeBlocks) == 0 {
 			return 0, fmt.Errorf("%w: reserve exhausted", ErrFull)
 		}
@@ -223,7 +194,7 @@ func (f *FTL) appendPage(logical int64, gc bool) (sim.Duration, error) {
 		f.isFree[f.open] = false
 		f.cursor = 0
 	}
-	a := f.addr(f.open, f.cursor)
+	a := nand.PageAddr(f.open, f.cursor, 0)
 	f.cursor++
 	lat, err := f.dev.Program(a, uint64(logical))
 	if err != nil {
@@ -233,7 +204,7 @@ func (f *FTL) appendPage(logical int64, gc bool) (sim.Duration, error) {
 		f.stats.GCTime += lat
 	}
 	f.mapping[logical] = a
-	f.reverse[a.Block()][f.index(a)] = logical
+	f.reverse[a.Block()][a.Slot()] = logical
 	f.validCount[a.Block()]++
 	return lat, nil
 }
@@ -241,7 +212,7 @@ func (f *FTL) appendPage(logical int64, gc bool) (sim.Duration, error) {
 // ensureReserve cleans until the free-block reserve is met.
 func (f *FTL) ensureReserve() error {
 	guard := 0
-	for len(f.freeBlocks) < f.cfg.Reserve {
+	for len(f.freeBlocks) < reserve {
 		if err := f.clean(); err != nil {
 			return err
 		}
@@ -267,14 +238,14 @@ func (f *FTL) clean() error {
 	if victim < 0 {
 		return fmt.Errorf("%w: no GC victim", ErrFull)
 	}
-	if best >= f.pagesPerBlock {
+	if best >= nand.SlotsPerBlock {
 		return fmt.Errorf("%w: victim fully valid (occupancy too high)", ErrFull)
 	}
 	for idx, logical := range f.reverse[victim] {
 		if logical < 0 {
 			continue
 		}
-		res, err := f.dev.Read(f.addr(victim, idx))
+		res, err := f.dev.Read(nand.PageAddr(victim, idx, 0))
 		if err != nil {
 			return err
 		}

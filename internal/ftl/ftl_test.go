@@ -6,33 +6,24 @@ import (
 	"testing/quick"
 
 	"flashdc/internal/sim"
-	"flashdc/internal/wear"
 )
 
-func testFTL(t *testing.T, blocks int, mode wear.Mode) *FTL {
+func testFTL(t *testing.T, blocks int) *FTL {
 	t.Helper()
-	return New(Config{Blocks: blocks, Mode: mode, Seed: 1})
+	return New(Config{Blocks: blocks, Seed: 1})
 }
 
 func TestNewValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { New(Config{Blocks: 2}) },
-		func() { New(Config{Blocks: 8, Reserve: 8}) },
-		func() { New(Config{Blocks: 8, Reserve: -1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad config did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("bad config did not panic")
+		}
+	}()
+	New(Config{Blocks: 2})
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	f := testFTL(t, 8, wear.SLC)
+	f := testFTL(t, 8)
 	if _, err := f.Read(42); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("unmapped read: %v", err)
 	}
@@ -49,7 +40,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestOutOfPlaceRewrite(t *testing.T) {
-	f := testFTL(t, 8, wear.SLC)
+	f := testFTL(t, 8)
 	f.Write(1)
 	a1 := f.mapping[1]
 	f.Write(1)
@@ -63,17 +54,17 @@ func TestOutOfPlaceRewrite(t *testing.T) {
 }
 
 func TestCapacityAccounting(t *testing.T) {
-	f := testFTL(t, 8, wear.MLC)
-	if f.CapacityPages() != 8*128 {
+	f := testFTL(t, 8)
+	if f.CapacityPages() != 8*64 {
 		t.Fatalf("capacity %d", f.CapacityPages())
 	}
-	if f.UsablePages() != 5*128 { // 8 - reserve(2) - open(1)
+	if f.UsablePages() != 5*64 { // 8 - reserve(2) - open(1)
 		t.Fatalf("usable %d", f.UsablePages())
 	}
 }
 
 func TestFullDeviceRejectsNewPages(t *testing.T) {
-	f := testFTL(t, 6, wear.SLC)
+	f := testFTL(t, 6)
 	usable := f.UsablePages()
 	for l := 0; l < usable; l++ {
 		if _, err := f.Write(int64(l)); err != nil {
@@ -97,7 +88,7 @@ func TestFullDeviceRejectsNewPages(t *testing.T) {
 }
 
 func TestGCPreservesData(t *testing.T) {
-	f := testFTL(t, 8, wear.SLC)
+	f := testFTL(t, 8)
 	n := f.UsablePages() * 8 / 10
 	rng := sim.NewRNG(3)
 	for l := 0; l < n; l++ {
@@ -119,7 +110,7 @@ func TestGCPreservesData(t *testing.T) {
 
 func TestWriteAmplificationGrowsWithOccupancy(t *testing.T) {
 	wa := func(frac float64) float64 {
-		f := testFTL(t, 32, wear.SLC)
+		f := testFTL(t, 32)
 		n := int(float64(f.UsablePages()) * frac)
 		rng := sim.NewRNG(7)
 		for l := 0; l < n; l++ {
@@ -141,7 +132,7 @@ func TestWriteAmplificationGrowsWithOccupancy(t *testing.T) {
 }
 
 func TestMappingInvariant(t *testing.T) {
-	f := testFTL(t, 8, wear.MLC)
+	f := testFTL(t, 8)
 	check := func(ops []uint16) bool {
 		n := int64(f.UsablePages())
 		for _, op := range ops {
@@ -177,7 +168,7 @@ func TestMappingInvariant(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	f := testFTL(t, 8, wear.SLC)
+	f := testFTL(t, 8)
 	f.Write(1)
 	f.Read(1)
 	st := f.Stats()
@@ -196,7 +187,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestOccupancy(t *testing.T) {
-	f := testFTL(t, 8, wear.SLC)
+	f := testFTL(t, 8)
 	if f.Occupancy() != 0 {
 		t.Fatal("fresh FTL occupied")
 	}

@@ -74,13 +74,11 @@ type Config struct {
 	// Sched selects the NAND scheduler geometry (channels, banks,
 	// write buffer). The model is timing-blind, so any geometry must
 	// replay with zero divergences — that is the proof the scheduler
-	// changes device *time* and never hit/miss semantics.
+	// changes device *time* and never hit/miss semantics. With the
+	// scrubber on, a parallel geometry also defers scrub migrations
+	// into idle bank windows (core.Config.ScrubDefers), which moves
+	// only the background instant a migration runs at.
 	Sched sched.Config
-	// ScrubFeedback batches scrub/refresh migrations into idle
-	// channel/bank windows (core.Config.ScrubFeedback). It perturbs
-	// only which background instant a migration runs at, so it too
-	// must replay with zero divergences.
-	ScrubFeedback bool
 }
 
 // Default returns a small, fast, fault-free configuration.
@@ -116,7 +114,6 @@ func hierConfig(cfg Config) hier.Config {
 		fc.RefreshThreshold = cfg.RefreshThreshold
 		fc.Policies = cfg.Policies
 		fc.Sched = cfg.Sched
-		fc.ScrubFeedback = cfg.ScrubFeedback
 		hc.Flash = fc
 	}
 	return hc

@@ -193,7 +193,6 @@ func TestFeedbackSweep(t *testing.T) {
 			c.FootprintPages = 256
 		}),
 		mk("scrub-feedback-windows", 43, sched.Config{Channels: 4, Banks: 2}, func(c *Config) {
-			c.ScrubFeedback = true
 			c.ScrubEvery = 500
 			c.Retention = wear.RetentionParams{Accel: 1e8}
 			c.Disturb = wear.DisturbParams{ReadsPerBit: 50}
@@ -201,7 +200,6 @@ func TestFeedbackSweep(t *testing.T) {
 		}),
 		mk("all-feedback", 44, sched.Config{Channels: 4, Banks: 2, WriteBufPages: 8}, func(c *Config) {
 			c.Policies = policy.Set{GC: policy.GCContentionAware, Admit: policy.AdmitThrottle}
-			c.ScrubFeedback = true
 			c.ScrubEvery = 500
 			c.Retention = wear.RetentionParams{Accel: 1e8}
 			c.Disturb = wear.DisturbParams{ReadsPerBit: 50}
@@ -210,7 +208,6 @@ func TestFeedbackSweep(t *testing.T) {
 		}),
 		mk("all-feedback-sharded-4", 45, sched.Config{Channels: 4, Banks: 2, WriteBufPages: 8}, func(c *Config) {
 			c.Policies = policy.Set{GC: policy.GCContentionAware, Admit: policy.AdmitThrottle}
-			c.ScrubFeedback = true
 			c.ScrubEvery = 500
 			c.Shards = 4
 			c.WriteFrac = 0.5

@@ -145,7 +145,7 @@ func TestFlashReducesPowerAndKeepsBandwidth(t *testing.T) {
 
 func TestCustomFlashConfigRespected(t *testing.T) {
 	fc := core.DefaultConfig(16 * mb)
-	fc.Split = false
+	fc.ReadFraction = 1
 	s := New(Config{DRAMBytes: 1 * mb, FlashBytes: 16 * mb, Flash: fc})
 	if s.Flash() == nil {
 		t.Fatal("flash missing")

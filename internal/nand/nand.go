@@ -405,7 +405,7 @@ func (d *Device) Read(a Addr) (ReadResult, error) {
 	lat := d.timing.Read(sl.mode)
 	d.stats.Reads++
 	d.stats.ReadTime += lat
-	injected := d.cfg.Faults.ReadFlips(a.Block())
+	injected := d.cfg.Faults.ReadFlips()
 	res := ReadResult{
 		Data:      sl.data[a.Sub()],
 		BitErrors: d.organicBits(blk, sl, a.Sub()) + injected,
@@ -534,7 +534,7 @@ func (d *Device) Program(a Addr, data uint64) (sim.Duration, error) {
 	fail := blk.grownBad
 	if !fail {
 		var grown bool
-		fail, grown = d.cfg.Faults.ProgramFails(a.Block())
+		fail, grown = d.cfg.Faults.ProgramFails()
 		if grown {
 			blk.grownBad = true
 		}
@@ -617,7 +617,7 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 	fail := blk.grownBad
 	if !fail {
 		var grown bool
-		fail, grown = d.cfg.Faults.EraseFails(b)
+		fail, grown = d.cfg.Faults.EraseFails()
 		if grown {
 			blk.grownBad = true
 		}

@@ -32,21 +32,17 @@ type RetentionParams struct {
 	// knob (an Arrhenius bake factor, or simply "one simulated second
 	// is Accel real seconds"). Zero or negative disables retention.
 	Accel float64
-	// BitsAtSpec is the number of correctable flips a fresh (zero
-	// cycle) page accumulates after DataRetentionYears of accelerated
-	// dwell — the ITRS retention point says data is still recoverable
-	// then, so this should sit at or below the ECC budget. Zero means
-	// the default of 4.
-	BitsAtSpec float64
-	// CycleFactor couples retention to wear: the leak rate is
-	// multiplied by (1 + CycleFactor * cycles/endurance(mode)). Zero
-	// means the default of 4; negative disables the coupling.
-	CycleFactor float64
 }
 
 const (
-	defaultRetentionBitsAtSpec  = 4
-	defaultRetentionCycleFactor = 4
+	// retentionBitsAtSpec is the number of correctable flips a fresh
+	// (zero cycle) page accumulates after DataRetentionYears of
+	// accelerated dwell: the ITRS retention point says data is still
+	// recoverable then, so it sits below the ECC budget.
+	retentionBitsAtSpec = 4
+	// retentionCycleFactor couples retention to wear: the leak rate is
+	// multiplied by (1 + retentionCycleFactor * cycles/endurance(mode)).
+	retentionCycleFactor = 4
 )
 
 // Enabled reports whether the process contributes errors.
@@ -60,21 +56,11 @@ func (p RetentionParams) Bits(dwell sim.Duration, cycles float64, mode Mode) int
 	if !p.Enabled() || dwell <= 0 {
 		return 0
 	}
-	bitsAtSpec := p.BitsAtSpec
-	if bitsAtSpec == 0 {
-		bitsAtSpec = defaultRetentionBitsAtSpec
-	}
-	cf := p.CycleFactor
-	if cf == 0 {
-		cf = defaultRetentionCycleFactor
-	} else if cf < 0 {
-		cf = 0
-	}
 	wearFactor := 1.0
 	if cycles > 0 {
-		wearFactor += cf * cycles / endurance(mode)
+		wearFactor += retentionCycleFactor * cycles / endurance(mode)
 	}
-	bits := bitsAtSpec * wearFactor *
+	bits := retentionBitsAtSpec * wearFactor *
 		(p.Accel * float64(dwell) / float64(retentionSpecDwell))
 	if bits >= CellsPerPage {
 		return CellsPerPage
@@ -92,13 +78,11 @@ type DisturbParams struct {
 	// Device.Read, which disturbs siblings only — a read never counts
 	// against itself). Zero or negative disables the process.
 	ReadsPerBit float64
-	// CycleFactor couples disturb to wear, like the retention
-	// coupling: worn oxide disturbs faster. Zero means the default of
-	// 1; negative disables the coupling.
-	CycleFactor float64
 }
 
-const defaultDisturbCycleFactor = 1
+// disturbCycleFactor couples disturb to wear, like the retention
+// coupling: worn oxide disturbs faster.
+const disturbCycleFactor = 1
 
 // Enabled reports whether the process contributes errors.
 func (p DisturbParams) Enabled() bool { return p.ReadsPerBit > 0 }
@@ -112,15 +96,9 @@ func (p DisturbParams) Bits(reads int64, cycles float64, mode Mode) int {
 	if !p.Enabled() || reads <= 0 {
 		return 0
 	}
-	cf := p.CycleFactor
-	if cf == 0 {
-		cf = defaultDisturbCycleFactor
-	} else if cf < 0 {
-		cf = 0
-	}
 	wearFactor := 1.0
 	if cycles > 0 {
-		wearFactor += cf * cycles / endurance(mode)
+		wearFactor += disturbCycleFactor * cycles / endurance(mode)
 	}
 	modeFactor := 1.0
 	if mode == MLC {

@@ -38,16 +38,11 @@ func TestRetentionZeroDwellIsClean(t *testing.T) {
 
 func TestRetentionSpecPoint(t *testing.T) {
 	// A fresh page at exactly the accelerated spec dwell shows the
-	// default BitsAtSpec (the ITRS "still recoverable" point).
+	// retentionBitsAtSpec (the ITRS "still recoverable" point).
 	p := RetentionParams{Accel: 1000}
 	got := p.Bits(specDwellFor(1000), 0, MLC)
-	if got != defaultRetentionBitsAtSpec {
-		t.Fatalf("spec-dwell fresh page shows %d bits, want %d", got, defaultRetentionBitsAtSpec)
-	}
-	// BitsAtSpec override is honoured.
-	p.BitsAtSpec = 10
-	if got := p.Bits(specDwellFor(1000), 0, MLC); got != 10 {
-		t.Fatalf("BitsAtSpec=10 at spec dwell shows %d bits", got)
+	if got != retentionBitsAtSpec {
+		t.Fatalf("spec-dwell fresh page shows %d bits, want %d", got, retentionBitsAtSpec)
 	}
 }
 
@@ -72,11 +67,6 @@ func TestRetentionMonotoneInDwellAndCycles(t *testing.T) {
 	// The wear coupling actually increases the count somewhere.
 	if p.Bits(specDwellFor(1e5), 4*EnduranceMLC, MLC) <= p.Bits(specDwellFor(1e5), 0, MLC) {
 		t.Fatal("cycle coupling never increased the retention count")
-	}
-	// Negative CycleFactor disables the coupling.
-	nc := RetentionParams{Accel: 1e5, CycleFactor: -1}
-	if nc.Bits(specDwellFor(1e5), 1e9, MLC) != nc.Bits(specDwellFor(1e5), 0, MLC) {
-		t.Fatal("negative CycleFactor still couples cycles")
 	}
 }
 
@@ -129,10 +119,6 @@ func TestDisturbLinearAndMonotone(t *testing.T) {
 	// Cycle coupling is monotone too.
 	if p.Bits(1000, 2*EnduranceMLC, MLC) < p.Bits(1000, 0, MLC) {
 		t.Fatal("worn block disturbs slower than a fresh one")
-	}
-	nc := DisturbParams{ReadsPerBit: 100, CycleFactor: -1}
-	if nc.Bits(1000, 1e9, MLC) != nc.Bits(1000, 0, MLC) {
-		t.Fatal("negative CycleFactor still couples cycles")
 	}
 }
 
