@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,4 +218,67 @@ func TestLiveEndpointDuringRun(t *testing.T) {
 	if !strings.Contains(want.String(), "tier_flash_hits_total") {
 		t.Fatalf("final snapshot lacks the tier series:\n%s", want.String())
 	}
+}
+
+// TestObserverRowRetention pins what an observer retains per interval
+// row on a short 2-shard replay with a 10 ms interval: at most 160
+// encoded bytes of its row log. And the merged report, decoded from
+// the logs, writes the same JSONL as the rows as they were taken.
+func TestObserverRowRetention(t *testing.T) {
+	const interval = 10 * sim.Millisecond
+	e, err := New(Config{Shards: 2, Hier: testConfig(), Obs: obs.Options{Metrics: true, MetricsInterval: interval}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observers := e.Observers()
+	kept := make([][]obs.Snapshot, len(observers))
+	// Route one request at a time and hand each shard one run per call,
+	// so every MaybeSnapshot call is followed by a look at Live.
+	for _, req := range testStream(t, 10000) {
+		e.route([]trace.Request{req})
+		for sh, runs := range e.pending {
+			for _, run := range runs {
+				e.shards[sh].RunBatch([]trace.Request{run})
+				// The rows one MaybeSnapshot call takes read the same
+				// component state, so those before the newest differ
+				// from it in Seq and T only.
+				live := observers[sh].Live()
+				for n := int64(len(kept[sh])); live != nil && n <= live.Seq; n++ {
+					row := *live
+					row.Seq, row.T = n, (n+1)*int64(interval)
+					kept[sh] = append(kept[sh], row)
+				}
+			}
+		}
+	}
+	e.Drain()
+	rep := e.Observe()
+	for sh, o := range observers {
+		kept[sh] = append(kept[sh], *o.Live()) // the final row
+		rows, size := rowLogLen(t, o)
+		if rows != len(kept[sh])-1 || rows < 100 {
+			t.Fatalf("shard %d logged %d rows, took %d: want the same, at least 100", sh, rows, len(kept[sh])-1)
+		}
+		per := float64(size) / float64(rows)
+		if per > 160 {
+			t.Fatalf("shard %d retains %.1f encoded bytes per row (%d over %d rows), want <= 160", sh, per, size, rows)
+		}
+		t.Logf("shard %d: %d rows, %.1f encoded bytes each", sh, rows, per)
+	}
+	got, _ := serialise(t, rep)
+	want, _ := serialise(t, &obs.Report{Snapshots: obs.MergeSnapshots(kept...)})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("report metrics differ from the rows as taken:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// rowLogLen reads the row count and encoded size of o's row log. They
+// are unexported: only this retention pin has a use for them.
+func rowLogLen(t *testing.T, o *obs.Observer) (rows, size int) {
+	t.Helper()
+	l := reflect.ValueOf(o).Elem().FieldByName("rows")
+	if l.Kind() != reflect.Struct || !l.FieldByName("rows").IsValid() || !l.FieldByName("size").IsValid() {
+		t.Fatal("obs.Observer has no rows.rows and rows.size fields")
+	}
+	return int(l.FieldByName("rows").Int()), int(l.FieldByName("size").Int())
 }

@@ -22,8 +22,12 @@
 // Metrics come from collectors: callbacks sampled at snapshot time that
 // fold a component's existing counters (its Stats struct) into the
 // snapshot without any per-operation cost. A snapshot is a row of
-// values; the series names are fixed by an observer's first snapshot
-// and attached only when a snapshot is written out.
+// values; the series names and histogram bounds are fixed by an
+// observer's first snapshot and attached only when a snapshot is
+// written out. An observer keeps only its newest interval row whole
+// (the one Live publishes). Every row goes into a row log as varint
+// deltas against the row before it, about 100 bytes a row, and
+// Snapshots decodes the log.
 package obs
 
 import (
@@ -68,9 +72,9 @@ type Observer struct {
 	clock    *sim.Clock
 	interval sim.Duration
 	next     sim.Time
-	seq      int64
-	snaps    []Snapshot
-	final    *Snapshot
+	// rows holds the interval snapshots, delta-encoded.
+	rows  rowLog
+	final *Snapshot
 	// live is the most recently completed snapshot, published for
 	// concurrent readers (the HTTP exposition endpoint).
 	live atomic.Pointer[Snapshot]
@@ -176,10 +180,9 @@ func (o *Observer) MaybeSnapshot(now sim.Time) {
 		return
 	}
 	for !now.Before(o.next) {
-		s := o.snapshot(o.seq, int64(o.next), false)
-		o.snaps = append(o.snaps, s)
-		o.publish(s)
-		o.seq++
+		s := o.snapshot(int64(o.rows.rows), int64(o.next), false)
+		o.rows.add(&s)
+		o.publish(&s)
 		o.next = o.next.Add(o.interval)
 	}
 }
@@ -194,13 +197,13 @@ func (o *Observer) Finish() {
 	}
 	s := o.snapshot(FinalSeq, int64(o.now()), true)
 	o.final = &s
-	o.publish(s)
+	o.publish(&s)
 }
 
 // publish stores the row for Live without copying: rows are never
 // modified after they are taken.
-func (o *Observer) publish(s Snapshot) {
-	o.live.Store(&s)
+func (o *Observer) publish(s *Snapshot) {
+	o.live.Store(s)
 }
 
 // Live returns the most recently completed snapshot, or nil before the
@@ -213,14 +216,13 @@ func (o *Observer) Live() *Snapshot {
 	return o.live.Load()
 }
 
-// Snapshots returns the interval snapshots taken so far plus, after
-// Finish, the final snapshot.
+// Snapshots returns the interval snapshots taken so far, decoded from
+// the row log, plus, after Finish, the final snapshot.
 func (o *Observer) Snapshots() []Snapshot {
 	if o == nil {
 		return nil
 	}
-	out := make([]Snapshot, 0, len(o.snaps)+1)
-	out = append(out, o.snaps...)
+	out := o.rows.decode(o.names, o.interval)
 	if o.final != nil {
 		out = append(out, *o.final)
 	}

@@ -117,6 +117,41 @@ func TestSeriesFixedByFirstSnapshot(t *testing.T) {
 	})
 }
 
+// TestHistogramShapeFixedByFirstSnapshot: a histogram must have one
+// bucket more than it has bounds, and a later snapshot must report the
+// first one's bounds; otherwise its buckets would be stored against
+// the wrong bounds, so each violation panics naming the series.
+func TestHistogramShapeFixedByFirstSnapshot(t *testing.T) {
+	h := HistogramSnapshot{Bounds: []int64{10, 20}, Buckets: []int64{1, 2, 3}, Count: 6, Sum: 60}
+	o := observe(func(s *Sample) { s.Histogram("lat", h) })
+	o.Finish()
+	h.Bounds = []int64{10, 20} // equal bounds in a new slice are fine
+	o.Finish()
+	for _, tc := range []struct {
+		name, want string
+		bounds     []int64
+		buckets    []int64
+	}{
+		{"moved bound", `histogram "lat" reported bounds [10 25], which the first snapshot gave as [10 20]`,
+			[]int64{10, 25}, []int64{1, 2, 3}},
+		{"extra bound", `histogram "lat" reported bounds [10 20 30]`,
+			[]int64{10, 20, 30}, []int64{1, 2, 3, 4}},
+		{"extra bucket", `histogram "lat" reported 4 buckets for 2 bounds`,
+			[]int64{10, 20}, []int64{1, 2, 3, 4}},
+		{"missing bucket", `histogram "lat" reported 2 buckets for 2 bounds`,
+			[]int64{10, 20}, []int64{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h.Bounds, h.Buckets = tc.bounds, tc.buckets
+			mustPanic(t, tc.want, o.Finish)
+		})
+	}
+	t.Run("first snapshot", func(t *testing.T) {
+		o := observe(func(s *Sample) { s.Histogram("lat", HistogramSnapshot{Bounds: []int64{10}}) })
+		mustPanic(t, `histogram "lat" reported 0 buckets for 1 bounds`, o.Finish)
+	})
+}
+
 func TestTracerRingOverflow(t *testing.T) {
 	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {

@@ -12,11 +12,27 @@ import (
 const FinalSeq int64 = -1
 
 // series is the ordered list of series names one observer's collectors
-// report, per kind. The observer's first snapshot records it; every
-// later snapshot shares it and stores values only, slot by slot in
-// this order. It is never modified after the first snapshot.
+// report, per kind, with each histogram's bounds. The observer's first
+// snapshot records it; every later snapshot shares it and stores
+// values only, slot by slot in this order. It is never modified after
+// the first snapshot.
 type series struct {
 	counters, gauges, histograms []string
+	// bounds holds each histogram's bucket bounds, by slot.
+	bounds [][]int64
+}
+
+// zero returns a row of the series' shape whose values are all zero.
+func (s *series) zero() Snapshot {
+	z := Snapshot{names: s,
+		counters:   make([]int64, len(s.counters)),
+		gauges:     make([]float64, len(s.gauges)),
+		histograms: make([]HistogramSnapshot, len(s.histograms)),
+	}
+	for i, b := range s.bounds {
+		z.histograms[i] = HistogramSnapshot{Bounds: b, Buckets: make([]int64, len(b)+1)}
+	}
+	return z
 }
 
 func (s *series) equal(o *series) bool {
@@ -232,9 +248,22 @@ func (s *Sample) Gauge(name string, v float64) {
 // series; the bounds are shared and must never be modified. It lets a
 // component that already maintains its own distribution (for example
 // the hierarchy's latency profile) publish it at snapshot time with
-// zero hot-path cost.
+// zero hot-path cost. hs must have one bucket more than it has bounds,
+// and every later snapshot must report the bounds the first one did.
 func (s *Sample) Histogram(name string, hs HistogramSnapshot) {
-	s.check("histogram", &s.snap.names.histograms, len(s.snap.histograms), name)
+	i := len(s.snap.histograms)
+	names := s.snap.names
+	s.check("histogram", &names.histograms, i, name)
+	if len(hs.Buckets) != len(hs.Bounds)+1 {
+		panic(fmt.Sprintf("obs: histogram %q reported %d buckets for %d bounds",
+			name, len(hs.Buckets), len(hs.Bounds)))
+	}
+	if s.record {
+		names.bounds = append(names.bounds, hs.Bounds)
+	} else if !slices.Equal(hs.Bounds, names.bounds[i]) {
+		panic(fmt.Sprintf("obs: histogram %q reported bounds %v, which the first snapshot gave as %v",
+			name, hs.Bounds, names.bounds[i]))
+	}
 	s.snap.histograms = append(s.snap.histograms, hs.Clone())
 }
 
