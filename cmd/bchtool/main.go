@@ -32,18 +32,19 @@ func main() {
 	)
 	flag.Parse()
 
-	s := ecc.Strength(*strength)
-	switch err := s.Validate(); {
+	switch {
 	case flag.NArg() > 0:
 		usageErr("unexpected argument %q", flag.Arg(0))
-	case err != nil:
-		usageErr("-t: %v", err)
+	case *strength < 1 || *strength > ecc.MaxStrength:
+		// Checked as an int: the conversion to Strength would wrap.
+		usageErr("-t: strength %d outside [1, %d]", *strength, ecc.MaxStrength)
 	case *pages < 1:
 		usageErr("-pages %d: need at least one page", *pages)
 	case *nErrors < 0 || *nErrors > ecc.PageSize*8:
 		// A page has only PageSize*8 distinct bit positions to flip.
 		usageErr("-errors %d outside [0, %d]", *nErrors, ecc.PageSize*8)
 	}
+	s := ecc.Strength(*strength)
 	codec := ecc.NewCodec()
 	lat := ecc.DefaultLatencyModel()
 	rng := sim.NewRNG(*seed)

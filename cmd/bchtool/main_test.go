@@ -24,6 +24,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-errors", "20000", "-pages", "1"}, "-errors 20000 outside [0, 16384]"},
 		{[]string{"-t", "0"}, "strength 0 outside [1, 12]"},
 		{[]string{"-t", "13"}, "strength 13 outside [1, 12]"},
+		// Past the int32 range: a Strength conversion would wrap to 4.
+		{[]string{"-t", "4294967300"}, "strength 4294967300 outside [1, 12]"},
 		{[]string{"stray"}, `unexpected argument "stray"`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -35,6 +35,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-dram", "9999999999G"}, "-dram: size 9999999999G overflows a 64-bit byte count"},
 		{[]string{"-flash", "9999999999999G"}, "-flash: size 9999999999999G overflows a 64-bit byte count"},
 		{[]string{"-flash", "5000G"}, "20480000 blocks (at most 16777216)"},
+		// Within the page addresses per shard, but refused on the
+		// per-page state it would allocate, before allocating it.
+		{[]string{"-flash", "5000G", "-shards", "2"}, "each of 2 shards needs 118245982208 bytes of per-page state, over the 8589934592-byte limit"},
+		{[]string{"-dram", "5000G"}, "each of 1 shards needs 131639279616 bytes of per-page state"},
 		{args: []string{"-workload", "nope"}},
 		{args: []string{"-scale", "2"}},
 		{[]string{"-shards", "4", "-flash", "1M"}, "each of 4 shards gets 262144 bytes of Flash: core: 262144 bytes of flash is too small"},

@@ -319,11 +319,7 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 		return fmt.Errorf("core: restoring admission policy state: %w", err)
 	}
 
-	fcht, err := tables.NewFCHT(len(c.meta))
-	if err != nil {
-		return fmt.Errorf("core: restoring FCHT: %w", err)
-	}
-	c.fcht = fcht
+	c.fcht = tables.NewFCHT(c.fpst)
 	for b := range c.meta {
 		for s, slot := range ck.Slots[b] {
 			*c.fpst.Slot(nand.PageAddr(b, s, 0)) = slot

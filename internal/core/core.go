@@ -19,9 +19,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"flashdc/internal/ecc"
 	"flashdc/internal/fault"
+	"flashdc/internal/lbaindex"
 	"flashdc/internal/nand"
 	"flashdc/internal/obs"
 	"flashdc/internal/policy"
@@ -214,6 +216,15 @@ func (cfg *Config) Validate() error {
 		return err
 	}
 	return cfg.Policies.Validate()
+}
+
+// ResidentBytes returns the bytes of per-page state a cache built from
+// cfg holds once its FCHT has grown to the device's page count: the
+// device's slots, the FPST's and the FCHT's index slots. Per-block
+// state adds under 2% more. cfg must pass Validate.
+func (cfg *Config) ResidentBytes() int64 {
+	slots := nand.SlotsPerBlock * max(4, nand.BlocksForCapacity(cfg.FlashBytes, cfg.InitialMode))
+	return int64(slots)*(nand.SlotBytes+int64(unsafe.Sizeof(tables.SlotStatus{}))) + lbaindex.Bytes(2*slots)
 }
 
 // baseStrength is the ECC strength pages start at: the forced
@@ -444,6 +455,7 @@ func New(cfg Config) *Cache {
 		injector = fault.NewInjector(*cfg.Faults)
 		factoryBad = cfg.Faults.FactoryBadBlocks
 	}
+	fpst := mustTable(tables.NewFPST(blocks, cfg.baseStrength(), cfg.InitialMode, cfg.HotSaturation))
 	c := &Cache{
 		cfg: cfg,
 		dev: nand.New(nand.Config{
@@ -457,8 +469,8 @@ func New(cfg Config) *Cache {
 			Faults:           injector,
 			FactoryBadBlocks: factoryBad,
 		}),
-		fcht:         mustTable(tables.NewFCHT(blocks)),
-		fpst:         mustTable(tables.NewFPST(blocks, cfg.baseStrength(), cfg.InitialMode, cfg.HotSaturation)),
+		fcht:         tables.NewFCHT(fpst),
+		fpst:         fpst,
 		fbst:         mustTable(tables.NewFBST(blocks, cfg.K1, cfg.K2)),
 		lat:          ecc.DefaultLatencyModel(),
 		meta:         make([]blockMeta, blocks),

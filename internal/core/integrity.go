@@ -7,29 +7,30 @@ import (
 )
 
 // CheckIntegrity audits the cross-layer invariants a fault campaign
-// must never be able to break: every FCHT mapping points at an
-// in-range, valid Flash page whose stored token matches the disk
-// address (no silent data corruption), no mapping lands in a retired
-// block, and the per-block and global valid-page counters agree with
-// the page tables. It charges no device operations and returns the
-// first violation found, or nil.
+// must never be able to break: every FCHT mapping points at a valid
+// Flash page outside any retired block, is filed under the tag and
+// probe chain of the LBA that page's FPST entry names, and finds that
+// page's stored token equal to the LBA (no silent data corruption);
+// and the per-block and global valid-page counters agree with the
+// page tables. It charges no device operations and returns the first
+// violation found, or nil.
 func (c *Cache) CheckIntegrity() error {
 	var firstErr error
 	entries := int64(0)
+	// Range reads each mapping's LBA from the FPST (the FCHT keeps
+	// none), so Holds checks that LBA against the slot's own tag.
 	c.fcht.Range(func(lba int64, a nand.Addr) bool {
 		entries++
-		if a < 0 || a.Block() >= len(c.meta) {
-			firstErr = fmt.Errorf("core: integrity: lba %d maps to out-of-range address %v", lba, a)
-			return false
-		}
 		if c.meta[a.Block()].state == blockRetired {
 			firstErr = fmt.Errorf("core: integrity: lba %d maps into retired block %d", lba, a.Block())
 			return false
 		}
-		st := c.fpst.At(a)
-		if !st.Valid || st.LBA != lba {
-			firstErr = fmt.Errorf("core: integrity: lba %d maps to %v holding (valid=%v, lba=%d)",
-				lba, a, st.Valid, st.LBA)
+		if !c.fpst.At(a).Valid {
+			firstErr = fmt.Errorf("core: integrity: lba %d maps to invalid page %v", lba, a)
+			return false
+		}
+		if !c.fcht.Holds(lba, a) {
+			firstErr = fmt.Errorf("core: integrity: page %v holds lba %d, but the FCHT maps to it under another key", a, lba)
 			return false
 		}
 		tok, ok := c.dev.Peek(a)

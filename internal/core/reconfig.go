@@ -29,8 +29,10 @@ func (c *Cache) reconfigure(addr nand.Addr, observedErrors int, freq float64) bo
 	block, st, slot := addr.Block(), c.fpst.At(addr), c.fpst.Slot(addr)
 
 	// Candidate ECC strength: cover the observed errors with one bit
-	// of margin, and always move forward.
-	target := ecc.Strength(observedErrors + 1)
+	// of margin, and always move forward. Every count past the
+	// controller's limit is equally out of reach, so the clamp, done
+	// in int, changes no choice and keeps the int32 from wrapping.
+	target := ecc.Strength(min(observedErrors+1, maxControllerStrength+1))
 	if target <= st.StagedStrength {
 		target = st.StagedStrength + 1
 	}

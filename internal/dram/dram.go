@@ -7,6 +7,7 @@ package dram
 
 import (
 	"fmt"
+	"unsafe"
 
 	"flashdc/internal/lbaindex"
 	"flashdc/internal/sim"
@@ -101,18 +102,24 @@ type node struct {
 }
 
 // NewCache builds an LRU cache holding capacityBytes of pages. It
-// panics if the capacity is smaller than one page.
+// panics if the capacity is smaller than one page or larger than
+// lbaindex.MaxBound pages.
 func NewCache(capacityBytes int64) *Cache {
 	pages := int(capacityBytes / PageSize)
 	if pages < 1 {
 		panic("dram: cache smaller than one page")
 	}
-	return &Cache{
-		capacity: pages,
-		head:     none,
-		tail:     none,
-		index:    lbaindex.New(pages),
-	}
+	c := &Cache{capacity: pages, head: none, tail: none}
+	// The index keeps no keys: a node's lba is the key of its slot.
+	c.index = lbaindex.New(pages, func(i int32) int64 { return c.nodes[i].lba })
+	return c
+}
+
+// ResidentBytes returns the bytes a cache of capacityBytes holds once
+// full: its node slab and its index.
+func ResidentBytes(capacityBytes int64) int64 {
+	pages := capacityBytes / PageSize
+	return pages*int64(unsafe.Sizeof(node{})) + lbaindex.Bytes(int(pages))
 }
 
 // NewCacheWithPolicy is NewCache for the one policy, LRU; it panics

@@ -37,7 +37,9 @@ const fieldDegree = 15
 
 // Strength is an ECC code strength: the number of correctable bit
 // errors per page. Valid controller strengths are 1..MaxStrength.
-type Strength int
+// It is an int32 because the FPST keeps two per Flash page: the
+// studies pin at most 64, and the narrower field saves 8 bytes a page.
+type Strength int32
 
 // Validate returns an error unless s is a strength the controller
 // implements.

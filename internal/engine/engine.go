@@ -80,43 +80,68 @@ func ShardSeed(base uint64, shard int) uint64 {
 	return sim.SplitMix64(base + uint64(shard))
 }
 
-// New builds an engine of cfg.Shards independent hierarchies. It
-// returns an error — rather than panicking like the underlying
-// constructors — when the configuration cannot be divided: too many
-// shards for the configured DRAM or Flash capacity, or a Hier.Observer
-// (Config.Obs observes shards).
-func New(cfg Config) (*Engine, error) {
+// MaxResidentBytes caps the per-page state an engine may hold across
+// its shards: every shard's device slots, FPST and FCHT at the Flash
+// size, plus its DRAM cache's nodes and index once full. It is fixed,
+// not read from the host, so the same flags are refused on every host;
+// 8 GiB admits about 180 GiB of simulated MLC Flash.
+const MaxResidentBytes = 8 << 30
+
+// Validate reports the first reason New cannot build an engine from
+// cfg: too few shards or a negative worker count, a capacity that
+// cannot be divided across the shards, a shard's Flash configuration
+// core.Config.Validate rejects, per-page state above MaxResidentBytes,
+// or a Hier.Observer (Config.Obs observes shards). It allocates
+// nothing.
+func (cfg *Config) Validate() error {
 	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("engine: need at least 1 shard, have %d", cfg.Shards)
+		return fmt.Errorf("engine: need at least 1 shard, have %d", cfg.Shards)
 	}
 	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("engine: negative worker count %d", cfg.Workers)
+		return fmt.Errorf("engine: negative worker count %d", cfg.Workers)
 	}
 	if cfg.Hier.Observer != nil {
 		// Config.Obs is the one way to observe an engine: it builds a
 		// shard-labelled observer per shard, where one shared
 		// observer would interleave shard output nondeterministically.
-		return nil, errors.New("engine: hier.Config.Observer is not supported; set Config.Obs")
+		return errors.New("engine: hier.Config.Observer is not supported; set Config.Obs")
 	}
 	n := int64(cfg.Shards)
 	perDRAM := cfg.Hier.DRAMBytes / n
 	if perDRAM < dram.PageSize {
-		return nil, fmt.Errorf("engine: %d shards leave %d bytes of DRAM each (need ≥ one %d-byte page)",
+		return fmt.Errorf("engine: %d shards leave %d bytes of DRAM each (need ≥ one %d-byte page)",
 			cfg.Shards, perDRAM, dram.PageSize)
 	}
-	perFlash := cfg.Hier.FlashBytes / n
+	resident := dram.ResidentBytes(perDRAM)
 	if cfg.Hier.FlashBytes > 0 {
-		// The shard's cache configuration as hier.New builds it, checked
-		// before anything is allocated.
+		// The shard's cache configuration as hier.New builds it.
+		perFlash := cfg.Hier.FlashBytes / n
 		fc := cfg.Hier.Flash
 		if fc == (core.Config{}) {
 			fc = core.DefaultConfig(perFlash)
 		}
 		fc.FlashBytes = perFlash
 		if err := fc.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: each of %d shards gets %d bytes of Flash: %w", cfg.Shards, perFlash, err)
+			return fmt.Errorf("engine: each of %d shards gets %d bytes of Flash: %w", cfg.Shards, perFlash, err)
 		}
+		resident += fc.ResidentBytes()
 	}
+	if resident > MaxResidentBytes/n {
+		return fmt.Errorf("engine: each of %d shards needs %d bytes of per-page state, over the %d-byte limit for all shards",
+			cfg.Shards, resident, int64(MaxResidentBytes))
+	}
+	return nil
+}
+
+// New builds an engine of cfg.Shards independent hierarchies. It
+// returns Validate's error, rather than panicking like the underlying
+// constructors, for a configuration it cannot build.
+func New(cfg Config) (*Engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	n := int64(cfg.Shards)
+	perDRAM, perFlash := cfg.Hier.DRAMBytes/n, cfg.Hier.FlashBytes/n
 	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		h := cfg.Hier

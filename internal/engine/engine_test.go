@@ -202,6 +202,10 @@ func TestNewValidation(t *testing.T) {
 		// A custom cache configuration is checked, not left to panic in
 		// core.New.
 		{"flash config invalid", Config{Shards: 2, Hier: hier.Config{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Flash: core.Config{FlashBytes: 16 << 20}}}, "core: read fraction 0 outside (0,1]"},
+		// Each shard's blocks are addressable, but together the shards'
+		// per-page state would pass MaxResidentBytes.
+		{"flash beyond resident limit", Config{Shards: 2, Hier: hier.Config{DRAMBytes: 1 << 20, FlashBytes: 400 << 30}}, "each of 2 shards needs"},
+		{"dram beyond resident limit", Config{Shards: 1, Hier: hier.Config{DRAMBytes: 1 << 40}}, "over the 8589934592-byte limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,6 +213,28 @@ func TestNewValidation(t *testing.T) {
 				t.Fatalf("New(%+v) err = %v, want containing %q", tc.cfg, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateResidentLimit: Validate sums each shard's per-page state
+// and refuses the configuration whose total passes MaxResidentBytes,
+// however the shards split it; it allocates nothing, so this test can
+// ask about sizes it could never build.
+func TestValidateResidentLimit(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		flash  int64
+		ok     bool
+	}{
+		{1, 180 << 30, true},
+		{1, 200 << 30, false},
+		{4, 180 << 30, true},
+		{4, 200 << 30, false},
+	} {
+		cfg := Config{Shards: tc.shards, Hier: hier.Config{DRAMBytes: 64 << 20, FlashBytes: tc.flash}}
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d shards, %d GiB of Flash: Validate = %v, want ok %v", tc.shards, tc.flash>>30, err, tc.ok)
+		}
 	}
 }
 

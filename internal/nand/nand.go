@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"flashdc/internal/fault"
 	"flashdc/internal/sim"
@@ -165,6 +166,10 @@ var (
 	// prior contents. Repeated erase failures mean a grown bad block.
 	ErrEraseFailed = errors.New("nand: erase operation failed")
 )
+
+// SlotBytes is the device's state per physical slot, for callers that
+// budget memory before building a device.
+const SlotBytes = int64(unsafe.Sizeof(slotState{}))
 
 type slotState struct {
 	mode       wear.Mode

@@ -34,18 +34,29 @@ const InvalidLBA = int64(-1)
 // page number to the Flash page caching it (section 3.1). It is a
 // bounded open-addressing table (lbaindex) sized to the device's page
 // count, holding each nand.Addr as the int32 it is.
+//
+// The table stores no LBAs: the FPST entry of each mapped page is the
+// reverse map, and the table reads a page's LBA there to confirm a
+// lookup. So for every mapping lba -> a, FPST.At(a).LBA is lba from
+// before the Put that stores it until after the Delete that removes
+// it: set a page's LBA before mapping it, and unmap it before
+// changing or clearing that LBA.
 type FCHT struct {
-	t *lbaindex.Table
+	t    *lbaindex.Table
+	fpst *FPST
 }
 
-// NewFCHT returns an empty table for a device with the given block
-// count; it holds at most one mapping per Flash page (two per slot).
-// A block count outside 1 to nand.MaxBlocks is a configuration error.
-func NewFCHT(blocks int) (*FCHT, error) {
-	if blocks <= 0 || blocks > nand.MaxBlocks {
-		return nil, fmt.Errorf("tables: FCHT needs 1 to %d blocks, have %d", nand.MaxBlocks, blocks)
+// NewFCHT returns an empty table for the device fpst describes, using
+// fpst's page LBAs as its reverse map. It holds at most one mapping
+// per Flash page (two per slot).
+func NewFCHT(fpst *FPST) *FCHT {
+	slots := fpst.slots
+	return &FCHT{
+		t: lbaindex.New(2*len(slots), func(v int32) int64 {
+			return slots[v>>1].Pages[v&1].LBA
+		}),
+		fpst: fpst,
 	}
-	return &FCHT{t: lbaindex.New(blocks * nand.SlotsPerBlock * 2)}, nil
 }
 
 // Get returns the Flash address caching lba.
@@ -55,8 +66,14 @@ func (f *FCHT) Get(lba int64) (nand.Addr, bool) {
 }
 
 // Put records that lba is cached at addr, replacing any previous
-// mapping.
-func (f *FCHT) Put(lba int64, addr nand.Addr) { f.t.Put(lba, int32(addr)) }
+// mapping; FPST.At(addr).LBA must already be lba. It panics if addr
+// names no page of the FPST's device.
+func (f *FCHT) Put(lba int64, addr nand.Addr) {
+	if uint(addr.SlotIndex()) >= uint(len(f.fpst.slots)) {
+		panic(fmt.Sprintf("tables: FCHT mapping lba %d to %v, outside the device's %d slots", lba, addr, len(f.fpst.slots)))
+	}
+	f.t.Put(lba, int32(addr))
+}
 
 // Delete removes the mapping for lba if present.
 func (f *FCHT) Delete(lba int64) { f.t.Delete(lba) }
@@ -64,17 +81,26 @@ func (f *FCHT) Delete(lba int64) { f.t.Delete(lba) }
 // Len returns the number of cached disk pages.
 func (f *FCHT) Len() int { return f.t.Len() }
 
-// Range calls fn for every cached mapping until fn returns false.
-// Iteration order is unspecified; fn must not mutate the table.
+// Range calls fn for every cached mapping, its LBA read from the FPST,
+// until fn returns false. Iteration order is unspecified; fn must not
+// mutate the table.
 func (f *FCHT) Range(fn func(lba int64, addr nand.Addr) bool) {
 	f.t.Range(func(lba int64, v int32) bool { return fn(lba, nand.Addr(v)) })
 }
 
+// Holds reports whether the table files addr under lba's own hash
+// chain and tag, where Get(lba) looks, without reading the FPST. An
+// audit checks each mapping's FPST LBA this way: a forged LBA leaves
+// the mapping filed under another key.
+func (f *FCHT) Holds(lba int64, addr nand.Addr) bool { return f.t.Holds(lba, int32(addr)) }
+
 // PageStatus is one FPST entry (section 3.2). Strength is the page's
 // active ECC strength; StagedStrength holds the controller's pending
 // reconfiguration, applied on the next erase and write (section 5.2).
-// The fields run largest first, leaving the padding after Valid as the
-// only slack, so a SlotStatus stays within 96 bytes (TestSlotStatusSize).
+// The two 4-byte strengths share one word and the padding after Valid
+// is the only slack, so an entry is 32 bytes and a SlotStatus 72
+// (TestSlotStatusSize). Checkpoints gob-encode the FPST, whose wire
+// order follows declaration order: do not reorder the fields.
 type PageStatus struct {
 	Strength       ecc.Strength
 	StagedStrength ecc.Strength
@@ -110,11 +136,12 @@ type FPST struct {
 
 // NewFPST builds a table for a device with the given block count,
 // every page starting invalid at the given base configuration.
-// saturate is the access-counter ceiling. A non-positive block count
-// or a zero saturation ceiling is a configuration error.
+// saturate is the access-counter ceiling. A block count outside 1 to
+// nand.MaxBlocks or a zero saturation ceiling is a configuration
+// error, reported before anything is allocated.
 func NewFPST(blocks int, baseStrength ecc.Strength, baseMode wear.Mode, saturate uint32) (*FPST, error) {
-	if blocks <= 0 {
-		return nil, fmt.Errorf("tables: FPST needs at least one block, have %d", blocks)
+	if blocks <= 0 || blocks > nand.MaxBlocks {
+		return nil, fmt.Errorf("tables: FPST needs 1 to %d blocks, have %d", nand.MaxBlocks, blocks)
 	}
 	if saturate == 0 {
 		return nil, fmt.Errorf("tables: access counter must saturate above zero")

@@ -10,23 +10,36 @@ import (
 	"flashdc/internal/wear"
 )
 
-// newFCHT builds a table for a 64-block device.
-func newFCHT(t *testing.T) *FCHT {
+// newFCHT builds a table for a device of the given block count over a
+// fresh FPST, its reverse map.
+func newFCHT(t *testing.T, blocks int) *FCHT {
 	t.Helper()
-	f, err := NewFCHT(64)
+	fpst, err := NewFPST(blocks, 1, wear.MLC, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return NewFCHT(fpst)
+}
+
+// put maps lba to a the way the controller does: the FPST entry names
+// lba before the FCHT maps it, and a page it replaces gives the LBA up
+// only after the table no longer needs it to find the mapping.
+func put(f *FCHT, lba int64, a nand.Addr) {
+	old, replaced := f.Get(lba)
+	f.fpst.At(a).LBA = lba
+	f.Put(lba, a)
+	if replaced && old != a {
+		f.fpst.At(old).LBA = InvalidLBA
+	}
 }
 
 func TestFCHTBasics(t *testing.T) {
-	f := newFCHT(t)
+	f := newFCHT(t, 64)
 	if _, ok := f.Get(42); ok {
 		t.Fatal("empty table reported a hit")
 	}
 	a := nand.PageAddr(1, 2, 1)
-	f.Put(42, a)
+	put(f, 42, a)
 	got, ok := f.Get(42)
 	if !ok || got != a {
 		t.Fatalf("Get = %v,%v", got, ok)
@@ -35,7 +48,7 @@ func TestFCHTBasics(t *testing.T) {
 		t.Fatalf("Len = %d", f.Len())
 	}
 	b := nand.PageAddr(9, 0, 0)
-	f.Put(42, b)
+	put(f, 42, b)
 	if got, _ := f.Get(42); got != b {
 		t.Fatal("Put did not replace")
 	}
@@ -47,10 +60,10 @@ func TestFCHTBasics(t *testing.T) {
 }
 
 func TestFCHTProperty(t *testing.T) {
-	f := newFCHT(t)
+	f := newFCHT(t, 64)
 	check := func(lbas []int64) bool {
 		for i, lba := range lbas {
-			f.Put(lba, nand.PageAddr(i, 0, 0))
+			put(f, lba, nand.PageAddr(i, 0, 0))
 		}
 		for i := len(lbas) - 1; i >= 0; i-- {
 			a, ok := f.Get(lbas[i])
@@ -84,17 +97,14 @@ func TestFCHTProperty(t *testing.T) {
 // Sub bit.
 func TestFCHTPacksEveryAddress(t *testing.T) {
 	for _, blocks := range []int{1, 37, 1024} {
-		f, err := NewFCHT(blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := newFCHT(t, blocks)
 		want := make(map[int64]nand.Addr)
 		lba := int64(-3) // negative disk pages must work too
 		for b := 0; b < blocks; b++ {
 			for s := 0; s < nand.SlotsPerBlock; s++ {
 				for sub := 0; sub < 2; sub++ {
 					a := nand.PageAddr(b, s, sub)
-					f.Put(lba, a)
+					put(f, lba, a)
 					want[lba] = a
 					lba += 7919
 				}
@@ -128,13 +138,52 @@ func TestFCHTPacksEveryAddress(t *testing.T) {
 	}
 }
 
-// TestFCHTRejectsUnpackableGeometry checks the construction-time
-// bound: every block must be one a nand.Addr can name.
-func TestFCHTRejectsUnpackableGeometry(t *testing.T) {
+// TestFPSTRejectsUnpackableGeometry checks the construction-time
+// bound: every block must be one a nand.Addr can name, and the FCHT
+// built over the FPST inherits it.
+func TestFPSTRejectsUnpackableGeometry(t *testing.T) {
 	for _, blocks := range []int{0, -1, nand.MaxBlocks + 1} {
-		if _, err := NewFCHT(blocks); err == nil {
-			t.Fatalf("NewFCHT(%d) accepted", blocks)
+		if _, err := NewFPST(blocks, 1, wear.MLC, 8); err == nil {
+			t.Fatalf("NewFPST(%d) accepted", blocks)
 		}
+	}
+}
+
+// TestFCHTPutRejectsForeignAddress: a page past the FPST's device has
+// no reverse-map entry, so mapping it is a bug caught at Put.
+func TestFCHTPutRejectsForeignAddress(t *testing.T) {
+	f := newFCHT(t, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put of a page past the device did not panic")
+		}
+	}()
+	f.Put(5, nand.PageAddr(2, 0, 0))
+}
+
+// TestFCHTReadsLBAsFromFPST: the table keeps no LBA of its own, so a
+// lookup, a Range and Holds all answer from the FPST entry of the
+// mapped page, and a forged FPST LBA unmaps the page for Get and
+// shows up in Holds.
+func TestFCHTReadsLBAsFromFPST(t *testing.T) {
+	f := newFCHT(t, 4)
+	a := nand.PageAddr(3, 7, 1)
+	put(f, 1000, a)
+	if !f.Holds(1000, a) || f.Holds(1001, a) {
+		t.Fatal("Holds does not match the stored mapping")
+	}
+	f.fpst.At(a).LBA = 1001 // forged behind the table's back
+	if _, ok := f.Get(1000); ok {
+		t.Fatal("Get found lba 1000 though its page now names 1001")
+	}
+	f.Range(func(lba int64, got nand.Addr) bool {
+		if lba != 1001 || got != a {
+			t.Fatalf("Range gave %d -> %v, want the FPST's 1001 -> %v", lba, got, a)
+		}
+		return true
+	})
+	if f.Holds(1001, a) || !f.Holds(1000, a) {
+		t.Fatal("Holds trusted the forged FPST LBA")
 	}
 }
 
@@ -155,12 +204,15 @@ func TestFPSTInitialState(t *testing.T) {
 	}
 }
 
-// TestSlotStatusSize pins the FPST's per-slot footprint: the staged
-// density stored once per slot must fit in the padding of the two page
-// entries, so a slot's status stays within 96 bytes.
+// TestSlotStatusSize pins the FPST's per-slot footprint: two 32-byte
+// page entries, whose 4-byte strengths share one word, and the staged
+// density in the padding after them, so a slot's status is 72 bytes.
 func TestSlotStatusSize(t *testing.T) {
-	if n := unsafe.Sizeof(SlotStatus{}); n > 96 {
-		t.Fatalf("SlotStatus is %d bytes, want at most 96", n)
+	if n := unsafe.Sizeof(PageStatus{}); n != 32 {
+		t.Fatalf("PageStatus is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(SlotStatus{}); n != 72 {
+		t.Fatalf("SlotStatus is %d bytes, want 72", n)
 	}
 }
 
