@@ -154,16 +154,22 @@ func BenchmarkCacheMixed(b *testing.B) {
 }
 
 // BenchmarkHierarchyRequest times a full request through DRAM, Flash
-// and disk models with a dbt2-like access stream.
+// and disk models with a dbt2-like access stream, one request per
+// RunBatch call of a one-shard engine.
 func BenchmarkHierarchyRequest(b *testing.B) {
-	s := NewSystem(SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 1})
+	e, err := NewEngine(EngineConfig{Shards: 1, Hier: SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	g, err := NewWorkload("dbt2", 0.01, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	req := make([]Request, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Handle(g.Next())
+		req[0] = g.Next()
+		e.RunBatch(req)
 	}
 }
 

@@ -43,6 +43,9 @@ func TestUsageErrors(t *testing.T) {
 		{args: []string{"-scale", "2"}},
 		{[]string{"-shards", "4", "-flash", "1M"}, "each of 4 shards gets 262144 bytes of Flash: core: 262144 bytes of flash is too small"},
 		{args: []string{"-trace-cap", "-1"}},
+		// The event ring counts in the same limit, before it is allocated.
+		{[]string{"-flash", "8M", "-dram", "1M", "-requests", "10", "-trace-events", "e", "-trace-cap", "200000000"},
+			"each of 1 shards needs a 200000000-event trace ring"},
 		{args: []string{"-metrics-interval", "-5ms"}},
 		{[]string{"-wear-accel", "NaN"}, "-wear-accel NaN"},
 		{[]string{"-wear-accel", "Inf"}, "-wear-accel +Inf"},

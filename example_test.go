@@ -22,17 +22,23 @@ func ExampleNewCache() {
 	// Output: hit: true
 }
 
-// ExampleNewSystem assembles the Figure 2 hierarchy and serves one
-// request.
-func ExampleNewSystem() {
-	sys := flashdc.NewSystem(flashdc.SystemConfig{
-		DRAMBytes:  1 << 20,
-		FlashBytes: 16 << 20,
-		Seed:       1,
+// ExampleNewEngine assembles the Figure 2 hierarchy and serves two
+// reads of one page: the second hits the DRAM primary disk cache.
+func ExampleNewEngine() {
+	eng, err := flashdc.NewEngine(flashdc.EngineConfig{
+		Shards: 1,
+		Hier: flashdc.SystemConfig{
+			DRAMBytes:  1 << 20,
+			FlashBytes: 16 << 20,
+			Seed:       1,
+		},
 	})
-	sys.Handle(flashdc.Request{Op: flashdc.OpRead, LBA: 5, Pages: 1})
-	sys.Handle(flashdc.Request{Op: flashdc.OpRead, LBA: 5, Pages: 1})
-	st := sys.Stats()
+	if err != nil {
+		panic(err)
+	}
+	read := flashdc.Request{Op: flashdc.OpRead, LBA: 5, Pages: 1}
+	eng.RunBatch([]flashdc.Request{read, read})
+	st := eng.Stats()
 	fmt.Println("requests:", st.Requests, "PDC hits:", st.PDCHits)
 	// Output: requests: 2 PDC hits: 1
 }

@@ -13,70 +13,62 @@ import (
 
 const scale = 1.0 / 16 // shrink capacities and footprint together
 
-type result struct {
-	sys     *flashdc.System
-	stats   flashdc.SystemStats
-	elapsed flashdc.Duration
-}
-
-func run(dramBytes, flashBytes int64) result {
-	sys := flashdc.NewSystem(flashdc.SystemConfig{
-		DRAMBytes:  int64(float64(dramBytes) * scale),
-		FlashBytes: int64(float64(flashBytes) * scale),
-		Seed:       7,
+// run replays the benchmark through one hierarchy and returns it with
+// its completion time.
+func run(dramBytes, flashBytes int64) (*flashdc.Engine, flashdc.Duration) {
+	eng, err := flashdc.NewEngine(flashdc.EngineConfig{
+		Shards: 1,
+		Hier: flashdc.SystemConfig{
+			DRAMBytes:  int64(float64(dramBytes) * scale),
+			FlashBytes: int64(float64(flashBytes) * scale),
+			Seed:       7,
+		},
 	})
+	if err != nil {
+		panic(err)
+	}
 	g, err := flashdc.NewWorkload("SPECWeb99", scale, 7)
 	if err != nil {
 		panic(err)
 	}
 	// Warm thoroughly (the Flash tier fills on PDC misses only), then
 	// measure steady state.
-	for i := 0; i < 400000; i++ {
-		sys.Handle(g.Next())
-	}
-	sys.ResetStats()
-	for i := 0; i < 150000; i++ {
-		sys.Handle(g.Next())
-	}
-	sys.Drain()
+	src := flashdc.WorkloadSource(g)
+	eng.RunSource(src, 400000)
+	eng.ResetStats()
+	eng.RunSource(src, 150000)
+	eng.Drain()
 
-	st := sys.Stats()
-	elapsed := flashdc.DefaultServer().Elapsed(st.Requests, st.AvgLatency())
-	if db := sys.DiskBusy(); db > elapsed {
-		elapsed = db
-	}
-	if fb := sys.FlashBusy(); fb > elapsed {
-		elapsed = fb
-	}
-	return result{sys: sys, stats: st, elapsed: elapsed}
+	// The run takes as long as its slowest resource: the server, the
+	// disk or the Flash device.
+	st := eng.Stats()
+	return eng, max(flashdc.DefaultServer().Elapsed(st.Requests, st.AvgLatency()),
+		eng.DiskBusy(), eng.DeviceStats().BusyTime())
 }
 
 func main() {
 	fmt.Println("SPECWeb99-like workload, DRAM-only vs DRAM+Flash (Figure 9 scenario)")
 	fmt.Printf("capacities at 1/16 of the paper's configuration\n\n")
 
-	base := run(512<<20, 0)
-	hybrid := run(128<<20, 2<<30)
+	base, baseElapsed := run(512<<20, 0)
+	hybrid, hybridElapsed := run(128<<20, 2<<30)
 
 	// Iso-work wall clock: the slower system sets the interval.
-	wall := base.elapsed
-	if hybrid.elapsed > wall {
-		wall = hybrid.elapsed
-	}
+	wall := max(baseElapsed, hybridElapsed)
 
-	report := func(label string, r result) float64 {
-		pw := r.sys.Power(wall)
+	report := func(label string, eng *flashdc.Engine, elapsed flashdc.Duration) float64 {
+		st, pw := eng.Stats(), eng.Power(wall)
 		fmt.Printf("%s\n", label)
 		fmt.Printf("  PDC hits %d, flash hits %d, disk reads %d, avg latency %v\n",
-			r.stats.PDCHits, r.stats.FlashHits, r.stats.DiskReads, r.stats.AvgLatency())
+			st.PDCHits, st.FlashHits, st.DiskReads, st.AvgLatency())
 		fmt.Printf("  power over common interval: %v\n", pw)
-		fmt.Printf("  completion time for the benchmark: %v\n\n", r.elapsed)
+		fmt.Printf("  completion time for the benchmark: %v\n\n", elapsed)
 		return pw.Total()
 	}
-	basePower := report("DDR2 512MB + HDD (baseline)", base)
-	hybridPower := report("DDR2 128MB + Flash 2GB + HDD (proposed)", hybrid)
+	basePower := report("DDR2 512MB + HDD (baseline)", base, baseElapsed)
+	hybridPower := report("DDR2 128MB + Flash 2GB + HDD (proposed)", hybrid, hybridElapsed)
 
 	fmt.Printf("memory+disk power ratio: %.2fx lower with Flash\n", basePower/hybridPower)
 	fmt.Printf("speedup on the same work: %.2fx\n",
-		base.elapsed.Seconds()/hybrid.elapsed.Seconds())
+		baseElapsed.Seconds()/hybridElapsed.Seconds())
 }

@@ -84,33 +84,29 @@ func NewCache(cfg CacheConfig) *Cache { return core.New(cfg) }
 type (
 	// SystemConfig sizes a full memory hierarchy.
 	SystemConfig = hier.Config
-	// System is an assembled hierarchy driven by requests.
+	// System is one assembled hierarchy, an Engine's Shard.
 	System = hier.System
 	// SystemStats aggregates hierarchy behaviour.
 	SystemStats = hier.Stats
 )
-
-// NewSystem assembles a hierarchy; FlashBytes == 0 builds the
-// DRAM-only baseline.
-func NewSystem(cfg SystemConfig) *System { return hier.New(cfg) }
 
 // ErrFlashDead is the degraded-service condition System.Err and
 // Engine.Err report once a Flash cache has worn out entirely; test
 // with errors.Is.
 var ErrFlashDead = hier.ErrFlashDead
 
-// Sharded simulation engine: hash-partitions the LBA space across
-// independent per-shard hierarchies replayed concurrently, with
-// bit-for-bit reproducible merged results.
+// Sharded simulation engine, the one way to build and drive a
+// hierarchy: it hash-partitions the LBA space across independent
+// per-shard hierarchies with bit-for-bit reproducible merged results.
 type (
-	// EngineConfig parameterises the sharded engine.
+	// EngineConfig parameterises the engine; Hier sizes the whole.
 	EngineConfig = engine.Config
 	// Engine replays request streams across shards and merges results.
 	Engine = engine.Engine
 )
 
-// NewEngine builds a sharded engine; Shards=1 reproduces the
-// monolithic simulation exactly.
+// NewEngine builds a sharded engine; Shards=1 is one hierarchy, and
+// FlashBytes == 0 builds the DRAM-only baseline.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // Workload and trace API (Table 4).
@@ -127,10 +123,9 @@ const (
 	OpWrite = trace.OpWrite
 )
 
-// TraceSource is the bulk driving surface consumed by Engine.RunSource
-// (System.RunBatch and Engine.RunBatch take in-memory slices
-// directly): Next fills the buffer from the front and
-// returns how many requests were written (0 = exhausted).
+// TraceSource is the stream Engine.RunSource replays (Engine.RunBatch
+// takes an in-memory slice directly): Next fills the buffer from the
+// front and returns how many requests were written (0 = exhausted).
 type TraceSource = trace.Source
 
 // WorkloadSource adapts a workload generator to an unbounded
@@ -240,9 +235,9 @@ type (
 	// ObsOptions configures an Observer (metrics, snapshot interval,
 	// tracing, ring-buffer capacity).
 	ObsOptions = obs.Options
-	// Observer is one simulation's observability sink; attach via
-	// SystemConfig.Observer, EngineConfig.Obs or OpenCache's
-	// WithObserver.
+	// Observer is one simulation's observability sink. An Engine
+	// builds one per shard from EngineConfig.Obs; attach one to a
+	// standalone Cache with OpenCache's WithObserver.
 	Observer = obs.Observer
 )
 

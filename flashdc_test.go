@@ -27,15 +27,18 @@ func TestPublicAPICacheRoundTrip(t *testing.T) {
 // TestPublicAPIHierarchy drives a small system with a catalog
 // workload.
 func TestPublicAPIHierarchy(t *testing.T) {
-	s := NewSystem(SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 2})
+	e, err := NewEngine(EngineConfig{Shards: 1, Hier: SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := NewWorkload("dbt2", 0.01, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20000; i++ {
-		s.Handle(g.Next())
+	if n := e.RunSource(WorkloadSource(g), 20000); n != 20000 {
+		t.Fatalf("RunSource consumed %d requests, want 20000", n)
 	}
-	st := s.Stats()
+	st := e.Stats()
 	if st.Requests != 20000 || st.PDCHits == 0 || st.FlashHits == 0 {
 		t.Fatalf("hierarchy stats %+v", st)
 	}

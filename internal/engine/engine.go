@@ -22,8 +22,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
-	"flashdc/internal/core"
 	"flashdc/internal/dram"
 	"flashdc/internal/hier"
 	"flashdc/internal/obs"
@@ -82,7 +82,8 @@ func ShardSeed(base uint64, shard int) uint64 {
 
 // MaxResidentBytes caps the per-page state an engine may hold across
 // its shards: every shard's device slots, FPST and FCHT at the Flash
-// size, plus its DRAM cache's nodes and index once full. It is fixed,
+// size, its DRAM cache's nodes and index once full, and its event
+// trace ring when tracing is on. It is fixed,
 // not read from the host, so the same flags are refused on every host;
 // 8 GiB admits about 180 GiB of simulated MLC Flash.
 const MaxResidentBytes = 8 << 30
@@ -90,9 +91,9 @@ const MaxResidentBytes = 8 << 30
 // Validate reports the first reason New cannot build an engine from
 // cfg: too few shards or a negative worker count, a capacity that
 // cannot be divided across the shards, a shard's Flash configuration
-// core.Config.Validate rejects, per-page state above MaxResidentBytes,
-// or a Hier.Observer (Config.Obs observes shards). It allocates
-// nothing.
+// core.Config.Validate rejects, per-page state and event trace rings
+// above MaxResidentBytes, or a Hier.Observer (Config.Obs observes
+// shards). It allocates nothing.
 func (cfg *Config) Validate() error {
 	if cfg.Shards < 1 {
 		return fmt.Errorf("engine: need at least 1 shard, have %d", cfg.Shards)
@@ -114,21 +115,29 @@ func (cfg *Config) Validate() error {
 	}
 	resident := dram.ResidentBytes(perDRAM)
 	if cfg.Hier.FlashBytes > 0 {
-		// The shard's cache configuration as hier.New builds it.
-		perFlash := cfg.Hier.FlashBytes / n
-		fc := cfg.Hier.Flash
-		if fc == (core.Config{}) {
-			fc = core.DefaultConfig(perFlash)
-		}
-		fc.FlashBytes = perFlash
+		shard := cfg.Hier
+		shard.FlashBytes /= n
+		fc := hier.FlashConfig(shard)
 		if err := fc.Validate(); err != nil {
-			return fmt.Errorf("engine: each of %d shards gets %d bytes of Flash: %w", cfg.Shards, perFlash, err)
+			return fmt.Errorf("engine: each of %d shards gets %d bytes of Flash: %w", cfg.Shards, shard.FlashBytes, err)
 		}
 		resident += fc.ResidentBytes()
 	}
 	if resident > MaxResidentBytes/n {
 		return fmt.Errorf("engine: each of %d shards needs %d bytes of per-page state, over the %d-byte limit for all shards",
 			cfg.Shards, resident, int64(MaxResidentBytes))
+	}
+	if cfg.Obs.Trace {
+		// obs.NewTracer allocates a shard's whole ring up front. Counting
+		// in events keeps a huge capacity from overflowing the bytes.
+		events, size := int64(cfg.Obs.TraceCapacity), int64(unsafe.Sizeof(obs.Event{}))
+		if events <= 0 {
+			events = obs.DefaultTraceCapacity
+		}
+		if events > (MaxResidentBytes/n-resident)/size {
+			return fmt.Errorf("engine: each of %d shards needs a %d-event trace ring (%d bytes an event) beside %d bytes of per-page state, over the %d-byte limit for all shards",
+				cfg.Shards, events, size, resident, int64(MaxResidentBytes))
+		}
 	}
 	return nil
 }
@@ -171,6 +180,15 @@ func (e *Engine) Workers() int {
 		return len(e.shards)
 	}
 	return e.cfg.Workers
+}
+
+// ResetStats zeroes every shard's activity counters after a warmup
+// phase (hier.System.ResetStats); cache contents and Flash wear are
+// untouched.
+func (e *Engine) ResetStats() {
+	for _, sh := range e.shards {
+		sh.ResetStats()
+	}
 }
 
 // Drain flushes every shard's dirty state down to its disk.

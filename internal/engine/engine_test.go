@@ -3,14 +3,17 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"flashdc/internal/core"
 	"flashdc/internal/fault"
 	"flashdc/internal/hier"
 	"flashdc/internal/nand"
+	"flashdc/internal/obs"
 	"flashdc/internal/power"
 	"flashdc/internal/sim"
 	"flashdc/internal/tables"
@@ -90,9 +93,11 @@ func runSource(t *testing.T, shards, workers int) *Engine {
 func TestSingleShardMatchesMonolithic(t *testing.T) {
 	sys := hier.New(testConfig())
 	g := newTestGen(t)
-	for i := 0; i < testRequests; i++ {
-		sys.Handle(g.Next())
+	reqs := make([]trace.Request, testRequests)
+	for i := range reqs {
+		reqs[i] = g.Next()
 	}
+	sys.RunBatch(reqs)
 	sys.Drain()
 
 	e := runSource(t, 1, 1)
@@ -115,7 +120,7 @@ func TestSingleShardMatchesMonolithic(t *testing.T) {
 	if got, want := e.DiskBusy(), sys.DiskBusy(); got != want {
 		t.Fatalf("disk busy: got %v want %v", got, want)
 	}
-	if got, want := e.Power(sim.Second), sys.Power(sim.Second); got != want {
+	if got, want := e.Power(sim.Second), sys.PowerWithAppTraffic(sim.Second, 0); got != want {
 		t.Fatalf("power: got %+v want %+v", got, want)
 	}
 }
@@ -217,23 +222,33 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestValidateResidentLimit: Validate sums each shard's per-page state
-// and refuses the configuration whose total passes MaxResidentBytes,
-// however the shards split it; it allocates nothing, so this test can
-// ask about sizes it could never build.
+// and event trace ring and refuses the configuration whose total passes
+// MaxResidentBytes, however the shards split it; it allocates nothing,
+// so this test can ask about sizes it could never build.
 func TestValidateResidentLimit(t *testing.T) {
+	// half is the ring that fills half the limit: it fits one shard,
+	// but two shards each need it beside their own per-page state.
+	half := int(MaxResidentBytes / 2 / unsafe.Sizeof(obs.Event{}))
 	for _, tc := range []struct {
 		shards int
 		flash  int64
+		obs    obs.Options
 		ok     bool
 	}{
-		{1, 180 << 30, true},
-		{1, 200 << 30, false},
-		{4, 180 << 30, true},
-		{4, 200 << 30, false},
+		{1, 180 << 30, obs.Options{}, true},
+		{1, 200 << 30, obs.Options{}, false},
+		{4, 180 << 30, obs.Options{}, true},
+		{4, 200 << 30, obs.Options{}, false},
+		{1, 180 << 30, obs.Options{Trace: true}, true},
+		{1, 8 << 20, obs.Options{Trace: true, TraceCapacity: 200000000}, false},
+		{1, 8 << 20, obs.Options{TraceCapacity: 200000000}, true},
+		{1, 8 << 20, obs.Options{Trace: true, TraceCapacity: half}, true},
+		{2, 8 << 20, obs.Options{Trace: true, TraceCapacity: half}, false},
+		{1, 8 << 20, obs.Options{Trace: true, TraceCapacity: math.MaxInt}, false},
 	} {
-		cfg := Config{Shards: tc.shards, Hier: hier.Config{DRAMBytes: 64 << 20, FlashBytes: tc.flash}}
+		cfg := Config{Shards: tc.shards, Hier: hier.Config{DRAMBytes: 64 << 20, FlashBytes: tc.flash}, Obs: tc.obs}
 		if err := cfg.Validate(); (err == nil) != tc.ok {
-			t.Errorf("%d shards, %d GiB of Flash: Validate = %v, want ok %v", tc.shards, tc.flash>>30, err, tc.ok)
+			t.Errorf("%d shards, %d MiB of Flash, %+v: Validate = %v, want ok %v", tc.shards, tc.flash>>20, tc.obs, err, tc.ok)
 		}
 	}
 }

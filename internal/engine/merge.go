@@ -135,7 +135,7 @@ func (e *Engine) DiskBusy() sim.Duration {
 func (e *Engine) Power(elapsed sim.Duration) power.Breakdown {
 	var b power.Breakdown
 	for _, sh := range e.shards {
-		b = b.Add(sh.Power(elapsed))
+		b = b.Add(sh.PowerWithAppTraffic(elapsed, 0))
 	}
 	return b
 }

@@ -51,12 +51,12 @@ func ablateArea(o Options) *Table {
 			dramBytes = 1 << 20
 		}
 		flashBytes := int64(float64(budgetDRAM) * f * dramToFlashDensity)
-		s := hier.New(hier.Config{DRAMBytes: dramBytes, FlashBytes: flashBytes, Seed: o.Seed})
-		warmAndMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+43), 2*requests, requests)
-		s.Drain()
-		st := s.Stats()
-		elapsed := busyElapsed(s)
-		pw := s.Power(elapsed)
+		e := warmAndMeasure(hier.Config{DRAMBytes: dramBytes, FlashBytes: flashBytes, Seed: o.Seed},
+			workload.MustNew("dbt2", o.Scale, o.Seed+43), 2*requests, requests)
+		e.Drain()
+		st := e.Stats()
+		elapsed := busyElapsed(e)
+		pw := e.Power(elapsed)
 		pts = append(pts, point{
 			label:      fmt.Sprintf("%.0f", f*100),
 			dram:       dramBytes,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
+	"flashdc/internal/engine"
 	"flashdc/internal/hier"
 	"flashdc/internal/sched"
 	"flashdc/internal/sim"
@@ -32,17 +33,16 @@ func ablateReadahead(o Options) *Table {
 		requests = 100000
 	}
 	for _, ra := range []int{0, 4, 16, 64} {
-		s := hier.New(hier.Config{
+		e := warmAndMeasure(hier.Config{
 			DRAMBytes:  int64(float64(128<<20) * o.Scale),
 			FlashBytes: int64(float64(2<<30) * o.Scale),
 			ReadAhead:  ra,
 			Seed:       o.Seed,
-		})
-		warmAndMeasure(s, workload.MustNew("SPECWeb99", o.Scale, o.Seed+59), 2*requests, requests)
-		st := s.Stats()
+		}, workload.MustNew("SPECWeb99", o.Scale, o.Seed+59), 2*requests, requests)
+		st := e.Stats()
 		t.AddRow(ra,
 			st.AvgLatency().Microseconds(),
-			s.Latencies().Quantile(0.95).Microseconds(),
+			e.Latencies().Quantile(0.95).Microseconds(),
 			st.Prefetched, st.DiskReads)
 	}
 	return t
@@ -64,15 +64,14 @@ func loadSweep(o Options) *Table {
 	if requests == 0 {
 		requests = 80000
 	}
-	run := func(dram, flash int64) (*hier.System, sim.Duration) {
-		s := hier.New(hier.Config{
+	run := func(dram, flash int64) (*engine.Engine, sim.Duration) {
+		e := warmAndMeasure(hier.Config{
 			DRAMBytes:  int64(float64(dram) * o.Scale),
 			FlashBytes: int64(float64(flash) * o.Scale),
 			Seed:       o.Seed,
-		})
-		warmAndMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+61), 2*requests, requests)
-		s.Drain()
-		return s, busyElapsed(s)
+		}, workload.MustNew("dbt2", o.Scale, o.Seed+61), 2*requests, requests)
+		e.Drain()
+		return e, busyElapsed(e)
 	}
 	base, basePeak := run(512<<20, 0)
 	hybrid, hybridPeak := run(256<<20, 1<<30)

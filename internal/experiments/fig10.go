@@ -37,16 +37,15 @@ func fig10(o Options) *Table {
 	bw := func(bench string, s ecc.Strength) float64 {
 		fc := core.DefaultConfig(0) // sized by hier
 		fc.ForcedStrength = s
-		sys := hier.New(hier.Config{
+		// Warm, then measure: the decode penalty only shows once the
+		// Flash tier is serving hits.
+		e := warmAndMeasure(hier.Config{
 			DRAMBytes:  int64(float64(256<<20) * o.Scale),
 			FlashBytes: int64(float64(1<<30) * o.Scale),
 			Flash:      fc,
 			Seed:       o.Seed,
-		})
-		// Warm, then measure: the decode penalty only shows once the
-		// Flash tier is serving hits.
-		warmAndMeasure(sys, workload.MustNew(bench, o.Scale, o.Seed+11), 2*requests, requests)
-		return srv.Bandwidth(sys.Stats().AvgLatency())
+		}, workload.MustNew(bench, o.Scale, o.Seed+11), 2*requests, requests)
+		return srv.Bandwidth(e.Stats().AvgLatency())
 	}
 
 	var webBase, dbBase float64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"flashdc/internal/engine"
 	"flashdc/internal/hier"
 	"flashdc/internal/power"
 	"flashdc/internal/sim"
@@ -73,35 +74,34 @@ func fig9(o Options) *Table {
 const appDRAMAccessesPerRequest = 50
 
 type fig9Result struct {
-	sys        *hier.System
+	eng        *engine.Engine
 	elapsed    sim.Duration // bottleneck-aware completion time
 	throughput float64      // requests per second at capacity
 }
 
 func (r fig9Result) power(wall sim.Duration, requests int) power.Breakdown {
-	return r.sys.PowerWithAppTraffic(wall, int64(requests)*appDRAMAccessesPerRequest)
+	return r.eng.Shard(0).PowerWithAppTraffic(wall, int64(requests)*appDRAMAccessesPerRequest)
 }
 
 // fig9Run drives one configuration and derives bottleneck-aware
 // completion time: the run takes as long as its slowest resource — the
 // closed-loop CPU/latency limit, the (single) disk, or the Flash chip.
 func fig9Run(o Options, bench string, dramBytes, flashBytes int64, requests int) fig9Result {
-	s := hier.New(hier.Config{
+	// Warm the caches thoroughly — the Flash tier only fills on PDC
+	// misses, so it converges slowly — then measure steady state.
+	e := warmAndMeasure(hier.Config{
 		DRAMBytes:  int64(float64(dramBytes) * o.Scale),
 		FlashBytes: int64(float64(flashBytes) * o.Scale),
 		Seed:       o.Seed,
-	})
-	// Warm the caches thoroughly — the Flash tier only fills on PDC
-	// misses, so it converges slowly — then measure steady state.
-	warmAndMeasure(s, workload.MustNew(bench, o.Scale, o.Seed+7), 3*requests, requests)
-	s.Drain()
-	st := s.Stats()
-	elapsed := busyElapsed(s)
+	}, workload.MustNew(bench, o.Scale, o.Seed+7), 3*requests, requests)
+	e.Drain()
+	st := e.Stats()
+	elapsed := busyElapsed(e)
 	if elapsed <= 0 {
 		elapsed = sim.Duration(1)
 	}
 	return fig9Result{
-		sys:        s,
+		eng:        e,
 		elapsed:    elapsed,
 		throughput: float64(st.Requests) / elapsed.Seconds(),
 	}

@@ -2,16 +2,19 @@ package experiments
 
 import (
 	"flashdc/internal/core"
+	"flashdc/internal/engine"
 	"flashdc/internal/hier"
 	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/trace"
+	"flashdc/internal/workload"
 )
 
 // The paper measures one access protocol (section 5.1) in two
 // settings: on the Flash cache alone and through the DRAM -> Flash ->
 // disk hierarchy. flashAccess and replayFlash drive a bare Flash
-// cache; warmAndMeasure and busyElapsed drive a hierarchy.
+// cache; warmAndMeasure and busyElapsed drive a hierarchy through a
+// one-shard engine, the path fdcsim replays.
 
 // stream is a request stream: a workload generator or an experiment's
 // own synthetic stream.
@@ -52,22 +55,25 @@ func replayFlash(c *core.Cache, g stream, n int, page func(i int, op trace.Op, l
 	}
 }
 
-// warmAndMeasure replays warm requests of g through s, zeroes its
-// counters, then replays n more: the statistics cover steady state.
-func warmAndMeasure(s *hier.System, g stream, warm, n int) {
-	for i := 0; i < warm; i++ {
-		s.Handle(g.Next())
+// warmAndMeasure replays warm requests of g through a one-shard engine
+// of cfg, zeroes its counters, then replays n more: the statistics
+// cover steady state. Like hier.New, it panics on a bad cfg.
+func warmAndMeasure(cfg hier.Config, g workload.Generator, warm, n int) *engine.Engine {
+	e, err := engine.New(engine.Config{Shards: 1, Hier: cfg})
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
-	s.ResetStats()
-	for i := 0; i < n; i++ {
-		s.Handle(g.Next())
-	}
+	src := workload.AsSource(g)
+	e.RunSource(src, warm)
+	e.ResetStats()
+	e.RunSource(src, n)
+	return e
 }
 
 // busyElapsed is a measured run's bottleneck-aware completion time: it
 // takes as long as its slowest resource — the closed-loop server
 // limit, the disk, or the Flash device.
-func busyElapsed(s *hier.System) sim.Duration {
-	st := s.Stats()
-	return max(server.Default().Elapsed(st.Requests, st.AvgLatency()), s.DiskBusy(), s.FlashBusy())
+func busyElapsed(e *engine.Engine) sim.Duration {
+	st := e.Stats()
+	return max(server.Default().Elapsed(st.Requests, st.AvgLatency()), e.DiskBusy(), e.DeviceStats().BusyTime())
 }

@@ -38,7 +38,7 @@ func TestFaultCampaign100k(t *testing.T) {
 		s := campaignSystem(7)
 		g := workload.MustNew("uniform", 1.0/16, 7)
 		for i := 0; i < 100000; i++ {
-			s.Handle(g.Next())
+			s.handle(g.Next())
 		}
 		s.Drain()
 		if err := s.CheckIntegrity(); err != nil {
@@ -90,10 +90,10 @@ func TestErrReportsFlashDeath(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatalf("request %d: Err = %v on a live Flash tier", n, err)
 		}
-		s.Handle(g.Next())
+		s.handle(g.Next())
 	}
 	for i := 0; i < 1000; i++ {
-		if s.Handle(g.Next()) <= 0 {
+		if s.handle(g.Next()) <= 0 {
 			t.Fatalf("request %d after the death was not served", n+i)
 		}
 		if err := s.Err(); err != ErrFlashDead {

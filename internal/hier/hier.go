@@ -55,11 +55,9 @@ type Config struct {
 	// Seed drives the Flash wear sampling.
 	Seed uint64
 	// Observer, when enabled, receives the hierarchy's metrics and
-	// decision events (see internal/obs). It must be exclusive to this
-	// system: the observer is clocked by this system's simulated clock,
-	// and the sharded engine relies on one observer per shard for
-	// deterministic merged output. Nil (or a disabled observer) keeps
-	// every hot path on the nil-check fast path.
+	// decision events (see internal/obs), clocked by this system's
+	// simulated clock. engine.New sets it, one per shard, from
+	// engine.Config.Obs. Nil keeps every hot path on the nil check.
 	Observer *obs.Observer
 }
 
@@ -112,7 +110,7 @@ type System struct {
 	// obs is the attached observability sink (nil when disabled). All
 	// hierarchy metrics are sampled at snapshot time by collect, so
 	// the per-request cost of an enabled observer is one interval
-	// check in Handle.
+	// check in handle.
 	obs *obs.Observer
 	// latProfile is the reusable latency-rebucketing scratch, so
 	// collect builds no bucket slices per snapshot (Sample clones what
@@ -150,11 +148,7 @@ func New(cfg Config) *System {
 		s.obs.RegisterCollector(s.collect)
 	}
 	if cfg.FlashBytes > 0 {
-		fc := cfg.Flash
-		if fc == (core.Config{}) {
-			fc = core.DefaultConfig(cfg.FlashBytes)
-		}
-		fc.FlashBytes = cfg.FlashBytes
+		fc := FlashConfig(cfg)
 		fc.Seed = cfg.Seed
 		fc.Backing = diskBacking{s.disk}
 		fc.MissPenalty = s.disk.Config().ReadLatency
@@ -174,6 +168,18 @@ func New(cfg Config) *System {
 		}
 	}
 	return s
+}
+
+// FlashConfig is the Flash cache configuration New builds for cfg,
+// before the seed and disk: cfg.Flash, or core.DefaultConfig when that
+// is zero, sized to cfg.FlashBytes.
+func FlashConfig(cfg Config) core.Config {
+	fc := cfg.Flash
+	if fc == (core.Config{}) {
+		fc = core.DefaultConfig(cfg.FlashBytes)
+	}
+	fc.FlashBytes = cfg.FlashBytes
+	return fc
 }
 
 // collect folds the hierarchy counters into an observability sample
@@ -224,7 +230,7 @@ func (s *System) collect(smp *obs.Sample) {
 
 // latencyProfile re-buckets the per-page latency histogram the system
 // already maintains into the fixed observability bounds. Publishing at
-// snapshot time keeps the Handle hot path free of any per-page
+// snapshot time keeps the handle hot path free of any per-page
 // recording cost; each log-scale source bucket lands in the
 // observability bucket its floor falls in (bound resolution is far
 // coarser than the ~9% source buckets, so the skew is negligible).
@@ -293,14 +299,23 @@ func (s *System) Stats() Stats { return s.stats }
 // Now returns accumulated foreground service time.
 func (s *System) Now() sim.Time { return s.clock.Now() }
 
-// Handle services one request, returning its foreground latency and
-// advancing the internal clock by it. A dead Flash tier still serves
-// every request correctly from DRAM and disk; Err reports it.
-func (s *System) Handle(req trace.Request) sim.Duration {
+// RunBatch services every request of batch in order and returns
+// len(batch). A dead Flash tier still serves every request correctly
+// from DRAM and disk; Err reports it.
+func (s *System) RunBatch(batch []trace.Request) int {
+	for _, r := range batch {
+		s.handle(r)
+	}
+	return len(batch)
+}
+
+// handle services one request, returning its foreground latency and
+// advancing the internal clock by it.
+func (s *System) handle(req trace.Request) sim.Duration {
 	s.stats.Requests++
 	// The page walk is inlined (rather than routed through
 	// trace.Request.Expand's callback) to keep the per-request path
-	// closure-free: Handle runs once per simulated request, and an
+	// closure-free: handle runs once per simulated request, and an
 	// escaping closure here was a measurable share of the replay
 	// engine's steady-state allocations.
 	n := req.Pages
@@ -433,40 +448,25 @@ func (s *System) Drain() {
 	}
 }
 
-// Power returns the average power breakdown over the given wall-clock
-// interval (typically the closed-loop elapsed time from the server
-// model, which exceeds pure service time).
-func (s *System) Power(elapsed sim.Duration) power.Breakdown {
-	return s.PowerWithAppTraffic(elapsed, 0)
-}
-
-// PowerWithAppTraffic is Power with extra application-side DRAM
-// accesses folded in (split 3:1 read:write), modelling the CPU memory
-// traffic a full-system simulation would add on top of the disk-cache
-// traffic.
+// PowerWithAppTraffic returns the average power breakdown over the
+// given wall-clock interval (typically the closed-loop elapsed time
+// from the server model, which exceeds pure service time), with
+// appAccesses application-side DRAM accesses folded in (split 3:1
+// read:write): the CPU memory traffic a full-system simulation would
+// add on top of the disk-cache traffic.
 func (s *System) PowerWithAppTraffic(elapsed sim.Duration, appAccesses int64) power.Breakdown {
 	dst := s.pdc.Stats()
 	dst.Reads += appAccesses * 3 / 4
 	dst.Writes += appAccesses / 4
-	return power.Account(elapsed,
-		s.cfg.DRAMBytes, dst,
-		s.cfg.FlashBytes, s.flashStats(),
-		s.disk.Stats(), s.disk.Config())
+	var fst nand.Stats
+	if s.flash != nil {
+		fst = s.flash.DeviceStats()
+	}
+	return power.Account(elapsed, s.cfg.DRAMBytes, dst, s.cfg.FlashBytes, fst, s.disk.Stats(), s.disk.Config())
 }
 
 // DiskBusy returns the drive's accumulated busy time.
 func (s *System) DiskBusy() sim.Duration { return s.disk.Stats().BusyTime }
-
-// FlashBusy returns the Flash device's accumulated busy time (zero in
-// the DRAM-only baseline).
-func (s *System) FlashBusy() sim.Duration { return s.flashStats().BusyTime() }
-
-func (s *System) flashStats() (st nand.Stats) {
-	if s.flash != nil {
-		return s.flash.DeviceStats()
-	}
-	return st
-}
 
 // Latencies exposes the per-page latency distribution (percentiles).
 func (s *System) Latencies() *sim.Histogram { return &s.latencies }

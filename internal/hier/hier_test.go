@@ -25,12 +25,12 @@ func TestDRAMOnlyBaseline(t *testing.T) {
 	if s.Flash() != nil {
 		t.Fatal("baseline built a Flash cache")
 	}
-	lat := s.Handle(trace.Request{Op: trace.OpRead, LBA: 1})
+	lat := s.handle(trace.Request{Op: trace.OpRead, LBA: 1})
 	// Cold read must cost a disk access.
 	if lat < 4*sim.Millisecond {
 		t.Fatalf("cold read latency %v, want ~disk", lat)
 	}
-	lat = s.Handle(trace.Request{Op: trace.OpRead, LBA: 1})
+	lat = s.handle(trace.Request{Op: trace.OpRead, LBA: 1})
 	// Now in PDC: DRAM-speed.
 	if lat > 10*sim.Microsecond {
 		t.Fatalf("PDC hit latency %v", lat)
@@ -47,11 +47,11 @@ func TestFlashTierAbsorbsPDCMisses(t *testing.T) {
 	// Flash, not disk.
 	n := int64(2 * mb / 2048)
 	for lba := int64(0); lba < n; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba})
 	}
 	diskBefore := s.Stats().DiskReads
 	for lba := int64(0); lba < n; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba})
 	}
 	st := s.Stats()
 	if st.FlashHits == 0 {
@@ -68,7 +68,7 @@ func TestWritebackGoesToFlash(t *testing.T) {
 	// Flash write region, not on disk.
 	n := int64(2 * mb / 2048)
 	for lba := int64(0); lba < n; lba++ {
-		s.Handle(trace.Request{Op: trace.OpWrite, LBA: lba})
+		s.handle(trace.Request{Op: trace.OpWrite, LBA: lba})
 	}
 	if got := s.disk.Stats().Writes; got != 0 {
 		t.Fatalf("disk saw %d writes with Flash present", got)
@@ -81,7 +81,7 @@ func TestWritebackGoesToFlash(t *testing.T) {
 func TestDrainFlushesEverything(t *testing.T) {
 	s := New(Config{DRAMBytes: 1 * mb, FlashBytes: 16 * mb, Seed: 5})
 	for lba := int64(0); lba < 200; lba++ {
-		s.Handle(trace.Request{Op: trace.OpWrite, LBA: lba})
+		s.handle(trace.Request{Op: trace.OpWrite, LBA: lba})
 	}
 	s.Drain()
 	if s.disk.Stats().Writes == 0 {
@@ -96,10 +96,10 @@ func TestFlashLatencyBetweenDRAMAndDisk(t *testing.T) {
 	s := New(Config{DRAMBytes: 1 * mb, FlashBytes: 16 * mb, Seed: 6})
 	n := int64(2 * mb / 2048)
 	for lba := int64(0); lba < n; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba})
 	}
 	// Find a page that is in Flash but not PDC: re-read early page.
-	lat := s.Handle(trace.Request{Op: trace.OpRead, LBA: 0})
+	lat := s.handle(trace.Request{Op: trace.OpRead, LBA: 0})
 	if lat < 25*sim.Microsecond || lat > 2*sim.Millisecond {
 		t.Fatalf("flash-tier hit latency %v", lat)
 	}
@@ -107,7 +107,7 @@ func TestFlashLatencyBetweenDRAMAndDisk(t *testing.T) {
 
 func TestMultiPageRequests(t *testing.T) {
 	s := New(Config{DRAMBytes: 1 * mb})
-	s.Handle(trace.Request{Op: trace.OpRead, LBA: 0, Pages: 8})
+	s.handle(trace.Request{Op: trace.OpRead, LBA: 0, Pages: 8})
 	st := s.Stats()
 	if st.ReadPages != 8 || st.Requests != 1 {
 		t.Fatalf("stats %+v", st)
@@ -123,11 +123,11 @@ func TestFlashReducesPowerAndKeepsBandwidth(t *testing.T) {
 		s := New(Config{DRAMBytes: dramMB * mb, FlashBytes: flashMB * mb, Seed: 7})
 		g := workload.MustNew("SPECWeb99", 0.02, 7) // ~36MB footprint
 		for i := 0; i < 60000; i++ {
-			s.Handle(g.Next())
+			s.handle(g.Next())
 		}
 		st := s.Stats()
 		elapsed := st.TotalLatency + sim.Duration(st.Requests)*100*sim.Microsecond
-		return st.AvgLatency(), s.Power(elapsed).Total()
+		return st.AvgLatency(), s.PowerWithAppTraffic(elapsed, 0).Total()
 	}
 	// Scaled version of the paper's config: 16MB DRAM vs 4MB DRAM +
 	// 32MB Flash (same die area by Table 1 density ratios, roughly).

@@ -82,17 +82,17 @@ func TestTierChainComposition(t *testing.T) {
 // multi-page re-reads served from every level, and a final Drain.
 func runTierScript(s *System) {
 	for lba := int64(0); lba < 100; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
 	}
 	for lba := int64(1000); lba < 1200; lba++ {
-		s.Handle(trace.Request{Op: trace.OpWrite, LBA: lba, Pages: 1})
+		s.handle(trace.Request{Op: trace.OpWrite, LBA: lba, Pages: 1})
 	}
 	for lba := int64(0); lba < 300; lba += 3 {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 2})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 2})
 	}
-	s.Handle(trace.Request{Op: trace.OpWrite, LBA: 5000, Pages: 16})
+	s.handle(trace.Request{Op: trace.OpWrite, LBA: 5000, Pages: 16})
 	for lba := int64(1100); lba < 1140; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
 	}
 	s.Drain()
 }
@@ -172,7 +172,7 @@ func TestTierStatsCounters(t *testing.T) {
 	s, o := observed(tierTestConfig())
 	const pages = 500
 	for lba := int64(0); lba < pages; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
 	}
 	ts := tiers(t, o)
 	if len(ts) != 3 {
@@ -192,7 +192,7 @@ func TestTierStatsCounters(t *testing.T) {
 	}
 	// Re-reading the same pages now hits the caches.
 	for lba := int64(0); lba < pages; lba++ {
-		s.Handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
+		s.handle(trace.Request{Op: trace.OpRead, LBA: lba, Pages: 1})
 	}
 	if gained := tiers(t, o)[2].Reads - diskTS.Reads; gained != 0 {
 		t.Fatalf("warm re-read went to disk %d times", gained)
@@ -202,8 +202,8 @@ func TestTierStatsCounters(t *testing.T) {
 // TestHandleHealthy: a healthy hierarchy reports no error.
 func TestHandleHealthy(t *testing.T) {
 	s := New(tierTestConfig())
-	if lat := s.Handle(trace.Request{Op: trace.OpWrite, LBA: 1, Pages: 1}); lat <= 0 {
-		t.Fatalf("Handle latency = %v", lat)
+	if lat := s.handle(trace.Request{Op: trace.OpWrite, LBA: 1, Pages: 1}); lat <= 0 {
+		t.Fatalf("handle latency = %v", lat)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
