@@ -80,12 +80,12 @@ func ShardSeed(base uint64, shard int) uint64 {
 	return sim.SplitMix64(base + uint64(shard))
 }
 
-// MaxResidentBytes caps the per-page state an engine may hold across
-// its shards: every shard's device slots, FPST and FCHT at the Flash
-// size, its DRAM cache's nodes and index once full, and its event
-// trace ring when tracing is on. It is fixed,
-// not read from the host, so the same flags are refused on every host;
-// 8 GiB admits about 180 GiB of simulated MLC Flash.
+// MaxResidentBytes caps the state an engine may hold across its
+// shards: every shard's device slots, FPST and FCHT at the Flash size,
+// its DRAM cache's nodes and index once full, and its event trace ring
+// when tracing is on. It is fixed, not read from the host, so the same
+// flags are refused on every host; 8 GiB admits about 180 GiB of
+// simulated MLC Flash.
 const MaxResidentBytes = 8 << 30
 
 // Validate reports the first reason New cannot build an engine from

@@ -56,8 +56,9 @@ type Config struct {
 	Seed uint64
 	// Observer, when enabled, receives the hierarchy's metrics and
 	// decision events (see internal/obs), clocked by this system's
-	// simulated clock. engine.New sets it, one per shard, from
-	// engine.Config.Obs. Nil keeps every hot path on the nil check.
+	// simulated clock; engine.New gives each shard its own from
+	// engine.Config.Obs. Nil (or a disabled observer) keeps every hot
+	// path on the nil-check fast path.
 	Observer *obs.Observer
 }
 
