@@ -128,8 +128,9 @@ func (cfg *Config) Validate() error {
 			cfg.Shards, resident, int64(MaxResidentBytes))
 	}
 	if cfg.Obs.Trace {
-		// obs.NewTracer allocates a shard's whole ring up front. Counting
-		// in events keeps a huge capacity from overflowing the bytes.
+		// A shard's event ring grows as events arrive, up to its whole
+		// capacity, so the limit counts the whole ring. Counting in
+		// events keeps a huge capacity from overflowing the bytes.
 		events, size := int64(cfg.Obs.TraceCapacity), int64(unsafe.Sizeof(obs.Event{}))
 		if events <= 0 {
 			events = obs.DefaultTraceCapacity

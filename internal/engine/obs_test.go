@@ -221,7 +221,7 @@ func TestLiveEndpointDuringRun(t *testing.T) {
 }
 
 // TestObserverRowRetention pins what an observer retains per interval
-// row on a short 2-shard replay with a 10 ms interval: at most 160
+// row on a short 2-shard replay with a 10 ms interval: at most 96
 // encoded bytes of its row log. And the merged report, decoded from
 // the logs, writes the same JSONL as the rows as they were taken.
 func TestObserverRowRetention(t *testing.T) {
@@ -260,8 +260,8 @@ func TestObserverRowRetention(t *testing.T) {
 			t.Fatalf("shard %d logged %d rows, took %d: want the same, at least 100", sh, rows, len(kept[sh])-1)
 		}
 		per := float64(size) / float64(rows)
-		if per > 160 {
-			t.Fatalf("shard %d retains %.1f encoded bytes per row (%d over %d rows), want <= 160", sh, per, size, rows)
+		if per > 96 {
+			t.Fatalf("shard %d retains %.1f encoded bytes per row (%d over %d rows), want <= 96", sh, per, size, rows)
 		}
 		t.Logf("shard %d: %d rows, %.1f encoded bytes each", sh, rows, per)
 	}

@@ -114,9 +114,11 @@ type System struct {
 	// check in handle.
 	obs *obs.Observer
 	// latProfile is the reusable latency-rebucketing scratch, so
-	// collect builds no bucket slices per snapshot (Sample clones what
-	// it keeps).
+	// collect builds no bucket slices per snapshot (Sample copies what
+	// it keeps); latSlots[i] is the latProfile bucket that latencies'
+	// bucket i falls in.
 	latProfile obs.HistogramSnapshot
+	latSlots   []uint8
 	// lastRead and streak detect sequential read runs for readahead.
 	lastRead int64
 	streak   int
@@ -235,25 +237,27 @@ func (s *System) collect(smp *obs.Sample) {
 // recording cost; each log-scale source bucket lands in the
 // observability bucket its floor falls in (bound resolution is far
 // coarser than the ~9% source buckets, so the skew is negligible).
+// latSlots grows with the source histogram, so each source bucket's
+// slot is found once.
 func (s *System) latencyProfile() obs.HistogramSnapshot {
 	hs := &s.latProfile
 	if hs.Bounds == nil {
 		hs.Bounds = obs.LatencyBounds()
 		hs.Buckets = make([]int64, len(hs.Bounds)+1)
 	}
-	for i := range hs.Buckets {
-		hs.Buckets[i] = 0
-	}
-	hs.Count = 0
-	bounds := hs.Bounds
-	s.latencies.Each(func(floor sim.Duration, count uint64) {
-		i := 0
-		for i < len(bounds) && int64(floor) > bounds[i] {
-			i++
+	counts := s.latencies.Counts()
+	for i := len(s.latSlots); i < len(counts); i++ {
+		floor, j := int64(sim.BucketFloor(i)), 0
+		for j < len(hs.Bounds) && floor > hs.Bounds[j] {
+			j++
 		}
-		hs.Buckets[i] += int64(count)
-		hs.Count += int64(count)
-	})
+		s.latSlots = append(s.latSlots, uint8(j))
+	}
+	clear(hs.Buckets)
+	for i, c := range counts {
+		hs.Buckets[s.latSlots[i]] += int64(c)
+	}
+	hs.Count = int64(s.latencies.Count())
 	hs.Sum = int64(s.latencies.Sum())
 	return *hs
 }

@@ -241,7 +241,11 @@ type Device struct {
 	// slots holds every block's slots in one array, block by block:
 	// slot s of block b is slots[b*SlotsPerBlock+s], Addr.SlotIndex.
 	slots []slotState
-	stats Stats
+	// livePages counts the pages of every block not retired: the
+	// device's capacity, counted by SetMode, Retire and recount rather
+	// than walked.
+	livePages int64
+	stats     Stats
 	// clock, when attached, timestamps programs so the retention
 	// process can measure dwell. A clockless device never sees
 	// retention errors (dwell stays zero).
@@ -281,19 +285,21 @@ func New(cfg Config) *Device {
 			wear: d.model.SamplePageWear(rng, cfg.SigmaSpatial),
 		}
 	}
-	d.recount()
 	for _, b := range cfg.FactoryBadBlocks {
 		if b >= 0 && b < len(d.blocks) {
 			d.blocks[b].factoryBad = true
 			d.blocks[b].retired = true
 		}
 	}
+	d.recount()
 	return d
 }
 
 // recount rebuilds the per-block MLC slot counts from the slot modes,
-// at construction and after a checkpoint restore.
+// and the live-page count from them and the retirement flags, at
+// construction and after a checkpoint restore.
 func (d *Device) recount() {
+	d.livePages = 0
 	for b := range d.blocks {
 		blk, slots := &d.blocks[b], d.blockSlots(b)
 		blk.mlcSlots = 0
@@ -301,6 +307,9 @@ func (d *Device) recount() {
 			if slots[i].mode == wear.MLC {
 				blk.mlcSlots++
 			}
+		}
+		if !blk.retired {
+			d.livePages += int64(d.PagesPerBlock(b))
 		}
 	}
 }
@@ -375,7 +384,12 @@ func (d *Device) Retired(b int) bool { return d.blocks[b].retired }
 
 // Retire permanently removes block b from service (paper section 5.2:
 // a block at both the ECC limit and SLC mode is "removed permanently").
-func (d *Device) Retire(b int) { d.blocks[b].retired = true }
+func (d *Device) Retire(b int) {
+	if !d.blocks[b].retired {
+		d.blocks[b].retired = true
+		d.livePages -= int64(d.PagesPerBlock(b))
+	}
+}
 
 // ReadResult reports the outcome of a page read before error
 // correction.
@@ -591,11 +605,15 @@ func (d *Device) SetMode(block, slot int, m wear.Mode) error {
 	}
 	// The cached wear count belongs to the old mode.
 	sl.wearNext = 0
+	pages := blk.mlcSlots
 	if sl.mode == wear.MLC {
 		blk.mlcSlots--
 	}
 	if m == wear.MLC {
 		blk.mlcSlots++
+	}
+	if !blk.retired {
+		d.livePages += int64(blk.mlcSlots - pages)
 	}
 	sl.mode = m
 	return nil
@@ -657,16 +675,7 @@ func (d *Device) PagesPerBlock(b int) int {
 // CapacityBytes returns the device's current addressable data
 // capacity across non-retired blocks, which shrinks as slots move to
 // SLC mode or blocks retire.
-func (d *Device) CapacityBytes() int64 {
-	var pages int64
-	for b := range d.blocks {
-		if d.blocks[b].retired {
-			continue
-		}
-		pages += int64(d.PagesPerBlock(b))
-	}
-	return pages * PageSize
-}
+func (d *Device) CapacityBytes() int64 { return d.livePages * PageSize }
 
 // ResetStats zeroes the operation counters (e.g. after cache warmup);
 // wear state is untouched.

@@ -127,22 +127,32 @@ type Event struct {
 // Tracer is a bounded ring buffer of decision events. Recording takes
 // a mutex — decision events are orders of magnitude rarer than page
 // operations — and overflow drops the oldest events, counting them.
+// The ring is not allocated whole: it grows by doubling from
+// traceStart events as events arrive, never past its capacity, so a
+// run that records few events holds few.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []Event
+	mu sync.Mutex
+	// buf holds the ring; it grows (by append, so the oldest event is
+	// buf[0]) until it holds capacity events, and only then wraps.
+	buf      []Event
+	capacity int
+	// start is the oldest event's index once the ring has wrapped.
 	start   int
-	n       int
 	seq     uint64
 	dropped int64
 }
 
+// traceStart is the event count a tracer's ring first grows to.
+const traceStart = 64
+
 // NewTracer returns a tracer holding up to capacity events
-// (DefaultTraceCapacity when capacity <= 0).
+// (DefaultTraceCapacity when capacity <= 0). It allocates no ring
+// until the first event.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 func (t *Tracer) record(e Event) {
@@ -150,14 +160,18 @@ func (t *Tracer) record(e Event) {
 	defer t.mu.Unlock()
 	e.Seq = t.seq
 	t.seq++
-	if t.n == len(t.buf) {
+	switch n := len(t.buf); n {
+	case t.capacity:
 		t.buf[t.start] = e
-		t.start = (t.start + 1) % len(t.buf)
+		t.start = (t.start + 1) % n
 		t.dropped++
 		return
+	case cap(t.buf):
+		grown := make([]Event, n, min(max(2*n, traceStart), t.capacity))
+		copy(grown, t.buf)
+		t.buf = grown
 	}
-	t.buf[(t.start+t.n)%len(t.buf)] = e
-	t.n++
+	t.buf = append(t.buf, e)
 }
 
 // Events returns the buffered events, oldest first. Nil-safe.
@@ -167,10 +181,9 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
-	}
+	out := make([]Event, len(t.buf))
+	n := copy(out, t.buf[t.start:])
+	copy(out[n:], t.buf[:t.start])
 	return out
 }
 

@@ -60,7 +60,7 @@ func sortedNames[V any](m map[string]V) []string {
 }
 
 // Handler serves the live merged metrics of the given observers as
-// Prometheus text exposition. It reads only atomically-published
+// Prometheus text exposition. It reads only copies of published
 // snapshots (Observer.Live), never component state, so it is safe to
 // serve while the simulation runs on other goroutines.
 func Handler(observers func() []*Observer) http.Handler {
@@ -72,8 +72,7 @@ func Handler(observers func() []*Observer) http.Handler {
 				continue
 			}
 			if merged == nil {
-				c := s.Clone()
-				merged = &c
+				merged = s
 			} else {
 				merged.Merge(*s)
 			}

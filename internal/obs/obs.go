@@ -16,8 +16,8 @@
 //     own Observer (clocked by that shard's simulated clock), and the
 //     merged report folds shards in index order, so merged output is
 //     independent of goroutine scheduling. Cross-goroutine readers (the
-//     live HTTP endpoint) only ever touch atomically-published
-//     snapshots, never component state.
+//     live HTTP endpoint) only ever read copies of published snapshots
+//     (Live), never component state.
 //
 // Metrics come from collectors: callbacks sampled at snapshot time that
 // fold a component's existing counters (its Stats struct) into the
@@ -25,13 +25,14 @@
 // values; the series names and histogram bounds are fixed by an
 // observer's first snapshot and attached only when a snapshot is
 // written out. An observer keeps only its newest interval row whole
-// (the one Live publishes). Every row goes into a row log as varint
-// deltas against the row before it, about 100 bytes a row, and
-// Snapshots decodes the log.
+// (the one Live copies) and a spare it takes the next row into. Every
+// row goes into a row log as a change mask and varint deltas of the
+// values that changed since the row before it, and Snapshots decodes
+// the log.
 package obs
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"flashdc/internal/sim"
 )
@@ -65,6 +66,8 @@ type Observer struct {
 	// snapshot, so a component's collector may freely read its own
 	// unsynchronised state.
 	collectors []func(*Sample)
+	// smp is the sink every snapshot hands the collectors.
+	smp Sample
 	// names is the series list the first snapshot recorded, nil
 	// before it.
 	names    *series
@@ -75,9 +78,12 @@ type Observer struct {
 	// rows holds the interval snapshots, delta-encoded.
 	rows  rowLog
 	final *Snapshot
-	// live is the most recently completed snapshot, published for
-	// concurrent readers (the HTTP exposition endpoint).
-	live atomic.Pointer[Snapshot]
+	// mu guards live, the most recently completed snapshot, and the
+	// row it points at: concurrent readers (the HTTP exposition
+	// endpoint) copy it under mu, and the row log reuses a row buffer
+	// only after live has moved off it.
+	mu   sync.Mutex
+	live *Snapshot
 }
 
 // New builds an Observer from the options. It never returns nil; the
@@ -150,25 +156,23 @@ func (o *Observer) RegisterCollector(f func(*Sample)) {
 	o.collectors = append(o.collectors, f)
 }
 
-// snapshot runs every collector into one row stamped (seq, t).
-func (o *Observer) snapshot(seq, t int64, final bool) Snapshot {
-	s := Snapshot{Seq: seq, T: t, Final: final, names: o.names}
-	smp := Sample{snap: &s, record: o.names == nil}
-	if smp.record {
+// snapshot runs every collector into s, one row stamped (seq, t). It
+// reuses s's slices: a row buffer taken before holds every value
+// without allocating.
+func (o *Observer) snapshot(s *Snapshot, seq, t int64, final bool) {
+	s.Seq, s.T, s.Final, s.names = seq, t, final, o.names
+	s.counters, s.gauges, s.histograms = s.counters[:0], s.gauges[:0], s.histograms[:0]
+	o.smp = Sample{snap: s, record: o.names == nil}
+	if o.smp.record {
 		s.names = &series{}
-	} else {
-		s.counters = make([]int64, 0, len(o.names.counters))
-		s.gauges = make([]float64, 0, len(o.names.gauges))
-		s.histograms = make([]HistogramSnapshot, 0, len(o.names.histograms))
 	}
 	for _, f := range o.collectors {
-		f(&smp)
+		f(&o.smp)
 	}
 	missing("counter", s.names.counters, len(s.counters))
 	missing("gauge", s.names.gauges, len(s.gauges))
 	missing("histogram", s.names.histograms, len(s.histograms))
 	o.names = s.names
-	return s
 }
 
 // MaybeSnapshot takes one cumulative snapshot per MetricsInterval
@@ -180,9 +184,12 @@ func (o *Observer) MaybeSnapshot(now sim.Time) {
 		return
 	}
 	for !now.Before(o.next) {
-		s := o.snapshot(int64(o.rows.rows), int64(o.next), false)
-		o.rows.add(&s)
-		o.publish(&s)
+		s := o.rows.next()
+		o.snapshot(s, int64(o.rows.rows), int64(o.next), false)
+		o.mu.Lock()
+		o.rows.add(s)
+		o.live = s
+		o.mu.Unlock()
 		o.next = o.next.Add(o.interval)
 	}
 }
@@ -195,25 +202,27 @@ func (o *Observer) Finish() {
 	if o == nil || !o.metrics {
 		return
 	}
-	s := o.snapshot(FinalSeq, int64(o.now()), true)
-	o.final = &s
-	o.publish(&s)
+	s := &Snapshot{}
+	o.snapshot(s, FinalSeq, int64(o.now()), true)
+	o.mu.Lock()
+	o.final, o.live = s, s
+	o.mu.Unlock()
 }
 
-// publish stores the row for Live without copying: rows are never
-// modified after they are taken.
-func (o *Observer) publish(s *Snapshot) {
-	o.live.Store(s)
-}
-
-// Live returns the most recently completed snapshot, or nil before the
-// first one. Safe to call from any goroutine; the row is shared, so
-// merge into a Clone of it.
+// Live returns a copy of the most recently completed snapshot, or nil
+// before the first one. Safe to call from any goroutine; the copy is
+// the caller's, to keep or merge into.
 func (o *Observer) Live() *Snapshot {
 	if o == nil {
 		return nil
 	}
-	return o.live.Load()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.live == nil {
+		return nil
+	}
+	c := o.live.Clone()
+	return &c
 }
 
 // Snapshots returns the interval snapshots taken so far, decoded from

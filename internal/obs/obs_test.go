@@ -281,6 +281,44 @@ func TestObserverIntervalSnapshots(t *testing.T) {
 	}
 }
 
+// TestLiveIsACopy: the observer reuses its two interval row buffers,
+// so Live hands out copies; a row returned earlier is unchanged by
+// the rows taken after it, and a caller may merge into its copy.
+func TestLiveIsACopy(t *testing.T) {
+	var clk sim.Clock
+	o := New(Options{MetricsInterval: 10})
+	o.SetClock(&clk)
+	var n int64
+	lat := HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{0, 0}}
+	o.RegisterCollector(func(s *Sample) {
+		s.Counter("n_total", n)
+		s.Histogram("lat", lat)
+	})
+	var seen []*Snapshot
+	for n = 1; n <= 4; n++ {
+		lat.Buckets[0], lat.Count = n, n
+		clk.Advance(10)
+		o.MaybeSnapshot(clk.Now())
+		seen = append(seen, o.Live())
+	}
+	seen[3].Merge(*seen[3])
+	for i, s := range seen[:3] {
+		if s.Seq != int64(i) || s.Counter("n_total") != int64(i+1) || s.histograms[0].Buckets[0] != int64(i+1) {
+			t.Fatalf("row %d changed after later rows: %+v", i, s)
+		}
+	}
+	if again := o.Live(); again.Counter("n_total") != 4 || again.histograms[0].Count != 4 {
+		t.Fatalf("merging into a Live copy changed the observer's row: %+v", again)
+	}
+	// The reused rows copied the collector's buckets, so the log holds
+	// each row's own.
+	for i, s := range o.Snapshots() {
+		if b := s.histograms[0].Buckets[0]; b != int64(i+1) {
+			t.Fatalf("logged row %d has bucket %d, want %d", i, b, i+1)
+		}
+	}
+}
+
 func TestNilObserverIsNoOp(t *testing.T) {
 	var o *Observer
 	if o.Enabled() {

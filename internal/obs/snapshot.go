@@ -44,8 +44,10 @@ func (s *series) equal(o *series) bool {
 
 // Snapshot is one cumulative capture of an observer's collectors as of
 // simulated time T: a row of counter, gauge and histogram values whose
-// names the shared series holds. Rows published by an observer are
-// never modified; merge into a Clone. Snapshots merge across shards
+// names the shared series holds. Every Snapshot an observer hands out
+// (Live, Snapshots) is the caller's own; Merge writes into the
+// receiver's values, so merge into a Clone of a row that is still
+// needed as it was. Snapshots merge across shards
 // slot by slot; the `merge` tags document Merge for the reflection
 // test that keeps this struct and Merge honest.
 type Snapshot struct {
@@ -245,7 +247,8 @@ func (s *Sample) Gauge(name string, v float64) {
 }
 
 // Histogram stores a copy of hs's buckets as the named histogram
-// series; the bounds are shared and must never be modified. It lets a
+// series, into the row's existing bucket slice when the row buffer
+// has one; the bounds are shared and must never be modified. It lets a
 // component that already maintains its own distribution (for example
 // the hierarchy's latency profile) publish it at snapshot time with
 // zero hot-path cost. hs must have one bucket more than it has bounds,
@@ -264,7 +267,12 @@ func (s *Sample) Histogram(name string, hs HistogramSnapshot) {
 		panic(fmt.Sprintf("obs: histogram %q reported bounds %v, which the first snapshot gave as %v",
 			name, hs.Bounds, names.bounds[i]))
 	}
-	s.snap.histograms = append(s.snap.histograms, hs.Clone())
+	if i < cap(s.snap.histograms) {
+		hs.Buckets = append(s.snap.histograms[:i+1][i].Buckets[:0], hs.Buckets...)
+	} else {
+		hs = hs.Clone()
+	}
+	s.snap.histograms = append(s.snap.histograms, hs)
 }
 
 // check records name as the next series of its kind on the first

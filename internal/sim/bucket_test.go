@@ -50,10 +50,11 @@ func TestBucketOfMatchesLog10(t *testing.T) {
 		checkBucket(t, p)
 		checkBucket(t, p+1)
 	}
-	// bucketFloor's values (what Each and Quantile report) can sit a
-	// rounding step off the boundaries above; probe them too.
+	// BucketFloor's values (what Quantile and the hierarchy's latency
+	// snapshots read) can sit a rounding step off the boundaries above;
+	// probe them too.
 	for i := 2; i < 200; i++ {
-		if f := bucketFloor(i); f > 0 {
+		if f := BucketFloor(i); f > 0 {
 			checkBucket(t, f)
 		}
 	}

@@ -34,7 +34,7 @@ var (
 
 // init derives the bucket tables from the bucket mapping itself,
 // 1 + floor(24*log10(d)) for positive d, so every boundary falls
-// exactly where that float expression puts it. bucketFloor computes
+// exactly where that float expression puts it. BucketFloor computes
 // the boundaries the other way round (10^((i-1)/24)) and can differ
 // from them by float rounding, so it is not used here.
 func init() {
@@ -79,8 +79,8 @@ func bucketOf(d Duration) int {
 	return i
 }
 
-// bucketFloor returns the smallest duration mapping to bucket i.
-func bucketFloor(i int) Duration {
+// BucketFloor returns the smallest duration mapping to bucket i.
+func BucketFloor(i int) Duration {
 	if i == 0 {
 		return 0
 	}
@@ -139,17 +139,11 @@ func (h *Histogram) Count() uint64 { return h.total }
 // Sum returns the total of all samples.
 func (h *Histogram) Sum() Duration { return h.sum }
 
-// Each calls fn for every non-empty bucket, smallest first, with the
-// bucket's floor (the smallest duration mapping to it) and its count.
-// It lets observers re-bucket the profile without exposing the
-// internal layout.
-func (h *Histogram) Each(fn func(floor Duration, count uint64)) {
-	for i, c := range h.counts {
-		if c > 0 {
-			fn(bucketFloor(i), c)
-		}
-	}
-}
+// Counts returns the per-bucket sample counts, bucket i's floor (the
+// smallest duration mapping to it) being BucketFloor(i). It lets
+// observers re-bucket the profile; the slice is the histogram's own,
+// so callers must not modify it, and it grows as samples arrive.
+func (h *Histogram) Counts() []uint64 { return h.counts }
 
 // Mean returns the average sample, zero when empty.
 func (h *Histogram) Mean() Duration {
@@ -191,8 +185,8 @@ func (h *Histogram) Quantile(q float64) Duration {
 		if seen >= rank {
 			// Return the geometric midpoint of the bucket, clamped
 			// to the observed extremes.
-			lo := bucketFloor(i)
-			hi := bucketFloor(i + 1)
+			lo := BucketFloor(i)
+			hi := BucketFloor(i + 1)
 			mid := Duration(math.Sqrt(float64(lo+1) * float64(hi+1)))
 			if mid < h.min {
 				mid = h.min
