@@ -198,7 +198,7 @@ func main() {
 		faultSpec    = flag.String("faults", "", "fault-injection campaign, e.g. \"read=2e-3,program=1e-3,erase=1e-3,grown=0.2,seed=7\"")
 		scrubEvery   = flag.Int("scrub", 0, "background scrub scan interval in host operations (0 disables)")
 		shards       = flag.Int("shards", 1, "hash-partition the LBA space across N independent shards")
-		workers      = flag.Int("workers", 0, "concurrent shard replay goroutines (0 = one per shard)")
+		workers      = flag.Int("workers", 0, "concurrent shard replay goroutines, at most GOMAXPROCS and the CPU count (0 = one per shard)")
 		channels     = flag.Int("channels", 1, "NAND channels (blocks striped block%channels; 1 = the paper's serial device)")
 		banks        = flag.Int("banks", 1, "NAND banks per channel (erases occupy only their bank)")
 		wbufPages    = flag.Int("wbuf", 0, "coalescing write-buffer capacity in pages (0 disables)")

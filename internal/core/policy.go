@@ -340,6 +340,9 @@ type contentionGC struct {
 	// refused while the scheduler is active, and without a clock the
 	// streak never moves.
 	streak int
+	// near is reused scratch: the eligible candidates within
+	// gcSteerSlack of the running maximum, in LRU-tail order.
+	near []int32
 }
 
 func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
@@ -358,10 +361,14 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 	if !force && r.payoff == 0 {
 		return none, 0
 	}
-	// Pass 1 — greedy's choice: the most-invalid eligible candidate.
-	// Eligibility is filtered before any steering, so collection
+	// One walk finds greedy's choice, the most-invalid eligible
+	// candidate, and keeps every candidate near the running maximum:
+	// the maximum only rises, so each near-tie of the final one is
+	// kept. Eligibility is filtered before any steering, so collection
 	// proceeds exactly when greedy's would; only the victim choice may
 	// differ.
+	steer := c.clock != nil
+	g.near = g.near[:0]
 	best, bestInvalid := none, 0
 	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
 		m := &c.meta[b]
@@ -372,25 +379,28 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 		if invalid > bestInvalid {
 			best, bestInvalid = b, invalid
 		}
+		if steer && invalid*gcSteerSlackDen >= bestInvalid*gcSteerSlackNum {
+			g.near = append(g.near, int32(b))
+		}
 	}
-	if best == none || c.clock == nil {
+	if best == none || !steer {
 		return best, bestInvalid
 	}
-	// Pass 2 — idle-bank steering among near-ties: any eligible
-	// candidate whose benefit is within gcSteerSlack of greedy's may
-	// displace it if its bank is predicted to be free sooner. Ties on
-	// wait keep the more-invalid (then more-LRU) candidate.
+	// Idle-bank steering among near-ties: any candidate whose benefit
+	// is within gcSteerSlack of greedy's may displace it if its bank is
+	// predicted to be free sooner. Ties on wait keep the more-invalid
+	// (then more-LRU) candidate.
 	chosenInvalid := bestInvalid
 	bestWait := c.sched.BankWait(best, now)
-	for b := int(r.tail); b != none; b = int(c.meta[b].prev) {
+	for _, b := range g.near {
 		m := &c.meta[b]
 		invalid := m.consumed - m.valid
-		if invalid*gcSteerSlackDen < bestInvalid*gcSteerSlackNum || (!force && m.payoff() == 0) {
+		if invalid*gcSteerSlackDen < bestInvalid*gcSteerSlackNum {
 			continue
 		}
-		w := c.sched.BankWait(b, now)
+		w := c.sched.BankWait(int(b), now)
 		if w < bestWait || (w == bestWait && invalid > chosenInvalid) {
-			bestWait, chosenInvalid, best = w, invalid, b
+			bestWait, chosenInvalid, best = w, invalid, int(b)
 		}
 	}
 	return best, chosenInvalid

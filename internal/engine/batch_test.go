@@ -23,23 +23,21 @@ func testStream(t *testing.T, n int) []trace.Request {
 	return reqs
 }
 
-// runBatched replays reqs through RunBatch in chunk-sized slices on an
-// engine built from hc and returns the drained engine with its
-// observability report.
-func runBatched(t *testing.T, hc hier.Config, shards, workers, chunk int, reqs []trace.Request) (*Engine, *obs.Report) {
+// runBatched replays reqs through RunBatch on an engine built from hc,
+// in slices whose sizes cycle through chunks, and returns the drained
+// engine with its observability report.
+func runBatched(t *testing.T, hc hier.Config, shards, workers int, reqs []trace.Request, chunks ...int) (*Engine, *obs.Report) {
 	t.Helper()
 	e, err := New(Config{Shards: shards, Workers: workers, Hier: hc, Obs: obsTestOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(reqs); off += chunk {
-		end := off + chunk
-		if end > len(reqs) {
-			end = len(reqs)
-		}
+	for off, i := 0, 0; off < len(reqs); i++ {
+		end := min(off+chunks[i%len(chunks)], len(reqs))
 		if got := e.RunBatch(reqs[off:end]); got != end-off {
 			t.Fatalf("RunBatch consumed %d of %d", got, end-off)
 		}
+		off = end
 	}
 	e.Drain()
 	return e, e.Observe()
@@ -53,11 +51,11 @@ func TestRunBatchBoundaryInvariance(t *testing.T) {
 	reqs := testStream(t, testRequests)
 	for _, shards := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ref, refRep := runBatched(t, testConfig(), shards, 0, 1, reqs)
+			ref, refRep := runBatched(t, testConfig(), shards, 0, reqs, 1)
 			base := snap(t, ref)
 			rm, re := serialise(t, refRep)
 			for _, chunk := range []int{7, trace.DefaultBatch, len(reqs)} {
-				e, rep := runBatched(t, testConfig(), shards, 0, chunk, reqs)
+				e, rep := runBatched(t, testConfig(), shards, 0, reqs, chunk)
 				if got := snap(t, e); !reflect.DeepEqual(got, base) {
 					t.Fatalf("chunk=%d diverged from single-request path:\n got %+v\nwant %+v", chunk, got, base)
 				}
@@ -73,15 +71,17 @@ func TestRunBatchBoundaryInvariance(t *testing.T) {
 	}
 }
 
-// TestRunBatchWorkerIndependence pins fork-join determinism: the
-// routed per-shard slices, each simulated whole on one goroutine, must
-// merge to the same result at any worker count — including workers <
+// TestRunBatchWorkerIndependence pins batch determinism: the routed
+// per-shard slices, each simulated whole on one goroutine, must merge
+// to the same result at any worker count — including workers <
 // shards, where one goroutine simulates several shards, and a skewed
 // stream whose requests all hash to one shard, leaving the other
 // seven slices empty in every batch. The campaign row runs faults,
 // scrub, retention, disturb and refresh on every shard, so the race
-// detector sees those subsystems simulated concurrently. An empty
-// batch is a no-op.
+// detector sees those subsystems simulated concurrently. One-request
+// batches and batches whose size alternates hand each helper a new
+// stripe many thousand times, some of them empty, at every worker
+// count. An empty batch is a no-op.
 func TestRunBatchWorkerIndependence(t *testing.T) {
 	const shards = 8
 	uniform := testStream(t, testRequests)
@@ -92,25 +92,28 @@ func TestRunBatchWorkerIndependence(t *testing.T) {
 			skewed = append(skewed, req)
 		}
 	}
+	every := []int{2, 3, 4, 5, 6, 7, shards}
 	for _, tc := range []struct {
 		name    string
 		hc      hier.Config
 		reqs    []trace.Request
-		chunk   int
+		chunks  []int
 		workers []int
 	}{
-		{"uniform", testConfig(), uniform, len(uniform), []int{2, 3, shards}},
-		{"skewed", testConfig(), skewed, 512, []int{2, 3}},
-		{"campaign", campaignHier(testSeed), campaignReqs(testSeed, testRequests), 512, []int{2, 3, shards}},
+		{"uniform", testConfig(), uniform, []int{len(uniform)}, []int{2, 3, shards}},
+		{"skewed", testConfig(), skewed, []int{512}, []int{2, 3}},
+		{"campaign", campaignHier(testSeed), campaignReqs(testSeed, testRequests), []int{512}, []int{2, 3, shards}},
+		{"one-request", testConfig(), uniform, []int{1}, every},
+		{"alternating", testConfig(), uniform, []int{1, 700, 3, trace.DefaultBatch, 2}, every},
 	} {
-		ref, _ := runBatched(t, tc.hc, shards, 1, tc.chunk, tc.reqs)
+		ref, _ := runBatched(t, tc.hc, shards, 1, tc.reqs, tc.chunks...)
 		base := snap(t, ref)
 		if tc.name == "campaign" && (base.Faults.ReadInjections == 0 || base.Flash.ScrubScans == 0 || base.Flash.RetentionScans == 0) {
 			t.Fatalf("campaign injected %d reads, scrubbed %d pages, ran %d retention scans: want all nonzero",
 				base.Faults.ReadInjections, base.Flash.ScrubScans, base.Flash.RetentionScans)
 		}
 		for _, workers := range tc.workers {
-			e, _ := runBatched(t, tc.hc, shards, workers, tc.chunk, tc.reqs)
+			e, _ := runBatched(t, tc.hc, shards, workers, tc.reqs, tc.chunks...)
 			if got := snap(t, e); !reflect.DeepEqual(got, base) {
 				t.Fatalf("%s: workers=%d diverged from workers=1:\n got %+v\nwant %+v", tc.name, workers, got, base)
 			}
@@ -134,7 +137,7 @@ func TestRunBatchWorkerIndependence(t *testing.T) {
 func TestRunSourceMatchesRunBatch(t *testing.T) {
 	reqs := testStream(t, testRequests)
 	for _, shards := range []int{1, 4} {
-		eb, _ := runBatched(t, testConfig(), shards, 0, len(reqs), reqs)
+		eb, _ := runBatched(t, testConfig(), shards, 0, reqs, len(reqs))
 		es, err := New(Config{Shards: shards, Hier: testConfig(), Obs: obsTestOptions()})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,8 @@
 // space across N shards (trace.ShardOf), gives every shard a fully
 // independent hier.System — its own clock, RNG streams, management
 // tables and NAND device, sized at 1/N of the configured capacity —
-// and replays each request batch as one fork-join across the shards.
+// and replays each request batch across the shards on the caller and
+// helper goroutines it keeps hot between batches.
 //
 // The decomposition mirrors how real NAND subsystems scale: channel
 // and way parallelism over independent flash dies, each die with its
@@ -22,6 +23,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"unsafe"
 
 	"flashdc/internal/dram"
@@ -63,10 +65,14 @@ type Engine struct {
 	observers []*obs.Observer
 	observed  bool
 	// pending (the per-shard routed slices) and srcBuf (RunSource's
-	// fill buffer) are the batch pipeline's reusable buffers (see
-	// run.go); lazily built, reused across runs.
+	// fill buffer) are the batch pipeline's reusable buffers, and
+	// helpers its persistent simulator goroutines, which keep spinning
+	// while inBatch is set (see run.go); lazily built, reused across
+	// runs.
 	pending [][]trace.Request
 	srcBuf  []trace.Request
+	helpers []*helper
+	inBatch atomic.Bool
 }
 
 // ShardSeed derives shard i's simulation seed from the base seed.
@@ -175,7 +181,9 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // Shard exposes one partition's hierarchy for inspection.
 func (e *Engine) Shard(i int) *hier.System { return e.shards[i] }
 
-// Workers returns how many goroutines simulate shards at once.
+// Workers returns the configured bound on how many goroutines simulate
+// shards at once. A batch runs on at most GOMAXPROCS and NumCPU of
+// them, so the same configuration reports the same value on any host.
 func (e *Engine) Workers() int {
 	if e.cfg.Workers <= 0 || e.cfg.Workers > len(e.shards) {
 		return len(e.shards)

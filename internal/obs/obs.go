@@ -233,7 +233,7 @@ func (o *Observer) Snapshots() []Snapshot {
 	}
 	out := o.rows.decode(o.names, o.interval)
 	if o.final != nil {
-		out = append(out, *o.final)
+		out = append(out, o.final.Clone())
 	}
 	return out
 }
@@ -274,7 +274,8 @@ func BuildReport(observers ...*Observer) *Report {
 			rep.DroppedEvents += o.Trace.Dropped()
 		}
 	}
-	rep.Snapshots = MergeSnapshots(series...)
+	// The decoded rows are this call's own: merge into them.
+	rep.Snapshots = mergeSnapshots(series, func(s Snapshot) Snapshot { return s })
 	rep.Events = MergeEvents(events...)
 	return rep
 }

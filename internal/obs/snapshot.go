@@ -159,15 +159,23 @@ func (s Snapshot) Clone() Snapshot {
 // the result is scheduling-independent), and the shards' final
 // snapshots merge into one trailing final snapshot. A shard whose run
 // ended before an interval boundary simply stops contributing; the
-// merged series keeps every Seq any shard reached.
+// merged series keeps every Seq any shard reached. It writes into
+// none of its arguments' rows.
 func MergeSnapshots(series ...[]Snapshot) []Snapshot {
+	return mergeSnapshots(series, Snapshot.Clone)
+}
+
+// mergeSnapshots is MergeSnapshots, keeping keep(s) as the merged row
+// of the first row s of each Seq: a Clone, or s itself when the caller
+// owns every row and no two rows share values.
+func mergeSnapshots(series [][]Snapshot, keep func(Snapshot) Snapshot) []Snapshot {
 	var intervals []Snapshot
 	var final *Snapshot
 	for _, shard := range series {
 		for _, s := range shard {
 			if s.Seq == FinalSeq {
 				if final == nil {
-					c := s.Clone()
+					c := keep(s)
 					final = &c
 				} else {
 					final.Merge(s)
@@ -175,7 +183,7 @@ func MergeSnapshots(series ...[]Snapshot) []Snapshot {
 				continue
 			}
 			if s.Seq == int64(len(intervals)) {
-				intervals = append(intervals, s.Clone())
+				intervals = append(intervals, keep(s))
 			} else {
 				intervals[s.Seq].Merge(s)
 			}
