@@ -58,8 +58,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -73,11 +75,9 @@ import (
 	"flashdc/internal/hier"
 	"flashdc/internal/obs"
 	"flashdc/internal/policy"
-	"flashdc/internal/sched"
 	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/trace"
-	"flashdc/internal/wear"
 	"flashdc/internal/workload"
 )
 
@@ -184,222 +184,237 @@ func parseFaults(spec string) (*fault.Plan, error) {
 }
 
 func main() {
-	var (
-		workloadName = flag.String("workload", "dbt2", "Table 4 workload name (ignored with -trace)")
-		traceFile    = flag.String("trace", "", "replay a trace file (text, or tracegen -binary's format via a zero-copy mapping) instead of generating")
-		scale        = flag.Float64("scale", 1.0/16, "footprint scale for generated workloads")
-		requests     = flag.Int("requests", 200000, "requests to simulate")
-		dramSize     = flag.String("dram", "16M", "DRAM primary disk cache size")
-		flashSize    = flag.String("flash", "128M", "Flash cache size (0 disables Flash)")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		unified      = flag.Bool("unified", false, "use the unified (non-split) Flash cache baseline")
-		noProg       = flag.Bool("no-programmable", false, "disable the programmable controller (fixed BCH-1)")
-		wearAccel    = flag.Float64("wear-accel", 1, "wear acceleration factor")
-		faultSpec    = flag.String("faults", "", "fault-injection campaign, e.g. \"read=2e-3,program=1e-3,erase=1e-3,grown=0.2,seed=7\"")
-		scrubEvery   = flag.Int("scrub", 0, "background scrub scan interval in host operations (0 disables)")
-		shards       = flag.Int("shards", 1, "hash-partition the LBA space across N independent shards")
-		workers      = flag.Int("workers", 0, "concurrent shard replay goroutines, at most GOMAXPROCS and the CPU count (0 = one per shard)")
-		channels     = flag.Int("channels", 1, "NAND channels (blocks striped block%channels; 1 = the paper's serial device)")
-		banks        = flag.Int("banks", 1, "NAND banks per channel (erases occupy only their bank)")
-		wbufPages    = flag.Int("wbuf", 0, "coalescing write-buffer capacity in pages (0 disables)")
+	rc, err := parse(os.Args[1:])
+	if err != nil {
+		os.Exit(usage(os.Stderr, err))
+	}
+	os.Exit(run(rc, os.Stdout, os.Stderr))
+}
 
-		policyEvict  = flag.String("policy-evict", "", "flash eviction policy (default "+policy.DefaultName(policy.KindEvict)+"; see -list-policies)")
-		policyAdmit  = flag.String("policy-admit", "", "flash admission policy (default "+policy.DefaultName(policy.KindAdmit)+"; see -list-policies)")
-		policyGC     = flag.String("policy-gc", "", "GC victim-selection policy (default "+policy.DefaultName(policy.KindGC)+"; see -list-policies)")
-		listPolicies = flag.Bool("list-policies", false, "list the registered cache policies and exit")
+// runConfig is a command line parse accepted: an engine configuration
+// that passed engine.Config.Validate, and the stream, files and
+// endpoint run uses around it. Nothing in it is built or opened yet.
+type runConfig struct {
+	listPolicies bool
+	engine       engine.Config
+	// trace, a file name, replaces the generated workload when set.
+	workload, trace string
+	scale           float64
+	requests        int
+	// fingerprint names the configuration for checkpoint compatibility:
+	// a checkpoint resumes only under the exact flag set that produced
+	// it (minus -requests, which extends the campaign).
+	fingerprint                       string
+	checkpointIn, checkpointOut       string
+	metricsOut, traceEvents, httpAddr string
+}
 
-		retentionAccel = flag.Float64("retention-accel", 0, "retention-loss acceleration factor over the 10-year spec dwell (0 disables)")
-		disturbReads   = flag.Float64("disturb-reads", 0, "sibling reads per correctable read-disturb bit error (0 disables)")
-		refreshThresh  = flag.Float64("refresh-threshold", 0, "fraction of ECC capability at which the scrubber refreshes a page (0 = 1.0)")
-		checkpointOut  = flag.String("checkpoint-out", "", "write a resumable campaign checkpoint to this file at end of run")
-		checkpointIn   = flag.String("checkpoint-in", "", "resume a campaign from this checkpoint (-requests adds to it)")
+// flagError is a command line the flag package refused, or -h. text is
+// what the flag package wrote for it: the error, if any, and the usage.
+type flagError struct {
+	error
+	text string
+}
 
-		metricsOut  = flag.String("metrics-out", "", "write cumulative metric snapshots as JSONL to this file")
-		metricsIvl  = flag.Duration("metrics-interval", 0, "simulated time between snapshots (0 = final snapshot only)")
-		traceEvents = flag.String("trace-events", "", "write decision events as JSONL to this file")
-		traceCap    = flag.Int("trace-cap", 0, fmt.Sprintf("per-shard event ring-buffer capacity (0 = %d)", obs.DefaultTraceCapacity))
-		httpAddr    = flag.String("http", "", "serve live Prometheus text at /metrics and pprof at /debug/pprof/ on this address")
-	)
-	flag.Parse()
+// parse turns the arguments into a runConfig or the usage error that
+// refuses them. It makes every check that needs no simulation, ending
+// with engine.Config.Validate, and opens, builds and prints nothing.
+func parse(args []string) (runConfig, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	var out strings.Builder
+	fs.SetOutput(&out)
+	// Flags that name a configuration field set it directly.
+	rc := runConfig{engine: engine.Config{Hier: hier.Config{Flash: core.DefaultConfig(0)}}}
+	ec, fc := &rc.engine, &rc.engine.Hier.Flash
+	fs.StringVar(&rc.workload, "workload", "dbt2", "Table 4 workload name (ignored with -trace)")
+	fs.StringVar(&rc.trace, "trace", "", "replay a trace file (text, or tracegen -binary's format via a zero-copy mapping) instead of generating")
+	fs.Float64Var(&rc.scale, "scale", 1.0/16, "footprint scale for generated workloads")
+	fs.IntVar(&rc.requests, "requests", 200000, "requests to simulate")
+	dramSize := fs.String("dram", "16M", "DRAM primary disk cache size")
+	flashSize := fs.String("flash", "128M", "Flash cache size (0 disables Flash)")
+	fs.Uint64Var(&ec.Hier.Seed, "seed", 1, "random seed")
+	unified := fs.Bool("unified", false, "use the unified (non-split) Flash cache baseline")
+	noProg := fs.Bool("no-programmable", false, "disable the programmable controller (fixed BCH-1)")
+	fs.Float64Var(&fc.WearAcceleration, "wear-accel", 1, "wear acceleration factor")
+	faultSpec := fs.String("faults", "", "fault-injection campaign, e.g. \"read=2e-3,program=1e-3,erase=1e-3,grown=0.2,seed=7\"")
+	fs.IntVar(&fc.ScrubEvery, "scrub", 0, "background scrub scan interval in host operations (0 disables)")
+	fs.IntVar(&ec.Shards, "shards", 1, "hash-partition the LBA space across N independent shards")
+	fs.IntVar(&ec.Workers, "workers", 0, "concurrent shard replay goroutines, at most GOMAXPROCS and the CPU count (0 = one per shard)")
+	fs.IntVar(&fc.Sched.Channels, "channels", 1, "NAND channels (blocks striped block%channels; 1 = the paper's serial device)")
+	fs.IntVar(&fc.Sched.Banks, "banks", 1, "NAND banks per channel (erases occupy only their bank)")
+	fs.IntVar(&fc.Sched.WriteBufPages, "wbuf", 0, "coalescing write-buffer capacity in pages (0 disables)")
 
-	if *listPolicies {
-		for _, kind := range policy.Kinds() {
-			names := policy.Names(kind)
-			fmt.Printf("%-6s %s (default %s)\n", kind, strings.Join(names, ", "), policy.DefaultName(kind))
-		}
-		return
+	fs.StringVar(&fc.Policies.Evict, "policy-evict", "", "flash eviction policy (default "+policy.DefaultName(policy.KindEvict)+"; see -list-policies)")
+	fs.StringVar(&fc.Policies.Admit, "policy-admit", "", "flash admission policy (default "+policy.DefaultName(policy.KindAdmit)+"; see -list-policies)")
+	fs.StringVar(&fc.Policies.GC, "policy-gc", "", "GC victim-selection policy (default "+policy.DefaultName(policy.KindGC)+"; see -list-policies)")
+	fs.BoolVar(&rc.listPolicies, "list-policies", false, "list the registered cache policies and exit")
+
+	fs.Float64Var(&fc.Retention.Accel, "retention-accel", 0, "retention-loss acceleration factor over the 10-year spec dwell (0 disables)")
+	fs.Float64Var(&fc.Disturb.ReadsPerBit, "disturb-reads", 0, "sibling reads per correctable read-disturb bit error (0 disables)")
+	fs.Float64Var(&fc.RefreshThreshold, "refresh-threshold", 0, "fraction of ECC capability at which the scrubber refreshes a page (0 = 1.0)")
+	fs.StringVar(&rc.checkpointOut, "checkpoint-out", "", "write a resumable campaign checkpoint to this file at end of run")
+	fs.StringVar(&rc.checkpointIn, "checkpoint-in", "", "resume a campaign from this checkpoint (-requests adds to it)")
+
+	fs.StringVar(&rc.metricsOut, "metrics-out", "", "write cumulative metric snapshots as JSONL to this file")
+	metricsIvl := fs.Duration("metrics-interval", 0, "simulated time between snapshots (0 = final snapshot only)")
+	fs.StringVar(&rc.traceEvents, "trace-events", "", "write decision events as JSONL to this file")
+	fs.IntVar(&ec.Obs.TraceCapacity, "trace-cap", 0, fmt.Sprintf("per-shard event ring-buffer capacity (0 = %d)", obs.DefaultTraceCapacity))
+	fs.StringVar(&rc.httpAddr, "http", "", "serve live Prometheus text at /metrics and pprof at /debug/pprof/ on this address")
+	if err := fs.Parse(args); err != nil {
+		return runConfig{}, &flagError{err, out.String()}
+	}
+	if rc.listPolicies {
+		return runConfig{listPolicies: true}, nil
+	}
+	bad := func(format string, args ...any) (runConfig, error) {
+		return runConfig{}, fmt.Errorf(format, args...)
 	}
 
-	// Validate the whole flag set up front: every rejection below is a
-	// usage error reported before any simulation state is built, so a
-	// mistyped multi-hour campaign fails in milliseconds.
+	// engine.Config.Validate, last, checks the DRAM size, shards, workers
+	// and, with a Flash tier, policy names and scheduler sizes. The
+	// checks here are the ones it cannot make on every path.
 	dram, err := parseSize(*dramSize)
 	if err != nil {
-		usageErr("-dram: %v", err)
+		return bad("-dram: %v", err)
 	}
 	flash, err := parseSize(*flashSize)
 	if err != nil {
-		usageErr("-flash: %v", err)
+		return bad("-flash: %v", err)
 	}
+	ckpt, pset := rc.checkpointIn != "" || rc.checkpointOut != "", fc.Policies
 	switch {
-	case dram < 0:
-		usageErr("-dram %s is negative", *dramSize)
 	case flash < 0:
-		usageErr("-flash %s is negative", *flashSize)
-	case *requests < 0:
-		usageErr("-requests %d is negative", *requests)
-	case *scrubEvery < 0:
-		usageErr("-scrub %d: the scrub interval cannot be negative", *scrubEvery)
-	case *shards < 1:
-		usageErr("-shards %d: need at least one shard", *shards)
-	case *workers < 0:
-		usageErr("-workers %d is negative", *workers)
-	case !finiteNonNeg(*wearAccel):
-		usageErr("-wear-accel %g: need a finite factor >= 0", *wearAccel)
-	case !finiteNonNeg(*retentionAccel):
-		usageErr("-retention-accel %g: need a finite factor >= 0", *retentionAccel)
-	case !finiteNonNeg(*disturbReads):
-		usageErr("-disturb-reads %g: need a finite read count >= 0", *disturbReads)
-	case !(*refreshThresh >= 0 && *refreshThresh <= 1):
-		usageErr("-refresh-threshold %g outside (0,1] (0 means 1.0)", *refreshThresh)
-	case *channels < 1:
-		usageErr("-channels %d: need at least one channel", *channels)
-	case *banks < 1:
-		usageErr("-banks %d: need at least one bank per channel", *banks)
-	case *wbufPages < 0:
-		usageErr("-wbuf %d is negative", *wbufPages)
-	case *traceCap < 0:
-		usageErr("-trace-cap %d is negative", *traceCap)
+		return bad("-flash %s is negative", *flashSize)
+	case rc.requests < 0:
+		return bad("-requests %d is negative", rc.requests)
+	case fc.ScrubEvery < 0:
+		return bad("-scrub %d: the scrub interval cannot be negative", fc.ScrubEvery)
+	case !finiteNonNeg(fc.WearAcceleration):
+		return bad("-wear-accel %g: need a finite factor >= 0", fc.WearAcceleration)
+	case !finiteNonNeg(fc.Retention.Accel):
+		return bad("-retention-accel %g: need a finite factor >= 0", fc.Retention.Accel)
+	case !finiteNonNeg(fc.Disturb.ReadsPerBit):
+		return bad("-disturb-reads %g: need a finite read count >= 0", fc.Disturb.ReadsPerBit)
+	case !(fc.RefreshThreshold >= 0 && fc.RefreshThreshold <= 1):
+		return bad("-refresh-threshold %g outside (0,1] (0 means 1.0)", fc.RefreshThreshold)
+	case fc.Sched.Channels < 1:
+		return bad("-channels %d: need at least one channel", fc.Sched.Channels)
+	case fc.Sched.Banks < 1:
+		return bad("-banks %d: need at least one bank per channel", fc.Sched.Banks)
+	case fc.Sched.WriteBufPages < 0:
+		return bad("-wbuf %d is negative", fc.Sched.WriteBufPages)
+	case ec.Obs.TraceCapacity < 0:
+		return bad("-trace-cap %d is negative", ec.Obs.TraceCapacity)
 	case *metricsIvl < 0:
-		usageErr("-metrics-interval %v is negative", *metricsIvl)
-	case *metricsIvl > 0 && *metricsOut == "" && *httpAddr == "":
-		usageErr("-metrics-interval takes snapshots only -metrics-out or -http reads; set one of them")
-	case *traceCap > 0 && *traceEvents == "":
-		usageErr("-trace-cap sizes the event buffer only -trace-events writes; set it too")
-	case *traceFile == "" && !(*scale > 0):
-		usageErr("-scale %g: generated workloads need a positive footprint scale", *scale)
-	case flash == 0 && (*retentionAccel > 0 || *disturbReads > 0):
-		usageErr("-retention-accel/-disturb-reads model Flash reliability; -flash 0 builds no Flash tier")
-	case (*checkpointIn != "" || *checkpointOut != "") && *traceFile != "":
-		usageErr("-checkpoint-in/-checkpoint-out support generated workloads only, not -trace " +
+		return bad("-metrics-interval %v is negative", *metricsIvl)
+	case *metricsIvl > 0 && rc.metricsOut == "" && rc.httpAddr == "":
+		return bad("-metrics-interval takes snapshots only -metrics-out or -http reads; set one of them")
+	case ec.Obs.TraceCapacity > 0 && rc.traceEvents == "":
+		return bad("-trace-cap sizes the event buffer only -trace-events writes; set it too")
+	case rc.trace == "" && !(rc.scale > 0 && rc.scale <= 1):
+		return bad("-scale %g: generated workloads need a footprint scale in (0, 1]", rc.scale)
+	case flash == 0 && (fc.Retention.Accel > 0 || fc.Disturb.ReadsPerBit > 0):
+		return bad("-retention-accel/-disturb-reads model Flash reliability; -flash 0 builds no Flash tier")
+	case ckpt && rc.trace != "":
+		return bad("-checkpoint-in/-checkpoint-out support generated workloads only, not -trace " +
 			"(a trace file's stream position cannot be replayed deterministically)")
-	}
-	schedCfg := sched.Config{Channels: *channels, Banks: *banks, WriteBufPages: *wbufPages}
-	switch {
-	case flash == 0 && schedCfg.Active():
-		usageErr("-channels/-banks/-wbuf configure the Flash NAND scheduler; -flash 0 builds no Flash tier")
-	case (*checkpointIn != "" || *checkpointOut != "") && schedCfg.Active():
-		usageErr("-checkpoint-in/-checkpoint-out support the default serial device only " +
+	case flash == 0 && fc.Sched.Active():
+		return bad("-channels/-banks/-wbuf configure the Flash NAND scheduler; -flash 0 builds no Flash tier")
+	case ckpt && fc.Sched.Active():
+		return bad("-checkpoint-in/-checkpoint-out support the default serial device only " +
 			"(in-flight channel/bank/write-buffer state is not checkpointable)")
+	case flash == 0 && !pset.IsDefault():
+		return bad("-policy-evict/-policy-admit/-policy-gc select Flash cache policies; -flash 0 builds no Flash tier")
+	case pset.Normalized().Admit == policy.AdmitThrottle && fc.Sched.WriteBufPages == 0:
+		return bad("-policy-admit throttle reads the write-buffer fill; configure one with -wbuf")
 	}
-	var gen workload.Generator
-	if *traceFile == "" {
-		gen, err = workload.New(*workloadName, *scale, *seed)
-		if err != nil {
-			usageErr("-workload/-scale: %v", err)
-		}
+	if _, ok := workload.Lookup(rc.workload); !ok && rc.trace == "" {
+		return bad("-workload %q is unknown (have %s)", rc.workload, strings.Join(workload.Names(), ", "))
 	}
-	var faults *fault.Plan
 	if *faultSpec != "" {
-		faults, err = parseFaults(*faultSpec)
+		fc.Faults, err = parseFaults(*faultSpec)
 		if err != nil {
-			usageErr("-faults: %v", err)
+			return bad("-faults: %v", err)
 		}
-		if !faults.Active() {
-			usageErr("-faults %q provides no fault rates; set at least one of read/program/erase/grown/bad", *faultSpec)
+		if !fc.Faults.Active() {
+			return bad("-faults %q provides no fault rates; set at least one of read/program/erase/grown/bad", *faultSpec)
 		}
-	}
-	pset := policy.Set{Evict: *policyEvict, Admit: *policyAdmit, GC: *policyGC}
-	if err := pset.Validate(); err != nil {
-		usageErr("%v", err)
-	}
-	if flash == 0 && !pset.IsDefault() {
-		usageErr("-policy-evict/-policy-admit/-policy-gc select Flash cache policies; -flash 0 builds no Flash tier")
-	}
-	if pset.Normalized().Admit == policy.AdmitThrottle && *wbufPages == 0 {
-		usageErr("-policy-admit throttle reads the write-buffer fill; configure one with -wbuf")
 	}
 
-	fc := core.DefaultConfig(flash)
+	ec.Hier.DRAMBytes, ec.Hier.FlashBytes, fc.FlashBytes = dram, flash, flash
 	if *unified {
 		fc.ReadFraction = 1
 	}
 	fc.Programmable = !*noProg
-	fc.WearAcceleration = *wearAccel
-	fc.ScrubEvery = *scrubEvery
-	fc.Retention = wear.RetentionParams{Accel: *retentionAccel}
-	fc.Disturb = wear.DisturbParams{ReadsPerBit: *disturbReads}
-	fc.RefreshThreshold = *refreshThresh
-	fc.Policies = pset
-	fc.Sched = schedCfg
-	fc.Faults = faults
-
-	obsOpts := obs.Options{
-		Metrics:         *metricsOut != "" || *httpAddr != "",
-		MetricsInterval: sim.Duration(*metricsIvl),
-		Trace:           *traceEvents != "",
-		TraceCapacity:   *traceCap,
-	}
-	if *httpAddr != "" && obsOpts.MetricsInterval == 0 {
+	ec.Obs.Metrics = rc.metricsOut != "" || rc.httpAddr != ""
+	ec.Obs.MetricsInterval = sim.Duration(*metricsIvl)
+	ec.Obs.Trace = rc.traceEvents != ""
+	if rc.httpAddr != "" && ec.Obs.MetricsInterval == 0 {
 		// The live endpoint reads atomically published snapshots, so it
 		// would serve nothing until the end of the run without a
 		// snapshot cadence.
-		obsOpts.MetricsInterval = 100 * sim.Millisecond
+		ec.Obs.MetricsInterval = 100 * sim.Millisecond
 	}
 
-	cfg := hier.Config{DRAMBytes: dram, FlashBytes: flash, Seed: *seed}
-	if flash > 0 {
-		cfg.Flash = fc
-	}
-
-	// fingerprint names the configuration for checkpoint compatibility:
-	// a checkpoint resumes only under the exact flag set that produced
-	// it (minus -requests, which extends the campaign).
-	fingerprint := fmt.Sprintf(
+	rc.fingerprint = fmt.Sprintf(
 		"workload=%s scale=%g dram=%d flash=%d seed=%d unified=%v programmable=%v "+
 			"wear-accel=%g faults=%q scrub=%d shards=%d "+
 			"retention-accel=%g disturb-reads=%g refresh-threshold=%g",
-		*workloadName, *scale, dram, flash, *seed, *unified, !*noProg,
-		*wearAccel, *faultSpec, *scrubEvery, *shards,
-		*retentionAccel, *disturbReads, *refreshThresh)
+		rc.workload, rc.scale, dram, flash, ec.Hier.Seed, *unified, !*noProg,
+		fc.WearAcceleration, *faultSpec, fc.ScrubEvery, ec.Shards,
+		fc.Retention.Accel, fc.Disturb.ReadsPerBit, fc.RefreshThreshold)
 	if !pset.IsDefault() {
 		// Appended only for non-default selections, so a default run's
 		// checkpoint bytes stay pinned. (Checkpoints older than the
 		// policy framework do not resume: FDCK v2 refuses them.)
 		n := pset.Normalized()
-		fingerprint += fmt.Sprintf(" policy-evict=%s policy-admit=%s policy-gc=%s",
+		rc.fingerprint += fmt.Sprintf(" policy-evict=%s policy-admit=%s policy-gc=%s",
 			n.Evict, n.Admit, n.GC)
 	}
-
 	// Every capacity and shard-count rejection the engine reports is a
-	// usage error: too little DRAM or Flash for even one shard.
-	eng, err := engine.New(engine.Config{Shards: *shards, Workers: *workers, Hier: cfg, Obs: obsOpts})
+	// usage error: too little DRAM or Flash for even one shard, or more
+	// state than engine.MaxResidentBytes.
+	if err := ec.Validate(); err != nil {
+		return bad("%v", err)
+	}
+	return rc, nil
+}
+
+// usage reports a command line parse refused and returns the exit code:
+// 0 for -h, else 2. Only the flag package's own reports print the usage.
+func usage(stderr io.Writer, err error) int {
+	var fe *flagError
+	if errors.As(err, &fe) {
+		fmt.Fprint(stderr, fe.text)
+		if fe.error == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fmt.Fprintf(stderr, "fdcsim: %v\nrun with -h for usage\n", err)
+	return 2
+}
+
+// run builds the engine rc describes, replays the stream, writes the
+// side files and prints the report. It returns the exit code: 0, or 1 for
+// an input or I/O error, a failed integrity audit or a dead Flash tier.
+func run(rc runConfig, stdout, stderr io.Writer) int {
+	if rc.listPolicies {
+		for _, kind := range policy.Kinds() {
+			fmt.Fprintf(stdout, "%-6s %s (default %s)\n", kind, strings.Join(policy.Names(kind), ", "), policy.DefaultName(kind))
+		}
+		return 0
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fdcsim:", err)
+		return 1
+	}
+	eng, prevConsumed, err := start(rc)
 	if err != nil {
-		usageErr("%v", err)
+		return fail(err)
 	}
 
-	// Resume: restore every shard's state and remember how much of the
-	// global stream the checkpointed run already simulated.
-	prevConsumed := 0
-	if *checkpointIn != "" {
-		f, err := os.Open(*checkpointIn)
-		die(err)
-		ck, err := engine.ReadCheckpoint(f)
-		die(err)
-		die(f.Close())
-		if ck.Fingerprint != fingerprint {
-			die(fmt.Errorf("checkpoint configuration mismatch:\n  checkpoint: %s\n  this run:   %s",
-				ck.Fingerprint, fingerprint))
-		}
-		if ck.Shards != *shards {
-			die(fmt.Errorf("checkpoint has %d shards, -shards says %d", ck.Shards, *shards))
-		}
-		die(eng.Restore(ck))
-		prevConsumed = int(ck.Consumed)
-	}
-	totalRequests := prevConsumed + *requests
-
-	if *httpAddr != "" {
+	if rc.httpAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(eng.Observers))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -407,34 +422,37 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "fdcsim: http:", err)
+			if err := http.ListenAndServe(rc.httpAddr, mux); err != nil {
+				fmt.Fprintln(stderr, "fdcsim: http:", err)
 			}
 		}()
-		fmt.Printf("serving metrics:   http://%s/metrics (pprof at /debug/pprof/)\n", *httpAddr)
+		fmt.Fprintf(stdout, "serving metrics:   http://%s/metrics (pprof at /debug/pprof/)\n", rc.httpAddr)
 	}
 
 	stats := trace.NewStats()
 	var src trace.Source
-	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		die(err)
-		// Registered rather than deferred: die/usageErr and the explicit
-		// os.Exit paths below bypass defers, so a deferred close would
-		// leak the file and the mapping on every early exit.
-		onExit(f.Close)
+	if rc.trace != "" {
+		f, err := os.Open(rc.trace)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
 		// The first bytes name the format: no text trace can start
 		// with the binary magic. Peek leaves them in the text stream.
 		br := bufio.NewReader(f)
 		if magic, _ := br.Peek(len(trace.BinaryMagic)); string(magic) == trace.BinaryMagic {
-			m, err := trace.MapFile(*traceFile)
-			die(err)
-			onExit(m.Close)
+			m, err := trace.MapFile(rc.trace)
+			if err != nil {
+				return fail(err)
+			}
+			defer m.Close()
 			src = trace.NewCountingSource(m, stats)
 		} else {
 			src = trace.NewCountingSource(trace.NewStreamSource(trace.NewReader(br)), stats)
 		}
 	} else {
+		// parse checked the workload name and scale New would refuse.
+		gen := workload.MustNew(rc.workload, rc.scale, rc.engine.Hier.Seed)
 		src = trace.NewCountingSource(workload.AsSource(gen), stats)
 		// On resume, drain the prefix the checkpointed run already
 		// simulated: the generator is deterministic, so this
@@ -445,187 +463,168 @@ func main() {
 			skipped += src.Next(skip[:min(len(skip), prevConsumed-skipped)])
 		}
 	}
-	eng.RunSource(src, *requests)
+	eng.RunSource(src, rc.requests)
 	// The source's sticky stream error (a torn trace file, a bad binary
 	// record) is fatal like any other input error.
-	die(trace.SourceErr(src))
+	if err := trace.SourceErr(src); err != nil {
+		return fail(err)
+	}
 
 	// Checkpoint before Drain: the unbroken run never drains mid-way,
 	// so a resumable snapshot must capture the pre-drain state for the
 	// continuation to be bit-identical. (Progress notes go to stderr —
 	// stdout stays byte-comparable across segmented and unbroken runs.)
-	if *checkpointOut != "" {
-		ck, err := eng.Checkpoint(fingerprint, int64(totalRequests))
-		die(err)
-		f, err := os.Create(*checkpointOut)
-		die(err)
-		die(engine.WriteCheckpoint(f, ck))
-		die(f.Close())
-		fmt.Fprintf(os.Stderr, "fdcsim: checkpoint after %d requests -> %s\n", totalRequests, *checkpointOut)
+	if rc.checkpointOut != "" {
+		ck, err := eng.Checkpoint(rc.fingerprint, int64(prevConsumed+rc.requests))
+		if err == nil {
+			err = writeFile(rc.checkpointOut, func(w io.Writer) error { return engine.WriteCheckpoint(w, ck) })
+		}
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "fdcsim: checkpoint after %d requests -> %s\n", prevConsumed+rc.requests, rc.checkpointOut)
 	}
 	eng.Drain()
 	report := eng.Observe()
 
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		die(err)
-		die(obs.WriteSnapshotsJSONL(f, report.Snapshots))
-		die(f.Close())
-		fmt.Printf("metrics:           %d snapshots -> %s\n", len(report.Snapshots), *metricsOut)
+	if rc.metricsOut != "" {
+		if err := writeFile(rc.metricsOut, func(w io.Writer) error { return obs.WriteSnapshotsJSONL(w, report.Snapshots) }); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "metrics:           %d snapshots -> %s\n", len(report.Snapshots), rc.metricsOut)
 	}
-	if *traceEvents != "" {
-		f, err := os.Create(*traceEvents)
-		die(err)
-		die(obs.WriteEventsJSONL(f, report.Events))
-		die(f.Close())
-		fmt.Printf("trace events:      %d -> %s (%d dropped)\n",
-			len(report.Events), *traceEvents, report.DroppedEvents)
+	if rc.traceEvents != "" {
+		if err := writeFile(rc.traceEvents, func(w io.Writer) error { return obs.WriteEventsJSONL(w, report.Events) }); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "trace events:      %d -> %s (%d dropped)\n",
+			len(report.Events), rc.traceEvents, report.DroppedEvents)
 	}
 
 	if eng.Shards() > 1 {
 		// A single-shard run stays silent: its report is the monolithic
 		// simulation's.
-		fmt.Printf("shards:            %d (%d workers)\n", eng.Shards(), eng.Workers())
+		fmt.Fprintf(stdout, "shards:            %d (%d workers)\n", eng.Shards(), eng.Workers())
 	}
 	st := eng.Stats()
-	fmt.Printf("requests:          %d (%d read pages, %d write pages)\n",
+	fmt.Fprintf(stdout, "requests:          %d (%d read pages, %d write pages)\n",
 		st.Requests, st.ReadPages, st.WritePages)
-	fmt.Printf("trace footprint:   %d pages (%.1f MB), %.1f%% writes\n",
+	fmt.Fprintf(stdout, "trace footprint:   %d pages (%.1f MB), %.1f%% writes\n",
 		stats.UniquePages(), float64(stats.WorkingSetBytes())/float64(1<<20),
 		100*stats.WriteFraction())
-	fmt.Printf("PDC hits:          %d (%.2f%% of pages)\n",
-		st.PDCHits, pct(st.PDCHits, st.ReadPages+st.WritePages))
-	fmt.Printf("flash hits:        %d\n", st.FlashHits)
-	fmt.Printf("disk reads:        %d\n", st.DiskReads)
-	fmt.Printf("avg latency:       %v\n", st.AvgLatency())
-	fmt.Printf("latency profile:   %v\n", eng.Latencies())
-	fmt.Printf("request latency:   p99=%v p999=%v\n",
+	fmt.Fprintf(stdout, "PDC hits:          %d (%.2f%% of pages)\n",
+		st.PDCHits, 100*float64(st.PDCHits)/float64(max(1, st.ReadPages+st.WritePages)))
+	fmt.Fprintf(stdout, "flash hits:        %d\n", st.FlashHits)
+	fmt.Fprintf(stdout, "disk reads:        %d\n", st.DiskReads)
+	fmt.Fprintf(stdout, "avg latency:       %v\n", st.AvgLatency())
+	fmt.Fprintf(stdout, "latency profile:   %v\n", eng.Latencies())
+	fmt.Fprintf(stdout, "request latency:   p99=%v p999=%v\n",
 		eng.Latencies().Quantile(0.99), eng.Latencies().Quantile(0.999))
 	srv := server.Default()
-	fmt.Printf("est. bandwidth:    %.1f MB/s (%.0f req/s)\n",
+	fmt.Fprintf(stdout, "est. bandwidth:    %.1f MB/s (%.0f req/s)\n",
 		srv.Bandwidth(st.AvgLatency())/(1<<20), srv.Throughput(st.AvgLatency()))
 
 	if eng.HasFlash() {
+		fc := &rc.engine.Hier.Flash
 		cs := eng.FlashStats()
 		gl := eng.Global()
-		if !pset.IsDefault() {
+		if !fc.Policies.IsDefault() {
 			// Printed only under non-default policies: the default report
 			// stays byte-identical to the pre-framework output.
-			fmt.Printf("policies:          %s\n", pset)
-			fmt.Printf("admission:         %d fills rejected, %d write-arounds\n",
+			fmt.Fprintf(stdout, "policies:          %s\n", fc.Policies)
+			fmt.Fprintf(stdout, "admission:         %d fills rejected, %d write-arounds\n",
 				cs.AdmitRejects, cs.WriteArounds)
 		}
-		fmt.Printf("flash miss rate:   %.4f\n", cs.MissRate())
-		fmt.Printf("flash GC:          %d runs, %d relocations, %v background time\n",
+		fmt.Fprintf(stdout, "flash miss rate:   %.4f\n", cs.MissRate())
+		fmt.Fprintf(stdout, "flash GC:          %d runs, %d relocations, %v background time\n",
 			cs.GCRuns, cs.GCRelocations, cs.GCTime)
-		fmt.Printf("flash evictions:   %d (%d pages flushed to disk)\n",
+		fmt.Fprintf(stdout, "flash evictions:   %d (%d pages flushed to disk)\n",
 			cs.Evictions, cs.FlushedPages)
-		fmt.Printf("wear swaps:        %d, promotions: %d\n", cs.WearSwaps, cs.Promotions)
-		fmt.Printf("reconfig events:   %d ECC, %d density\n",
+		fmt.Fprintf(stdout, "wear swaps:        %d, promotions: %d\n", cs.WearSwaps, cs.Promotions)
+		fmt.Fprintf(stdout, "reconfig events:   %d ECC, %d density\n",
 			gl.ECCReconfigs, gl.DensityReconfigs)
-		fmt.Printf("retired blocks:    %d (dead=%v)\n", cs.RetiredBlocks, eng.Dead())
+		fmt.Fprintf(stdout, "retired blocks:    %d (dead=%v)\n", cs.RetiredBlocks, eng.Dead())
 		ds := eng.DeviceStats()
-		fmt.Printf("device ops:        %d reads, %d programs, %d erases\n",
+		fmt.Fprintf(stdout, "device ops:        %d reads, %d programs, %d erases\n",
 			ds.Reads, ds.Programs, ds.Erases)
-		if schedCfg.Active() {
+		if fc.Sched.Active() {
 			// Printed only under a non-default geometry: the default
 			// serial-device report stays byte-identical to the pre-scheduler
 			// output.
 			ss := eng.SchedStats()
-			fmt.Printf("nand scheduler:    %d channels x %d banks: %d read, %d program, %d erase cmds\n",
-				*channels, *banks, ss.ReadCmds, ss.ProgramCmds, ss.EraseCmds)
-			fmt.Printf("sched contention:  %d channel waits (%v), %d bank conflicts (%v)\n",
+			fmt.Fprintf(stdout, "nand scheduler:    %d channels x %d banks: %d read, %d program, %d erase cmds\n",
+				fc.Sched.Channels, fc.Sched.Banks, ss.ReadCmds, ss.ProgramCmds, ss.EraseCmds)
+			fmt.Fprintf(stdout, "sched contention:  %d channel waits (%v), %d bank conflicts (%v)\n",
 				ss.ChanWaits, ss.ChanWaitTime, ss.BankConflicts, ss.BankWaitTime)
-			if *wbufPages > 0 {
-				fmt.Printf("write buffer:      %d pages: %d buffered, %d coalesced, %d flushes (%d forced)\n",
-					*wbufPages, ss.BufferedWrites, ss.CoalescedWrites, ss.Flushes, ss.ForcedFlushes)
+			if fc.Sched.WriteBufPages > 0 {
+				fmt.Fprintf(stdout, "write buffer:      %d pages: %d buffered, %d coalesced, %d flushes (%d forced)\n",
+					fc.Sched.WriteBufPages, ss.BufferedWrites, ss.CoalescedWrites, ss.Flushes, ss.ForcedFlushes)
 			}
 		}
 		if fc.Feedback() {
 			// Printed only with a feedback path configured: feedback-off
 			// reports stay byte-identical to the pre-feedback output.
-			fmt.Printf("sched feedback:    %d GC deferrals, %d throttle engagements, %d scrub deferrals (%d idle windows)\n",
+			fmt.Fprintf(stdout, "sched feedback:    %d GC deferrals, %d throttle engagements, %d scrub deferrals (%d idle windows)\n",
 				cs.GCDeferred, cs.AdmitThrottleFlips, cs.ScrubDeferred, cs.ScrubWindows)
 		}
-		if *faultSpec != "" || *scrubEvery > 0 {
+		if fc.Faults != nil || fc.ScrubEvery > 0 {
 			fs := eng.FaultStats()
-			fmt.Printf("faults injected:   %d read flips over %d reads, %d program fails, %d erase fails, %d grown bad\n",
+			fmt.Fprintf(stdout, "faults injected:   %d read flips over %d reads, %d program fails, %d erase fails, %d grown bad\n",
 				fs.ReadFlips, fs.ReadInjections, fs.ProgramFails, fs.EraseFails, fs.GrownBad)
-			fmt.Printf("fault recovery:    %d retries (%d recovered), %d remaps, %d program fails, %d erase fails\n",
+			fmt.Fprintf(stdout, "fault recovery:    %d retries (%d recovered), %d remaps, %d program fails, %d erase fails\n",
 				cs.ReadRetries, cs.RetryRecoveries, cs.Remaps, cs.ProgramFailures, cs.EraseFailures)
-			fmt.Printf("scrubber:          %d pages scanned, %d migrated, %v background time\n",
+			fmt.Fprintf(stdout, "scrubber:          %d pages scanned, %d migrated, %v background time\n",
 				cs.ScrubScans, cs.ScrubMigrations, cs.ScrubTime)
 			if err := eng.CheckIntegrity(); err != nil {
-				fmt.Printf("integrity:         FAILED: %v\n", err)
-				exit(1)
+				fmt.Fprintf(stdout, "integrity:         FAILED: %v\n", err)
+				return 1
 			}
-			fmt.Printf("integrity:         OK (%d cached pages verified)\n", eng.ValidPages())
+			fmt.Fprintf(stdout, "integrity:         OK (%d cached pages verified)\n", eng.ValidPages())
 		}
-		if *retentionAccel > 0 || *disturbReads > 0 {
-			fmt.Printf("refresh policy:    %d retention scans, %d refresh rewrites, %d disturb resets\n",
+		if fc.Retention.Accel > 0 || fc.Disturb.ReadsPerBit > 0 {
+			fmt.Fprintf(stdout, "refresh policy:    %d retention scans, %d refresh rewrites, %d disturb resets\n",
 				cs.RetentionScans, cs.RefreshRewrites, cs.DisturbResets)
 		}
 	}
-	elapsed := srv.Elapsed(st.Requests, st.AvgLatency())
-	if db := eng.DiskBusy(); db > elapsed {
-		elapsed = db
-	}
-	if elapsed > 0 {
-		fmt.Printf("power:             %v\n", eng.Power(elapsed))
+	if elapsed := max(srv.Elapsed(st.Requests, st.AvgLatency()), eng.DiskBusy()); elapsed > 0 {
+		fmt.Fprintf(stdout, "power:             %v\n", eng.Power(elapsed))
 	}
 	if err := eng.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "fdcsim: degraded service:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "fdcsim: degraded service:", err)
+		return 1
 	}
-	die(runExitFns())
+	return 0
 }
 
-func pct(a, b int64) float64 {
-	if b == 0 {
-		return 0
+// start builds the engine rc describes and restores rc's checkpoint, if
+// any (its fingerprint names the shard count; Restore checks it). It
+// also returns how much of the stream the checkpointed run simulated.
+func start(rc runConfig) (*engine.Engine, int, error) {
+	eng, err := engine.New(rc.engine)
+	if err != nil || rc.checkpointIn == "" {
+		return eng, 0, err
 	}
-	return 100 * float64(a) / float64(b)
-}
-
-// exitFns holds cleanup work — closing the trace file and its binary
-// mapping — that must run on every exit path. die, usageErr and exit
-// bypass defers (os.Exit), which used to leak the binary trace's
-// mapping on early exits; registered cleanups run regardless.
-var exitFns []func() error
-
-func onExit(fn func() error) { exitFns = append(exitFns, fn) }
-
-// runExitFns runs the registered cleanups newest-first, reporting the
-// first failure (which matters on an otherwise clean exit: a close
-// error can mean the mapping was torn down mid-replay).
-func runExitFns() error {
-	var first error
-	for i := len(exitFns) - 1; i >= 0; i-- {
-		if err := exitFns[i](); err != nil && first == nil {
-			first = err
-		}
-	}
-	exitFns = nil
-	return first
-}
-
-// exit terminates with code after running the registered cleanups.
-func exit(code int) {
-	runExitFns()
-	os.Exit(code)
-}
-
-func die(err error) {
+	f, err := os.Open(rc.checkpointIn)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdcsim:", err)
-		exit(1)
+		return nil, 0, err
 	}
+	defer f.Close()
+	ck, err := engine.ReadCheckpoint(f)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case ck.Fingerprint != rc.fingerprint:
+		return nil, 0, fmt.Errorf("checkpoint configuration mismatch:\n  checkpoint: %s\n  this run:   %s",
+			ck.Fingerprint, rc.fingerprint)
+	}
+	return eng, int(ck.Consumed), eng.Restore(ck)
 }
 
-// usageErr reports a flag-validation failure as a usage error (exit 2,
-// the flag package's convention) before any simulation state exists.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fdcsim: "+format+"\n", args...)
-	fmt.Fprintln(os.Stderr, "run with -h for usage")
-	exit(2)
+// writeFile creates the named file and fills it with write.
+func writeFile(name string, write func(io.Writer) error) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
 }

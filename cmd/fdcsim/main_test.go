@@ -16,57 +16,67 @@ import (
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
+// usageErrorCases are command lines fdcsim must refuse as usage
+// errors, each with a phrase stderr must hold, when set.
+var usageErrorCases = []struct {
+	args []string
+	want string
+}{
+	{args: []string{"-dram", "0"}},
+	{args: []string{"-dram", "100"}},
+	{args: []string{"-dram", "-4M"}},
+	{[]string{"-flash", "100"}, "100 bytes of flash is too small (need at least 4 blocks, 524288 bytes)"},
+	{args: []string{"-flash", "-8M"}},
+	{[]string{"-dram", "9999999999999G"}, "-dram: size 9999999999999G overflows a 64-bit byte count"},
+	{[]string{"-dram", "9999999999G"}, "-dram: size 9999999999G overflows a 64-bit byte count"},
+	{[]string{"-flash", "9999999999999G"}, "-flash: size 9999999999999G overflows a 64-bit byte count"},
+	{[]string{"-flash", "5000G"}, "20480000 blocks (at most 16777216)"},
+	// Within the page addresses per shard, but refused on the
+	// per-page state it would allocate, before allocating it.
+	{[]string{"-flash", "5000G", "-shards", "2"}, "each of 2 shards needs 118245982208 bytes of per-page state, over the 8589934592-byte limit"},
+	{[]string{"-dram", "5000G"}, "each of 1 shards needs 131639279616 bytes of per-page state"},
+	{args: []string{"-workload", "nope"}},
+	{args: []string{"-scale", "2"}},
+	{[]string{"-shards", "4", "-flash", "1M"}, "each of 4 shards gets 262144 bytes of Flash: core: 262144 bytes of flash is too small"},
+	{args: []string{"-trace-cap", "-1"}},
+	// The event ring counts in the same limit, before it is allocated.
+	{[]string{"-flash", "8M", "-dram", "1M", "-requests", "10", "-trace-events", "e", "-trace-cap", "200000000"},
+		"each of 1 shards needs a 200000000-event trace ring"},
+	{args: []string{"-metrics-interval", "-5ms"}},
+	{[]string{"-wear-accel", "NaN"}, "-wear-accel NaN"},
+	{[]string{"-wear-accel", "Inf"}, "-wear-accel +Inf"},
+	{[]string{"-retention-accel", "NaN"}, "-retention-accel NaN"},
+	{[]string{"-retention-accel", "Inf"}, "-retention-accel +Inf"},
+	{[]string{"-disturb-reads", "NaN"}, "-disturb-reads NaN"},
+	{[]string{"-disturb-reads", "Inf"}, "-disturb-reads +Inf"},
+	{[]string{"-refresh-threshold", "NaN"}, "-refresh-threshold NaN"},
+	{[]string{"-faults", "read=2"}, "2 is not a probability"},
+	{[]string{"-faults", "read=Inf"}, "+Inf is not a probability"},
+	{[]string{"-faults", "read=NaN"}, "NaN is not a probability"},
+	{[]string{"-faults", "grown=5,program=0.1"}, "5 is not a probability"},
+	{[]string{"-faults", "read=0.1,flipmax=-3"}, "-3 flips is negative"},
+	{[]string{"-faults", "bad=-1"}, "block -1 is negative"},
+	{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
+	{[]string{"-policy-gc", "definitely-not-a-policy"}, "unknown gc policy"},
+	// A deleted policy name is as unknown as a misspelled one.
+	{[]string{"-policy-gc", "windowed-greedy"}, "unknown gc policy"},
+	{[]string{"-metrics-interval", "10ms"}, "-metrics-interval takes snapshots only -metrics-out or -http reads"},
+	{[]string{"-trace-cap", "64"}, "-trace-cap sizes the event buffer only -trace-events writes"},
+	// Scheduler state is bounded before it is allocated: a write
+	// buffer past the device's pages, more banks than any device has
+	// blocks, and a bank count that overflows an int.
+	{[]string{"-wbuf", "2000000000"}, "2000000000-page write buffer is larger than the 65536 pages"},
+	{[]string{"-channels", "1000000", "-banks", "1000000"}, "1000000 channels x 1000000 banks is more banks than"},
+	{[]string{"-channels", "4294967296", "-banks", "4294967296"}, "4294967296 channels x 4294967296 banks"},
+}
+
 // TestUsageErrors: every bad or overflowing size, capacity (a Flash
 // tier of more blocks than a page address can name included), interval,
-// workload, shard split or out-of-domain number (NaN, infinity, a fault
-// rate outside [0, 1], a negative count) exits 2 with the usage hint,
-// never with a panic or a silently ignored value.
+// workload, shard split, scheduler size or out-of-domain number (NaN,
+// infinity, a fault rate outside [0, 1], a negative count) exits 2 with
+// the usage hint, never with a panic or a silently ignored value.
 func TestUsageErrors(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string // a phrase stderr must hold, when set
-	}{
-		{args: []string{"-dram", "0"}},
-		{args: []string{"-dram", "100"}},
-		{args: []string{"-dram", "-4M"}},
-		{[]string{"-flash", "100"}, "100 bytes of flash is too small (need at least 4 blocks, 524288 bytes)"},
-		{args: []string{"-flash", "-8M"}},
-		{[]string{"-dram", "9999999999999G"}, "-dram: size 9999999999999G overflows a 64-bit byte count"},
-		{[]string{"-dram", "9999999999G"}, "-dram: size 9999999999G overflows a 64-bit byte count"},
-		{[]string{"-flash", "9999999999999G"}, "-flash: size 9999999999999G overflows a 64-bit byte count"},
-		{[]string{"-flash", "5000G"}, "20480000 blocks (at most 16777216)"},
-		// Within the page addresses per shard, but refused on the
-		// per-page state it would allocate, before allocating it.
-		{[]string{"-flash", "5000G", "-shards", "2"}, "each of 2 shards needs 118245982208 bytes of per-page state, over the 8589934592-byte limit"},
-		{[]string{"-dram", "5000G"}, "each of 1 shards needs 131639279616 bytes of per-page state"},
-		{args: []string{"-workload", "nope"}},
-		{args: []string{"-scale", "2"}},
-		{[]string{"-shards", "4", "-flash", "1M"}, "each of 4 shards gets 262144 bytes of Flash: core: 262144 bytes of flash is too small"},
-		{args: []string{"-trace-cap", "-1"}},
-		// The event ring counts in the same limit, before it is allocated.
-		{[]string{"-flash", "8M", "-dram", "1M", "-requests", "10", "-trace-events", "e", "-trace-cap", "200000000"},
-			"each of 1 shards needs a 200000000-event trace ring"},
-		{args: []string{"-metrics-interval", "-5ms"}},
-		{[]string{"-wear-accel", "NaN"}, "-wear-accel NaN"},
-		{[]string{"-wear-accel", "Inf"}, "-wear-accel +Inf"},
-		{[]string{"-retention-accel", "NaN"}, "-retention-accel NaN"},
-		{[]string{"-retention-accel", "Inf"}, "-retention-accel +Inf"},
-		{[]string{"-disturb-reads", "NaN"}, "-disturb-reads NaN"},
-		{[]string{"-disturb-reads", "Inf"}, "-disturb-reads +Inf"},
-		{[]string{"-refresh-threshold", "NaN"}, "-refresh-threshold NaN"},
-		{[]string{"-faults", "read=2"}, "2 is not a probability"},
-		{[]string{"-faults", "read=Inf"}, "+Inf is not a probability"},
-		{[]string{"-faults", "read=NaN"}, "NaN is not a probability"},
-		{[]string{"-faults", "grown=5,program=0.1"}, "5 is not a probability"},
-		{[]string{"-faults", "read=0.1,flipmax=-3"}, "-3 flips is negative"},
-		{[]string{"-faults", "bad=-1"}, "block -1 is negative"},
-		{[]string{"-faults", "read=0.1,burst-every=100,burst-factor=-1"}, "-1 is not a finite factor"},
-		{[]string{"-policy-gc", "definitely-not-a-policy"}, "unknown gc policy"},
-		// A deleted policy name is as unknown as a misspelled one.
-		{[]string{"-policy-gc", "windowed-greedy"}, "unknown gc policy"},
-		{[]string{"-metrics-interval", "10ms"}, "-metrics-interval takes snapshots only -metrics-out or -http reads"},
-		{[]string{"-trace-cap", "64"}, "-trace-cap sizes the event buffer only -trace-events writes"},
-	} {
+	for _, tc := range usageErrorCases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			code, _, stderr := cmdtest.Run(t, append(tc.args, "-requests", "1000")...)
 			if code != 2 {

@@ -130,8 +130,9 @@ type Config struct {
 	// write buffer. The zero value is the serial single-timeline
 	// device of the paper, bit-identical to the historical accounting;
 	// like contention generally it only matters once a clock is
-	// attached (AttachClock). Invalid geometries panic in New —
-	// validate user input with Sched.Validate first.
+	// attached (AttachClock). Invalid geometries, and more banks or
+	// write-buffer pages than the device can use, panic in New —
+	// validate user input with Validate first.
 	Sched sched.Config
 	// RefreshThreshold tunes the scrubber's refresh policy when
 	// Retention or Disturb is enabled: a valid page whose predicted
@@ -215,16 +216,40 @@ func (cfg *Config) Validate() error {
 	if err := cfg.Sched.Validate(); err != nil {
 		return err
 	}
+	// ResidentBytes counts the scheduler's state, so bound it first: a
+	// bank past the blocks any device can hold never gets one, and the
+	// write buffer fronts no more pages than the device has.
+	channels, banks := max(1, cfg.Sched.Channels), max(1, cfg.Sched.Banks)
+	if banks > nand.MaxBlocks/channels {
+		return fmt.Errorf("core: %d channels x %d banks is more banks than the %d blocks a device can hold",
+			cfg.Sched.Channels, cfg.Sched.Banks, nand.MaxBlocks)
+	}
+	if pages := cfg.FlashBytes / PageSize; int64(cfg.Sched.WriteBufPages) > pages {
+		return fmt.Errorf("core: a %d-page write buffer is larger than the %d pages of %d bytes of flash",
+			cfg.Sched.WriteBufPages, pages, cfg.FlashBytes)
+	}
 	return cfg.Policies.Validate()
 }
 
+// writeBufPageBytes is the write buffer's state per page once full: a
+// FIFO entry and a slot of its presized LBA map, measured at 66–78
+// bytes on amd64.
+const writeBufPageBytes = 80
+
 // ResidentBytes returns the bytes of per-page state a cache built from
 // cfg holds once its FCHT has grown to the device's page count: the
-// device's slots, the FPST's and the FCHT's index slots. Per-block
-// state adds under 2% more. cfg must pass Validate.
+// device's slots, the FPST's and the FCHT's index slots, and under a
+// non-serial scheduler its channel and bank timelines and full write
+// buffer. Per-block state adds under 2% more. cfg must pass Validate.
 func (cfg *Config) ResidentBytes() int64 {
 	slots := nand.SlotsPerBlock * max(4, nand.BlocksForCapacity(cfg.FlashBytes, cfg.InitialMode))
-	return int64(slots)*(nand.SlotBytes+int64(unsafe.Sizeof(tables.SlotStatus{}))) + lbaindex.Bytes(2*slots)
+	n := int64(slots)*(nand.SlotBytes+int64(unsafe.Sizeof(tables.SlotStatus{}))) + lbaindex.Bytes(2*slots)
+	if s := cfg.Sched; s.Active() {
+		channels := int64(max(1, s.Channels))
+		n += channels*(1+int64(max(1, s.Banks)))*int64(unsafe.Sizeof(sim.Time(0))) +
+			int64(s.WriteBufPages)*writeBufPageBytes
+	}
+	return n
 }
 
 // baseStrength is the ECC strength pages start at: the forced

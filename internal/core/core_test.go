@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flashdc/internal/nand"
+	"flashdc/internal/sched"
 	"flashdc/internal/sim"
 	"flashdc/internal/wear"
 )
@@ -72,6 +73,23 @@ func checkInvariants(t *testing.T, c *Cache) {
 	}
 }
 
+// TestResidentBytesCountsScheduler: the serial default adds nothing to
+// a cache's resident state; a parallel geometry adds 8 bytes a channel
+// and bank timeline and its write buffer's pages.
+func TestResidentBytesCountsScheduler(t *testing.T) {
+	serial := DefaultConfig(8 * testMB)
+	base := serial.ResidentBytes()
+	serial.Sched = sched.Config{Channels: 1, Banks: 1}
+	if got := serial.ResidentBytes(); got != base {
+		t.Errorf("1x1 geometry: %d resident bytes, want the default's %d", got, base)
+	}
+	parallel := DefaultConfig(8 * testMB)
+	parallel.Sched = sched.Config{Channels: 4, Banks: 2, WriteBufPages: 16}
+	if got, want := parallel.ResidentBytes(), base+(4+4*2)*8+16*writeBufPageBytes; got != want {
+		t.Errorf("4x2 geometry with a 16-page buffer: %d resident bytes, want %d", got, want)
+	}
+}
+
 // TestNewValidation: New panics on every configuration Validate
 // rejects, a zeroed DefaultConfig field among them: New fills in no
 // defaults.
@@ -93,6 +111,11 @@ func TestNewValidation(t *testing.T) {
 		{"zero miss penalty", func(cfg *Config) { cfg.MissPenalty = 0 }, "miss penalty"},
 		{"NaN wear acceleration", func(cfg *Config) { cfg.WearAcceleration = math.NaN() }, "wear acceleration"},
 		{"zero config", func(cfg *Config) { *cfg = Config{FlashBytes: 8 * testMB} }, "read fraction"},
+		// The bank count overflows an int; Validate refuses it before
+		// ResidentBytes multiplies it.
+		{"bank count overflow", func(cfg *Config) { cfg.Sched = sched.Config{Channels: 1 << 32, Banks: 1 << 32} }, "4294967296 channels x 4294967296 banks"},
+		{"banks past any device", func(cfg *Config) { cfg.Sched = sched.Config{Channels: 1 << 12, Banks: 1<<12 + 1} }, "more banks than the 16777216 blocks"},
+		{"write buffer past the device", func(cfg *Config) { cfg.Sched.WriteBufPages = 4097 }, "4097-page write buffer is larger than the 4096 pages"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(8 * testMB)
