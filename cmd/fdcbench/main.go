@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment id, comma list, or 'all'")
-		scale    = flag.Float64("scale", 1.0/16, "capacity/footprint scale relative to the paper (0,1]")
+		scale    = flag.Float64("scale", 1.0/16, "capacity/footprint scale relative to the paper, 1/128 to 1")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		requests = flag.Int("requests", 0, "per-configuration request budget (0 = experiment default)")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
@@ -46,6 +46,8 @@ func main() {
 		usageErr("-format %q: want text or json", *format)
 	case !(*scale > 0 && *scale <= 1):
 		usageErr("-scale %g outside (0,1]", *scale)
+	case *scale < experiments.MinScale:
+		usageErr("-scale %g below the smallest scale %g (1/128)", *scale, experiments.MinScale)
 	case *requests < 0:
 		usageErr("-requests %d is negative", *requests)
 	case *seeds < 1:

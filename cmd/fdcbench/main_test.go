@@ -21,6 +21,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-scale", "0"}, "-scale 0 outside (0,1]"},
 		{[]string{"-scale", "-0.5"}, "-scale -0.5 outside (0,1]"},
 		{[]string{"-scale", "NaN"}, "-scale NaN outside (0,1]"},
+		{[]string{"-scale", "0.0078"}, "-scale 0.0078 below the smallest scale"},
+		{[]string{"-scale", "0.001"}, "-scale 0.001 below the smallest scale"},
 		{[]string{"-requests", "-5"}, "-requests -5 is negative"},
 		{[]string{"-seeds", "-3"}, "-seeds -3"},
 		{[]string{"-seeds", "0"}, "-seeds 0"},

@@ -402,11 +402,15 @@ type Cache struct {
 	regions []*region
 	meta    []blockMeta
 	stats   Stats
-	// The pluggable policy decision points (see policy.go): victim
-	// selection for capacity eviction, fill/write-back admission, and
-	// GC victim selection. Built once in New from cfg.Policies; the
-	// defaults reproduce the paper's welded-in behaviour exactly.
-	evictPol evictPolicy
+	// rotate runs the section 3.6 wear rotation after reclaim erases.
+	// Eviction always takes the LRU tail, so rotate is the one
+	// difference between the eviction policies: cm-wear is wear-lru
+	// with the rotation off.
+	rotate bool
+	// The pluggable policy decision points (see policy.go): fill/
+	// write-back admission and GC victim selection. Built once in New
+	// from cfg.Policies; the defaults reproduce the paper's welded-in
+	// behaviour exactly.
 	admitPol admitPolicy
 	gcPol    gcPolicy
 	// seq is a logical access clock for frequency estimation.
@@ -502,7 +506,8 @@ func New(cfg Config) *Cache {
 		marginalFreq: -1,
 		sched:        sched.New(cfg.Sched),
 	}
-	c.evictPol, c.admitPol, c.gcPol = newPolicies(c, cfg.Policies)
+	c.rotate = cfg.Policies.Evict != policy.EvictCMWear
+	c.admitPol, c.gcPol = newPolicies(c, cfg.Policies)
 	if cfg.Backing == nil {
 		c.cfg.Backing = &discard{}
 	}

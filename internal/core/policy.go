@@ -8,29 +8,20 @@ import (
 	"flashdc/internal/sim"
 )
 
-// The three policy decision points of the cache, behind small
-// interfaces so competitors from the related work can race the paper's
-// behaviour without touching the mechanism code (reclaim, allocation,
-// write-back plumbing). The implementations live here because victim
-// selection needs the cache's region LRU lists and per-block metadata;
-// the name registry and the shared admission filter live in
-// internal/policy so configuration surfaces and the reference model
-// can use them without importing core.
+// Admission and GC victim selection, the cache's pluggable policy
+// decision points, sit behind small interfaces so competitors from the
+// related work can race the paper's behaviour without touching the
+// mechanism code (reclaim, allocation, write-back plumbing). The
+// implementations live here because victim selection needs the cache's
+// region LRU lists and per-block metadata; the name registry and the
+// shared admission filter live in internal/policy so configuration
+// surfaces and the reference model can use them without importing
+// core. The eviction policies differ only in Cache.rotate.
 //
 // Hot-path contract: every implementation is allocation-free. The
 // default implementations reproduce the pre-framework behaviour
 // exactly — with a default policy.Set, simulation output is
 // bit-identical to the welded-in code they were extracted from.
-
-// evictPolicy picks the block a full region evicts.
-type evictPolicy interface {
-	// victim returns the block to evict, or none when the region has
-	// no active blocks.
-	victim(c *Cache, r *region) int
-	// rotate reports whether the section 3.6 wear-rotation migration
-	// runs after erases (the wear-lru policy's second half).
-	rotate() bool
-}
 
 // admitPolicy decides what enters the Flash cache and when dirty data
 // writes back through it.
@@ -93,20 +84,12 @@ const (
 	scrubDeferWait = 100 * sim.Microsecond
 )
 
-// newPolicies instantiates the configured implementations. The set
-// must already be normalized and validated (New does both). The cache
-// receiver exists for the scheduler-feedback policies, which consult
-// c.sched's occupancy surface at decision time.
-func newPolicies(c *Cache, s policy.Set) (evictPolicy, admitPolicy, gcPolicy) {
-	var ev evictPolicy
-	switch s.Evict {
-	case policy.EvictWearLRU:
-		ev = wearLRUEvict{}
-	case policy.EvictCMWear:
-		ev = cmWearEvict{}
-	default:
-		panic(fmt.Sprintf("core: unregistered evict policy %q", s.Evict))
-	}
+// newPolicies instantiates the configured admission and GC
+// implementations. The set must already be normalized and validated
+// (New does both). The cache receiver exists for the scheduler-
+// feedback policies, which consult c.sched's occupancy surface at
+// decision time.
+func newPolicies(c *Cache, s policy.Set) (admitPolicy, gcPolicy) {
 	var ad admitPolicy
 	switch s.Admit {
 	case policy.AdmitPaper:
@@ -129,43 +112,8 @@ func newPolicies(c *Cache, s policy.Set) (evictPolicy, admitPolicy, gcPolicy) {
 	default:
 		panic(fmt.Sprintf("core: unregistered gc policy %q", s.GC))
 	}
-	return ev, ad, gc
+	return ad, gc
 }
-
-// ---- Eviction ----
-
-// wearLRUEvict is the paper's section 3.6 replacement policy: evict
-// the least recently used block, then let the wear-rotation migration
-// swap a worn victim with the globally newest block.
-type wearLRUEvict struct{}
-
-func (wearLRUEvict) victim(c *Cache, r *region) int { return int(r.tail) }
-func (wearLRUEvict) rotate() bool                   { return true }
-
-// cmWearWindow is how deep into the LRU tail the cm-wear policy looks
-// for a young block. Small, so the victim stays cold (Boukhobza et
-// al. keep the recency signal primary and use wear only to break near-
-// ties among cold blocks).
-const cmWearWindow = 4
-
-// cmWearEvict is Boukhobza et al.'s strategy: replacement decisions
-// absorb the wear-leveling job. Among the cmWearWindow least-recently-
-// used blocks the one with the fewest erases is evicted — reuse of
-// young blocks is preferred — and the explicit wear-rotation
-// migrations are disabled, saving their relocation writes.
-type cmWearEvict struct{}
-
-func (cmWearEvict) victim(c *Cache, r *region) int {
-	best, bestErases, n := none, 0, 0
-	for b := int(r.tail); b != none && n < cmWearWindow; b = int(c.meta[b].prev) {
-		if er := c.dev.EraseCount(b); best == none || er < bestErases {
-			best, bestErases = b, er
-		}
-		n++
-	}
-	return best
-}
-func (cmWearEvict) rotate() bool { return false }
 
 // ---- Admission ----
 

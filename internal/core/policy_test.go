@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flashdc/internal/policy"
+	"flashdc/internal/sim"
 )
 
 func TestNewRejectsUnknownPolicy(t *testing.T) {
@@ -99,31 +100,47 @@ func fakeRegion(c *Cache, blocks ...int) *region {
 	return r
 }
 
-// TestCMWearVictimPrefersYoungTail: among the window LRU-tail blocks
-// the one with the fewest erases wins; blocks beyond the window are
-// never candidates even with zero erases.
-func TestCMWearVictimPrefersYoungTail(t *testing.T) {
-	c := smallCache(t, nil)
-	// LRU order (front=MRU): 0 1 2 3 4 5. The window of cmWearWindow
-	// = 4 covers 5,4,3,2.
-	r := fakeRegion(c, 0, 1, 2, 3, 4, 5)
-	for b, erases := range map[int]int{0: 0, 1: 0, 2: 9, 3: 3, 4: 7, 5: 8} {
-		for i := 0; i < erases; i++ {
-			if _, err := c.dev.Erase(b); err != nil {
-				t.Fatal(err)
+// TestCMWearIsWearLRUWithoutRotation: cm-wear evicts the LRU tail
+// like wear-lru and only drops the section 3.6 rotation, so a hot-write
+// stream (with reads that overflow the read region, so both regions
+// evict) against cm-wear and against wear-lru with a threshold no block
+// can reach leaves identical counters, device traffic and per-block
+// erase counts. Default wear-lru on the same stream must rotate, or the
+// comparison proves nothing.
+func TestCMWearIsWearLRUWithoutRotation(t *testing.T) {
+	run := func(over func(*Config)) *Cache {
+		c := smallCache(t, func(cfg *Config) {
+			cfg.WearAcceleration = 1000
+			if over != nil {
+				over(cfg)
+			}
+		})
+		rng := sim.NewRNG(33)
+		for i := 0; i < 60000; i++ {
+			if rng.Bool(0.8) {
+				c.Write(int64(rng.Intn(48)))
+			} else if lba := int64(rng.Intn(6000)); !c.Read(lba).Hit {
+				c.Insert(lba)
 			}
 		}
+		checkInvariants(t, c)
+		return c
 	}
-	p := cmWearEvict{}
-	if got := p.victim(c, r); got != 3 {
-		t.Fatalf("victim = block %d, want 3 (fewest erases inside the window)", got)
+	if swaps := run(nil).Stats().WearSwaps; swaps == 0 {
+		t.Fatal("default wear-lru made no wear swaps; the stream is too gentle")
 	}
-	if p.rotate() {
-		t.Fatal("cm-wear must disable wear rotation")
+	cm := run(func(cfg *Config) { cfg.Policies = policy.Set{Evict: policy.EvictCMWear} })
+	lru := run(func(cfg *Config) { cfg.WearThreshold = 1 << 30 })
+	if cm.Stats() != lru.Stats() {
+		t.Fatalf("Stats differ:\ncm-wear  %+v\nwear-lru %+v", cm.Stats(), lru.Stats())
 	}
-	// The default policy on the same region takes the plain LRU tail.
-	if got := (wearLRUEvict{}).victim(c, r); got != 5 {
-		t.Fatalf("wear-lru victim = block %d, want 5 (LRU tail)", got)
+	if cm.DeviceStats() != lru.DeviceStats() {
+		t.Fatalf("DeviceStats differ:\ncm-wear  %+v\nwear-lru %+v", cm.DeviceStats(), lru.DeviceStats())
+	}
+	for b := 0; b < cm.Blocks(); b++ {
+		if cm.EraseCount(b) != lru.EraseCount(b) {
+			t.Fatalf("block %d: cm-wear %d erases, wear-lru %d", b, cm.EraseCount(b), lru.EraseCount(b))
+		}
 	}
 }
 

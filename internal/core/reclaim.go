@@ -203,7 +203,7 @@ func (c *Cache) reuse(r *region, b int) {
 		return
 	}
 	r.free = append(r.free, b)
-	if c.evictPol.rotate() {
+	if c.rotate {
 		c.maybeWearRotate(b)
 	}
 }
@@ -265,20 +265,19 @@ func (c *Cache) reclaim(r *region) {
 	c.evict(r)
 }
 
-// evict removes one block's content to make space. Victim selection
-// is the eviction policy's call — the default wear-lru policy takes
-// the LRU block and then honours section 3.6: after the victim is
-// freed, a worn victim swaps roles with the globally newest block
-// (the newest block's content migrates into the victim and the newest
-// block is erased for reuse instead).
+// evict removes one block's content to make space. The victim is the
+// LRU block; under the default wear-lru policy section 3.6 follows in
+// reuse: after the victim is freed, a worn victim swaps roles with the
+// globally newest block (the newest block's content migrates into the
+// victim and the newest block is erased for reuse instead).
 func (c *Cache) evict(r *region) {
-	victim := c.evictPol.victim(c, r)
+	victim := int(r.tail)
 	if victim == none {
 		// Nothing active: the region is degenerate (all space open or
 		// retired). Close the open block so it becomes evictable.
 		if r.open >= 0 {
 			c.closeOpen(r)
-			victim = c.evictPol.victim(c, r)
+			victim = int(r.tail)
 		}
 		if victim == none {
 			c.dead = true

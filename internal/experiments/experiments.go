@@ -21,21 +21,29 @@ type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Scale multiplies capacities and footprints (1 = paper size); 0
-	// picks 1/16.
+	// picks 1/16. A non-zero scale lies in [MinScale, 1].
 	Scale float64
 	// Requests is the per-configuration request budget; 0 picks the
 	// experiment's default.
 	Requests int
 }
 
+// MinScale is the smallest scale every experiment can build its
+// caches at: below it the smallest fixed-size cache (fault-sweep's
+// 64MB) falls under core's 4-block floor.
+const MinScale = 1.0 / 128
+
 // QuickOptions is the test/bench scale.
-func QuickOptions() Options { return Options{Seed: 1, Scale: 1.0 / 128} }
+func QuickOptions() Options { return Options{Seed: 1, Scale: MinScale} }
 
 // normalized fills in the defaults of zero fields and rejects values
 // outside their domain.
 func (o Options) normalized() (Options, error) {
 	if !(o.Scale >= 0 && o.Scale <= 1) {
 		return o, fmt.Errorf("experiments: scale %v outside [0, 1]", o.Scale)
+	}
+	if o.Scale != 0 && o.Scale < MinScale {
+		return o, fmt.Errorf("experiments: scale %v below the minimum %v", o.Scale, MinScale)
 	}
 	if o.Requests < 0 {
 		return o, fmt.Errorf("experiments: request budget %d is negative", o.Requests)

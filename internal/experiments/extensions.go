@@ -181,13 +181,13 @@ func gcContention(o Options) *Table {
 		}
 		var hits int64
 		var hitLat sim.Duration
-		for i := 0; i < requests; i++ {
-			lba := int64(rng.Uint64n(uint64(wss)))
-			op := trace.OpRead
+		replayFlash(c, streamFunc(func() trace.Request {
+			r := trace.Request{Op: trace.OpRead, LBA: int64(rng.Uint64n(uint64(wss))), Pages: 1}
 			if rng.Bool(0.5) {
-				op = trace.OpWrite
+				r.Op = trace.OpWrite
 			}
-			lat, hit := flashAccess(c, op, lba)
+			return r
+		}), requests, func(_ int, _ trace.Op, lat sim.Duration, hit bool) {
 			if hit {
 				hits++
 				hitLat += lat
@@ -195,7 +195,7 @@ func gcContention(o Options) *Table {
 			// Closed loop: the host issues the next operation only
 			// after the previous one completes.
 			clock.Advance(lat + 10*sim.Microsecond)
-		}
+		})
 		label := "off"
 		if contention {
 			label = "on"

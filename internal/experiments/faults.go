@@ -52,14 +52,13 @@ func faultSweep(o Options) *Table {
 		// Footprint sized to ~2x the cache so reads mostly hit Flash
 		// (the injector only sees operations that reach the device).
 		footprint := 2 * int64(float64(64<<20)*o.Scale) / 2048
-		for i := 0; i < requests && !c.Dead(); i++ {
-			lba := int64(rng.Intn(int(footprint)))
-			op := trace.OpRead
+		replayFlash(c, streamFunc(func() trace.Request {
+			r := trace.Request{Op: trace.OpRead, LBA: int64(rng.Intn(int(footprint))), Pages: 1}
 			if rng.Bool(0.3) {
-				op = trace.OpWrite
+				r.Op = trace.OpWrite
 			}
-			flashAccess(c, op, lba)
-		}
+			return r
+		}), requests, nil)
 		integrity := "ok"
 		if err := c.CheckIntegrity(); err != nil {
 			integrity = "FAILED"

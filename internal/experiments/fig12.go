@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
-	"flashdc/internal/sim"
-	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -64,7 +62,8 @@ func fig12(o Options) *Table {
 
 // fig12Lifetime runs one workload against one controller until total
 // Flash failure and returns the number of host page accesses
-// absorbed. The budget caps runaway runs (reported as the budget).
+// absorbed. The budget caps runaway runs; a capped run returns the
+// pages it absorbed before the cap.
 func fig12Lifetime(o Options, name string, programmable bool, budget int) int64 {
 	g := workload.MustNew(name, o.Scale, o.Seed+17)
 	flashBytes := g.FootprintPages() * 2048 / 2
@@ -75,8 +74,5 @@ func fig12Lifetime(o Options, name string, programmable bool, budget int) int64 
 	// budget; identical for both controllers so the ratio is
 	// preserved.
 	cfg.WearAcceleration = 20000
-	c := core.New(cfg)
-	var accesses int64
-	replayFlash(c, g, budget, func(int, trace.Op, sim.Duration, bool) { accesses++ })
-	return accesses
+	return replayFlash(core.New(cfg), g, budget, nil)
 }

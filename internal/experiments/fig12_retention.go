@@ -5,6 +5,7 @@ import (
 
 	"flashdc/internal/core"
 	"flashdc/internal/sim"
+	"flashdc/internal/trace"
 	"flashdc/internal/wear"
 	"flashdc/internal/workload"
 )
@@ -88,14 +89,9 @@ func fig12RetentionLifetime(o Options, name string, programmable bool, budget in
 	c := core.New(cfg)
 	var clk sim.Clock
 	c.AttachClock(&clk)
-	var accesses int64
-	for i := 0; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			accesses++
-			clk.Advance(fig12RetentionOpPeriod)
-			flashAccess(c, r.Op, lba)
-		})
-	}
+	accesses := replayFlash(c, streamFunc(func() trace.Request {
+		clk.Advance(fig12RetentionOpPeriod)
+		return g.Next()
+	}), budget, nil)
 	return accesses, c.Stats()
 }

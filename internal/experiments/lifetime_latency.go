@@ -55,14 +55,8 @@ func lifetimeLatency(o Options) *Table {
 	// Fine-grained sampling, merged into ten life buckets afterwards
 	// (total lifetime is unknown until the device dies).
 	const sample = 2000
-	i := 0
-	for ; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			lat, hit := flashAccess(c, r.Op, lba)
-			if r.Op == trace.OpWrite {
-				return
-			}
+	replayFlash(c, g, budget, func(i int, op trace.Op, lat sim.Duration, hit bool) {
+		if op != trace.OpWrite {
 			cur.reads++
 			if hit {
 				cur.hits++
@@ -70,11 +64,11 @@ func lifetimeLatency(o Options) *Table {
 			} else {
 				cur.misses++
 			}
-		})
+		}
 		if (i+1)%sample == 0 {
 			flush()
 		}
-	}
+	})
 	if cur.reads > 0 {
 		flush()
 	}

@@ -5,8 +5,6 @@ import (
 
 	"flashdc/internal/core"
 	"flashdc/internal/policy"
-	"flashdc/internal/sim"
-	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -86,9 +84,7 @@ func policyFidelityRun(o Options, ps policy.Set, budget int) policyStats {
 // dies (or the budget runs out) and returns the accesses absorbed.
 func policyLifetimeRun(o Options, ps policy.Set, budget int) int64 {
 	c, g := policyCache(o, ps, policyWearAccel)
-	var accesses int64
-	replayFlash(c, g, budget, func(int, trace.Op, sim.Duration, bool) { accesses++ })
-	return accesses
+	return replayFlash(c, g, budget, nil)
 }
 
 func policyCache(o Options, ps policy.Set, wearAccel float64) (*core.Cache, workload.Generator) {

@@ -41,18 +41,24 @@ func flashAccess(c *core.Cache, op trace.Op, lba int64) (sim.Duration, bool) {
 }
 
 // replayFlash replays up to n requests of g through c page by page,
-// stopping once the cache is dead. page, when set, sees each page's
-// request index, op, latency and hit.
-func replayFlash(c *core.Cache, g stream, n int, page func(i int, op trace.Op, lat sim.Duration, hit bool)) {
+// stopping once the cache is dead, and returns the pages served. page,
+// when set, sees each page's request index, op, latency and hit. Every
+// workload generator yields one-page requests, so a stream that steps
+// a clock in Next and a page callback that samples on the request
+// index both see exactly one page per request.
+func replayFlash(c *core.Cache, g stream, n int, page func(i int, op trace.Op, lat sim.Duration, hit bool)) int64 {
+	var pages int64
 	for i := 0; i < n && !c.Dead(); i++ {
 		r := g.Next()
 		r.Expand(func(lba int64) {
+			pages++
 			lat, hit := flashAccess(c, r.Op, lba)
 			if page != nil {
 				page(i, r.Op, lat, hit)
 			}
 		})
 	}
+	return pages
 }
 
 // warmAndMeasure replays warm requests of g through a one-shard engine

@@ -76,7 +76,9 @@ func schedFeedback(o Options) *Table {
 			var lats sim.Histogram
 			var reads, hits int64
 			const burstLen, readLen = 64, 64
-			for round := 0; round < requests/(burstLen+readLen); round++ {
+			// At least one round, so a budget under one round still
+			// measures something.
+			for round := 0; round < max(1, requests/(burstLen+readLen)); round++ {
 				// Write burst: a batch of dirty write-backs over a span
 				// several times the write region, issued nearly
 				// back-to-back — the disk cache flushes far faster than

@@ -101,6 +101,26 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestTinyBudgets: every registered experiment, run with a one-request
+// budget, finishes without panicking and prints no NaN or infinite
+// cell — a budget too small for an experiment's loop must still yield
+// a finite table.
+func TestTinyBudgets(t *testing.T) {
+	o := QuickOptions()
+	o.Requests = 1
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			for _, row := range MustRun(id, o).Rows {
+				for _, cell := range row {
+					if strings.Contains(cell, "NaN") || strings.Contains(cell, "Inf") {
+						t.Fatalf("%s: non-finite cell %q in row %q", id, cell, row)
+					}
+				}
+			}
+		})
+	}
+}
+
 // splitTables cuts a golden text into its tables at the "== id: "
 // header lines that Table.String writes first.
 func splitTables(text string) map[string]string {
@@ -122,13 +142,16 @@ func lineAt(lines []string, n int) string {
 	return strconv.Quote(lines[n])
 }
 
-// TestRunRejectsBadOptions: a scale outside [0, 1] or a negative
-// request budget is an error, not a silently substituted default.
+// TestRunRejectsBadOptions: a scale outside [0, 1] or below MinScale,
+// or a negative request budget is an error, not a silently substituted
+// default.
 func TestRunRejectsBadOptions(t *testing.T) {
 	for _, o := range []Options{
 		{Scale: 2},
 		{Scale: -0.5},
 		{Scale: math.NaN()},
+		{Scale: 0.0078},
+		{Scale: 0.001},
 		{Requests: -5},
 	} {
 		if _, err := Run("table1", o); err == nil {

@@ -28,10 +28,10 @@ const (
 	// LRU block is the victim, and a worn victim swaps roles with the
 	// globally newest block after the erase.
 	EvictWearLRU = "wear-lru"
-	// EvictCMWear is Boukhobza et al.'s cache-management-instead-of-
-	// wear-leveling strategy: the victim is the least-erased block in
-	// a small LRU-tail window, and the explicit wear-rotation
-	// migrations are disabled — replacement itself spreads the wear.
+	// EvictCMWear is our version of Boukhobza et al.'s cache-
+	// management-instead-of-wear-leveling strategy: wear-lru with the
+	// explicit wear-rotation migrations disabled, so the LRU block is
+	// the victim and replacement alone spreads the wear.
 	EvictCMWear = "cm-wear"
 )
 
